@@ -66,12 +66,22 @@ impl PiasConfig {
     /// packet so single-packet messages always ride the top level (the
     /// behaviour the Homa paper notes for W1-W3).
     pub fn thresholds_for(dist: &MessageSizeDist, levels: u8) -> Vec<u64> {
+        // `MessageSizeDist::byte_weighted_cdf` as a table: the grid sizes
+        // ascend, so the bytes at or below a size are a prefix of the grid
+        // and its sum is a running sum (`below[j]` = first `j` sizes).
+        let grid: Vec<u64> = dist.size_grid().collect();
+        let mut below = Vec::with_capacity(grid.len() + 1);
+        below.push(0.0f64);
+        for &s in &grid {
+            below.push(below[below.len() - 1] + s as f64);
+        }
+        let total = below[grid.len()];
+        let byte_weighted_cdf = |size: u64| below[grid.partition_point(|&s| s <= size)] / total;
+
         let n = levels.saturating_sub(1) as usize;
         let mut out = Vec::with_capacity(n);
         for k in 1..=n {
-            let frac = k as f64 / levels as f64;
-            // Byte-weighted quantile via a numeric sweep.
-            let target = frac;
+            let target = k as f64 / levels as f64;
             let mut lo = 0.0f64;
             let mut hi = 1.0f64;
             // The byte-weighted CDF is monotone in size; binary-search the
@@ -79,7 +89,7 @@ impl PiasConfig {
             for _ in 0..40 {
                 let mid = (lo + hi) / 2.0;
                 let size = dist.quantile(mid);
-                if dist.byte_weighted_cdf(size) < target {
+                if byte_weighted_cdf(size) < target {
                     lo = mid;
                 } else {
                     hi = mid;
@@ -383,6 +393,22 @@ mod tests {
             assert_eq!(t.len(), 7);
             assert!(t.windows(2).all(|x| x[0] < x[1]), "{w}: {t:?}");
             assert!(t[0] >= MAX_PAYLOAD as u64, "single-packet messages stay on top");
+        }
+    }
+
+    /// Values from the per-probe `byte_weighted_cdf` sweep this table
+    /// replaced: the running sum adds the same terms in the same order.
+    #[test]
+    fn thresholds_match_the_full_sweep_on_every_workload() {
+        let pinned: [(Workload, [u64; 7]); 5] = [
+            (Workload::W1, [1400, 2800, 4200, 5600, 7000, 8400, 9800]),
+            (Workload::W2, [1400, 2800, 4200, 5600, 7000, 28888, 144427]),
+            (Workload::W3, [1400, 5043, 11175, 19530, 509845, 2107042, 4283418]),
+            (Workload::W4, [943024, 2237583, 3527644, 4827999, 6115879, 7412349, 8709967]),
+            (Workload::W5, [3764911, 9334199, 13404892, 16488665, 19578935, 22669961, 25748794]),
+        ];
+        for (w, want) in pinned {
+            assert_eq!(PiasConfig::thresholds_for(&w.dist(), 8), want, "{w}");
         }
     }
 

@@ -66,5 +66,40 @@ fn bench_endpoint(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_endpoint);
+/// Per-packet cost against retained state: 100 B one-ways — send, poll,
+/// deliver — through a sender already holding `lingering` fully-sent
+/// ones. Sends are spaced a `lingering`-th of the linger window apart and
+/// every batch ends in one `timer_tick`, which therefore expires exactly
+/// one batch of old entries: each iteration sees the same retained count.
+fn bench_oneway_small(c: &mut Criterion) {
+    const BATCH: u64 = 100;
+    let mut g = c.benchmark_group("oneway_small");
+    g.throughput(Throughput::Elements(BATCH));
+    for lingering in [100u64, 10_000] {
+        let cfg = HomaConfig::default();
+        let step = 4 * cfg.resend_interval_ns / lingering;
+        let mut a = HomaEndpoint::new(PeerId(0), cfg.clone());
+        let mut b = HomaEndpoint::new(PeerId(1), cfg);
+        let mut sent = 0u64;
+        let mut send_batch = |n: u64| {
+            for _ in 0..n {
+                let now = sent * step;
+                a.send_message(now, PeerId(1), 100, sent);
+                let (_, pkt) = a.poll_transmit(now).expect("one blind packet");
+                b.on_packet(now, PeerId(0), pkt);
+                sent += 1;
+            }
+            assert_eq!(b.take_events().len() as u64, n);
+            a.timer_tick((sent - 1) * step);
+            assert_eq!(a.outbound_count() as u64, lingering, "retained count drifted");
+        };
+        send_batch(lingering);
+        g.bench_function(format!("after_{lingering}_sent"), |bch| {
+            bch.iter(|| send_batch(std::hint::black_box(BATCH)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_endpoint, bench_oneway_small);
 criterion_main!(benches);

@@ -108,13 +108,15 @@ pub fn homa_config_for(p: Protocol) -> HomaConfig {
 pub fn fabric_queues_for(p: Protocol, dist: &MessageSizeDist) -> Option<QueueDiscipline> {
     match p {
         Protocol::Pfabric => Some(pfabric::fabric_queues(&PfabricConfig::default())),
-        Protocol::Pias => {
-            let thresholds = PiasConfig::thresholds_for(dist, 8);
-            Some(pias::fabric_queues(&PiasConfig { thresholds, ..PiasConfig::default() }))
-        }
+        Protocol::Pias => Some(pias::fabric_queues(&pias_config_for(dist))),
         Protocol::Ndp => Some(ndp::fabric_queues(&NdpConfig::default())),
         _ => None,
     }
+}
+
+/// PIAS with its eight levels' demotion thresholds tuned to `dist`.
+fn pias_config_for(dist: &MessageSizeDist) -> PiasConfig {
+    PiasConfig { thresholds: PiasConfig::thresholds_for(dist, 8), ..PiasConfig::default() }
 }
 
 /// Run the one-way experiment a [`ScenarioSpec`] describes for any
@@ -128,14 +130,14 @@ pub fn run_protocol_scenario(
     homa_override: Option<HomaConfig>,
 ) -> OnewayResult {
     let dist = spec.workload.dist();
-    let queues = fabric_queues_for(p, &dist);
+    let queues = || fabric_queues_for(p, &dist);
     let link = spec.topology().host_link_bps;
     match p {
         Protocol::Homa | Protocol::HomaP(_) | Protocol::Basic => {
             let cfg = homa_override.unwrap_or_else(|| homa_config_for(p));
             let map = static_map_for_workload(&dist, &cfg);
             spec.run_oneway(
-                queues,
+                queues(),
                 |h| {
                     let t = HomaSimTransport::new(h, cfg.clone()).with_static_map(map.clone());
                     if opts.track_delay {
@@ -148,25 +150,26 @@ pub fn run_protocol_scenario(
             )
         }
         Protocol::Stream => {
-            spec.run_oneway(queues, |h| StreamTransport::new(h, StreamConfig::default()), opts)
+            spec.run_oneway(queues(), |h| StreamTransport::new(h, StreamConfig::default()), opts)
         }
         Protocol::Pfabric => {
-            spec.run_oneway(queues, |h| PfabricTransport::new(h, PfabricConfig::default()), opts)
+            spec.run_oneway(queues(), |h| PfabricTransport::new(h, PfabricConfig::default()), opts)
         }
         Protocol::Phost => spec.run_oneway(
-            queues,
+            queues(),
             move |h| {
                 PhostTransport::new(h, PhostConfig { link_bps: link, ..PhostConfig::default() })
             },
             opts,
         ),
         Protocol::Pias => {
-            let thresholds = PiasConfig::thresholds_for(&dist, 8);
-            let pcfg = PiasConfig { thresholds, ..PiasConfig::default() };
+            // The fabric and the hosts take the same config: derive it once.
+            let pcfg = pias_config_for(&dist);
+            let queues = Some(pias::fabric_queues(&pcfg));
             spec.run_oneway(queues, move |h| PiasTransport::new(h, pcfg.clone()), opts)
         }
         Protocol::Ndp => spec.run_oneway(
-            queues,
+            queues(),
             move |h| NdpTransport::new(h, NdpConfig { link_bps: link, ..NdpConfig::default() }),
             opts,
         ),

@@ -302,8 +302,7 @@ impl HomaEndpoint {
         }
 
         let mut grants: Vec<(PeerId, GrantHeader)> = Vec::new();
-        let delivered =
-            self.receiver.on_data(now, from, &hdr, &self.local_map.clone(), &mut grants);
+        let delivered = self.receiver.on_data(now, from, &hdr, &self.local_map, &mut grants);
         for (dst, mut g) in grants {
             // Piggyback our cutoff allocation on grants to peers that have
             // not seen the current version (§3.4 dissemination).
@@ -409,13 +408,7 @@ impl HomaEndpoint {
         let mut resends: Vec<(PeerId, ResendHeader)> = Vec::new();
         let mut aborts: Vec<InboundAbort> = Vec::new();
         let mut grants: Vec<(PeerId, GrantHeader)> = Vec::new();
-        self.receiver.timer_tick(
-            now,
-            &self.local_map.clone(),
-            &mut resends,
-            &mut aborts,
-            &mut grants,
-        );
+        self.receiver.timer_tick(now, &self.local_map, &mut resends, &mut aborts, &mut grants);
         for (dst, r) in resends {
             self.resends_sent += 1;
             self.ctrl.push_back((dst, HomaPacket::Resend(r)));
@@ -492,9 +485,6 @@ impl HomaEndpoint {
         // learned about) and responses whose client has gone silent.
         for (dst, tag) in self.sender.poke_stalled(now) {
             self.events.push(HomaEvent::OutboundAborted { dst, tag });
-        }
-        if self.sender.has_transmittable() && self.ctrl.is_empty() {
-            // A poke queued a retransmission; surfaced via has_pending_tx.
         }
 
         // Dynamic cutoff refresh (§3.4): recompute from observed traffic
@@ -868,6 +858,40 @@ mod tests {
         assert_eq!(a.outbound_count(), 50, "one-way state lingers until expiry");
         a.timer_tick(100_000_000);
         assert_eq!(a.outbound_count(), 0);
+    }
+
+    /// Retained one-way state stays visible and answerable however much
+    /// of it there is, and all of it goes at the linger deadline.
+    #[test]
+    fn many_lingering_oneways_stay_answerable_until_expiry() {
+        let (mut a, mut b) = pair();
+        for i in 0..5_000 {
+            a.send_message(0, PeerId(1), 100, i);
+            let (_, pkt) = a.poll_transmit(0).expect("one blind packet");
+            b.on_packet(0, PeerId(0), pkt);
+        }
+        assert_eq!(b.delivered_msgs(), 5_000);
+        assert!(!a.has_pending_tx());
+        assert_eq!(a.outbound_count(), 5_000, "every one-way lingers");
+        let first = MsgKey { origin: PeerId(0), seq: 1, dir: Dir::Oneway };
+        assert!(a.outbound_contains(first));
+        a.on_packet(
+            1_000,
+            PeerId(1),
+            HomaPacket::Resend(ResendHeader { key: first, offset: 0, length: 100, prio: 5 }),
+        );
+        match a.poll_transmit(1_000) {
+            Some((dst, HomaPacket::Data(h))) => {
+                assert_eq!(dst, PeerId(1));
+                assert!(h.retransmit);
+                assert_eq!((h.key, h.offset, h.payload, h.prio), (first, 0, 100, 5));
+            }
+            other => panic!("expected the retransmission, got {other:?}"),
+        }
+        assert_eq!(a.outbound_count(), 5_000);
+        a.timer_tick(4 * a.config().resend_interval_ns);
+        assert_eq!(a.outbound_count(), 0, "all retained state expires");
+        assert!(!a.outbound_contains(first));
     }
 
     /// Regression (found by the stateful model fuzzer): once the first

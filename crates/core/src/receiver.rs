@@ -64,7 +64,7 @@ pub struct ReceiverState {
     /// True when the last scheduling pass had incomplete messages beyond
     /// the overcommitment limit (the Figure 16 "withholding" probe).
     withholding: bool,
-    /// Sum over time-sampled checks used by tests.
+    /// GRANT packets issued, blind re-issues included.
     grants_issued: u64,
     /// Total new credit extended via grants, in bytes (excludes the
     /// implicit credit of unscheduled data).

@@ -9,16 +9,22 @@
 //!
 //! State lifecycle follows §3.8: response messages are discarded the
 //! moment their last byte is handed to the NIC (servers keep no state for
-//! completed RPCs); one-way messages linger briefly for retransmission;
-//! request messages are owned by the RPC layer and removed when the
-//! response arrives.
+//! completed RPCs); request messages are owned by the RPC layer and
+//! removed when the response arrives; one-way messages linger for four
+//! resend intervals after their last byte so a late RESEND can still be
+//! answered. A lingering one-way has nothing to send, so it is *parked*:
+//! moved out of the map the per-packet paths scan (SRPT selection, the
+//! BUSY check, the stall sweep) into a side map that only keyed lookups
+//! touch. A RESEND that queues a retransmission moves it back until the
+//! retransmission has gone out. Per-packet cost therefore follows the
+//! number of messages with work left, not the number merely retained.
 
 use crate::config::HomaConfig;
 use crate::messages::OutboundMessage;
 use crate::packets::{BusyHeader, DataHeader, Dir, MsgKey, PeerId};
 use crate::unsched::PriorityMap;
 use crate::Nanos;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// How the sender reacted to an incoming RESEND.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,21 +43,32 @@ pub enum ResendReaction {
 #[derive(Debug)]
 pub struct SenderState {
     cfg: HomaConfig,
+    /// Messages that may still have bytes to send; every per-packet scan
+    /// runs over these.
     msgs: HashMap<MsgKey, OutboundMessage>,
-    /// Fully-sent one-way messages kept around until `expire_at` so that
-    /// late RESENDs can still be answered.
-    linger: Vec<(MsgKey, Nanos)>,
+    /// Fully-sent one-way messages retained so that late RESENDs can
+    /// still be answered. Never scanned. A key is in at most one of
+    /// `msgs` and `parked`.
+    parked: HashMap<MsgKey, OutboundMessage>,
+    /// `(key, expire_at)` per full send of a one-way. `expire_at` is a
+    /// constant past a non-decreasing clock, so push order is expiry
+    /// order and expiry pops from the front.
+    linger: VecDeque<(MsgKey, Nanos)>,
 }
 
 impl SenderState {
     /// New sender state.
     pub fn new(cfg: HomaConfig) -> Self {
-        SenderState { cfg, msgs: HashMap::new(), linger: Vec::new() }
+        SenderState { cfg, msgs: HashMap::new(), parked: HashMap::new(), linger: VecDeque::new() }
     }
 
     /// Number of messages with state held.
     pub fn active_messages(&self) -> usize {
-        self.msgs.len()
+        self.msgs.len() + self.parked.len()
+    }
+
+    fn get_mut(&mut self, key: MsgKey) -> Option<&mut OutboundMessage> {
+        self.msgs.get_mut(&key).or_else(|| self.parked.get_mut(&key))
     }
 
     /// Begin transmitting a message. `peer_map` supplies the receiver's
@@ -91,7 +108,7 @@ impl SenderState {
     /// Handle a GRANT: raise the transmission limit and adopt the
     /// receiver-assigned scheduled priority.
     pub fn on_grant(&mut self, now: Nanos, key: MsgKey, offset: u64, prio: u8) -> bool {
-        match self.msgs.get_mut(&key) {
+        match self.get_mut(key) {
             Some(m) => {
                 if offset > m.granted {
                     m.granted = offset.min(m.len);
@@ -160,24 +177,28 @@ impl SenderState {
             .filter(|m| m.key != key && m.transmittable())
             .map(|m| m.remaining())
             .min();
-        match self.msgs.get_mut(&key) {
-            Some(m) => {
-                // Also treat the RESEND as an implicit grant: the receiver
-                // must have been expecting these bytes.
-                if offset + length > m.granted {
-                    m.granted = (offset + length).min(m.len);
-                }
-                m.sched_prio = prio;
-                m.queue_retx(offset, length);
-                match shortest_other {
-                    Some(r) if r < m.remaining() => {
-                        ResendReaction::QueuedButBusy(BusyHeader { key })
-                    }
-                    _ => ResendReaction::Queued,
-                }
-            }
-            None => ResendReaction::Unknown,
+        let Some(m) = self.get_mut(key) else {
+            return ResendReaction::Unknown;
+        };
+        // Also treat the RESEND as an implicit grant: the receiver
+        // must have been expecting these bytes.
+        if offset + length > m.granted {
+            m.granted = (offset + length).min(m.len);
         }
+        m.sched_prio = prio;
+        m.queue_retx(offset, length);
+        let reaction = match shortest_other {
+            Some(r) if r < m.remaining() => ResendReaction::QueuedButBusy(BusyHeader { key }),
+            _ => ResendReaction::Queued,
+        };
+        // A parked one-way with a retransmission queued has work again;
+        // a RESEND clipped to nothing leaves it parked.
+        if !m.fully_sent() {
+            if let Some(m) = self.parked.remove(&key) {
+                self.msgs.insert(key, m);
+            }
+        }
+        reaction
     }
 
     /// SRPT packet selection: produce the next DATA packet for the wire,
@@ -222,10 +243,13 @@ impl SenderState {
                 self.msgs.remove(&key);
             }
             // One-way messages linger for late retransmissions, bounded
-            // by a few resend intervals.
+            // by a few resend intervals, out of the scanned map.
             Dir::Oneway => {
+                if let Some(m) = self.msgs.remove(&key) {
+                    self.parked.insert(key, m);
+                }
                 let expire = now + 4 * self.cfg.resend_interval_ns;
-                self.linger.push((key, expire));
+                self.linger.push_back((key, expire));
             }
             // Requests are retained until the RPC completes (the response
             // acknowledges them); the RPC layer removes them.
@@ -236,17 +260,19 @@ impl SenderState {
     /// Remove a message (used by the RPC layer when a response arrives,
     /// or on abort).
     pub fn remove(&mut self, key: MsgKey) {
-        self.msgs.remove(&key);
+        if self.msgs.remove(&key).is_none() {
+            self.parked.remove(&key);
+        }
     }
 
     /// Whether the sender holds state for `key`.
     pub fn contains(&self, key: MsgKey) -> bool {
-        self.msgs.contains_key(&key)
+        self.msgs.contains_key(&key) || self.parked.contains_key(&key)
     }
 
     /// Read access to a message (diagnostics/tests).
     pub fn get(&self, key: MsgKey) -> Option<&OutboundMessage> {
-        self.msgs.get(&key)
+        self.msgs.get(&key).or_else(|| self.parked.get(&key))
     }
 
     /// Whether any message currently has transmittable bytes.
@@ -257,23 +283,23 @@ impl SenderState {
     /// Snapshot of outbound messages:
     /// `(key, len, sent, granted, retx_ranges)`. Diagnostics only.
     pub fn outbound_snapshot(&self) -> Vec<(MsgKey, u64, u64, u64, usize)> {
-        self.msgs.values().map(|m| (m.key, m.len, m.sent, m.granted, m.retx.len())).collect()
+        self.msgs
+            .values()
+            .chain(self.parked.values())
+            .map(|m| (m.key, m.len, m.sent, m.granted, m.retx.len()))
+            .collect()
     }
 
     /// Garbage-collect lingering one-way state.
     pub fn expire_lingering(&mut self, now: Nanos) {
-        let mut i = 0;
-        while i < self.linger.len() {
-            let (key, at) = self.linger[i];
-            if at <= now {
-                // Only drop if no retransmission was queued meanwhile.
-                if self.msgs.get(&key).is_none_or(|m| m.fully_sent()) {
-                    self.msgs.remove(&key);
-                }
-                self.linger.swap_remove(i);
-            } else {
-                i += 1;
+        while let Some(&(key, at)) = self.linger.front() {
+            if at > now {
+                break;
             }
+            self.linger.pop_front();
+            // Only parked state is dropped: a one-way back in `msgs` has a
+            // retransmission queued, and lingers afresh once that is out.
+            self.parked.remove(&key);
         }
     }
 }
@@ -424,6 +450,106 @@ mod tests {
         // Expire after the linger window.
         s.expire_lingering(1_000_000_000);
         assert!(!s.contains(key(1)));
+    }
+
+    /// One fully-sent (parked) 500-byte one-way whose last byte went out
+    /// at `sent_at`.
+    fn parked_oneway(sent_at: Nanos) -> SenderState {
+        let mut s = sender();
+        s.start_message(0, key(1), PeerId(1), 500, 0, false, &map());
+        let _ = s.next_data_packet(sent_at).unwrap();
+        assert!(s.parked.contains_key(&key(1)) && s.msgs.is_empty(), "fully sent: parked");
+        s
+    }
+
+    const LINGER: Nanos = 4 * 2_000_000;
+
+    #[test]
+    fn resend_unparks_retransmits_reparks_and_first_deadline_holds() {
+        let mut s = parked_oneway(1_000);
+        assert!(!s.has_transmittable());
+        assert!(s.next_data_packet(2_000).is_none());
+        assert_eq!(s.on_resend(key(1), 0, 500, 3), ResendReaction::Queued);
+        assert!(s.msgs.contains_key(&key(1)) && s.parked.is_empty(), "work again: scanned");
+        assert!(s.has_transmittable());
+        let (dst, hdr) = s.next_data_packet(3_000_000).unwrap();
+        assert_eq!(dst, PeerId(1));
+        assert!(hdr.retransmit);
+        assert_eq!((hdr.offset, hdr.payload, hdr.prio), (0, 500, 3));
+        assert!(s.parked.contains_key(&key(1)) && s.msgs.is_empty(), "retransmitted: re-parked");
+        // The retransmission does not extend the retention window.
+        s.expire_lingering(1_000 + LINGER - 1);
+        assert!(s.contains(key(1)));
+        s.expire_lingering(1_000 + LINGER);
+        assert!(!s.contains(key(1)), "expires at the first linger deadline");
+        assert_eq!(s.on_resend(key(1), 0, 500, 3), ResendReaction::Unknown);
+        // The second full send's entry finds nothing and is dropped.
+        s.expire_lingering(3_000_000 + LINGER);
+        assert!(s.linger.is_empty());
+    }
+
+    #[test]
+    fn expiry_spares_a_oneway_with_a_retransmission_pending() {
+        let mut s = parked_oneway(0);
+        s.on_resend(key(1), 0, 500, 3);
+        s.expire_lingering(LINGER);
+        assert!(s.contains(key(1)), "retransmission still owed");
+        let _ = s.next_data_packet(LINGER).unwrap();
+        s.expire_lingering(2 * LINGER);
+        assert!(!s.contains(key(1)), "lingers afresh after the retransmission, then expires");
+    }
+
+    #[test]
+    fn resend_clipped_to_nothing_leaves_it_parked() {
+        let mut s = parked_oneway(0);
+        // Entirely beyond the message: nothing to retransmit.
+        assert_eq!(s.on_resend(key(1), 500, 1_400, 3), ResendReaction::Queued);
+        assert!(s.parked.contains_key(&key(1)) && s.msgs.is_empty());
+        assert!(!s.has_transmittable());
+        assert!(s.next_data_packet(0).is_none());
+    }
+
+    #[test]
+    fn late_grant_for_parked_key_is_accepted_and_inert() {
+        let mut s = parked_oneway(0);
+        let before = s.outbound_snapshot();
+        assert!(s.on_grant(10, key(1), 1_000_000, 2), "state is still held: grant accepted");
+        assert!(s.parked.contains_key(&key(1)) && s.msgs.is_empty());
+        assert_eq!(s.outbound_snapshot(), before);
+        assert!(!s.has_transmittable());
+        assert!(s.next_data_packet(10).is_none());
+        s.expire_lingering(LINGER);
+        assert!(!s.contains(key(1)), "a grant does not extend retention");
+    }
+
+    #[test]
+    fn accessors_cover_parked_entries() {
+        let mut s = parked_oneway(0);
+        s.start_message(0, key(2), PeerId(1), 50_000, 0, false, &map());
+        assert_eq!(s.active_messages(), 2);
+        assert!(s.contains(key(1)) && s.contains(key(2)));
+        assert_eq!(s.get(key(1)).map(|m| m.sent), Some(500));
+        let mut snap = s.outbound_snapshot();
+        snap.sort_unstable();
+        assert_eq!(snap, vec![(key(1), 500, 500, 500, 0), (key(2), 50_000, 0, 9_700, 0)]);
+        s.remove(key(1));
+        assert!(!s.contains(key(1)));
+        assert_eq!(s.active_messages(), 1);
+        assert_eq!(s.on_resend(key(1), 0, 500, 0), ResendReaction::Unknown);
+    }
+
+    #[test]
+    fn parked_messages_do_not_make_the_sender_busy() {
+        let mut s = sender();
+        // A long message stalled on grants, then many short ones sent and parked.
+        s.start_message(0, key(1), PeerId(1), 50_000, 0, false, &map());
+        while s.next_data_packet(0).is_some() {}
+        for seq in 2..50 {
+            s.start_message(0, key(seq), PeerId(2), 200, 0, false, &map());
+            let _ = s.next_data_packet(0).unwrap();
+        }
+        assert_eq!(s.msgs.len(), 1);
+        assert_eq!(s.on_resend(key(1), 0, 1_400, 3), ResendReaction::Queued);
     }
 
     #[test]

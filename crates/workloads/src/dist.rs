@@ -148,16 +148,22 @@ impl MessageSizeDist {
         total / n as f64
     }
 
+    /// The sizes [`byte_weighted_cdf`](Self::byte_weighted_cdf) integrates
+    /// over, ascending: the quantile at the midpoint of each of 20,000
+    /// equal-probability cells.
+    pub fn size_grid(&self) -> impl Iterator<Item = u64> + '_ {
+        let n = 20_000;
+        (0..n).map(move |i| self.quantile((i as f64 + 0.5) / n as f64))
+    }
+
     /// Fraction of all *bytes* belonging to messages of size `<= size`
     /// (the paper's Figure 1 lower panel / Figure 4 y-axis), computed
     /// numerically.
     pub fn byte_weighted_cdf(&self, size: u64) -> f64 {
-        let n = 20_000;
         let mut below = 0.0;
         let mut total = 0.0;
-        for i in 0..n {
-            let p = (i as f64 + 0.5) / n as f64;
-            let s = self.quantile(p) as f64;
+        for s in self.size_grid() {
+            let s = s as f64;
             total += s;
             if s <= size as f64 {
                 below += s;

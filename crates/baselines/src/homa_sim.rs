@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn engines_agree_under_loss() {
-        // The lane-aware engine must replay the legacy heap bit-for-bit
+        // The calendar engine must replay the legacy heap bit-for-bit
         // even through the loss-recovery path (RESENDs, retransmissions),
         // where event ordering is at its most delicate.
         use homa_sim::{EngineKind, QueueDiscipline, QueueKind};

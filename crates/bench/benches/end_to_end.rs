@@ -51,7 +51,7 @@ fn bench_fabric_scale(c: &mut Criterion) {
 }
 
 /// The perf-smoke shape as a criterion bench: W4 at 80% on the 100-host
-/// multi-TOR fabric, on each event engine.
+/// multi-TOR fabric, on the calendar engine and on the reference heap.
 fn bench_100host_engines(c: &mut Criterion) {
     use homa_harness::{FabricSpec, ScenarioSpec};
     use homa_sim::EngineKind;

@@ -28,7 +28,7 @@ fn bench_event_queue(c: &mut Criterion) {
 /// per-lane times (the TxDone / SwitchArrive pattern — each lane's next
 /// event is almost always later than its last), with ~3% of arrivals
 /// slightly out of order. Pre-generated — absolute times included — so
-/// every engine replays identical operations and the timed loop contains
+/// both engines replay identical operations and the timed loop contains
 /// nothing but engine work.
 fn churn_ops(lanes: u32, n: usize) -> Vec<(u32, u64)> {
     let mut lcg = 0x1234_5678_9abc_def0u64;

@@ -7,32 +7,23 @@
 //! >25% regression — so event-engine speed never silently erodes.
 //!
 //! ```text
-//! perf-smoke [--out PATH] [--engine hier|legacy|parallel] [--threads N]
-//!            [--quick] [--rss] [--only SUBSTR] [--profile]
-//!            [--scaling] [--min-efficiency FRAC]
+//! perf-smoke [--out PATH] [--engine hier|legacy] [--quick] [--rss]
+//!            [--only SUBSTR] [--profile]
 //!     run the scenarios, print the JSON report, write it to PATH
-//!     (default BENCH_PR.json); `--engine parallel` uses
-//!     conservative-window dispatch with N worker threads (default:
-//!     HOMA_SIM_THREADS or auto); `--rss` samples per-scenario peak
-//!     resident set (VmHWM, Linux) into the report's `peak_rss_kb`
-//!     column; `--only` keeps just the scenarios whose name contains
-//!     SUBSTR; `--profile` (needs the `engine-profile` build feature)
-//!     prints the per-phase drain/run/merge wall split and per-batch
-//!     event counts after each scenario; `--scaling` runs the
-//!     `Hierarchical` engine first on every scenario and records
-//!     parallel-vs-hierarchical events/sec in the report's
-//!     `scaling_efficiency` column (requires a parallel engine);
-//!     `--min-efficiency` fails the run when any measured efficiency
-//!     drops below FRAC — gated only when the thread count fits the
-//!     machine's cores, warned-and-skipped otherwise
+//!     (default BENCH_PR.json); `--engine legacy` runs them on the
+//!     reference heap instead of the calendar engine; `--rss` samples
+//!     per-scenario peak resident set (VmHWM, Linux) into the report's
+//!     `peak_rss_kb` column; `--only` keeps just the scenarios whose
+//!     name contains SUBSTR; `--profile` (needs the `engine-profile`
+//!     build feature) prints the dispatch-loop and epoch-sort wall time
+//!     after each scenario
 //!
 //! perf-smoke --compare BASELINE CURRENT [--tolerance 0.25]
 //!     exit nonzero if CURRENT regressed from BASELINE: wall-clock,
-//!     events/sec, peak RSS or scaling efficiency off by more than the
-//!     tolerance, or a changed deterministic event count (which means
-//!     the simulation itself changed — refresh the baseline
-//!     deliberately if intended). The RSS and efficiency checks are
-//!     skipped when either report lacks the column.
+//!     events/sec or peak RSS off by more than the tolerance, or a
+//!     changed deterministic event count (which means the simulation
+//!     itself changed — refresh the baseline deliberately if intended).
+//!     The RSS check is skipped when either report lacks the column.
 //! ```
 //!
 //! To refresh the baseline after an intentional change:
@@ -47,9 +38,8 @@ use homa_workloads::{TrafficSpec, Workload};
 use std::time::Instant;
 
 /// Fixed seed for every gate scenario: the runs are deterministic, so
-/// the baseline's event counts must reproduce exactly — on every engine,
-/// including the parallel dispatcher (events counts are engine-invariant
-/// by the determinism contract).
+/// the baseline's event counts must reproduce exactly — on both engines
+/// (event counts are engine-invariant by the determinism contract).
 const SEED: u64 = 42;
 
 /// One gate scenario plus the minimum delivered fraction it must reach.
@@ -90,7 +80,7 @@ fn gate_scenarios(engine: EngineKind, quick: bool) -> Vec<GateScenario> {
             .with_engine(engine),
             min_delivered_frac: 0.99,
         },
-        // The churn scenario the calendar + parallel work targets: the
+        // The churn scenario the calendar engine targets: the
         // largest multi-TOR fabric the ROADMAP names (160 hosts, 16
         // racks), same W4 @ 80% shape as the smaller rows.
         GateScenario {
@@ -181,11 +171,8 @@ struct GateCfg {
     rss: bool,
     /// Keep only scenarios whose name contains this substring.
     only: Option<String>,
-    /// Print the per-phase window profile after each scenario.
+    /// Print the dispatch-loop profile after each scenario.
     profile: bool,
-    /// Run a `Hierarchical` reference per scenario and record
-    /// parallel/hierarchical events/sec as `scaling_efficiency`.
-    scaling: bool,
 }
 
 /// Run one scenario, returning the result, wall seconds and peak RSS.
@@ -200,38 +187,20 @@ fn run_once(spec: &ScenarioSpec, rss: bool) -> (OnewayResult, f64, u64) {
     (res, wall, peak_kb)
 }
 
-/// Pretty-print the per-phase window profile for one run. All zeros
-/// (and says so) unless the build carries `homa-sim/engine-profile`
-/// and the scenario ran on a window engine.
+/// Print the dispatch-loop profile of one run. All zeros (and says so)
+/// unless the build carries `homa-sim/engine-profile`.
 fn print_profile(p: &EngineProfile) {
-    if p.samples == 0 && p.dispatch_ns == 0 && p.epoch_sort_ns == 0 {
-        eprintln!("  profile: no samples (sequential engine or engine-profile timers idle)");
+    if p.samples == 0 {
+        eprintln!("  profile: no samples (engine-profile timers idle)");
         return;
     }
     let ms = |ns: u64| ns as f64 / 1e6;
-    let tot = (p.drain_ns + p.run_ns + p.merge_ns).max(1);
-    let pct = |ns: u64| ns as f64 * 100.0 / tot as f64;
     eprintln!(
-        "  profile: {} windows — drain {:.1} ms ({:.0}%), run {:.1} ms ({:.0}%), \
-         merge {:.1} ms ({:.0}%); dispatch {:.1} ms, epoch-sort {:.1} ms",
+        "  profile: {} timed run_until calls — dispatch {:.1} ms; epoch-sort {:.1} ms over the run",
         p.samples,
-        ms(p.drain_ns),
-        pct(p.drain_ns),
-        ms(p.run_ns),
-        pct(p.run_ns),
-        ms(p.merge_ns),
-        pct(p.merge_ns),
         ms(p.dispatch_ns),
         ms(p.epoch_sort_ns),
     );
-    if p.batches > 0 {
-        eprintln!(
-            "  profile: {} batches — {:.1} windows/batch, {:.1} events/batch",
-            p.batches,
-            p.samples as f64 / p.batches as f64,
-            p.batch_events as f64 / p.batches as f64,
-        );
-    }
 }
 
 fn run_gate(cfg: &GateCfg) -> Report {
@@ -242,25 +211,6 @@ fn run_gate(cfg: &GateCfg) -> Report {
                 continue;
             }
         }
-        // The hierarchical reference runs first so the scaling column
-        // compares against a measurement from the same process and
-        // machine state, not a stale baseline file.
-        let reference = if cfg.scaling {
-            eprintln!("running {} (Hierarchical reference) ...", spec.name);
-            let href = spec.clone().with_engine(EngineKind::Hierarchical);
-            let (hres, hwall, _) = run_once(&href, false);
-            let heps = hres.stats.events_processed as f64 / hwall.max(1e-9);
-            eprintln!(
-                "  {} reference: {:.0} ms, {} events, {:.0} events/s",
-                spec.name,
-                hwall * 1e3,
-                hres.stats.events_processed,
-                heps
-            );
-            Some((hres.stats.events_processed, heps))
-        } else {
-            None
-        };
         eprintln!("running {} ({:?} engine) ...", spec.name, spec.engine);
         let (res, wall, peak_kb) = run_once(&spec, cfg.rss);
         let events = res.stats.events_processed;
@@ -273,18 +223,6 @@ fn run_gate(cfg: &GateCfg) -> Report {
             res.delivered,
             res.injected
         );
-        let scaling_efficiency = match reference {
-            Some((href_events, heps)) => {
-                assert_eq!(
-                    events, href_events,
-                    "{}: parallel event count diverged from the hierarchical \
-                     reference — the engines are no longer bit-identical",
-                    spec.name
-                );
-                eps / heps.max(1e-9)
-            }
-            None => 0.0,
-        };
         scenarios.push(ScenarioReport {
             name: spec.name.clone(),
             hosts: spec.fabric.hosts() as u64,
@@ -295,20 +233,14 @@ fn run_gate(cfg: &GateCfg) -> Report {
             wall_ms,
             events_per_sec: eps,
             peak_rss_kb: peak_kb,
-            scaling_efficiency,
         });
         eprintln!(
-            "  {}: {:.0} ms, {} events, {:.0} events/s{}{}",
+            "  {}: {:.0} ms, {} events, {:.0} events/s{}",
             spec.name,
             wall_ms,
             events,
             eps,
             if peak_kb > 0 { format!(", peak RSS {peak_kb} KiB") } else { String::new() },
-            if scaling_efficiency > 0.0 {
-                format!(", efficiency {scaling_efficiency:.2}")
-            } else {
-                String::new()
-            }
         );
         if cfg.profile {
             print_profile(&res.engine_profile);
@@ -393,21 +325,6 @@ fn regressions(base: &Report, cur: &Report, tolerance: f64) -> Vec<String> {
                 tolerance * 100.0
             ));
         }
-        // Scaling-efficiency gate: like RSS, only when both sides
-        // measured it (0 means the run had no hierarchical reference or
-        // the report predates the column).
-        if b.scaling_efficiency > 0.0
-            && c.scaling_efficiency > 0.0
-            && c.scaling_efficiency < b.scaling_efficiency / (1.0 + tolerance)
-        {
-            fails.push(format!(
-                "{}: scaling efficiency regressed {:.2} -> {:.2} (> {:.0}% tolerance)",
-                b.name,
-                b.scaling_efficiency,
-                c.scaling_efficiency,
-                tolerance * 100.0
-            ));
-        }
     }
     fails
 }
@@ -427,16 +344,8 @@ fn compare(base_path: &str, cur_path: &str, tolerance: f64) -> i32 {
     let cur = load(cur_path);
     println!("perf-smoke comparison (tolerance {:.0}%):", tolerance * 100.0);
     println!(
-        "{:<14} {:>12} {:>12} {:>14} {:>14} {:>12} {:>12} {:>9} {:>9}",
-        "scenario",
-        "base ms",
-        "cur ms",
-        "base ev/s",
-        "cur ev/s",
-        "base rss",
-        "cur rss",
-        "base eff",
-        "cur eff"
+        "{:<14} {:>12} {:>12} {:>14} {:>14} {:>12} {:>12}",
+        "scenario", "base ms", "cur ms", "base ev/s", "cur ev/s", "base rss", "cur rss"
     );
     let rss_col = |kb: u64| {
         if kb > 0 {
@@ -445,20 +354,17 @@ fn compare(base_path: &str, cur_path: &str, tolerance: f64) -> i32 {
             "-".to_string()
         }
     };
-    let eff_col = |e: f64| if e > 0.0 { format!("{e:.2}") } else { "-".to_string() };
     for b in &base.scenarios {
         if let Some(c) = cur.scenarios.iter().find(|s| s.name == b.name) {
             println!(
-                "{:<14} {:>12.1} {:>12.1} {:>14.0} {:>14.0} {:>12} {:>12} {:>9} {:>9}",
+                "{:<14} {:>12.1} {:>12.1} {:>14.0} {:>14.0} {:>12} {:>12}",
                 b.name,
                 b.wall_ms,
                 c.wall_ms,
                 b.events_per_sec,
                 c.events_per_sec,
                 rss_col(b.peak_rss_kb),
-                rss_col(c.peak_rss_kb),
-                eff_col(b.scaling_efficiency),
-                eff_col(c.scaling_efficiency)
+                rss_col(c.peak_rss_kb)
             );
         }
     }
@@ -477,20 +383,13 @@ fn compare(base_path: &str, cur_path: &str, tolerance: f64) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = String::from("BENCH_PR.json");
-    let mut engine: Option<EngineKind> = None;
-    let mut threads_flag: Option<u32> = None;
-    let mut batch_flag: Option<u32> = None;
+    let mut engine = EngineKind::Hierarchical;
     let mut quick = false;
     let mut rss = false;
     let mut only: Option<String> = None;
     let mut profile = false;
-    let mut scaling = false;
-    let mut min_efficiency: Option<f64> = None;
     let mut compare_paths: Option<(String, String)> = None;
-    let mut tolerance = std::env::var("PERF_SMOKE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.25);
+    let mut tolerance = 0.25;
 
     let mut i = 0;
     while i < args.len() {
@@ -501,28 +400,11 @@ fn main() {
             }
             "--engine" => {
                 i += 1;
-                engine = Some(match args.get(i).map(String::as_str) {
+                engine = match args.get(i).map(String::as_str) {
                     Some("hier") | Some("hierarchical") => EngineKind::Hierarchical,
                     Some("legacy") => EngineKind::LegacyHeap,
-                    Some("parallel") => EngineKind::parallel_from_env(),
-                    _ => usage("--engine takes 'hier', 'legacy' or 'parallel'"),
-                });
-            }
-            "--threads" => {
-                i += 1;
-                let n: u32 = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--threads takes a count (0 = auto)"));
-                threads_flag = Some(n);
-            }
-            "--batch" => {
-                i += 1;
-                let n: u32 = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--batch takes a window count (0 = auto)"));
-                batch_flag = Some(n);
+                    _ => usage("--engine takes 'hier' or 'legacy'"),
+                };
             }
             "--quick" => quick = true,
             "--rss" => rss = true,
@@ -539,15 +421,6 @@ fn main() {
                     );
                 }
                 profile = true;
-            }
-            "--scaling" => scaling = true,
-            "--min-efficiency" => {
-                i += 1;
-                min_efficiency = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--min-efficiency takes a fraction, e.g. 0.8")),
-                );
             }
             "--compare" => {
                 let b = args.get(i + 1).cloned().unwrap_or_else(|| usage("--compare BASE CUR"));
@@ -568,38 +441,11 @@ fn main() {
         i += 1;
     }
 
-    // Resolve engine selection: --threads implies the parallel engine
-    // (and overrides its env/auto count), but combining it with an
-    // explicit non-parallel --engine is a labeling mistake, not a run.
-    let engine = match (engine, threads_flag) {
-        (None, None) => EngineKind::Hierarchical,
-        (None, Some(n)) => EngineKind::ParallelHier { threads: n, batch: 0 },
-        (Some(EngineKind::ParallelHier { threads, batch }), n) => {
-            EngineKind::ParallelHier { threads: n.unwrap_or(threads), batch }
-        }
-        (Some(e), None) => e,
-        (Some(_), Some(_)) => usage("--threads requires --engine parallel"),
-    };
-    let engine = match (engine, batch_flag) {
-        (e, None) => e,
-        (EngineKind::ParallelHier { threads, .. }, Some(b)) => {
-            EngineKind::ParallelHier { threads, batch: b }
-        }
-        _ => usage("--batch requires --engine parallel"),
-    };
-
     if let Some((base, cur)) = compare_paths {
         std::process::exit(compare(&base, &cur, tolerance));
     }
 
-    if (scaling || min_efficiency.is_some()) && !matches!(engine, EngineKind::ParallelHier { .. }) {
-        usage("--scaling / --min-efficiency need a parallel engine (--engine parallel)");
-    }
-    if min_efficiency.is_some() && !scaling {
-        usage("--min-efficiency needs --scaling (nothing measures efficiency otherwise)");
-    }
-
-    let cfg = GateCfg { engine, quick, rss, only, profile, scaling };
+    let cfg = GateCfg { engine, quick, rss, only, profile };
     let report = run_gate(&cfg);
     let json = render_report(&report);
     print!("{json}");
@@ -608,47 +454,6 @@ fn main() {
         std::process::exit(2);
     }
     eprintln!("wrote {out}");
-
-    if let Some(min_eff) = min_efficiency {
-        std::process::exit(gate_efficiency(&report, engine, min_eff));
-    }
-}
-
-/// Apply the `--min-efficiency` floor. The gate only means something
-/// when the parallel run's threads actually fit the machine — on an
-/// undersized runner (e.g. 2 threads on a 1-core CI box) the measured
-/// "efficiency" is contention, not scaling, so the check downgrades to
-/// a warning and the counts-only comparison remains the gate.
-fn gate_efficiency(report: &Report, engine: EngineKind, min_eff: f64) -> i32 {
-    let threads = match engine {
-        EngineKind::ParallelHier { threads, .. } => threads,
-        _ => unreachable!("--min-efficiency is rejected for non-parallel engines"),
-    };
-    let cores = std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(1);
-    let effective = if threads == 0 { cores } else { threads };
-    if effective > cores {
-        eprintln!(
-            "perf-smoke: skipping efficiency gate ({effective} threads > {cores} core(s) \
-             available — measurement would be contention, not scaling)"
-        );
-        return 0;
-    }
-    let mut code = 0;
-    for s in &report.scenarios {
-        if s.scaling_efficiency > 0.0 && s.scaling_efficiency < min_eff {
-            eprintln!(
-                "FAIL: {}: scaling efficiency {:.2} below the {:.2} floor",
-                s.name, s.scaling_efficiency, min_eff
-            );
-            code = 1;
-        }
-    }
-    if code == 0 {
-        eprintln!(
-            "efficiency gate OK (floor {min_eff:.2}, {effective} thread(s), {cores} core(s))"
-        );
-    }
-    code
 }
 
 fn usage(err: &str) -> ! {
@@ -656,9 +461,8 @@ fn usage(err: &str) -> ! {
         eprintln!("perf-smoke: {err}");
     }
     eprintln!(
-        "usage: perf-smoke [--out PATH] [--engine hier|legacy|parallel] [--threads N] [--batch K]\n\
-         \x20                 [--quick] [--rss] [--only SUBSTR] [--profile] [--scaling]\n\
-         \x20                 [--min-efficiency FRAC]\n\
+        "usage: perf-smoke [--out PATH] [--engine hier|legacy] [--quick] [--rss]\n\
+         \x20                 [--only SUBSTR] [--profile]\n\
          \x20      perf-smoke --compare BASELINE CURRENT [--tolerance FRAC]"
     );
     std::process::exit(2);

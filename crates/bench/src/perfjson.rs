@@ -205,14 +205,6 @@ pub struct ScenarioReport {
     /// those to 0, and the gate skips the RSS comparison when either
     /// side is 0.
     pub peak_rss_kb: u64,
-    /// Parallel-engine scaling efficiency: this scenario's events/sec
-    /// divided by the `Hierarchical` engine's events/sec on the same
-    /// scenario in the same run. 0 when the run did not measure a
-    /// hierarchical reference (plain single-engine runs), and absent
-    /// from reports written before the column existed — the parser
-    /// defaults those to 0, and the gate compares efficiency only when
-    /// both sides carry a nonzero value.
-    pub scaling_efficiency: f64,
 }
 
 /// A whole perf-smoke report.
@@ -243,8 +235,7 @@ pub fn render_report(r: &Report) -> String {
         let _ = writeln!(out, "      \"sim_ns\": {},", s.sim_ns);
         let _ = writeln!(out, "      \"wall_ms\": {:.3},", s.wall_ms);
         let _ = writeln!(out, "      \"events_per_sec\": {:.1},", s.events_per_sec);
-        let _ = writeln!(out, "      \"peak_rss_kb\": {},", s.peak_rss_kb);
-        let _ = writeln!(out, "      \"scaling_efficiency\": {:.3}", s.scaling_efficiency);
+        let _ = writeln!(out, "      \"peak_rss_kb\": {}", s.peak_rss_kb);
         out.push_str(if i + 1 < r.scenarios.len() { "    },\n" } else { "    }\n" });
     }
     out.push_str("  ]\n}\n");
@@ -284,11 +275,6 @@ pub fn parse_report(json: &str) -> Result<Report, String> {
                     .get("peak_rss_kb")
                     .and_then(|v| v.parse::<u64>().ok())
                     .unwrap_or(0),
-                // Optional: pre-scaling-era reports lack the column.
-                scaling_efficiency: obj
-                    .get("scaling_efficiency")
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .unwrap_or(0.0),
             });
         } else {
             // The top-level object (fields outside any scenario).
@@ -392,7 +378,6 @@ mod tests {
                     wall_ms: 321.5,
                     events_per_sec: 383_999.9,
                     peak_rss_kb: 51_200,
-                    scaling_efficiency: 0.875,
                 },
                 ScenarioReport {
                     name: "w4_80_100h".into(),
@@ -404,7 +389,6 @@ mod tests {
                     wall_ms: 1000.0,
                     events_per_sec: 999_999.0,
                     peak_rss_kb: 0,
-                    scaling_efficiency: 0.0,
                 },
             ],
         }
@@ -423,8 +407,6 @@ mod tests {
         assert!((back.scenarios[1].wall_ms - 1000.0).abs() < 1e-9);
         assert_eq!(back.scenarios[0].peak_rss_kb, 51_200);
         assert_eq!(back.scenarios[1].peak_rss_kb, 0);
-        assert!((back.scenarios[0].scaling_efficiency - 0.875).abs() < 1e-9);
-        assert_eq!(back.scenarios[1].scaling_efficiency, 0.0);
     }
 
     #[test]
@@ -435,10 +417,23 @@ mod tests {
         let r = parse_report(json).unwrap();
         assert_eq!(r.scenarios[0].name, "a");
         assert_eq!(r.scenarios[0].events, 10);
-        // The sample predates the RSS and scaling columns: it must
-        // parse, defaulting both to 0 (which disables those gates).
+        // The sample predates the RSS column: it must parse,
+        // defaulting it to 0 (which disables that gate).
         assert_eq!(r.scenarios[0].peak_rss_kb, 0);
-        assert_eq!(r.scenarios[0].scaling_efficiency, 0.0);
+    }
+
+    #[test]
+    fn parse_ignores_the_removed_scaling_efficiency_column() {
+        // Reports written while the parallel engine existed carry a
+        // per-scenario `scaling_efficiency`; they must keep parsing.
+        let json = r#"{"schema":1,"produced_by":"x","scenarios":[
+            {"name":"a","hosts":2,"messages":1,"delivered":1,"events":10,
+             "sim_ns":5,"wall_ms":5.0,"events_per_sec":2.0,"peak_rss_kb":7,
+             "scaling_efficiency":0.875}]}"#;
+        let r = parse_report(json).unwrap();
+        assert_eq!(r.scenarios[0].events, 10);
+        assert_eq!(r.scenarios[0].peak_rss_kb, 7);
+        assert_eq!(parse_report(&render_report(&r)).unwrap(), r);
     }
 
     #[test]

@@ -152,10 +152,10 @@ pub struct OnewayResult {
     /// Trace records dropped because the recorder ring filled (oldest
     /// first); nonzero means `trace` holds only the tail of the run.
     pub trace_dropped: u64,
-    /// Deterministic event-engine counters (windows, batches, fast-path
-    /// windows, calendar occupancy) at harvest.
+    /// Deterministic event-engine counters (calendar bucket, late and
+    /// far insert counts, epoch occupancy) at harvest.
     pub engine_stats: EngineStats,
-    /// Wall-clock dispatch-phase profile of the run's engine. All zeros
+    /// Wall-clock dispatch-loop profile of the run's engine. All zeros
     /// unless the simulator's `engine-profile` cargo feature is enabled;
     /// never deterministic — diagnostics only.
     pub engine_profile: EngineProfile,

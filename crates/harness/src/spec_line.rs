@@ -18,9 +18,8 @@
 //!   `mtor:<hosts>` | `paper` | `ft:<k>`
 //! * `wl` — `W1`..`W5`
 //! * `load` — `f64` via Rust's shortest round-trip `Display`
-//! * `engine` — `hier` | `legacy` | `par:<threads>` | `par:<threads>:<batch>`
-//!   (the window-batch size; omitted when 0 = auto, so older lines keep
-//!   their canonical form)
+//! * `engine` — `hier` | `legacy` (the reference heap; differential-fuzz
+//!   failure lines replay through it)
 //! * `traffic` — `uniform` | `perm` | `shuffle` | `incast:<fan_in>` |
 //!   `hotspot:<frac>:<local|cross>`, optionally followed by
 //!   `+victim:<src>:<dst>:<size>:<period_ns>` and/or
@@ -78,14 +77,10 @@ fn parse_fabric(s: &str) -> Result<FabricSpec, String> {
     }
 }
 
-fn engine_str(e: EngineKind) -> String {
+fn engine_str(e: EngineKind) -> &'static str {
     match e {
-        EngineKind::Hierarchical => "hier".into(),
-        EngineKind::LegacyHeap => "legacy".into(),
-        // The auto batch (`0`) stays implicit so pre-batching spec lines
-        // re-format to themselves (the parse∘format fixed point).
-        EngineKind::ParallelHier { threads, batch: 0 } => format!("par:{threads}"),
-        EngineKind::ParallelHier { threads, batch } => format!("par:{threads}:{batch}"),
+        EngineKind::Hierarchical => "hier",
+        EngineKind::LegacyHeap => "legacy",
     }
 }
 
@@ -93,24 +88,7 @@ fn parse_engine(s: &str) -> Result<EngineKind, String> {
     match s {
         "hier" => Ok(EngineKind::Hierarchical),
         "legacy" => Ok(EngineKind::LegacyHeap),
-        _ => match s.strip_prefix("par:") {
-            Some(rest) => {
-                let (t, b) = match rest.split_once(':') {
-                    Some((t, b)) => (t, Some(b)),
-                    None => (rest, None),
-                };
-                let threads =
-                    t.parse::<u32>().map_err(|_| format!("bad thread count in engine `{s}`"))?;
-                let batch = match b {
-                    Some(b) => {
-                        b.parse::<u32>().map_err(|_| format!("bad batch size in engine `{s}`"))?
-                    }
-                    None => 0,
-                };
-                Ok(EngineKind::ParallelHier { threads, batch })
-            }
-            None => Err(format!("unknown engine `{s}`")),
-        },
+        _ => Err(format!("unknown engine `{s}`")),
     }
 }
 
@@ -417,14 +395,7 @@ mod tests {
             FabricSpec::Paper,
             FabricSpec::FatTree { k: 4 },
         ] {
-            for engine in [
-                EngineKind::Hierarchical,
-                EngineKind::LegacyHeap,
-                EngineKind::ParallelHier { threads: 0, batch: 0 },
-                EngineKind::ParallelHier { threads: 2, batch: 0 },
-                EngineKind::ParallelHier { threads: 2, batch: 16 },
-                EngineKind::ParallelHier { threads: 0, batch: 4 },
-            ] {
+            for engine in [EngineKind::Hierarchical, EngineKind::LegacyHeap] {
                 round_trips(
                     &ScenarioSpec::new("x", fabric, Workload::W1, 0.55, 700, 9).with_engine(engine),
                 );
@@ -539,6 +510,15 @@ mod tests {
             (
                 "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=quantum",
                 "field `engine`: unknown engine `quantum`",
+            ),
+            // The removed parallel-engine forms are plain unknown engines.
+            (
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=par:2",
+                "field `engine`: unknown engine `par:2`",
+            ),
+            (
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=par:2:4",
+                "field `engine`: unknown engine `par:2:4`",
             ),
             (
                 "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=blizzard",

@@ -1,86 +1,16 @@
-//! Freelist pools for hot-path containers.
+//! Capacity control for recycled hot-path buffers.
 //!
-//! The event engine allocates the same shapes over and over: per-window
-//! item batches, emit logs, overlay heaps. At 1k-host scale (tens of
-//! millions of events) letting those `Vec`s go to the allocator every
-//! window dominates both the allocator lock and peak RSS. A [`Pool`]
-//! keeps recycled containers — cleared, capacity intact — so steady
-//! state allocates nothing: each group checks out a buffer set, fills
-//! it, and returns it when the window is merged.
-//!
-//! Nothing here is specific to packets or events; anything that can be
-//! emptied in place ([`Recycle`]) can be pooled. `Packet<M>` itself is a
-//! flat value type (no heap payload — see `packet.rs`), so the wins come
-//! from pooling the *containers* that hold packets and events, not the
-//! packets themselves.
-
-/// A container that can be emptied in place, retaining its allocation.
-pub trait Recycle {
-    /// Clear contents; keep capacity.
-    fn recycle(&mut self);
-}
-
-impl<T> Recycle for Vec<T> {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-}
-
-impl<T: Ord> Recycle for std::collections::BinaryHeap<T> {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-}
-
-/// A bounded freelist of recycled `T`s. [`take`](Pool::take) pops a
-/// recycled instance (or makes a fresh default); [`put`](Pool::put)
-/// recycles and retains it, up to `cap` instances — beyond that the
-/// container is dropped, bounding how much idle capacity the pool pins.
-#[derive(Debug)]
-pub struct Pool<T> {
-    free: Vec<T>,
-    cap: usize,
-}
-
-impl<T: Default + Recycle> Pool<T> {
-    /// A pool retaining at most `cap` idle instances.
-    pub fn new(cap: usize) -> Self {
-        Pool { free: Vec::new(), cap }
-    }
-
-    /// Check out an instance: recycled if available, fresh otherwise.
-    pub fn take(&mut self) -> T {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Return an instance to the pool. It is recycled (emptied, capacity
-    /// kept) and retained unless the pool is full.
-    pub fn put(&mut self, mut t: T) {
-        t.recycle();
-        if self.free.len() < self.cap {
-            self.free.push(t);
-        }
-    }
-
-    /// Idle instances currently retained.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-}
-
-impl<T: Default + Recycle> Default for Pool<T> {
-    fn default() -> Self {
-        // Enough for every group of a large fabric to have a buffer set
-        // in flight plus a recycled spare.
-        Pool::new(1024)
-    }
-}
+//! The calendar engine hands the same epoch-bucket `Vec`s round and
+//! round (see [`crate::events::HierEventQueue`]), so steady state
+//! allocates nothing — but a buffer that is only ever cleared keeps the
+//! capacity of the densest epoch it has held. [`HighWater`] and
+//! [`trim_capacity`] release that capacity once the burst has aged out.
 
 /// Periodic trim-to-recent-high-water for recycled buffers.
 ///
 /// Recycled containers keep their capacity forever, so one burst (an
-/// incast filling a window buffer, a dense calendar epoch) pins peak
-/// capacity for the rest of a 100M-event run. A `HighWater` watches the
+/// incast filling a dense calendar epoch) pins peak capacity for the
+/// rest of a 100M-event run. A `HighWater` watches the
 /// occupancy a buffer actually reaches and, once per `period`
 /// observations, reports the high-water mark of the last **two**
 /// periods as the capacity target — so a trim lags one full period
@@ -103,7 +33,7 @@ impl HighWater {
 
     /// Record the occupancy a buffer reached this cycle. Every `period`
     /// calls, returns `Some(target)`: the largest occupancy seen across
-    /// the current and previous windows, i.e. what the buffer's
+    /// the current and previous periods, i.e. what the buffer's
     /// capacity should shrink toward (see [`trim_capacity`]).
     pub fn observe(&mut self, len: usize) -> Option<usize> {
         self.high = self.high.max(len);
@@ -120,8 +50,8 @@ impl HighWater {
 }
 
 impl Default for HighWater {
-    /// Defaults to a 1024-observation period: on per-window buffers
-    /// that's a trim opportunity every ~1k windows, frequent enough to
+    /// Defaults to a 1024-observation period: on epoch buckets that's
+    /// a trim opportunity every ~1k merged epochs, frequent enough to
     /// release an incast burst's capacity within a run, rare enough
     /// that the `shrink_to` cost never shows in a profile.
     fn default() -> Self {
@@ -147,44 +77,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pool_recycles_capacity() {
-        let mut p: Pool<Vec<u64>> = Pool::new(4);
-        let mut v = p.take();
-        v.extend(0..100);
-        let ptr = v.as_ptr();
-        let cap = v.capacity();
-        p.put(v);
-        assert_eq!(p.idle(), 1);
-        let v2 = p.take();
-        assert!(v2.is_empty());
-        assert_eq!(v2.capacity(), cap);
-        assert_eq!(v2.as_ptr(), ptr, "allocation not reused");
-        assert_eq!(p.idle(), 0);
-    }
-
-    #[test]
-    fn pool_bounds_idle_instances() {
-        let mut p: Pool<Vec<u8>> = Pool::new(2);
-        for _ in 0..5 {
-            p.put(vec![1, 2, 3]);
-        }
-        assert_eq!(p.idle(), 2);
-    }
-
-    #[test]
-    fn pool_take_on_empty_is_default() {
-        let mut p: Pool<Vec<u8>> = Pool::new(2);
-        assert!(p.take().is_empty());
-    }
-
-    #[test]
-    fn heap_recycle() {
-        let mut h = std::collections::BinaryHeap::from(vec![3, 1, 2]);
-        h.recycle();
-        assert!(h.is_empty());
-    }
-
-    #[test]
     fn high_water_reports_max_of_two_periods() {
         let mut hw = HighWater::new(3);
         // First period: peak 50. No report until the third observation.
@@ -196,7 +88,7 @@ mod tests {
         assert_eq!(hw.observe(8), None);
         assert_eq!(hw.observe(2), None);
         assert_eq!(hw.observe(1), Some(50));
-        // Third period: the burst has aged out of both windows, so the
+        // Third period: the burst has aged out of both periods, so the
         // target finally drops to the recent working set.
         assert_eq!(hw.observe(7), None);
         assert_eq!(hw.observe(3), None);

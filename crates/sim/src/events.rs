@@ -1,13 +1,16 @@
 //! The discrete-event engines.
 //!
-//! All engines share one contract: events are totally ordered by
+//! Both engines share one contract: events are totally ordered by
 //! `(time, sequence)`, where the sequence number is assigned globally at
 //! insertion. Events scheduled for the same instant therefore fire in
 //! insertion order, which makes runs fully deterministic — the test suite
 //! and the reproducibility goals of the repository depend on it.
 //!
-//! * [`EventQueue`] — the original monolithic binary heap. Simple, and
-//!   still what small simulations use via [`EngineKind::LegacyHeap`].
+//! * [`EventQueue`] — the original monolithic binary heap
+//!   ([`EngineKind::LegacyHeap`]). Simple enough to trust by reading,
+//!   which is why it stays: it is the reference oracle the determinism
+//!   tests and the differential fuzz family compare the calendar
+//!   engine against.
 //! * [`HierEventQueue`] — the calendar-bucketed lane engine that makes
 //!   100+ host fabrics affordable. Time is divided into fixed-width
 //!   *epochs* (the width is sized from the fabric's minimum link delay,
@@ -31,17 +34,15 @@
 //!   heap probe per pop and the legacy heap pays `O(log n)` of the
 //!   *total* pending population.
 //!
-//! Events carry a [`LaneId`] naming the fabric node whose state their
-//! dispatch touches. The calendar itself is global (lanes no longer need
-//! their own queues to make inserts cheap); the lane tag is what lets
-//! [`crate::Network`] group events by rack for conservative-window
-//! parallel dispatch (see `network.rs`), which is also why entries keep
-//! their lane through the queue.
+//! Events are scheduled with a [`LaneId`] naming the fabric node whose
+//! state their dispatch touches. The calendar itself is global, so the
+//! lane orders nothing: it is range-checked at the call site and, under
+//! the `engine-profile` cargo feature, counted per lane.
 //!
-//! Because all engines order by the same globally-assigned
+//! Because both engines order by the same globally-assigned
 //! `(time, seq)` key, a simulation pops the *bit-identical* event
-//! sequence from any of them; `tests/determinism.rs` in the workspace
-//! root proves this end-to-end, including for the parallel dispatcher.
+//! sequence from either; `tests/determinism.rs` in the workspace root
+//! proves this end-to-end.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -55,9 +56,8 @@ pub struct TimerToken(pub u64);
 
 /// Identifies one event lane of a [`HierEventQueue`]. Lanes are dense
 /// indices assigned by whoever builds the engine (the network maps hosts,
-/// TORs and spines to consecutive lanes). The engine itself only stores
-/// the tag; the network uses it to group events by rack when dispatching
-/// conservative windows in parallel.
+/// TORs and spines to consecutive lanes). The engine range-checks the
+/// tag and, under `engine-profile`, counts insertions per lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LaneId(pub u32);
 
@@ -72,7 +72,6 @@ const RING_EPOCHS: u64 = 4096;
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    lane: u32,
     payload: E,
 }
 
@@ -119,7 +118,7 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, lane: 0, payload });
+        self.heap.push(Entry { at, seq, payload });
     }
 
     /// Remove and return the earliest event.
@@ -153,9 +152,8 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Counters describing how the calendar engine (and, when enabled, the
-/// parallel window dispatcher) behaved over a run; exposed for
-/// `perf-smoke` output and engine tuning.
+/// Counters describing how the calendar engine behaved over a run;
+/// exposed for `perf-smoke` output and engine tuning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Number of event lanes the engine was built with (1 for the legacy
@@ -176,23 +174,8 @@ pub struct EngineStats {
     pub epochs_merged: u64,
     /// Largest single merged epoch population.
     pub max_epoch_events: u64,
-    /// Conservative windows dispatched (0 unless the network ran with
-    /// [`EngineKind::ParallelHier`]).
-    pub windows: u64,
-    /// Events dispatched through conservative windows.
-    pub window_events: u64,
-    /// Largest single conservative window, in events.
-    pub max_window_events: u64,
-    /// Windows that took the single-hot-group fast path: every drained
-    /// event belonged to one dispatch group, so the window ran inline
-    /// through `DirectSink` with no worker handoff and no merge.
-    pub fast_windows: u64,
-    /// Bookkeeping batches the window dispatcher rolled windows into
-    /// (deterministic: derived from drained-event counts, never from
-    /// wall clock).
-    pub batches: u64,
-    /// Recycled buffers trimmed back to their recent high-water mark
-    /// (calendar epoch buckets and window scratch).
+    /// Recycled epoch buckets trimmed back to their recent high-water
+    /// mark.
     pub buffer_trims: u64,
 }
 
@@ -239,8 +222,7 @@ pub struct HierEventQueue<E> {
     /// dominant cost at scale). Only written under `engine-profile`.
     #[cfg(feature = "engine-profile")]
     sort_ns: u64,
-    /// Events inserted per lane — the occupancy skew that decides how
-    /// well rack-grouped windows balance. Only under `engine-profile`.
+    /// Events inserted per lane. Only under `engine-profile`.
     #[cfg(feature = "engine-profile")]
     lane_scheduled: Vec<u64>,
 }
@@ -288,8 +270,7 @@ impl<E> HierEventQueue<E> {
     /// the order they were scheduled, across all lanes.
     ///
     /// # Panics
-    /// If `lane` is out of range for this engine — catching the mistake
-    /// at the call site instead of deep inside a later group dispatch.
+    /// If `lane` is out of range for this engine.
     pub fn schedule(&mut self, lane: LaneId, at: SimTime, payload: E) {
         assert!(
             lane.0 < self.stats.lanes,
@@ -297,18 +278,14 @@ impl<E> HierEventQueue<E> {
             lane.0,
             self.stats.lanes
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert(Entry { at, seq, lane: lane.0, payload });
-    }
-
-    #[inline]
-    fn insert(&mut self, entry: Entry<E>) {
         #[cfg(feature = "engine-profile")]
         {
-            self.lane_scheduled[entry.lane as usize] += 1;
+            self.lane_scheduled[lane.0 as usize] += 1;
         }
-        let e = self.epoch_of(entry.at);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let entry = Entry { at, seq, payload };
+        let e = self.epoch_of(at);
         // Hot path first: one wrapping compare covers the whole ring
         // window `cur_epoch < e < cur_epoch + RING_EPOCHS` (an epoch at
         // or below `cur_epoch` wraps to a huge value and falls through).
@@ -443,37 +420,6 @@ impl<E> HierEventQueue<E> {
         self.pop_entry_bounded(Some(t)).map(|e| (e.at, e.payload))
     }
 
-    /// Like [`pop_if_before`](Self::pop_if_before) but keeps the lane tag
-    /// and global sequence number — the conservative-window dispatcher
-    /// needs both to partition a window by rack group and to merge the
-    /// groups' emissions back in the exact sequential order.
-    pub(crate) fn pop_entry_if_before(&mut self, t: SimTime) -> Option<(LaneId, SimTime, u64, E)> {
-        self.pop_entry_bounded(Some(t)).map(|e| (LaneId(e.lane), e.at, e.seq, e.payload))
-    }
-
-    /// The sequence number the next scheduled event would get. Window
-    /// dispatch uses this as the provisional-numbering base: every
-    /// pending event's sequence is below it.
-    pub(crate) fn seq_floor(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Consume and return the next global sequence number without
-    /// scheduling anything (the window merge assigns sequence numbers in
-    /// merged emission order, exactly as sequential dispatch would have).
-    pub(crate) fn assign_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
-    }
-
-    /// Insert an event whose sequence number was pre-assigned by
-    /// [`assign_seq`](Self::assign_seq) during a window merge.
-    pub(crate) fn schedule_with_seq(&mut self, lane: LaneId, at: SimTime, seq: u64, payload: E) {
-        debug_assert!(seq < self.next_seq, "sequence not pre-assigned");
-        self.insert(Entry { at, seq, lane: lane.0, payload });
-    }
-
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         let run = self.current.last().map(|e| e.at);
@@ -527,8 +473,7 @@ impl<E> HierEventQueue<E> {
         }
     }
 
-    /// Events inserted per lane over the engine's lifetime — the
-    /// occupancy skew behind window-dispatch load balance. `None`
+    /// Events inserted per lane over the engine's lifetime. `None`
     /// without the `engine-profile` cargo feature.
     pub fn lane_occupancy(&self) -> Option<&[u64]> {
         #[cfg(feature = "engine-profile")]
@@ -542,76 +487,30 @@ impl<E> HierEventQueue<E> {
     }
 }
 
-/// Which event engine a [`crate::Network`] runs on. The default is the
-/// (sequential) calendar engine; the `legacy-engine` cargo feature flips
-/// the default back to the monolithic heap so the whole test suite can be
-/// A/B-d against it (`cargo test --features homa-sim/legacy-engine`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which event engine a [`crate::Network`] runs on. Both dispatch the
+/// same events in the same order; there is nothing to tune.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The calendar-bucketed lane engine ([`HierEventQueue`]), dispatched
-    /// sequentially.
+    /// The calendar-bucketed lane engine ([`HierEventQueue`]): the
+    /// default, and what every figure and benchmark runs on.
+    #[default]
     Hierarchical,
-    /// The original single binary heap ([`EventQueue`]).
+    /// The original single binary heap ([`EventQueue`]): the reference
+    /// oracle. `tests/determinism.rs` and the differential fuzz family
+    /// replay runs on it and require the calendar engine to agree bit
+    /// for bit (spec lines select it with `engine=legacy`).
     LegacyHeap,
-    /// The calendar engine with conservative-window parallel dispatch:
-    /// the network groups lanes by rack and dispatches each group's
-    /// sub-window on worker threads, merging emissions back in exact
-    /// `(time, seq)` order — runs stay bit-identical to the other
-    /// engines. Requires the `parallel` cargo feature (on by default);
-    /// without it, dispatch falls back to the sequential calendar engine.
-    ParallelHier {
-        /// Worker threads for window dispatch. `0` = auto (the machine's
-        /// available parallelism); `1` runs the window machinery inline
-        /// (useful for determinism tests with no thread overhead).
-        threads: u32,
-        /// Windows batched per bookkeeping round-trip (profiling
-        /// samples, stats rollups, worker handoffs are amortized across
-        /// the batch). `0` = auto: the `HOMA_SIM_BATCH` environment
-        /// variable if set, else an adaptive size derived from drained-
-        /// event density. Any value produces bit-identical results —
-        /// batching changes only when bookkeeping happens, never event
-        /// order.
-        batch: u32,
-    },
 }
 
-impl Default for EngineKind {
-    fn default() -> Self {
-        if cfg!(feature = "legacy-engine") {
-            EngineKind::LegacyHeap
-        } else {
-            EngineKind::Hierarchical
-        }
-    }
-}
-
-impl EngineKind {
-    /// The parallel engine with its thread count taken from the
-    /// `HOMA_SIM_THREADS` environment variable (`0`/unset = auto).
-    pub fn parallel_from_env() -> EngineKind {
-        Self::parallel_from_threads_str(std::env::var("HOMA_SIM_THREADS").ok().as_deref())
-    }
-
-    /// [`parallel_from_env`](Self::parallel_from_env)'s parsing, split
-    /// out so it can be tested without mutating the live process
-    /// environment: `None`/unparseable/`"0"` all mean auto.
-    pub fn parallel_from_threads_str(threads: Option<&str>) -> EngineKind {
-        let threads = threads.and_then(|v| v.parse::<u32>().ok()).unwrap_or(0);
-        EngineKind::ParallelHier { threads, batch: 0 }
-    }
-}
-
-/// A runtime-selectable event engine. All variants order events by the
+/// A runtime-selectable event engine. Both variants order events by the
 /// same globally-assigned `(time, seq)` key, so a simulation is
-/// bit-identical on any of them; the legacy variant simply ignores lanes.
-/// [`EngineKind::ParallelHier`] stores its events in the same calendar
-/// structure — the parallelism lives in the network's dispatch loop, not
-/// in the queue.
+/// bit-identical on either; the legacy variant simply ignores lanes.
 pub enum EventEngine<E> {
     /// The calendar-bucketed lane engine (boxed: the calendar ring makes
     /// it much larger than the plain heap variant).
     Hierarchical(Box<HierEventQueue<E>>),
-    /// The monolithic heap, kept for A/B determinism and perf checks.
+    /// The monolithic heap, kept as the reference the tests compare
+    /// against.
     Legacy(EventQueue<E>),
 }
 
@@ -626,11 +525,9 @@ impl<E> EventEngine<E> {
     /// calendar buckets (ignored by the legacy heap).
     pub fn with_bucket_width(kind: EngineKind, lanes: u32, width_ns: u64) -> Self {
         match kind {
-            EngineKind::Hierarchical | EngineKind::ParallelHier { .. } => {
-                EventEngine::Hierarchical(Box::new(HierEventQueue::with_bucket_width(
-                    lanes, width_ns,
-                )))
-            }
+            EngineKind::Hierarchical => EventEngine::Hierarchical(Box::new(
+                HierEventQueue::with_bucket_width(lanes, width_ns),
+            )),
             EngineKind::LegacyHeap => EventEngine::Legacy(EventQueue::new()),
         }
     }
@@ -932,23 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn hier_preassigned_seq_insert_orders_like_sequential() {
-        // The window merge schedules emissions with pre-assigned sequence
-        // numbers; they must interleave exactly as if scheduled normally.
-        let mut q: HierEventQueue<&str> = HierEventQueue::new(2);
-        q.schedule(LaneId(0), SimTime::from_nanos(1_000), "a");
-        let s1 = q.assign_seq();
-        let s2 = q.assign_seq();
-        // Insert in reverse assignment order: ordering must follow seq.
-        q.schedule_with_seq(LaneId(1), SimTime::from_nanos(1_000), s2, "c");
-        q.schedule_with_seq(LaneId(0), SimTime::from_nanos(1_000), s1, "b");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(q.seq_floor() >= 3);
-    }
-
-    #[test]
     fn engine_dispatch_matches_across_kinds() {
         let run = |kind: EngineKind| {
             let mut q: EventEngine<u32> = EventEngine::new(kind, 3);
@@ -967,22 +847,6 @@ mod tests {
             out
         };
         assert_eq!(run(EngineKind::Hierarchical), run(EngineKind::LegacyHeap));
-        assert_eq!(
-            run(EngineKind::ParallelHier { threads: 2, batch: 0 }),
-            run(EngineKind::LegacyHeap)
-        );
         assert_eq!(run(EngineKind::Hierarchical), vec![1, 4, 2, 3]);
-    }
-
-    #[test]
-    fn parallel_thread_count_parsing() {
-        // The pure parsing contract behind HOMA_SIM_THREADS, tested
-        // without touching the live process environment (set_var races
-        // with concurrent getenv in a threaded test harness).
-        let parse = EngineKind::parallel_from_threads_str;
-        assert_eq!(parse(Some("3")), EngineKind::ParallelHier { threads: 3, batch: 0 });
-        assert_eq!(parse(Some("0")), EngineKind::ParallelHier { threads: 0, batch: 0 });
-        assert_eq!(parse(Some("lots")), EngineKind::ParallelHier { threads: 0, batch: 0 });
-        assert_eq!(parse(None), EngineKind::ParallelHier { threads: 0, batch: 0 });
     }
 }

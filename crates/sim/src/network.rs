@@ -19,34 +19,19 @@
 //!    software delay elapses and the receiving transport's `on_packet`
 //!    runs.
 //!
-//! ## State partitioning and parallel dispatch
+//! ## State layout and dispatch
 //!
-//! Fabric state is partitioned into *groups*: one `RackState` per rack
-//! (the rack's hosts and their TOR — every host↔TOR interaction stays
-//! inside the group) and one boundary `SpineState` holding all spine
-//! switches. Every event touches exactly one group's state, and the only
-//! cross-group influence is a `SwitchArrive` scheduled
-//! [`Topology::min_forward_delay`] in the future (TOR→spine and
-//! spine→TOR hops). That delay is therefore a conservative-PDES
-//! lookahead: all events in a window `[T, T + lookahead)` can be
-//! dispatched group-by-group in parallel, because nothing dispatched in
-//! the window can create an event for *another* group inside it.
-//!
-//! [`EngineKind::ParallelHier`] enables this mode. Per window, the
-//! network drains the window's events from the calendar queue (grouping
-//! them by rack), runs each group's sub-window on a worker thread
-//! (`std::thread::scope`; same-group events spawned inside the window —
-//! timers, back-to-back `TxDone`s — are dispatched in-window from a
-//! per-group overlay), then *merges* every group's emissions back in
-//! exact `(time, seq)` order, assigning the same global sequence numbers
-//! sequential dispatch would have. Spray randomness is pre-drawn during
-//! the drain — in global pop order, which provably equals sequential
-//! dispatch order because a `SwitchArrive` is always created at least one
-//! lookahead before it fires and therefore is never dispatched inside the
-//! window that created it. The result is *bit-identical* to both
-//! sequential engines; `tests/determinism.rs` proves it end-to-end.
+//! Fabric state is stored per rack: one `RackState` holds a rack's hosts
+//! (struct-of-arrays) and their TOR, and one `SpineState` holds every
+//! upper-tier switch. Each event names the node whose state it touches,
+//! and the network runs exactly one dispatch loop: pop the earliest
+//! event from the queue, index the rack or switch it names, and write
+//! whatever it produces — new events, application events, trace records
+//! — straight back. Events are totally ordered by `(time, seq)` with
+//! `seq` assigned at insertion, so a run is a pure function of its
+//! inputs, and both [`EngineKind`]s replay it bit-identically
+//! (`tests/determinism.rs`).
 
-use crate::arena::{trim_capacity, HighWater, Recycle};
 use crate::events::{EngineKind, EngineStats, EventEngine, LaneId, TimerToken};
 use crate::faults::{Fault, FaultPlan, LinkId};
 use crate::packet::{CtrlKind, Packet, PacketMeta};
@@ -58,7 +43,6 @@ use crate::trace::{FlightRecorder, TraceEvent, TraceRecord};
 use crate::transport::{AppEvent, Transport, TransportActions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
 
 /// Fabric-wide configuration knobs that are not part of the topology.
 #[derive(Debug, Clone)]
@@ -71,10 +55,9 @@ pub struct NetworkConfig {
     pub tor_up: QueueDiscipline,
     /// Queue discipline for spine→TOR ports.
     pub spine_down: QueueDiscipline,
-    /// Which event engine drives the simulation. All engines produce
-    /// bit-identical runs; the calendar engine is faster on large
-    /// fabrics, and [`EngineKind::ParallelHier`] additionally dispatches
-    /// rack groups on worker threads (see [`crate::events`]).
+    /// Which event queue orders the run (see [`crate::events`]). Both
+    /// produce bit-identical runs: the calendar queue is the default,
+    /// the legacy heap the reference the tests compare it against.
     pub engine: EngineKind,
 }
 
@@ -176,10 +159,20 @@ impl<M: PacketMeta> Port<M> {
 struct SwitchNode<M> {
     ports: Vec<Port<M>>,
     /// Deterministic-spray counter for fat-tree uplink selection: mixed
-    /// with the packet's flow key per decision (see [`GroupMut::spray_next`]).
-    /// Per-switch state, so it replays identically under window dispatch
-    /// (each switch's events are totally ordered within its group).
+    /// with the packet's flow key per decision (see [`Self::spray_next`]).
     spray: u64,
+}
+
+impl<M> SwitchNode<M> {
+    /// Draw this switch's next deterministic spray decision for a
+    /// `src → dst` packet: the flow key hashed with a per-switch
+    /// counter, reduced to `0..n`.
+    fn spray_next(&mut self, src: HostId, dst: HostId, n: u32) -> u32 {
+        let c = self.spray;
+        self.spray = self.spray.wrapping_add(1);
+        let key = ((src.0 as u64) << 32) | dst.0 as u64;
+        (splitmix64(key ^ c.wrapping_mul(0xD1B54A32D192ED03)) % n as u64) as u32
+    }
 }
 
 /// SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer used for
@@ -191,7 +184,8 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Counters accumulated inside one dispatch group (summed at harvest).
+/// Counters accumulated beside the state they count (one set per rack,
+/// one for the spine tier; summed at harvest).
 #[derive(Debug, Clone, Copy, Default)]
 struct GroupCounters {
     faults_applied: u64,
@@ -199,9 +193,7 @@ struct GroupCounters {
     deferred_deliveries: u64,
 }
 
-/// One rack's partition of the fabric: its hosts and their TOR. All
-/// host↔TOR traffic is group-internal, which is what makes the rack a
-/// unit of parallel dispatch.
+/// One rack's share of the fabric: its hosts and their TOR.
 ///
 /// Host state is struct-of-arrays: the hot fields (ports in the TxDone
 /// path, transports in the delivery path) are contiguous per rack
@@ -230,77 +222,44 @@ impl<M, T> RackState<M, T> {
     }
 }
 
-/// The boundary group: every spine switch. Spines only talk to TORs, and
-/// always across a [`Topology::min_forward_delay`] hop, so one shared
-/// group is safe (and keeps the group count small).
+/// Every switch above the TORs (spines; aggregation and core switches on
+/// a fat tree).
 struct SpineState<M> {
     spines: Vec<SwitchNode<M>>,
     counters: GroupCounters,
 }
 
-/// A mutable view of one dispatch group.
-enum GroupMut<'a, M: PacketMeta, T: Transport<M>> {
-    Rack(&'a mut RackState<M, T>),
-    Spine(&'a mut SpineState<M>),
-}
-
-impl<M: PacketMeta, T: Transport<M>> GroupMut<'_, M, T> {
-    fn counters_mut(&mut self) -> &mut GroupCounters {
-        match self {
-            GroupMut::Rack(r) => &mut r.counters,
-            GroupMut::Spine(s) => &mut s.counters,
+/// The switch `node` names, with the counters kept beside it.
+fn switch_mut<'a, M, T>(
+    racks: &'a mut [RackState<M, T>],
+    spine: &'a mut SpineState<M>,
+    node: NodeId,
+) -> (&'a mut SwitchNode<M>, &'a mut GroupCounters) {
+    match node {
+        NodeId::Tor(r) => {
+            let rack = &mut racks[r as usize];
+            (&mut rack.tor, &mut rack.counters)
         }
-    }
-
-    fn port_mut(&mut self, node: NodeId, port: u32) -> &mut Port<M> {
-        match (self, node) {
-            (GroupMut::Rack(r), NodeId::Host(h)) => {
-                let i = r.slot(h);
-                &mut r.host_ports[i]
-            }
-            (GroupMut::Rack(r), NodeId::Tor(_)) => &mut r.tor.ports[port as usize],
-            (GroupMut::Spine(s), NodeId::Spine(sp)) => {
-                &mut s.spines[sp as usize].ports[port as usize]
-            }
-            _ => unreachable!("event routed to the wrong dispatch group"),
-        }
-    }
-
-    /// Draw the next deterministic spray decision at switch `node` for a
-    /// `src → dst` packet: the flow key hashed with a per-switch counter,
-    /// reduced to `0..n`. Pure per-group state — no global RNG — so
-    /// window dispatch replays it bit-identically without pre-drawing.
-    fn spray_next(&mut self, node: NodeId, src: HostId, dst: HostId, n: u32) -> u32 {
-        let sw = match (self, node) {
-            (GroupMut::Rack(r), NodeId::Tor(_)) => &mut r.tor,
-            (GroupMut::Spine(s), NodeId::Spine(sp)) => &mut s.spines[sp as usize],
-            _ => unreachable!("spray at a non-switch node"),
-        };
-        let c = sw.spray;
-        sw.spray = sw.spray.wrapping_add(1);
-        let key = ((src.0 as u64) << 32) | dst.0 as u64;
-        (splitmix64(key ^ c.wrapping_mul(0xD1B54A32D192ED03)) % n as u64) as u32
+        NodeId::Spine(s) => (&mut spine.spines[s as usize], &mut spine.counters),
+        NodeId::Host(_) => unreachable!("hosts are not switches"),
     }
 }
 
-/// Cheap lane → dispatch-group mapping (groups: rack 0..racks, then the
-/// spine boundary group).
-#[derive(Debug, Clone, Copy)]
-struct LaneMap {
-    hosts: u32,
-    hosts_per_rack: u32,
-    racks: u32,
-}
-
-impl LaneMap {
-    fn group_of_lane(self, lane: LaneId) -> u32 {
-        if lane.0 < self.hosts {
-            lane.0 / self.hosts_per_rack
-        } else if lane.0 < self.hosts + self.racks {
-            lane.0 - self.hosts
-        } else {
-            self.racks
+/// Egress `port` of `node` (a host has only its NIC port).
+fn port_mut<'a, M, T>(
+    topo: &Topology,
+    racks: &'a mut [RackState<M, T>],
+    spine: &'a mut SpineState<M>,
+    node: NodeId,
+    port: u32,
+) -> &'a mut Port<M> {
+    match node {
+        NodeId::Host(h) => {
+            let rack = &mut racks[topo.rack_of(h) as usize];
+            let i = rack.slot(h);
+            &mut rack.host_ports[i]
         }
+        sw => &mut switch_mut(racks, spine, sw).0.ports[port as usize],
     }
 }
 
@@ -314,59 +273,28 @@ fn lane_of(topo: &Topology, node: NodeId) -> LaneId {
     }
 }
 
-fn group_of_node(topo: &Topology, node: NodeId) -> usize {
-    match node {
-        NodeId::Host(h) => topo.rack_of(h) as usize,
-        NodeId::Tor(r) => r as usize,
-        NodeId::Spine(_) => topo.racks as usize,
-    }
+/// What every dispatch function reaches besides the rack or switch its
+/// event names: the topology, the event queue and application-event log
+/// it writes to, the flight recorder, and the fabric's spray RNG.
+struct Ctx<'a, M: PacketMeta> {
+    topo: &'a Topology,
+    queue: &'a mut EventEngine<Ev<M>>,
+    app_events: &'a mut Vec<(SimTime, HostId, AppEvent)>,
+    tracer: Option<&'a mut FlightRecorder>,
+    rng: &'a mut StdRng,
 }
 
-fn group_of_ev<M>(topo: &Topology, ev: &Ev<M>) -> usize {
-    match ev {
-        Ev::TxDone { node, .. } | Ev::SwitchArrive { node, .. } | Ev::Fault { node, .. } => {
-            group_of_node(topo, *node)
-        }
-        Ev::HostDeliver { host, .. } | Ev::Timer { host, .. } => topo.rack_of(*host) as usize,
-    }
-}
-
-/// Where dispatch side effects go: the sequential loop writes straight
-/// into the queue and app-event log; window dispatch records them for the
-/// deterministic merge.
-trait EmitSink<M> {
-    fn schedule(&mut self, lane: LaneId, at: SimTime, ev: Ev<M>);
-    fn app(&mut self, at: SimTime, host: HostId, ev: AppEvent);
+impl<M: PacketMeta> Ctx<'_, M> {
     /// Whether the flight recorder wants events. Constant-folds to
     /// `false` when the `trace` cargo feature is compiled out, so every
     /// guarded emit site vanishes from the binary; with the feature on
     /// it is one bool test. Call sites must guard with this before
     /// constructing a [`TraceEvent`].
     fn tracing(&self) -> bool {
-        false
-    }
-    /// Record one trace event at `at` (a no-op unless [`Self::tracing`]).
-    fn trace(&mut self, at: SimTime, ev: TraceEvent) {
-        let _ = (at, ev);
-    }
-}
-
-struct DirectSink<'a, M: PacketMeta> {
-    queue: &'a mut EventEngine<Ev<M>>,
-    app_events: &'a mut Vec<(SimTime, HostId, AppEvent)>,
-    tracer: Option<&'a mut FlightRecorder>,
-}
-
-impl<M: PacketMeta> EmitSink<M> for DirectSink<'_, M> {
-    fn schedule(&mut self, lane: LaneId, at: SimTime, ev: Ev<M>) {
-        self.queue.schedule(lane, at, ev);
-    }
-    fn app(&mut self, at: SimTime, host: HostId, ev: AppEvent) {
-        self.app_events.push((at, host, ev));
-    }
-    fn tracing(&self) -> bool {
         cfg!(feature = "trace") && self.tracer.is_some()
     }
+
+    /// Record one trace event at `at` (a no-op unless [`Self::tracing`]).
     fn trace(&mut self, at: SimTime, ev: TraceEvent) {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.record(at, ev);
@@ -374,283 +302,60 @@ impl<M: PacketMeta> EmitSink<M> for DirectSink<'_, M> {
     }
 }
 
-/// One drained window event: its original `(time, seq)` key, the payload,
-/// and — for cross-rack TOR arrivals — the spray decision pre-drawn from
-/// the global RNG in exact sequential order.
-struct WItem<M> {
-    at: SimTime,
-    ord: u64,
-    ev: Ev<M>,
-    hint: Option<u32>,
-}
-
-/// An event created *and* dispatched inside the current window (timer at
-/// `now`, back-to-back `TxDone`): ordered by `(at, ord)` where `ord` is a
-/// provisional number above every pre-window sequence.
-struct OEntry<M> {
-    at: SimTime,
-    ord: u64,
-    ev: Ev<M>,
-}
-
-impl<M> PartialEq for OEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.ord) == (other.at, other.ord)
-    }
-}
-impl<M> Eq for OEntry<M> {}
-impl<M> PartialOrd for OEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for OEntry<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Inverted: BinaryHeap pops the earliest first.
-        (other.at, other.ord).cmp(&(self.at, self.ord))
-    }
-}
-
-/// One recorded emission of a window dispatch.
-enum Emit<M> {
-    /// Scheduled into this group's own overlay and consumed in-window;
-    /// the merge burns one global sequence number for it (in exactly the
-    /// position sequential dispatch would have).
-    Local,
-    /// Scheduled beyond the window (or into another group); the merge
-    /// assigns its global sequence number and inserts it into the queue.
-    Defer { lane: LaneId, at: SimTime, ev: Ev<M> },
-    /// An application event; the merge appends it in global order.
-    App { host: HostId, ev: AppEvent },
-    /// A trace event; the merge records it at its log entry's time
-    /// (every trace emission happens at the dispatching event's `now`,
-    /// which *is* the entry's time — so the merged recording order is
-    /// exactly sequential dispatch's, byte-identical across engines).
-    Trace(TraceEvent),
-}
-
-/// One dispatched event of a group's sub-window, in dispatch order. Its
-/// emissions live in the group's shared emit buffer as the range
-/// `[previous entry's emits_end, emits_end)` — a flat cumulative index
-/// instead of a per-event `Vec`, which was the engine's hottest
-/// allocation at scale.
-struct LogEntry {
-    at: SimTime,
-    /// Real sequence (< the window's provisional base) or provisional.
-    ord: u64,
-    /// Exclusive end of this entry's emissions in `GroupBufs::emits`.
-    emits_end: u32,
-}
-
-/// One dispatch group's recycled window buffers: the drained items, the
-/// dispatch log with its flat emit buffer, the in-window overlay heap,
-/// and the merge's provisional-sequence table. All are emptied in place
-/// between windows ([`Recycle`]) so steady state allocates nothing —
-/// in threaded mode the whole set rides the job/result channels so the
-/// same allocations serve every window.
-struct GroupBufs<M> {
-    items: Vec<WItem<M>>,
-    entries: Vec<LogEntry>,
-    emits: Vec<Emit<M>>,
-    overlay: BinaryHeap<OEntry<M>>,
-    /// Final sequence numbers of this group's provisional (in-window)
-    /// events, filled during the merge.
-    provs: Vec<u64>,
-    /// Merge cursors into `entries` / `emits`.
-    next_entry: usize,
-    next_emit: usize,
-    /// Occupancy tracker driving the periodic capacity trim below.
-    hw: HighWater,
-    /// Times the trim released burst capacity (surfaced in
-    /// [`EngineStats::buffer_trims`]).
-    trims: u64,
-}
-
-impl<M> Default for GroupBufs<M> {
-    fn default() -> Self {
-        GroupBufs {
-            items: Vec::new(),
-            entries: Vec::new(),
-            emits: Vec::new(),
-            overlay: BinaryHeap::new(),
-            provs: Vec::new(),
-            next_entry: 0,
-            next_emit: 0,
-            hw: HighWater::default(),
-            trims: 0,
-        }
-    }
-}
-
-impl<M> Recycle for GroupBufs<M> {
-    fn recycle(&mut self) {
-        // The window's dispatch-log length bounds every buffer's working
-        // set; feed it to the high-water tracker so a one-off burst (an
-        // incast window) stops pinning peak capacity once it ages out.
-        let occupancy = self.entries.len().max(self.emits.len());
-        self.items.clear();
-        self.entries.clear();
-        self.emits.clear();
-        self.overlay.clear();
-        self.provs.clear();
-        self.next_entry = 0;
-        self.next_emit = 0;
-        if let Some(target) = self.hw.observe(occupancy) {
-            let mut trimmed = trim_capacity(&mut self.items, target);
-            trimmed |= trim_capacity(&mut self.entries, target);
-            trimmed |= trim_capacity(&mut self.emits, target);
-            trimmed |= trim_capacity(&mut self.provs, target);
-            if trimmed {
-                self.trims += 1;
-            }
-        }
-    }
-}
-
-struct WindowSink<'a, M> {
-    lanes: LaneMap,
-    group: u32,
-    base: u64,
-    wmax: SimTime,
-    /// Whether the network has a flight recorder installed (workers
-    /// never touch the recorder itself — trace events ride the emit log
-    /// and are recorded by the merge, preserving global order).
-    tracing: bool,
-    nprov: &'a mut u64,
-    overlay: &'a mut BinaryHeap<OEntry<M>>,
-    emits: &'a mut Vec<Emit<M>>,
-}
-
-impl<M: PacketMeta> EmitSink<M> for WindowSink<'_, M> {
-    fn schedule(&mut self, lane: LaneId, at: SimTime, ev: Ev<M>) {
-        if self.lanes.group_of_lane(lane) == self.group && at <= self.wmax {
-            let ord = self.base + *self.nprov;
-            *self.nprov += 1;
-            self.overlay.push(OEntry { at, ord, ev });
-            self.emits.push(Emit::Local);
-        } else {
-            // The conservative-window contract: an emission for another
-            // group must land beyond the window bound (cross-group paths
-            // all carry `min_forward_delay`). A violation here would mean
-            // the merge re-queues an event that sequential dispatch would
-            // already have run — catch it at the source.
-            debug_assert!(
-                at > self.wmax || self.lanes.group_of_lane(lane) == self.group,
-                "cross-group emission inside the conservative window (at {at}, wmax {})",
-                self.wmax
-            );
-            self.emits.push(Emit::Defer { lane, at, ev });
-        }
-    }
-    fn app(&mut self, _at: SimTime, host: HostId, ev: AppEvent) {
-        self.emits.push(Emit::App { host, ev });
-    }
-    fn tracing(&self) -> bool {
-        cfg!(feature = "trace") && self.tracing
-    }
-    fn trace(&mut self, _at: SimTime, ev: TraceEvent) {
-        self.emits.push(Emit::Trace(ev));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Dispatch: one code path shared by the sequential loop and the window
-// workers, parameterized over the emission sink.
-// ---------------------------------------------------------------------
-
-fn dispatch_event<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
-    topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
-    now: SimTime,
-    ev: Ev<M>,
-    hint: Option<u32>,
-    rng: Option<&mut StdRng>,
-    sink: &mut S,
-) {
-    match ev {
-        Ev::TxDone { node, port } => on_tx_done(topo, g, now, node, port, sink),
-        Ev::SwitchArrive { node, pkt } => {
-            on_switch_arrive(topo, g, now, node, pkt, hint, rng, sink)
-        }
-        Ev::HostDeliver { host, pkt } => {
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            let i = rack.slot(host);
-            if rack.paused[i] {
-                rack.pause_bufs[i].push(pkt);
-                rack.counters.deferred_deliveries += 1;
-                return;
-            }
-            deliver_to_host(rack, topo, now, host, pkt, sink);
-        }
-        Ev::Fault { node, port, action } => apply_fault(topo, g, now, node, port, action, sink),
-        Ev::Timer { host, token } => {
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            let mut act = std::mem::take(&mut rack.scratch);
-            act.reset();
-            let i = rack.slot(host);
-            rack.transports[i].on_timer(now, token, &mut act);
-            apply_actions(rack, topo, now, host, act, sink);
-        }
-    }
-}
-
 /// Hand a fully-arrived packet to a host's transport (the tail of the
 /// `HostDeliver` path, also used when a paused receiver resumes).
-fn deliver_to_host<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
+fn deliver_to_host<M: PacketMeta, T: Transport<M>>(
+    cx: &mut Ctx<'_, M>,
     rack: &mut RackState<M, T>,
-    topo: &Topology,
     now: SimTime,
     host: HostId,
     pkt: Packet<M>,
-    sink: &mut S,
 ) {
-    if sink.tracing() {
+    if cx.tracing() {
         if let Some(CtrlKind::Grant { offset, prio }) = pkt.meta.ctrl_kind() {
-            sink.trace(now, TraceEvent::GrantReceived { host, from: pkt.src, offset, prio });
+            cx.trace(now, TraceEvent::GrantReceived { host, from: pkt.src, offset, prio });
         }
     }
     let mut act = std::mem::take(&mut rack.scratch);
     act.reset();
     let i = rack.slot(host);
     rack.transports[i].on_packet(now, pkt, &mut act);
-    apply_actions(rack, topo, now, host, act, sink);
+    apply_actions(cx, rack, now, host, act);
 }
 
-fn apply_actions<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
+fn apply_actions<M: PacketMeta, T: Transport<M>>(
+    cx: &mut Ctx<'_, M>,
     rack: &mut RackState<M, T>,
-    topo: &Topology,
     now: SimTime,
     host: HostId,
     mut act: TransportActions,
-    sink: &mut S,
 ) {
     for (at, token) in act.drain_timers() {
         debug_assert!(at >= now, "timer scheduled in the past");
-        sink.schedule(LaneId(host.0), at.max(now), Ev::Timer { host, token });
+        cx.queue.schedule(LaneId(host.0), at.max(now), Ev::Timer { host, token });
     }
     for ev in act.drain_events() {
-        if sink.tracing() {
+        if cx.tracing() {
             if let AppEvent::MessageDelivered { src, tag, len } = &ev {
-                sink.trace(now, TraceEvent::MsgDelivered { host, src: *src, tag: *tag, len: *len });
+                cx.trace(now, TraceEvent::MsgDelivered { host, src: *src, tag: *tag, len: *len });
             }
         }
-        sink.app(now, host, ev);
+        cx.app_events.push((now, host, ev));
     }
     let kick = act.take_tx_kick();
     act.reset();
     rack.scratch = act;
     if kick {
-        poll_host_tx(rack, topo, now, host, sink);
+        poll_host_tx(cx, rack, now, host);
     }
 }
 
 /// If the host uplink is idle, pull the next packet from the transport.
-fn poll_host_tx<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
+fn poll_host_tx<M: PacketMeta, T: Transport<M>>(
+    cx: &mut Ctx<'_, M>,
     rack: &mut RackState<M, T>,
-    _topo: &Topology,
     now: SimTime,
     host: HostId,
-    sink: &mut S,
 ) {
     let i = rack.slot(host);
     let port = &mut rack.host_ports[i];
@@ -659,38 +364,42 @@ fn poll_host_tx<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
     }
     if let Some(pkt) = rack.transports[i].next_packet(now) {
         debug_assert_eq!(pkt.src, host, "transport emitted packet with wrong source");
-        if sink.tracing() {
+        if cx.tracing() {
             // Grants and resends are protocol-level control packets; the
             // fabric learns their meaning via [`PacketMeta::ctrl_kind`]
             // at the one place every transmission passes through.
             match pkt.meta.ctrl_kind() {
                 Some(CtrlKind::Grant { offset, prio }) => {
-                    sink.trace(
+                    cx.trace(
                         now,
                         TraceEvent::GrantIssued { from: host, to: pkt.dst, offset, prio },
                     );
                 }
                 Some(CtrlKind::Resend { offset, len }) => {
-                    sink.trace(now, TraceEvent::Resend { from: host, to: pkt.dst, offset, len });
+                    cx.trace(now, TraceEvent::Resend { from: host, to: pkt.dst, offset, len });
                 }
                 _ => {}
             }
         }
-        let done_at = begin_tx(now, NodeId::Host(host), 0, &mut rack.host_ports[i], pkt, sink);
-        sink.schedule(LaneId(host.0), done_at, Ev::TxDone { node: NodeId::Host(host), port: 0 });
+        let done_at = begin_tx(cx, now, NodeId::Host(host), 0, &mut rack.host_ports[i], pkt);
+        cx.queue.schedule(
+            LaneId(host.0),
+            done_at,
+            Ev::TxDone { node: NodeId::Host(host), port: 0 },
+        );
     }
 }
 
 /// Occupy `port` (egress `port_idx` of `node`) with `pkt`; returns the
 /// completion time, which the caller must schedule as a `TxDone` for the
 /// port. Emits the packet's one [`TraceEvent::TxStart`] when tracing.
-fn begin_tx<M: PacketMeta, S: EmitSink<M>>(
+fn begin_tx<M: PacketMeta>(
+    cx: &mut Ctx<'_, M>,
     now: SimTime,
     node: NodeId,
     port_idx: u32,
     port: &mut Port<M>,
     pkt: Packet<M>,
-    sink: &mut S,
 ) -> SimTime {
     debug_assert!(!port.busy(), "begin_tx on busy port");
     let dur = SimDuration::serialization(pkt.wire_bytes() as u64, port.rate_bps);
@@ -700,8 +409,8 @@ fn begin_tx<M: PacketMeta, S: EmitSink<M>>(
     port.stats.goodput_bytes += pkt.meta.goodput_bytes() as u64;
     port.stats.packets += 1;
     port.stats.bytes_by_prio[(pkt.priority() as usize).min(7)] += pkt.wire_bytes() as u64;
-    if sink.tracing() {
-        sink.trace(
+    if cx.tracing() {
+        cx.trace(
             now,
             TraceEvent::TxStart {
                 node,
@@ -720,123 +429,100 @@ fn begin_tx<M: PacketMeta, S: EmitSink<M>>(
     done_at
 }
 
-/// Emit the [`TraceEvent::Dequeue`] for a packet just popped from
-/// `port`'s queue (callers guard with `sink.tracing()`). The wait split
-/// comes from [`PortQueue::last_wait`]: pure queueing behind
+/// Start serializing the head of switch port `port`'s queue, if any
+/// (the port must be idle), emitting its [`TraceEvent::Dequeue`]: the
+/// wait split comes from [`PortQueue::last_wait`] — pure queueing behind
 /// equal-or-higher traffic vs. preemption lag.
-fn trace_dequeue<M: PacketMeta, S: EmitSink<M>>(
+fn serve_queue<M: PacketMeta>(
+    cx: &mut Ctx<'_, M>,
     now: SimTime,
     node: NodeId,
     port_idx: u32,
-    port: &Port<M>,
-    pkt: &Packet<M>,
-    sink: &mut S,
+    port: &mut Port<M>,
 ) {
-    let (waited, lag) = port.queue.last_wait();
-    sink.trace(
-        now,
-        TraceEvent::Dequeue {
-            node,
-            port: port_idx,
-            src: pkt.src,
-            dst: pkt.dst,
-            prio: pkt.priority(),
-            bytes: pkt.wire_bytes(),
-            waited_ns: waited.as_nanos(),
-            lag_ns: lag.as_nanos(),
-            qbytes: port.queue.bytes(),
-        },
-    );
+    let Some(next) = port.queue.dequeue(now) else { return };
+    if cx.tracing() {
+        let (waited, lag) = port.queue.last_wait();
+        cx.trace(
+            now,
+            TraceEvent::Dequeue {
+                node,
+                port: port_idx,
+                src: next.src,
+                dst: next.dst,
+                prio: next.priority(),
+                bytes: next.wire_bytes(),
+                waited_ns: waited.as_nanos(),
+                lag_ns: lag.as_nanos(),
+                qbytes: port.queue.bytes(),
+            },
+        );
+    }
+    let done_at = begin_tx(cx, now, node, port_idx, port, next);
+    cx.queue.schedule(lane_of(cx.topo, node), done_at, Ev::TxDone { node, port: port_idx });
 }
 
-fn on_tx_done<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
-    topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
+fn on_tx_done<M: PacketMeta, T: Transport<M>>(
+    cx: &mut Ctx<'_, M>,
+    racks: &mut [RackState<M, T>],
+    spine: &mut SpineState<M>,
     now: SimTime,
     node: NodeId,
     port_idx: u32,
-    sink: &mut S,
 ) {
-    let (prop_delay, host_sw_delay, switch_delay) =
-        (topo.prop_delay, topo.host_sw_delay, topo.switch_delay);
-    let (pkt, peer) = {
-        let port = g.port_mut(node, port_idx);
-        let (pkt, _) = port.sending.take().expect("TxDone without transmission");
-        (pkt, port.peer)
-    };
+    let port = port_mut(cx.topo, racks, spine, node, port_idx);
+    let (pkt, _) = port.sending.take().expect("TxDone without transmission");
 
-    // Deliver to the peer. Switch arrivals are the *only* emission that
-    // can cross dispatch groups, and they always carry the full
-    // `min_forward_delay` — the invariant the conservative window relies
-    // on.
-    match peer {
+    // Deliver to the peer.
+    match port.peer {
         NodeId::Host(h) => {
-            let at = now + prop_delay + host_sw_delay;
-            sink.schedule(LaneId(h.0), at, Ev::HostDeliver { host: h, pkt });
+            let at = now + cx.topo.prop_delay + cx.topo.host_sw_delay;
+            cx.queue.schedule(LaneId(h.0), at, Ev::HostDeliver { host: h, pkt });
         }
         sw @ (NodeId::Tor(_) | NodeId::Spine(_)) => {
-            let at = now + prop_delay + switch_delay;
-            sink.schedule(lane_of(topo, sw), at, Ev::SwitchArrive { node: sw, pkt });
+            let at = now + cx.topo.prop_delay + cx.topo.switch_delay;
+            cx.queue.schedule(lane_of(cx.topo, sw), at, Ev::SwitchArrive { node: sw, pkt });
         }
     }
 
     // Keep the port busy with the next packet, if any.
     match node {
         NodeId::Host(h) => {
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            poll_host_tx(rack, topo, now, h, sink);
+            poll_host_tx(cx, &mut racks[cx.topo.rack_of(h) as usize], now, h);
         }
-        _ => {
-            let port = g.port_mut(node, port_idx);
-            // A downed link finishes its in-flight packet but does not
-            // start another; service resumes on the LinkUp fault.
-            if !port.up {
-                return;
-            }
-            if let Some(next) = port.queue.dequeue(now) {
-                if sink.tracing() {
-                    trace_dequeue(now, node, port_idx, port, &next, sink);
-                }
-                let done_at = begin_tx(now, node, port_idx, port, next, sink);
-                sink.schedule(lane_of(topo, node), done_at, Ev::TxDone { node, port: port_idx });
-            }
-        }
+        // A downed link finishes its in-flight packet but does not
+        // start another; service resumes on the LinkUp fault.
+        _ if !port.up => {}
+        _ => serve_queue(cx, now, node, port_idx, port),
     }
 }
 
-/// Pick the egress port for a `src → dst` packet at switch `node`.
+/// Pick the egress port for a `src → dst` packet at switch `sw` (which
+/// is `node`).
 ///
 /// Leaf–spine: cross-rack traffic at a TOR is sprayed across spine
-/// uplinks from the *global* RNG — sequential dispatch draws here;
-/// window dispatch passes the decision in as `hint`, pre-drawn during
-/// the drain in the same global order.
+/// uplinks from the fabric's seeded RNG, one draw per such arrival in
+/// dispatch order.
 ///
 /// Fat tree: up-facing hops (TOR → agg, agg → core) spray via the
-/// switch's own deterministic counter hash ([`GroupMut::spray_next`]);
-/// down-facing hops are fully determined by `dst`. No global RNG, so no
-/// pre-drawing is needed and the hint stays `None`.
-fn route<M: PacketMeta, T: Transport<M>>(
-    topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
-    hint: Option<u32>,
-    rng: Option<&mut StdRng>,
+/// switch's own deterministic counter hash ([`SwitchNode::spray_next`]);
+/// down-facing hops are fully determined by `dst`.
+fn route<M: PacketMeta>(
+    cx: &mut Ctx<'_, M>,
+    sw: &mut SwitchNode<M>,
     node: NodeId,
     src: HostId,
     dst: HostId,
 ) -> u32 {
+    let topo = cx.topo;
     let dst_rack = topo.rack_of(dst);
     match (node, topo.kind) {
         (NodeId::Tor(r), _) if dst_rack == r => topo.index_in_rack(dst),
         (NodeId::Tor(_), FabricKind::LeafSpine) => {
-            if let Some(h) = hint {
-                h
-            } else {
-                let rng = rng.expect("window dispatch must pre-draw spray decisions");
-                topo.hosts_per_rack + rng.gen_range(0..topo.spines)
-            }
+            topo.hosts_per_rack + cx.rng.gen_range(0..topo.spines)
         }
         (NodeId::Tor(_), FabricKind::FatTree { k }) => {
-            topo.hosts_per_rack + g.spray_next(node, src, dst, k / 2)
+            topo.hosts_per_rack + sw.spray_next(src, dst, k / 2)
         }
         (NodeId::Spine(_), FabricKind::LeafSpine) => dst_rack,
         (NodeId::Spine(s), FabricKind::FatTree { k }) => {
@@ -847,7 +533,7 @@ fn route<M: PacketMeta, T: Transport<M>>(
                 if topo.pod_of_rack(dst_rack) == s / half {
                     dst_rack % half
                 } else {
-                    half + g.spray_next(node, src, dst, half)
+                    half + sw.spray_next(src, dst, half)
                 }
             } else {
                 // Core switch: one down port per pod.
@@ -858,26 +544,24 @@ fn route<M: PacketMeta, T: Transport<M>>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn on_switch_arrive<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
-    topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
+fn on_switch_arrive<M: PacketMeta, T>(
+    cx: &mut Ctx<'_, M>,
+    racks: &mut [RackState<M, T>],
+    spine: &mut SpineState<M>,
     now: SimTime,
     node: NodeId,
     mut pkt: Packet<M>,
-    hint: Option<u32>,
-    rng: Option<&mut StdRng>,
-    sink: &mut S,
 ) {
-    let port_idx = route(topo, g, hint, rng, node, pkt.src, pkt.dst);
-    let lane = lane_of(topo, node);
+    let (sw, counters) = switch_mut(racks, spine, node);
+    let port_idx = route(cx, sw, node, pkt.src, pkt.dst);
+    let port = &mut sw.ports[port_idx as usize];
 
     // Link-state check: packets routed to a downed egress are lost
     // (the switch has nowhere to forward them); transports recover
     // via their own retransmission machinery.
-    if !g.port_mut(node, port_idx).up {
-        if sink.tracing() {
-            sink.trace(
+    if !port.up {
+        if cx.tracing() {
+            cx.trace(
                 now,
                 TraceEvent::FaultDrop {
                     node,
@@ -888,10 +572,9 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
                 },
             );
         }
-        g.counters_mut().fault_drops += 1;
+        counters.fault_drops += 1;
         return;
     }
-    let port = g.port_mut(node, port_idx);
 
     // Hot-path bypass: an idle port with an empty queue transmits the
     // packet immediately; `pass_through` performs the byte/ECN
@@ -900,18 +583,18 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
     // dequeue trace events fire here — the packet never waited; its
     // `TxStart` is the whole story.
     if !port.busy() && port.queue.pass_through(now, &mut pkt) {
-        let done_at = begin_tx(now, node, port_idx, port, pkt, sink);
-        sink.schedule(lane, done_at, Ev::TxDone { node, port: port_idx });
+        let done_at = begin_tx(cx, now, node, port_idx, port, pkt);
+        cx.queue.schedule(lane_of(cx.topo, node), done_at, Ev::TxDone { node, port: port_idx });
         return;
     }
 
-    if sink.tracing() {
+    if cx.tracing() {
         // Preemption, observed at the moment it begins: the arrival
         // outranks the packet occupying the link and will wait out its
         // residual serialization (Fig. 14's preemption lag).
         if let Some((m, ends_at)) = port.in_flight_view() {
             if ends_at > now && port.queue.would_outrank(&pkt.meta, pkt.was_trimmed, m) {
-                sink.trace(
+                cx.trace(
                     now,
                     TraceEvent::Preempted {
                         node,
@@ -929,8 +612,8 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
     let (src, dst, prio) = (pkt.src, pkt.dst, pkt.priority());
     let qbytes_before = port.queue.bytes();
     let outcome = port.queue.enqueue(now, pkt, in_flight.as_ref().map(|(m, t)| (m, *t)));
-    if sink.tracing() {
-        sink.trace(
+    if cx.tracing() {
+        cx.trace(
             now,
             TraceEvent::Enqueue {
                 node,
@@ -946,501 +629,63 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
         );
     }
     if !port.busy() {
-        if let Some(next) = port.queue.dequeue(now) {
-            if sink.tracing() {
-                trace_dequeue(now, node, port_idx, port, &next, sink);
-            }
-            let done_at = begin_tx(now, node, port_idx, port, next, sink);
-            sink.schedule(lane, done_at, Ev::TxDone { node, port: port_idx });
-        }
+        serve_queue(cx, now, node, port_idx, port);
     }
 }
 
-fn apply_fault<M: PacketMeta, T: Transport<M>, S: EmitSink<M>>(
-    topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
+fn apply_fault<M: PacketMeta, T: Transport<M>>(
+    cx: &mut Ctx<'_, M>,
+    racks: &mut [RackState<M, T>],
+    spine: &mut SpineState<M>,
     now: SimTime,
     node: NodeId,
     port_idx: u32,
     action: FaultAction,
-    sink: &mut S,
 ) {
-    g.counters_mut().faults_applied += 1;
+    let topo = cx.topo;
+    let counters = match node {
+        NodeId::Host(h) => &mut racks[topo.rack_of(h) as usize].counters,
+        sw => switch_mut(racks, spine, sw).1,
+    };
+    counters.faults_applied += 1;
     match action {
-        FaultAction::LinkDown => g.port_mut(node, port_idx).up = false,
+        FaultAction::LinkDown => port_mut(topo, racks, spine, node, port_idx).up = false,
         FaultAction::LinkUp => {
-            g.port_mut(node, port_idx).up = true;
+            let port = port_mut(topo, racks, spine, node, port_idx);
+            port.up = true;
             // Restart service: a host pulls from its transport, a
             // switch port from its (preserved) queue.
             match node {
                 NodeId::Host(h) => {
-                    let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-                    poll_host_tx(rack, topo, now, h, sink);
+                    poll_host_tx(cx, &mut racks[topo.rack_of(h) as usize], now, h);
                 }
-                _ => {
-                    let port = g.port_mut(node, port_idx);
-                    if !port.busy() {
-                        if let Some(next) = port.queue.dequeue(now) {
-                            if sink.tracing() {
-                                trace_dequeue(now, node, port_idx, port, &next, sink);
-                            }
-                            let done_at = begin_tx(now, node, port_idx, port, next, sink);
-                            sink.schedule(
-                                lane_of(topo, node),
-                                done_at,
-                                Ev::TxDone { node, port: port_idx },
-                            );
-                        }
-                    }
-                }
+                _ if port.busy() => {}
+                _ => serve_queue(cx, now, node, port_idx, port),
             }
         }
-        FaultAction::SetRate(bps) => g.port_mut(node, port_idx).rate_bps = bps,
+        FaultAction::SetRate(bps) => port_mut(topo, racks, spine, node, port_idx).rate_bps = bps,
         FaultAction::RestoreRate => {
-            let port = g.port_mut(node, port_idx);
+            let port = port_mut(topo, racks, spine, node, port_idx);
             port.rate_bps = port.base_rate_bps;
         }
-        FaultAction::PauseRx => {
-            let NodeId::Host(h) = node else { unreachable!("pause resolved to a host") };
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
+        FaultAction::PauseRx | FaultAction::ResumeRx => {
+            let NodeId::Host(h) = node else { unreachable!("receiver pause resolved to a host") };
+            let rack = &mut racks[topo.rack_of(h) as usize];
             let i = rack.slot(h);
-            rack.paused[i] = true;
-        }
-        FaultAction::ResumeRx => {
-            let NodeId::Host(h) = node else { unreachable!("resume resolved to a host") };
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            let i = rack.slot(h);
-            rack.paused[i] = false;
-            // Deliver everything buffered while paused, in arrival
-            // order, at the resume instant. The buffer is swapped back
-            // after draining so its allocation is reused next pause.
-            let mut buf = std::mem::take(&mut rack.pause_bufs[i]);
-            for pkt in buf.drain(..) {
-                deliver_to_host(rack, topo, now, h, pkt, sink);
-            }
-            rack.pause_bufs[i] = buf;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Conservative-window machinery (drain → per-group runs → ordered merge).
-// ---------------------------------------------------------------------
-
-/// Counters for the window dispatcher, merged into [`EngineStats`].
-#[derive(Debug, Clone, Copy, Default)]
-struct WinCounters {
-    windows: u64,
-    window_events: u64,
-    max_window_events: u64,
-    /// Windows whose drained events all hit one dispatch group, run
-    /// inline through [`DirectSink`] (no per-group log, no merge).
-    fast_windows: u64,
-    /// Bookkeeping batches of consecutive windows (see
-    /// [`Network::batch_size`]).
-    batches: u64,
-}
-
-/// Threaded mode: a window whose drained events total fewer than this
-/// runs on the calling thread — the cross-thread handoff and wakeup
-/// cost dwarfs that little work. Purely a performance threshold: every
-/// path (fast, inline, shipped) produces bit-identical results, so the
-/// value can never affect a run's outcome.
-const INLINE_WINDOW_EVENTS: usize = 96;
-
-/// One group's work for one window (threaded mode): the group's mutable
-/// state and buffer set travel to the worker with the drained items
-/// inside and return with the dispatch log filled, so every allocation
-/// round-trips and the main thread can run any group inline between
-/// shipments.
-struct GroupJob<'a, M: PacketMeta, T: Transport<M>> {
-    gidx: usize,
-    base: u64,
-    wmax: SimTime,
-    bufs: GroupBufs<M>,
-    gm: GroupMut<'a, M, T>,
-}
-
-/// Static window-dispatch parameters (shape of the fabric's groups plus
-/// the conservative lookahead), fixed at network construction.
-#[derive(Debug, Clone, Copy)]
-struct WindowCfg {
-    lanes: LaneMap,
-    lookahead: SimDuration,
-}
-
-/// One drained window, ready for per-group dispatch (the per-group item
-/// batches live in the caller's recycled [`GroupBufs`]).
-struct WindowDrain {
-    /// Provisional-numbering base: above every pending sequence number.
-    base: u64,
-    /// Inclusive upper time bound of the window.
-    wmax: SimTime,
-}
-
-/// Pop every event with `time <= wmax` (where `wmax` is the conservative
-/// window bound derived from the first pending event), partitioned into
-/// each group's `bufs.items`, with leaf–spine spray decisions pre-drawn
-/// in global pop order. Group indices that received at least one item
-/// are appended to `active` (so the run and merge stages touch only
-/// those groups, never scanning the whole fabric). Returns `None` when
-/// no event is pending at or before `limit`.
-fn drain_window<M: PacketMeta>(
-    topo: &Topology,
-    queue: &mut EventEngine<Ev<M>>,
-    rng: &mut StdRng,
-    cfg: WindowCfg,
-    limit: SimTime,
-    bufs: &mut [GroupBufs<M>],
-    active: &mut Vec<usize>,
-) -> Option<WindowDrain> {
-    debug_assert!(active.is_empty(), "active-group scratch not consumed");
-    let EventEngine::Hierarchical(q) = queue else {
-        unreachable!("window dispatch requires the calendar engine")
-    };
-    let first = q.pop_entry_if_before(limit)?;
-    let tmin = first.1;
-    debug_assert!(cfg.lookahead.as_nanos() >= 1, "windows need positive lookahead");
-    let wmax = limit.min(tmin + SimDuration::from_nanos(cfg.lookahead.as_nanos() - 1));
-    let lanes = cfg.lanes;
-    let mut push = |lane: LaneId, at: SimTime, seq: u64, ev: Ev<M>, rng: &mut StdRng| {
-        // Pre-draw the spray decision for cross-rack TOR arrivals on a
-        // leaf–spine fabric (the only kind that sprays from the global
-        // RNG). Drain order is global `(time, seq)` order, and a
-        // `SwitchArrive` is never dispatched inside the window that
-        // created it (its delay *is* the lookahead), so this consumes
-        // the RNG stream in exactly the order sequential dispatch would.
-        let hint = match &ev {
-            Ev::SwitchArrive { node: NodeId::Tor(r), pkt }
-                if matches!(topo.kind, FabricKind::LeafSpine) && topo.rack_of(pkt.dst) != *r =>
-            {
-                Some(topo.hosts_per_rack + rng.gen_range(0..topo.spines))
-            }
-            _ => None,
-        };
-        let g = lanes.group_of_lane(lane) as usize;
-        let b = &mut bufs[g];
-        if b.items.is_empty() {
-            active.push(g);
-        }
-        b.items.push(WItem { at, ord: seq, ev, hint });
-    };
-    push(first.0, first.1, first.2, first.3, rng);
-    while let Some((lane, at, seq, ev)) = q.pop_entry_if_before(wmax) {
-        push(lane, at, seq, ev, rng);
-    }
-    Some(WindowDrain { base: q.seq_floor(), wmax })
-}
-
-/// Dispatch one group's sub-window: its drained events (in
-/// `bufs.items`) plus everything they spawn inside the window (served
-/// from the overlay), in exact `(time, order)` sequence. The dispatch
-/// log is left in `bufs.entries`/`bufs.emits` for the merge; every
-/// buffer's allocation survives for the next window.
-#[allow(clippy::too_many_arguments)]
-fn run_group<M: PacketMeta, T: Transport<M>>(
-    topo: &Topology,
-    lanes: LaneMap,
-    g: &mut GroupMut<'_, M, T>,
-    group: u32,
-    base: u64,
-    wmax: SimTime,
-    tracing: bool,
-    bufs: &mut GroupBufs<M>,
-) {
-    debug_assert!(bufs.entries.is_empty() && bufs.emits.is_empty() && bufs.overlay.is_empty());
-    let mut nprov: u64 = 0;
-    let mut items = std::mem::take(&mut bufs.items);
-    {
-        let mut it = items.drain(..).peekable();
-        loop {
-            let take_item = match (it.peek(), bufs.overlay.peek()) {
-                (Some(a), Some(o)) => (a.at, a.ord) <= (o.at, o.ord),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (at, ord, ev, hint) = if take_item {
-                let a = it.next().expect("peeked");
-                (a.at, a.ord, a.ev, a.hint)
-            } else {
-                let o = bufs.overlay.pop().expect("peeked");
-                (o.at, o.ord, o.ev, None)
-            };
-            let mut sink = WindowSink {
-                lanes,
-                group,
-                base,
-                wmax,
-                tracing,
-                nprov: &mut nprov,
-                overlay: &mut bufs.overlay,
-                emits: &mut bufs.emits,
-            };
-            dispatch_event(topo, g, at, ev, hint, None, &mut sink);
-            bufs.entries.push(LogEntry { at, ord, emits_end: bufs.emits.len() as u32 });
-        }
-    }
-    bufs.items = items;
-}
-
-/// Run a window whose drained events all hit one dispatch group,
-/// inline on the calling thread through [`DirectSink`] — no per-group
-/// log, no provisional numbering, no merge. This replays *exactly* what
-/// sequential dispatch would do: for each drained item, first pop and
-/// dispatch every queued event strictly before it (an in-window spawn
-/// from an earlier dispatch; equal-time spawns carry sequence numbers
-/// above the drained item's and therefore follow it), then dispatch the
-/// item; afterwards drain the remaining in-window spawns up to `wmax`.
-/// `DirectSink` assigns sequence numbers in dispatch order, which *is*
-/// sequential order, so the result — records, RNG stream, trace bytes —
-/// is bit-identical to every other path. In-window spawns never carry a
-/// spray decision (a cross-rack `SwitchArrive` always lands beyond the
-/// lookahead window), so no RNG handle is needed.
-fn run_window_fast<M: PacketMeta, T: Transport<M>>(
-    topo: &Topology,
-    gm: &mut GroupMut<'_, M, T>,
-    bufs: &mut GroupBufs<M>,
-    queue: &mut EventEngine<Ev<M>>,
-    app_events: &mut Vec<(SimTime, HostId, AppEvent)>,
-    mut tracer: Option<&mut FlightRecorder>,
-    wmax: SimTime,
-) -> (u64, SimTime) {
-    let mut n = 0u64;
-    let mut last_at = SimTime::ZERO;
-    let mut items = std::mem::take(&mut bufs.items);
-    for item in items.drain(..) {
-        if item.at.as_nanos() > 0 {
-            let strictly_before = SimTime::from_nanos(item.at.as_nanos() - 1);
-            while let Some((at, ev)) = queue.pop_if_before(strictly_before) {
-                let mut sink = DirectSink { queue, app_events, tracer: tracer.as_deref_mut() };
-                dispatch_event(topo, gm, at, ev, None, None, &mut sink);
-                n += 1;
-            }
-        }
-        let mut sink = DirectSink { queue, app_events, tracer: tracer.as_deref_mut() };
-        dispatch_event(topo, gm, item.at, item.ev, item.hint, None, &mut sink);
-        n += 1;
-        last_at = item.at;
-    }
-    bufs.items = items;
-    while let Some((at, ev)) = queue.pop_if_before(wmax) {
-        let mut sink = DirectSink { queue, app_events, tracer: tracer.as_deref_mut() };
-        dispatch_event(topo, gm, at, ev, None, None, &mut sink);
-        n += 1;
-        last_at = at;
-    }
-    (n, last_at)
-}
-
-/// Run a multi-group window inline on the calling thread, in exact
-/// global `(time, ord)` order through [`DirectSink`] — the
-/// single-threaded engine's window path, where the per-group dispatch
-/// log and the merge buy nothing (there is no parallelism to earn back
-/// their cost). `drain_window` left each active group's items in
-/// global order, so a best-head scan across the active groups (the
-/// same shape as `merge_window`'s entry scan, but over items, before
-/// dispatch instead of after) reconstructs the exact sequential
-/// sequence; in-window spawns are popped from the queue around each
-/// item exactly as [`run_window_fast`] does, and the same soundness
-/// argument applies — equal-time spawns order behind drained items by
-/// sequence number, and spawns never carry a spray decision. Consumes
-/// `active`, recycling each group's buffers as it drains them.
-#[allow(clippy::too_many_arguments)]
-fn run_window_seq<M: PacketMeta, T: Transport<M>>(
-    topo: &Topology,
-    racks: &mut [RackState<M, T>],
-    spine: &mut SpineState<M>,
-    bufs: &mut [GroupBufs<M>],
-    active: &mut Vec<usize>,
-    queue: &mut EventEngine<Ev<M>>,
-    app_events: &mut Vec<(SimTime, HostId, AppEvent)>,
-    mut tracer: Option<&mut FlightRecorder>,
-    wmax: SimTime,
-) -> (u64, SimTime) {
-    // Reverse each group's items so the global-order walk can `pop()`
-    // true moves off the tails instead of shifting or cloning.
-    for &g in active.iter() {
-        bufs[g].items.reverse();
-    }
-    let mut n = 0u64;
-    let mut last_at = SimTime::ZERO;
-    loop {
-        let mut i = 0;
-        while i < active.len() {
-            if bufs[active[i]].items.is_empty() {
-                bufs[active[i]].recycle();
-                active.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        let Some(&first) = active.first() else { break };
-        let mut bg = first;
-        if active.len() > 1 {
-            let head = bufs[bg].items.last().expect("retired above");
-            let mut best = (head.at, head.ord);
-            for &g in &active[1..] {
-                let it = bufs[g].items.last().expect("retired above");
-                if (it.at, it.ord) < best {
-                    best = (it.at, it.ord);
-                    bg = g;
+            rack.paused[i] = action == FaultAction::PauseRx;
+            if !rack.paused[i] {
+                // Deliver everything buffered while paused, in arrival
+                // order, at the resume instant. The buffer is swapped
+                // back after draining so its allocation is reused next
+                // pause.
+                let mut buf = std::mem::take(&mut rack.pause_bufs[i]);
+                for pkt in buf.drain(..) {
+                    deliver_to_host(cx, rack, now, h, pkt);
                 }
+                rack.pause_bufs[i] = buf;
             }
         }
-        let item = bufs[bg].items.pop().expect("retired above");
-        if item.at.as_nanos() > 0 {
-            let strictly_before = SimTime::from_nanos(item.at.as_nanos() - 1);
-            while let Some((at, ev)) = queue.pop_if_before(strictly_before) {
-                dispatch_seq(
-                    topo,
-                    racks,
-                    spine,
-                    queue,
-                    app_events,
-                    tracer.as_deref_mut(),
-                    at,
-                    ev,
-                    None,
-                );
-                n += 1;
-            }
-        }
-        dispatch_seq(
-            topo,
-            racks,
-            spine,
-            queue,
-            app_events,
-            tracer.as_deref_mut(),
-            item.at,
-            item.ev,
-            item.hint,
-        );
-        n += 1;
-        last_at = item.at;
     }
-    while let Some((at, ev)) = queue.pop_if_before(wmax) {
-        dispatch_seq(topo, racks, spine, queue, app_events, tracer.as_deref_mut(), at, ev, None);
-        n += 1;
-        last_at = at;
-    }
-    (n, last_at)
-}
-
-/// Dispatch one event directly into the queue, picking the owning
-/// group per event — [`run_window_seq`]'s per-event body. No RNG
-/// handle: window items carry pre-drawn spray hints and in-window
-/// spawns never spray.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_seq<M: PacketMeta, T: Transport<M>>(
-    topo: &Topology,
-    racks: &mut [RackState<M, T>],
-    spine: &mut SpineState<M>,
-    queue: &mut EventEngine<Ev<M>>,
-    app_events: &mut Vec<(SimTime, HostId, AppEvent)>,
-    tracer: Option<&mut FlightRecorder>,
-    at: SimTime,
-    ev: Ev<M>,
-    hint: Option<u32>,
-) {
-    let gidx = group_of_ev(topo, &ev);
-    let mut gm =
-        if gidx < racks.len() { GroupMut::Rack(&mut racks[gidx]) } else { GroupMut::Spine(spine) };
-    let mut sink = DirectSink { queue, app_events, tracer };
-    dispatch_event(topo, &mut gm, at, ev, hint, None, &mut sink);
-}
-
-/// Merge the groups' dispatch logs back into one global order and apply
-/// their emissions: application events append in `(time, seq)` order and
-/// deferred events receive exactly the sequence numbers sequential
-/// dispatch would have assigned. Consumes `active` (the groups
-/// `drain_window` filled), recycling exactly those groups' logs — idle
-/// groups are never touched, so merge cost scales with the window's
-/// footprint, not the fabric size. Returns `(events_merged, last_time)`.
-fn merge_window<M: PacketMeta>(
-    queue: &mut EventEngine<Ev<M>>,
-    app_events: &mut Vec<(SimTime, HostId, AppEvent)>,
-    bufs: &mut [GroupBufs<M>],
-    active: &mut Vec<usize>,
-    base: u64,
-    mut tracer: Option<&mut FlightRecorder>,
-) -> (u64, SimTime) {
-    let EventEngine::Hierarchical(q) = queue else {
-        unreachable!("window dispatch requires the calendar engine")
-    };
-    // `provs[i]` (per group): final sequence number of the group's i-th
-    // provisional (in-window) event, filled in creation order, which the
-    // merge walk visits parents-first.
-    for b in bufs.iter_mut() {
-        debug_assert!(b.provs.is_empty() && b.next_entry == 0 && b.next_emit == 0);
-    }
-    let mut merged = 0u64;
-    let mut last_at = SimTime::ZERO;
-    loop {
-        // Retire exhausted groups (recycling their buffers) so the
-        // best-entry scan below only ever walks groups with log entries
-        // left — and degenerates to no comparisons at all once a single
-        // source remains.
-        let mut i = 0;
-        while i < active.len() {
-            let b = &mut bufs[active[i]];
-            if b.next_entry >= b.entries.len() {
-                b.recycle();
-                active.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        let Some(&first) = active.first() else { break };
-        let mut g = first;
-        if active.len() > 1 {
-            let mut best: Option<(SimTime, u64)> = None;
-            for &cand in active.iter() {
-                let b = &bufs[cand];
-                let e = &b.entries[b.next_entry];
-                let ord = if e.ord < base {
-                    e.ord
-                } else {
-                    *b.provs
-                        .get((e.ord - base) as usize)
-                        .expect("provisional event merged before its parent")
-                };
-                if best.is_none_or(|bk| (e.at, ord) < bk) {
-                    best = Some((e.at, ord));
-                    g = cand;
-                }
-            }
-        }
-        let b = &mut bufs[g];
-        let at = b.entries[b.next_entry].at;
-        let emits_end = b.entries[b.next_entry].emits_end as usize;
-        b.next_entry += 1;
-        for i in b.next_emit..emits_end {
-            // Move the emission out of the flat buffer; `Local` is a
-            // payload-free placeholder, so the swap is cheap.
-            match std::mem::replace(&mut b.emits[i], Emit::Local) {
-                Emit::Local => {
-                    let s = q.assign_seq();
-                    b.provs.push(s);
-                }
-                Emit::Defer { lane, at: eat, ev } => {
-                    let s = q.assign_seq();
-                    q.schedule_with_seq(lane, eat, s, ev);
-                }
-                Emit::App { host, ev } => app_events.push((at, host, ev)),
-                Emit::Trace(ev) => {
-                    if let Some(t) = tracer.as_deref_mut() {
-                        t.record(at, ev);
-                    }
-                }
-            }
-        }
-        b.next_emit = emits_end;
-        merged += 1;
-        last_at = at;
-    }
-    (merged, last_at)
 }
 
 /// Summary of one `run_until` call.
@@ -1450,42 +695,24 @@ pub struct StepOutput {
     pub events: u64,
 }
 
-/// Wall-clock profile of the engine's dispatch phases, collected only
-/// with the `engine-profile` cargo feature (all fields stay zero
-/// otherwise). Times come from the host's monotonic clock — they are
-/// **not** deterministic and exist to find engine bottlenecks, never to
-/// produce results.
+/// Wall-clock profile of the dispatch loop, collected only with the
+/// `engine-profile` cargo feature (all fields stay zero otherwise).
+/// Times come from the host's monotonic clock — they are **not**
+/// deterministic and exist to find engine bottlenecks, never to produce
+/// results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProfile {
-    /// Conservative windows (window engines) or `drive_events` batches
-    /// (sequential engines) timed.
+    /// `run_until` / `run_to_quiescence` calls that dispatched at least
+    /// one event and were timed.
     pub samples: u64,
-    /// Nanoseconds draining window events out of the calendar queue,
-    /// including spray pre-drawing.
-    pub drain_ns: u64,
-    /// Nanoseconds dispatching group sub-windows. Inline mode: the
-    /// per-group run loop. Threaded mode: the main thread's
-    /// ship-and-collect span, i.e. the wall time each window spent on
-    /// worker threads.
-    pub run_ns: u64,
-    /// Nanoseconds merging group logs back into global `(time, seq)`
-    /// order.
-    pub merge_ns: u64,
-    /// Nanoseconds inside sequential (non-window) dispatch loops.
+    /// Nanoseconds inside those calls' dispatch loops.
     pub dispatch_ns: u64,
-    /// Window batches dispatched: each batch is one bookkeeping
-    /// round-trip covering up to K consecutive windows.
-    pub batches: u64,
-    /// Events dispatched across all batches (per-batch density is
-    /// `batch_events / batches`).
-    pub batch_events: u64,
     /// Nanoseconds the calendar engine spent sorting epoch buckets (the
     /// engine's dominant cost at scale; zero on the legacy heap).
     pub epoch_sort_ns: u64,
 }
 
-/// The simulated network: fabric plus one transport per host, partitioned
-/// into per-rack dispatch groups and a spine boundary group.
+/// The simulated network: fabric plus one transport per host.
 pub struct Network<M: PacketMeta, T: Transport<M>> {
     topo: Topology,
     cfg: NetworkConfig,
@@ -1496,29 +723,11 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     rng: StdRng,
     app_events: Vec<(SimTime, HostId, AppEvent)>,
     events_processed: u64,
-    /// `Some(worker_threads)` when conservative-window dispatch is
-    /// active (resolved to >= 1; `1` runs windows inline).
-    par_threads: Option<u32>,
-    /// Windows batched per bookkeeping round-trip; `0` means adaptive
-    /// (sized at runtime from drained-event density). Resolved from the
-    /// engine's `batch` field, falling back to `HOMA_SIM_BATCH`.
-    par_batch: u32,
-    /// Cross-group lookahead: [`Topology::min_forward_delay`].
-    lookahead: SimDuration,
-    win: WinCounters,
-    /// One recycled buffer set per dispatch group (racks + spine):
-    /// windows drain into, dispatch from, and merge out of these, so the
-    /// steady-state window loop performs no heap allocation.
-    window_bufs: Vec<GroupBufs<M>>,
-    /// Recycled scratch: indices of the groups the current window
-    /// actually drained into (filled by `drain_window`, consumed by the
-    /// run/merge stages or the single-group fast path).
-    win_active: Vec<usize>,
     /// The flight recorder, when [`Self::enable_trace`] installed one.
     /// `None` costs at most one branch per guarded emit site; without
     /// the `trace` feature the sites are compiled out entirely.
     tracer: Option<FlightRecorder>,
-    /// Dispatch-phase wall times (only written under `engine-profile`).
+    /// Dispatch-loop wall times (only written under `engine-profile`).
     profile: EngineProfile,
 }
 
@@ -1652,38 +861,8 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         // rack's port events) and one per spine switch. Calendar buckets
         // are sized from the fabric's minimum forward delay.
         let lanes = topo.num_hosts() + topo.racks + topo.spines;
-        let lookahead = topo.min_forward_delay();
-        let queue = EventEngine::with_bucket_width(cfg.engine, lanes, lookahead.as_nanos().max(1));
-        // Conservative windows need a positive lookahead (with zero, a
-        // same-instant cross-group emission would be possible); fall back
-        // to sequential dispatch otherwise, and when the `parallel`
-        // feature is compiled out.
-        let (par_threads, par_batch) = match cfg.engine {
-            EngineKind::ParallelHier { threads, batch }
-                if cfg!(feature = "parallel") && lookahead.as_nanos() > 0 =>
-            {
-                let n = if threads == 0 {
-                    std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(1)
-                } else {
-                    threads
-                };
-                // Batch resolution: explicit engine field, else the
-                // HOMA_SIM_BATCH environment knob, else 0 = adaptive.
-                // Whatever wins, results are bit-identical — the batch
-                // size only moves bookkeeping boundaries.
-                let b = if batch == 0 {
-                    std::env::var("HOMA_SIM_BATCH")
-                        .ok()
-                        .and_then(|v| v.parse::<u32>().ok())
-                        .unwrap_or(0)
-                } else {
-                    batch
-                };
-                (Some(n.max(1)), b)
-            }
-            _ => (None, 0),
-        };
-        let ngroups = racks.len() + 1;
+        let bucket_ns = topo.min_forward_delay().as_nanos().max(1);
+        let queue = EventEngine::with_bucket_width(cfg.engine, lanes, bucket_ns);
         Network {
             queue,
             topo,
@@ -1694,12 +873,6 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             rng,
             app_events: Vec::new(),
             events_processed: 0,
-            par_threads,
-            par_batch,
-            lookahead,
-            win: WinCounters::default(),
-            window_bufs: (0..ngroups).map(|_| GroupBufs::default()).collect(),
-            win_active: Vec::new(),
             tracer: None,
             profile: EngineProfile::default(),
         }
@@ -1709,7 +882,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// (see [`FlightRecorder::DEFAULT_CAP`]). Tracing changes **no**
     /// simulation state: event counts, statistics, and delivery times
     /// are bit-identical with tracing on or off, and the recorded byte
-    /// stream is identical across every engine kind. Without the
+    /// stream is identical on both engine kinds. Without the
     /// `trace` cargo feature the recorder is installed but the fabric
     /// never writes to it (the emit sites compile to nothing).
     pub fn enable_trace(&mut self, cap: usize) {
@@ -1733,7 +906,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         self.tracer.as_ref().map_or(0, FlightRecorder::dropped)
     }
 
-    /// Wall-clock dispatch-phase profile. All zeros unless the
+    /// Wall-clock dispatch-loop profile. All zeros unless the
     /// `engine-profile` cargo feature is enabled.
     pub fn engine_profile(&self) -> EngineProfile {
         let mut p = self.profile;
@@ -1749,14 +922,6 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// The topology this network was built over.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    fn lane_map(&self) -> LaneMap {
-        LaneMap {
-            hosts: self.topo.num_hosts(),
-            hosts_per_rack: self.topo.hosts_per_rack,
-            racks: self.topo.racks,
-        }
     }
 
     /// Read access to a host's transport.
@@ -1779,10 +944,10 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             let i = rack.slot(h);
             f(&mut rack.transports[i], now, &mut act)
         };
-        let Self { topo, racks, queue, app_events, tracer, .. } = self;
+        let Self { topo, racks, queue, rng, app_events, tracer, .. } = self;
         let rack = &mut racks[topo.rack_of(h) as usize];
-        let mut sink = DirectSink { queue, app_events, tracer: tracer.as_mut() };
-        apply_actions(rack, topo, now, h, act, &mut sink);
+        let cx = &mut Ctx { topo, queue, app_events, tracer: tracer.as_mut(), rng };
+        apply_actions(cx, rack, now, h, act);
         r
     }
 
@@ -1810,373 +975,37 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         });
     }
 
-    fn dispatch_direct(&mut self, ev: Ev<M>) {
+    /// Dispatch one popped event at the current time: index the rack or
+    /// switch it names and run its handler.
+    fn dispatch(&mut self, ev: Ev<M>) {
         let now = self.now;
         let Self { topo, racks, spine, queue, rng, app_events, tracer, .. } = self;
-        let gidx = group_of_ev(topo, &ev);
-        let mut gm = if gidx < racks.len() {
-            GroupMut::Rack(&mut racks[gidx])
-        } else {
-            GroupMut::Spine(spine)
-        };
-        let mut sink = DirectSink { queue, app_events, tracer: tracer.as_mut() };
-        dispatch_event(topo, &mut gm, now, ev, None, Some(rng), &mut sink);
-    }
-
-    /// Run exactly one conservative window. When every drained event
-    /// hits one dispatch group — the overwhelmingly common case at ~2–3
-    /// events per window — the whole window runs inline through
-    /// [`run_window_fast`], skipping the log/merge machinery. Returns
-    /// `(events, last_time, took_fast_path)`, or `None` if nothing was
-    /// pending at or before `limit`. Clock and counter bookkeeping is
-    /// the caller's job ([`Self::note_batch`]).
-    fn run_window_once(&mut self, limit: SimTime) -> Option<(u64, SimTime, bool)> {
-        let lanes = self.lane_map();
-        let cfg = WindowCfg { lanes, lookahead: self.lookahead };
-        #[cfg(feature = "engine-profile")]
-        let t0 = std::time::Instant::now();
-        let WindowDrain { base: _, wmax } = {
-            let Self { topo, queue, rng, window_bufs, win_active, .. } = self;
-            drain_window(topo, queue, rng, cfg, limit, window_bufs, win_active)?
-        };
-        #[cfg(feature = "engine-profile")]
-        let t1 = std::time::Instant::now();
-        let n;
-        let last_at;
-        let fast = self.win_active.len() == 1;
-        if fast {
-            let Self {
-                topo, racks, spine, queue, app_events, window_bufs, win_active, tracer, ..
-            } = &mut *self;
-            let g = win_active[0];
-            win_active.clear();
-            let mut gm = if g < racks.len() {
-                GroupMut::Rack(&mut racks[g])
-            } else {
-                GroupMut::Spine(spine)
-            };
-            let r = run_window_fast(
-                topo,
-                &mut gm,
-                &mut window_bufs[g],
-                queue,
-                app_events,
-                tracer.as_mut(),
-                wmax,
-            );
-            n = r.0;
-            last_at = r.1;
-            #[cfg(feature = "engine-profile")]
-            {
-                self.profile.samples += 1;
-                self.profile.drain_ns += (t1 - t0).as_nanos() as u64;
-                self.profile.run_ns += t1.elapsed().as_nanos() as u64;
-            }
-        } else {
-            // Single-threaded engine: replay the whole window inline in
-            // exact global order — the per-group log and merge only pay
-            // for themselves when workers run groups concurrently.
-            let r = {
-                let Self {
-                    topo,
-                    racks,
-                    spine,
-                    queue,
-                    app_events,
-                    window_bufs,
-                    win_active,
-                    tracer,
-                    ..
-                } = &mut *self;
-                run_window_seq(
-                    topo,
-                    racks,
-                    spine,
-                    window_bufs,
-                    win_active,
-                    queue,
-                    app_events,
-                    tracer.as_mut(),
-                    wmax,
-                )
-            };
-            n = r.0;
-            last_at = r.1;
-            #[cfg(feature = "engine-profile")]
-            {
-                self.profile.samples += 1;
-                self.profile.drain_ns += (t1 - t0).as_nanos() as u64;
-                self.profile.run_ns += t1.elapsed().as_nanos() as u64;
-            }
-        }
-        debug_assert!(n > 0, "window drained at least one event");
-        Some((n, last_at, fast))
-    }
-
-    /// Roll one batch of windows into the clock and counters. Batches
-    /// are bookkeeping only: their size derives from deterministic
-    /// counters (never wall time) and can never change event order.
-    fn note_batch(&mut self, windows: u64, events: u64, max_one: u64, fast: u64, last_at: SimTime) {
-        self.now = last_at.max(self.now);
-        self.events_processed += events;
-        self.win.windows += windows;
-        self.win.window_events += events;
-        self.win.max_window_events = self.win.max_window_events.max(max_one);
-        self.win.fast_windows += fast;
-        self.win.batches += 1;
-        #[cfg(feature = "engine-profile")]
-        {
-            self.profile.batches += 1;
-            self.profile.batch_events += events;
-        }
-    }
-
-    /// Windows per bookkeeping batch: the explicit engine/`HOMA_SIM_BATCH`
-    /// setting, or an adaptive size targeting ~4096 drained events per
-    /// batch (dense incast windows batch less, sparse windows batch
-    /// more). Derived only from deterministic event counters, so the
-    /// adaptive choice replays identically run-to-run.
-    fn batch_size(&self) -> u64 {
-        if self.par_batch > 0 {
-            return self.par_batch as u64;
-        }
-        let w = self.win.windows.max(1);
-        let avg = (self.win.window_events / w).max(1);
-        (4096 / avg).clamp(1, 64)
-    }
-
-    /// The window loop with scoped worker threads. The main thread
-    /// drains and merges; a window's group sub-runs are shipped to
-    /// workers only when the window is big enough to amortize the
-    /// handoff — single-group windows run through [`run_window_fast`]
-    /// and small multi-group windows run inline, both on the calling
-    /// thread. Each group's mutable state lives in a slot on the main
-    /// thread and rides a [`GroupJob`] to worker `g % threads` while
-    /// that group's sub-window runs, so affinity (and cache warmth) is
-    /// preserved without giving workers permanent ownership. Workers
-    /// spawn lazily on the first shipped window: calls dominated by the
-    /// fast/inline paths never pay thread spawn at all.
-    fn run_windows_threaded(&mut self, limit: SimTime, threads: usize) -> u64 {
-        use std::sync::mpsc;
-        // Don't set up the scope when nothing is pending in the window
-        // (drivers call `run_until` once per injected message, and many
-        // of those calls are empty).
-        if self.queue.peek_time().is_none_or(|t| t > limit) {
-            return 0;
-        }
-        let lanes = self.lane_map();
-        let tracing = self.trace_enabled();
-        let cfg = WindowCfg { lanes, lookahead: self.lookahead };
-        let par_batch = self.par_batch;
-        let win0 = self.win;
-        let mut total = 0u64;
-        let mut windows = 0u64;
-        let mut maxev = 0u64;
-        let mut fastn = 0u64;
-        let mut batches = 0u64;
-        let mut in_batch = 0u64;
-        let mut last_at = SimTime::ZERO;
-        #[cfg(feature = "engine-profile")]
-        let mut prof = EngineProfile::default();
-        {
-            let Self {
-                topo,
-                racks,
-                spine,
-                queue,
-                rng,
-                app_events,
-                window_bufs,
-                win_active,
-                tracer,
-                ..
-            } = &mut *self;
-            let topo: &Topology = topo;
-            // Group g lives in `slots[g]` while on the main thread and
-            // rides its job while a worker runs its sub-window.
-            let mut slots: Vec<Option<GroupMut<'_, M, T>>> =
-                racks.iter_mut().map(|r| Some(GroupMut::Rack(r))).collect();
-            slots.push(Some(GroupMut::Spine(spine)));
-
-            std::thread::scope(|s| {
-                // One result channel *per worker*: if a worker panics
-                // mid-window, its channel disconnects and the collection
-                // loop below fails fast instead of blocking forever on a
-                // shared channel other workers keep open (the scope then
-                // propagates the original worker panic on unwind).
-                let mut job_txs: Vec<mpsc::Sender<GroupJob<'_, M, T>>> = Vec::new();
-                let mut res_rxs: Vec<mpsc::Receiver<GroupJob<'_, M, T>>> = Vec::new();
-                let mut shipped: Vec<usize> = vec![0; threads];
-
-                // Not a `while let`: the profiling timestamps must
-                // bracket the drain call itself.
-                #[allow(clippy::while_let_loop)]
-                loop {
-                    #[cfg(feature = "engine-profile")]
-                    let t0 = std::time::Instant::now();
-                    let Some(WindowDrain { base, wmax }) =
-                        drain_window(topo, queue, rng, cfg, limit, window_bufs, win_active)
-                    else {
-                        break;
-                    };
-                    #[cfg(feature = "engine-profile")]
-                    let t1 = std::time::Instant::now();
-                    let n;
-                    let at;
-                    if win_active.len() == 1 {
-                        let g = win_active[0];
-                        win_active.clear();
-                        let gm = slots[g].as_mut().expect("group slot on main thread");
-                        let r = run_window_fast(
-                            topo,
-                            gm,
-                            &mut window_bufs[g],
-                            queue,
-                            app_events,
-                            tracer.as_mut(),
-                            wmax,
-                        );
-                        n = r.0;
-                        at = r.1;
-                        fastn += 1;
-                        #[cfg(feature = "engine-profile")]
-                        {
-                            prof.samples += 1;
-                            prof.drain_ns += (t1 - t0).as_nanos() as u64;
-                            prof.run_ns += t1.elapsed().as_nanos() as u64;
-                        }
-                    } else {
-                        let drained: usize =
-                            win_active.iter().map(|&g| window_bufs[g].items.len()).sum();
-                        if drained < INLINE_WINDOW_EVENTS {
-                            // Too little work to amortize a handoff: run
-                            // every group's sub-window on this thread.
-                            for &g in win_active.iter() {
-                                let gm = slots[g].as_mut().expect("group slot on main thread");
-                                run_group(
-                                    topo,
-                                    lanes,
-                                    gm,
-                                    g as u32,
-                                    base,
-                                    wmax,
-                                    tracing,
-                                    &mut window_bufs[g],
-                                );
-                            }
-                        } else {
-                            if job_txs.is_empty() {
-                                for _ in 0..threads {
-                                    let (tx, rx) = mpsc::channel::<GroupJob<'_, M, T>>();
-                                    let (res_tx, res_rx) = mpsc::channel::<GroupJob<'_, M, T>>();
-                                    job_txs.push(tx);
-                                    res_rxs.push(res_rx);
-                                    s.spawn(move || {
-                                        while let Ok(mut job) = rx.recv() {
-                                            run_group(
-                                                topo,
-                                                lanes,
-                                                &mut job.gm,
-                                                job.gidx as u32,
-                                                job.base,
-                                                job.wmax,
-                                                tracing,
-                                                &mut job.bufs,
-                                            );
-                                            if res_tx.send(job).is_err() {
-                                                return;
-                                            }
-                                        }
-                                    });
-                                }
-                            }
-                            // Ship each active group's state and buffers
-                            // (items inside) to its worker; they come
-                            // back with the log filled.
-                            shipped.iter_mut().for_each(|c| *c = 0);
-                            for &g in win_active.iter() {
-                                let w = g % threads;
-                                let job = GroupJob {
-                                    gidx: g,
-                                    base,
-                                    wmax,
-                                    bufs: std::mem::take(&mut window_bufs[g]),
-                                    gm: slots[g].take().expect("group slot on main thread"),
-                                };
-                                job_txs[w].send(job).expect("window worker exited early");
-                                shipped[w] += 1;
-                            }
-                            for (w, &cnt) in shipped.iter().enumerate() {
-                                for _ in 0..cnt {
-                                    let job = res_rxs[w].recv().expect("window worker panicked");
-                                    let GroupJob { gidx, bufs, gm, .. } = job;
-                                    window_bufs[gidx] = bufs;
-                                    slots[gidx] = Some(gm);
-                                }
-                            }
-                        }
-                        #[cfg(feature = "engine-profile")]
-                        let t2 = std::time::Instant::now();
-                        let r = merge_window(
-                            queue,
-                            app_events,
-                            window_bufs,
-                            win_active,
-                            base,
-                            tracer.as_mut(),
-                        );
-                        n = r.0;
-                        at = r.1;
-                        #[cfg(feature = "engine-profile")]
-                        {
-                            prof.samples += 1;
-                            prof.drain_ns += (t1 - t0).as_nanos() as u64;
-                            prof.run_ns += (t2 - t1).as_nanos() as u64;
-                            prof.merge_ns += t2.elapsed().as_nanos() as u64;
-                        }
-                    }
-                    total += n;
-                    windows += 1;
-                    maxev = maxev.max(n);
-                    last_at = at.max(last_at);
-                    // Deterministic batch bookkeeping, shared with the
-                    // inline loop (`batch_size` reads only counters).
-                    in_batch += 1;
-                    let k = if par_batch > 0 {
-                        par_batch as u64
-                    } else {
-                        let w = (win0.windows + windows).max(1);
-                        let avg = ((win0.window_events + total) / w).max(1);
-                        (4096 / avg).clamp(1, 64)
-                    };
-                    if in_batch >= k {
-                        batches += 1;
-                        in_batch = 0;
-                    }
+        let cx = &mut Ctx { topo, queue, app_events, tracer: tracer.as_mut(), rng };
+        match ev {
+            Ev::TxDone { node, port } => on_tx_done(cx, racks, spine, now, node, port),
+            Ev::SwitchArrive { node, pkt } => on_switch_arrive(cx, racks, spine, now, node, pkt),
+            Ev::HostDeliver { host, pkt } => {
+                let rack = &mut racks[cx.topo.rack_of(host) as usize];
+                let i = rack.slot(host);
+                if rack.paused[i] {
+                    rack.pause_bufs[i].push(pkt);
+                    rack.counters.deferred_deliveries += 1;
+                    return;
                 }
-                drop(job_txs);
-            });
+                deliver_to_host(cx, rack, now, host, pkt);
+            }
+            Ev::Fault { node, port, action } => {
+                apply_fault(cx, racks, spine, now, node, port, action)
+            }
+            Ev::Timer { host, token } => {
+                let rack = &mut racks[cx.topo.rack_of(host) as usize];
+                let mut act = std::mem::take(&mut rack.scratch);
+                act.reset();
+                let i = rack.slot(host);
+                rack.transports[i].on_timer(now, token, &mut act);
+                apply_actions(cx, rack, now, host, act);
+            }
         }
-        if in_batch > 0 {
-            batches += 1;
-        }
-        self.now = last_at.max(self.now);
-        self.events_processed += total;
-        self.win.windows += windows;
-        self.win.window_events += total;
-        self.win.max_window_events = self.win.max_window_events.max(maxev);
-        self.win.fast_windows += fastn;
-        self.win.batches += batches;
-        #[cfg(feature = "engine-profile")]
-        {
-            self.profile.samples += prof.samples;
-            self.profile.drain_ns += prof.drain_ns;
-            self.profile.run_ns += prof.run_ns;
-            self.profile.merge_ns += prof.merge_ns;
-            self.profile.batches += batches;
-            self.profile.batch_events += total;
-        }
-        total
     }
 
     /// Process all events up to and including time `t`, then advance the
@@ -2197,63 +1026,23 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         self.drive_events(limit)
     }
 
-    /// Dispatch every event at or before `limit` on whichever engine mode
-    /// is active — the one loop `run_until` and `run_to_quiescence`
-    /// share.
+    /// Dispatch every event at or before `limit` — the one loop
+    /// `run_until` and `run_to_quiescence` share.
     fn drive_events(&mut self, limit: SimTime) -> StepOutput {
         let mut out = StepOutput::default();
-        match self.par_threads {
-            Some(threads) if threads > 1 => {
-                out.events += self.run_windows_threaded(limit, threads as usize);
-            }
-            Some(_) => {
-                // Inline window mode, batched: run up to K consecutive
-                // windows per bookkeeping rollup so the clock/counter
-                // updates amortize across the batch. Batch size moves
-                // only bookkeeping boundaries, never event order.
-                loop {
-                    let k = self.batch_size();
-                    let mut windows = 0u64;
-                    let mut events = 0u64;
-                    let mut maxev = 0u64;
-                    let mut fast = 0u64;
-                    let mut last_at = SimTime::ZERO;
-                    while windows < k {
-                        let Some((n, at, was_fast)) = self.run_window_once(limit) else {
-                            break;
-                        };
-                        windows += 1;
-                        events += n;
-                        maxev = maxev.max(n);
-                        fast += was_fast as u64;
-                        last_at = at.max(last_at);
-                    }
-                    if windows == 0 {
-                        break;
-                    }
-                    self.note_batch(windows, events, maxev, fast, last_at);
-                    out.events += events;
-                    if windows < k {
-                        break;
-                    }
-                }
-            }
-            None => {
-                #[cfg(feature = "engine-profile")]
-                let t0 = std::time::Instant::now();
-                while let Some((at, ev)) = self.queue.pop_if_before(limit) {
-                    debug_assert!(at >= self.now, "event in the past");
-                    self.now = at;
-                    self.dispatch_direct(ev);
-                    out.events += 1;
-                    self.events_processed += 1;
-                }
-                #[cfg(feature = "engine-profile")]
-                if out.events > 0 {
-                    self.profile.samples += 1;
-                    self.profile.dispatch_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
+        #[cfg(feature = "engine-profile")]
+        let t0 = std::time::Instant::now();
+        while let Some((at, ev)) = self.queue.pop_if_before(limit) {
+            debug_assert!(at >= self.now, "event in the past");
+            self.now = at;
+            self.dispatch(ev);
+            out.events += 1;
+            self.events_processed += 1;
+        }
+        #[cfg(feature = "engine-profile")]
+        if out.events > 0 {
+            self.profile.samples += 1;
+            self.profile.dispatch_ns += t0.elapsed().as_nanos() as u64;
         }
         out
     }
@@ -2264,37 +1053,18 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// timestamp (`now` afterwards). One queue probe replaces the
     /// `next_event_time`-then-`run_until` pair the experiment drivers
     /// used to do; returns `None` (leaving `now` untouched) when nothing
-    /// is pending in the window.
+    /// is pending at or before `limit`.
     pub fn run_next_before(&mut self, limit: SimTime) -> Option<SimTime> {
-        // One code path for every engine, parallel included: a
-        // single-timestamp step has nothing to parallelize, and direct
-        // sequential dispatch is bit-identical to window dispatch by the
-        // engine contract — so the window machinery (drain, per-group
-        // log, merge) would be pure overhead here. Stepping drivers call
-        // this millions of times; it must cost exactly what the
-        // sequential engines pay. `now` advances identically across
-        // engines, which drivers rely on when injecting between steps.
         let (at, ev) = self.queue.pop_if_before(limit)?;
         self.now = at;
-        self.dispatch_direct(ev);
+        self.dispatch(ev);
         self.events_processed += 1;
-        let mut n = 1u64;
         while let Some((at2, ev2)) = self.queue.pop_if_before(at) {
             self.now = at2;
-            self.dispatch_direct(ev2);
+            self.dispatch(ev2);
             self.events_processed += 1;
-            n += 1;
         }
         self.now = at;
-        if self.par_threads.is_some() {
-            // Account the step as one inline fast window so the window
-            // counters stay meaningful for stepping-heavy drivers.
-            self.win.windows += 1;
-            self.win.window_events += n;
-            self.win.max_window_events = self.win.max_window_events.max(n);
-            self.win.fast_windows += 1;
-            self.win.batches += 1;
-        }
         Some(at)
     }
 
@@ -2308,19 +1078,9 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         self.events_processed
     }
 
-    /// Behavior counters of the underlying event engine, including the
-    /// conservative-window counters when parallel dispatch is active.
+    /// Behavior counters of the underlying event engine.
     pub fn engine_stats(&self) -> EngineStats {
-        let mut s = self.queue.stats();
-        s.windows = self.win.windows;
-        s.window_events = self.win.window_events;
-        s.max_window_events = self.win.max_window_events;
-        s.fast_windows = self.win.fast_windows;
-        s.batches = self.win.batches;
-        // The queue's own counter covers epoch-bucket trims; add the
-        // window buffers' trims on top.
-        s.buffer_trims += self.window_bufs.iter().map(|b| b.trims).sum::<u64>();
-        s
+        self.queue.stats()
     }
 
     /// Drain application events accumulated since the last call.
@@ -2366,7 +1126,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
     /// Install a declarative fault plan: each fault becomes an event on
     /// the affected node's lane, so fault-laden runs replay bit-identically
-    /// on every engine. Composite faults (whole-rack / whole-spine
+    /// on both engines. Composite faults (whole-rack / whole-spine
     /// outages) expand into one event per member link at the same
     /// instant, in a fixed canonical order. May be called repeatedly;
     /// faults must not be scheduled in the past.
@@ -2784,40 +1544,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_windows_agree_event_for_event() {
-        // Conservative-window dispatch — inline, two workers, and four
-        // workers — must all replay the legacy heap bit-for-bit.
-        let legacy = scripted_run(EngineKind::LegacyHeap);
-        for threads in [1u32, 2, 4] {
-            for batch in [0u32, 1, 4, 16] {
-                let par = scripted_run(EngineKind::ParallelHier { threads, batch });
-                assert_eq!(par, legacy, "ParallelHier x{threads} batch {batch} diverged");
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(feature = "parallel")] // without it ParallelHier degrades to sequential: no windows
-    fn parallel_windows_report_window_stats() {
-        let topo = Topology::multi_tor(40);
-        let cfg =
-            NetworkConfig::default().with_engine(EngineKind::ParallelHier { threads: 1, batch: 0 });
-        let mut net = Network::new(topo, cfg, |h| Echoless {
-            me: h,
-            outbox: Default::default(),
-            delivered: 0,
-        });
-        for i in 0..40u32 {
-            net.inject_message(HostId(i), HostId((i + 11) % 40), 2_000, i as u64);
-        }
-        net.run_until(SimTime::from_millis(5));
-        let s = net.engine_stats();
-        assert!(s.windows > 0, "no windows dispatched: {s:?}");
-        assert_eq!(s.window_events, net.events_processed());
-        assert!(s.max_window_events >= 1);
-    }
-
-    #[test]
     fn hundred_host_fabric_delivers_all_to_all() {
         let topo = Topology::multi_tor(100);
         let mut net = Network::new(
@@ -3022,9 +1748,7 @@ mod tests {
     fn engines_agree_under_faults() {
         let hier = faulted_run(EngineKind::Hierarchical);
         let legacy = faulted_run(EngineKind::LegacyHeap);
-        let parallel = faulted_run(EngineKind::ParallelHier { threads: 2, batch: 0 });
         assert_eq!(hier, legacy);
-        assert_eq!(parallel, legacy);
         let stats_dbg = &hier.2;
         assert!(stats_dbg.contains("faults_applied: 12"), "fault count missing: {stats_dbg}");
     }
@@ -3139,21 +1863,12 @@ mod tests {
 
     #[test]
     fn fat_tree_engines_agree_event_for_event() {
-        // Deterministic counter spray means no RNG pre-draw: the fat
-        // tree must still replay bit-identically on every engine.
+        // The fat tree sprays from per-switch counters instead of the
+        // fabric RNG; it must replay bit-identically on both engines too.
         let legacy = fat_tree_scripted(EngineKind::LegacyHeap);
         assert_eq!(legacy.0.len(), 200, "fat tree lost messages");
         let hier = fat_tree_scripted(EngineKind::Hierarchical);
         assert_eq!(hier, legacy);
-        for threads in [1u32, 2] {
-            for batch in [0u32, 4] {
-                let par = fat_tree_scripted(EngineKind::ParallelHier { threads, batch });
-                assert_eq!(
-                    par, legacy,
-                    "ParallelHier x{threads} batch {batch} diverged on fat tree"
-                );
-            }
-        }
     }
 
     #[test]

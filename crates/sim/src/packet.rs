@@ -39,10 +39,8 @@ pub enum CtrlKind {
 /// Protocol-specific packet metadata carried through the fabric.
 ///
 /// Implementations should be cheap to clone; simulated packets carry no
-/// payload bytes, only sizes. Metadata is required to be `Send` so the
-/// conservative-window parallel dispatcher can move in-flight packets to
-/// worker threads.
-pub trait PacketMeta: Clone + std::fmt::Debug + Send + 'static {
+/// payload bytes, only sizes.
+pub trait PacketMeta: Clone + std::fmt::Debug + 'static {
     /// Total size of this packet on the wire, in bytes, including protocol
     /// headers and link-layer framing. This is what serialization time and
     /// queue occupancy are computed from.

@@ -217,8 +217,6 @@ impl<M: PacketMeta> PortQueue<M> {
             QueueKind::StrictPriority { levels } => {
                 if self.bytes + size > self.disc.cap_bytes {
                     self.drops += 1;
-                    #[cfg(feature = "drop-debug")]
-                    eprintln!("DROP at {now:?}: {:?} (queue {} bytes)", pkt, self.bytes);
                     return EnqueueOutcome::Dropped;
                 }
                 let lvl = (pkt.priority()).min(levels - 1) as usize;

@@ -323,10 +323,9 @@ impl Topology {
 
     /// The minimum delay for a transmitted packet to *arrive* at the next
     /// switch: propagation plus the switch's internal delay (250 ns on
-    /// the paper fabric). This is the smallest latency by which any event
-    /// in one rack group can influence another group, which makes it both
-    /// the conservative-window lookahead of the parallel dispatcher and
-    /// the natural calendar bucket width of the event engine.
+    /// the paper fabric). This is the smallest latency by which an event
+    /// at one switch can cause an event at another, which makes it the
+    /// natural calendar bucket width of the event engine.
     pub fn min_forward_delay(&self) -> SimDuration {
         self.prop_delay + self.switch_delay
     }

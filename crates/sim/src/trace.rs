@@ -11,19 +11,17 @@
 //!
 //! Three properties the rest of the workspace depends on:
 //!
-//! * **Zero cost when off.** Every emit site is guarded by a sink-level
+//! * **Zero cost when off.** Every emit site is guarded by a
 //!   `tracing()` check that constant-folds to `false` when the `trace`
 //!   feature is compiled out, and short-circuits on one bool when the
 //!   feature is on but no recorder is installed. Trace events are *not*
 //!   simulator events: they never enter the event engine, so event counts
 //!   and all simulation state are bit-identical with tracing on, off, or
 //!   compiled out.
-//! * **Engine independence.** Under parallel window dispatch, trace
-//!   events ride the same per-group emit logs as deferred simulator
-//!   events and are applied by the window merge in exact global
-//!   `(time, seq)` order — so the recorded byte stream is identical
-//!   across `LegacyHeap`, `Hierarchical`, and `ParallelHier{n}` for any
-//!   thread count (`tests/determinism.rs` pins this).
+//! * **Engine independence.** Records are written in dispatch order,
+//!   which is the global `(time, seq)` order on both engines — so the
+//!   recorded byte stream is identical on `LegacyHeap` and
+//!   `Hierarchical` (`tests/determinism.rs` pins this).
 //! * **Deterministic serialization.** [`TraceRecord::write_jsonl`]
 //!   renders a canonical one-object-per-line JSON form with fixed key
 //!   order, so a trace can be golden-tested byte-for-byte.
@@ -34,7 +32,6 @@
 //! per-message lifecycles — queueing vs. transmission vs. grant/resend
 //! activity — for the `repro trace` summarize view.
 
-use crate::arena::Recycle;
 use crate::queues::EnqueueOutcome;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, NodeId};
@@ -392,13 +389,6 @@ impl FlightRecorder {
     }
 }
 
-impl Recycle for FlightRecorder {
-    fn recycle(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
-    }
-}
-
 /// Per-priority link utilization and queue occupancy folded into
 /// fixed-width time buckets — the paper's Fig. 9 view, derived entirely
 /// from a recorded trace (no simulator-side cost).
@@ -507,14 +497,6 @@ impl Timeline {
             *o /= denom;
         }
         out
-    }
-}
-
-impl Recycle for Timeline {
-    fn recycle(&mut self) {
-        self.busy_ns_by_prio.clear();
-        self.peak_queue_by_prio.clear();
-        self.ports = 0;
     }
 }
 
@@ -645,18 +627,6 @@ mod tests {
         // Oldest evicted: survivors are records 2..5 in order.
         assert_eq!(taken[0].at, SimTime::from_nanos(2));
         assert_eq!(taken[2].at, SimTime::from_nanos(4));
-    }
-
-    #[test]
-    fn recorder_recycles_in_place() {
-        let mut fr = FlightRecorder::new(2);
-        fr.record(SimTime::ZERO, TraceEvent::MsgStart { src: h(0), dst: h(1), len: 1, tag: 0 });
-        fr.record(SimTime::ZERO, TraceEvent::MsgStart { src: h(0), dst: h(1), len: 1, tag: 1 });
-        fr.record(SimTime::ZERO, TraceEvent::MsgStart { src: h(0), dst: h(1), len: 1, tag: 2 });
-        assert_eq!(fr.dropped(), 1);
-        fr.recycle();
-        assert!(fr.is_empty());
-        assert_eq!(fr.dropped(), 0);
     }
 
     #[test]

@@ -131,13 +131,9 @@ impl TransportActions {
     }
 }
 
-/// One host's protocol instance.
-///
-/// Transports are plain state machines over owned data, so they are
-/// required to be `Send`: the conservative-window parallel dispatcher
-/// (see [`crate::events::EngineKind::ParallelHier`]) moves each rack's
-/// transports onto worker threads for the duration of a window.
-pub trait Transport<M: PacketMeta>: Send {
+/// One host's protocol instance: a plain state machine the fabric
+/// drives from its single dispatch loop.
+pub trait Transport<M: PacketMeta> {
     /// A packet addressed to this host has been received and the host
     /// software delay has elapsed.
     fn on_packet(&mut self, now: SimTime, pkt: Packet<M>, act: &mut TransportActions);

@@ -2,8 +2,8 @@
 
 use homa_sim::queues::PortQueue;
 use homa_sim::{
-    EngineKind, EventQueue, HierEventQueue, LaneId, NetworkConfig, Packet, PacketMeta,
-    QueueDiscipline, QueueKind, SimDuration, SimTime,
+    EventQueue, HierEventQueue, LaneId, Packet, PacketMeta, QueueDiscipline, QueueKind,
+    SimDuration, SimTime,
 };
 use proptest::prelude::*;
 
@@ -182,8 +182,8 @@ proptest! {
     #[test]
     fn simultaneous_ties_across_lanes_fire_in_insertion_order(
         // Many events at a handful of distinct instants spread across
-        // lanes (and hence across window groups): (time, seq) ties must
-        // resolve purely by insertion order, never by lane.
+        // lanes: (time, seq) ties must resolve purely by insertion
+        // order, never by lane.
         lanes in proptest::collection::vec((0u32..7, 0u64..3), 1..200),
     ) {
         let mut flat: EventQueue<usize> = EventQueue::new();
@@ -202,167 +202,6 @@ proptest! {
             prev = Some(got);
         }
         prop_assert_eq!(flat.pop(), None);
-    }
-
-    #[test]
-    fn empty_group_windows_keep_parallel_bit_identical(
-        // Traffic confined to rack 0 of a two-rack fabric: rack 1 and
-        // the spine boundary group see empty windows throughout. The
-        // parallel dispatcher must handle all-idle groups and still
-        // replay the legacy heap bit-for-bit.
-        msgs in proptest::collection::vec((0u32..8, 0u32..8, 100u64..5_000, 0u64..30), 1..40),
-    ) {
-        use homa_sim::{AppEvent, HostId, Network, TimerToken, Topology, Transport, TransportActions};
-
-        #[derive(Debug, Clone)]
-        struct Meta(u32);
-        impl PacketMeta for Meta {
-            fn wire_bytes(&self) -> u32 {
-                self.0
-            }
-            fn priority(&self) -> u8 {
-                0
-            }
-            fn is_control(&self) -> bool {
-                false
-            }
-            fn goodput_bytes(&self) -> u32 {
-                self.0
-            }
-        }
-
-        struct OneShot {
-            me: HostId,
-            outbox: std::collections::VecDeque<Packet<Meta>>,
-        }
-        impl Transport<Meta> for OneShot {
-            fn on_packet(&mut self, _now: SimTime, pkt: Packet<Meta>, act: &mut TransportActions) {
-                act.event(AppEvent::MessageDelivered {
-                    src: pkt.src,
-                    tag: pkt.meta.0 as u64,
-                    len: pkt.meta.goodput_bytes() as u64,
-                });
-            }
-            fn on_timer(&mut self, _n: SimTime, _t: TimerToken, _a: &mut TransportActions) {}
-            fn next_packet(&mut self, _now: SimTime) -> Option<Packet<Meta>> {
-                self.outbox.pop_front()
-            }
-            fn inject_message(
-                &mut self,
-                _now: SimTime,
-                dst: HostId,
-                len: u64,
-                _tag: u64,
-                act: &mut TransportActions,
-            ) {
-                self.outbox.push_back(Packet::new(self.me, dst, Meta(len as u32 + 60)));
-                act.kick_tx();
-            }
-        }
-
-        let run = |engine: EngineKind| {
-            let topo = Topology::multi_tor(16); // 2 racks x 8 hosts
-            let cfg = NetworkConfig::default().with_engine(engine);
-            let mut net =
-                Network::new(topo, cfg, |h| OneShot { me: h, outbox: Default::default() });
-            for &(src, dst, len, gap_us) in &msgs {
-                // Rack 0 only (hosts 0..8); skip degenerate self-sends.
-                if src == dst {
-                    continue;
-                }
-                net.run_until(net.now() + SimDuration::from_micros(gap_us));
-                net.inject_message(HostId(src), HostId(dst), len, len);
-            }
-            net.run_until(net.now() + SimDuration::from_millis(2));
-            let evs: Vec<_> = net
-                .take_app_events()
-                .into_iter()
-                .map(|(t, h, _)| (t.as_nanos(), h.0))
-                .collect();
-            (evs, net.events_processed())
-        };
-        let legacy = run(EngineKind::LegacyHeap);
-        let par1 = run(EngineKind::ParallelHier { threads: 1, batch: 0 });
-        let par2 = run(EngineKind::ParallelHier { threads: 2, batch: 0 });
-        prop_assert_eq!(&par1, &legacy);
-        prop_assert_eq!(&par2, &legacy);
-        prop_assert!(legacy.1 > 0 || msgs.iter().all(|&(s, d, _, _)| s == d));
-    }
-
-    #[test]
-    fn window_boundaries_never_split_a_timestamp(
-        // Arbitrary traffic on a two-rack fabric, stepped one timestamp
-        // at a time on a *batched* parallel engine: every step must
-        // consume all events sharing that timestamp (strictly increasing
-        // step times — a window or batch boundary never splits a
-        // same-timestamp cohort) and the per-step event counts must
-        // match the legacy heap exactly, whatever the batch size or
-        // thread count.
-        msgs in proptest::collection::vec((0u32..16, 0u32..16, 100u64..5_000, 0u64..20), 1..30),
-        batch in 0u32..17,
-        threads in 1u32..3,
-    ) {
-        use homa_sim::{AppEvent, HostId, Network, TimerToken, Topology, Transport, TransportActions};
-
-        struct OneShot {
-            me: HostId,
-            outbox: std::collections::VecDeque<Packet<M>>,
-        }
-        impl Transport<M> for OneShot {
-            fn on_packet(&mut self, _now: SimTime, pkt: Packet<M>, act: &mut TransportActions) {
-                act.event(AppEvent::MessageDelivered {
-                    src: pkt.src,
-                    tag: pkt.meta.remaining,
-                    len: pkt.meta.goodput_bytes() as u64,
-                });
-            }
-            fn on_timer(&mut self, _n: SimTime, _t: TimerToken, _a: &mut TransportActions) {}
-            fn next_packet(&mut self, _now: SimTime) -> Option<Packet<M>> {
-                self.outbox.pop_front()
-            }
-            fn inject_message(
-                &mut self,
-                _now: SimTime,
-                dst: HostId,
-                len: u64,
-                tag: u64,
-                act: &mut TransportActions,
-            ) {
-                let meta = M { bytes: len as u32 + 60, prio: 0, remaining: tag, ctrl: false };
-                self.outbox.push_back(Packet::new(self.me, dst, meta));
-                act.kick_tx();
-            }
-        }
-
-        let step_trace = |engine: EngineKind| {
-            let topo = Topology::multi_tor(16); // 2 racks x 8 hosts
-            let cfg = NetworkConfig::default().with_engine(engine);
-            let mut net =
-                Network::new(topo, cfg, |h| OneShot { me: h, outbox: Default::default() });
-            for &(src, dst, len, gap_us) in &msgs {
-                if src == dst {
-                    continue;
-                }
-                net.run_until(net.now() + SimDuration::from_micros(gap_us));
-                net.inject_message(HostId(src), HostId(dst), len, len);
-            }
-            let limit = net.now() + SimDuration::from_millis(5);
-            let mut steps = Vec::new();
-            let mut prev = net.events_processed();
-            while let Some(at) = net.run_next_before(limit) {
-                let done = net.events_processed();
-                steps.push((at.as_nanos(), done - prev));
-                prev = done;
-            }
-            steps
-        };
-
-        let legacy = step_trace(EngineKind::LegacyHeap);
-        let par = step_trace(EngineKind::ParallelHier { threads, batch });
-        for w in par.windows(2) {
-            prop_assert!(w[1].0 > w[0].0, "a window boundary split timestamp {}", w[1].0);
-        }
-        prop_assert_eq!(&par, &legacy);
     }
 
     #[test]
@@ -414,8 +253,8 @@ proptest! {
 
     /// Unloaded latency respects the hop hierarchy on any fat tree and
     /// any message size: same-rack <= intra-pod <= inter-pod, the path
-    /// class is symmetric, and the conservative-window lookahead is
-    /// positive (the PDES correctness floor).
+    /// class is symmetric, and the minimum forward delay (the calendar
+    /// bucket width) is positive.
     #[test]
     fn fat_tree_unloaded_monotone_and_symmetric(
         half in 2u32..6,

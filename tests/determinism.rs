@@ -1,11 +1,8 @@
-//! Cross-engine determinism: the calendar event engine — sequential
-//! *and* under conservative-window parallel dispatch — must replay the
-//! legacy single-heap engine bit-for-bit.
+//! Cross-engine determinism: the calendar event engine must replay the
+//! legacy single-heap engine — the reference oracle — bit-for-bit.
 //!
-//! All engines order events by the same globally-assigned `(time, seq)`
-//! key (the parallel dispatcher reassigns exactly the sequence numbers
-//! sequential dispatch would have during its merge stage), so for one
-//! [`ScenarioSpec`] + seed the full `MsgRecord` stream and the harvested
+//! Both engines order events by the same globally-assigned `(time, seq)`
+//! key, so for one [`ScenarioSpec`] + seed the full `MsgRecord` stream and the harvested
 //! `RunStats` must be identical — not statistically close, *identical*.
 //! This is the contract that lets the perf gate pin deterministic event
 //! counts in `BENCH_BASELINE.json`.
@@ -49,36 +46,9 @@ fn assert_engines_agree(p: Protocol, spec: ScenarioSpec) {
     assert_eq!(hier.0, legacy.0, "{}: MsgRecord streams diverged", spec.name);
     assert_eq!(hier.1, legacy.1, "{}: RunStats diverged", spec.name);
 
-    // Conservative-window parallel dispatch, on two worker threads, must
-    // replay the same run bit-for-bit (and so must the degenerate inline
-    // window mode, exercising the window machinery without threads).
-    assert_parallel_agrees(p, &spec, legacy, &[(1, 0), (2, 0)]);
-
     // And the hierarchical engine agrees with itself across runs.
     let again = run_signature(p, &spec.clone().with_engine(EngineKind::Hierarchical));
     assert_eq!(hier, again, "{}: hierarchical engine not repeatable", spec.name);
-}
-
-/// Assert `ParallelHier` replays `legacy` bit-for-bit at each
-/// `(threads, batch)` combination. Batch size moves only bookkeeping
-/// boundaries, so any value must leave the run untouched.
-fn assert_parallel_agrees(
-    p: Protocol,
-    spec: &ScenarioSpec,
-    legacy: (String, String, u64, u64),
-    combos: &[(u32, u32)],
-) {
-    for &(threads, batch) in combos {
-        let par = run_signature(
-            p,
-            &spec.clone().with_engine(EngineKind::ParallelHier { threads, batch }),
-        );
-        let tag = format!("ParallelHier x{threads} batch {batch}");
-        assert_eq!(par.3, legacy.3, "{}: {tag} event count diverged", spec.name);
-        assert_eq!(par.2, legacy.2, "{}: {tag} delivered diverged", spec.name);
-        assert_eq!(par.0, legacy.0, "{}: {tag} MsgRecords diverged", spec.name);
-        assert_eq!(par.1, legacy.1, "{}: {tag} RunStats diverged", spec.name);
-    }
 }
 
 #[test]
@@ -183,9 +153,8 @@ fn phost_engines_agree_under_link_flaps() {
 fn homa_engines_agree_under_rack_outage() {
     // Correlated failure: a whole rack goes dark mid-run and comes back.
     // The composite fault expands to one event per member link at the
-    // same instant; every engine — including the parallel dispatcher,
-    // whose rack groups are exactly the outage's blast radius — must
-    // replay identical records, loss accounting and fault counters.
+    // same instant; both engines must replay identical records, loss
+    // accounting and fault counters.
     let spec = ScenarioSpec::new(
         "det_rack_outage",
         FabricSpec::MultiTor { hosts: 16 },
@@ -240,24 +209,12 @@ fn homa_engines_agree_on_faulted_fat_tree() {
                 10_000_000_000,
             ),
     );
-    assert_engines_agree(Protocol::Homa, spec.clone());
-
-    // Window batching must be invisible too: explicit batch sizes
-    // {1, 4, 16} on one and two worker threads all replay the faulted
-    // fat tree bit-for-bit (a batch only moves bookkeeping boundaries,
-    // never event order — this is the proof).
-    let legacy = run_signature(Protocol::Homa, &spec.clone().with_engine(EngineKind::LegacyHeap));
-    assert_parallel_agrees(
-        Protocol::Homa,
-        &spec,
-        legacy,
-        &[(1, 1), (1, 4), (1, 16), (2, 1), (2, 4), (2, 16)],
-    );
+    assert_engines_agree(Protocol::Homa, spec);
 }
 
 #[test]
 fn trace_jsonl_is_byte_identical_across_engines() {
-    // The flight recorder rides the same `(time, seq)` emit order the
+    // The flight recorder writes in the `(time, seq)` dispatch order the
     // engines already agree on, so one spec line must render the *same
     // bytes* of TRACE.jsonl no matter which engine replayed it — the
     // contract behind the trace-golden CI job. Faults and incast are on
@@ -295,13 +252,6 @@ fn trace_jsonl_is_byte_identical_across_engines() {
     let legacy = jsonl_for(EngineKind::LegacyHeap);
     let hier = jsonl_for(EngineKind::Hierarchical);
     assert_eq!(legacy, hier, "Hierarchical trace bytes diverged from LegacyHeap");
-    for (threads, batch) in [(1u32, 0u32), (2, 0), (1, 4)] {
-        let par = jsonl_for(EngineKind::ParallelHier { threads, batch });
-        assert_eq!(
-            legacy, par,
-            "ParallelHier x{threads} batch {batch} trace bytes diverged from LegacyHeap"
-        );
-    }
 }
 
 #[test]

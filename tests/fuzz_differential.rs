@@ -1,14 +1,13 @@
 //! Differential engine fuzzing: every arbitrary [`ScenarioSpec`] must
-//! replay bit-identically on all five event engines (legacy heap,
-//! hierarchical calendar, and conservative-window parallel dispatch on
-//! one and two worker threads plus an explicitly batched variant).
+//! replay bit-identically on both event engines (the hierarchical
+//! calendar and the legacy heap it is checked against).
 //!
 //! This is the randomized companion to `tests/determinism.rs`: instead
 //! of a handful of hand-picked scenarios, each iteration draws a spec
 //! from the whole generator space — fabrics, workloads, traffic
 //! overlays, victims, mixes, fault schedules — and demands identical
 //! `MsgRecord` streams, `RunStats`, sketches and delivery accounting
-//! from every engine.
+//! from both engines.
 //!
 //! On a mismatch the harness shrinks the spec to a minimal still-failing
 //! one and prints it as a one-line replay string (also appended under
@@ -24,16 +23,6 @@ use homa_harness::{shrink_to_minimal, FuzzFamily, ScenarioSpec};
 use homa_sim::EngineKind;
 
 const FAMILY: FuzzFamily = FuzzFamily::new("differential", "HOMA_FUZZ_REPLAY");
-
-const ENGINES: [(&str, EngineKind); 5] = [
-    ("hier", EngineKind::Hierarchical),
-    ("legacy", EngineKind::LegacyHeap),
-    ("par1", EngineKind::ParallelHier { threads: 1, batch: 0 }),
-    ("par2", EngineKind::ParallelHier { threads: 2, batch: 0 }),
-    // An explicit window-batch size: batching only moves bookkeeping
-    // boundaries, so it must be invisible to every arbitrary spec.
-    ("par1b4", EngineKind::ParallelHier { threads: 1, batch: 4 }),
-];
 
 /// The protocols differentially fuzzed, rotated per iteration: Homa
 /// plus the two baselines with the most transport-side state.
@@ -61,16 +50,12 @@ fn signature(p: Protocol, spec: &ScenarioSpec, engine: EngineKind) -> String {
     )
 }
 
-/// `Some(detail)` if any engine disagrees with the hierarchical engine
-/// on `spec`, else `None`.
+/// `Some(detail)` if the hierarchical engine disagrees with the legacy
+/// heap on `spec`, else `None`.
 fn engines_disagree(p: Protocol, spec: &ScenarioSpec) -> Option<String> {
-    let baseline = signature(p, spec, EngineKind::Hierarchical);
-    for (name, engine) in ENGINES.iter().skip(1) {
-        if signature(p, spec, *engine) != baseline {
-            return Some(format!("{} diverged from hier under {:?}", name, p));
-        }
-    }
-    None
+    let reference = signature(p, spec, EngineKind::LegacyHeap);
+    (signature(p, spec, EngineKind::Hierarchical) != reference)
+        .then(|| format!("hier diverged from legacy under {p:?}"))
 }
 
 fn check_seed_range(first_seed: u64, iters: u64) {
@@ -101,7 +86,7 @@ fn long_haul_differential_fuzz() {
 }
 
 /// Replay hook: set `HOMA_FUZZ_REPLAY` to a spec line printed by a fuzz
-/// failure and this test re-runs it against every engine (it passes
+/// failure and this test re-runs it on both engines (it passes
 /// trivially when the variable is unset).
 #[test]
 fn replay_spec_line_from_env() {

@@ -7,16 +7,13 @@
 //! >25% regression — so event-engine speed never silently erodes.
 //!
 //! ```text
-//! perf-smoke [--out PATH] [--engine hier|legacy] [--quick] [--rss]
-//!            [--only SUBSTR] [--profile]
+//! perf-smoke [--out PATH] [--quick] [--rss] [--only SUBSTR]
 //!     run the scenarios, print the JSON report, write it to PATH
-//!     (default BENCH_PR.json); `--engine legacy` runs them on the
-//!     reference heap instead of the calendar engine; `--rss` samples
-//!     per-scenario peak resident set (VmHWM, Linux) into the report's
-//!     `peak_rss_kb` column; `--only` keeps just the scenarios whose
-//!     name contains SUBSTR; `--profile` (needs the `engine-profile`
-//!     build feature) prints the dispatch-loop and epoch-sort wall time
-//!     after each scenario
+//!     (default BENCH_PR.json); `--rss` samples per-scenario peak
+//!     resident set (VmHWM, Linux) into the report's `peak_rss_kb`
+//!     column; `--only` keeps just the scenarios whose name contains
+//!     SUBSTR. Where the time goes inside a run is the benchmark's
+//!     question: `bash benchmark/run.sh --trace 1`.
 //!
 //! perf-smoke --compare BASELINE CURRENT [--tolerance 0.25]
 //!     exit nonzero if CURRENT regressed from BASELINE: wall-clock,
@@ -33,13 +30,12 @@ use homa_bench::perfjson::{parse_report, render_report, Report, ScenarioReport};
 use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::{OnewayOpts, OnewayResult};
 use homa_harness::{FabricSpec, ScenarioSpec};
-use homa_sim::{EngineKind, EngineProfile, FaultPlan, HostId, LinkId};
+use homa_sim::{FaultPlan, HostId, LinkId};
 use homa_workloads::{TrafficSpec, Workload};
 use std::time::Instant;
 
 /// Fixed seed for every gate scenario: the runs are deterministic, so
-/// the baseline's event counts must reproduce exactly — on both engines
-/// (event counts are engine-invariant by the determinism contract).
+/// the baseline's event counts must reproduce exactly.
 const SEED: u64 = 42;
 
 /// One gate scenario plus the minimum delivered fraction it must reach.
@@ -53,7 +49,7 @@ struct GateScenario {
     min_delivered_frac: f64,
 }
 
-fn gate_scenarios(engine: EngineKind, quick: bool) -> Vec<GateScenario> {
+fn gate_scenarios(quick: bool) -> Vec<GateScenario> {
     let scale = if quick { 4 } else { 1 };
     vec![
         GateScenario {
@@ -64,8 +60,7 @@ fn gate_scenarios(engine: EngineKind, quick: bool) -> Vec<GateScenario> {
                 0.8,
                 1_200 / scale,
                 SEED,
-            )
-            .with_engine(engine),
+            ),
             min_delivered_frac: 0.99,
         },
         GateScenario {
@@ -76,8 +71,7 @@ fn gate_scenarios(engine: EngineKind, quick: bool) -> Vec<GateScenario> {
                 0.8,
                 3_000 / scale,
                 SEED,
-            )
-            .with_engine(engine),
+            ),
             min_delivered_frac: 0.99,
         },
         // The churn scenario the calendar engine targets: the
@@ -91,8 +85,7 @@ fn gate_scenarios(engine: EngineKind, quick: bool) -> Vec<GateScenario> {
                 0.8,
                 4_800 / scale,
                 SEED,
-            )
-            .with_engine(engine),
+            ),
             min_delivered_frac: 0.99,
         },
         // Pins the scenario subsystem: a 20-wide incast at 80% of the
@@ -109,7 +102,6 @@ fn gate_scenarios(engine: EngineKind, quick: bool) -> Vec<GateScenario> {
                 600 / scale,
                 SEED,
             )
-            .with_engine(engine)
             .with_traffic(TrafficSpec::incast(20))
             .with_faults(FaultPlan::new().link_flaps(
                 LinkId::HostDownlink(HostId(0)),
@@ -133,8 +125,7 @@ fn gate_scenarios(engine: EngineKind, quick: bool) -> Vec<GateScenario> {
                 0.8,
                 30_720 / scale,
                 SEED,
-            )
-            .with_engine(engine),
+            ),
             min_delivered_frac: 0.99,
         },
     ]
@@ -163,16 +154,13 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// How one gate invocation runs: which engine, which scenario subset,
-/// and which optional measurements ride along.
+/// How one gate invocation runs: which scenario subset, and whether
+/// peak RSS is sampled.
 struct GateCfg {
-    engine: EngineKind,
     quick: bool,
     rss: bool,
     /// Keep only scenarios whose name contains this substring.
     only: Option<String>,
-    /// Print the dispatch-loop profile after each scenario.
-    profile: bool,
 }
 
 /// Run one scenario, returning the result, wall seconds and peak RSS.
@@ -187,31 +175,15 @@ fn run_once(spec: &ScenarioSpec, rss: bool) -> (OnewayResult, f64, u64) {
     (res, wall, peak_kb)
 }
 
-/// Print the dispatch-loop profile of one run. All zeros (and says so)
-/// unless the build carries `homa-sim/engine-profile`.
-fn print_profile(p: &EngineProfile) {
-    if p.samples == 0 {
-        eprintln!("  profile: no samples (engine-profile timers idle)");
-        return;
-    }
-    let ms = |ns: u64| ns as f64 / 1e6;
-    eprintln!(
-        "  profile: {} timed run_until calls — dispatch {:.1} ms; epoch-sort {:.1} ms over the run",
-        p.samples,
-        ms(p.dispatch_ns),
-        ms(p.epoch_sort_ns),
-    );
-}
-
 fn run_gate(cfg: &GateCfg) -> Report {
     let mut scenarios = Vec::new();
-    for GateScenario { spec, min_delivered_frac } in gate_scenarios(cfg.engine, cfg.quick) {
+    for GateScenario { spec, min_delivered_frac } in gate_scenarios(cfg.quick) {
         if let Some(f) = &cfg.only {
             if !spec.name.contains(f.as_str()) {
                 continue;
             }
         }
-        eprintln!("running {} ({:?} engine) ...", spec.name, spec.engine);
+        eprintln!("running {} ...", spec.name);
         let (res, wall, peak_kb) = run_once(&spec, cfg.rss);
         let events = res.stats.events_processed;
         let wall_ms = wall * 1e3;
@@ -242,9 +214,6 @@ fn run_gate(cfg: &GateCfg) -> Report {
             eps,
             if peak_kb > 0 { format!(", peak RSS {peak_kb} KiB") } else { String::new() },
         );
-        if cfg.profile {
-            print_profile(&res.engine_profile);
-        }
     }
     if scenarios.is_empty() {
         eprintln!("perf-smoke: --only {:?} matched no scenario", cfg.only.as_deref().unwrap_or(""));
@@ -253,8 +222,7 @@ fn run_gate(cfg: &GateCfg) -> Report {
     Report {
         schema: 1,
         produced_by: format!(
-            "perf-smoke (homa-bench), seed {SEED}, engine {:?}{}",
-            cfg.engine,
+            "perf-smoke (homa-bench), seed {SEED}, engine Hierarchical{}",
             if cfg.quick { ", quick" } else { "" }
         ),
         scenarios,
@@ -383,11 +351,9 @@ fn compare(base_path: &str, cur_path: &str, tolerance: f64) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = String::from("BENCH_PR.json");
-    let mut engine = EngineKind::Hierarchical;
     let mut quick = false;
     let mut rss = false;
     let mut only: Option<String> = None;
-    let mut profile = false;
     let mut compare_paths: Option<(String, String)> = None;
     let mut tolerance = 0.25;
 
@@ -398,29 +364,12 @@ fn main() {
                 i += 1;
                 out = args.get(i).cloned().unwrap_or_else(|| usage("--out needs a path"));
             }
-            "--engine" => {
-                i += 1;
-                engine = match args.get(i).map(String::as_str) {
-                    Some("hier") | Some("hierarchical") => EngineKind::Hierarchical,
-                    Some("legacy") => EngineKind::LegacyHeap,
-                    _ => usage("--engine takes 'hier' or 'legacy'"),
-                };
-            }
             "--quick" => quick = true,
             "--rss" => rss = true,
             "--only" => {
                 i += 1;
                 only =
                     Some(args.get(i).cloned().unwrap_or_else(|| usage("--only needs a substring")));
-            }
-            "--profile" => {
-                if !cfg!(feature = "engine-profile") {
-                    usage(
-                        "--profile needs the profiling timers compiled in: \
-                         rebuild with --features engine-profile",
-                    );
-                }
-                profile = true;
             }
             "--compare" => {
                 let b = args.get(i + 1).cloned().unwrap_or_else(|| usage("--compare BASE CUR"));
@@ -445,7 +394,7 @@ fn main() {
         std::process::exit(compare(&base, &cur, tolerance));
     }
 
-    let cfg = GateCfg { engine, quick, rss, only, profile };
+    let cfg = GateCfg { quick, rss, only };
     let report = run_gate(&cfg);
     let json = render_report(&report);
     print!("{json}");
@@ -461,8 +410,7 @@ fn usage(err: &str) -> ! {
         eprintln!("perf-smoke: {err}");
     }
     eprintln!(
-        "usage: perf-smoke [--out PATH] [--engine hier|legacy] [--quick] [--rss]\n\
-         \x20                 [--only SUBSTR] [--profile]\n\
+        "usage: perf-smoke [--out PATH] [--quick] [--rss] [--only SUBSTR]\n\
          \x20      perf-smoke --compare BASELINE CURRENT [--tolerance FRAC]"
     );
     std::process::exit(2);

@@ -17,7 +17,7 @@ use homa::HomaConfig;
 use homa_baselines::homa_sim::static_map_for_workload;
 use homa_baselines::HomaSimTransport;
 use homa_harness::capacity::{max_sustainable_load, max_sustainable_load_with, CapacitySearch};
-use homa_harness::driver::{IncastOpts, OnewayOpts, RpcOpts};
+use homa_harness::driver::OnewayOpts;
 use homa_harness::figures::{self, MeasuredPoint};
 use homa_harness::render::{delta_report, fmt_bps, fmt_bytes, slowdown_table};
 use homa_harness::slowdown::SlowdownSummary;
@@ -301,13 +301,13 @@ pub fn fig8_9(opts: &ReproOpts) -> (FigTable, FigTable) {
         let spec = ScenarioSpec::new("fig8_9_rpc", cluster, w, 0.8, n, opts.seed);
         println!("\n--- workload {w}, {n} RPCs ---");
         for p in protos {
-            let res = run_protocol_rpc_scenario(p, &spec, &RpcOpts::default());
+            let res = run_protocol_rpc_scenario(p, &spec, &OnewayOpts::default().with_records());
             let s = SlowdownSummary::from_records(&res.records, opts.bins);
             println!(
                 "{:<10} completed {}/{} overall p99 {:>8.2}  p50 {:>8.2}",
                 p.name(),
-                res.completed,
-                res.issued,
+                res.delivered,
+                res.injected,
                 s.overall_p99,
                 s.overall_p50
             );
@@ -318,9 +318,9 @@ pub fn fig8_9(opts: &ReproOpts) -> (FigTable, FigTable) {
                 );
             }
             push_slowdown_bins(&mut t8, w.name(), &p.name(), 0.8, "p99_slowdown", &s);
-            push_overall(&mut t8, w, p, "overall_p99", s.overall_p99, res.completed, res.issued);
+            push_overall(&mut t8, w, p, "overall_p99", s.overall_p99, res.delivered, res.injected);
             push_slowdown_bins(&mut t9, w.name(), &p.name(), 0.8, "p50_slowdown", &s);
-            push_overall(&mut t9, w, p, "overall_p50", s.overall_p50, res.completed, res.issued);
+            push_overall(&mut t9, w, p, "overall_p50", s.overall_p50, res.delivered, res.injected);
         }
         // The streaming baseline demonstrates head-of-line blocking
         // (one-way messages; the effect the paper's TCP/InfRC rows show).
@@ -393,24 +393,20 @@ pub fn fig10(opts: &ReproOpts) -> FigTable {
             let res = spec.run_incast(
                 None,
                 |h| HomaSimTransport::new(h, cfg.clone()),
-                &IncastOpts {
-                    resp_len: 10_000,
-                    rounds: 3,
-                    per_round_timeout: SimDuration::from_millis(500),
-                },
+                &OnewayOpts::default(),
             );
+            let drops = res.stats.total_drops();
             row.push(format!(
-                "{} ({} aborted, {} drops)",
-                fmt_bps(res.throughput_bps),
-                res.aborted,
-                res.drops
+                "{} ({} aborted, {drops} drops)",
+                fmt_bps(res.delivered_bps),
+                res.aborted
             ));
             Row::new()
                 .n("concurrent", n as f64)
                 .s("variant", if enabled { "control" } else { "no_control" })
-                .n("throughput_bps", res.throughput_bps)
+                .n("throughput_bps", res.delivered_bps)
                 .n("aborted", res.aborted as f64)
-                .n("drops", res.drops as f64)
+                .n("drops", drops as f64)
                 .push(&mut t);
         }
         println!("{n:>12} {:>32} {:>32}", row[0], row[1]);

@@ -31,7 +31,7 @@ use homa_baselines::{
     ndp, pfabric, pias, HomaSimTransport, NdpConfig, NdpTransport, PfabricConfig, PfabricTransport,
     PhostConfig, PhostTransport, PiasConfig, PiasTransport, StreamConfig, StreamTransport,
 };
-use homa_harness::driver::{OnewayOpts, OnewayResult, RpcOpts, RpcResult};
+use homa_harness::driver::{OnewayOpts, OnewayResult};
 use homa_harness::ScenarioSpec;
 use homa_sim::QueueDiscipline;
 use homa_workloads::MessageSizeDist;
@@ -178,7 +178,11 @@ pub fn run_protocol_scenario(
 
 /// Run the §5.1 echo-RPC experiment (Figures 8/9) a [`ScenarioSpec`]
 /// describes. Only the RAMCloud-comparable transports support RPCs.
-pub fn run_protocol_rpc_scenario(p: Protocol, spec: &ScenarioSpec, opts: &RpcOpts) -> RpcResult {
+pub fn run_protocol_rpc_scenario(
+    p: Protocol,
+    spec: &ScenarioSpec,
+    opts: &OnewayOpts,
+) -> OnewayResult {
     match p {
         Protocol::Homa | Protocol::HomaP(_) | Protocol::Basic => {
             let cfg = homa_config_for(p);
@@ -243,17 +247,17 @@ mod tests {
 
     #[test]
     fn rpc_scenario_dispatch_runs_homa_family() {
+        // Eight clients (the echo shape's constant) and four servers.
         let spec = ScenarioSpec::new(
-            "rpc_w1_6h",
-            FabricSpec::SingleSwitch { hosts: 6 },
+            "rpc_w1_12h",
+            FabricSpec::SingleSwitch { hosts: 12 },
             Workload::W1,
             0.3,
             120,
             3,
         );
-        let opts = RpcOpts { clients: 3, ..RpcOpts::default() };
-        let res = run_protocol_rpc_scenario(Protocol::Homa, &spec, &opts);
-        assert_eq!(res.issued, 120);
-        assert!(res.completed >= 118, "only {}/120 RPCs completed", res.completed);
+        let res = run_protocol_rpc_scenario(Protocol::Homa, &spec, &OnewayOpts::default());
+        assert_eq!(res.injected, 120);
+        assert!(res.delivered >= 118, "only {}/120 RPCs completed", res.delivered);
     }
 }

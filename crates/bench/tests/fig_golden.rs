@@ -8,25 +8,26 @@
 //!   round-trip through the hand-rolled parser. The `repro compare`
 //!   gate and the nightly figure-accuracy job both read these files;
 //!   renaming a column would silently unjoin every reference curve.
-//! * **Numbers** — a seed-42 reduced-scale `repro fig12` run is pinned
-//!   byte-for-byte. The simulation is deterministic, so any diff means
-//!   either the simulator/transport behavior changed (refresh
-//!   deliberately, and expect the perf gate to flag it too) or the JSON
-//!   formatting drifted (don't).
+//! * **Numbers** — seed-42 reduced-scale `repro fig12` (one-way shape)
+//!   and `repro fig8` (echo-RPC shape) runs are pinned byte-for-byte.
+//!   The simulation is deterministic, so any diff means either the
+//!   simulator/transport behavior changed (refresh deliberately, and
+//!   expect the perf gate to flag it too) or the JSON formatting
+//!   drifted (don't).
 //!
 //! To refresh after an intentional change:
 //! `BLESS=1 cargo test -p homa-bench --test fig_golden`
 
 use homa_bench::figdata::{self, measured_points, ReproOpts};
-use homa_bench::perfjson::{parse_table, render_table};
+use homa_bench::perfjson::{parse_table, render_table, FigTable};
 use homa_workloads::Workload;
 
-/// The options the golden file was generated with (equivalent to
-/// `repro fig12 --workloads W4 --loads 0.8 --scale 0.05 --seed 42`).
-fn golden_opts() -> ReproOpts {
+/// The options the golden files were generated with (equivalent to
+/// `repro <fig> --workloads <W> --loads 0.8 --scale 0.05 --seed 42`).
+fn golden_opts(workload: Workload) -> ReproOpts {
     ReproOpts {
         full: false,
-        workloads: vec![Workload::W4],
+        workloads: vec![workload],
         loads: vec![0.8],
         seed: 42,
         msgs_scale: 0.05,
@@ -34,22 +35,42 @@ fn golden_opts() -> ReproOpts {
     }
 }
 
-const GOLDEN_PATH: &str = "tests/golden/FIG_12_seed42_w4.json";
+/// One pinned figure: its builder, workload, checked-in bytes and the
+/// path `BLESS=1` rewrites.
+type Golden = (fn(&ReproOpts) -> FigTable, Workload, &'static str, &'static str);
+
+/// `fig12` pins the one-way driver shape (four protocols on W4), `fig8`
+/// the echo-RPC shape (600 RPCs × five Homa variants on W3, plus the
+/// one-way streaming row).
+const GOLDENS: [Golden; 2] = [
+    (
+        figdata::fig12,
+        Workload::W4,
+        include_str!("golden/FIG_12_seed42_w4.json"),
+        "tests/golden/FIG_12_seed42_w4.json",
+    ),
+    (
+        figdata::fig8,
+        Workload::W3,
+        include_str!("golden/FIG_8_seed42_w3.json"),
+        "tests/golden/FIG_8_seed42_w3.json",
+    ),
+];
 
 #[test]
-fn fig12_seed42_reduced_matches_golden() {
-    let table = figdata::fig12(&golden_opts());
-    let json = render_table(&table);
-    if std::env::var("BLESS").is_ok() {
-        std::fs::write(GOLDEN_PATH, &json).expect("write golden");
-        return;
+fn seed42_reduced_figures_match_goldens() {
+    for (build, workload, golden, path) in GOLDENS {
+        let json = render_table(&build(&golden_opts(workload)));
+        if std::env::var("BLESS").is_ok() {
+            std::fs::write(path, &json).expect("write golden");
+            continue;
+        }
+        assert_eq!(
+            json, golden,
+            "{path} drifted from the golden file. If the simulation change is \
+             intentional, refresh with: BLESS=1 cargo test -p homa-bench --test fig_golden"
+        );
     }
-    let golden = include_str!("golden/FIG_12_seed42_w4.json");
-    assert_eq!(
-        json, golden,
-        "FIG_12.json drifted from the golden file. If the simulation change is \
-         intentional, refresh with: BLESS=1 cargo test -p homa-bench --test fig_golden"
-    );
 }
 
 #[test]

@@ -1,30 +1,29 @@
-//! Generic experiment drivers.
+//! Generic experiment driver: one run core, three arrival shapes, all
+//! entered through [`crate::ScenarioSpec`]'s run methods.
 //!
-//! Three experiment shapes cover every figure in the paper, all driven
-//! through [`crate::ScenarioSpec`] (the sole public entry point — see
-//! [`ScenarioSpec::run_oneway`](crate::ScenarioSpec::run_oneway) and
-//! friends):
+//! * one-way — the §5.2 simulation setup: one-way messages with Poisson
+//!   arrivals at a target network load, placed by the spec's traffic
+//!   matrix, victim overlay and workload mix (Figures 12–21, Table 1).
+//! * RPC echo — the §5.1 implementation setup: Poisson arrivals, each a
+//!   client's echo RPC to a random server (Figures 8–9).
+//! * incast — Figure 10: closed-loop rounds of concurrent RPCs from one
+//!   client with 10 KB responses, stragglers written off per round.
 //!
-//! * one-way — the §5.2 simulation setup: all-to-all one-way messages
-//!   with Poisson arrivals at a target network load
-//!   (Figures 12–21, Table 1).
-//! * RPC echo — the §5.1 implementation setup: clients issue echo RPCs
-//!   to servers (Figures 8–9).
-//! * incast — Figure 10: one client, many concurrent RPCs with 10 KB
-//!   responses.
-//!
-//! This module owns the option/result types and the run loops; the
-//! fabric, workload, load, seed, engine, traffic pattern and fault
-//! schedule all come from the spec, so every run is replayable from the
-//! spec's one-line text form (`ScenarioSpec::to_spec_line`).
+//! A shape decides only where the next arrival comes from and how long
+//! a response is. The private run core owns the rest — the `Network`,
+//! the outstanding messages, every tally, the one application-event
+//! pump, the one drain loop — and every shape takes [`OnewayOpts`] and
+//! returns [`OnewayResult`]. What a run *is* (fabric, workload, load,
+//! seed, engine, traffic, faults) comes from the spec, so every run is
+//! replayable from its one-line text form (`ScenarioSpec::to_spec_line`).
 
 use crate::scenario::ScenarioSpec;
 use crate::slowdown::{MsgRecord, SlowdownSketch};
 use homa_sim::{
-    AppEvent, EngineProfile, EngineStats, FlightRecorder, HostId, Network, PacketMeta, PathClass,
-    QueueDiscipline, RunStats, SimDuration, SimTime, TraceRecord, Transport,
+    AppEvent, EngineStats, FlightRecorder, HostId, Network, PacketMeta, PathClass, QueueDiscipline,
+    RunStats, SimDuration, SimTime, TraceRecord, Transport,
 };
-use homa_workloads::{LoadPlan, PoissonArrivals, TrafficMatrix};
+use homa_workloads::{LoadPlan, MessageSizeDist, PoissonArrivals, TrafficMatrix};
 use std::collections::HashMap;
 
 /// Per-packet constants used for unloaded-latency denominators and load
@@ -36,23 +35,31 @@ pub const OVERHEAD: u64 = 60;
 /// Wire size of control packets.
 pub const CTRL: u64 = 40;
 
-/// Options for [`ScenarioSpec::run_oneway`]: the measurement knobs that
-/// are *not* part of what a scenario is (those — fabric, workload, load,
-/// traffic, faults — live on the spec itself).
+/// Cadence of the Figure 16 wasted-bandwidth probe.
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_micros(10);
+/// Echo-RPC shape: the first `RPC_CLIENTS` host ids issue, the rest serve.
+const RPC_CLIENTS: u32 = 8;
+/// Incast shape (Figure 10): request and response bytes, fan-in rounds,
+/// and the simulated time a round gets before its stragglers are aborted.
+const INCAST_REQ_LEN: u64 = 100;
+const INCAST_RESP_LEN: u64 = 10_000;
+const INCAST_ROUNDS: u64 = 3;
+const INCAST_ROUND_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+
+/// Options shared by the three run methods of [`ScenarioSpec`]: the
+/// measurement knobs that are *not* part of what a scenario is (those —
+/// fabric, workload, load, traffic, faults — live on the spec itself).
 #[derive(Debug, Clone)]
 pub struct OnewayOpts {
-    /// Sample the Figure 16 wasted-bandwidth probe.
+    /// Sample the Figure 16 wasted-bandwidth probe (every 10 µs, on the
+    /// arrival clock — the closed-loop incast shape has none).
     pub sample_wasted: bool,
-    /// Probe cadence.
-    pub sample_interval: SimDuration,
     /// Ask transports for per-message delay attribution (Figure 14).
     pub track_delay: bool,
     /// Extra simulated time allowed after the last injection for
-    /// outstanding messages to finish.
+    /// outstanding messages to finish (incast rounds have their own
+    /// fixed write-off budget instead).
     pub drain: SimDuration,
-    /// Messages at the head of the run excluded from the records
-    /// (warm-up transient).
-    pub warmup_msgs: u64,
     /// Retain every per-message [`MsgRecord`] in the result (O(messages)
     /// memory). Off by default: the always-on [`SlowdownSketch`] covers
     /// slowdown summaries in O(sketch bins), which is what keeps 1k-host
@@ -73,10 +80,8 @@ impl Default for OnewayOpts {
     fn default() -> Self {
         OnewayOpts {
             sample_wasted: false,
-            sample_interval: SimDuration::from_micros(10),
             track_delay: false,
             drain: SimDuration::from_millis(200),
-            warmup_msgs: 0,
             keep_records: false,
             trace: false,
             trace_cap: FlightRecorder::DEFAULT_CAP,
@@ -99,11 +104,13 @@ impl OnewayOpts {
     }
 }
 
-/// Result of a one-way experiment.
-#[derive(Debug)]
+/// Result of a run, whatever its arrival shape. "Message" below is a
+/// one-way message or a whole RPC (issued → response complete), sized by
+/// the payload whose arrival completes it.
+#[derive(Debug, Default)]
 pub struct OnewayResult {
-    /// Per-message observations (post-warmup, delivered only; the victim
-    /// overlay's messages are reported in `victim_records` instead).
+    /// Per-message observations (delivered only; the victim overlay's
+    /// messages are reported in `victim_records` instead).
     /// Empty unless [`OnewayOpts::keep_records`] is set — the streaming
     /// [`sketch`](OnewayResult::sketch) is the default summary channel.
     pub records: Vec<MsgRecord>,
@@ -111,15 +118,16 @@ pub struct OnewayResult {
     /// one (empty otherwise, and empty unless
     /// [`OnewayOpts::keep_records`] is set).
     pub victim_records: Vec<MsgRecord>,
-    /// Always-on streaming slowdown summary over the same non-victim,
-    /// post-warmup messages `records` would hold; O(sketch bins) memory
-    /// regardless of message count.
+    /// Always-on streaming slowdown summary over the same non-victim
+    /// messages `records` would hold; O(sketch bins) memory regardless
+    /// of message count.
     pub sketch: SlowdownSketch,
-    /// Messages injected.
+    /// Messages injected (RPCs issued).
     pub injected: u64,
-    /// Messages delivered.
+    /// Messages delivered (RPCs completed).
     pub delivered: u64,
-    /// Messages aborted by the transport.
+    /// Messages aborted by the transport, plus incast RPCs written off
+    /// when their round timed out.
     pub aborted: u64,
     /// Messages still outstanding when the run ended: not delivered and
     /// not aborted. Nonzero either when the drain budget ran out under
@@ -141,7 +149,7 @@ pub struct OnewayResult {
     pub duration: SimTime,
     /// Wire bytes per priority level on host uplinks (Figure 21).
     pub prio_bytes: [u64; 8],
-    /// Offered goodput in bits/sec during the injection phase.
+    /// Offered goodput in bits/sec up to the last injection.
     pub offered_bps: f64,
     /// Delivered goodput in bits/sec over the whole run.
     pub delivered_bps: f64,
@@ -155,500 +163,343 @@ pub struct OnewayResult {
     /// Deterministic event-engine counters (calendar bucket, late and
     /// far insert counts, epoch occupancy) at harvest.
     pub engine_stats: EngineStats,
-    /// Wall-clock dispatch-loop profile of the run's engine. All zeros
-    /// unless the simulator's `engine-profile` cargo feature is enabled;
-    /// never deterministic — diagnostics only.
-    pub engine_profile: EngineProfile,
 }
 
-/// Memoized unloaded-latency lookup passed through the event handler.
-type UnloadedCache<'a, M, T> = dyn FnMut(&Network<M, T>, u64, PathClass) -> u64 + 'a;
-
-/// Bitset over message tags `0..n_msgs`: which messages have already been
-/// resolved (delivered or aborted). Backs the duplicate-delivery counter
-/// in O(messages/8) memory.
+/// Bitset over message tags: which messages have already been resolved
+/// (delivered or aborted). Backs the duplicate-delivery counter in
+/// O(messages/8) memory.
+#[derive(Default)]
 struct ResolvedSet {
     bits: Vec<u64>,
-    len: u64,
 }
 
 impl ResolvedSet {
-    fn new(n: u64) -> Self {
-        ResolvedSet { bits: vec![0u64; (n as usize).div_ceil(64)], len: n }
-    }
-
     fn mark(&mut self, tag: u64) {
-        if tag < self.len {
-            self.bits[(tag / 64) as usize] |= 1u64 << (tag % 64);
+        let word = (tag / 64) as usize;
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
         }
+        self.bits[word] |= 1u64 << (tag % 64);
     }
 
-    /// True if `tag` was previously resolved *or* was never a valid tag —
-    /// either way a delivery for it is spurious.
-    fn spurious(&self, tag: u64) -> bool {
-        tag >= self.len || self.bits[(tag / 64) as usize] & (1u64 << (tag % 64)) != 0
+    fn contains(&self, tag: u64) -> bool {
+        self.bits.get((tag / 64) as usize).is_some_and(|w| w & (1u64 << (tag % 64)) != 0)
     }
 }
 
-/// Run the all-to-all one-way-message experiment `spec` describes: inject
-/// `spec.messages` Poisson arrivals at `spec.load`, then drain.
-/// Entry point: [`ScenarioSpec::run_oneway`].
-pub(crate) fn oneway<M, T>(
+/// What the core remembers about an injected message until it resolves.
+struct Pending {
+    /// Bytes whose arrival completes it (message or response length).
+    size: u64,
+    injected_ns: u64,
+    unloaded_ns: u64,
+    victim: bool,
+}
+
+/// The run core every arrival shape drives: the fabric, the outstanding
+/// messages (tags are injection order) and every tally.
+struct Run<'a, M: PacketMeta, T: Transport<M>> {
+    net: Network<M, T>,
+    opts: &'a OnewayOpts,
+    /// Response length servers send; `None` echoes the request.
+    resp_len: Option<u64>,
+    pending: HashMap<u64, Pending>,
+    resolved: ResolvedSet,
+    /// Memoized one-way unloaded latency by `(size, path class)`.
+    unloaded: HashMap<(u64, PathClass), u64>,
+    /// Records, sketch and message counts accumulate here; `finish`
+    /// fills in what is only known at the end.
+    out: OnewayResult,
+    injected_bytes: u64,
+    delivered_bytes: u64,
+    last_inject: SimTime,
+    // Wasted-bandwidth sampling state.
+    next_sample: SimTime,
+    samples: u64,
+    wasted_hits: u64,
+}
+
+impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
+    /// Build `spec`'s fabric and install its fault schedule and the
+    /// recorder.
+    fn new(
+        spec: &ScenarioSpec,
+        queues: Option<QueueDiscipline>,
+        make: impl FnMut(HostId) -> T,
+        opts: &'a OnewayOpts,
+    ) -> Self {
+        let mut net = Network::new(spec.topology(), spec.netcfg_with(queues), make);
+        if !spec.faults.is_empty() {
+            net.install_faults(&spec.faults);
+        }
+        if opts.trace {
+            net.enable_trace(opts.trace_cap);
+        }
+        Run {
+            net,
+            opts,
+            resp_len: None,
+            pending: HashMap::new(),
+            resolved: ResolvedSet::default(),
+            unloaded: HashMap::new(),
+            out: OnewayResult::default(),
+            injected_bytes: 0,
+            delivered_bytes: 0,
+            last_inject: SimTime::ZERO,
+            next_sample: SimTime::ZERO + SAMPLE_INTERVAL,
+            samples: 0,
+            wasted_hits: 0,
+        }
+    }
+
+    fn unloaded_ns(&mut self, size: u64, class: PathClass) -> u64 {
+        let topo = self.net.topology();
+        *self.unloaded.entry((size, class)).or_insert_with(|| {
+            topo.unloaded_one_way_class(size, PAYLOAD, OVERHEAD, class).as_nanos()
+        })
+    }
+
+    /// Book the next tag as outstanding from now and return it.
+    fn book(&mut self, size: u64, unloaded_ns: u64, victim: bool) -> u64 {
+        let tag = self.out.injected;
+        self.last_inject = self.net.now();
+        let injected_ns = self.last_inject.as_nanos();
+        self.pending.insert(tag, Pending { size, injected_ns, unloaded_ns, victim });
+        self.out.injected += 1;
+        self.injected_bytes += size;
+        tag
+    }
+
+    /// Inject a one-way message at the current time.
+    fn inject_message(&mut self, src: HostId, dst: HostId, size: u64, victim: bool) {
+        let class = self.net.topology().path_class(src, dst);
+        let unloaded_ns = self.unloaded_ns(size, class);
+        let tag = self.book(size, unloaded_ns, victim);
+        self.net.inject_message(src, dst, size, tag);
+    }
+
+    /// Issue an RPC at the current time; its best case is the request
+    /// one way plus the response back.
+    fn inject_rpc(&mut self, client: HostId, server: HostId, req_len: u64) {
+        let class = self.net.topology().path_class(client, server);
+        let resp_len = self.resp_len.unwrap_or(req_len);
+        let unloaded_ns = self.unloaded_ns(req_len, class) + self.unloaded_ns(resp_len, class);
+        let tag = self.book(resp_len, unloaded_ns, false);
+        self.net.inject_rpc(client, server, req_len, tag);
+    }
+
+    /// The one application-event pump: settle deliveries, completions
+    /// and aborts against `pending`, and answer RPC requests.
+    fn pump(&mut self) {
+        for (at, host, ev) in self.net.take_app_events() {
+            let (tag, len, from) = match ev {
+                AppEvent::MessageDelivered { src, tag, len } => (tag, len, Some(src)),
+                AppEvent::RpcCompleted { tag, response_len, .. } => (tag, response_len, None),
+                AppEvent::RpcRequestArrived { client, rpc, request_len } => {
+                    let len = self.resp_len.unwrap_or(request_len);
+                    self.net.inject_response(host, client, rpc, len);
+                    continue;
+                }
+                AppEvent::Aborted { tag, .. } => {
+                    if self.pending.remove(&tag).is_some() {
+                        self.resolved.mark(tag);
+                        self.out.aborted += 1;
+                    }
+                    continue;
+                }
+            };
+            let Some(p) = self.pending.remove(&tag) else {
+                // Resolved before, or never injected. (A straggler of a
+                // written-off incast round is neither.)
+                if tag >= self.out.injected || self.resolved.contains(tag) {
+                    self.out.duplicate_deliveries += 1;
+                }
+                continue;
+            };
+            debug_assert_eq!(p.size, len);
+            self.resolved.mark(tag);
+            self.out.delivered += 1;
+            self.delivered_bytes += p.size;
+            let delay = match from {
+                Some(src) if self.opts.track_delay => {
+                    self.net.with_transport(host, |t, _, _| t.take_message_delay(src, tag))
+                }
+                _ => Default::default(),
+            };
+            let rec = MsgRecord {
+                size: p.size,
+                injected_ns: p.injected_ns,
+                completed_ns: at.as_nanos(),
+                unloaded_ns: p.unloaded_ns,
+                delay,
+            };
+            if !p.victim {
+                self.out.sketch.push(p.size, rec.slowdown());
+            }
+            if self.opts.keep_records {
+                let out = &mut self.out;
+                if p.victim { &mut out.victim_records } else { &mut out.records }.push(rec);
+            }
+        }
+    }
+
+    /// Run the fabric up to the next arrival at `at`, stopping at every
+    /// probe instant on the way when sampling is on.
+    fn advance(&mut self, at: SimTime) {
+        while self.opts.sample_wasted && self.next_sample <= at {
+            self.net.run_until(self.next_sample);
+            self.pump();
+            for h in self.net.topology().hosts() {
+                self.samples += 1;
+                if self.net.downlink_idle(h) && self.net.withholding(h) {
+                    self.wasted_hits += 1;
+                }
+            }
+            self.next_sample += SAMPLE_INTERVAL;
+        }
+        self.net.run_until(at);
+        self.pump();
+    }
+
+    /// Step event batch by event batch until nothing is outstanding or
+    /// `budget` of simulated time has passed.
+    fn drain(&mut self, budget: SimDuration) {
+        let deadline = self.net.now() + budget;
+        while !self.pending.is_empty() && self.net.now() < deadline {
+            if self.net.run_next_before(deadline).is_none() {
+                break;
+            }
+            self.pump();
+        }
+    }
+
+    fn finish(mut self) -> OnewayResult {
+        let bps = |bytes: u64, over: SimTime| match over.as_nanos() {
+            0 => 0.0,
+            _ => bytes as f64 * 8.0 / over.as_secs_f64(),
+        };
+        let duration = self.net.now();
+        OnewayResult {
+            lost: self.pending.len() as u64,
+            // 0/0 when the probe never ran: NaN.
+            wasted_fraction: self.wasted_hits as f64 / self.samples as f64,
+            duration,
+            offered_bps: bps(self.injected_bytes, self.last_inject),
+            delivered_bps: bps(self.delivered_bytes, duration),
+            trace: self.net.take_trace(),
+            trace_dropped: self.net.trace_dropped(),
+            engine_stats: self.net.engine_stats(),
+            stats: self.net.harvest_stats(),
+            prio_bytes: self.net.uplink_bytes_by_prio(),
+            ..self.out
+        }
+    }
+}
+
+/// Mean wire overhead per message of `dist`, for load planning.
+fn mean_overhead(dist: &MessageSizeDist) -> f64 {
+    LoadPlan::estimate_overhead(dist, PAYLOAD, OVERHEAD, CTRL, 9_700)
+}
+
+/// Run the one-way-message experiment `spec` describes: inject
+/// `spec.messages` Poisson arrivals at `spec.load`, placed by the spec's
+/// traffic pattern, then drain. Entry point: [`ScenarioSpec::run_oneway`].
+pub(crate) fn oneway<M: PacketMeta, T: Transport<M>>(
     spec: &ScenarioSpec,
     queues: Option<QueueDiscipline>,
     make: impl FnMut(HostId) -> T,
     opts: &OnewayOpts,
-) -> OnewayResult
-where
-    M: PacketMeta,
-    T: Transport<M>,
-{
-    let topo = spec.topology();
+) -> OnewayResult {
+    let mut run = Run::new(spec, queues, make, opts);
+    let topo = run.net.topology();
     let dist = spec.workload.dist();
     let traffic = &spec.traffic;
-    let (load, n_msgs, seed) = (spec.load, spec.messages, spec.seed);
     let hosts = topo.num_hosts();
     // A bimodal mix shifts the mean message size (and overhead); fold the
     // second mode into the load arithmetic so the target load stays
     // honest.
-    let (mean_msg_bytes, mean_overhead_bytes) = match &traffic.mix {
-        Some(mix) => {
-            let second = mix.second.dist();
-            let f = mix.frac;
-            (
-                (1.0 - f) * dist.mean() + f * second.mean(),
-                (1.0 - f) * LoadPlan::estimate_overhead(&dist, PAYLOAD, OVERHEAD, CTRL, 9_700)
-                    + f * LoadPlan::estimate_overhead(&second, PAYLOAD, OVERHEAD, CTRL, 9_700),
-            )
-        }
-        None => (dist.mean(), LoadPlan::estimate_overhead(&dist, PAYLOAD, OVERHEAD, CTRL, 9_700)),
+    let mix = traffic.mix.as_ref().map(|m| (m.second.dist(), m.frac));
+    let blend = |of: &dyn Fn(&MessageSizeDist) -> f64| match &mix {
+        Some((second, f)) => (1.0 - f) * of(&dist) + f * of(second),
+        None => of(&dist),
     };
     let plan = LoadPlan {
         // Patterns that concentrate on one link (incast) interpret `load`
         // against that bottleneck, not the whole fabric.
         hosts: traffic.loaded_links(hosts),
         host_link_bps: topo.host_link_bps,
-        load,
-        mean_msg_bytes,
-        mean_overhead_bytes,
+        load: spec.load,
+        mean_msg_bytes: blend(&MessageSizeDist::mean),
+        mean_overhead_bytes: blend(&mean_overhead),
     };
-    let mut gen = PoissonArrivals::new(
-        seed ^ 0x9e37_79b9,
-        dist.clone(),
-        hosts,
-        plan.mean_interarrival_secs(),
-    )
-    .with_matrix(traffic.matrix(hosts, topo.hosts_per_rack, seed));
-    if let Some(mix) = &traffic.mix {
-        gen = gen.with_mix(mix.second.dist(), mix.frac);
+    let gap = plan.mean_interarrival_secs();
+    let mut gen = PoissonArrivals::new(spec.seed ^ 0x9e37_79b9, dist, hosts, gap)
+        .with_matrix(traffic.matrix(hosts, topo.hosts_per_rack, spec.seed));
+    if let Some((second, frac)) = mix {
+        gen = gen.with_mix(second, frac);
     }
     if let Some(victim) = traffic.victim {
         gen = gen.with_victim(victim);
     }
-    let mut net: Network<M, T> = Network::new(topo.clone(), spec.netcfg_with(queues), make);
-    if !spec.faults.is_empty() {
-        net.install_faults(&spec.faults);
+    for _ in 0..spec.messages {
+        let a = gen.next_arrival();
+        run.advance(SimTime::from_nanos(a.at_ns));
+        run.inject_message(HostId(a.src), HostId(a.dst), a.size, a.victim);
     }
-    if opts.trace {
-        net.enable_trace(opts.trace_cap);
-    }
-
-    // tag -> (size, injected_ns, path_class, victim)
-    let mut pending: HashMap<u64, (u64, u64, PathClass, bool)> = HashMap::new();
-    let mut unloaded_cache: HashMap<(u64, PathClass), u64> = HashMap::new();
-    let mut records =
-        if opts.keep_records { Vec::with_capacity(n_msgs as usize) } else { Vec::new() };
-    let mut victim_records = Vec::new();
-    let mut sketch = SlowdownSketch::default();
-    let mut resolved = ResolvedSet::new(n_msgs);
-    let mut injected = 0u64;
-    let mut delivered = 0u64;
-    let mut aborted = 0u64;
-    let mut duplicate_deliveries = 0u64;
-    let mut injected_bytes = 0u64;
-    let mut delivered_goodput_bytes = 0u64;
-
-    // Wasted-bandwidth sampling state.
-    let mut next_sample = SimTime::ZERO + opts.sample_interval;
-    let mut samples = 0u64;
-    let mut wasted_hits = 0u64;
-
-    let mut unloaded_of = |net: &Network<M, T>, size: u64, class: PathClass| -> u64 {
-        *unloaded_cache.entry((size, class)).or_insert_with(|| {
-            net.topology().unloaded_one_way_class(size, PAYLOAD, OVERHEAD, class).as_nanos()
-        })
-    };
-
-    let handle_events = |net: &mut Network<M, T>,
-                         pending: &mut HashMap<u64, (u64, u64, PathClass, bool)>,
-                         resolved: &mut ResolvedSet,
-                         records: &mut Vec<MsgRecord>,
-                         victim_records: &mut Vec<MsgRecord>,
-                         sketch: &mut SlowdownSketch,
-                         delivered: &mut u64,
-                         aborted: &mut u64,
-                         duplicate_deliveries: &mut u64,
-                         delivered_goodput_bytes: &mut u64,
-                         unloaded_cache: &mut UnloadedCache<'_, M, T>| {
-        for (at, host, ev) in net.take_app_events() {
-            match ev {
-                AppEvent::MessageDelivered { src, tag, len } => {
-                    if let Some((size, injected_ns, class, victim)) = pending.remove(&tag) {
-                        debug_assert_eq!(size, len);
-                        resolved.mark(tag);
-                        *delivered += 1;
-                        if tag >= opts.warmup_msgs {
-                            *delivered_goodput_bytes += size;
-                            let delay = if opts.track_delay {
-                                net.with_transport(host, |t, _, _| t.take_message_delay(src, tag))
-                            } else {
-                                Default::default()
-                            };
-                            let unloaded_ns = unloaded_cache(net, size, class);
-                            let rec = MsgRecord {
-                                size,
-                                injected_ns,
-                                completed_ns: at.as_nanos(),
-                                unloaded_ns,
-                                delay,
-                            };
-                            if !victim {
-                                sketch.push(size, rec.slowdown());
-                            }
-                            if opts.keep_records {
-                                if victim {
-                                    victim_records.push(rec);
-                                } else {
-                                    records.push(rec);
-                                }
-                            }
-                        }
-                    } else if resolved.spurious(tag) {
-                        *duplicate_deliveries += 1;
-                    }
-                }
-                AppEvent::Aborted { tag, .. } if pending.remove(&tag).is_some() => {
-                    resolved.mark(tag);
-                    *aborted += 1;
-                }
-                _ => {}
-            }
-        }
-    };
-
-    // Injection phase.
-    while injected < n_msgs {
-        let arrival = gen.next_arrival();
-        let at = SimTime::from_nanos(arrival.at_ns);
-        // Process events (and samples) up to the arrival.
-        while opts.sample_wasted && next_sample <= at {
-            net.run_until(next_sample);
-            handle_events(
-                &mut net,
-                &mut pending,
-                &mut resolved,
-                &mut records,
-                &mut victim_records,
-                &mut sketch,
-                &mut delivered,
-                &mut aborted,
-                &mut duplicate_deliveries,
-                &mut delivered_goodput_bytes,
-                &mut unloaded_of,
-            );
-            for h in net.topology().hosts() {
-                samples += 1;
-                if net.downlink_idle(h) && net.withholding(h) {
-                    wasted_hits += 1;
-                }
-            }
-            next_sample += opts.sample_interval;
-        }
-        net.run_until(at);
-        handle_events(
-            &mut net,
-            &mut pending,
-            &mut resolved,
-            &mut records,
-            &mut victim_records,
-            &mut sketch,
-            &mut delivered,
-            &mut aborted,
-            &mut duplicate_deliveries,
-            &mut delivered_goodput_bytes,
-            &mut unloaded_of,
-        );
-        let tag = injected;
-        let class = topo.path_class(HostId(arrival.src), HostId(arrival.dst));
-        net.inject_message(HostId(arrival.src), HostId(arrival.dst), arrival.size, tag);
-        pending.insert(tag, (arrival.size, at.as_nanos(), class, arrival.victim));
-        injected += 1;
-        injected_bytes += arrival.size;
-    }
-    let inject_end = net.now();
-
-    // Drain phase. `run_next_before` advances through one event batch
-    // per iteration with a single queue probe (no peek-then-pop pair).
-    let deadline = inject_end + opts.drain;
-    while !pending.is_empty() && net.now() < deadline {
-        if net.run_next_before(deadline).is_none() {
-            break;
-        }
-        handle_events(
-            &mut net,
-            &mut pending,
-            &mut resolved,
-            &mut records,
-            &mut victim_records,
-            &mut sketch,
-            &mut delivered,
-            &mut aborted,
-            &mut duplicate_deliveries,
-            &mut delivered_goodput_bytes,
-            &mut unloaded_of,
-        );
-    }
-
-    let duration = net.now();
-    let trace = net.take_trace();
-    let trace_dropped = net.trace_dropped();
-    let engine_stats = net.engine_stats();
-    let engine_profile = net.engine_profile();
-    let stats = net.harvest_stats();
-    let prio_bytes = net.uplink_bytes_by_prio();
-    let offered_bps = if inject_end.as_nanos() > 0 {
-        injected_bytes as f64 * 8.0 / inject_end.as_secs_f64()
-    } else {
-        0.0
-    };
-    let delivered_bps = if duration.as_nanos() > 0 {
-        delivered_goodput_bytes as f64 * 8.0 / duration.as_secs_f64()
-    } else {
-        0.0
-    };
-
-    OnewayResult {
-        records,
-        victim_records,
-        sketch,
-        injected,
-        delivered,
-        aborted,
-        lost: pending.len() as u64,
-        duplicate_deliveries,
-        stats,
-        wasted_fraction: if samples > 0 { wasted_hits as f64 / samples as f64 } else { f64::NAN },
-        duration,
-        prio_bytes,
-        offered_bps,
-        delivered_bps,
-        trace,
-        trace_dropped,
-        engine_stats,
-        engine_profile,
-    }
+    run.drain(opts.drain);
+    run.finish()
 }
 
-/// Options for [`ScenarioSpec::run_rpc_echo`].
-#[derive(Debug, Clone)]
-pub struct RpcOpts {
-    /// Number of client hosts (the first `clients` host ids); the rest
-    /// are servers.
-    pub clients: u32,
-    /// Drain budget after the last injection.
-    pub drain: SimDuration,
-    /// RPCs at the head of the run excluded from the records.
-    pub warmup: u64,
-}
-
-impl Default for RpcOpts {
-    fn default() -> Self {
-        RpcOpts { clients: 8, drain: SimDuration::from_millis(200), warmup: 0 }
-    }
-}
-
-/// Result of an RPC-echo experiment.
-#[derive(Debug)]
-pub struct RpcResult {
-    /// Per-RPC observations (echo size, issue → response-complete).
-    pub records: Vec<MsgRecord>,
-    /// RPCs issued.
-    pub issued: u64,
-    /// RPCs completed.
-    pub completed: u64,
-    /// RPCs aborted.
-    pub aborted: u64,
-    /// Fabric statistics.
-    pub stats: RunStats,
-    /// Simulated duration.
-    pub duration: SimTime,
-}
-
-/// The §5.1 echo benchmark: each client issues echo RPCs of
-/// workload-sampled sizes to random servers at `spec.load`; servers
-/// return the same payload. Entry point: [`ScenarioSpec::run_rpc_echo`].
-pub(crate) fn rpc_echo<M, T>(
+/// The §5.1 echo benchmark: clients (the first [`RPC_CLIENTS`] hosts)
+/// issue `spec.messages` echo RPCs of workload-sampled sizes to random
+/// servers at `spec.load`; servers return the same payload. Entry point:
+/// [`ScenarioSpec::run_rpc_echo`].
+pub(crate) fn rpc_echo<M: PacketMeta, T: Transport<M>>(
     spec: &ScenarioSpec,
     queues: Option<QueueDiscipline>,
     make: impl FnMut(HostId) -> T,
-    opts: &RpcOpts,
-) -> RpcResult
-where
-    M: PacketMeta,
-    T: Transport<M>,
-{
-    let topo = spec.topology();
+    opts: &OnewayOpts,
+) -> OnewayResult {
+    let mut run = Run::new(spec, queues, make, opts);
+    let topo = run.net.topology();
     let dist = spec.workload.dist();
-    let (load, n_rpcs, seed) = (spec.load, spec.messages, spec.seed);
-    let hosts = topo.num_hosts();
-    assert!(opts.clients < hosts, "need at least one server");
-    let servers = hosts - opts.clients;
+    assert!(RPC_CLIENTS < topo.num_hosts(), "echo RPCs need {RPC_CLIENTS} clients and a server");
+    let servers = topo.num_hosts() - RPC_CLIENTS;
     let plan = LoadPlan {
-        hosts: opts.clients,
+        hosts: RPC_CLIENTS,
         host_link_bps: topo.host_link_bps,
-        load,
+        load: spec.load,
         mean_msg_bytes: dist.mean(),
-        mean_overhead_bytes: LoadPlan::estimate_overhead(&dist, PAYLOAD, OVERHEAD, CTRL, 9_700),
+        mean_overhead_bytes: mean_overhead(&dist),
     };
-    let mut gen = PoissonArrivals::new(
-        seed ^ 0x51ed_2701,
-        dist.clone(),
-        opts.clients.max(2),
-        plan.mean_interarrival_secs(),
-    );
-    let mut net: Network<M, T> = Network::new(topo.clone(), spec.netcfg_with(queues), make);
-    if !spec.faults.is_empty() {
-        net.install_faults(&spec.faults);
-    }
-    let mut rng_srv = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
-
-    let mut pending: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut unloaded_cache: HashMap<u64, u64> = HashMap::new();
-    let mut records = Vec::with_capacity(n_rpcs as usize);
-    let (mut issued, mut completed, mut aborted) = (0u64, 0u64, 0u64);
-
-    let mut process = |net: &mut Network<M, T>,
-                       pending: &mut HashMap<u64, (u64, u64)>,
-                       records: &mut Vec<MsgRecord>,
-                       completed: &mut u64,
-                       aborted: &mut u64| {
-        for (at, host, ev) in net.take_app_events() {
-            match ev {
-                AppEvent::RpcRequestArrived { client, rpc, request_len } => {
-                    // Echo: the response is the request payload.
-                    net.inject_response(host, client, rpc, request_len);
-                }
-                AppEvent::RpcCompleted { tag, response_len, .. } => {
-                    if let Some((size, injected_ns)) = pending.remove(&tag) {
-                        debug_assert_eq!(size, response_len);
-                        *completed += 1;
-                        if tag >= opts.warmup {
-                            let unloaded_ns = *unloaded_cache.entry(size).or_insert_with(|| {
-                                // Echo RPC: request one way, response back.
-                                2 * net
-                                    .topology()
-                                    .unloaded_one_way(size, PAYLOAD, OVERHEAD)
-                                    .as_nanos()
-                            });
-                            records.push(MsgRecord {
-                                size,
-                                injected_ns,
-                                completed_ns: at.as_nanos(),
-                                unloaded_ns,
-                                delay: Default::default(),
-                            });
-                        }
-                    }
-                }
-                AppEvent::Aborted { tag, .. } => {
-                    if pending.remove(&tag).is_some() {
-                        *aborted += 1;
-                    }
-                }
-                AppEvent::MessageDelivered { .. } => {}
-            }
-        }
-    };
-
-    while issued < n_rpcs {
-        let arrival = gen.next_arrival();
-        let at = SimTime::from_nanos(arrival.at_ns);
-        net.run_until(at);
-        process(&mut net, &mut pending, &mut records, &mut completed, &mut aborted);
-        // Random client issues to a random server.
+    let gap = plan.mean_interarrival_secs();
+    let mut gen = PoissonArrivals::new(spec.seed ^ 0x51ed_2701, dist, RPC_CLIENTS, gap);
+    let mut rng_srv = spec.seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
+    for _ in 0..spec.messages {
+        let a = gen.next_arrival();
+        run.advance(SimTime::from_nanos(a.at_ns));
+        // The arrival's source is the client; the server is drawn apart.
         rng_srv = rng_srv.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let client = HostId(arrival.src % opts.clients);
-        let server = HostId(opts.clients + ((rng_srv >> 33) as u32 % servers));
-        let tag = issued;
-        net.inject_rpc(client, server, arrival.size, tag);
-        pending.insert(tag, (arrival.size, at.as_nanos()));
-        issued += 1;
+        let server = HostId(RPC_CLIENTS + ((rng_srv >> 33) as u32 % servers));
+        run.inject_rpc(HostId(a.src), server, a.size);
     }
-    let deadline = net.now() + opts.drain;
-    while !pending.is_empty() && net.now() < deadline {
-        if net.run_next_before(deadline).is_none() {
-            break;
-        }
-        process(&mut net, &mut pending, &mut records, &mut completed, &mut aborted);
-    }
-
-    let stats = net.harvest_stats();
-    RpcResult { records, issued, completed, aborted, stats, duration: net.now() }
+    run.drain(opts.drain);
+    run.finish()
 }
 
-/// Options for [`ScenarioSpec::run_incast`].
-#[derive(Debug, Clone)]
-pub struct IncastOpts {
-    /// Response size in bytes (the paper's Figure 10 uses 10 KB).
-    pub resp_len: u64,
-    /// Number of rounds to repeat the fan-in.
-    pub rounds: u32,
-    /// Simulated-time budget per round before outstanding RPCs are
-    /// written off as aborted.
-    pub per_round_timeout: SimDuration,
-}
-
-impl Default for IncastOpts {
-    fn default() -> Self {
-        IncastOpts { resp_len: 10_000, rounds: 3, per_round_timeout: SimDuration::from_millis(500) }
-    }
-}
-
-/// Result of one incast configuration (Figure 10).
-#[derive(Debug, Clone)]
-pub struct IncastResult {
-    /// Number of concurrent RPCs per round.
-    pub concurrent: u64,
-    /// Aggregate response goodput in bits/sec.
-    pub throughput_bps: f64,
-    /// RPCs that had to be aborted.
-    pub aborted: u64,
-    /// Packet drops observed in the fabric.
-    pub drops: u64,
-    /// Full fabric statistics.
-    pub stats: RunStats,
-}
-
-/// Figure 10: a single client issues `spec.messages` RPCs in parallel
-/// (round-robin over the other hosts); each response is
-/// `opts.resp_len` bytes. Repeats for `opts.rounds` rounds and reports
-/// aggregate throughput. Entry point: [`ScenarioSpec::run_incast`].
+/// Figure 10: host 0 issues `spec.messages` RPCs in parallel (round-robin
+/// over the other hosts), each answered with [`INCAST_RESP_LEN`] bytes,
+/// for [`INCAST_ROUNDS`] rounds; `delivered_bps` is the aggregate
+/// response goodput. Entry point: [`ScenarioSpec::run_incast`].
 ///
-/// Contract (pinned by tests): the spec's `faults` are installed on the
-/// fabric like the other two drivers; `traffic` must be the default
-/// (the fan-in *is* the traffic pattern) and `load` must be `0.0` (the
-/// run is closed-loop) — non-conforming specs are rejected loudly
-/// rather than silently ignored.
-pub(crate) fn incast<M, T>(
+/// A spec with a non-default `traffic` or a nonzero `load` is rejected
+/// loudly rather than silently ignored (pinned by tests).
+pub(crate) fn incast<M: PacketMeta, T: Transport<M>>(
     spec: &ScenarioSpec,
     queues: Option<QueueDiscipline>,
     make: impl FnMut(HostId) -> T,
-    opts: &IncastOpts,
-) -> IncastResult
-where
-    M: PacketMeta,
-    T: Transport<M>,
-{
+    opts: &OnewayOpts,
+) -> OnewayResult {
     assert!(
         spec.traffic.is_default(),
         "incast scenario '{}': the rotational fan-in is the traffic pattern; \
@@ -661,62 +512,28 @@ where
          so `load` has no effect — set it to 0.0",
         spec.name
     );
-    let topo = spec.topology();
     let concurrent = spec.messages;
-    let hosts = topo.num_hosts();
-    let mut net: Network<M, T> = Network::new(topo.clone(), spec.netcfg_with(queues), make);
-    if !spec.faults.is_empty() {
-        net.install_faults(&spec.faults);
-    }
+    let mut run = Run::new(spec, queues, make, opts);
+    run.resp_len = Some(INCAST_RESP_LEN);
+    let hosts = run.net.topology().num_hosts();
     let client = HostId(0);
-    let mut tag = 0u64;
-    let mut delivered_bytes = 0u64;
-    let mut aborted = 0u64;
-    let start = net.now();
-    for _ in 0..opts.rounds {
+    for _ in 0..INCAST_ROUNDS {
         // The response fan-in is exactly the incast traffic pattern: the
         // matrix's (sender, 0) pairs name each round's servers (responses
         // converge on host 0, the client).
         let mut fan_in = TrafficMatrix::incast(concurrent.min(u32::MAX as u64) as u32, hosts);
-        let mut outstanding = std::collections::HashSet::new();
         for _ in 0..concurrent {
             let (server, to) = fan_in.draw_rotational();
             debug_assert_eq!(to, client.0, "incast matrix must target the client");
-            net.inject_rpc(client, HostId(server), 100, tag);
-            outstanding.insert(tag);
-            tag += 1;
+            run.inject_rpc(client, HostId(server), INCAST_REQ_LEN);
         }
-        let deadline = net.now() + opts.per_round_timeout;
-        while !outstanding.is_empty() && net.now() < deadline {
-            if net.run_next_before(deadline).is_none() {
-                break;
-            }
-            for (_, host, ev) in net.take_app_events() {
-                match ev {
-                    AppEvent::RpcRequestArrived { client, rpc, .. } => {
-                        net.inject_response(host, client, rpc, opts.resp_len);
-                    }
-                    AppEvent::RpcCompleted { tag, .. } if outstanding.remove(&tag) => {
-                        delivered_bytes += opts.resp_len;
-                    }
-                    AppEvent::Aborted { tag, .. } if outstanding.remove(&tag) => {
-                        aborted += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        aborted += outstanding.len() as u64;
+        run.drain(INCAST_ROUND_TIMEOUT);
+        // Write the round's stragglers off as aborted. Their tags stay
+        // unresolved, so a late completion is ignored, not a duplicate.
+        run.out.aborted += run.pending.len() as u64;
+        run.pending.clear();
     }
-    let elapsed = (net.now() - start).as_secs_f64();
-    let stats = net.harvest_stats();
-    IncastResult {
-        concurrent,
-        throughput_bps: if elapsed > 0.0 { delivered_bytes as f64 * 8.0 / elapsed } else { 0.0 },
-        aborted,
-        drops: stats.total_drops(),
-        stats,
-    }
+    run.finish()
 }
 
 #[cfg(test)]
@@ -799,9 +616,10 @@ mod tests {
             300,
             3,
         );
-        let res = spec.run_rpc_echo(None, homa, &RpcOpts::default());
-        assert_eq!(res.issued, 300);
-        assert_eq!(res.completed, 300);
+        let res = spec.run_rpc_echo(None, homa, &OnewayOpts::default().with_records());
+        assert_eq!(res.injected, 300);
+        assert_eq!(res.delivered, 300);
+        assert_eq!(res.records.len(), 300);
         for r in &res.records {
             assert!(r.slowdown() > 0.9);
         }
@@ -830,87 +648,78 @@ mod tests {
         }
     }
 
+    /// Recorded at the parent of the run-core refactor (three rounds,
+    /// 500 ms write-off, 10 KB responses, seed 42, 16-host switch):
+    /// `(concurrent, incast_threshold, events, drops, delivered_bps bits)`.
+    /// Without control the 256-wide fan-in overruns the switch.
     #[test]
-    fn oneway_under_link_flap_recovers() {
-        use homa_sim::{FaultPlan, LinkId};
-        // Flap host 1's downlink four times during the run. Messages
-        // that kept at least one surviving packet are recovered by
-        // RESEND; only wholly-dropped one-way messages may be lost
-        // (fire-and-forget), and every message must be accounted for.
-        let spec = ScenarioSpec::new(
-            "flap",
-            FabricSpec::SingleSwitch { hosts: 8 },
-            Workload::W3,
-            0.5,
-            600,
-            3,
-        )
-        .with_faults(FaultPlan::new().link_flaps(
-            LinkId::HostDownlink(HostId(1)),
-            100_000,
-            150_000,
-            400_000,
-            4,
-        ));
-        let res = spec.run_oneway(None, homa, &OnewayOpts::default());
-        assert_eq!(res.injected, 600);
-        assert_eq!(res.stats.faults_applied, 8);
-        assert_eq!(
-            res.delivered + res.aborted + res.lost,
-            600,
-            "messages unaccounted for: {} delivered, {} aborted, {} lost",
-            res.delivered,
-            res.aborted,
-            res.lost
-        );
-        assert_eq!(res.duplicate_deliveries, 0);
-        assert!(res.stats.fault_drops > 0, "flaps never bit");
-        assert!(res.delivered >= 500, "flap recovery too lossy: {}", res.delivered);
+    fn incast_numerics_are_pinned() {
+        for (n, threshold, events, drops, bps_bits) in [
+            (64u64, 32u32, 8_280u64, 0u64, 0x4201_4fdc_98dd_7126u64),
+            (64, u32::MAX, 8_280, 0, 0x4201_02dd_1955_9c69),
+            (256, 32, 31_624, 0, 0x4201_a7db_da3c_0462),
+            (256, u32::MAX, 46_632, 2_829, 0x41d8_e542_868b_f8fb),
+        ] {
+            let cfg = HomaConfig { incast_threshold: threshold, ..HomaConfig::default() };
+            let spec = ScenarioSpec::incast("pin", FabricSpec::SingleSwitch { hosts: 16 }, n, 42);
+            let res = spec.run_incast(
+                None,
+                |h| HomaSimTransport::new(h, cfg.clone()),
+                &OnewayOpts::default(),
+            );
+            let case = format!("{n}-wide, threshold {threshold}");
+            assert_eq!(res.stats.events_processed, events, "{case}");
+            assert_eq!((res.injected, res.delivered, res.aborted), (3 * n, 3 * n, 0), "{case}");
+            assert_eq!(res.stats.total_drops(), drops, "{case}");
+            assert_eq!(res.delivered_bps.to_bits(), bps_bits, "{case}: {}", res.delivered_bps);
+        }
     }
 
     #[test]
-    fn incast_round_completes() {
-        let spec = ScenarioSpec::incast("inc64", FabricSpec::SingleSwitch { hosts: 16 }, 64, 7);
-        let res = spec.run_incast(
-            None,
-            homa,
-            &IncastOpts {
-                rounds: 2,
-                per_round_timeout: SimDuration::from_millis(100),
-                ..IncastOpts::default()
-            },
-        );
-        assert_eq!(res.aborted, 0, "64-wide incast survives with control");
-        assert!(res.throughput_bps > 1e9, "throughput {}", res.throughput_bps);
-    }
-
-    #[test]
-    fn incast_installs_spec_faults() {
+    fn all_shapes_conserve_messages_under_a_flap() {
         use homa_sim::{FaultPlan, LinkId};
-        // The satellite contract: an incast spec's fault schedule is
-        // installed on the fabric, not silently dropped. The client's
-        // downlink flap must show up in the fault counters and bite.
-        let spec = ScenarioSpec::incast("inc_flap", FabricSpec::SingleSwitch { hosts: 16 }, 64, 7)
-            .with_faults(FaultPlan::new().link_flaps(
+        type Shape = fn(&ScenarioSpec, &OnewayOpts) -> OnewayResult;
+        let cluster = FabricSpec::SingleSwitch { hosts: 16 };
+        let open = |name| ScenarioSpec::new(name, cluster, Workload::W3, 0.5, 400, 3);
+        let rows: [(ScenarioSpec, Shape, u64); 3] = [
+            (open("oneway"), |s, o| s.run_oneway(None, homa, o), 400),
+            (open("rpc"), |s, o| s.run_rpc_echo(None, homa, o), 400),
+            (
+                ScenarioSpec::incast("incast", cluster, 64, 3),
+                |s, o| s.run_incast(None, homa, o),
+                3 * 64,
+            ),
+        ];
+        for (spec, shape, injected) in rows {
+            // Flap host 0's downlink twice during the run: host 0 is the
+            // incast client and an echo client, so every shape sends it
+            // payload the flap cuts. Whatever kept a surviving packet is
+            // recovered by RESEND; a wholly-dropped one-way message may be
+            // lost (fire-and-forget); every message must be accounted for.
+            let spec = spec.with_faults(FaultPlan::new().link_flaps(
                 LinkId::HostDownlink(HostId(0)),
                 20_000,
                 60_000,
                 200_000,
                 2,
             ));
-        let res = spec.run_incast(
-            None,
-            homa,
-            &IncastOpts {
-                rounds: 2,
-                per_round_timeout: SimDuration::from_millis(100),
-                ..IncastOpts::default()
-            },
-        );
-        assert_eq!(res.stats.faults_applied, 4, "fault schedule not installed");
-        assert!(res.stats.fault_drops > 0, "client downlink flap never bit");
-        // The faulted run must still make progress once the link is back.
-        assert!(res.throughput_bps > 0.0);
+            let res = shape(&spec, &OnewayOpts::default());
+            let name = &spec.name;
+            assert_eq!(res.injected, injected, "{name}");
+            assert_eq!(
+                res.delivered + res.aborted + res.lost,
+                injected,
+                "{name}: {} delivered, {} aborted, {} lost",
+                res.delivered,
+                res.aborted,
+                res.lost
+            );
+            assert_eq!(res.stats.faults_applied, 4, "{name}: fault schedule not installed");
+            assert!(res.stats.fault_drops > 0, "{name}: flap never bit");
+            assert_eq!(res.duplicate_deliveries, 0, "{name}");
+            assert!(res.delivered >= injected * 5 / 6, "{name}: too lossy: {}", res.delivered);
+            assert_eq!(res.sketch.count(), res.delivered, "{name}");
+        }
     }
 
     #[test]
@@ -918,7 +727,7 @@ mod tests {
     fn incast_rejects_non_default_traffic() {
         let spec = ScenarioSpec::incast("bad", FabricSpec::SingleSwitch { hosts: 8 }, 16, 1)
             .with_traffic(TrafficSpec::shuffle());
-        spec.run_incast(None, homa, &IncastOpts::default());
+        spec.run_incast(None, homa, &OnewayOpts::default());
     }
 
     #[test]
@@ -932,6 +741,6 @@ mod tests {
             16,
             1,
         );
-        spec.run_incast(None, homa, &IncastOpts::default());
+        spec.run_incast(None, homa, &OnewayOpts::default());
     }
 }

@@ -5,18 +5,21 @@
 //! the [`ScenarioSpec`]: build one (fabric shape, workload, load, seed,
 //! event engine, traffic overlay, fault plan), then call
 //! [`ScenarioSpec::run_oneway`], [`ScenarioSpec::run_rpc_echo`] or
-//! [`ScenarioSpec::run_incast`] on it. Every run is a pure function of
-//! its spec, and every spec serializes to a one-line replay string via
+//! [`ScenarioSpec::run_incast`] on it — three arrival shapes over one
+//! run core, all taking [`OnewayOpts`] (six measurement knobs) and
+//! returning [`OnewayResult`]. Every run is a pure function of its
+//! spec, and every spec serializes to a one-line replay string via
 //! [`ScenarioSpec::to_spec_line`].
 //!
 //! * [`scenario`] — declarative [`ScenarioSpec`]s and their run methods;
 //!   the vocabulary of the `perf-smoke` CI gate, the determinism tests
 //!   and the fuzz suites.
-//! * [`driver`] — the open-loop experiment loops behind the spec run
-//!   methods (one-way messages for the §5.2 simulations, echo RPCs for
-//!   the §5.1 implementation measurements, incast rounds for Figure 10),
-//!   workload injection, wasted-bandwidth sampling, delay attribution
-//!   and delivery accounting.
+//! * [`driver`] — the run core behind the spec run methods (one event
+//!   pump, one drain loop, one result: delivery accounting,
+//!   wasted-bandwidth sampling, delay attribution) and the three arrival
+//!   shapes that feed it: Poisson one-way messages for the §5.2
+//!   simulations, Poisson echo RPCs for the §5.1 implementation
+//!   measurements, closed-loop incast rounds for Figure 10.
 //! * [`spec_line`] — the canonical `key=value` text encoding of a spec
 //!   (`format ∘ parse` identity), so any run — including a shrunk fuzz
 //!   failure — is replayable from a pasted line.
@@ -60,7 +63,7 @@ pub mod spec_line;
 pub use capacity::{
     max_sustainable_load, max_sustainable_load_with, CapacityProbe, CapacitySearch,
 };
-pub use driver::{IncastOpts, IncastResult, OnewayOpts, OnewayResult, RpcOpts, RpcResult};
+pub use driver::{OnewayOpts, OnewayResult};
 pub use figures::{compare_curves, CurveDelta, MeasuredPoint, PointDelta, RefCurve};
 pub use fuzzing::stateful::{parse_ops_line, shrink_ops_to_minimal, OpTrace};
 pub use fuzzing::{

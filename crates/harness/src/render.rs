@@ -1,8 +1,7 @@
 //! Plain-text rendering of experiment outputs.
 //!
 //! The `repro` binary prints figures as aligned text tables (one row per
-//! size bin / sweep point), which is what `EXPERIMENTS.md` records. A CSV
-//! sibling is emitted for plotting.
+//! size bin / sweep point), which is what `EXPERIMENTS.md` records.
 
 use crate::figures::CurveDelta;
 use crate::slowdown::SlowdownSummary;
@@ -22,28 +21,6 @@ pub fn slowdown_table(label: &str, s: &SlowdownSummary) -> String {
         ));
     }
     out.push_str(&format!("overall: p50 {:.2}  p99 {:.2}\n", s.overall_p50, s.overall_p99));
-    out
-}
-
-/// Render a slowdown summary as CSV (`min_size,max_size,count,p50,p99`).
-pub fn slowdown_csv(s: &SlowdownSummary) -> String {
-    let mut out = String::from("min_size,max_size,count,p50,p99,mean\n");
-    for b in &s.bins {
-        out.push_str(&format!(
-            "{},{},{},{:.4},{:.4},{:.4}\n",
-            b.min_size, b.max_size, b.count, b.p50, b.p99, b.mean
-        ));
-    }
-    out
-}
-
-/// A simple aligned key/value series (sweep outputs).
-pub fn series_table(label: &str, header: (&str, &str), rows: &[(String, String)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{label}\n{:>16} {:>16}\n", header.0, header.1));
-    for (k, v) in rows {
-        out.push_str(&format!("{k:>16} {v:>16}\n"));
-    }
     out
 }
 
@@ -159,8 +136,6 @@ mod tests {
         let t = slowdown_table("fig-test", &s);
         assert!(t.contains("fig-test"));
         assert!(t.contains("overall"));
-        let c = slowdown_csv(&s);
-        assert_eq!(c.lines().count(), 5);
     }
 
     #[test]

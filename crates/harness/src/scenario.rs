@@ -5,14 +5,17 @@
 //! engine, traffic pattern, fault schedule — in one value, and is the
 //! *only* way to start an experiment: [`ScenarioSpec::run_oneway`],
 //! [`ScenarioSpec::run_rpc_echo`] and [`ScenarioSpec::run_incast`] are
-//! the three drivers. The `perf-smoke` CI gate, the determinism tests,
+//! three arrival shapes over one run core ([`crate::driver`]), sharing
+//! one options type ([`OnewayOpts`]: `sample_wasted`, `track_delay`,
+//! `drain`, `keep_records`, `trace`, `trace_cap`) and one result type
+//! ([`OnewayResult`]). The `perf-smoke` CI gate, the determinism tests,
 //! the fuzzers and the nightly long-haul matrix all describe their runs
 //! this way, so "the 100-host W4 run at 80% load with seed 42" is a
 //! value that can be logged, compared, fuzzed, shrunk and replayed
 //! exactly — including from its one-line text form
 //! ([`ScenarioSpec::to_spec_line`] / [`ScenarioSpec::parse_spec_line`]).
 
-use crate::driver::{self, IncastOpts, IncastResult, OnewayOpts, OnewayResult, RpcOpts, RpcResult};
+use crate::driver::{self, OnewayOpts, OnewayResult};
 use homa_sim::{
     EngineKind, FaultPlan, HostId, NetworkConfig, PacketMeta, QueueDiscipline, Topology, Transport,
 };
@@ -133,7 +136,8 @@ impl ScenarioSpec {
     /// An incast spec: `concurrent` parallel RPCs per round converging on
     /// host 0. Incast is closed-loop, so `load` is fixed at `0.0` and the
     /// workload field is an unused placeholder ([`Workload::W4`]) — the
-    /// response size lives in [`IncastOpts::resp_len`].
+    /// Figure 10 shape (10 KB responses, three rounds) is fixed in
+    /// [`crate::driver`].
     pub fn incast(name: impl Into<String>, fabric: FabricSpec, concurrent: u64, seed: u64) -> Self {
         ScenarioSpec::new(name, fabric, Workload::W4, 0.0, concurrent, seed)
     }
@@ -165,18 +169,6 @@ impl ScenarioSpec {
     /// The same scenario with a different message budget (shrinking).
     pub fn with_messages(mut self, messages: u64) -> Self {
         self.messages = messages;
-        self
-    }
-
-    /// The same scenario under a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The same scenario under a different name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
         self
     }
 
@@ -219,14 +211,16 @@ impl ScenarioSpec {
         driver::oneway(self, queues, make, opts)
     }
 
-    /// Run the §5.1 echo-RPC experiment this spec describes;
-    /// `self.messages` is the RPC budget.
+    /// Run the §5.1 echo-RPC experiment this spec describes:
+    /// `self.messages` echo RPCs from the first 8 hosts to the rest (so
+    /// the fabric needs at least 9). In the result a "message" is a whole
+    /// RPC, sized by its echoed payload.
     pub fn run_rpc_echo<M, T>(
         &self,
         queues: Option<QueueDiscipline>,
         make: impl FnMut(HostId) -> T,
-        opts: &RpcOpts,
-    ) -> RpcResult
+        opts: &OnewayOpts,
+    ) -> OnewayResult
     where
         M: PacketMeta,
         T: Transport<M>,
@@ -234,17 +228,20 @@ impl ScenarioSpec {
         driver::rpc_echo(self, queues, make, opts)
     }
 
-    /// Run the Figure 10 incast this spec describes: `self.messages`
-    /// concurrent RPCs per round converging on host 0. Requires an
+    /// Run the Figure 10 incast this spec describes: three rounds of
+    /// `self.messages` concurrent RPCs from host 0, each answered with
+    /// 10 KB; RPCs still out 500 ms into a round count as aborted, and
+    /// `delivered_bps` is the aggregate response goodput. Requires an
     /// incast-shaped spec (default traffic, zero load — see
     /// [`ScenarioSpec::incast`]); the fault schedule is installed like
-    /// the other drivers'.
+    /// the other shapes'. `opts.drain` and `opts.sample_wasted` do not
+    /// apply to a closed-loop run.
     pub fn run_incast<M, T>(
         &self,
         queues: Option<QueueDiscipline>,
         make: impl FnMut(HostId) -> T,
-        opts: &IncastOpts,
-    ) -> IncastResult
+        opts: &OnewayOpts,
+    ) -> OnewayResult
     where
         M: PacketMeta,
         T: Transport<M>,

@@ -36,8 +36,7 @@
 //!
 //! Events are scheduled with a [`LaneId`] naming the fabric node whose
 //! state their dispatch touches. The calendar itself is global, so the
-//! lane orders nothing: it is range-checked at the call site and, under
-//! the `engine-profile` cargo feature, counted per lane.
+//! lane orders nothing: it is range-checked at the call site.
 //!
 //! Because both engines order by the same globally-assigned
 //! `(time, seq)` key, a simulation pops the *bit-identical* event
@@ -57,7 +56,7 @@ pub struct TimerToken(pub u64);
 /// Identifies one event lane of a [`HierEventQueue`]. Lanes are dense
 /// indices assigned by whoever builds the engine (the network maps hosts,
 /// TORs and spines to consecutive lanes). The engine range-checks the
-/// tag and, under `engine-profile`, counts insertions per lane.
+/// tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LaneId(pub u32);
 
@@ -218,13 +217,6 @@ pub struct HierEventQueue<E> {
     /// between visits. `usize::MAX` until the first report, so nothing
     /// trims before an occupancy baseline exists.
     bucket_trim_target: usize,
-    /// Wall nanoseconds spent in epoch-merge sorts (the engine's
-    /// dominant cost at scale). Only written under `engine-profile`.
-    #[cfg(feature = "engine-profile")]
-    sort_ns: u64,
-    /// Events inserted per lane. Only under `engine-profile`.
-    #[cfg(feature = "engine-profile")]
-    lane_scheduled: Vec<u64>,
 }
 
 impl<E> HierEventQueue<E> {
@@ -255,10 +247,6 @@ impl<E> HierEventQueue<E> {
             stats: EngineStats { lanes, bucket_width_ns: 1 << shift, ..EngineStats::default() },
             bucket_hw: crate::arena::HighWater::default(),
             bucket_trim_target: usize::MAX,
-            #[cfg(feature = "engine-profile")]
-            sort_ns: 0,
-            #[cfg(feature = "engine-profile")]
-            lane_scheduled: vec![0; lanes as usize],
         }
     }
 
@@ -278,10 +266,6 @@ impl<E> HierEventQueue<E> {
             lane.0,
             self.stats.lanes
         );
-        #[cfg(feature = "engine-profile")]
-        {
-            self.lane_scheduled[lane.0 as usize] += 1;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = Entry { at, seq, payload };
@@ -369,13 +353,7 @@ impl<E> HierEventQueue<E> {
             }
             // The bucket-synchronized merge: one sort per epoch, then
             // every pop within the epoch is O(1) off the back.
-            #[cfg(feature = "engine-profile")]
-            let t0 = std::time::Instant::now();
             self.current.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-            #[cfg(feature = "engine-profile")]
-            {
-                self.sort_ns += t0.elapsed().as_nanos() as u64;
-            }
             self.stats.epochs_merged += 1;
             self.stats.max_epoch_events =
                 self.stats.max_epoch_events.max(self.current.len() as u64);
@@ -459,32 +437,6 @@ impl<E> HierEventQueue<E> {
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
-
-    /// Wall nanoseconds spent sorting epoch buckets; always 0 without
-    /// the `engine-profile` cargo feature.
-    pub fn epoch_sort_ns(&self) -> u64 {
-        #[cfg(feature = "engine-profile")]
-        {
-            self.sort_ns
-        }
-        #[cfg(not(feature = "engine-profile"))]
-        {
-            0
-        }
-    }
-
-    /// Events inserted per lane over the engine's lifetime. `None`
-    /// without the `engine-profile` cargo feature.
-    pub fn lane_occupancy(&self) -> Option<&[u64]> {
-        #[cfg(feature = "engine-profile")]
-        {
-            Some(&self.lane_scheduled)
-        }
-        #[cfg(not(feature = "engine-profile"))]
-        {
-            None
-        }
-    }
 }
 
 /// Which event engine a [`crate::Network`] runs on. Both dispatch the
@@ -556,14 +508,6 @@ impl<E> EventEngine<E> {
         }
     }
 
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            EventEngine::Hierarchical(q) => q.peek_time(),
-            EventEngine::Legacy(q) => q.peek_time(),
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match self {
@@ -583,24 +527,6 @@ impl<E> EventEngine<E> {
         match self {
             EventEngine::Hierarchical(q) => q.stats(),
             EventEngine::Legacy(_) => EngineStats { lanes: 1, ..EngineStats::default() },
-        }
-    }
-
-    /// Wall nanoseconds spent sorting epoch buckets (0 on the legacy
-    /// heap, or without the `engine-profile` cargo feature).
-    pub fn epoch_sort_ns(&self) -> u64 {
-        match self {
-            EventEngine::Hierarchical(q) => q.epoch_sort_ns(),
-            EventEngine::Legacy(_) => 0,
-        }
-    }
-
-    /// Per-lane inserted-event counters (`None` on the legacy heap or
-    /// without the `engine-profile` cargo feature).
-    pub fn lane_occupancy(&self) -> Option<&[u64]> {
-        match self {
-            EventEngine::Hierarchical(q) => q.lane_occupancy(),
-            EventEngine::Legacy(_) => None,
         }
     }
 }

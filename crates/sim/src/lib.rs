@@ -71,7 +71,7 @@ pub use events::{
     EngineKind, EngineStats, EventEngine, EventQueue, HierEventQueue, LaneId, TimerToken,
 };
 pub use faults::{Fault, FaultPlan, FaultSpec, LinkId};
-pub use network::{EngineProfile, Network, NetworkConfig, StepOutput};
+pub use network::{Network, NetworkConfig, StepOutput};
 pub use packet::{CtrlKind, Packet, PacketMeta};
 pub use queues::{EcnConfig, QueueDiscipline, QueueKind};
 pub use stats::{GrantStats, PortClass, PortStats, QuantileSketch, RunStats, StreamingStats};

@@ -695,23 +695,6 @@ pub struct StepOutput {
     pub events: u64,
 }
 
-/// Wall-clock profile of the dispatch loop, collected only with the
-/// `engine-profile` cargo feature (all fields stay zero otherwise).
-/// Times come from the host's monotonic clock — they are **not**
-/// deterministic and exist to find engine bottlenecks, never to produce
-/// results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineProfile {
-    /// `run_until` / `run_to_quiescence` calls that dispatched at least
-    /// one event and were timed.
-    pub samples: u64,
-    /// Nanoseconds inside those calls' dispatch loops.
-    pub dispatch_ns: u64,
-    /// Nanoseconds the calendar engine spent sorting epoch buckets (the
-    /// engine's dominant cost at scale; zero on the legacy heap).
-    pub epoch_sort_ns: u64,
-}
-
 /// The simulated network: fabric plus one transport per host.
 pub struct Network<M: PacketMeta, T: Transport<M>> {
     topo: Topology,
@@ -727,8 +710,6 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     /// `None` costs at most one branch per guarded emit site; without
     /// the `trace` feature the sites are compiled out entirely.
     tracer: Option<FlightRecorder>,
-    /// Dispatch-loop wall times (only written under `engine-profile`).
-    profile: EngineProfile,
 }
 
 impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
@@ -874,7 +855,6 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             app_events: Vec::new(),
             events_processed: 0,
             tracer: None,
-            profile: EngineProfile::default(),
         }
     }
 
@@ -889,12 +869,6 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         self.tracer = Some(FlightRecorder::new(cap));
     }
 
-    /// Whether a flight recorder is installed *and* the `trace` feature
-    /// is compiled in.
-    pub fn trace_enabled(&self) -> bool {
-        cfg!(feature = "trace") && self.tracer.is_some()
-    }
-
     /// Drain the recorded trace, in emission order (global `(time,
     /// seq)` dispatch order). Empty when tracing is off.
     pub fn take_trace(&mut self) -> Vec<TraceRecord> {
@@ -904,14 +878,6 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// Oldest trace records evicted because the recorder's ring filled.
     pub fn trace_dropped(&self) -> u64 {
         self.tracer.as_ref().map_or(0, FlightRecorder::dropped)
-    }
-
-    /// Wall-clock dispatch-loop profile. All zeros unless the
-    /// `engine-profile` cargo feature is enabled.
-    pub fn engine_profile(&self) -> EngineProfile {
-        let mut p = self.profile;
-        p.epoch_sort_ns = self.queue.epoch_sort_ns();
-        p
     }
 
     /// Current simulated time.
@@ -1011,38 +977,16 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// Process all events up to and including time `t`, then advance the
     /// clock to `t`.
     pub fn run_until(&mut self, t: SimTime) -> StepOutput {
-        let out = self.drive_events(t);
-        if t > self.now {
-            self.now = t;
-        }
-        out
-    }
-
-    /// Run until the event queue drains completely (use with care on open
-    /// workloads) or `limit` is reached. Unlike
-    /// [`run_until`](Self::run_until), the clock is left at the last
-    /// dispatched event rather than advanced to `limit`.
-    pub fn run_to_quiescence(&mut self, limit: SimTime) -> StepOutput {
-        self.drive_events(limit)
-    }
-
-    /// Dispatch every event at or before `limit` — the one loop
-    /// `run_until` and `run_to_quiescence` share.
-    fn drive_events(&mut self, limit: SimTime) -> StepOutput {
         let mut out = StepOutput::default();
-        #[cfg(feature = "engine-profile")]
-        let t0 = std::time::Instant::now();
-        while let Some((at, ev)) = self.queue.pop_if_before(limit) {
+        while let Some((at, ev)) = self.queue.pop_if_before(t) {
             debug_assert!(at >= self.now, "event in the past");
             self.now = at;
             self.dispatch(ev);
             out.events += 1;
             self.events_processed += 1;
         }
-        #[cfg(feature = "engine-profile")]
-        if out.events > 0 {
-            self.profile.samples += 1;
-            self.profile.dispatch_ns += t0.elapsed().as_nanos() as u64;
+        if t > self.now {
+            self.now = t;
         }
         out
     }
@@ -1050,10 +994,9 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// Process the next pending event *batch* — every event at the
     /// earliest pending timestamp at or before `limit`, plus anything
     /// dispatched there that lands at the same instant — and return that
-    /// timestamp (`now` afterwards). One queue probe replaces the
-    /// `next_event_time`-then-`run_until` pair the experiment drivers
-    /// used to do; returns `None` (leaving `now` untouched) when nothing
-    /// is pending at or before `limit`.
+    /// timestamp (`now` afterwards), with a single queue probe. Returns
+    /// `None` (leaving `now` untouched) when nothing is pending at or
+    /// before `limit`.
     pub fn run_next_before(&mut self, limit: SimTime) -> Option<SimTime> {
         let (at, ev) = self.queue.pop_if_before(limit)?;
         self.now = at;
@@ -1066,11 +1009,6 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         }
         self.now = at;
         Some(at)
-    }
-
-    /// Time of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
     }
 
     /// Total events processed since construction.
@@ -1095,19 +1033,6 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         let p = self.topo.index_in_rack(h) as usize;
         let port = &self.racks[r].tor.ports[p];
         !port.busy() && port.queue.is_empty()
-    }
-
-    /// True when host `h`'s uplink is currently serializing a packet.
-    pub fn uplink_busy(&self, h: HostId) -> bool {
-        let rack = &self.racks[self.topo.rack_of(h) as usize];
-        rack.host_ports[self.topo.index_in_rack(h) as usize].busy()
-    }
-
-    /// Utilization of host `h`'s TOR→host downlink so far.
-    pub fn downlink_utilization(&self, h: HostId) -> f64 {
-        let r = self.topo.rack_of(h) as usize;
-        let p = self.topo.index_in_rack(h) as usize;
-        self.racks[r].tor.ports[p].stats.utilization(self.now)
     }
 
     /// Total wire bytes transmitted on host uplinks per priority level

@@ -188,11 +188,6 @@ impl RunStats {
         self.queue_maxes.iter().find(|(c, _)| *c == class).map(|&(_, m)| m)
     }
 
-    /// Total drops for a class.
-    pub fn drops_for(&self, class: PortClass) -> u64 {
-        self.drops.iter().find(|(c, _)| *c == class).map(|&(_, d)| d).unwrap_or(0)
-    }
-
     /// Total drops across all classes.
     pub fn total_drops(&self) -> u64 {
         self.drops.iter().map(|&(_, d)| d).sum()

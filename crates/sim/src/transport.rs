@@ -110,11 +110,6 @@ impl TransportActions {
         &self.events
     }
 
-    /// Whether a transmit poll has been requested.
-    pub fn wants_tx(&self) -> bool {
-        self.tx_kick
-    }
-
     /// Fabric side: drain scheduled timers.
     pub(crate) fn drain_timers(&mut self) -> std::vec::Drain<'_, (SimTime, TimerToken)> {
         self.timers.drain(..)

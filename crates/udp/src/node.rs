@@ -126,6 +126,11 @@ pub fn priority_to_dscp(prio: u8) -> u8 {
     (prio.min(7)) << 3
 }
 
+/// Largest message a peer may announce, in bytes. A DATA header is a
+/// peer's claim, not a fact, and the reassembly buffer is allocated from
+/// it; 64 MiB clears every workload's largest message (W5: 28.84 MB).
+const MAX_MSG_LEN: u64 = 64 << 20;
+
 /// A receive-side packet filter (test hook for loss injection).
 type RxDropFilter = Box<dyn FnMut(&HomaPacket) -> bool + Send>;
 
@@ -363,9 +368,17 @@ impl HomaUdpNode {
         // Stash payload bytes into the reassembly buffer before the
         // endpoint consumes the header.
         if let HomaPacket::Data(h) = &pkt {
+            // The header is the peer's claim: drop a packet whose span
+            // overflows or overruns the message it announces, or that
+            // announces more than the cap, before anything is allocated
+            // or indexed from it.
+            let span_end = h.offset.checked_add(u64::from(h.payload));
+            let Some(end) = span_end.filter(|&e| e <= h.msg_len && h.msg_len <= MAX_MSG_LEN) else {
+                return;
+            };
             let buf = s.in_buffers.entry(h.key).or_insert_with(|| vec![0u8; h.msg_len as usize]);
             let start = (h.offset as usize).min(buf.len());
-            let end = (h.offset as usize + h.payload as usize).min(buf.len());
+            let end = (end as usize).min(buf.len());
             let avail = &dgram[payload_off..payload_off + h.payload as usize];
             buf[start..end].copy_from_slice(&avail[..end - start]);
         }
@@ -655,6 +668,55 @@ mod tests {
         let drained = b.run_summary();
         assert_eq!(drained.events_queued, 0);
         assert_eq!(drained.events_dropped, 5);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn hostile_data_headers_are_dropped_and_the_node_keeps_serving() {
+        use homa::packets::DataHeader;
+        let (a, b) = pair(5);
+        // A registered peer whose socket we drive by hand.
+        let rogue = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        b.add_peer(PeerId(2), rogue.local_addr().unwrap());
+        let data = |seq, msg_len, offset, payload: u32| {
+            let h = DataHeader {
+                key: MsgKey { origin: PeerId(2), seq, dir: Dir::Oneway },
+                msg_len,
+                offset,
+                payload,
+                prio: 0,
+                unscheduled: true,
+                retransmit: false,
+                incast_mark: false,
+                tag: seq,
+            };
+            homa_wire::encode(&HomaPacket::Data(h), &vec![0xAB; payload as usize])
+        };
+        for dgram in [
+            data(1, u64::MAX, 0, 8),        // allocation of whatever is claimed
+            data(2, 100, u64::MAX - 3, 8),  // offset + payload wraps
+            data(3, 100, 96, 8),            // span overruns the message
+            data(4, MAX_MSG_LEN + 1, 0, 8), // over the cap, otherwise sane
+        ] {
+            rogue.send_to(&dgram, b.local_addr().unwrap()).unwrap();
+        }
+        // The driver thread survived all four: an echo RPC still completes.
+        a.call(PeerId(1), b"still there?".to_vec(), 9).unwrap();
+        match b.events().recv_timeout(Duration::from_secs(5)).expect("server went deaf") {
+            UdpEvent::Request { from, rpc, data } => b.respond(from, rpc, data).unwrap(),
+            other => panic!("unexpected {other:?}"),
+        }
+        match a.events().recv_timeout(Duration::from_secs(5)).expect("no echo") {
+            UdpEvent::Response { tag, data, .. } => {
+                assert_eq!(tag, 9);
+                assert_eq!(data, b"still there?");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // None of them reached the buffer table or the endpoint.
+        assert!(b.shared.lock().in_buffers.is_empty(), "hostile DATA was buffered");
+        assert_eq!(b.events().len(), 0, "hostile DATA surfaced an event");
         a.shutdown();
         b.shutdown();
     }

@@ -163,14 +163,6 @@ impl PoissonArrivals {
         (-u.ln() * self.mean_gap_ns).round().max(1.0) as u64
     }
 
-    /// Peek the time of the next arrival without consuming it.
-    pub fn peek_ns(&self) -> u64 {
-        match &self.victim {
-            Some(_) => self.next_ns.min(self.victim_next_ns),
-            None => self.next_ns,
-        }
-    }
-
     /// Generate the next arrival (victim overlay and main pattern merged
     /// in time order; the victim wins ties so its cadence never slips).
     pub fn next_arrival(&mut self) -> Arrival {

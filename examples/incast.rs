@@ -13,10 +13,9 @@
 
 use homa::HomaConfig;
 use homa_baselines::HomaSimTransport;
-use homa_harness::driver::IncastOpts;
+use homa_harness::driver::OnewayOpts;
 use homa_harness::render::fmt_bps;
 use homa_harness::{FabricSpec, ScenarioSpec};
-use homa_sim::SimDuration;
 
 fn main() {
     let cluster = FabricSpec::SingleSwitch { hosts: 16 };
@@ -36,13 +35,9 @@ fn main() {
             let res = spec.run_incast(
                 None,
                 |h| HomaSimTransport::new(h, cfg.clone()),
-                &IncastOpts {
-                    resp_len: 10_000,
-                    rounds: 3,
-                    per_round_timeout: SimDuration::from_millis(500),
-                },
+                &OnewayOpts::default(),
             );
-            cells.push((fmt_bps(res.throughput_bps), res.drops));
+            cells.push((fmt_bps(res.delivered_bps), res.stats.total_drops()));
         }
         println!(
             "{concurrent:>12} {:>16} {:>10} {:>16} {:>10}",

@@ -128,13 +128,12 @@ impl HomaSimTransport {
                 HomaEvent::MessageDelivered { src, len, tag, .. } => {
                     act.event(AppEvent::MessageDelivered { src: HostId(src.0), tag, len });
                 }
-                HomaEvent::RequestArrived { client, rpc_seq, len, tag } => {
+                HomaEvent::RequestArrived { client, rpc_seq, len, .. } => {
                     act.event(AppEvent::RpcRequestArrived {
                         client: HostId(client.0),
                         rpc: rpc_seq,
                         request_len: len,
                     });
-                    let _ = tag;
                 }
                 HomaEvent::RpcCompleted { server, tag, resp_len, .. } => {
                     act.event(AppEvent::RpcCompleted {
@@ -403,39 +402,29 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_under_loss() {
-        // The calendar engine must replay the legacy heap bit-for-bit
-        // even through the loss-recovery path (RESENDs, retransmissions),
-        // where event ordering is at its most delicate.
-        use homa_sim::{EngineKind, QueueDiscipline, QueueKind};
-        let run = |engine: EngineKind| {
-            let cfg = NetworkConfig {
-                tor_down: QueueDiscipline {
-                    kind: QueueKind::StrictPriority { levels: 8 },
-                    cap_bytes: 4_500,
-                    ecn: None,
-                },
-                ..NetworkConfig::default()
-            }
-            .with_engine(engine);
-            let topo = Topology::multi_tor(16);
-            let mut net: Network<HomaMeta, HomaSimTransport> =
-                Network::new(topo, cfg, |h| HomaSimTransport::new(h, HomaConfig::default()));
-            for s in 0..10u32 {
-                net.inject_message(HostId(s), HostId(15), 30_000, s as u64);
-            }
-            net.run_until(SimTime::from_millis(50));
-            let evs: Vec<_> = net
-                .take_app_events()
-                .into_iter()
-                .map(|(t, h, e)| (t.as_nanos(), h.0, format!("{e:?}")))
-                .collect();
-            (evs, net.events_processed(), net.harvest_stats().total_drops())
+    fn loss_recovery_across_racks_holds_the_event_order() {
+        // The loss-recovery path (RESENDs, retransmissions) is where
+        // event ordering is at its most delicate: ten senders overflow a
+        // three-packet buffer across racks, and the queue's shadow oracle
+        // (debug builds) checks every pop of the recovery.
+        use homa_sim::{QueueDiscipline, QueueKind};
+        let cfg = NetworkConfig {
+            tor_down: QueueDiscipline {
+                kind: QueueKind::StrictPriority { levels: 8 },
+                cap_bytes: 4_500,
+                ecn: None,
+            },
+            ..NetworkConfig::default()
         };
-        let hier = run(EngineKind::Hierarchical);
-        let legacy = run(EngineKind::LegacyHeap);
-        assert!(hier.2 > 0, "test must actually drop packets");
-        assert_eq!(hier, legacy);
+        let topo = Topology::multi_tor(16);
+        let mut net: Network<HomaMeta, HomaSimTransport> =
+            Network::new(topo, cfg, |h| HomaSimTransport::new(h, HomaConfig::default()));
+        for s in 0..10u32 {
+            net.inject_message(HostId(s), HostId(15), 30_000, s as u64);
+        }
+        net.run_until(SimTime::from_millis(50));
+        assert!(net.harvest_stats().total_drops() > 0, "test must actually drop packets");
+        assert_eq!(net.take_app_events().len(), 10, "all messages recovered via RESEND");
     }
 
     #[test]

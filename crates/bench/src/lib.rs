@@ -1,5 +1,5 @@
-//! # homa-bench — shared experiment dispatch for the `repro` binary and
-//! the criterion benches.
+//! # homa-bench — shared experiment dispatch for the `repro` binary, the
+//! `perf-smoke` gate and the benchmark.
 //!
 //! The paper compares seven transports. [`Protocol`] names them and
 //! [`run_protocol_scenario`] / [`run_protocol_rpc_scenario`] dispatch a

@@ -4,7 +4,7 @@
 //! Three artifacts per run:
 //!
 //! * `TRACE.jsonl` — the raw trace, one JSON object per line in global
-//!   `(time, seq)` order (byte-identical across event engines).
+//!   `(time, seq)` order (byte-identical run to run).
 //! * A per-priority TOR-downlink utilization table — the receiver-side
 //!   view the paper's Figures 9/21 reason about: scheduled traffic
 //!   concentrates on the low priority levels, unscheduled on the high

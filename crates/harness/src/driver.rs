@@ -14,7 +14,7 @@
 //! the outstanding messages, every tally, the one application-event
 //! pump, the one drain loop — and every shape takes [`OnewayOpts`] and
 //! returns [`OnewayResult`]. What a run *is* (fabric, workload, load,
-//! seed, engine, traffic, faults) comes from the spec, so every run is
+//! seed, traffic, faults) comes from the spec, so every run is
 //! replayable from its one-line text form (`ScenarioSpec::to_spec_line`).
 
 use crate::scenario::ScenarioSpec;
@@ -67,9 +67,8 @@ pub struct OnewayOpts {
     /// `records`/`victim_records` opt in.
     pub keep_records: bool,
     /// Record a flight-recorder trace of the run into
-    /// [`OnewayResult::trace`]. Only effective when the simulator's
-    /// `trace` feature is compiled in; without it the result's trace is
-    /// empty and the run is bit-identical to an untraced one.
+    /// [`OnewayResult::trace`]. The run itself is bit-identical to an
+    /// untraced one.
     pub trace: bool,
     /// Ring capacity (records) for the flight recorder when `trace` is
     /// set; the oldest records are dropped beyond it.
@@ -154,8 +153,7 @@ pub struct OnewayResult {
     /// Delivered goodput in bits/sec over the whole run.
     pub delivered_bps: f64,
     /// Flight-recorder trace of the run, in `(time, seq)` order. Empty
-    /// unless [`OnewayOpts::trace`] was set and the simulator's `trace`
-    /// feature is compiled in.
+    /// unless [`OnewayOpts::trace`] was set.
     pub trace: Vec<TraceRecord>,
     /// Trace records dropped because the recorder ring filled (oldest
     /// first); nonzero means `trace` holds only the tail of the run.

@@ -6,7 +6,11 @@
 //! workload × load × traffic × fault space. Because every run here is a
 //! pure function of its spec, a failing draw is fully captured by its
 //! [`ScenarioSpec::to_spec_line`] string — the harness shrinks the spec
-//! with [`shrink_to_minimal`] and prints that line for exact replay.
+//! with [`shrink_to_minimal`] and prints that line for exact replay. A
+//! run that trips a debug-build invariant (the event-order oracle in
+//! `homa_sim::events`, a `debug_assert!` in the fabric) counts as a
+//! failure like any other: [`failure_or_panic`] turns the panic into a
+//! detail string, so it shrinks and replays the same way.
 //!
 //! Generation is deliberately conservative about validity: victim flows
 //! and fault events only ever name hosts that exist on the drawn fabric,
@@ -317,6 +321,30 @@ pub fn shrink_to_minimal(
     shrink_to_minimal_with(spec, ScenarioSpec::shrink, fails)
 }
 
+/// Run `f`, turning a panic inside it into `Err(panic message)`, so
+/// "never panics" is checkable and shrinkable like any other failure.
+/// Every fuzz check builds and drops its own state, so nothing broken is
+/// observable after the catch. The panic hook still prints each message
+/// to stderr as it happens.
+fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
+/// Run a scenario-level fuzz predicate (`Some(detail)` = failed) with a
+/// panic counted as a failure. This is what lets a debug-invariant panic
+/// — `engine diverged at t=…`, a priority inversion, an event in the
+/// past — shrink to a one-line replay spec instead of aborting the fuzz
+/// loop at the first hit.
+pub fn failure_or_panic(check: impl FnOnce() -> Option<String>) -> Option<String> {
+    catch_panic(check).unwrap_or_else(|msg| Some(format!("panicked: {msg}")))
+}
+
 /// Iteration count for a fuzz loop: `HOMA_FUZZ_ITERS` if set and
 /// parseable, else `default`. CI smoke jobs pin this to 500; the
 /// `#[ignore]` long-haul variants multiply it further.
@@ -490,6 +518,23 @@ mod tests {
         assert_eq!(ScenarioSpec::parse_spec_line(&line).unwrap(), minimal);
         // Deterministic: shrinking again lands on the same spec.
         assert_eq!(shrink_to_minimal(&spec, |s| !s.faults.is_empty()), minimal);
+    }
+
+    #[test]
+    fn a_panicking_check_shrinks_like_any_other_failure() {
+        let spec = ScenarioSpec::arbitrary(11);
+        assert_eq!(failure_or_panic(|| None), None);
+        assert_eq!(failure_or_panic(|| Some("plain".into())), Some("plain".into()));
+        // A check that panics on every spec above the message floor
+        // shrinks to that floor, and the detail carries the message.
+        let blows = |s: &ScenarioSpec| -> Option<String> {
+            assert!(s.messages <= 24, "engine diverged at t=7ns ({} msgs)", s.messages);
+            None
+        };
+        let detail = failure_or_panic(|| blows(&spec)).expect("panic must count as a failure");
+        assert!(detail.starts_with("panicked: engine diverged at t=7ns"), "{detail}");
+        let minimal = shrink_to_minimal(&spec, |s| failure_or_panic(|| blows(s)).is_some());
+        assert!((25..=49).contains(&minimal.messages), "shrank to {}", minimal.messages);
     }
 
     #[test]

@@ -151,18 +151,8 @@ pub fn check_mutant_line(line: &str) -> Result<(), String> {
 /// [`check_mutant_line`] with parser panics converted into `Err`, so
 /// "never panics" is checkable (and shrinkable) like any other failure.
 pub fn check_mutant_line_caught(line: &str) -> Result<(), String> {
-    let owned = line.to_string();
-    match std::panic::catch_unwind(move || check_mutant_line(&owned)) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("parser panicked: {msg}"))
-        }
-    }
+    super::catch_panic(|| check_mutant_line(line))
+        .unwrap_or_else(|msg| Err(format!("parser panicked: {msg}")))
 }
 
 /// Candidate simplifications of a failing line: drop each field, then

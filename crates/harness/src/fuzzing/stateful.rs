@@ -1053,18 +1053,8 @@ pub fn check_ops(trace: &OpTrace) -> Result<(), String> {
 /// [`check_ops`], but with endpoint panics converted into `Err` so the
 /// shrinker can minimize panicking traces the same way as divergences.
 pub fn check_ops_caught(trace: &OpTrace) -> Result<(), String> {
-    let t = trace.clone();
-    match std::panic::catch_unwind(move || check_ops(&t)) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("endpoint panicked: {msg}"))
-        }
-    }
+    super::catch_panic(|| check_ops(trace))
+        .unwrap_or_else(|msg| Err(format!("endpoint panicked: {msg}")))
 }
 
 /// Greedily shrink `trace` while `fails` keeps returning true; the

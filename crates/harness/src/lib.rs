@@ -3,7 +3,7 @@
 //! Everything needed to regenerate the tables and figures of §5 of the
 //! Homa paper on the `homa-sim` fabric. The single driving surface is
 //! the [`ScenarioSpec`]: build one (fabric shape, workload, load, seed,
-//! event engine, traffic overlay, fault plan), then call
+//! traffic overlay, fault plan), then call
 //! [`ScenarioSpec::run_oneway`], [`ScenarioSpec::run_rpc_echo`] or
 //! [`ScenarioSpec::run_incast`] on it — three arrival shapes over one
 //! run core, all taking [`OnewayOpts`] (six measurement knobs) and
@@ -67,7 +67,8 @@ pub use driver::{OnewayOpts, OnewayResult};
 pub use figures::{compare_curves, CurveDelta, MeasuredPoint, PointDelta, RefCurve};
 pub use fuzzing::stateful::{parse_ops_line, shrink_ops_to_minimal, OpTrace};
 pub use fuzzing::{
-    fuzz_iters, report_failure, shrink_to_minimal, shrink_to_minimal_with, FuzzFamily, SplitMix64,
+    failure_or_panic, fuzz_iters, report_failure, shrink_to_minimal, shrink_to_minimal_with,
+    FuzzFamily, SplitMix64,
 };
 pub use scenario::{FabricSpec, ScenarioSpec};
 pub use slowdown::{MsgRecord, SlowdownBin, SlowdownSummary};

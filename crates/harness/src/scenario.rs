@@ -1,8 +1,8 @@
 //! Declarative experiment scenarios — the driving API.
 //!
 //! A [`ScenarioSpec`] names everything that makes a run what it is —
-//! fabric shape, workload, offered load, message budget, seed, event
-//! engine, traffic pattern, fault schedule — in one value, and is the
+//! fabric shape, workload, offered load, message budget, seed, traffic
+//! pattern, fault schedule — in one value, and is the
 //! *only* way to start an experiment: [`ScenarioSpec::run_oneway`],
 //! [`ScenarioSpec::run_rpc_echo`] and [`ScenarioSpec::run_incast`] are
 //! three arrival shapes over one run core ([`crate::driver`]), sharing
@@ -17,7 +17,7 @@
 
 use crate::driver::{self, OnewayOpts, OnewayResult};
 use homa_sim::{
-    EngineKind, FaultPlan, HostId, NetworkConfig, PacketMeta, QueueDiscipline, Topology, Transport,
+    FaultPlan, HostId, NetworkConfig, PacketMeta, QueueDiscipline, Topology, Transport,
 };
 use homa_workloads::{TrafficSpec, Workload};
 
@@ -82,7 +82,7 @@ impl FabricSpec {
 
 /// One fully-specified experiment: everything a run is a pure function
 /// of, minus the transport (which the caller supplies, so one spec can be
-/// replayed across protocols and engines).
+/// replayed across protocols).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Short machine-friendly name (`w4_80_100h`, no whitespace); keys
@@ -98,8 +98,6 @@ pub struct ScenarioSpec {
     pub messages: u64,
     /// Seed for all randomness in the run.
     pub seed: u64,
-    /// Event engine to run on.
-    pub engine: EngineKind,
     /// Source–destination pattern, victim overlay and workload mix. The
     /// default is the paper's uniform-random all-to-all, which replays
     /// pre-existing specs event-for-event.
@@ -111,7 +109,7 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// A spec with the default (hierarchical) engine.
+    /// A spec with uniform traffic and no faults.
     pub fn new(
         name: impl Into<String>,
         fabric: FabricSpec,
@@ -127,7 +125,6 @@ impl ScenarioSpec {
             load,
             messages,
             seed,
-            engine: EngineKind::default(),
             traffic: TrafficSpec::default(),
             faults: FaultPlan::default(),
         }
@@ -140,12 +137,6 @@ impl ScenarioSpec {
     /// [`crate::driver`].
     pub fn incast(name: impl Into<String>, fabric: FabricSpec, concurrent: u64, seed: u64) -> Self {
         ScenarioSpec::new(name, fabric, Workload::W4, 0.0, concurrent, seed)
-    }
-
-    /// The same scenario on a different event engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// The same scenario under a different traffic pattern.
@@ -177,8 +168,8 @@ impl ScenarioSpec {
         self.fabric.topology()
     }
 
-    /// Fabric configuration for this spec: seeded, on the spec's engine,
-    /// with the default strict-priority queues.
+    /// Fabric configuration for this spec: seeded, with the default
+    /// strict-priority queues.
     pub fn netcfg(&self) -> NetworkConfig {
         self.netcfg_with(None)
     }
@@ -186,11 +177,10 @@ impl ScenarioSpec {
     /// Fabric configuration with a protocol-specific queue discipline on
     /// every port class (pFabric, PIAS, NDP), or the default when `None`.
     pub fn netcfg_with(&self, queues: Option<QueueDiscipline>) -> NetworkConfig {
-        let base = match queues {
+        match queues {
             Some(q) => NetworkConfig::uniform(self.seed, q),
             None => NetworkConfig { seed: self.seed, ..NetworkConfig::default() },
-        };
-        base.with_engine(self.engine)
+        }
     }
 
     /// Run the all-to-all one-way experiment this spec describes (the
@@ -335,45 +325,36 @@ mod tests {
     }
 
     #[test]
-    fn fat_tree_spec_drives_oneway_run_on_both_engines() {
-        let run = |engine| {
-            let spec =
-                ScenarioSpec::new("ft", FabricSpec::FatTree { k: 4 }, Workload::W2, 0.5, 150, 13)
-                    .with_engine(engine);
-            let res = spec.run_oneway(
-                None,
-                |h| HomaSimTransport::new(h, HomaConfig::default()),
-                &OnewayOpts::default(),
-            );
-            assert_eq!(res.injected, 150);
-            assert_eq!(res.delivered, 150);
-            assert!(res.records.is_empty(), "records retained without opt-in");
-            assert_eq!(res.sketch.count(), 150);
-            (res.duration.as_nanos(), res.sketch.summary(10).overall_p99.to_bits())
-        };
-        let base = run(EngineKind::Hierarchical);
-        assert_eq!(run(EngineKind::LegacyHeap), base);
+    fn fat_tree_spec_drives_oneway_run() {
+        let spec =
+            ScenarioSpec::new("ft", FabricSpec::FatTree { k: 4 }, Workload::W2, 0.5, 150, 13);
+        let res = spec.run_oneway(
+            None,
+            |h| HomaSimTransport::new(h, HomaConfig::default()),
+            &OnewayOpts::default(),
+        );
+        assert_eq!(res.injected, 150);
+        assert_eq!(res.delivered, 150);
+        assert!(res.records.is_empty(), "records retained without opt-in");
+        assert_eq!(res.sketch.count(), 150);
     }
 
     #[test]
-    fn spec_engine_selection_is_invisible_in_results() {
-        let run = |engine| {
-            let spec = ScenarioSpec::new(
-                "ab",
-                FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 4, spines: 2 },
-                Workload::W1,
-                0.6,
-                200,
-                9,
-            )
-            .with_engine(engine);
-            let res = spec.run_oneway(
-                None,
-                |h| HomaSimTransport::new(h, HomaConfig::default()),
-                &OnewayOpts::default().with_records(),
-            );
-            res.records.iter().map(|r| (r.size, r.completed_ns)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(EngineKind::Hierarchical), run(EngineKind::LegacyHeap));
+    fn leaf_spine_spec_keeps_one_record_per_message_on_request() {
+        let spec = ScenarioSpec::new(
+            "ab",
+            FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 4, spines: 2 },
+            Workload::W1,
+            0.6,
+            200,
+            9,
+        );
+        let res = spec.run_oneway(
+            None,
+            |h| HomaSimTransport::new(h, HomaConfig::default()),
+            &OnewayOpts::default().with_records(),
+        );
+        assert_eq!(res.records.len(), 200);
+        assert!(res.records.iter().all(|r| r.completed_ns > 0));
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! name=det_fault_incast fabric=ls:2x6x2 wl=W2 load=0.5 msgs=700 seed=21 \
-//!   engine=hier traffic=incast:8+victim:9:3:20000:100000 \
+//!   traffic=incast:8+victim:9:3:20000:100000 \
 //!   faults=300000:down:hdn0,450000:up:hdn0,500000:pause:3,900000:resume:3
 //! ```
 //!
@@ -18,8 +18,6 @@
 //!   `mtor:<hosts>` | `paper` | `ft:<k>`
 //! * `wl` — `W1`..`W5`
 //! * `load` — `f64` via Rust's shortest round-trip `Display`
-//! * `engine` — `hier` | `legacy` (the reference heap; differential-fuzz
-//!   failure lines replay through it)
 //! * `traffic` — `uniform` | `perm` | `shuffle` | `incast:<fan_in>` |
 //!   `hotspot:<frac>:<local|cross>`, optionally followed by
 //!   `+victim:<src>:<dst>:<size>:<period_ns>` and/or
@@ -36,7 +34,7 @@
 //! the fuzz suite pins this property over [`ScenarioSpec::arbitrary`].
 
 use crate::scenario::{FabricSpec, ScenarioSpec};
-use homa_sim::{EngineKind, Fault, FaultPlan, HostId, LinkId};
+use homa_sim::{Fault, FaultPlan, HostId, LinkId};
 use homa_workloads::{MixSpec, PatternSpec, TrafficSpec, VictimSpec, Workload};
 use std::fmt::Write as _;
 
@@ -74,21 +72,6 @@ fn parse_fabric(s: &str) -> Result<FabricSpec, String> {
             })
         }
         _ => Err(format!("unknown fabric kind `{kind}`")),
-    }
-}
-
-fn engine_str(e: EngineKind) -> &'static str {
-    match e {
-        EngineKind::Hierarchical => "hier",
-        EngineKind::LegacyHeap => "legacy",
-    }
-}
-
-fn parse_engine(s: &str) -> Result<EngineKind, String> {
-    match s {
-        "hier" => Ok(EngineKind::Hierarchical),
-        "legacy" => Ok(EngineKind::LegacyHeap),
-        _ => Err(format!("unknown engine `{s}`")),
     }
 }
 
@@ -281,27 +264,27 @@ fn parse_faults(s: &str) -> Result<FaultPlan, String> {
 impl ScenarioSpec {
     /// The spec as one replayable line of `key=value` fields (see the
     /// module docs for the grammar). Whitespace in the name is sanitized
-    /// to `_` so the line always splits back into exactly nine fields.
+    /// to `_` so the line always splits back into exactly eight fields.
     pub fn to_spec_line(&self) -> String {
         let name: String =
             self.name.chars().map(|c| if c.is_whitespace() { '_' } else { c }).collect();
         format!(
-            "name={name} fabric={} wl={} load={} msgs={} seed={} engine={} traffic={} faults={}",
+            "name={name} fabric={} wl={} load={} msgs={} seed={} traffic={} faults={}",
             fabric_str(self.fabric),
             self.workload.name(),
             self.load,
             self.messages,
             self.seed,
-            engine_str(self.engine),
             traffic_str(&self.traffic),
             faults_str(&self.faults),
         )
     }
 
     /// Parse a line produced by [`ScenarioSpec::to_spec_line`] back into
-    /// the spec. `engine`, `traffic` and `faults` may be omitted (they
-    /// default); the other six fields are required. Unknown keys are an
-    /// error, so typos fail loudly rather than replaying the wrong run.
+    /// the spec. `traffic` and `faults` may be omitted (they default);
+    /// the other six fields are required. Unknown keys are an error, so
+    /// typos — and lines from before PR 16, which carried an `engine`
+    /// field — fail loudly rather than replaying the wrong run.
     pub fn parse_spec_line(line: &str) -> Result<ScenarioSpec, String> {
         let mut name = None;
         let mut fabric = None;
@@ -309,7 +292,6 @@ impl ScenarioSpec {
         let mut load = None;
         let mut messages = None;
         let mut seed = None;
-        let mut engine = EngineKind::default();
         let mut traffic = TrafficSpec::default();
         let mut faults = FaultPlan::default();
         for field in line.split_whitespace() {
@@ -340,7 +322,6 @@ impl ScenarioSpec {
                     seed =
                         Some(value.parse::<u64>().map_err(|_| ctx(format!("bad seed `{value}`")))?)
                 }
-                "engine" => engine = parse_engine(value).map_err(ctx)?,
                 "traffic" => traffic = parse_traffic(value).map_err(ctx)?,
                 "faults" => faults = parse_faults(value).map_err(ctx)?,
                 other => return Err(format!("unknown field `{other}` (value `{value}`)")),
@@ -355,7 +336,6 @@ impl ScenarioSpec {
             messages.ok_or_else(|| req("msgs"))?,
             seed.ok_or_else(|| req("seed"))?,
         )
-        .with_engine(engine)
         .with_traffic(traffic)
         .with_faults(faults))
     }
@@ -387,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn every_fabric_and_engine_round_trips() {
+    fn every_fabric_round_trips() {
         for fabric in [
             FabricSpec::SingleSwitch { hosts: 8 },
             FabricSpec::LeafSpine { racks: 3, hosts_per_rack: 8, spines: 2 },
@@ -395,11 +375,7 @@ mod tests {
             FabricSpec::Paper,
             FabricSpec::FatTree { k: 4 },
         ] {
-            for engine in [EngineKind::Hierarchical, EngineKind::LegacyHeap] {
-                round_trips(
-                    &ScenarioSpec::new("x", fabric, Workload::W1, 0.55, 700, 9).with_engine(engine),
-                );
-            }
+            round_trips(&ScenarioSpec::new("x", fabric, Workload::W1, 0.55, 700, 9));
         }
     }
 
@@ -488,7 +464,6 @@ mod tests {
         let spec =
             ScenarioSpec::parse_spec_line("name=a fabric=sw:8 wl=w2 load=0.5 msgs=100 seed=3")
                 .unwrap();
-        assert_eq!(spec.engine, EngineKind::Hierarchical);
         assert!(spec.traffic.is_default());
         assert!(spec.faults.is_empty());
     }
@@ -507,18 +482,15 @@ mod tests {
             ("name=a fabric=sw:8 wl=W1 load=x msgs=10 seed=1", "field `load`: bad load `x`"),
             ("name=a fabric=sw:8 wl=W1 load=0.5 msgs=ten seed=1", "field `msgs`: bad msgs `ten`"),
             ("name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=-1", "field `seed`: bad seed `-1`"),
+            // There is one engine: the removed selector is a plain
+            // unknown key, whatever it names.
             (
-                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=quantum",
-                "field `engine`: unknown engine `quantum`",
-            ),
-            // The removed parallel-engine forms are plain unknown engines.
-            (
-                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=par:2",
-                "field `engine`: unknown engine `par:2`",
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=hier",
+                "unknown field `engine` (value `hier`)",
             ),
             (
-                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=par:2:4",
-                "field `engine`: unknown engine `par:2:4`",
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=legacy",
+                "unknown field `engine` (value `legacy`)",
             ),
             (
                 "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=blizzard",
@@ -565,7 +537,7 @@ mod tests {
             "name=a fabric=nope:3 wl=W1 load=0.5 msgs=10 seed=1",
             "name=a fabric=sw:8 wl=W9 load=0.5 msgs=10 seed=1",
             "name=a fabric=sw:8 wl=W1 load=x msgs=10 seed=1",
-            "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=quantum",
+            "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 engine=hier",
             "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=blizzard",
             "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 faults=12:explode:hup1",
             "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 color=red",

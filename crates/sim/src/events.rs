@@ -1,21 +1,17 @@
-//! The discrete-event engines.
+//! The discrete-event engine and its reference oracle.
 //!
-//! Both engines share one contract: events are totally ordered by
-//! `(time, sequence)`, where the sequence number is assigned globally at
-//! insertion. Events scheduled for the same instant therefore fire in
-//! insertion order, which makes runs fully deterministic — the test suite
-//! and the reproducibility goals of the repository depend on it.
+//! Events are totally ordered by `(time, sequence)`, where the sequence
+//! number is assigned globally at insertion. Events scheduled for the same
+//! instant therefore fire in insertion order, which makes runs fully
+//! deterministic — the test suite and the reproducibility goals of the
+//! repository depend on it.
 //!
-//! * [`EventQueue`] — the original monolithic binary heap
-//!   ([`EngineKind::LegacyHeap`]). Simple enough to trust by reading,
-//!   which is why it stays: it is the reference oracle the determinism
-//!   tests and the differential fuzz family compare the calendar
-//!   engine against.
-//! * [`HierEventQueue`] — the calendar-bucketed lane engine that makes
-//!   100+ host fabrics affordable. Time is divided into fixed-width
-//!   *epochs* (the width is sized from the fabric's minimum link delay,
-//!   rounded to a power of two so the epoch of a timestamp is one shift).
-//!   Pending events live in one of four places:
+//! * [`HierEventQueue`] — the engine every [`crate::Network`] runs on: a
+//!   calendar-bucketed queue that makes 100+ host fabrics affordable.
+//!   Time is divided into fixed-width *epochs* (the width is sized from
+//!   the fabric's minimum link delay, rounded to a power of two so the
+//!   epoch of a timestamp is one shift). Pending events live in one of
+//!   four places:
 //!
 //!   1. a ring of *buckets*, one per near-future epoch, absorbing the
 //!      overwhelmingly common insert in O(1) (unsorted append);
@@ -30,18 +26,37 @@
 //!
 //!   `pop_if_before` on the hot dispatch path is therefore O(1)
 //!   amortized — a comparison against the run tail plus the one-time
-//!   sort share of each event — where the previous design paid a ladder
-//!   heap probe per pop and the legacy heap pays `O(log n)` of the
-//!   *total* pending population.
+//!   sort share of each event — where a single heap pays `O(log n)` of
+//!   the *total* pending population.
+//! * [`EventQueue`] — a plain binary heap over the same `(time, seq)`
+//!   key. Simple enough to trust by reading, which is why it stays: it
+//!   is the oracle the calendar is checked against.
+//!
+//! ## The debug-build oracle
+//!
+//! Both queues assign `seq` at insertion, so agreeing on the pop order
+//! is a property of the queue alone. In every build with
+//! `debug_assertions` on — `cargo test`, and the optimized CI fuzz and
+//! determinism jobs, which set `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS` —
+//! a [`HierEventQueue`] carries a shadow [`EventQueue`]: `schedule`
+//! mirrors each `(time, seq)` key into it, and every `pop` /
+//! `pop_if_before` requires the calendar's answer to be the heap's
+//! minimum (and a bounded miss to be a miss on the heap too). The first
+//! disagreement panics, naming where the run broke:
+//!
+//! ```text
+//! engine diverged at t=1280ns: calendar popped (1536ns, seq 7), oracle (1280ns, seq 9)
+//! ```
+//!
+//! Read it as: the oracle's pair is the event that *should* have fired
+//! at `t`; the calendar's pair is what the bucket structure produced
+//! instead (or `nothing`, for a bounded pop that missed an event that
+//! was due). So every test and fuzz run is also an engine-order run.
+//! Builds without debug assertions carry no shadow field and no check.
 //!
 //! Events are scheduled with a [`LaneId`] naming the fabric node whose
 //! state their dispatch touches. The calendar itself is global, so the
 //! lane orders nothing: it is range-checked at the call site.
-//!
-//! Because both engines order by the same globally-assigned
-//! `(time, seq)` key, a simulation pops the *bit-identical* event
-//! sequence from either; `tests/determinism.rs` in the workspace root
-//! proves this end-to-end.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -155,10 +170,9 @@ impl<E> EventQueue<E> {
 /// exposed for `perf-smoke` output and engine tuning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Number of event lanes the engine was built with (1 for the legacy
-    /// heap).
+    /// Number of event lanes the engine was built with.
     pub lanes: u32,
-    /// Calendar bucket width in nanoseconds (0 for the legacy heap).
+    /// Calendar bucket width in nanoseconds.
     pub bucket_width_ns: u64,
     /// Events inserted into a near-future ring bucket (the O(1) path).
     pub bucket_events: u64,
@@ -217,6 +231,11 @@ pub struct HierEventQueue<E> {
     /// between visits. `usize::MAX` until the first report, so nothing
     /// trims before an occupancy baseline exists.
     bucket_trim_target: usize,
+    /// The reference heap, fed the same `(time, seq)` keys (its payload
+    /// is the calendar's `seq`) and popped in lockstep; see the module
+    /// docs.
+    #[cfg(debug_assertions)]
+    oracle: EventQueue<u64>,
 }
 
 impl<E> HierEventQueue<E> {
@@ -247,6 +266,8 @@ impl<E> HierEventQueue<E> {
             stats: EngineStats { lanes, bucket_width_ns: 1 << shift, ..EngineStats::default() },
             bucket_hw: crate::arena::HighWater::default(),
             bucket_trim_target: usize::MAX,
+            #[cfg(debug_assertions)]
+            oracle: EventQueue::new(),
         }
     }
 
@@ -268,6 +289,8 @@ impl<E> HierEventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        #[cfg(debug_assertions)]
+        self.oracle.schedule(at, seq);
         let entry = Entry { at, seq, payload };
         let e = self.epoch_of(at);
         // Hot path first: one wrapping compare covers the whole ring
@@ -360,11 +383,42 @@ impl<E> HierEventQueue<E> {
         }
     }
 
-    /// One-pass conditional pop: advance the merge point, check the head
-    /// against `bound`, and take it — the hot dispatch-path primitive
-    /// every public pop variant builds on.
+    /// The pop every public variant builds on: [`Self::pop_calendar`],
+    /// checked against the oracle in debug builds.
     #[inline]
     fn pop_entry_bounded(&mut self, bound: Option<SimTime>) -> Option<Entry<E>> {
+        let got = self.pop_calendar(bound);
+        #[cfg(debug_assertions)]
+        self.check_against_oracle(bound, got.as_ref().map(|e| (e.at, e.seq)));
+        got
+    }
+
+    /// Pop the oracle in lockstep and require it to agree with what the
+    /// calendar just returned for the same `bound`.
+    #[cfg(debug_assertions)]
+    fn check_against_oracle(&mut self, bound: Option<SimTime>, got: Option<(SimTime, u64)>) {
+        let want = match bound {
+            Some(t) => self.oracle.pop_if_before(t),
+            None => self.oracle.pop(),
+        };
+        if got != want {
+            let show = |e: Option<(SimTime, u64)>| match e {
+                Some((at, seq)) => format!("({}ns, seq {seq})", at.as_nanos()),
+                None => "nothing".to_string(),
+            };
+            let t = want.or(got).map_or(0, |(at, _)| at.as_nanos());
+            panic!(
+                "engine diverged at t={t}ns: calendar popped {}, oracle {}",
+                show(got),
+                show(want)
+            );
+        }
+    }
+
+    /// One-pass conditional pop: advance the merge point, check the head
+    /// against `bound`, and take it — the hot dispatch-path primitive.
+    #[inline]
+    fn pop_calendar(&mut self, bound: Option<SimTime>) -> Option<Entry<E>> {
         self.ensure_current(bound.map(|t| self.epoch_of(t)));
         let take_run = match (self.current.last(), self.late.peek()) {
             (Some(r), Some(l)) => (r.at, r.seq) <= (l.at, l.seq),
@@ -437,97 +491,13 @@ impl<E> HierEventQueue<E> {
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
-}
 
-/// Which event engine a [`crate::Network`] runs on. Both dispatch the
-/// same events in the same order; there is nothing to tune.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The calendar-bucketed lane engine ([`HierEventQueue`]): the
-    /// default, and what every figure and benchmark runs on.
-    #[default]
-    Hierarchical,
-    /// The original single binary heap ([`EventQueue`]): the reference
-    /// oracle. `tests/determinism.rs` and the differential fuzz family
-    /// replay runs on it and require the calendar engine to agree bit
-    /// for bit (spec lines select it with `engine=legacy`).
-    LegacyHeap,
-}
-
-/// A runtime-selectable event engine. Both variants order events by the
-/// same globally-assigned `(time, seq)` key, so a simulation is
-/// bit-identical on either; the legacy variant simply ignores lanes.
-pub enum EventEngine<E> {
-    /// The calendar-bucketed lane engine (boxed: the calendar ring makes
-    /// it much larger than the plain heap variant).
-    Hierarchical(Box<HierEventQueue<E>>),
-    /// The monolithic heap, kept as the reference the tests compare
-    /// against.
-    Legacy(EventQueue<E>),
-}
-
-impl<E> EventEngine<E> {
-    /// Build an engine of `kind` over `lanes` lanes with the default
-    /// bucket width.
-    pub fn new(kind: EngineKind, lanes: u32) -> Self {
-        Self::with_bucket_width(kind, lanes, 256)
-    }
-
-    /// Build an engine of `kind` over `lanes` lanes with `width_ns`-wide
-    /// calendar buckets (ignored by the legacy heap).
-    pub fn with_bucket_width(kind: EngineKind, lanes: u32, width_ns: u64) -> Self {
-        match kind {
-            EngineKind::Hierarchical => EventEngine::Hierarchical(Box::new(
-                HierEventQueue::with_bucket_width(lanes, width_ns),
-            )),
-            EngineKind::LegacyHeap => EventEngine::Legacy(EventQueue::new()),
-        }
-    }
-
-    /// Schedule `payload` on `lane` at `at`.
-    pub fn schedule(&mut self, lane: LaneId, at: SimTime, payload: E) {
-        match self {
-            EventEngine::Hierarchical(q) => q.schedule(lane, at, payload),
-            EventEngine::Legacy(q) => q.schedule(at, payload),
-        }
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            EventEngine::Hierarchical(q) => q.pop(),
-            EventEngine::Legacy(q) => q.pop(),
-        }
-    }
-
-    /// Remove and return the earliest event if it fires at or before `t`.
-    pub fn pop_if_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        match self {
-            EventEngine::Hierarchical(q) => q.pop_if_before(t),
-            EventEngine::Legacy(q) => q.pop_if_before(t),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventEngine::Hierarchical(q) => q.len(),
-            EventEngine::Legacy(q) => q.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Behavior counters (the legacy heap reports a single-lane engine
-    /// with no fast-path accounting).
-    pub fn stats(&self) -> EngineStats {
-        match self {
-            EventEngine::Hierarchical(q) => q.stats(),
-            EventEngine::Legacy(_) => EngineStats { lanes: 1, ..EngineStats::default() },
-        }
+    /// Corrupt the merged run by swapping its next two events, so a test
+    /// can show the oracle catches a calendar that pops out of order.
+    #[cfg(test)]
+    fn swap_next_two_of_run(&mut self) {
+        let n = self.current.len();
+        self.current.swap(n - 1, n - 2);
     }
 }
 
@@ -701,8 +671,9 @@ mod tests {
 
     #[test]
     fn hier_matches_flat_on_random_interleavings() {
-        // The engines must pop identical sequences for identical schedule
-        // calls — the bit-for-bit contract the Network relies on.
+        // The calendar and the reference heap must pop identical
+        // sequences for identical schedule calls — here compared from
+        // outside, value by value, on top of the built-in shadow check.
         let mut lcg = 0xDEAD_BEEFu64;
         let mut next = move || {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -755,24 +726,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_dispatch_matches_across_kinds() {
-        let run = |kind: EngineKind| {
-            let mut q: EventEngine<u32> = EventEngine::new(kind, 3);
-            let mut out = Vec::new();
-            q.schedule(LaneId(0), SimTime::from_nanos(4), 1);
-            q.schedule(LaneId(1), SimTime::from_nanos(4), 2);
-            out.push(q.pop().unwrap().1);
-            q.schedule(LaneId(2), SimTime::from_nanos(4), 3);
-            q.schedule(LaneId(0), SimTime::from_nanos(2), 4);
-            while let Some((_, v)) = q.pop_if_before(SimTime::from_nanos(3)) {
-                out.push(v);
-            }
-            while let Some((_, v)) = q.pop() {
-                out.push(v);
-            }
-            out
-        };
-        assert_eq!(run(EngineKind::Hierarchical), run(EngineKind::LegacyHeap));
-        assert_eq!(run(EngineKind::Hierarchical), vec![1, 4, 2, 3]);
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "engine diverged at t=2020ns: calendar popped (2030ns, seq 2), oracle (2020ns, seq 1)"
+    )]
+    fn oracle_catches_a_calendar_that_pops_out_of_order() {
+        // Three events in one ring epoch (epoch 0 would go to the late
+        // heap instead of a bucket).
+        let mut q = HierEventQueue::with_bucket_width(1, 1024);
+        for (i, ns) in [2010, 2020, 2030].into_iter().enumerate() {
+            q.schedule(LaneId(0), SimTime::from_nanos(ns), i);
+        }
+        // The first pop merges the epoch into the run; what is left of
+        // it is then swapped behind the oracle's back.
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(2010), 0)));
+        q.swap_next_two_of_run();
+        q.pop();
     }
 }

@@ -5,8 +5,7 @@
 //! [`Fault`]s naming fabric links ([`LinkId`]) and hosts. Installing a
 //! plan on a [`crate::Network`] (via
 //! [`install_faults`](crate::Network::install_faults)) schedules each
-//! fault as an ordinary event on the affected node's event lane, so
-//! fault-laden runs stay bit-identical across event engines — the same
+//! fault as an ordinary event on the affected node's event lane: the same
 //! `(time, seq)` total order governs faults and packets alike.
 //!
 //! Semantics (see `crate::network` for the dispatch-path checks):
@@ -80,8 +79,8 @@ pub enum Fault {
     /// one fault event — each member host's uplink and downlink, the
     /// TOR's uplinks, and the spine downlinks into the rack. The network
     /// expands the composite into per-link actions at the same instant
-    /// (in a fixed canonical order), so runs stay bit-identical across
-    /// engines; `RunStats::faults_applied` counts each member link.
+    /// (in a fixed canonical order), so runs stay repeatable;
+    /// `RunStats::faults_applied` counts each member link.
     RackOutage {
         /// The rack that loses power.
         rack: u32,

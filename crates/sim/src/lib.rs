@@ -67,9 +67,7 @@ pub mod trace;
 pub mod transport;
 
 pub use delay::DelayBreakdown;
-pub use events::{
-    EngineKind, EngineStats, EventEngine, EventQueue, HierEventQueue, LaneId, TimerToken,
-};
+pub use events::{EngineStats, EventQueue, HierEventQueue, LaneId, TimerToken};
 pub use faults::{Fault, FaultPlan, FaultSpec, LinkId};
 pub use network::{Network, NetworkConfig, StepOutput};
 pub use packet::{CtrlKind, Packet, PacketMeta};

@@ -29,10 +29,12 @@
 //! whatever it produces — new events, application events, trace records
 //! — straight back. Events are totally ordered by `(time, seq)` with
 //! `seq` assigned at insertion, so a run is a pure function of its
-//! inputs, and both [`EngineKind`]s replay it bit-identically
-//! (`tests/determinism.rs`).
+//! inputs. The queue is a [`HierEventQueue`]; in debug builds it checks
+//! every pop against a reference heap (see [`crate::events`]), and
+//! `serve_queue` checks that no waiting packet outranked the one it
+//! took, so every test and fuzz run is also an invariant run.
 
-use crate::events::{EngineKind, EngineStats, EventEngine, LaneId, TimerToken};
+use crate::events::{EngineStats, HierEventQueue, LaneId, TimerToken};
 use crate::faults::{Fault, FaultPlan, LinkId};
 use crate::packet::{CtrlKind, Packet, PacketMeta};
 use crate::queues::{PortQueue, QueueDiscipline};
@@ -55,10 +57,6 @@ pub struct NetworkConfig {
     pub tor_up: QueueDiscipline,
     /// Queue discipline for spine→TOR ports.
     pub spine_down: QueueDiscipline,
-    /// Which event queue orders the run (see [`crate::events`]). Both
-    /// produce bit-identical runs: the calendar queue is the default,
-    /// the legacy heap the reference the tests compare it against.
-    pub engine: EngineKind,
 }
 
 impl Default for NetworkConfig {
@@ -71,7 +69,6 @@ impl Default for NetworkConfig {
             tor_down: QueueDiscipline::strict8(1 << 20),
             tor_up: QueueDiscipline::strict8(1 << 20),
             spine_down: QueueDiscipline::strict8(1 << 20),
-            engine: EngineKind::default(),
         }
     }
 }
@@ -79,18 +76,7 @@ impl Default for NetworkConfig {
 impl NetworkConfig {
     /// Same discipline on every switch port.
     pub fn uniform(seed: u64, disc: QueueDiscipline) -> Self {
-        NetworkConfig {
-            seed,
-            tor_down: disc,
-            tor_up: disc,
-            spine_down: disc,
-            engine: EngineKind::default(),
-        }
-    }
-
-    /// The same configuration on a different event engine.
-    pub fn with_engine(self, engine: EngineKind) -> Self {
-        NetworkConfig { engine, ..self }
+        NetworkConfig { seed, tor_down: disc, tor_up: disc, spine_down: disc }
     }
 }
 
@@ -278,20 +264,17 @@ fn lane_of(topo: &Topology, node: NodeId) -> LaneId {
 /// it writes to, the flight recorder, and the fabric's spray RNG.
 struct Ctx<'a, M: PacketMeta> {
     topo: &'a Topology,
-    queue: &'a mut EventEngine<Ev<M>>,
+    queue: &'a mut HierEventQueue<Ev<M>>,
     app_events: &'a mut Vec<(SimTime, HostId, AppEvent)>,
     tracer: Option<&'a mut FlightRecorder>,
     rng: &'a mut StdRng,
 }
 
 impl<M: PacketMeta> Ctx<'_, M> {
-    /// Whether the flight recorder wants events. Constant-folds to
-    /// `false` when the `trace` cargo feature is compiled out, so every
-    /// guarded emit site vanishes from the binary; with the feature on
-    /// it is one bool test. Call sites must guard with this before
-    /// constructing a [`TraceEvent`].
+    /// Whether the flight recorder wants events: one bool test. Call
+    /// sites must guard with this before constructing a [`TraceEvent`].
     fn tracing(&self) -> bool {
-        cfg!(feature = "trace") && self.tracer.is_some()
+        self.tracer.is_some()
     }
 
     /// Record one trace event at `at` (a no-op unless [`Self::tracing`]).
@@ -441,6 +424,10 @@ fn serve_queue<M: PacketMeta>(
     port: &mut Port<M>,
 ) {
     let Some(next) = port.queue.dequeue(now) else { return };
+    debug_assert!(
+        !port.queue.waiting_outranks(&next),
+        "priority inversion at {node:?} port {port_idx}: a waiting packet outranks the one dequeued"
+    );
     if cx.tracing() {
         let (waited, lag) = port.queue.last_wait();
         cx.trace(
@@ -700,15 +687,14 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     topo: Topology,
     cfg: NetworkConfig,
     now: SimTime,
-    queue: EventEngine<Ev<M>>,
+    queue: HierEventQueue<Ev<M>>,
     racks: Vec<RackState<M, T>>,
     spine: SpineState<M>,
     rng: StdRng,
     app_events: Vec<(SimTime, HostId, AppEvent)>,
     events_processed: u64,
     /// The flight recorder, when [`Self::enable_trace`] installed one.
-    /// `None` costs at most one branch per guarded emit site; without
-    /// the `trace` feature the sites are compiled out entirely.
+    /// `None` costs one branch per guarded emit site.
     tracer: Option<FlightRecorder>,
 }
 
@@ -843,7 +829,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         // are sized from the fabric's minimum forward delay.
         let lanes = topo.num_hosts() + topo.racks + topo.spines;
         let bucket_ns = topo.min_forward_delay().as_nanos().max(1);
-        let queue = EventEngine::with_bucket_width(cfg.engine, lanes, bucket_ns);
+        let queue = HierEventQueue::with_bucket_width(lanes, bucket_ns);
         Network {
             queue,
             topo,
@@ -861,10 +847,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// Install a [`FlightRecorder`] retaining at most `cap` records
     /// (see [`FlightRecorder::DEFAULT_CAP`]). Tracing changes **no**
     /// simulation state: event counts, statistics, and delivery times
-    /// are bit-identical with tracing on or off, and the recorded byte
-    /// stream is identical on both engine kinds. Without the
-    /// `trace` cargo feature the recorder is installed but the fabric
-    /// never writes to it (the emit sites compile to nothing).
+    /// are bit-identical with tracing on or off.
     pub fn enable_trace(&mut self, cap: usize) {
         self.tracer = Some(FlightRecorder::new(cap));
     }
@@ -920,10 +903,8 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// Begin a one-way message from `src` to `dst` at the current time.
     pub fn inject_message(&mut self, src: HostId, dst: HostId, len: u64, tag: u64) {
         assert_ne!(src, dst, "self-messages not modelled");
-        if cfg!(feature = "trace") {
-            if let Some(t) = self.tracer.as_mut() {
-                t.record(self.now, TraceEvent::MsgStart { src, dst, len, tag });
-            }
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(self.now, TraceEvent::MsgStart { src, dst, len, tag });
         }
         self.with_transport(src, |t, now, act| t.inject_message(now, dst, len, tag, act));
     }
@@ -1050,10 +1031,9 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     }
 
     /// Install a declarative fault plan: each fault becomes an event on
-    /// the affected node's lane, so fault-laden runs replay bit-identically
-    /// on both engines. Composite faults (whole-rack / whole-spine
-    /// outages) expand into one event per member link at the same
-    /// instant, in a fixed canonical order. May be called repeatedly;
+    /// the affected node's lane, ordered like any other event. Composite
+    /// faults (whole-rack / whole-spine outages) expand into one event
+    /// per member link at the same instant, in a fixed canonical order. May be called repeatedly;
     /// faults must not be scheduled in the past.
     pub fn install_faults(&mut self, plan: &FaultPlan) {
         for (at, fault) in plan.sorted_events() {
@@ -1435,14 +1415,11 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    fn scripted_run(engine: EngineKind) -> (Vec<(u64, u32)>, u64) {
-        let topo = Topology::multi_tor(40);
-        let cfg = NetworkConfig::default().with_engine(engine);
-        let mut net = Network::new(topo, cfg, |h| Echoless {
-            me: h,
-            outbox: Default::default(),
-            delivered: 0,
-        });
+    #[test]
+    fn scripted_multi_tor_run_holds_the_event_order() {
+        // 40 hosts, 200 staggered messages: the queue's shadow oracle
+        // (debug builds) checks every one of the run's pops.
+        let mut net = simple_net(Topology::multi_tor(40));
         for i in 0..200u32 {
             net.inject_message(
                 HostId(i % 40),
@@ -1453,31 +1430,14 @@ mod tests {
             net.run_until(SimTime::from_micros(2 * (i as u64 + 1)));
         }
         net.run_until(SimTime::from_millis(5));
-        let evs: Vec<_> =
-            net.take_app_events().into_iter().map(|(t, h, _)| (t.as_nanos(), h.0)).collect();
-        (evs, net.events_processed())
-    }
-
-    #[test]
-    fn engines_agree_event_for_event() {
-        // The calendar engine must replay the legacy heap's run
-        // bit-for-bit: same delivery times, same hosts, same event count.
-        let hier = scripted_run(EngineKind::Hierarchical);
-        let legacy = scripted_run(EngineKind::LegacyHeap);
-        assert_eq!(hier, legacy);
-        assert!(hier.1 > 500, "only {} events", hier.1);
+        assert_eq!(net.take_app_events().len(), 200);
+        assert!(net.events_processed() > 500, "only {} events", net.events_processed());
     }
 
     #[test]
     fn hundred_host_fabric_delivers_all_to_all() {
         let topo = Topology::multi_tor(100);
-        let mut net = Network::new(
-            topo,
-            // Pin the engine: the lane-count assertion below is about the
-            // calendar engine regardless of the workspace default.
-            NetworkConfig::default().with_engine(EngineKind::Hierarchical),
-            |h| Echoless { me: h, outbox: Default::default(), delivered: 0 },
-        );
+        let mut net = simple_net(topo);
         for i in 0..100u32 {
             net.inject_message(HostId(i), HostId((i + 37) % 100), 2_000, i as u64);
         }
@@ -1639,15 +1599,13 @@ mod tests {
         assert_eq!(net.harvest_stats().fault_drops, 0);
     }
 
-    fn faulted_run(engine: EngineKind) -> (Vec<(u64, u32)>, u64, String) {
+    #[test]
+    fn faulted_run_holds_the_event_order() {
+        // Fault events share lanes with packet events, the pause replays
+        // deferred deliveries at one instant and the flaps restart port
+        // service: the shadow oracle checks the order through all of it.
         use crate::faults::{FaultPlan, LinkId};
-        let topo = Topology::scaled_fabric(2, 4, 2);
-        let cfg = NetworkConfig::default().with_engine(engine);
-        let mut net = Network::new(topo, cfg, |h| Echoless {
-            me: h,
-            outbox: Default::default(),
-            delivered: 0,
-        });
+        let mut net = simple_net(Topology::scaled_fabric(2, 4, 2));
         net.install_faults(
             &FaultPlan::new()
                 .link_flaps(LinkId::HostDownlink(HostId(3)), 5_000, 20_000, 50_000, 4)
@@ -1664,18 +1622,9 @@ mod tests {
             net.run_until(SimTime::from_micros(3 * (i as u64 + 1)));
         }
         net.run_until(SimTime::from_millis(5));
-        let evs: Vec<_> =
-            net.take_app_events().into_iter().map(|(t, h, _)| (t.as_nanos(), h.0)).collect();
-        (evs, net.events_processed(), format!("{:?}", net.harvest_stats()))
-    }
-
-    #[test]
-    fn engines_agree_under_faults() {
-        let hier = faulted_run(EngineKind::Hierarchical);
-        let legacy = faulted_run(EngineKind::LegacyHeap);
-        assert_eq!(hier, legacy);
-        let stats_dbg = &hier.2;
-        assert!(stats_dbg.contains("faults_applied: 12"), "fault count missing: {stats_dbg}");
+        let stats = net.harvest_stats();
+        assert_eq!(stats.faults_applied, 12);
+        assert_eq!(net.take_app_events().len() as u64 + stats.fault_drops, 120);
     }
 
     #[test]
@@ -1763,14 +1712,12 @@ mod tests {
         assert_eq!(evs[0].0.as_nanos(), model.as_nanos());
     }
 
-    fn fat_tree_scripted(engine: EngineKind) -> (Vec<(u64, u32)>, u64, String) {
-        let topo = Topology::fat_tree(4);
-        let cfg = NetworkConfig::default().with_engine(engine);
-        let mut net = Network::new(topo, cfg, |h| Echoless {
-            me: h,
-            outbox: Default::default(),
-            delivered: 0,
-        });
+    #[test]
+    fn fat_tree_scripted_run_delivers_everything() {
+        // The fat tree sprays from per-switch counters instead of the
+        // fabric RNG; the run must lose nothing and (debug builds) keep
+        // the shadow oracle's order on all three tiers.
+        let mut net = simple_net(Topology::fat_tree(4));
         for i in 0..200u32 {
             net.inject_message(
                 HostId(i % 16),
@@ -1781,19 +1728,7 @@ mod tests {
             net.run_until(SimTime::from_micros(2 * (i as u64 + 1)));
         }
         net.run_until(SimTime::from_millis(5));
-        let evs: Vec<_> =
-            net.take_app_events().into_iter().map(|(t, h, _)| (t.as_nanos(), h.0)).collect();
-        (evs, net.events_processed(), format!("{:?}", net.harvest_stats()))
-    }
-
-    #[test]
-    fn fat_tree_engines_agree_event_for_event() {
-        // The fat tree sprays from per-switch counters instead of the
-        // fabric RNG; it must replay bit-identically on both engines too.
-        let legacy = fat_tree_scripted(EngineKind::LegacyHeap);
-        assert_eq!(legacy.0.len(), 200, "fat tree lost messages");
-        let hier = fat_tree_scripted(EngineKind::Hierarchical);
-        assert_eq!(hier, legacy);
+        assert_eq!(net.take_app_events().len(), 200, "fat tree lost messages");
     }
 
     #[test]

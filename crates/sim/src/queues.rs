@@ -431,6 +431,24 @@ impl<M: PacketMeta> PortQueue<M> {
         outranks_kind(self.disc.kind, a, a_trimmed, b, false)
     }
 
+    /// Whether any packet still waiting strictly outranks `taken` under
+    /// this queue's discipline. Never true of the packet
+    /// [`dequeue`](Self::dequeue) just returned: that is the
+    /// non-inversion invariant the fabric asserts in debug builds. Strict
+    /// priority compares the levels packets were filed under, so
+    /// priorities clamped into one level do not count as an inversion.
+    pub fn waiting_outranks(&self, taken: &Packet<M>) -> bool {
+        match self.disc.kind {
+            QueueKind::StrictPriority { levels } => {
+                let lvl = taken.priority().min(levels - 1) as usize;
+                self.levels[lvl + 1..].iter().any(|q| !q.is_empty())
+            }
+            kind => self.pool.iter().chain(&self.ctrl).any(|w| {
+                outranks_kind(kind, &w.pkt.meta, w.pkt.was_trimmed, &taken.meta, taken.was_trimmed)
+            }),
+        }
+    }
+
     /// Inform the queue that the port just started transmitting `started`
     /// and will stay busy for `dur`: every queued packet that outranks it
     /// accrues preemption lag for that interval.
@@ -507,7 +525,11 @@ mod tests {
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 1)), None);
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 5)), None);
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 3)), None);
-        assert_eq!(q.dequeue(t(1)).unwrap().priority(), 5);
+        // Taking a level-3 packet now would invert: level 5 still waits.
+        assert!(q.waiting_outranks(&pkt(0, 1, TestMeta::data(100, 3))));
+        let first = q.dequeue(t(1)).unwrap();
+        assert_eq!(first.priority(), 5);
+        assert!(!q.waiting_outranks(&first));
         assert_eq!(q.dequeue(t(1)).unwrap().priority(), 3);
         assert_eq!(q.dequeue(t(1)).unwrap().priority(), 1);
         assert!(q.dequeue(t(1)).is_none());
@@ -547,6 +569,10 @@ mod tests {
             ecn: None,
         });
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 7)), None);
+        q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 5)), None);
+        // 7 and 5 share the top level, so FIFO between them is no
+        // inversion.
+        assert!(!q.waiting_outranks(&pkt(0, 1, TestMeta::data(100, 5))));
         assert_eq!(q.dequeue(t(0)).unwrap().priority(), 7);
     }
 
@@ -594,9 +620,12 @@ mod tests {
         });
         let mut data = TestMeta::data(1500, 0);
         data.remaining = Some(1);
-        q.enqueue(t(0), pkt(0, 1, data), None);
+        q.enqueue(t(0), pkt(0, 1, data.clone()), None);
         q.enqueue(t(0), pkt(0, 1, TestMeta::control(40, 0)), None);
-        assert!(q.dequeue(t(1)).unwrap().meta.control);
+        assert!(q.waiting_outranks(&pkt(0, 1, data)), "control waits behind data");
+        let first = q.dequeue(t(1)).unwrap();
+        assert!(first.meta.control);
+        assert!(!q.waiting_outranks(&first));
     }
 
     #[test]

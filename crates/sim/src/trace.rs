@@ -1,8 +1,8 @@
 //! The flight recorder: event-level tracing and derived timelines.
 //!
 //! Aggregate [`crate::RunStats`] answer *how much*; this module answers
-//! *when* and *why*. With tracing enabled (the `trace` cargo feature plus
-//! [`crate::Network::enable_trace`]), the fabric emits a typed
+//! *when* and *why*. With tracing enabled
+//! ([`crate::Network::enable_trace`]), the fabric emits a typed
 //! [`TraceEvent`] at every observable transition — packet enqueue/dequeue
 //! with priority and queue depth, transmission start, grant issued and
 //! received, resend request, preemption of a lower-priority packet,
@@ -11,17 +11,16 @@
 //!
 //! Three properties the rest of the workspace depends on:
 //!
-//! * **Zero cost when off.** Every emit site is guarded by a
-//!   `tracing()` check that constant-folds to `false` when the `trace`
-//!   feature is compiled out, and short-circuits on one bool when the
-//!   feature is on but no recorder is installed. Trace events are *not*
-//!   simulator events: they never enter the event engine, so event counts
-//!   and all simulation state are bit-identical with tracing on, off, or
-//!   compiled out.
-//! * **Engine independence.** Records are written in dispatch order,
-//!   which is the global `(time, seq)` order on both engines — so the
-//!   recorded byte stream is identical on `LegacyHeap` and
-//!   `Hierarchical` (`tests/determinism.rs` pins this).
+//! * **Free when off.** Every emit site is guarded by a `tracing()`
+//!   check that short-circuits on one bool when no recorder is
+//!   installed. Trace events are *not* simulator events: they never
+//!   enter the event engine, so event counts and all simulation state
+//!   are bit-identical with tracing on or off (`perf-smoke --compare`
+//!   reads the untraced event counts exactly; `homa-bench`'s
+//!   `tracing_does_not_change_the_run` compares the two runs).
+//! * **Dispatch order.** Records are written in dispatch order, which
+//!   is the global `(time, seq)` order, so one spec renders one byte
+//!   stream (`tests/determinism.rs` pins this).
 //! * **Deterministic serialization.** [`TraceRecord::write_jsonl`]
 //!   renders a canonical one-object-per-line JSON form with fixed key
 //!   order, so a trace can be golden-tested byte-for-byte.

@@ -18,9 +18,6 @@ pub struct UdpConfig {
     pub homa: HomaConfig,
     /// Socket read timeout / driver loop cadence.
     pub poll_interval: Duration,
-    /// Maximum packets transmitted per driver-loop turn (keeps the
-    /// effective NIC queue short, mirroring §4's two-packet cap).
-    pub tx_burst: usize,
     /// Bound on the application event channel. An application that stops
     /// consuming [`UdpEvent`]s no longer grows the queue without limit:
     /// once `event_channel_cap` events are queued, further events are
@@ -45,11 +42,17 @@ impl Default for UdpConfig {
                 ..HomaConfig::default()
             },
             poll_interval: Duration::from_micros(500),
-            tx_burst: 64,
             event_channel_cap: 1024,
         }
     }
 }
+
+/// Most datagrams one `pump` call encodes under the shared lock before
+/// sending them. The cap bounds one lock hold and one batch's buffers;
+/// whatever is left goes out on the driver's next turn, after it has read
+/// the socket once, so a long message cannot starve the receive side of
+/// the grants and acks that pace it.
+const TX_BATCH: usize = 256;
 
 /// Application events surfaced by the node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,7 +291,7 @@ impl HomaUdpNode {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    /// Transmit everything the endpoint has ready.
+    /// Transmit what the endpoint has ready, up to [`TX_BATCH`] datagrams.
     fn pump(&self) {
         let mut batch: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
         {
@@ -313,7 +316,7 @@ impl HomaUdpNode {
                     _ => homa_wire::encode(&pkt, &[]),
                 };
                 batch.push((addr, buf.to_vec()));
-                if batch.len() >= 256 {
+                if batch.len() >= TX_BATCH {
                     break;
                 }
             }
@@ -457,10 +460,9 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn pair(base: u16) -> (Arc<HomaUdpNode>, Arc<HomaUdpNode>) {
+    fn pair() -> (Arc<HomaUdpNode>, Arc<HomaUdpNode>) {
         let a = HomaUdpNode::bind(PeerId(0), ("127.0.0.1", 0), UdpConfig::default()).unwrap();
         let b = HomaUdpNode::bind(PeerId(1), ("127.0.0.1", 0), UdpConfig::default()).unwrap();
-        let _ = base;
         a.add_peer(PeerId(1), b.local_addr().unwrap());
         b.add_peer(PeerId(0), a.local_addr().unwrap());
         (a, b)
@@ -468,7 +470,7 @@ mod tests {
 
     #[test]
     fn oneway_message_over_loopback() {
-        let (a, b) = pair(0);
+        let (a, b) = pair();
         let payload: Vec<u8> = (0..5_000u32).map(|i| (i % 251) as u8).collect();
         a.send_message(PeerId(1), payload.clone(), 77).unwrap();
         match b.events().recv_timeout(Duration::from_secs(5)).unwrap() {
@@ -485,7 +487,7 @@ mod tests {
 
     #[test]
     fn rpc_echo_over_loopback() {
-        let (a, b) = pair(1);
+        let (a, b) = pair();
         a.call(PeerId(1), b"hello homa".to_vec(), 5).unwrap();
         match b.events().recv_timeout(Duration::from_secs(5)).unwrap() {
             UdpEvent::Request { from, rpc, data } => {
@@ -508,7 +510,7 @@ mod tests {
 
     #[test]
     fn large_message_spans_many_packets() {
-        let (a, b) = pair(2);
+        let (a, b) = pair();
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i * 7 % 253) as u8).collect();
         a.send_message(PeerId(1), payload.clone(), 9).unwrap();
         match b.events().recv_timeout(Duration::from_secs(10)).unwrap() {
@@ -521,7 +523,7 @@ mod tests {
 
     #[test]
     fn loss_recovered_by_resend() {
-        let (a, b) = pair(3);
+        let (a, b) = pair();
         // Drop the first two data packets b receives.
         let mut dropped = 0;
         b.set_rx_drop_filter(move |p| {
@@ -582,7 +584,7 @@ mod tests {
 
     #[test]
     fn rpc_payloads_released_after_completion() {
-        let (a, b) = pair(4);
+        let (a, b) = pair();
         a.call(PeerId(1), vec![7u8; 5_000], 1).unwrap();
         match b.events().recv_timeout(Duration::from_secs(5)).unwrap() {
             UdpEvent::Request { from, rpc, data } => b.respond(from, rpc, data).unwrap(),
@@ -675,7 +677,7 @@ mod tests {
     #[test]
     fn hostile_data_headers_are_dropped_and_the_node_keeps_serving() {
         use homa::packets::DataHeader;
-        let (a, b) = pair(5);
+        let (a, b) = pair();
         // A registered peer whose socket we drive by hand.
         let rogue = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         b.add_peer(PeerId(2), rogue.local_addr().unwrap());

@@ -191,6 +191,43 @@ mod tests {
         }
     }
 
+    // Known answers about the macro itself: if it ran fewer cases than it
+    // claims, or swallowed a failing case, every property test in the
+    // workspace would pass vacuously.
+    static RUNS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+    proptest! {
+        fn counts_its_cases(x in 0u8..4) {
+            prop_assert!(x < 4);
+            RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+
+        fn claims_seven_is_a_thousand(x in 7u64..8) {
+            prop_assert_eq!(x, 1000);
+        }
+    }
+
+    #[test]
+    fn a_property_runs_exactly_cases_times() {
+        counts_its_cases();
+        assert_eq!(RUNS.load(std::sync::atomic::Ordering::Relaxed), crate::cases());
+    }
+
+    #[test]
+    fn a_false_property_fails_on_its_first_case_and_reports_its_inputs() {
+        let payload = std::panic::catch_unwind(claims_seven_is_a_thousand)
+            .expect_err("a false property must fail");
+        let msg = payload.downcast_ref::<String>().expect("panic carries a message");
+        assert_eq!(
+            *msg,
+            format!(
+                "proptest `claims_seven_is_a_thousand` failed at case 1/{}: \
+                 assertion failed: `7 == 1000`",
+                crate::cases()
+            )
+        );
+    }
+
     #[test]
     fn endpoint_bias_hits_bounds() {
         let mut rng = crate::test_runner::TestRng::from_name("bias");

@@ -1,16 +1,21 @@
-//! Cross-engine determinism: the calendar event engine must replay the
-//! legacy single-heap engine — the reference oracle — bit-for-bit.
+//! Determinism: one [`ScenarioSpec`] + seed is one run, bit for bit, and
+//! that run pops its events in exact `(time, seq)` order.
 //!
-//! Both engines order events by the same globally-assigned `(time, seq)`
-//! key, so for one [`ScenarioSpec`] + seed the full `MsgRecord` stream and the harvested
-//! `RunStats` must be identical — not statistically close, *identical*.
-//! This is the contract that lets the perf gate pin deterministic event
-//! counts in `BENCH_BASELINE.json`.
+//! Every row runs its scenario twice and requires the full `MsgRecord`
+//! stream and the harvested `RunStats` to be identical — not
+//! statistically close, *identical*. The event order itself is checked
+//! inside each run: in a build with debug assertions (`cargo test`, and
+//! CI's optimized runs, which set
+//! `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true`) the calendar queue
+//! carries a reference heap and panics with `engine diverged at t=…` on
+//! the first pop the two disagree on (see `homa_sim::events`). Together
+//! these are the contract that lets the perf gate pin deterministic
+//! event counts in `BENCH_BASELINE.json`.
 
 use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::{FabricSpec, ScenarioSpec};
-use homa_sim::{EngineKind, FaultPlan, HostId, LinkId};
+use homa_sim::{FaultPlan, HostId, LinkId};
 use homa_workloads::{TrafficSpec, VictimSpec, Workload};
 
 /// Exact signature of a run: every record field (sizes, injection and
@@ -34,29 +39,22 @@ fn run_signature(p: Protocol, spec: &ScenarioSpec) -> (String, String, u64, u64)
     )
 }
 
-fn assert_engines_agree(p: Protocol, spec: ScenarioSpec) {
-    let hier = run_signature(p, &spec.clone().with_engine(EngineKind::Hierarchical));
-    let legacy = run_signature(p, &spec.clone().with_engine(EngineKind::LegacyHeap));
-    assert_eq!(
-        hier.3, legacy.3,
-        "{}: event counts diverged (hier {} vs legacy {})",
-        spec.name, hier.3, legacy.3
-    );
-    assert_eq!(hier.2, legacy.2, "{}: delivered counts diverged", spec.name);
-    assert_eq!(hier.0, legacy.0, "{}: MsgRecord streams diverged", spec.name);
-    assert_eq!(hier.1, legacy.1, "{}: RunStats diverged", spec.name);
-
-    // And the hierarchical engine agrees with itself across runs.
-    let again = run_signature(p, &spec.clone().with_engine(EngineKind::Hierarchical));
-    assert_eq!(hier, again, "{}: hierarchical engine not repeatable", spec.name);
+fn assert_repeatable(p: Protocol, spec: ScenarioSpec) {
+    let first = run_signature(p, &spec);
+    let again = run_signature(p, &spec);
+    assert_eq!(first.3, again.3, "{}: event counts diverged", spec.name);
+    assert_eq!(first.2, again.2, "{}: delivered counts diverged", spec.name);
+    assert_eq!(first.0, again.0, "{}: MsgRecord streams diverged", spec.name);
+    assert_eq!(first.1, again.1, "{}: RunStats diverged", spec.name);
 }
 
 #[test]
-fn homa_engines_agree_on_multi_tor_fabric() {
-    assert_engines_agree(
+fn homa_repeats_on_multi_tor_fabric() {
+    assert_repeatable(
         Protocol::Homa,
         // Mirrors the perf gate's `w4_80_40h` scenario exactly, so the
-        // pinned event count in BENCH_BASELINE.json is engine-independent.
+        // event count pinned in BENCH_BASELINE.json is one the oracle
+        // has checked pop by pop.
         ScenarioSpec::new(
             "det_homa_40h",
             FabricSpec::MultiTor { hosts: 40 },
@@ -69,8 +67,8 @@ fn homa_engines_agree_on_multi_tor_fabric() {
 }
 
 #[test]
-fn homa_engines_agree_on_leaf_spine() {
-    assert_engines_agree(
+fn homa_repeats_on_leaf_spine() {
+    assert_repeatable(
         Protocol::Homa,
         ScenarioSpec::new(
             "det_homa_ls",
@@ -84,8 +82,8 @@ fn homa_engines_agree_on_leaf_spine() {
 }
 
 #[test]
-fn phost_engines_agree() {
-    assert_engines_agree(
+fn phost_repeats() {
+    assert_repeatable(
         Protocol::Phost,
         ScenarioSpec::new(
             "det_phost",
@@ -99,12 +97,12 @@ fn phost_engines_agree() {
 }
 
 #[test]
-fn homa_engines_agree_under_incast_flap_and_pause() {
-    // The fault path is where engine divergence would be most likely:
+fn homa_repeats_under_incast_flap_and_pause() {
+    // The fault path is where an ordering bug would be most likely:
     // fault events share lanes with packet events, receiver-pause defers
     // and replays deliveries, and link flaps force the RESEND machinery
-    // through retransmission timing. The engines must still replay each
-    // other bit-for-bit — including the fault counters in RunStats.
+    // through retransmission timing. The run must still repeat bit for
+    // bit — including the fault counters in RunStats.
     let spec = ScenarioSpec::new(
         "det_fault_incast",
         FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 6, spines: 2 },
@@ -125,11 +123,11 @@ fn homa_engines_agree_under_incast_flap_and_pause() {
                 10_000_000_000,
             ),
     );
-    assert_engines_agree(Protocol::Homa, spec);
+    assert_repeatable(Protocol::Homa, spec);
 }
 
 #[test]
-fn phost_engines_agree_under_link_flaps() {
+fn phost_repeats_under_link_flaps() {
     let spec = ScenarioSpec::new(
         "det_fault_phost",
         FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 6, spines: 2 },
@@ -146,14 +144,14 @@ fn phost_engines_agree_under_link_flaps() {
         500_000,
         3,
     ));
-    assert_engines_agree(Protocol::Phost, spec);
+    assert_repeatable(Protocol::Phost, spec);
 }
 
 #[test]
-fn homa_engines_agree_under_rack_outage() {
+fn homa_repeats_under_rack_outage() {
     // Correlated failure: a whole rack goes dark mid-run and comes back.
     // The composite fault expands to one event per member link at the
-    // same instant; both engines must replay identical records, loss
+    // same instant; both runs must produce identical records, loss
     // accounting and fault counters.
     let spec = ScenarioSpec::new(
         "det_rack_outage",
@@ -164,11 +162,11 @@ fn homa_engines_agree_under_rack_outage() {
         17,
     )
     .with_faults(FaultPlan::new().rack_outage(1, 400_000, 1_200_000));
-    assert_engines_agree(Protocol::Homa, spec);
+    assert_repeatable(Protocol::Homa, spec);
 }
 
 #[test]
-fn homa_engines_agree_under_spine_outage() {
+fn homa_repeats_under_spine_outage() {
     let spec = ScenarioSpec::new(
         "det_spine_outage",
         FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 6, spines: 2 },
@@ -179,11 +177,11 @@ fn homa_engines_agree_under_spine_outage() {
     )
     .with_traffic(TrafficSpec::shuffle())
     .with_faults(FaultPlan::new().spine_outage(0, 300_000, 900_000));
-    assert_engines_agree(Protocol::Homa, spec);
+    assert_repeatable(Protocol::Homa, spec);
 }
 
 #[test]
-fn homa_engines_agree_on_faulted_fat_tree() {
+fn homa_repeats_on_faulted_fat_tree() {
     // The 1k-host scale fabric in miniature: a k=4 fat tree with the
     // deterministic counter-spray on TOR, aggregation and core tiers,
     // stressed with the same fault vocabulary as the leaf–spine rows.
@@ -209,15 +207,14 @@ fn homa_engines_agree_on_faulted_fat_tree() {
                 10_000_000_000,
             ),
     );
-    assert_engines_agree(Protocol::Homa, spec);
+    assert_repeatable(Protocol::Homa, spec);
 }
 
 #[test]
-fn trace_jsonl_is_byte_identical_across_engines() {
-    // The flight recorder writes in the `(time, seq)` dispatch order the
-    // engines already agree on, so one spec line must render the *same
-    // bytes* of TRACE.jsonl no matter which engine replayed it — the
-    // contract behind the trace-golden CI job. Faults and incast are on
+fn trace_jsonl_is_byte_identical_across_runs() {
+    // The flight recorder writes in `(time, seq)` dispatch order, so one
+    // spec line must render the *same bytes* of TRACE.jsonl every time —
+    // the contract behind the trace-golden CI job. Faults and incast are on
     // so the trace exercises drop/preemption/resend records, not just
     // the happy path.
     let spec = ScenarioSpec::new(
@@ -237,26 +234,19 @@ fn trace_jsonl_is_byte_identical_across_engines() {
         3,
     ));
 
-    let jsonl_for = |engine: EngineKind| {
-        let res = run_protocol_scenario(
-            Protocol::Homa,
-            &spec.clone().with_engine(engine),
-            &OnewayOpts::default().with_trace(),
-            None,
-        );
-        assert_eq!(res.trace_dropped, 0, "{engine:?}: trace must fit the ring");
-        assert!(!res.trace.is_empty(), "{engine:?}: empty trace");
+    let jsonl = || {
+        let res =
+            run_protocol_scenario(Protocol::Homa, &spec, &OnewayOpts::default().with_trace(), None);
+        assert_eq!(res.trace_dropped, 0, "trace must fit the ring");
+        assert!(!res.trace.is_empty(), "empty trace");
         homa_sim::trace::render_jsonl(&res.trace)
     };
-
-    let legacy = jsonl_for(EngineKind::LegacyHeap);
-    let hier = jsonl_for(EngineKind::Hierarchical);
-    assert_eq!(legacy, hier, "Hierarchical trace bytes diverged from LegacyHeap");
+    assert_eq!(jsonl(), jsonl(), "trace bytes diverged between two runs of one spec");
 }
 
 #[test]
-fn pfabric_engines_agree() {
-    assert_engines_agree(
+fn pfabric_repeats() {
+    assert_repeatable(
         Protocol::Pfabric,
         ScenarioSpec::new(
             "det_pfabric",

@@ -9,7 +9,10 @@
 //! * nothing is delivered twice (`duplicate_deliveries == 0`);
 //! * the record streams cover exactly the deliveries
 //!   (`records + victim_records == delivered`), and the streaming
-//!   sketch saw exactly the non-victim deliveries.
+//!   sketch saw exactly the non-victim deliveries;
+//! * the run trips no debug-build invariant (the event-order oracle, the
+//!   strict-priority non-inversion check, the fabric's `debug_assert!`s):
+//!   a panic counts as a failure and shrinks like one.
 //!
 //! Failures shrink to a minimal spec and print a one-line replay string
 //! (also appended under `$HOMA_FUZZ_FAILURE_DIR` for CI artifacts).
@@ -18,7 +21,7 @@
 
 use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
-use homa_harness::{shrink_to_minimal, FuzzFamily, ScenarioSpec};
+use homa_harness::{failure_or_panic, shrink_to_minimal, FuzzFamily, ScenarioSpec};
 
 const FAMILY: FuzzFamily = FuzzFamily::new("conservation", "HOMA_FUZZ_REPLAY");
 
@@ -31,8 +34,13 @@ const TRANSPORTS: [Protocol; 6] = [
     Protocol::Stream,
 ];
 
-/// `Some(detail)` if `p` violates conservation on `spec`, else `None`.
+/// `Some(detail)` if `p` violates conservation on `spec` or panics on
+/// it, else `None`.
 fn violates_conservation(p: Protocol, spec: &ScenarioSpec) -> Option<String> {
+    failure_or_panic(|| conservation_detail(p, spec))
+}
+
+fn conservation_detail(p: Protocol, spec: &ScenarioSpec) -> Option<String> {
     let res = run_protocol_scenario(p, spec, &OnewayOpts::default().with_records(), None);
     if res.injected != spec.messages {
         return Some(format!(
@@ -80,9 +88,17 @@ fn check_seed_range(first_seed: u64, iters: u64) {
     }
 }
 
+/// The smoke budget is one seed range run as two tests, half each, so
+/// the harness puts the halves on two threads.
 #[test]
-fn all_transports_conserve_messages_on_arbitrary_specs() {
-    check_seed_range(2_000, FAMILY.iters(10));
+fn all_transports_conserve_messages_on_arbitrary_specs_low_seeds() {
+    check_seed_range(2_000, FAMILY.iters(10) / 2);
+}
+
+#[test]
+fn all_transports_conserve_messages_on_arbitrary_specs_high_seeds() {
+    let iters = FAMILY.iters(10);
+    check_seed_range(2_000 + iters / 2, iters - iters / 2);
 }
 
 /// Nightly long-haul sweep on a disjoint seed range.

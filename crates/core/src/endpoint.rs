@@ -121,6 +121,9 @@ pub struct HomaEndpoint {
     tracker: TrafficTracker,
     tracker_last_recompute: u64,
     ctrl: VecDeque<(PeerId, HomaPacket)>,
+    /// Where `on_data` collects the grants of one scheduling pass; empty
+    /// between calls, kept for its capacity.
+    grant_scratch: Vec<(PeerId, GrantHeader)>,
     events: Vec<HomaEvent>,
     /// Every RESEND this endpoint has queued for the wire: receiver-side
     /// gap chasing, client-side response chasing, and server-side request
@@ -147,6 +150,7 @@ impl HomaEndpoint {
             tracker: TrafficTracker::new(),
             tracker_last_recompute: 0,
             ctrl: VecDeque::new(),
+            grant_scratch: Vec::new(),
             events: Vec::new(),
             resends_sent: 0,
             next_seq: 1,
@@ -301,9 +305,9 @@ impl HomaEndpoint {
             }
         }
 
-        let mut grants: Vec<(PeerId, GrantHeader)> = Vec::new();
+        let mut grants = std::mem::take(&mut self.grant_scratch);
         let delivered = self.receiver.on_data(now, from, &hdr, &self.local_map, &mut grants);
-        for (dst, mut g) in grants {
+        for (dst, mut g) in grants.drain(..) {
             // Piggyback our cutoff allocation on grants to peers that have
             // not seen the current version (§3.4 dissemination).
             let sent = self.version_sent.entry(dst).or_insert(u64::MAX);
@@ -313,6 +317,7 @@ impl HomaEndpoint {
             }
             self.ctrl.push_back((dst, HomaPacket::Grant(g)));
         }
+        self.grant_scratch = grants;
 
         if let Some(d) = delivered {
             match d.key.dir {
@@ -571,6 +576,13 @@ impl HomaEndpoint {
     /// message, no retransmission can ever ask for its bytes again.
     pub fn outbound_contains(&self, key: MsgKey) -> bool {
         self.sender.contains(key)
+    }
+
+    /// Whether the receiver holds state for the incomplete inbound message
+    /// `key`: the counterpart of [`outbound_contains`](Self::outbound_contains)
+    /// for drivers that keep reassembly buffers outside the endpoint.
+    pub fn inbound_contains(&self, key: MsgKey) -> bool {
+        self.receiver.get(key).is_some()
     }
 
     /// Snapshot of incomplete inbound messages (diagnostics); see

@@ -16,7 +16,9 @@ use serde::{Deserialize, Serialize};
 
 /// A transport-level peer address. In the simulator this is the host id;
 /// over UDP it indexes a socket-address table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct PeerId(pub u32);
 
 impl std::fmt::Display for PeerId {

@@ -1,9 +1,11 @@
-//! The threaded UDP driver around [`HomaEndpoint`].
+//! The threaded UDP driver around [`HomaEndpoint`]. The crate docs say what
+//! one driver turn is, why its drain is gated and what a merged GRANT costs.
 
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use homa::packets::{Dir, HomaPacket, MsgKey, PeerId};
 use homa::{HomaConfig, HomaEndpoint, HomaEvent};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
@@ -47,12 +49,18 @@ impl Default for UdpConfig {
     }
 }
 
-/// Most datagrams one `pump` call encodes under the shared lock before
-/// sending them. The cap bounds one lock hold and one batch's buffers;
-/// whatever is left goes out on the driver's next turn, after it has read
-/// the socket once, so a long message cannot starve the receive side of
-/// the grants and acks that pace it.
-const TX_BATCH: usize = 256;
+/// Most packets one `pump` call takes from the endpoint under the shared
+/// lock before sending them. The cap bounds one lock hold, the transmit
+/// arena, and what one batch puts into a peer's socket buffer with nothing
+/// pacing it (64 full datagrams are ~150 KB of the kernel's 208 KB): a
+/// restarted sender is granted its whole message at once, and a larger
+/// batch lost its tail to the buffer every time it was re-sent. The rest
+/// goes out on the driver's next turn, after it has read the socket again.
+const TX_BATCH: usize = 64;
+
+/// Most datagrams one driver turn reads, drain included, before it pumps:
+/// one lock hold. Seven packets a message are in flight (`rtt_bytes`).
+const RX_BATCH: usize = 64;
 
 /// Application events surfaced by the node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +106,7 @@ pub enum UdpEvent {
 /// `events_dropped`: a non-zero value means the application fell behind
 /// the bounded event channel and messages were shed at the delivery
 /// boundary (see [`UdpConfig::event_channel_cap`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSummary {
     /// The node's identity.
     pub peer: PeerId,
@@ -108,14 +116,33 @@ pub struct RunSummary {
     pub events_dropped: u64,
     /// Outbound payload buffers still retained (in flight or lingering).
     pub out_payloads: usize,
+    /// Reassembly buffers held for inbound messages still arriving.
+    pub in_buffers: usize,
+    /// Datagrams read from the socket, undecodable and filtered included.
+    pub datagrams_rx: u64,
+    /// Datagrams handed to `send_to`, failed sends included.
+    pub datagrams_tx: u64,
+    /// Driver turns that read at least one datagram.
+    pub rx_turns: u64,
+    /// Of `datagrams_rx`, those a turn's non-blocking drain read.
+    pub rx_drained: u64,
+    /// GRANTs folded into an earlier GRANT of the same transmit batch.
+    pub grants_merged: u64,
+    /// `send_to` calls that failed: packets lost before the wire.
+    pub tx_errors: u64,
 }
 
 impl std::fmt::Display for RunSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self { datagrams_rx: rx, datagrams_tx: tx, rx_turns, rx_drained, tx_errors, .. } = self;
+        let Self { events_queued: queued, events_dropped: shed, out_payloads, in_buffers, .. } =
+            self;
         write!(
             f,
-            "node {}: {} events queued, {} dropped (channel overflow), {} out-payloads retained",
-            self.peer.0, self.events_queued, self.events_dropped, self.out_payloads
+            "node {}: {queued} events queued, {shed} dropped (channel overflow), {out_payloads} \
+             out-payloads retained, {in_buffers} in-buffers; rx {rx} in {rx_turns} turns \
+             ({rx_drained} drained), tx {tx} ({tx_errors} errors, {} grants merged)",
+            self.peer.0, self.grants_merged
         )
     }
 }
@@ -148,6 +175,37 @@ struct Shared {
     addr_to_peer: HashMap<SocketAddr, PeerId>,
     /// Test hook: drop incoming packets matching the filter.
     rx_drop: Option<RxDropFilter>,
+    /// The traffic counters, as [`HomaUdpNode::run_summary`] reports them.
+    sum: RunSummary,
+}
+
+thread_local! {
+    /// This thread's transmit arena, reused by every `pump`: the packets
+    /// staged, their encodings back to back, each one's address and end.
+    #[allow(clippy::type_complexity)]
+    static TX: RefCell<(Vec<(PeerId, HomaPacket)>, Vec<u8>, Vec<(SocketAddr, usize)>)> =
+        RefCell::default();
+}
+
+/// Stage `pkt` for `dst`; true if it was a GRANT folded into an earlier
+/// GRANT of the batch for the same peer and message. Grants are cumulative:
+/// the larger offset, the newer priority and the newer `cutoffs` (the older
+/// one's if only it has any) say what both did.
+fn stage(staged: &mut Vec<(PeerId, HomaPacket)>, dst: PeerId, pkt: HomaPacket) -> bool {
+    if let HomaPacket::Grant(new) = &pkt {
+        let earlier = staged.iter_mut().find_map(|(d, p)| match p {
+            HomaPacket::Grant(g) if *d == dst && g.key == new.key => Some(g),
+            _ => None,
+        });
+        if let Some(old) = earlier {
+            old.offset = old.offset.max(new.offset);
+            old.prio = new.prio;
+            old.cutoffs = new.cutoffs.clone().or(old.cutoffs.take());
+            return true;
+        }
+    }
+    staged.push((dst, pkt));
+    false
 }
 
 /// One Homa endpoint bound to a UDP socket, serviced by a background
@@ -182,6 +240,7 @@ impl HomaUdpNode {
                 peers: HashMap::new(),
                 addr_to_peer: HashMap::new(),
                 rx_drop: None,
+                sum: RunSummary { peer: me, ..RunSummary::default() },
             }),
             events_tx,
             events_rx,
@@ -271,11 +330,13 @@ impl HomaUdpNode {
     /// shut a node down should check (or log) `events_dropped` here
     /// rather than silently losing sheds.
     pub fn run_summary(&self) -> RunSummary {
+        let s = self.shared.lock();
         RunSummary {
-            peer: self.me,
             events_queued: self.events_rx.len(),
             events_dropped: self.events_dropped(),
-            out_payloads: self.out_payload_count(),
+            out_payloads: s.out_payloads.len(),
+            in_buffers: s.in_buffers.len(),
+            ..s.sum.clone()
         }
     }
 
@@ -291,54 +352,58 @@ impl HomaUdpNode {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    /// Transmit what the endpoint has ready, up to [`TX_BATCH`] datagrams.
+    /// Transmit what the endpoint has ready, up to [`TX_BATCH`] packets:
+    /// [`stage`]d and encoded into this thread's arena under the lock, sent
+    /// with no lock held. Driver and application threads all send here.
     fn pump(&self) {
-        let mut batch: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
-        {
+        TX.with_borrow_mut(|(staged, bytes, spans)| {
+            bytes.clear();
+            spans.clear();
             let mut s = self.shared.lock();
             let now = now_ns();
-            while let Some((dst, pkt)) = s.ep.poll_transmit(now) {
-                let Some(&addr) = s.peers.get(&dst) else { continue };
-                let buf = match &pkt {
-                    HomaPacket::Data(h) => {
-                        let key = h.key;
-                        let payload = s
-                            .out_payloads
-                            .get(&key)
-                            .map(|p| {
-                                let start = (h.offset as usize).min(p.len());
-                                let end = (h.offset as usize + h.payload as usize).min(p.len());
-                                p[start..end].to_vec()
-                            })
-                            .unwrap_or_else(|| vec![0; h.payload as usize]);
-                        homa_wire::encode(&pkt, &payload)
-                    }
-                    _ => homa_wire::encode(&pkt, &[]),
-                };
-                batch.push((addr, buf.to_vec()));
-                if batch.len() >= TX_BATCH {
-                    break;
-                }
+            while staged.len() < TX_BATCH {
+                let Some((dst, pkt)) = s.ep.poll_transmit(now) else { break };
+                s.sum.grants_merged += u64::from(stage(staged, dst, pkt));
             }
-        }
-        for (addr, buf) in batch {
-            // DSCP marking would go here (requires raw socket options);
-            // see `priority_to_dscp`.
-            let _ = self.socket.send_to(&buf, addr);
-        }
+            for (dst, pkt) in staged.drain(..) {
+                let payload = match &pkt {
+                    HomaPacket::Data(h) => {
+                        let span = h.offset as usize..h.offset as usize + h.payload as usize;
+                        s.out_payloads.get(&h.key).and_then(|p| p.get(span))
+                    }
+                    _ => Some(&[][..]),
+                };
+                // The endpoint emits DATA only for messages it holds and the
+                // GC keeps exactly those; were one gone, send no made-up bytes.
+                debug_assert!(payload.is_some(), "DATA without its payload: {pkt:?}");
+                let (Some(&addr), Some(payload)) = (s.peers.get(&dst), payload) else { continue };
+                homa_wire::encode_into(&pkt, payload, bytes);
+                spans.push((addr, bytes.len()));
+            }
+            s.sum.datagrams_tx += spans.len() as u64;
+            drop(s);
+            let (mut start, mut errors) = (0, 0);
+            for &(addr, end) in spans.iter() {
+                // DSCP marking would go here (requires raw socket options);
+                // see `priority_to_dscp`. A failed send is a lost packet.
+                errors += u64::from(self.socket.send_to(&bytes[start..end], addr).is_err());
+                start = end;
+            }
+            if errors > 0 {
+                self.shared.lock().sum.tx_errors += errors;
+            }
+        });
     }
 
     fn run(self: Arc<Self>, cfg: UdpConfig) {
+        use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
         let mut buf = vec![0u8; 64 * 1024];
         let mut last_tick = Instant::now();
         while !self.stop.load(Ordering::SeqCst) {
             match self.socket.recv_from(&mut buf) {
-                Ok((n, from_addr)) => {
-                    self.on_datagram(&buf[..n], from_addr);
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
+                Ok((n, from_addr)) => self.rx_turn(&mut buf, n, from_addr),
+                // A timeout or a signal: nothing arrived, the node lives.
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
                 Err(_) => break,
             }
             if last_tick.elapsed() >= cfg.poll_interval {
@@ -351,17 +416,39 @@ impl HomaUdpNode {
                 // expired, or aborted), no retransmission can ask for its
                 // bytes — the buffer is dead weight on a long-running
                 // node.
-                let Shared { ep, out_payloads, .. } = &mut *s;
+                let Shared { ep, out_payloads, in_buffers, .. } = &mut *s;
                 out_payloads.retain(|key, _| ep.outbound_contains(*key));
+                // Likewise a buffer whose DATA the endpoint discarded (a stray
+                // response packet) or completed without an event.
+                in_buffers.retain(|key, _| ep.inbound_contains(*key));
                 drop(s);
             }
             self.pump();
         }
     }
 
-    fn on_datagram(&self, dgram: &[u8], from_addr: SocketAddr) {
-        let Ok((pkt, payload_off)) = homa_wire::decode(dgram) else { return };
+    /// The receive half of a turn, under one lock take: the datagram just
+    /// read into `buf` and, if the endpoint now has something to send, what
+    /// else the socket already holds.
+    fn rx_turn(&self, buf: &mut [u8], n: usize, from_addr: SocketAddr) {
         let mut s = self.shared.lock();
+        s.sum.rx_turns += 1;
+        self.on_datagram(&mut s, &buf[..n], from_addr);
+        if s.ep.has_pending_tx() && self.socket.set_nonblocking(true).is_ok() {
+            for _ in 1..RX_BATCH {
+                let Ok((n, from_addr)) = self.socket.recv_from(buf) else { break };
+                s.sum.rx_drained += 1;
+                self.on_datagram(&mut s, &buf[..n], from_addr);
+            }
+            // Left non-blocking, the loop in `run` would spin: stop it.
+            self.socket.set_nonblocking(false).unwrap_or_else(|_| self.shutdown());
+        }
+        self.drain_events(&mut s);
+    }
+
+    fn on_datagram(&self, s: &mut Shared, dgram: &[u8], from_addr: SocketAddr) {
+        s.sum.datagrams_rx += 1;
+        let Ok((pkt, payload_off)) = homa_wire::decode(dgram) else { return };
         let Some(&from) = s.addr_to_peer.get(&from_addr) else { return };
         if let Some(f) = s.rx_drop.as_mut() {
             if f(&pkt) {
@@ -386,7 +473,6 @@ impl HomaUdpNode {
             buf[start..end].copy_from_slice(&avail[..end - start]);
         }
         s.ep.on_packet(now_ns(), from, pkt);
-        self.drain_events(&mut s);
     }
 
     fn drain_events(&self, s: &mut Shared) {
@@ -461,8 +547,12 @@ mod tests {
     use std::time::Duration;
 
     fn pair() -> (Arc<HomaUdpNode>, Arc<HomaUdpNode>) {
-        let a = HomaUdpNode::bind(PeerId(0), ("127.0.0.1", 0), UdpConfig::default()).unwrap();
-        let b = HomaUdpNode::bind(PeerId(1), ("127.0.0.1", 0), UdpConfig::default()).unwrap();
+        pair_with(UdpConfig::default())
+    }
+
+    fn pair_with(cfg: UdpConfig) -> (Arc<HomaUdpNode>, Arc<HomaUdpNode>) {
+        let a = HomaUdpNode::bind(PeerId(0), ("127.0.0.1", 0), cfg.clone()).unwrap();
+        let b = HomaUdpNode::bind(PeerId(1), ("127.0.0.1", 0), cfg).unwrap();
         a.add_peer(PeerId(1), b.local_addr().unwrap());
         b.add_peer(PeerId(0), a.local_addr().unwrap());
         (a, b)
@@ -719,6 +809,227 @@ mod tests {
         // None of them reached the buffer table or the endpoint.
         assert!(b.shared.lock().in_buffers.is_empty(), "hostile DATA was buffered");
         assert_eq!(b.events().len(), 0, "hostile DATA surfaced an event");
+        a.shutdown();
+        b.shutdown();
+    }
+
+    fn grant(seq: u64, offset: u64, prio: u8, cutoffs: Option<u64>) -> HomaPacket {
+        use homa::packets::{CutoffsUpdate, GrantHeader};
+        HomaPacket::Grant(GrantHeader {
+            key: MsgKey { origin: PeerId(0), seq, dir: Dir::Oneway },
+            offset,
+            prio,
+            cutoffs: cutoffs.map(|version| CutoffsUpdate {
+                version,
+                unsched_levels: 1,
+                cutoffs: vec![version],
+            }),
+        })
+    }
+
+    #[test]
+    fn stage_merges_grants_of_one_message_and_nothing_else() {
+        use homa::packets::{BusyHeader, CutoffsUpdate, DataHeader, ResendHeader};
+        let key = MsgKey { origin: PeerId(0), seq: 1, dir: Dir::Oneway };
+        let resend = HomaPacket::Resend(ResendHeader { key, offset: 0, length: 9, prio: 7 });
+        let busy = HomaPacket::Busy(BusyHeader { key });
+        let cutoffs =
+            HomaPacket::Cutoffs(CutoffsUpdate { version: 2, unsched_levels: 1, cutoffs: vec![] });
+        let data = HomaPacket::Data(DataHeader {
+            key,
+            msg_len: 9,
+            offset: 0,
+            payload: 9,
+            prio: 0,
+            unscheduled: true,
+            retransmit: false,
+            incast_mark: false,
+            tag: 0,
+        });
+        let (p, q) = (PeerId(5), PeerId(6));
+        let mut staged = Vec::new();
+        let merged: Vec<bool> = [
+            (p, grant(1, 3_000, 2, Some(8))),
+            (p, resend.clone()),
+            (p, grant(1, 5_000, 4, None)), // merges: larger offset, newer prio
+            (p, grant(2, 1_000, 1, None)), // another message
+            (q, grant(1, 9_000, 6, None)), // another peer
+            (p, busy.clone()),
+            (p, grant(1, 4_000, 3, None)), // merges: a smaller offset never shrinks the window
+            (p, cutoffs.clone()),
+            (p, data.clone()),
+            (p, data.clone()), // DATA is never merged
+            (q, grant(1, 9_500, 5, Some(11))),
+            (q, grant(1, 9_900, 5, Some(12))), // merges: both carry cutoffs, the newer wins
+        ]
+        .into_iter()
+        .map(|(dst, pkt)| stage(&mut staged, dst, pkt))
+        .collect();
+        let t = true;
+        assert_eq!(merged, [false, false, t, false, false, false, t, false, false, false, t, t]);
+        // Everything else passes through, in order; the older grant's
+        // cutoffs survive two merges with grants that carry none.
+        assert_eq!(
+            staged,
+            [
+                (p, grant(1, 5_000, 3, Some(8))),
+                (p, resend),
+                (p, grant(2, 1_000, 1, None)),
+                (q, grant(1, 9_900, 5, Some(12))),
+                (p, busy),
+                (p, cutoffs),
+                (p, data.clone()),
+                (p, data),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_slow_receiver_answers_a_burst_of_data_with_one_grant() {
+        use std::sync::atomic::AtomicU64;
+        let (a, b) = pair();
+        let (data_seen, grants_seen) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        // 200 us per DATA packet at the receiver: the sender's window
+        // queues up on the socket behind the packet being handled.
+        let n = Arc::clone(&data_seen);
+        b.set_rx_drop_filter(move |p| {
+            if matches!(p, HomaPacket::Data(_)) {
+                n.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            false
+        });
+        let n = Arc::clone(&grants_seen);
+        a.set_rx_drop_filter(move |p| {
+            if matches!(p, HomaPacket::Grant(_)) {
+                n.fetch_add(1, Ordering::Relaxed);
+            }
+            false
+        });
+        let payload: Vec<u8> = (0..256 * 1024u32).map(|i| (i * 31 % 251) as u8).collect();
+        a.send_message(PeerId(1), payload.clone(), 4).unwrap();
+        match b.events().recv_timeout(Duration::from_secs(20)).unwrap() {
+            UdpEvent::Message { data, .. } => assert_eq!(data, payload),
+            other => panic!("unexpected {other:?}"),
+        }
+        let (data, grants) =
+            (data_seen.load(Ordering::Relaxed), grants_seen.load(Ordering::Relaxed));
+        assert!(grants * 2 < data, "{grants} GRANT datagrams answered {data} DATA packets");
+        let sum = b.run_summary();
+        assert!(sum.grants_merged > 0 && sum.rx_drained > 0, "nothing merged: {sum}");
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A valid encoding of each packet kind in turn, `msg_len` at most 1 MiB.
+    fn valid_datagram(rng: &mut homa_harness::SplitMix64, me: PeerId) -> Vec<u8> {
+        use homa::packets::{BusyHeader, CutoffsUpdate, DataHeader, GrantHeader, ResendHeader};
+        let key = MsgKey {
+            // Half the keys claim to be about the node's own RPCs.
+            origin: if rng.below(2) == 0 { me } else { PeerId(rng.below(4) as u32) },
+            seq: rng.below(64),
+            dir: [Dir::Request, Dir::Response, Dir::Oneway][rng.below(3) as usize],
+        };
+        let msg_len = 1 + rng.below(1 << 20);
+        let cutoffs = CutoffsUpdate {
+            version: rng.below(8),
+            unsched_levels: 1 + rng.below(7) as u8,
+            cutoffs: (0..rng.below(8)).map(|_| rng.below(1 << 20)).collect(),
+        };
+        let mut payload = Vec::new();
+        let pkt = match rng.below(5) {
+            0 => {
+                let offset = rng.below(msg_len);
+                payload = vec![0xEE; rng.below((msg_len - offset).min(1_400) + 1) as usize];
+                HomaPacket::Data(DataHeader {
+                    key,
+                    msg_len,
+                    offset,
+                    payload: payload.len() as u32,
+                    prio: rng.below(8) as u8,
+                    unscheduled: rng.below(2) == 0,
+                    retransmit: rng.below(2) == 0,
+                    incast_mark: rng.below(2) == 0,
+                    tag: rng.next_u64(),
+                })
+            }
+            1 => HomaPacket::Grant(GrantHeader {
+                key,
+                offset: rng.below(msg_len),
+                prio: rng.below(8) as u8,
+                cutoffs: (rng.below(2) == 0).then_some(cutoffs),
+            }),
+            2 => HomaPacket::Resend(ResendHeader {
+                key,
+                offset: rng.below(msg_len),
+                length: rng.below(msg_len),
+                prio: rng.below(8) as u8,
+            }),
+            3 => HomaPacket::Busy(BusyHeader { key }),
+            _ => HomaPacket::Cutoffs(cutoffs),
+        };
+        homa_wire::encode(&pkt, &payload).to_vec()
+    }
+
+    #[test]
+    fn hostile_datagrams_leave_the_node_serving_and_its_buffers_empty() {
+        // A short resend interval, so that the abort window (five
+        // unanswered RESENDs) of whatever the junk started passes quickly.
+        let (a, b) = pair_with(UdpConfig {
+            homa: HomaConfig { resend_interval_ns: 2_000_000, ..HomaConfig::default() },
+            ..UdpConfig::default()
+        });
+        // A registered peer whose socket we drive by hand.
+        let rogue = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        b.add_peer(PeerId(2), rogue.local_addr().unwrap());
+        let mut rng = homa_harness::SplitMix64::new(0x5eed_0bad);
+        for i in 0..2_000u32 {
+            let mut dgram = valid_datagram(&mut rng, PeerId(1));
+            match rng.below(4) {
+                0 => dgram = (0..rng.below(200)).map(|_| rng.next_u64() as u8).collect(),
+                1 => {
+                    let bit = rng.below(dgram.len() as u64 * 8) as usize;
+                    dgram[bit / 8] ^= 1 << (bit % 8);
+                }
+                2 => dgram.truncate(rng.below(dgram.len() as u64) as usize),
+                _ => {}
+            }
+            rogue.send_to(&dgram, b.local_addr().unwrap()).unwrap();
+            // Let the node keep up: a full socket buffer would shed the rest.
+            if i % 64 == 63 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // The driver thread survived them all: an echo RPC still completes.
+        // Junk that happened to be a whole message surfaces first.
+        a.call(PeerId(1), vec![0x42; 30_000], 9).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match b.events().recv_timeout(left).expect("server went deaf") {
+                UdpEvent::Request { from: PeerId(0), rpc, data } => {
+                    b.respond(PeerId(0), rpc, data).unwrap();
+                    break;
+                }
+                _ => continue,
+            }
+        }
+        match a.events().recv_timeout(Duration::from_secs(10)).expect("no echo") {
+            UdpEvent::Response { tag, data, .. } => {
+                assert_eq!(tag, 9);
+                assert_eq!(data, vec![0x42; 30_000]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Once the abort window has passed, nothing the junk started is
+        // still holding a reassembly buffer.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while b.run_summary().in_buffers > 0 {
+            assert!(Instant::now() < deadline, "buffers never freed: {}", b.run_summary());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // ... and most of the junk did reach it (a full socket buffer sheds).
+        assert!(b.run_summary().datagrams_rx >= 1_000, "junk was shed: {}", b.run_summary());
         a.shutdown();
         b.shutdown();
     }

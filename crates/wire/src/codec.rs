@@ -45,7 +45,7 @@ fn dir_from(code: u8) -> Result<Dir, WireError> {
     }
 }
 
-fn put_header(buf: &mut BytesMut, ty: u8, key: Option<MsgKey>, prio: u8, flags: u8) {
+fn put_header<B: BufMut>(buf: &mut B, ty: u8, key: Option<MsgKey>, prio: u8, flags: u8) {
     buf.put_u8(ty);
     let key = key.unwrap_or(MsgKey { origin: PeerId(0), seq: 0, dir: Dir::Oneway });
     buf.put_u32(key.origin.0);
@@ -56,7 +56,7 @@ fn put_header(buf: &mut BytesMut, ty: u8, key: Option<MsgKey>, prio: u8, flags: 
     buf.put_u16(0); // reserved
 }
 
-fn put_cutoffs(buf: &mut BytesMut, c: &CutoffsUpdate) {
+fn put_cutoffs<B: BufMut>(buf: &mut B, c: &CutoffsUpdate) {
     buf.put_u64(c.version);
     buf.put_u8(c.unsched_levels);
     buf.put_u8(c.cutoffs.len() as u8);
@@ -100,6 +100,14 @@ pub fn encoded_len(pkt: &HomaPacket) -> usize {
 /// buffer.
 pub fn encode(pkt: &HomaPacket, payload: &[u8]) -> BytesMut {
     let mut buf = BytesMut::with_capacity(encoded_len(pkt) + payload.len());
+    encode_into(pkt, payload, &mut buf);
+    buf
+}
+
+/// Append the encoding of `pkt` (with `payload` for DATA packets) to
+/// `buf`, after whatever it already holds: a sender encodes a batch of
+/// datagrams back to back into one reused buffer.
+pub fn encode_into<B: BufMut>(pkt: &HomaPacket, payload: &[u8], buf: &mut B) {
     match pkt {
         HomaPacket::Data(h) => {
             let mut flags = 0;
@@ -112,7 +120,7 @@ pub fn encode(pkt: &HomaPacket, payload: &[u8]) -> BytesMut {
             if h.incast_mark {
                 flags |= F_INCAST;
             }
-            put_header(&mut buf, T_DATA, Some(h.key), h.prio, flags);
+            put_header(buf, T_DATA, Some(h.key), h.prio, flags);
             buf.put_u64(h.msg_len);
             buf.put_u64(h.offset);
             buf.put_u32(h.payload);
@@ -121,30 +129,29 @@ pub fn encode(pkt: &HomaPacket, payload: &[u8]) -> BytesMut {
             buf.put_slice(payload);
         }
         HomaPacket::Grant(g) => {
-            put_header(&mut buf, T_GRANT, Some(g.key), g.prio, 0);
+            put_header(buf, T_GRANT, Some(g.key), g.prio, 0);
             buf.put_u64(g.offset);
             match &g.cutoffs {
                 Some(c) => {
                     buf.put_u8(1);
-                    put_cutoffs(&mut buf, c);
+                    put_cutoffs(buf, c);
                 }
                 None => buf.put_u8(0),
             }
         }
         HomaPacket::Resend(r) => {
-            put_header(&mut buf, T_RESEND, Some(r.key), r.prio, 0);
+            put_header(buf, T_RESEND, Some(r.key), r.prio, 0);
             buf.put_u64(r.offset);
             buf.put_u64(r.length);
         }
         HomaPacket::Busy(b) => {
-            put_header(&mut buf, T_BUSY, Some(b.key), 0, 0);
+            put_header(buf, T_BUSY, Some(b.key), 0, 0);
         }
         HomaPacket::Cutoffs(c) => {
-            put_header(&mut buf, T_CUTOFFS, None, 0, 0);
-            put_cutoffs(&mut buf, c);
+            put_header(buf, T_CUTOFFS, None, 0, 0);
+            put_cutoffs(buf, c);
         }
     }
-    buf
 }
 
 /// Decode a packet. For DATA, the returned `usize` is the offset of the

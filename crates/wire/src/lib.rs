@@ -36,5 +36,5 @@
 pub mod codec;
 pub mod error;
 
-pub use codec::{decode, encode, encoded_len, HEADER_LEN};
+pub use codec::{decode, encode, encode_into, encoded_len, HEADER_LEN};
 pub use error::WireError;

@@ -8,7 +8,7 @@
 //! 2. Every *strict* prefix of a valid encoding fails to decode (the
 //!    format has no ambiguous framing).
 //! 3. `decode ∘ encode` is the identity on valid packets, payload
-//!    included.
+//!    included, and `encode_into` appends the same bytes as `encode`.
 //!
 //! On top of the random loops, `adversarial_corpus_decodes_to_exact_errors`
 //! pins a checked-in corpus of hostile buffers to their *exact*
@@ -23,7 +23,7 @@ use homa::packets::{
     ResendHeader,
 };
 use homa_harness::{FuzzFamily, SplitMix64};
-use homa_wire::{decode, encode, encoded_len, WireError, HEADER_LEN};
+use homa_wire::{decode, encode, encode_into, encoded_len, WireError, HEADER_LEN};
 
 /// The wire family shares the workspace fuzz plumbing (`HOMA_FUZZ_ITERS`
 /// for iteration budgets). Its failures are plain assert panics — the
@@ -224,6 +224,14 @@ fn check_prefixes_and_identity(seed: u64, iters: u64) {
         let (pkt, payload) = arbitrary_packet(&mut rng);
         let buf = encode(&pkt, &payload);
         assert_eq!(buf.len(), encoded_len(&pkt) + payload.len(), "iter {i}: encoded_len lied");
+
+        // `encode_into` appends exactly `encode`'s bytes and leaves what
+        // the buffer already held alone.
+        let prefix = [0xA5; 3];
+        let mut appended = prefix.to_vec();
+        encode_into(&pkt, &payload, &mut appended);
+        assert_eq!(appended[..3], prefix, "iter {i}: encode_into touched the prefix");
+        assert_eq!(appended[3..], buf[..], "iter {i}: encode_into != encode for {pkt:?}");
 
         // Identity, payload included.
         let (out, off) =

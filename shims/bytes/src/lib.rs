@@ -4,7 +4,8 @@
 //! ships minimal local implementations of the third-party APIs it uses.
 //! This crate provides the subset of `bytes` consumed by `homa-wire`:
 //! [`BytesMut`] as a growable byte buffer, [`BufMut`] for big-endian
-//! writes, and [`Buf`] for big-endian reads from `&[u8]`.
+//! writes (onto a `BytesMut` or straight onto a `Vec<u8>`), and [`Buf`]
+//! for big-endian reads from `&[u8]`.
 
 #![forbid(unsafe_code)]
 
@@ -82,21 +83,40 @@ pub trait BufMut {
     fn put_slice(&mut self, s: &[u8]);
 }
 
-impl BufMut for BytesMut {
+/// Appends to the end of the vector, as the real `bytes` crate's impl does.
+impl BufMut for Vec<u8> {
     fn put_u8(&mut self, v: u8) {
-        self.inner.push(v);
+        self.push(v);
     }
     fn put_u16(&mut self, v: u16) {
-        self.inner.extend_from_slice(&v.to_be_bytes());
+        self.extend_from_slice(&v.to_be_bytes());
     }
     fn put_u32(&mut self, v: u32) {
-        self.inner.extend_from_slice(&v.to_be_bytes());
+        self.extend_from_slice(&v.to_be_bytes());
     }
     fn put_u64(&mut self, v: u64) {
-        self.inner.extend_from_slice(&v.to_be_bytes());
+        self.extend_from_slice(&v.to_be_bytes());
     }
     fn put_slice(&mut self, s: &[u8]) {
-        self.inner.extend_from_slice(s);
+        self.extend_from_slice(s);
+    }
+}
+
+impl BufMut for BytesMut {
+    fn put_u8(&mut self, v: u8) {
+        self.inner.put_u8(v);
+    }
+    fn put_u16(&mut self, v: u16) {
+        self.inner.put_u16(v);
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.inner.put_u32(v);
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.inner.put_u64(v);
+    }
+    fn put_slice(&mut self, s: &[u8]) {
+        self.inner.put_slice(s);
     }
 }
 
@@ -161,5 +181,23 @@ mod tests {
         assert_eq!(r.get_u32(), 0x0405_0607);
         assert_eq!(r.get_u64(), 0x0809_0a0b_0c0d_0e0f);
         assert_eq!(r, &[0xAA, 0xBB]);
+    }
+
+    #[test]
+    fn vec_appends_the_same_bytes_after_what_it_holds() {
+        let mut b = BytesMut::new();
+        let mut v = vec![0xEE];
+        b.put_u8(1);
+        v.put_u8(1);
+        b.put_u16(0x0203);
+        v.put_u16(0x0203);
+        b.put_u32(0x0405_0607);
+        v.put_u32(0x0405_0607);
+        b.put_u64(0x0809_0a0b_0c0d_0e0f);
+        v.put_u64(0x0809_0a0b_0c0d_0e0f);
+        b.put_slice(&[0xAA, 0xBB]);
+        v.put_slice(&[0xAA, 0xBB]);
+        assert_eq!(v[0], 0xEE);
+        assert_eq!(&v[1..], &b[..]);
     }
 }

@@ -24,7 +24,7 @@
 //! ```
 //!
 //! To refresh the baseline after an intentional change:
-//! `cargo run --release -p homa-bench --bin perf-smoke -- --out BENCH_BASELINE.json`
+//! `cargo run --release -p homa-bench --bin perf-smoke -- --rss --out BENCH_BASELINE.json`
 
 use homa_bench::perfjson::{parse_report, render_report, Report, ScenarioReport};
 use homa_bench::{run_protocol_scenario, Protocol};
@@ -213,6 +213,16 @@ fn run_gate(cfg: &GateCfg) -> Report {
             events,
             eps,
             if peak_kb > 0 { format!(", peak RSS {peak_kb} KiB") } else { String::new() },
+        );
+        // The calendar's shape on this row (deterministic, like `events`).
+        let e = res.engine_stats;
+        let scheduled = (e.bucket_events + e.late_events + e.far_events).max(1);
+        eprintln!(
+            "  {}: epochs hold {:.1} events on average, {} at most; {:.3} of events scheduled late",
+            spec.name,
+            e.bucket_events as f64 / e.epochs_merged.max(1) as f64,
+            e.max_epoch_events,
+            e.late_events as f64 / scheduled as f64,
         );
     }
     if scenarios.is_empty() {

@@ -11,6 +11,28 @@
 use crate::packets::{MsgKey, PeerId};
 use crate::Nanos;
 
+/// Sort `(offset, length)` ranges and merge those that overlap or touch,
+/// in place: afterwards they are sorted, disjoint and separated by gaps.
+/// Runs once per DATA packet on the receive side, so it allocates
+/// nothing.
+pub fn merge_ranges(ranges: &mut Vec<(u64, u64)>) {
+    ranges.sort_unstable();
+    // `ranges[..kept]` is the merged prefix; each later range either
+    // extends its last element or becomes the next one.
+    let mut kept = 0;
+    for i in 0..ranges.len() {
+        let (o, l) = ranges[i];
+        if kept > 0 && o <= ranges[kept - 1].0 + ranges[kept - 1].1 {
+            let last = &mut ranges[kept - 1];
+            last.1 = (o + l).max(last.0 + last.1) - last.0;
+        } else {
+            ranges[kept] = (o, l);
+            kept += 1;
+        }
+    }
+    ranges.truncate(kept);
+}
+
 /// State of a message being transmitted.
 #[derive(Debug, Clone)]
 pub struct OutboundMessage {
@@ -79,19 +101,7 @@ impl OutboundMessage {
         }
         self.retx.push((offset, end - offset));
         // Merge overlaps to keep the list tiny.
-        self.retx.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.retx.len());
-        for &(o, l) in self.retx.iter() {
-            if let Some(last) = merged.last_mut() {
-                if o <= last.0 + last.1 {
-                    let new_end = (o + l).max(last.0 + last.1);
-                    last.1 = new_end - last.0;
-                    continue;
-                }
-            }
-            merged.push((o, l));
-        }
-        self.retx = merged;
+        merge_ranges(&mut self.retx);
     }
 
     /// Take the next chunk to transmit, up to `max_payload` bytes:
@@ -183,19 +193,7 @@ impl InboundMessage {
         }
         let before = self.received;
         self.ranges.push((offset, end - offset));
-        self.ranges.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ranges.len());
-        for &(o, l) in self.ranges.iter() {
-            if let Some(last) = merged.last_mut() {
-                if o <= last.0 + last.1 {
-                    let new_end = (o + l).max(last.0 + last.1);
-                    last.1 = new_end - last.0;
-                    continue;
-                }
-            }
-            merged.push((o, l));
-        }
-        self.ranges = merged;
+        merge_ranges(&mut self.ranges);
         self.received = self.ranges.iter().map(|&(_, l)| l).sum();
         self.received - before
     }

@@ -71,6 +71,9 @@ pub struct ReceiverState {
     granted_bytes: u64,
     /// RESEND requests emitted by the loss-detection sweep.
     resends_requested: u64,
+    /// [`reschedule`](Self::reschedule)'s candidate list, kept between
+    /// calls for its allocation (the pass runs once per DATA packet).
+    cands: Vec<(u64, MsgKey)>,
 }
 
 impl ReceiverState {
@@ -85,6 +88,7 @@ impl ReceiverState {
             grants_issued: 0,
             granted_bytes: 0,
             resends_requested: 0,
+            cands: Vec::new(),
         }
     }
 
@@ -190,8 +194,9 @@ impl ReceiverState {
         // message, data packets for that message may result in grants to
         // other messages"). Without this, grants cascade to every inbound
         // message and the TOR buffer grows unboundedly under incast.
-        let mut cands: Vec<(u64, MsgKey)> =
-            self.msgs.values().filter(|m| !m.complete()).map(|m| (m.remaining(), m.key)).collect();
+        let mut cands = std::mem::take(&mut self.cands);
+        cands.clear();
+        cands.extend(self.msgs.values().filter(|m| !m.complete()).map(|m| (m.remaining(), m.key)));
         cands.sort_unstable();
         self.withholding = cands.len() > k
             && cands[k..].iter().any(|&(_, key)| {
@@ -225,6 +230,7 @@ impl ReceiverState {
                 ));
             }
         }
+        self.cands = cands;
     }
 
     /// Periodic loss-detection sweep (§3.7): emit a RESEND for any message

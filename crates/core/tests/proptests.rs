@@ -1,6 +1,6 @@
 //! Property-based tests for the protocol core's invariants.
 
-use homa::messages::{InboundMessage, OutboundMessage};
+use homa::messages::{merge_ranges, InboundMessage, OutboundMessage};
 use homa::packets::{Dir, MsgKey, PeerId};
 use homa::unsched::TrafficTracker;
 use homa::HomaConfig;
@@ -10,7 +10,45 @@ fn key() -> MsgKey {
     MsgKey { origin: PeerId(1), seq: 1, dir: Dir::Oneway }
 }
 
+/// The allocate-and-merge loop `InboundMessage::record` and
+/// `OutboundMessage::queue_retx` each carried before they shared
+/// `merge_ranges`: the reference the in-place merge is held to.
+fn merged_copy(ranges: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut sorted = ranges.to_vec();
+    sorted.sort_unstable();
+    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
+    for &(o, l) in &sorted {
+        if let Some(last) = merged.last_mut() {
+            if o <= last.0 + last.1 {
+                let new_end = (o + l).max(last.0 + last.1);
+                last.1 = new_end - last.0;
+                continue;
+            }
+        }
+        merged.push((o, l));
+    }
+    merged
+}
+
 proptest! {
+    #[test]
+    fn merge_ranges_matches_the_allocating_merge(
+        // Offsets on a coarse grid and lengths around its step, so
+        // overlapping, touching, nested, duplicate and disjoint ranges
+        // all turn up in one list.
+        raw in proptest::collection::vec((0u64..40, 1u64..250), 0..40),
+    ) {
+        let ranges: Vec<(u64, u64)> = raw.iter().map(|&(slot, l)| (slot * 100, l)).collect();
+        let mut in_place = ranges.clone();
+        merge_ranges(&mut in_place);
+        prop_assert_eq!(&in_place, &merged_copy(&ranges));
+        prop_assert!(in_place.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0), "not disjoint");
+        // Merging what is already merged changes nothing.
+        let again = in_place.clone();
+        merge_ranges(&mut in_place);
+        prop_assert_eq!(in_place, again);
+    }
+
     #[test]
     fn inbound_reassembly_any_order(
         len in 1u64..100_000,

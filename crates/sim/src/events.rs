@@ -10,19 +10,32 @@
 //!   calendar-bucketed queue that makes 100+ host fabrics affordable.
 //!   Time is divided into fixed-width *epochs* (the width is sized from
 //!   the fabric's minimum link delay, rounded to a power of two so the
-//!   epoch of a timestamp is one shift). Pending events live in one of
-//!   four places:
+//!   epoch of a timestamp is one shift). It is built from three parts:
 //!
-//!   1. a ring of *buckets*, one per near-future epoch, absorbing the
-//!      overwhelmingly common insert in O(1) (unsorted append);
-//!   2. a *far* spill heap for timers beyond the ring horizon
-//!      (`RING_EPOCHS` × width ahead — retransmission timers, mostly);
-//!   3. the *current run*: when an epoch becomes current, its bucket is
-//!      sorted once by `(time, seq)` — the bucket-synchronized merge —
-//!      and then served by popping from the end of the run in O(1);
-//!   4. a small *late* heap for events that land at or below the
-//!      current epoch after its merge (same-instant timers, back-to-back
-//!      `TxDone`s), compared against the run head on every pop.
+//!   * **Keys.** What the calendar orders is a 24-byte key
+//!     `(time, seq, slot)`: an event's place in the total order plus the
+//!     index of its payload. A pending key sits in one of four places: a
+//!     ring of *buckets*, one per near-future epoch, absorbing the
+//!     overwhelmingly common insert in O(1) (unsorted append); a *far*
+//!     spill heap for timers beyond the ring horizon (`RING_EPOCHS` ×
+//!     width ahead — retransmission timers, mostly); the *current run* —
+//!     when an epoch becomes current its bucket is sorted once by
+//!     `(time, seq)`, the bucket-synchronized merge, and then served by
+//!     popping from the end of the run in O(1); or a small *late* heap
+//!     for events that land at or below the current epoch after its
+//!     merge (same-instant timers, back-to-back `TxDone`s), compared
+//!     against the run head on every pop.
+//!   * **The payload slab.** A payload (136 bytes for a fabric event) is
+//!     written into a slab slot at `schedule`, read at `pop` and never
+//!     moved in between, so the append, the sort and both heaps shuffle
+//!     24 bytes per event whatever `E` is. Vacated slots are reused
+//!     last-in-first-out: the slab is as long as the most events ever
+//!     pending at once, and an insert writes the slot a pop just read.
+//!   * **The spare list.** A merged epoch's spent key buffer goes onto a
+//!     last-in-first-out spare list and the next ring slot that turns
+//!     non-empty takes it from there, so the buffers in use number the
+//!     epochs that are non-empty at once (tens), not the ring's 4,096
+//!     slots, and the one handed out is the one most recently touched.
 //!
 //!   `pop_if_before` on the hot dispatch path is therefore O(1)
 //!   amortized — a comparison against the run tail plus the one-time
@@ -53,13 +66,16 @@
 //! instead (or `nothing`, for a bounded pop that missed an event that
 //! was due). So every test and fuzz run is also an engine-order run.
 //! Builds without debug assertions carry no shadow field and no check.
+//! The oracle keeps its own `(time, seq)` entries and knows nothing of
+//! slots: it judges the order of keys. That a key comes back with *its
+//! own* payload is what `hier_matches_flat_on_random_interleavings` checks.
 //!
 //! Events are scheduled with a [`LaneId`] naming the fabric node whose
 //! state their dispatch touches. The calendar itself is global, so the
 //! lane orders nothing: it is range-checked at the call site.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Opaque token identifying a timer registered by a transport or the
@@ -107,6 +123,16 @@ impl<E> Ord for Entry<E> {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
+}
+
+/// What the calendar orders: an event's `(time, seq)` place in the total
+/// order and the slab slot its payload waits in. `seq` is unique, so the
+/// derived ordering never reaches `slot`. 24 bytes whatever the payload.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    slot: u32,
 }
 
 /// A deterministic min-heap of timestamped events.
@@ -187,50 +213,46 @@ pub struct EngineStats {
     pub epochs_merged: u64,
     /// Largest single merged epoch population.
     pub max_epoch_events: u64,
-    /// Recycled epoch buckets trimmed back to their recent high-water
-    /// mark.
-    pub buffer_trims: u64,
 }
 
 /// The calendar-bucketed event engine: a ring of epoch buckets merged one
 /// epoch at a time, with a late heap for intra-epoch arrivals and a far
-/// heap for timers beyond the ring horizon. Same `(time, seq)` total
-/// order as [`EventQueue`], but the hot pop is a tail comparison instead
-/// of a heap probe over every pending event.
+/// heap for timers beyond the ring horizon, all ordering 24-byte keys over
+/// one payload slab. Same `(time, seq)` total order as [`EventQueue`],
+/// but the hot pop is a tail comparison instead of a heap probe over
+/// every pending event.
 pub struct HierEventQueue<E> {
     /// Epoch width is `1 << shift` nanoseconds.
     shift: u32,
     /// The epoch currently merged into `current`/served by `late`.
     cur_epoch: u64,
-    /// The current epoch's events, sorted *descending* by `(time, seq)`
+    /// The current epoch's keys, sorted *descending* by `(time, seq)`
     /// so the minimum pops from the back in O(1).
-    current: Vec<Entry<E>>,
-    /// Events at or below the current epoch that arrived after its merge.
-    late: BinaryHeap<Entry<E>>,
+    current: Vec<Key>,
+    /// Keys at or below the current epoch that arrived after its merge.
+    late: BinaryHeap<Reverse<Key>>,
     /// Near-future buckets, indexed by `epoch % RING_EPOCHS`. A slot is
-    /// owned by exactly one epoch at a time (`slot_epoch`).
-    ring: Vec<Vec<Entry<E>>>,
-    slot_epoch: Vec<u64>,
+    /// owned by exactly one epoch at a time, and holds a buffer only
+    /// while it is non-empty: it takes one from `spare` when its first
+    /// key arrives and gives it up when its epoch is merged.
+    ring: Vec<Vec<Key>>,
+    /// Spent (empty, capacity-bearing) key buffers, last in first out.
+    spare: Vec<Vec<Key>>,
     /// Nonempty ring epochs, min first. An epoch is pushed exactly once
     /// (when its slot turns nonempty) and popped exactly once (when it is
     /// merged), so there are no stale entries to skip.
-    active: BinaryHeap<std::cmp::Reverse<u64>>,
-    /// Events beyond the ring horizon; merged directly when their epoch
+    active: BinaryHeap<Reverse<u64>>,
+    /// Keys beyond the ring horizon; merged directly when their epoch
     /// becomes current.
-    far: BinaryHeap<Entry<E>>,
+    far: BinaryHeap<Reverse<Key>>,
+    /// The payload slab: `payloads[key.slot]` is `Some` from `schedule`
+    /// to `pop` and never moves in between.
+    payloads: Vec<Option<E>>,
+    /// Vacant slab slots, last in first out.
+    free: Vec<u32>,
     next_seq: u64,
     len: usize,
     stats: EngineStats,
-    /// Tracks per-epoch occupancy so recycled epoch buffers are trimmed
-    /// back toward the recent high-water mark (a dense burst would
-    /// otherwise pin peak capacity forever).
-    bucket_hw: crate::arena::HighWater,
-    /// Latest capacity target reported by `bucket_hw`; checked against
-    /// every buffer that circulates through `current`, since a ballooned
-    /// buffer may sit parked in a ring slot for thousands of epochs
-    /// between visits. `usize::MAX` until the first report, so nothing
-    /// trims before an occupancy baseline exists.
-    bucket_trim_target: usize,
     /// The reference heap, fed the same `(time, seq)` keys (its payload
     /// is the calendar's `seq`) and popped in lockstep; see the module
     /// docs.
@@ -258,14 +280,14 @@ impl<E> HierEventQueue<E> {
             current: Vec::new(),
             late: BinaryHeap::new(),
             ring: (0..RING_EPOCHS).map(|_| Vec::new()).collect(),
-            slot_epoch: vec![0; RING_EPOCHS as usize],
+            spare: Vec::new(),
             active: BinaryHeap::new(),
             far: BinaryHeap::new(),
+            payloads: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             len: 0,
             stats: EngineStats { lanes, bucket_width_ns: 1 << shift, ..EngineStats::default() },
-            bucket_hw: crate::arena::HighWater::default(),
-            bucket_trim_target: usize::MAX,
             #[cfg(debug_assertions)]
             oracle: EventQueue::new(),
         }
@@ -291,28 +313,46 @@ impl<E> HierEventQueue<E> {
         self.next_seq += 1;
         #[cfg(debug_assertions)]
         self.oracle.schedule(at, seq);
-        let entry = Entry { at, seq, payload };
+        // The payload goes into the slab slot most recently vacated, else
+        // a new one at the end, and stays there until it is popped.
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.payloads.push(None);
+                u32::try_from(self.payloads.len() - 1).expect("over u32::MAX events pending")
+            }
+        };
+        debug_assert!(self.payloads[slot as usize].is_none(), "vacant slot is occupied");
+        self.payloads[slot as usize] = Some(payload);
+        let key = Key { at, seq, slot };
         let e = self.epoch_of(at);
         // Hot path first: one wrapping compare covers the whole ring
         // window `cur_epoch < e < cur_epoch + RING_EPOCHS` (an epoch at
         // or below `cur_epoch` wraps to a huge value and falls through).
         if e.wrapping_sub(self.cur_epoch.wrapping_add(1)) < RING_EPOCHS - 1 {
-            let slot = (e % RING_EPOCHS) as usize;
-            if self.ring[slot].is_empty() {
-                self.slot_epoch[slot] = e;
-                self.active.push(std::cmp::Reverse(e));
+            let bucket = &mut self.ring[(e % RING_EPOCHS) as usize];
+            if bucket.is_empty() {
+                // An empty slot holds no buffer; the most recently spent
+                // one is the likeliest to still be in cache.
+                if let Some(buf) = self.spare.pop() {
+                    *bucket = buf;
+                }
+                self.active.push(Reverse(e));
             }
-            debug_assert_eq!(self.slot_epoch[slot], e, "ring slot epoch collision");
-            self.ring[slot].push(entry);
+            debug_assert!(
+                bucket.first().is_none_or(|k| k.at.as_nanos() >> self.shift == e),
+                "ring slot epoch collision"
+            );
+            bucket.push(key);
             self.stats.bucket_events += 1;
         } else if e <= self.cur_epoch {
             // At or below the merged epoch: joins the late heap and is
             // compared against the current run head on every pop, so
             // ordering stays exact even for "past" inserts.
-            self.late.push(entry);
+            self.late.push(Reverse(key));
             self.stats.late_events += 1;
         } else {
-            self.far.push(entry);
+            self.far.push(Reverse(key));
             self.stats.far_events += 1;
         }
         self.len += 1;
@@ -337,7 +377,7 @@ impl<E> HierEventQueue<E> {
     fn advance_epoch(&mut self, bound_epoch: Option<u64>) {
         while self.current.is_empty() && self.late.is_empty() && self.len > 0 {
             let ring_next = self.active.peek().map(|r| r.0);
-            let far_next = self.far.peek().map(|e| self.epoch_of(e.at));
+            let far_next = self.far.peek().map(|k| self.epoch_of(k.0.at));
             let next = match (ring_next, far_next) {
                 (Some(a), Some(f)) => a.min(f),
                 (Some(a), None) => a,
@@ -352,45 +392,41 @@ impl<E> HierEventQueue<E> {
             self.cur_epoch = next;
             if ring_next == Some(next) {
                 self.active.pop();
-                let slot = (next % RING_EPOCHS) as usize;
-                // Trim the outgoing (empty) run buffer back to the
-                // recent per-epoch high-water before donating it to the
-                // ring, so a one-off dense epoch doesn't pin its peak
-                // capacity for the rest of the run. The target updates
-                // periodically; the (cheap) capacity check runs on every
-                // circulating buffer so a ballooned one is caught the
-                // first time it resurfaces from its ring slot.
-                if let Some(target) = self.bucket_hw.observe(self.ring[slot].len()) {
-                    self.bucket_trim_target = target;
+                // The bucket becomes the run; the spent run buffer goes
+                // on top of the spare list for the next slot that turns
+                // non-empty, so a one-off dense epoch pins one buffer,
+                // not a ring slot for the next 4,096 epochs.
+                let bucket = std::mem::take(&mut self.ring[(next % RING_EPOCHS) as usize]);
+                let spent = std::mem::replace(&mut self.current, bucket);
+                if spent.capacity() > 0 {
+                    self.spare.push(spent);
                 }
-                if crate::arena::trim_capacity(&mut self.current, self.bucket_trim_target) {
-                    self.stats.buffer_trims += 1;
-                }
-                // Swap the (empty, capacity-bearing) current run into the
-                // slot so bucket buffers are recycled instead of
-                // reallocated every epoch.
-                std::mem::swap(&mut self.current, &mut self.ring[slot]);
             }
-            while self.far.peek().is_some_and(|e| self.epoch_of(e.at) == next) {
-                self.current.push(self.far.pop().expect("peeked"));
+            while self.far.peek().is_some_and(|k| self.epoch_of(k.0.at) == next) {
+                self.current.push(self.far.pop().expect("peeked").0);
             }
             // The bucket-synchronized merge: one sort per epoch, then
             // every pop within the epoch is O(1) off the back.
-            self.current.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+            self.current.sort_unstable_by(|a, b| b.cmp(a));
             self.stats.epochs_merged += 1;
             self.stats.max_epoch_events =
                 self.stats.max_epoch_events.max(self.current.len() as u64);
         }
     }
 
-    /// The pop every public variant builds on: [`Self::pop_calendar`],
-    /// checked against the oracle in debug builds.
+    /// The pop every public variant builds on: [`Self::pop_calendar`]
+    /// picks the key, debug builds check it against the oracle, and the
+    /// key's payload leaves the slab.
     #[inline]
-    fn pop_entry_bounded(&mut self, bound: Option<SimTime>) -> Option<Entry<E>> {
+    fn pop_bounded(&mut self, bound: Option<SimTime>) -> Option<(SimTime, E)> {
         let got = self.pop_calendar(bound);
         #[cfg(debug_assertions)]
-        self.check_against_oracle(bound, got.as_ref().map(|e| (e.at, e.seq)));
-        got
+        self.check_against_oracle(bound, got.map(|k| (k.at, k.seq)));
+        let key = got?;
+        let payload =
+            self.payloads[key.slot as usize].take().expect("a pending key's slot is full");
+        self.free.push(key.slot);
+        Some((key.at, payload))
     }
 
     /// Pop the oracle in lockstep and require it to agree with what the
@@ -418,10 +454,10 @@ impl<E> HierEventQueue<E> {
     /// One-pass conditional pop: advance the merge point, check the head
     /// against `bound`, and take it — the hot dispatch-path primitive.
     #[inline]
-    fn pop_calendar(&mut self, bound: Option<SimTime>) -> Option<Entry<E>> {
+    fn pop_calendar(&mut self, bound: Option<SimTime>) -> Option<Key> {
         self.ensure_current(bound.map(|t| self.epoch_of(t)));
         let take_run = match (self.current.last(), self.late.peek()) {
-            (Some(r), Some(l)) => (r.at, r.seq) <= (l.at, l.seq),
+            (Some(r), Some(l)) => *r <= l.0,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => return None,
@@ -429,7 +465,7 @@ impl<E> HierEventQueue<E> {
         let head_at = if take_run {
             self.current.last().expect("matched").at
         } else {
-            self.late.peek().expect("matched").at
+            self.late.peek().expect("matched").0.at
         };
         if bound.is_some_and(|t| head_at > t) {
             return None;
@@ -438,24 +474,24 @@ impl<E> HierEventQueue<E> {
         if take_run {
             self.current.pop()
         } else {
-            self.late.pop()
+            self.late.pop().map(|k| k.0)
         }
     }
 
     /// Remove and return the earliest event across all lanes.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry_bounded(None).map(|e| (e.at, e.payload))
+        self.pop_bounded(None)
     }
 
     /// Remove and return the earliest event if it fires at or before `t`.
     pub fn pop_if_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        self.pop_entry_bounded(Some(t)).map(|e| (e.at, e.payload))
+        self.pop_bounded(Some(t))
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let run = self.current.last().map(|e| e.at);
-        let late = self.late.peek().map(|e| e.at);
+        let run = self.current.last().map(|k| k.at);
+        let late = self.late.peek().map(|k| k.0.at);
         let near = match (run, late) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -469,8 +505,8 @@ impl<E> HierEventQueue<E> {
         let ring_min = self
             .active
             .peek()
-            .and_then(|r| self.ring[(r.0 % RING_EPOCHS) as usize].iter().map(|e| e.at).min());
-        let far_min = self.far.peek().map(|e| e.at);
+            .and_then(|r| self.ring[(r.0 % RING_EPOCHS) as usize].iter().map(|k| k.at).min());
+        let far_min = self.far.peek().map(|k| k.0.at);
         match (ring_min, far_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -608,33 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn hier_trims_burst_epoch_capacity() {
-        // One dense epoch balloons its bucket buffer; after the burst
-        // ages out of the high-water window (two 1024-observation
-        // periods) and the ballooned buffer circulates back out of its
-        // ring slot (RING_EPOCHS later), the engine releases the excess
-        // capacity and counts the trim.
-        let mut q = HierEventQueue::with_bucket_width(1, 1024);
-        let t = |k: u64| SimTime::from_nanos(k * 1024);
-        for i in 0..1000u64 {
-            q.schedule(LaneId(0), t(1), i);
-        }
-        for _ in 0..1000 {
-            q.pop().unwrap();
-        }
-        assert_eq!(q.stats().buffer_trims, 0, "nothing to trim while the burst is recent");
-        // Sparse epochs: one event each, walking far enough that the
-        // burst leaves both high-water periods and its buffer resurfaces
-        // from the ring (RING_EPOCHS = 4096 epochs later).
-        for k in 2..4200u64 {
-            q.schedule(LaneId(0), t(k), k);
-            q.pop().unwrap();
-        }
-        assert!(q.is_empty());
-        assert!(q.stats().buffer_trims >= 1, "burst capacity never trimmed: {:?}", q.stats());
-    }
-
-    #[test]
     fn hier_late_arrivals_into_current_epoch_order_correctly() {
         // Pop once (merging the first epoch), then schedule into it: the
         // late heap must interleave exactly by (time, seq).
@@ -669,26 +678,27 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    #[test]
-    fn hier_matches_flat_on_random_interleavings() {
-        // The calendar and the reference heap must pop identical
-        // sequences for identical schedule calls — here compared from
-        // outside, value by value, on top of the built-in shadow check.
+    /// The calendar and the reference heap must pop identical sequences
+    /// for identical schedule calls — compared from outside, value by
+    /// value, on top of the built-in shadow check — with `payload(i)` as
+    /// the `i`th event's payload.
+    fn matches_flat_with<E: PartialEq + std::fmt::Debug>(payload: impl Fn(u64) -> E) {
         let mut lcg = 0xDEAD_BEEFu64;
         let mut next = move || {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             lcg >> 33
         };
-        let mut flat: EventQueue<u64> = EventQueue::new();
-        let mut hier: HierEventQueue<u64> = HierEventQueue::with_bucket_width(7, 64);
+        let mut flat: EventQueue<E> = EventQueue::new();
+        let mut hier: HierEventQueue<E> = HierEventQueue::with_bucket_width(7, 64);
         let mut popped = 0u64;
+        let (mut peak_len, mut peak_epochs) = (0, 0);
         for i in 0..5_000u64 {
             let r = next();
             if r % 3 != 0 || flat.is_empty() {
                 let lane = LaneId((r % 7) as u32);
                 let at = SimTime::from_nanos(r % 10_000);
-                flat.schedule(at, i);
-                hier.schedule(lane, at, i);
+                flat.schedule(at, payload(i));
+                hier.schedule(lane, at, payload(i));
             } else if r % 2 == 0 {
                 assert_eq!(flat.pop(), hier.pop());
                 popped += 1;
@@ -698,6 +708,8 @@ mod tests {
             }
             assert_eq!(flat.len(), hier.len());
             assert_eq!(flat.peek_time(), hier.peek_time());
+            peak_len = peak_len.max(hier.len());
+            peak_epochs = peak_epochs.max(hier.active.len());
         }
         while let Some(got) = hier.pop() {
             assert_eq!(Some(got), flat.pop());
@@ -705,6 +717,22 @@ mod tests {
         }
         assert_eq!(flat.pop(), None);
         assert!(popped > 1_000, "exercised only {popped} pops");
+        // Vacated slots were reused and spent buffers handed on: the slab
+        // is no longer than the most events ever pending, and no more key
+        // buffers exist than epochs were ever non-empty at once.
+        assert!(hier.payloads.len() <= peak_len, "{} slots for {peak_len}", hier.payloads.len());
+        assert_eq!(hier.free.len(), hier.payloads.len(), "a drained slab is all vacant");
+        assert!(hier.spare.len() <= peak_epochs, "{} spares for {peak_epochs}", hier.spare.len());
+        assert!(hier.ring.iter().all(|b| b.capacity() == 0), "a merged slot kept its buffer");
+    }
+
+    #[test]
+    fn hier_matches_flat_on_random_interleavings() {
+        matches_flat_with(|i| i);
+        // A payload that owns memory and differs from every other in
+        // bytes (the low two carry `i`) and from its neighbours in length:
+        // a key that came back with another event's slot would show.
+        matches_flat_with(|i| i.to_le_bytes()[..2 + (i % 7) as usize].to_vec());
     }
 
     #[test]

@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arena;
 pub mod delay;
 pub mod events;
 pub mod faults;

@@ -136,10 +136,6 @@ impl<M: PacketMeta> Port<M> {
     fn busy(&self) -> bool {
         self.sending.is_some()
     }
-
-    fn in_flight_view(&self) -> Option<(&M, SimTime)> {
-        self.sending.as_ref().map(|(p, t)| (&p.meta, *t))
-    }
 }
 
 struct SwitchNode<M> {
@@ -579,15 +575,15 @@ fn on_switch_arrive<M: PacketMeta, T>(
         // Preemption, observed at the moment it begins: the arrival
         // outranks the packet occupying the link and will wait out its
         // residual serialization (Fig. 14's preemption lag).
-        if let Some((m, ends_at)) = port.in_flight_view() {
-            if ends_at > now && port.queue.would_outrank(&pkt.meta, pkt.was_trimmed, m) {
+        if let Some((sending, ends_at)) = &port.sending {
+            if *ends_at > now && port.queue.would_outrank(&pkt, sending) {
                 cx.trace(
                     now,
                     TraceEvent::Preempted {
                         node,
                         port: port_idx,
                         prio: pkt.priority(),
-                        over_prio: m.priority(),
+                        over_prio: sending.priority(),
                         lag_ns: ends_at.saturating_since(now).as_nanos(),
                     },
                 );
@@ -595,10 +591,12 @@ fn on_switch_arrive<M: PacketMeta, T>(
         }
     }
 
-    let in_flight = port.in_flight_view().map(|(m, t)| (m.clone(), t));
     let (src, dst, prio) = (pkt.src, pkt.dst, pkt.priority());
     let qbytes_before = port.queue.bytes();
-    let outcome = port.queue.enqueue(now, pkt, in_flight.as_ref().map(|(m, t)| (m, *t)));
+    // The packet on the wire is lent to the queue: `sending` and `queue`
+    // are disjoint fields of the port.
+    let in_flight = port.sending.as_ref().map(|(p, t)| (p, *t));
+    let outcome = port.queue.enqueue(now, pkt, in_flight);
     if cx.tracing() {
         cx.trace(
             now,

@@ -102,6 +102,9 @@ pub struct PortQueue<M> {
     /// NDP control/trimmed-header queue (strictly before `pool`).
     ctrl: VecDeque<Waiting<M>>,
     bytes: u64,
+    /// Packets queued across `levels`, `pool` and `ctrl`: kept beside
+    /// `bytes` so [`len`](Self::len) is a field read.
+    packets: usize,
     /// Statistics counters (read by the port owner).
     pub drops: u64,
     /// Number of packets trimmed by this queue (NDP).
@@ -133,6 +136,7 @@ impl<M: PacketMeta> PortQueue<M> {
             pool: VecDeque::new(),
             ctrl: VecDeque::new(),
             bytes: 0,
+            packets: 0,
             drops: 0,
             trims: 0,
             ecn_marks: 0,
@@ -148,9 +152,17 @@ impl<M: PacketMeta> PortQueue<M> {
         self.bytes
     }
 
-    /// Number of packets currently queued.
+    /// Number of packets currently queued: a count kept by the same two
+    /// functions that keep [`bytes`](Self::bytes), not a walk over the
+    /// FIFOs — the fabric asks on every arrival at an idle port. Debug
+    /// builds check it against the FIFOs on every call.
     pub fn len(&self) -> usize {
-        self.levels.iter().map(|q| q.len()).sum::<usize>() + self.pool.len() + self.ctrl.len()
+        debug_assert_eq!(
+            self.packets,
+            self.levels.iter().map(|q| q.len()).sum::<usize>() + self.pool.len() + self.ctrl.len(),
+            "packet count out of step with the FIFOs"
+        );
+        self.packets
     }
 
     /// Whether the queue holds no packets.
@@ -179,28 +191,36 @@ impl<M: PacketMeta> PortQueue<M> {
         self.last_change = now;
     }
 
+    /// One packet of `b` bytes joins the queue.
     fn account_add(&mut self, now: SimTime, b: u64) {
         self.touch(now);
         self.bytes += b;
+        self.packets += 1;
         self.max_bytes_seen = self.max_bytes_seen.max(self.bytes);
     }
 
+    /// One packet of `b` bytes leaves the queue.
     fn account_remove(&mut self, now: SimTime, b: u64) {
         self.touch(now);
-        debug_assert!(self.bytes >= b);
+        debug_assert!(self.bytes >= b && self.packets >= 1);
         self.bytes -= b;
+        self.packets -= 1;
     }
 
     /// Offer `pkt` to the queue at time `now`.
     ///
-    /// `in_flight` describes the packet currently being transmitted on this
-    /// port (if any) so that a newly-arrived higher-priority packet can be
-    /// credited preemption lag for the remainder of that transmission.
+    /// `in_flight` is the packet currently being transmitted on this port
+    /// (if any) and when its transmission ends, so that an arrival which
+    /// outranks it can be credited preemption lag for the remainder of
+    /// that transmission. It is lent, not copied, and it is the whole
+    /// packet rather than its metadata because rank can depend on the
+    /// envelope: an NDP trimmed header is data by its metadata and
+    /// control by its `was_trimmed` flag.
     pub fn enqueue(
         &mut self,
         now: SimTime,
         mut pkt: Packet<M>,
-        in_flight: Option<(&M, SimTime)>,
+        in_flight: Option<(&Packet<M>, SimTime)>,
     ) -> EnqueueOutcome {
         // ECN: mark based on instantaneous occupancy at arrival.
         if let Some(ecn) = self.disc.ecn {
@@ -321,15 +341,13 @@ impl<M: PacketMeta> PortQueue<M> {
         &self,
         now: SimTime,
         pkt: Packet<M>,
-        in_flight: Option<(&M, SimTime)>,
+        in_flight: Option<(&Packet<M>, SimTime)>,
     ) -> Waiting<M> {
         // If the link is currently sending something this packet outranks,
         // the remainder of that transmission is preemption lag.
         let mut lag = SimDuration::ZERO;
-        if let Some((meta, ends_at)) = in_flight {
-            if outranks_kind(self.disc.kind, &pkt.meta, pkt.was_trimmed, meta, false)
-                && ends_at > now
-            {
+        if let Some((sending, ends_at)) = in_flight {
+            if ends_at > now && self.would_outrank(&pkt, sending) {
                 lag = ends_at - now;
             }
         }
@@ -424,11 +442,11 @@ impl<M: PacketMeta> PortQueue<M> {
         self.last_wait
     }
 
-    /// Whether metadata `a` strictly outranks `b` under this queue's
+    /// Whether packet `a` strictly outranks `b` under this queue's
     /// discipline — the same rule the lag accounting uses, exposed so the
     /// flight recorder can report preemptions of an in-flight packet.
-    pub fn would_outrank(&self, a: &M, a_trimmed: bool, b: &M) -> bool {
-        outranks_kind(self.disc.kind, a, a_trimmed, b, false)
+    pub fn would_outrank(&self, a: &Packet<M>, b: &Packet<M>) -> bool {
+        outranks_kind(self.disc.kind, &a.meta, a.was_trimmed, &b.meta, b.was_trimmed)
     }
 
     /// Whether any packet still waiting strictly outranks `taken` under
@@ -452,27 +470,36 @@ impl<M: PacketMeta> PortQueue<M> {
     /// Inform the queue that the port just started transmitting `started`
     /// and will stay busy for `dur`: every queued packet that outranks it
     /// accrues preemption lag for that interval.
+    ///
+    /// Returns at once on an empty queue (every host NIC, and most switch
+    /// ports most of the time). Under strict priority only the level
+    /// `started` would be filed under and the levels above it are
+    /// visited: a packet filed below has a lower priority and cannot
+    /// outrank it. The started packet's own level is visited because
+    /// priorities above the port's top level clamp into it, where a
+    /// waiting 5 still outranks an in-service 3.
     pub fn on_tx_start(&mut self, started: &Packet<M>, dur: SimDuration) {
+        if self.packets == 0 {
+            return;
+        }
         let kind = self.disc.kind;
-        let outranks = |a: &Waiting<M>| {
-            outranks_kind(kind, &a.pkt.meta, a.pkt.was_trimmed, &started.meta, started.was_trimmed)
+        let first_level = match kind {
+            QueueKind::StrictPriority { levels } => started.priority().min(levels - 1) as usize,
+            _ => 0,
         };
-        for q in self.levels.iter_mut() {
-            for w in q.iter_mut() {
-                if outranks(w) {
-                    w.lag += dur;
-                }
-            }
-        }
-        // `pool` and `ctrl` need separate loops to satisfy the closure's
-        // borrow of `w`.
-        for w in self.pool.iter_mut() {
-            if outranks(w) {
-                w.lag += dur;
-            }
-        }
-        for w in self.ctrl.iter_mut() {
-            if outranks(w) {
+        let waiting = self.levels[first_level..]
+            .iter_mut()
+            .flatten()
+            .chain(&mut self.pool)
+            .chain(&mut self.ctrl);
+        for w in waiting {
+            if outranks_kind(
+                kind,
+                &w.pkt.meta,
+                w.pkt.was_trimmed,
+                &started.meta,
+                started.was_trimmed,
+            ) {
                 w.lag += dur;
             }
         }
@@ -722,7 +749,7 @@ mod tests {
         let mut q = strict(1 << 20);
         // A low-priority packet is in flight until t=1000; a high-priority
         // packet arriving at t=0 accrues 1000ns of preemption lag.
-        let inflight = TestMeta::data(1250, 0);
+        let inflight = pkt(0, 1, TestMeta::data(1250, 0));
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 7)), Some((&inflight, t(1000))));
         let p = q.dequeue(t(1000)).unwrap();
         assert_eq!(p.delay.preemption_lag.as_nanos(), 1000);
@@ -732,11 +759,35 @@ mod tests {
     #[test]
     fn delay_attribution_equal_priority_is_queueing() {
         let mut q = strict(1 << 20);
-        let inflight = TestMeta::data(1250, 7);
+        let inflight = pkt(0, 1, TestMeta::data(1250, 7));
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 7)), Some((&inflight, t(1000))));
         let p = q.dequeue(t(1000)).unwrap();
         assert_eq!(p.delay.preemption_lag.as_nanos(), 0);
         assert_eq!(p.delay.queueing.as_nanos(), 1000);
+    }
+
+    #[test]
+    fn ndp_control_is_not_preempted_by_an_in_flight_trimmed_header() {
+        // A trimmed header is data by its metadata and control by its
+        // flag. One is on the wire until t=48 when a control packet
+        // arrives: the two rank equal, so the wait is queueing, not lag.
+        let mut q: PortQueue<TestMeta> = PortQueue::new(QueueDiscipline {
+            kind: QueueKind::NdpTrim { data_cap_packets: 8 },
+            cap_bytes: 1 << 20,
+            ecn: None,
+        });
+        let mut header = pkt(0, 1, TestMeta::data(1500, 0).trimmed().unwrap());
+        header.was_trimmed = true;
+        let pull = pkt(1, 0, TestMeta::control(40, 0));
+        assert!(!q.would_outrank(&pull, &header));
+        q.enqueue(t(0), pull, Some((&header, t(48))));
+        let p = q.dequeue(t(48)).unwrap();
+        assert_eq!(p.delay.preemption_lag.as_nanos(), 0);
+        assert_eq!(p.delay.queueing.as_nanos(), 48);
+        // Against an untrimmed data packet the same arrival is preempted.
+        let data = pkt(0, 1, TestMeta::data(1500, 0));
+        q.enqueue(t(100), pkt(1, 0, TestMeta::control(40, 0)), Some((&data, t(1300))));
+        assert_eq!(q.dequeue(t(1300)).unwrap().delay.preemption_lag.as_nanos(), 1200);
     }
 
     #[test]

@@ -114,11 +114,18 @@ impl SimDuration {
 
     /// The time needed to serialize `bytes` bytes onto a link of
     /// `bits_per_sec`, rounded up to the next nanosecond so that a link is
-    /// never modelled as faster than configured.
+    /// never modelled as faster than configured. Divides in 64 bits
+    /// whenever `bytes × 8·10⁹` fits (any packet does: up to 2.3 GB), in
+    /// 128 bits otherwise; the two agree wherever both apply.
     pub fn serialization(bytes: u64, bits_per_sec: u64) -> Self {
         debug_assert!(bits_per_sec > 0, "link rate must be positive");
-        let bits = bytes as u128 * 8 * 1_000_000_000;
-        SimDuration(bits.div_ceil(bits_per_sec as u128) as u64)
+        const BIT_NS: u64 = 8 * 1_000_000_000;
+        match bytes.checked_mul(BIT_NS) {
+            Some(bit_ns) => SimDuration(bit_ns.div_ceil(bits_per_sec)),
+            None => {
+                SimDuration((bytes as u128 * BIT_NS as u128).div_ceil(bits_per_sec as u128) as u64)
+            }
+        }
     }
 
     /// Saturating subtraction.

@@ -139,6 +139,100 @@ proptest! {
     }
 
     #[test]
+    fn on_tx_start_matches_a_scan_of_every_waiting_packet(
+        // One port under strict priority: packets arrive while the link
+        // is busy or idle, and whenever it is idle the head is dequeued
+        // and put on the wire. With fewer than 8 levels several
+        // priorities clamp into the top one, where a waiting 5 still
+        // outranks an in-service 3.
+        level_exp in 0u32..4,
+        ops in proptest::collection::vec((any::<bool>(), 0u8..8, 1u64..400), 1..200),
+    ) {
+        /// The reference: per-level FIFOs of `(id, prio, enqueued_at, lag)`
+        /// whose transmission-start pass visits every waiting packet.
+        struct Model {
+            levels: Vec<std::collections::VecDeque<(u32, u8, u64, u64)>>,
+        }
+        impl Model {
+            fn tx_start(&mut self, started_prio: u8, dur: u64) {
+                for w in self.levels.iter_mut().flatten() {
+                    if w.1 > started_prio {
+                        w.3 += dur;
+                    }
+                }
+            }
+            /// `(id, queueing, preemption lag)` of the next packet out.
+            fn dequeue(&mut self, now: u64) -> Option<(u32, u64, u64)> {
+                let (id, _, at, lag) = self.levels.iter_mut().rev().find_map(|q| q.pop_front())?;
+                let lag = lag.min(now - at);
+                Some((id, now - at - lag, lag))
+            }
+        }
+        let levels = 1u8 << level_exp;
+        let mut q: PortQueue<M> = PortQueue::new(QueueDiscipline {
+            kind: QueueKind::StrictPriority { levels },
+            cap_bytes: 1 << 30,
+            ecn: None,
+        });
+        let mut model = Model { levels: (0..levels).map(|_| Default::default()).collect() };
+        let mut sending: Option<(Packet<M>, SimTime)> = None;
+        let mut now = 0u64;
+        for (i, &(arrive, prio, dt)) in ops.iter().enumerate() {
+            now += dt;
+            if sending.as_ref().is_some_and(|(_, ends)| ends.as_nanos() <= now) {
+                sending = None;
+            }
+            if arrive {
+                // `bytes` doubles as the packet's identity.
+                let id = 60 + i as u32;
+                let meta = M { bytes: id, prio, remaining: 0, ctrl: false };
+                let pkt = Packet::new(homa_sim::HostId(0), homa_sim::HostId(1), meta);
+                let lag = match &sending {
+                    Some((s, ends)) if s.priority() < prio => ends.as_nanos() - now,
+                    _ => 0,
+                };
+                q.enqueue(SimTime::from_nanos(now), pkt, sending.as_ref().map(|(p, t)| (p, *t)));
+                model.levels[prio.min(levels - 1) as usize].push_back((id, prio, now, lag));
+            }
+            if sending.is_none() {
+                let got = q.dequeue(SimTime::from_nanos(now));
+                let want = model.dequeue(now);
+                prop_assert_eq!(
+                    got.as_ref().map(|p| {
+                        (p.meta.bytes, p.delay.queueing.as_nanos(), p.delay.preemption_lag.as_nanos())
+                    }),
+                    want
+                );
+                if let Some(p) = got {
+                    let dur = SimDuration::serialization(p.wire_bytes() as u64, 10_000_000_000);
+                    q.on_tx_start(&p, dur);
+                    model.tx_start(p.priority(), dur.as_nanos());
+                    sending = Some((p, SimTime::from_nanos(now) + dur));
+                }
+            }
+            prop_assert_eq!(q.len(), model.levels.iter().map(|l| l.len()).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn serialization_in_64_bits_equals_the_128_bit_formula(
+        // Packet sizes, sizes either side of the largest whose bit count
+        // times 10⁹ still fits a u64, and sizes far beyond it.
+        mode in 0u8..3,
+        x in 0u64..4_000_000_000,
+        rate in 1u64..400_000_000_001,
+    ) {
+        let edge = u64::MAX / 8_000_000_000;
+        let bytes = match mode {
+            0 => x % 10_000,
+            1 => edge - 1_000 + x % 2_000,
+            _ => edge + x,
+        };
+        let wide = (bytes as u128 * 8_000_000_000).div_ceil(rate as u128) as u64;
+        prop_assert_eq!(SimDuration::serialization(bytes, rate).as_nanos(), wide);
+    }
+
+    #[test]
     fn calendar_matches_heap_with_far_future_timers(
         // Bimodal times: hot near-term events plus timers far beyond the
         // calendar's ring horizon (4096 buckets x 256ns ≈ 1.05ms; the

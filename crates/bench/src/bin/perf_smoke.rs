@@ -1,10 +1,16 @@
-//! `perf-smoke` — the CI performance-regression gate.
+//! `perf-smoke` — the CI fixed-point and footprint gate.
 //!
 //! Runs a fixed set of deterministic scenarios (fixed seed, W4 at 80%
-//! load, 40- and 100-host multi-TOR fabrics), measures wall-clock and
-//! events/sec, and emits a machine-readable JSON report. CI compares the
-//! report against the checked-in `BENCH_BASELINE.json` and fails on a
-//! >25% regression — so event-engine speed never silently erodes.
+//! load, 40- to 160-host multi-TOR fabrics and the 1,024-host fat tree),
+//! measures wall-clock, events/sec and peak resident set, and emits a
+//! machine-readable JSON report. CI compares the report against the
+//! checked-in `BENCH_BASELINE.json` and fails when a deterministic count
+//! changed or peak RSS grew by more than 25%. Wall-clock and events/sec
+//! are recorded and printed but not gated: the baseline's machine is not
+//! CI's, so a fixed tolerance against it either passes a regression
+//! (`w4_80_160h` runs 1,870–2,230 ms here against the recorded 2,630) or
+//! fails on noise. Speed claims come from alternated parent/change pairs
+//! of `bash benchmark/run.sh`.
 //!
 //! ```text
 //! perf-smoke [--out PATH] [--quick] [--rss] [--only SUBSTR]
@@ -15,12 +21,13 @@
 //!     SUBSTR. Where the time goes inside a run is the benchmark's
 //!     question: `bash benchmark/run.sh --trace 1`.
 //!
-//! perf-smoke --compare BASELINE CURRENT [--tolerance 0.25]
-//!     exit nonzero if CURRENT regressed from BASELINE: wall-clock,
-//!     events/sec or peak RSS off by more than the tolerance, or a
-//!     changed deterministic event count (which means the simulation
-//!     itself changed — refresh the baseline deliberately if intended).
-//!     The RSS check is skipped when either report lacks the column.
+//! perf-smoke --compare BASELINE CURRENT
+//!     print both reports side by side and exit nonzero if CURRENT's
+//!     deterministic counts (messages, events, delivered) differ from
+//!     BASELINE's (which means the simulation itself changed — refresh
+//!     the baseline deliberately if intended) or its peak RSS is more
+//!     than 25% above it. The RSS check is skipped when either report
+//!     lacks the column.
 //! ```
 //!
 //! To refresh the baseline after an intentional change:
@@ -90,9 +97,9 @@ fn gate_scenarios(quick: bool) -> Vec<GateScenario> {
         },
         // Pins the scenario subsystem: a 20-wide incast at 80% of the
         // victim's downlink, with that downlink flapping five times
-        // during the burst. Event counts, delivered counts and
-        // events/sec all gate on this, so neither the TrafficMatrix
-        // stream nor the fault dispatch path can drift silently.
+        // during the burst. Event and delivered counts gate on this, so
+        // neither the TrafficMatrix stream nor the fault dispatch path
+        // can drift silently.
         GateScenario {
             spec: ScenarioSpec::new(
                 "incast20_flap_40h",
@@ -239,8 +246,12 @@ fn run_gate(cfg: &GateCfg) -> Report {
     }
 }
 
+/// How far above the baseline a row's peak RSS may sit. The only guard on
+/// the 1,024-host footprint until the benchmark has a workload that size.
+const RSS_TOLERANCE: f64 = 0.25;
+
 /// Compare `cur` against `base`; returns human-readable failures.
-fn regressions(base: &Report, cur: &Report, tolerance: f64) -> Vec<String> {
+fn regressions(base: &Report, cur: &Report) -> Vec<String> {
     let mut fails = Vec::new();
     for b in &base.scenarios {
         let Some(c) = cur.scenarios.iter().find(|s| s.name == b.name) else {
@@ -270,44 +281,26 @@ fn regressions(base: &Report, cur: &Report, tolerance: f64) -> Vec<String> {
                 b.name, b.delivered, c.delivered
             ));
         }
-        if c.wall_ms > b.wall_ms * (1.0 + tolerance) {
-            fails.push(format!(
-                "{}: wall-clock regressed {:.1} ms -> {:.1} ms (> {:.0}% tolerance)",
-                b.name,
-                b.wall_ms,
-                c.wall_ms,
-                tolerance * 100.0
-            ));
-        }
-        if c.events_per_sec < b.events_per_sec / (1.0 + tolerance) {
-            fails.push(format!(
-                "{}: events/sec regressed {:.0} -> {:.0} (> {:.0}% tolerance)",
-                b.name,
-                b.events_per_sec,
-                c.events_per_sec,
-                tolerance * 100.0
-            ));
-        }
         // Peak-RSS gate: only when both sides actually sampled it (a 0
         // means --rss was off, the platform lacks VmHWM, or the report
         // predates the column).
         if b.peak_rss_kb > 0
             && c.peak_rss_kb > 0
-            && c.peak_rss_kb as f64 > b.peak_rss_kb as f64 * (1.0 + tolerance)
+            && c.peak_rss_kb as f64 > b.peak_rss_kb as f64 * (1.0 + RSS_TOLERANCE)
         {
             fails.push(format!(
                 "{}: peak RSS regressed {} KiB -> {} KiB (> {:.0}% tolerance)",
                 b.name,
                 b.peak_rss_kb,
                 c.peak_rss_kb,
-                tolerance * 100.0
+                RSS_TOLERANCE * 100.0
             ));
         }
     }
     fails
 }
 
-fn compare(base_path: &str, cur_path: &str, tolerance: f64) -> i32 {
+fn compare(base_path: &str, cur_path: &str) -> i32 {
     let load = |p: &str| -> Report {
         let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
             eprintln!("perf-smoke: cannot read {p}: {e}");
@@ -320,7 +313,10 @@ fn compare(base_path: &str, cur_path: &str, tolerance: f64) -> i32 {
     };
     let base = load(base_path);
     let cur = load(cur_path);
-    println!("perf-smoke comparison (tolerance {:.0}%):", tolerance * 100.0);
+    println!(
+        "perf-smoke comparison (counts exact, peak RSS within {:.0}%, times not gated):",
+        RSS_TOLERANCE * 100.0
+    );
     println!(
         "{:<14} {:>12} {:>12} {:>14} {:>14} {:>12} {:>12}",
         "scenario", "base ms", "cur ms", "base ev/s", "cur ev/s", "base rss", "cur rss"
@@ -346,9 +342,9 @@ fn compare(base_path: &str, cur_path: &str, tolerance: f64) -> i32 {
             );
         }
     }
-    let fails = regressions(&base, &cur, tolerance);
+    let fails = regressions(&base, &cur);
     if fails.is_empty() {
-        println!("OK: no regression beyond {:.0}%", tolerance * 100.0);
+        println!("OK: counts match, peak RSS within {:.0}%", RSS_TOLERANCE * 100.0);
         0
     } else {
         for f in &fails {
@@ -365,7 +361,6 @@ fn main() {
     let mut rss = false;
     let mut only: Option<String> = None;
     let mut compare_paths: Option<(String, String)> = None;
-    let mut tolerance = 0.25;
 
     let mut i = 0;
     while i < args.len() {
@@ -387,13 +382,6 @@ fn main() {
                 compare_paths = Some((b, c));
                 i += 2;
             }
-            "--tolerance" => {
-                i += 1;
-                tolerance = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--tolerance takes a fraction, e.g. 0.25"));
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other:?}")),
         }
@@ -401,7 +389,7 @@ fn main() {
     }
 
     if let Some((base, cur)) = compare_paths {
-        std::process::exit(compare(&base, &cur, tolerance));
+        std::process::exit(compare(&base, &cur));
     }
 
     let cfg = GateCfg { quick, rss, only };
@@ -421,7 +409,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: perf-smoke [--out PATH] [--quick] [--rss] [--only SUBSTR]\n\
-         \x20      perf-smoke --compare BASELINE CURRENT [--tolerance FRAC]"
+         \x20      perf-smoke --compare BASELINE CURRENT"
     );
     std::process::exit(2);
 }

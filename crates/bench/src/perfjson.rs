@@ -1,8 +1,8 @@
 //! Minimal JSON writer/reader for the machine-readable report formats.
 //!
-//! The workspace builds offline (the `serde` dependency is a no-op shim),
-//! so the perf gate and the `repro` binary carry their own serializer for
-//! the two schemas they need:
+//! The workspace builds offline, without serde, so the perf gate and the
+//! `repro` binary carry their own serializer for the two schemas they
+//! need:
 //!
 //! * [`Report`] — the `perf-smoke` format: a flat object per scenario
 //!   inside a `"scenarios"` array.

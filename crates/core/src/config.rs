@@ -1,14 +1,12 @@
 //! Protocol configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// All tunables of a Homa endpoint.
 ///
 /// Defaults correspond to the paper's 10 Gbps configuration: `RTTbytes ≈
 /// 10 KB`, 8 in-network priority levels, millisecond-scale loss timers.
 /// The experiment sweeps of §5.2 (Figures 16–20) are expressed as
 /// overrides here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HomaConfig {
     /// The bandwidth-delay product: how many bytes a sender transmits
     /// blindly before switching to grant-paced transmission, and how far

@@ -12,13 +12,9 @@
 //! binary encoding used on real networks; the simulator carries these
 //! structs directly.
 
-use serde::{Deserialize, Serialize};
-
 /// A transport-level peer address. In the simulator this is the host id;
 /// over UDP it indexes a socket-address table.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeerId(pub u32);
 
 impl std::fmt::Display for PeerId {
@@ -28,7 +24,7 @@ impl std::fmt::Display for PeerId {
 }
 
 /// Direction of a message within an RPC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dir {
     /// Client → server request.
     Request,
@@ -43,7 +39,7 @@ pub enum Dir {
 /// the client-assigned RPC sequence number, and the direction. Request and
 /// response of one RPC share `(origin, seq)` and differ in `dir`; this is
 /// the paper's "RPCid is included in all packets associated with the RPC".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MsgKey {
     /// The client that generated the RPC id (for one-way messages, the
     /// sender).
@@ -67,7 +63,7 @@ impl MsgKey {
 }
 
 /// DATA: a range of bytes within a message (§3, Figure 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataHeader {
     /// Message this packet belongs to.
     pub key: MsgKey,
@@ -96,7 +92,7 @@ pub struct DataHeader {
 }
 
 /// GRANT: permission to transmit up to `offset`, at `prio` (§3.3–3.4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrantHeader {
     /// Message being granted.
     pub key: MsgKey,
@@ -110,7 +106,7 @@ pub struct GrantHeader {
 }
 
 /// RESEND: receiver-driven retransmission request (§3.7).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResendHeader {
     /// Message with missing bytes.
     pub key: MsgKey,
@@ -124,7 +120,7 @@ pub struct ResendHeader {
 
 /// BUSY: "my response to your RESEND will be delayed" (§3.7); prevents the
 /// peer from timing out while the sender works on higher-priority traffic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BusyHeader {
     /// Message the BUSY refers to.
     pub key: MsgKey,
@@ -132,7 +128,7 @@ pub struct BusyHeader {
 
 /// A receiver's unscheduled-priority allocation, disseminated to senders
 /// (§3.4, Figure 4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CutoffsUpdate {
     /// Monotonic version so senders keep only the newest allocation.
     pub version: u64,
@@ -146,7 +142,7 @@ pub struct CutoffsUpdate {
 }
 
 /// Any Homa packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HomaPacket {
     /// Data segment.
     Data(DataHeader),

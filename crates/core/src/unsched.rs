@@ -20,10 +20,9 @@
 
 use crate::config::HomaConfig;
 use crate::packets::CutoffsUpdate;
-use serde::{Deserialize, Serialize};
 
 /// A complete priority allocation for one receiver's downlink.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PriorityMap {
     /// Total priority levels (`P`).
     pub num_priorities: u8,

@@ -21,7 +21,7 @@
 //! divergence the fuzzers see is a real bug, not a generator artifact.
 
 use crate::scenario::{FabricSpec, ScenarioSpec};
-use homa_sim::{Fault, FaultPlan, HostId, LinkId};
+use homa_sim::{resolve_fault, Fault, FaultPlan, HostId, LinkId};
 use homa_workloads::{TrafficSpec, VictimSpec, Workload};
 
 pub mod grammar;
@@ -246,9 +246,11 @@ fn shrink_fabric(f: FabricSpec) -> Option<FabricSpec> {
     }
 }
 
-/// Move `spec` onto a smaller fabric, dropping any traffic overlay or
-/// fault event that names a host the new fabric doesn't have, and
-/// flattening cross-rack hotspots when the new fabric has one rack.
+/// Move `spec` onto a smaller fabric, dropping any traffic overlay that
+/// names a host and any fault event that names a host, switch or link the
+/// new fabric doesn't have (a rack or spine outage that still fits
+/// survives), and flattening cross-rack hotspots when the new fabric has
+/// one rack.
 fn refit(spec: ScenarioSpec, fabric: FabricSpec) -> ScenarioSpec {
     let hosts = fabric.hosts();
     let mut traffic = spec.traffic;
@@ -262,27 +264,12 @@ fn refit(spec: ScenarioSpec, fabric: FabricSpec) -> ScenarioSpec {
             traffic.pattern = homa_workloads::PatternSpec::Hotspot { hot_frac, rack_local: true };
         }
     }
+    let topo = fabric.topology();
     let mut faults = spec.faults.clone();
-    faults.events.retain(|(_, f)| fault_fits(*f, hosts));
+    faults.events.retain(|&(_, f)| resolve_fault(&topo, f).is_ok());
     let mut out = spec;
     out.fabric = fabric;
     out.with_traffic(traffic).with_faults(faults)
-}
-
-fn fault_fits(f: Fault, hosts: u32) -> bool {
-    let link_ok = |l: LinkId| match l {
-        LinkId::HostUplink(h) | LinkId::HostDownlink(h) => h.0 < hosts,
-        LinkId::TorUplink { .. } | LinkId::SpineDownlink { .. } => false,
-    };
-    match f {
-        Fault::LinkDown(l) | Fault::LinkUp(l) | Fault::RateRestore(l) => link_ok(l),
-        Fault::RateLimit { link, .. } => link_ok(link),
-        Fault::PauseReceiver(h) | Fault::ResumeReceiver(h) => h.0 < hosts,
-        Fault::RackOutage { .. }
-        | Fault::RackRestore { .. }
-        | Fault::SpineOutage { .. }
-        | Fault::SpineRestore { .. } => false,
-    }
 }
 
 /// Greedily shrink `initial` while `fails` keeps returning true, taking
@@ -431,9 +418,7 @@ mod tests {
             if let Some(v) = a.traffic.victim {
                 assert!(v.src < hosts && v.dst < hosts && v.src != v.dst);
             }
-            for &(_, f) in &a.faults.events {
-                assert!(fault_fits(f, hosts), "seed {seed}: fault {f:?} off-fabric");
-            }
+            assert_eq!(a.check_buildable(), Ok(()), "seed {seed}");
         }
     }
 
@@ -486,14 +471,38 @@ mod tests {
                 if let Some(v) = cand.traffic.victim {
                     assert!(v.src < hosts && v.dst < hosts, "seed {seed} shrank off-fabric");
                 }
-                for &(_, f) in &cand.faults.events {
-                    assert!(fault_fits(f, hosts), "seed {seed} shrank fault off-fabric");
-                }
+                assert_eq!(cand.check_buildable(), Ok(()), "seed {seed} shrank off-fabric");
                 // Every candidate must still serialize and replay.
                 let line = cand.to_spec_line();
                 assert_eq!(ScenarioSpec::parse_spec_line(&line).unwrap(), cand);
             }
         }
+    }
+
+    #[test]
+    fn refit_keeps_the_switch_level_faults_that_still_fit() {
+        let plan = FaultPlan::new()
+            .rack_outage(1, 100_000, 200_000)
+            .rack_outage(3, 100_000, 200_000)
+            .spine_outage(0, 120_000, 180_000)
+            .receiver_pause(HostId(5), 50_000, 90_000)
+            .receiver_pause(HostId(30), 50_000, 90_000)
+            .at(7, Fault::LinkDown(LinkId::TorUplink { rack: 1, spine: 1 }));
+        let spec =
+            ScenarioSpec::new("r", FabricSpec::MultiTor { hosts: 40 }, Workload::W2, 0.5, 50, 1)
+                .with_faults(plan);
+        assert_eq!(spec.check_buildable(), Ok(()));
+        // 40 hosts are 4 racks under 3 spines; 16 hosts are 2 racks under
+        // 2: rack 3 and host 30 go, everything else still names something.
+        let smaller = refit(spec.clone(), FabricSpec::MultiTor { hosts: 16 });
+        assert_eq!(smaller.check_buildable(), Ok(()));
+        assert_eq!(smaller.faults.events.len(), spec.faults.events.len() - 4);
+        assert!(smaller.faults.events.contains(&(100_000, Fault::RackOutage { rack: 1 })));
+        assert!(smaller.faults.events.contains(&(120_000, Fault::SpineOutage { spine: 0 })));
+        // One switch has no spine and no second rack: the host pause is
+        // all that is left.
+        let single = refit(smaller, FabricSpec::SingleSwitch { hosts: 8 });
+        assert_eq!(single.faults, FaultPlan::new().receiver_pause(HostId(5), 50_000, 90_000));
     }
 
     /// The acceptance-criterion demo in miniature: a predicate that

@@ -14,8 +14,11 @@
 //! re-format, and every rejection is a *named-key* error (it contains
 //! ``field `…` `` pointing at the offending key or token). Mutants that
 //! remain legal — a deleted defaultable field, a duplicated key where
-//! last-wins, reordered fields — must re-format to a fixed point:
-//! `format ∘ parse ∘ format = format`.
+//! last-wins, reordered fields — must re-format to a fixed point,
+//! `format ∘ parse ∘ format = format`, and must describe a run that can
+//! start: the fabric builds and the fault plan resolves against it, so a
+//! line the parser takes does not go on to panic in `Network::new` or
+//! `install_faults`.
 
 use super::{shrink_to_minimal_with, SplitMix64};
 use crate::scenario::ScenarioSpec;
@@ -124,7 +127,7 @@ pub fn mutate_spec_line(seed: u64) -> String {
 
 /// The parser contract for one (possibly mangled) line: a rejection
 /// must name the offending key (``field `…` `` appears in the error),
-/// and an accepted line must re-format to a fixed point.
+/// and an accepted line must be buildable and re-format to a fixed point.
 pub fn check_mutant_line(line: &str) -> Result<(), String> {
     match ScenarioSpec::parse_spec_line(line) {
         Err(e) => {
@@ -135,6 +138,7 @@ pub fn check_mutant_line(line: &str) -> Result<(), String> {
             }
         }
         Ok(spec) => {
+            spec.check_buildable().map_err(|e| format!("accepted mutant cannot run: {e}"))?;
             let canon = spec.to_spec_line();
             let again = ScenarioSpec::parse_spec_line(&canon).map_err(|e| {
                 format!("accepted mutant re-formats to an unparseable line `{canon}`: {e}")

@@ -17,7 +17,8 @@
 
 use crate::driver::{self, OnewayOpts, OnewayResult};
 use homa_sim::{
-    FaultPlan, HostId, NetworkConfig, PacketMeta, QueueDiscipline, Topology, Transport,
+    FaultPlan, HostId, NetworkConfig, PacketMeta, QueueDiscipline, Topology, TopologyError,
+    Transport,
 };
 use homa_workloads::{TrafficSpec, Workload};
 
@@ -57,16 +58,29 @@ pub enum FabricSpec {
 
 impl FabricSpec {
     /// Materialize the topology.
+    ///
+    /// # Panics
+    /// If the shape cannot be built ([`Self::try_topology`] returns the
+    /// error instead; a parsed spec line has already passed it).
+    #[track_caller]
     pub fn topology(&self) -> Topology {
-        match *self {
+        self.try_topology().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The topology, or why this shape cannot be built: a constructor's
+    /// own complaint, else [`Topology::check_shape`]'s.
+    pub fn try_topology(&self) -> Result<Topology, TopologyError> {
+        let topo = match *self {
             FabricSpec::SingleSwitch { hosts } => Topology::single_switch(hosts),
             FabricSpec::LeafSpine { racks, hosts_per_rack, spines } => {
                 Topology::scaled_fabric(racks, hosts_per_rack, spines)
             }
-            FabricSpec::MultiTor { hosts } => Topology::multi_tor(hosts),
+            FabricSpec::MultiTor { hosts } => Topology::try_multi_tor(hosts)?,
             FabricSpec::Paper => Topology::paper_fabric(),
-            FabricSpec::FatTree { k } => Topology::fat_tree(k),
-        }
+            FabricSpec::FatTree { k } => Topology::try_fat_tree(k)?,
+        };
+        topo.check_shape()?;
+        Ok(topo)
     }
 
     /// Total hosts in the fabric.

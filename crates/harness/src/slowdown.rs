@@ -10,10 +10,9 @@
 
 use homa_sim::stats::percentile;
 use homa_sim::{DelayBreakdown, QuantileSketch};
-use serde::{Deserialize, Serialize};
 
 /// One delivered message/RPC observation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MsgRecord {
     /// Message size in bytes (for RPCs, the echoed payload size).
     pub size: u64,
@@ -41,7 +40,7 @@ impl MsgRecord {
 }
 
 /// Slowdown statistics for one size bin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlowdownBin {
     /// Smallest message size in the bin.
     pub min_size: u64,
@@ -58,7 +57,7 @@ pub struct SlowdownBin {
 }
 
 /// A full size-binned slowdown summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlowdownSummary {
     /// Equal-message-count bins in ascending size order.
     pub bins: Vec<SlowdownBin>,

@@ -284,7 +284,10 @@ impl ScenarioSpec {
     /// the spec. `traffic` and `faults` may be omitted (they default);
     /// the other six fields are required. Unknown keys are an error, so
     /// typos — and lines from before PR 16, which carried an `engine`
-    /// field — fail loudly rather than replaying the wrong run.
+    /// field — fail loudly rather than replaying the wrong run. So are a
+    /// fabric that cannot be built and a fault naming something the
+    /// fabric lacks ([`ScenarioSpec::check_buildable`]): they used to
+    /// parse and then panic mid-run.
     pub fn parse_spec_line(line: &str) -> Result<ScenarioSpec, String> {
         let mut name = None;
         let mut fabric = None;
@@ -328,7 +331,7 @@ impl ScenarioSpec {
             }
         }
         let req = |what: &str| format!("missing required field `{what}`");
-        Ok(ScenarioSpec::new(
+        let spec = ScenarioSpec::new(
             name.ok_or_else(|| req("name"))?,
             fabric.ok_or_else(|| req("fabric"))?,
             workload.ok_or_else(|| req("wl"))?,
@@ -337,7 +340,27 @@ impl ScenarioSpec {
             seed.ok_or_else(|| req("seed"))?,
         )
         .with_traffic(traffic)
-        .with_faults(faults))
+        .with_faults(faults);
+        spec.check_buildable()?;
+        Ok(spec)
+    }
+
+    /// Whether the fabric can be built and carries every fault of the
+    /// plan: what a run would otherwise discover by panicking in
+    /// `Network::new` or `install_faults`. The error names the field and
+    /// the offending value, like every other parse error.
+    pub fn check_buildable(&self) -> Result<(), String> {
+        let topo = self.fabric.try_topology().map_err(|e| {
+            format!("field `fabric`: cannot build `{}`: {e}", fabric_str(self.fabric))
+        })?;
+        self.faults.resolve(&topo).map(drop).map_err(|e| {
+            let fault = fault_str(e.fault);
+            format!(
+                "field `faults`: {} in `{fault}` on fabric `{}`",
+                e.reason,
+                fabric_str(self.fabric)
+            )
+        })
     }
 }
 
@@ -522,6 +545,54 @@ mod tests {
             ),
             ("name=a fabric=sw:8 wl=W1 msgs=10 seed=1", "missing required field `load`"),
             ("notafield", "bad field `notafield` (want k=v)"),
+            // Regressions: each of these parsed, then panicked mid-run in
+            // `Network::new` or `install_faults` with a backtrace.
+            (
+                "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=1000:down:tor0-5",
+                "field `faults`: no such spine 5 in `down:tor0-5` on fabric `sw:8`",
+            ),
+            (
+                "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=1000:spineout:0",
+                "field `faults`: no such spine 0 in `spineout:0` on fabric `sw:8`",
+            ),
+            (
+                "name=t fabric=sw:1 wl=W4 load=0.5 msgs=50 seed=1",
+                "field `fabric`: cannot build `sw:1`: bad fabric shape: need at least two hosts \
+                 per rack",
+            ),
+            (
+                "name=t fabric=mtor:7 wl=W4 load=0.5 msgs=50 seed=1",
+                "field `fabric`: cannot build `mtor:7`: multi_tor: pick a host count >= 16 \
+                 divisible by 10, 16 or 8, got 7",
+            ),
+            (
+                "name=t fabric=ft:5 wl=W4 load=0.5 msgs=50 seed=1",
+                "field `fabric`: cannot build `ft:5`: fat_tree: arity must be even and >= 4, got 5",
+            ),
+            (
+                "name=t fabric=ls:0x4x1 wl=W4 load=0.5 msgs=50 seed=1",
+                "field `fabric`: cannot build `ls:0x4x1`: bad fabric shape: need at least one rack",
+            ),
+            (
+                "name=t fabric=ls:2x4x0 wl=W4 load=0.5 msgs=50 seed=1",
+                "field `fabric`: cannot build `ls:2x4x0`: bad fabric shape: multi-rack fabrics \
+                 need spines",
+            ),
+            // The same checks reach every fault and every size.
+            (
+                "name=t fabric=ft:4 wl=W4 load=0.5 msgs=50 seed=1 faults=5:up:hup3,9:down:tor2-0",
+                "field `faults`: Tor(2) has no link to Spine(0): TORs link to aggregation \
+                 switches of their own pod only in `down:tor2-0` on fabric `ft:4`",
+            ),
+            (
+                "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=5:rate:hup3:0",
+                "field `faults`: rate limit must be positive in `rate:hup3:0` on fabric `sw:8`",
+            ),
+            (
+                "name=t fabric=ls:4294967295x4294967295x1 wl=W4 load=0.5 msgs=50 seed=1",
+                "field `fabric`: cannot build `ls:4294967295x4294967295x1`: bad fabric shape: \
+                 host count overflows u32",
+            ),
         ];
         for (line, want) in cases {
             let err = ScenarioSpec::parse_spec_line(line).expect_err(line);

@@ -9,10 +9,9 @@
 //! aggregates them per message.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated wait-time decomposition for one packet across all hops.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DelayBreakdown {
     /// Time spent waiting while the output link was busy transmitting a
     /// *lower-priority* packet (Figure 14's "PreemptionLag").

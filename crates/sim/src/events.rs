@@ -70,9 +70,15 @@
 //! slots: it judges the order of keys. That a key comes back with *its
 //! own* payload is what `hier_matches_flat_on_random_interleavings` checks.
 //!
-//! Events are scheduled with a [`LaneId`] naming the fabric node whose
-//! state their dispatch touches. The calendar itself is global, so the
-//! lane orders nothing: it is range-checked at the call site.
+//! ## Lanes
+//!
+//! The constructors take a lane count and `schedule` a [`LaneId`], left
+//! from an engine that ran groups of fabric nodes in parallel. The
+//! calendar is global, so a lane orders nothing: `schedule` range-checks
+//! it and drops it. [`crate::Network`] builds its queue with one lane and
+//! schedules everything on it; the parameter stays only because the
+//! frozen `benchmark/` passes one (ROADMAP removes it when the benchmark
+//! is next opened).
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
@@ -84,17 +90,16 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerToken(pub u64);
 
-/// Identifies one event lane of a [`HierEventQueue`]. Lanes are dense
-/// indices assigned by whoever builds the engine (the network maps hosts,
-/// TORs and spines to consecutive lanes). The engine range-checks the
-/// tag.
+/// Identifies one event lane of a [`HierEventQueue`]: a dense index below
+/// the lane count the engine was built with. The engine range-checks the
+/// tag and nothing else (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LaneId(pub u32);
 
 /// Number of near-future epochs the calendar ring covers. Events beyond
 /// `RING_EPOCHS * width` nanoseconds ahead spill to the far heap until
 /// their epoch comes within reach of becoming current. Sized so a deep
-/// steady state on a *small* fabric (fewer lanes → a wider pending-time
+/// steady state on a *small* fabric (fewer nodes → a wider pending-time
 /// span per event population) still fits in the ring: 4096 × 256 ns ≈
 /// 1 ms of horizon, while the ring's empty slots cost only pointers.
 const RING_EPOCHS: u64 = 4096;

@@ -27,9 +27,20 @@
 //!
 //! An empty plan is the default everywhere and schedules nothing, so
 //! existing scenarios replay event-for-event.
+//!
+//! ## Resolution
+//!
+//! What a fault touches is a pure function of the plan and the topology:
+//! [`FaultPlan::resolve`] turns each fault into one [`FaultAction`] per
+//! egress port it touches by looking links up in the wiring table
+//! ([`Topology::switch_ports`]), or says why the fabric has no such link.
+//! The network schedules exactly that list, the spec-line parser runs the
+//! same call to reject a line whose faults do not fit its fabric, and the
+//! fuzz shrinker runs it to decide which faults survive a smaller fabric.
 
+use crate::stats::PortClass;
 use crate::time::SimTime;
-use crate::topology::HostId;
+use crate::topology::{HostId, NodeId, Topology};
 
 /// Names one directed link (equivalently: one egress port) of the
 /// fabric.
@@ -103,6 +114,126 @@ pub enum Fault {
         /// The spine switch to restore.
         spine: u32,
     },
+}
+
+/// What a resolved fault does to one egress port (the pause pair: to the
+/// host that owns it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultAction {
+    /// Stop serving the port; packets newly routed to it are dropped.
+    LinkDown,
+    /// Resume service.
+    LinkUp,
+    /// Serialize at this many bits per second from the next packet on.
+    SetRate(u64),
+    /// Back to the topology's rate.
+    RestoreRate,
+    /// Buffer deliveries to the host.
+    PauseRx,
+    /// Hand the buffered deliveries over, in order.
+    ResumeRx,
+}
+
+/// Why a fault does not fit a topology.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultError {
+    /// The fault that could not be resolved.
+    pub fault: Fault,
+    /// What the fabric lacks, e.g. `no such spine 4`.
+    pub reason: String,
+}
+
+impl std::fmt::Display for FaultError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} ({:?})", self.reason, self.fault)
+    }
+}
+
+impl std::error::Error for FaultError {}
+
+/// `node`, if the fabric has it.
+fn known(topo: &Topology, node: NodeId) -> Result<NodeId, String> {
+    match node {
+        NodeId::Host(h) if h.0 >= topo.num_hosts() => Err(format!("no such host {h}")),
+        NodeId::Tor(r) if r >= topo.racks => Err(format!("no such rack {r}")),
+        NodeId::Spine(s) if s >= topo.spines => Err(format!("no such spine {s}")),
+        _ => Ok(node),
+    }
+}
+
+/// The egress port a [`LinkId`] names.
+fn link_port(topo: &Topology, link: LinkId) -> Result<(NodeId, u32), String> {
+    // The port of switch `from` whose peer is `to`. Every leaf–spine TOR
+    // reaches every spine, so a miss means a fat-tree pair in two pods
+    // (or a core, which links to aggregation switches only).
+    let toward = |from: NodeId, to: NodeId| {
+        let (from, to) = (known(topo, from)?, known(topo, to)?);
+        let port = topo.switch_ports(from).iter().position(|p| p.peer == to);
+        port.map(|i| (from, i as u32)).ok_or_else(|| {
+            format!(
+                "{from:?} has no link to {to:?}: TORs link to aggregation switches of their \
+                 own pod only"
+            )
+        })
+    };
+    match link {
+        LinkId::HostUplink(h) => Ok((known(topo, NodeId::Host(h))?, 0)),
+        LinkId::HostDownlink(h) => {
+            known(topo, NodeId::Host(h))?;
+            let nic = topo.host_port(h);
+            Ok((nic.peer, nic.peer_port))
+        }
+        LinkId::TorUplink { rack, spine } => toward(NodeId::Tor(rack), NodeId::Spine(spine)),
+        LinkId::SpineDownlink { spine, rack } => toward(NodeId::Spine(spine), NodeId::Tor(rack)),
+    }
+}
+
+/// Every egress port an outage of switch `sw` touches, in the order
+/// [`resolve_fault`] documents.
+fn member_ports(topo: &Topology, sw: NodeId) -> Result<Vec<(NodeId, u32)>, String> {
+    let sw = known(topo, sw)?;
+    let mut out = Vec::new();
+    for (i, p) in topo.switch_ports(sw).iter().enumerate() {
+        let (own, back) = ((sw, i as u32), (p.peer, p.peer_port));
+        out.extend(if p.class == PortClass::TorDown { [back, own] } else { [own, back] });
+    }
+    Ok(out)
+}
+
+/// Resolve one declarative fault against `topo`.
+///
+/// A composite fault (a rack or spine outage, or its restore) expands to
+/// one action per member port in a canonical order: each of the switch's
+/// links, in port order, as the switch's own port then the peer's port
+/// back — except that a host link lists the host's uplink first. For a
+/// rack that is, per host, its uplink then its downlink, then per TOR
+/// uplink the uplink itself and the upper switch's downlink into the
+/// rack; for an upper switch (a spine, an aggregation switch or a core)
+/// each downlink or core uplink and the port that answers it.
+pub fn resolve_fault(
+    topo: &Topology,
+    fault: Fault,
+) -> Result<Vec<(NodeId, u32, FaultAction)>, FaultError> {
+    use FaultAction::*;
+    let one = |link, action| link_port(topo, link).map(|(n, p)| vec![(n, p, action)]);
+    let host = |h, action| known(topo, NodeId::Host(h)).map(|n| vec![(n, 0, action)]);
+    let all = |sw, action| {
+        member_ports(topo, sw).map(|ps| ps.into_iter().map(|(n, p)| (n, p, action)).collect())
+    };
+    let resolved = match fault {
+        Fault::LinkDown(l) => one(l, LinkDown),
+        Fault::LinkUp(l) => one(l, LinkUp),
+        Fault::RateLimit { bps: 0, .. } => Err("rate limit must be positive".to_string()),
+        Fault::RateLimit { link, bps } => one(link, SetRate(bps)),
+        Fault::RateRestore(l) => one(l, RestoreRate),
+        Fault::PauseReceiver(h) => host(h, PauseRx),
+        Fault::ResumeReceiver(h) => host(h, ResumeRx),
+        Fault::RackOutage { rack } => all(NodeId::Tor(rack), LinkDown),
+        Fault::RackRestore { rack } => all(NodeId::Tor(rack), LinkUp),
+        Fault::SpineOutage { spine } => all(NodeId::Spine(spine), LinkDown),
+        Fault::SpineRestore { spine } => all(NodeId::Spine(spine), LinkUp),
+    };
+    resolved.map_err(|reason| FaultError { fault, reason })
 }
 
 /// A time-stamped fault schedule. Times are absolute simulation
@@ -194,6 +325,20 @@ impl FaultPlan {
         evs.sort_by_key(|&(at, _)| at);
         evs.into_iter().map(|(at, f)| (SimTime::from_nanos(at), f)).collect()
     }
+
+    /// The plan resolved against `topo`, in scheduling order: one
+    /// `(time, node, egress port, action)` per port a fault touches, or
+    /// the first fault the fabric cannot carry.
+    pub fn resolve(
+        &self,
+        topo: &Topology,
+    ) -> Result<Vec<(SimTime, NodeId, u32, FaultAction)>, FaultError> {
+        let mut out = Vec::new();
+        for (at, fault) in self.sorted_events() {
+            out.extend(resolve_fault(topo, fault)?.into_iter().map(|(n, p, a)| (at, n, p, a)));
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -250,5 +395,189 @@ mod tests {
     #[should_panic(expected = "restore must follow")]
     fn outage_rejects_inverted_interval() {
         let _ = FaultPlan::new().rack_outage(0, 500, 500);
+    }
+
+    /// `(node, port)` pairs of a resolved single fault.
+    fn ports(topo: &Topology, fault: Fault) -> Vec<(NodeId, u32)> {
+        resolve_fault(topo, fault).unwrap().into_iter().map(|(n, p, _)| (n, p)).collect()
+    }
+
+    const fn host(h: u32) -> NodeId {
+        NodeId::Host(HostId(h))
+    }
+    use NodeId::{Spine, Tor};
+
+    // The four expansion tests below hold the table-driven resolver to
+    // the order the hand-written one produced (printed at PR 19): event
+    // sequence numbers, and so tie-breaks, follow it.
+
+    #[test]
+    fn leaf_spine_rack_outage_expands_in_canonical_order() {
+        let topo = Topology::scaled_fabric(2, 4, 2);
+        let want = vec![
+            (host(4), 0),
+            (Tor(1), 0),
+            (host(5), 0),
+            (Tor(1), 1),
+            (host(6), 0),
+            (Tor(1), 2),
+            (host(7), 0),
+            (Tor(1), 3),
+            (Tor(1), 4),
+            (Spine(0), 1),
+            (Tor(1), 5),
+            (Spine(1), 1),
+        ];
+        assert_eq!(ports(&topo, Fault::RackOutage { rack: 1 }), want);
+        let restore = resolve_fault(&topo, Fault::RackRestore { rack: 1 }).unwrap();
+        assert!(restore.iter().all(|&(_, _, a)| a == FaultAction::LinkUp));
+        assert_eq!(restore.iter().map(|&(n, p, _)| (n, p)).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn leaf_spine_spine_outage_expands_in_canonical_order() {
+        let topo = Topology::scaled_fabric(2, 4, 2);
+        assert_eq!(
+            resolve_fault(&topo, Fault::SpineRestore { spine: 1 }).unwrap(),
+            vec![
+                (Spine(1), 0, FaultAction::LinkUp),
+                (Tor(0), 5, FaultAction::LinkUp),
+                (Spine(1), 1, FaultAction::LinkUp),
+                (Tor(1), 5, FaultAction::LinkUp),
+            ]
+        );
+    }
+
+    #[test]
+    fn fat_tree_rack_outage_expands_in_canonical_order() {
+        let want = vec![
+            (host(6), 0),
+            (Tor(3), 0),
+            (host(7), 0),
+            (Tor(3), 1),
+            (Tor(3), 2),
+            (Spine(2), 1),
+            (Tor(3), 3),
+            (Spine(3), 1),
+        ];
+        assert_eq!(ports(&Topology::fat_tree(4), Fault::RackOutage { rack: 3 }), want);
+    }
+
+    #[test]
+    fn fat_tree_agg_and_core_outages_expand_in_canonical_order() {
+        let topo = Topology::fat_tree(4);
+        // Aggregation switch 5 (pod 2, column 1): two edge links, then
+        // its uplinks to cores 10 and 11.
+        assert_eq!(
+            ports(&topo, Fault::SpineOutage { spine: 5 }),
+            vec![
+                (Spine(5), 0),
+                (Tor(4), 3),
+                (Spine(5), 1),
+                (Tor(5), 3),
+                (Spine(5), 2),
+                (Spine(10), 2),
+                (Spine(5), 3),
+                (Spine(11), 2),
+            ]
+        );
+        // Core 10 (column 1, first of its column): one link per pod, to
+        // that pod's column-1 aggregation switch.
+        assert_eq!(
+            ports(&topo, Fault::SpineOutage { spine: 10 }),
+            vec![
+                (Spine(10), 0),
+                (Spine(1), 2),
+                (Spine(10), 1),
+                (Spine(3), 2),
+                (Spine(10), 2),
+                (Spine(5), 2),
+                (Spine(10), 3),
+                (Spine(7), 2),
+            ]
+        );
+        assert_eq!(
+            ports(&topo, Fault::SpineOutage { spine: 8 })[..4],
+            [(Spine(8), 0), (Spine(0), 2), (Spine(8), 1), (Spine(2), 2)]
+        );
+    }
+
+    #[test]
+    fn link_faults_resolve_to_one_port() {
+        let topo = Topology::scaled_fabric(2, 4, 2);
+        let h = HostId(6);
+        assert_eq!(ports(&topo, Fault::LinkDown(LinkId::HostUplink(h))), [(host(6), 0)]);
+        assert_eq!(ports(&topo, Fault::LinkUp(LinkId::HostDownlink(h))), [(Tor(1), 2)]);
+        assert_eq!(
+            resolve_fault(
+                &topo,
+                Fault::RateLimit { link: LinkId::TorUplink { rack: 1, spine: 1 }, bps: 7 }
+            ),
+            Ok(vec![(Tor(1), 5, FaultAction::SetRate(7))])
+        );
+        assert_eq!(
+            ports(&topo, Fault::RateRestore(LinkId::SpineDownlink { spine: 0, rack: 1 })),
+            [(Spine(0), 1)]
+        );
+        assert_eq!(
+            resolve_fault(&topo, Fault::PauseReceiver(h)),
+            Ok(vec![(host(6), 0, FaultAction::PauseRx)])
+        );
+    }
+
+    #[test]
+    fn fat_tree_tor_uplink_fault_resolves_to_pod_local_port() {
+        // Rack 2 is in pod 1 (aggs 2 and 3); its uplink to agg 3 is the
+        // TOR's second uplink port.
+        let plan = FaultPlan::new().link_flaps(
+            LinkId::TorUplink { rack: 2, spine: 3 },
+            1_000,
+            1_000,
+            10_000,
+            1,
+        );
+        assert_eq!(
+            plan.resolve(&Topology::fat_tree(4)).unwrap(),
+            vec![
+                (SimTime::from_nanos(1_000), Tor(2), 3, FaultAction::LinkDown),
+                (SimTime::from_nanos(2_000), Tor(2), 3, FaultAction::LinkUp),
+            ]
+        );
+    }
+
+    #[test]
+    fn fat_tree_rejects_cross_pod_uplink_fault() {
+        // Agg 0 lives in pod 0; rack 2 is in pod 1 — no such link. Nor
+        // does a core (8) have a downlink into a rack.
+        let topo = Topology::fat_tree(4);
+        for link in [
+            LinkId::TorUplink { rack: 2, spine: 0 },
+            LinkId::SpineDownlink { spine: 0, rack: 2 },
+            LinkId::SpineDownlink { spine: 8, rack: 0 },
+        ] {
+            let err = resolve_fault(&topo, Fault::LinkDown(link)).unwrap_err();
+            assert_eq!(err.fault, Fault::LinkDown(link));
+            assert!(err.reason.contains("pod"), "{err}");
+        }
+    }
+
+    #[test]
+    fn faults_naming_what_the_fabric_lacks_are_errors() {
+        let sw = Topology::single_switch(8);
+        let why = |topo: &Topology, f: Fault| resolve_fault(topo, f).unwrap_err().reason;
+        assert_eq!(why(&sw, Fault::SpineOutage { spine: 0 }), "no such spine 0");
+        assert_eq!(why(&sw, Fault::RackRestore { rack: 1 }), "no such rack 1");
+        assert_eq!(why(&sw, Fault::PauseReceiver(HostId(8))), "no such host h8");
+        assert_eq!(why(&sw, Fault::LinkUp(LinkId::HostDownlink(HostId(9)))), "no such host h9");
+        let up = LinkId::TorUplink { rack: 0, spine: 5 };
+        assert_eq!(why(&sw, Fault::LinkDown(up)), "no such spine 5");
+        assert_eq!(why(&Topology::paper_fabric(), Fault::LinkDown(up)), "no such spine 5");
+        let zero = Fault::RateLimit { link: LinkId::HostUplink(HostId(0)), bps: 0 };
+        assert_eq!(why(&sw, zero), "rate limit must be positive");
+        // The whole plan fails on its first misfit, and says which.
+        let plan = FaultPlan::new().receiver_pause(HostId(1), 10, 20).spine_outage(0, 30, 40);
+        let err = plan.resolve(&sw).unwrap_err();
+        assert_eq!(err.fault, Fault::SpineOutage { spine: 0 });
+        assert_eq!(err.to_string(), "no such spine 0 (SpineOutage { spine: 0 })");
     }
 }

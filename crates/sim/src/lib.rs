@@ -67,12 +67,12 @@ pub mod transport;
 
 pub use delay::DelayBreakdown;
 pub use events::{EngineStats, EventQueue, HierEventQueue, LaneId, TimerToken};
-pub use faults::{Fault, FaultPlan, FaultSpec, LinkId};
+pub use faults::{resolve_fault, Fault, FaultAction, FaultError, FaultPlan, FaultSpec, LinkId};
 pub use network::{Network, NetworkConfig, StepOutput};
 pub use packet::{CtrlKind, Packet, PacketMeta};
 pub use queues::{EcnConfig, QueueDiscipline, QueueKind};
 pub use stats::{GrantStats, PortClass, PortStats, QuantileSketch, RunStats, StreamingStats};
 pub use time::{SimDuration, SimTime};
-pub use topology::{FabricKind, HostId, NodeId, PathClass, Topology, TopologyError};
+pub use topology::{FabricKind, HostId, NodeId, PathClass, PortSpec, Topology, TopologyError};
 pub use trace::{FlightRecorder, MsgLifecycle, Timeline, TraceEvent, TraceRecord};
 pub use transport::{AppEvent, Transport, TransportActions};

@@ -21,26 +21,31 @@
 //!
 //! ## State layout and dispatch
 //!
-//! Fabric state is stored per rack: one `RackState` holds a rack's hosts
-//! (struct-of-arrays) and their TOR, and one `SpineState` holds every
-//! upper-tier switch. Each event names the node whose state it touches,
-//! and the network runs exactly one dispatch loop: pop the earliest
-//! event from the queue, index the rack or switch it names, and write
-//! whatever it produces — new events, application events, trace records
-//! — straight back. Events are totally ordered by `(time, seq)` with
-//! `seq` assigned at insertion, so a run is a pure function of its
-//! inputs. The queue is a [`HierEventQueue`]; in debug builds it checks
-//! every pop against a reference heap (see [`crate::events`]), and
-//! `serve_queue` checks that no waiting packet outranked the one it
-//! took, so every test and fuzz run is also an invariant run.
+//! Fabric state is two flat tables. `Hosts` is a struct-of-arrays indexed
+//! by [`HostId`]: transports, NIC ports, pause flags and pause buffers,
+//! plus the one action buffer every transport callback borrows.
+//! `switches` holds the TORs in rack order and then the upper tiers, each
+//! switch a vector of ports built by walking the wiring table
+//! ([`Topology::switch_ports`]); a port records its peer, so nothing past
+//! construction asks how the fabric is wired, and only `route` reads the
+//! fabric kind. Each event names the node whose state it touches, and the
+//! network runs exactly one dispatch loop: pop the earliest event from the
+//! queue, index the host or switch it names, and write whatever it
+//! produces — new events, application events, trace records — straight
+//! back. Events are totally ordered by `(time, seq)` with `seq` assigned
+//! at insertion, so a run is a pure function of its inputs. The queue is
+//! a [`HierEventQueue`]; in debug builds it checks every pop against a
+//! reference heap (see [`crate::events`]), and `serve_queue` checks that
+//! no waiting packet outranked the one it took, so every test and fuzz
+//! run is also an invariant run.
 
 use crate::events::{EngineStats, HierEventQueue, LaneId, TimerToken};
-use crate::faults::{Fault, FaultPlan, LinkId};
+use crate::faults::{FaultAction, FaultPlan};
 use crate::packet::{CtrlKind, Packet, PacketMeta};
 use crate::queues::{PortQueue, QueueDiscipline};
 use crate::stats::{PortClass, PortStats, RunStats, StreamingStats};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{self, FabricKind, HostId, NodeId, Topology};
+use crate::topology::{FabricKind, HostId, NodeId, PortSpec, Topology};
 use crate::trace::{FlightRecorder, TraceEvent, TraceRecord};
 use crate::transport::{AppEvent, Transport, TransportActions};
 use rand::rngs::StdRng;
@@ -78,6 +83,18 @@ impl NetworkConfig {
     pub fn uniform(seed: u64, disc: QueueDiscipline) -> Self {
         NetworkConfig { seed, tor_down: disc, tor_up: disc, spine_down: disc }
     }
+
+    /// The queue discipline of a port of `class`.
+    fn discipline(&self, class: PortClass) -> QueueDiscipline {
+        match class {
+            // Host NIC egress: the transport is the queue (pull model);
+            // discipline here is irrelevant but harmless.
+            PortClass::HostUp => QueueDiscipline::strict8(u64::MAX),
+            PortClass::TorDown => self.tor_down,
+            PortClass::TorUp => self.tor_up,
+            PortClass::SpineDown => self.spine_down,
+        }
+    }
 }
 
 enum Ev<M> {
@@ -93,16 +110,10 @@ enum Ev<M> {
     Fault { node: NodeId, port: u32, action: FaultAction },
 }
 
-/// A [`Fault`] resolved against the topology at install time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultAction {
-    LinkDown,
-    LinkUp,
-    SetRate(u64),
-    RestoreRate,
-    PauseRx,
-    ResumeRx,
-}
+/// The lane every event is scheduled on. The calendar is global and a
+/// lane orders nothing (see [`crate::events`]), so the queue is built
+/// with one.
+const LANE: LaneId = LaneId(0);
 
 struct Port<M> {
     queue: PortQueue<M>,
@@ -120,14 +131,14 @@ struct Port<M> {
 }
 
 impl<M: PacketMeta> Port<M> {
-    fn new(disc: QueueDiscipline, rate_bps: u64, peer: NodeId, class: PortClass) -> Self {
+    fn new(cfg: &NetworkConfig, spec: PortSpec) -> Self {
         Port {
-            queue: PortQueue::new(disc),
-            rate_bps,
-            base_rate_bps: rate_bps,
+            queue: PortQueue::new(cfg.discipline(spec.class)),
+            rate_bps: spec.rate_bps,
+            base_rate_bps: spec.rate_bps,
             up: true,
-            peer,
-            class,
+            peer: spec.peer,
+            class: spec.class,
             sending: None,
             stats: PortStats::default(),
         }
@@ -166,63 +177,29 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Counters accumulated beside the state they count (one set per rack,
-/// one for the spine tier; summed at harvest).
-#[derive(Debug, Clone, Copy, Default)]
-struct GroupCounters {
-    faults_applied: u64,
-    fault_drops: u64,
-    deferred_deliveries: u64,
-}
-
-/// One rack's share of the fabric: its hosts and their TOR.
-///
-/// Host state is struct-of-arrays: the hot fields (ports in the TxDone
-/// path, transports in the delivery path) are contiguous per rack
-/// instead of interleaved in one node struct, and the cold pause state
-/// does not pad the hot cache lines.
-struct RackState<M, T> {
-    /// First host id in this rack (hosts are rack-major and dense).
-    base_host: u32,
-    /// One transport per host, indexed by [`slot`](Self::slot).
+/// Every host of the fabric, struct-of-arrays, indexed by [`HostId`]: the
+/// hot fields (ports in the TxDone path, transports in the delivery path)
+/// are contiguous instead of interleaved in one node struct, and the cold
+/// pause state does not pad the hot cache lines.
+struct Hosts<M, T> {
+    /// One transport per host.
     transports: Vec<T>,
-    /// Host NIC egress ports, parallel to `transports`.
-    host_ports: Vec<Port<M>>,
-    /// Receiver-pause flags, parallel to `transports`.
+    /// Host NIC egress ports.
+    ports: Vec<Port<M>>,
+    /// Receiver-pause flags.
     paused: Vec<bool>,
     /// Packets buffered while paused (delivered in order on resume).
     pause_bufs: Vec<Vec<Packet<M>>>,
-    tor: SwitchNode<M>,
-    /// Reusable transport-callback action buffer.
+    /// The action buffer every transport callback records into.
     scratch: TransportActions,
-    counters: GroupCounters,
 }
 
-impl<M, T> RackState<M, T> {
-    fn slot(&self, h: HostId) -> usize {
-        (h.0 - self.base_host) as usize
-    }
-}
-
-/// Every switch above the TORs (spines; aggregation and core switches on
-/// a fat tree).
-struct SpineState<M> {
-    spines: Vec<SwitchNode<M>>,
-    counters: GroupCounters,
-}
-
-/// The switch `node` names, with the counters kept beside it.
-fn switch_mut<'a, M, T>(
-    racks: &'a mut [RackState<M, T>],
-    spine: &'a mut SpineState<M>,
-    node: NodeId,
-) -> (&'a mut SwitchNode<M>, &'a mut GroupCounters) {
+/// Index of switch `node` in `Network::switches`: TORs in rack order,
+/// then the upper tiers (the order of [`Topology::switches`]).
+fn switch_index(topo: &Topology, node: NodeId) -> usize {
     match node {
-        NodeId::Tor(r) => {
-            let rack = &mut racks[r as usize];
-            (&mut rack.tor, &mut rack.counters)
-        }
-        NodeId::Spine(s) => (&mut spine.spines[s as usize], &mut spine.counters),
+        NodeId::Tor(r) => r as usize,
+        NodeId::Spine(s) => (topo.racks + s) as usize,
         NodeId::Host(_) => unreachable!("hosts are not switches"),
     }
 }
@@ -230,32 +207,18 @@ fn switch_mut<'a, M, T>(
 /// Egress `port` of `node` (a host has only its NIC port).
 fn port_mut<'a, M, T>(
     topo: &Topology,
-    racks: &'a mut [RackState<M, T>],
-    spine: &'a mut SpineState<M>,
+    hosts: &'a mut Hosts<M, T>,
+    switches: &'a mut [SwitchNode<M>],
     node: NodeId,
     port: u32,
 ) -> &'a mut Port<M> {
     match node {
-        NodeId::Host(h) => {
-            let rack = &mut racks[topo.rack_of(h) as usize];
-            let i = rack.slot(h);
-            &mut rack.host_ports[i]
-        }
-        sw => &mut switch_mut(racks, spine, sw).0.ports[port as usize],
+        NodeId::Host(h) => &mut hosts.ports[h.0 as usize],
+        sw => &mut switches[switch_index(topo, sw)].ports[port as usize],
     }
 }
 
-/// The event lane a node's events are routed to: hosts get one lane
-/// each; a TOR's ports share one lane per rack; spines one per switch.
-fn lane_of(topo: &Topology, node: NodeId) -> LaneId {
-    match node {
-        NodeId::Host(h) => LaneId(h.0),
-        NodeId::Tor(r) => LaneId(topo.num_hosts() + r),
-        NodeId::Spine(s) => LaneId(topo.num_hosts() + topo.racks + s),
-    }
-}
-
-/// What every dispatch function reaches besides the rack or switch its
+/// What every dispatch function reaches besides the host or switch its
 /// event names: the topology, the event queue and application-event log
 /// it writes to, the flight recorder, and the fabric's spray RNG.
 struct Ctx<'a, M: PacketMeta> {
@@ -281,37 +244,22 @@ impl<M: PacketMeta> Ctx<'_, M> {
     }
 }
 
-/// Hand a fully-arrived packet to a host's transport (the tail of the
-/// `HostDeliver` path, also used when a paused receiver resumes).
-fn deliver_to_host<M: PacketMeta, T: Transport<M>>(
+/// Run one callback of `host`'s transport against the shared action
+/// buffer, then apply what it recorded: timers, application events, and
+/// a transmit poll if it asked for one.
+fn call_transport<M: PacketMeta, T: Transport<M>, R>(
     cx: &mut Ctx<'_, M>,
-    rack: &mut RackState<M, T>,
+    hosts: &mut Hosts<M, T>,
     now: SimTime,
     host: HostId,
-    pkt: Packet<M>,
-) {
-    if cx.tracing() {
-        if let Some(CtrlKind::Grant { offset, prio }) = pkt.meta.ctrl_kind() {
-            cx.trace(now, TraceEvent::GrantReceived { host, from: pkt.src, offset, prio });
-        }
-    }
-    let mut act = std::mem::take(&mut rack.scratch);
+    f: impl FnOnce(&mut T, &mut TransportActions) -> R,
+) -> R {
+    let mut act = std::mem::take(&mut hosts.scratch);
     act.reset();
-    let i = rack.slot(host);
-    rack.transports[i].on_packet(now, pkt, &mut act);
-    apply_actions(cx, rack, now, host, act);
-}
-
-fn apply_actions<M: PacketMeta, T: Transport<M>>(
-    cx: &mut Ctx<'_, M>,
-    rack: &mut RackState<M, T>,
-    now: SimTime,
-    host: HostId,
-    mut act: TransportActions,
-) {
+    let r = f(&mut hosts.transports[host.0 as usize], &mut act);
     for (at, token) in act.drain_timers() {
         debug_assert!(at >= now, "timer scheduled in the past");
-        cx.queue.schedule(LaneId(host.0), at.max(now), Ev::Timer { host, token });
+        cx.queue.schedule(LANE, at.max(now), Ev::Timer { host, token });
     }
     for ev in act.drain_events() {
         if cx.tracing() {
@@ -322,26 +270,43 @@ fn apply_actions<M: PacketMeta, T: Transport<M>>(
         cx.app_events.push((now, host, ev));
     }
     let kick = act.take_tx_kick();
-    act.reset();
-    rack.scratch = act;
+    hosts.scratch = act;
     if kick {
-        poll_host_tx(cx, rack, now, host);
+        poll_host_tx(cx, hosts, now, host);
     }
+    r
+}
+
+/// Hand a fully-arrived packet to a host's transport (the tail of the
+/// `HostDeliver` path, also used when a paused receiver resumes).
+fn deliver_to_host<M: PacketMeta, T: Transport<M>>(
+    cx: &mut Ctx<'_, M>,
+    hosts: &mut Hosts<M, T>,
+    now: SimTime,
+    host: HostId,
+    pkt: Packet<M>,
+) {
+    if cx.tracing() {
+        if let Some(CtrlKind::Grant { offset, prio }) = pkt.meta.ctrl_kind() {
+            cx.trace(now, TraceEvent::GrantReceived { host, from: pkt.src, offset, prio });
+        }
+    }
+    call_transport(cx, hosts, now, host, |t, act| t.on_packet(now, pkt, act));
 }
 
 /// If the host uplink is idle, pull the next packet from the transport.
 fn poll_host_tx<M: PacketMeta, T: Transport<M>>(
     cx: &mut Ctx<'_, M>,
-    rack: &mut RackState<M, T>,
+    hosts: &mut Hosts<M, T>,
     now: SimTime,
     host: HostId,
 ) {
-    let i = rack.slot(host);
-    let port = &mut rack.host_ports[i];
+    let i = host.0 as usize;
+    let port = &mut hosts.ports[i];
     if port.busy() || !port.up {
         return;
     }
-    if let Some(pkt) = rack.transports[i].next_packet(now) {
+    if let Some(pkt) = hosts.transports[i].next_packet(now) {
         debug_assert_eq!(pkt.src, host, "transport emitted packet with wrong source");
         if cx.tracing() {
             // Grants and resends are protocol-level control packets; the
@@ -360,18 +325,13 @@ fn poll_host_tx<M: PacketMeta, T: Transport<M>>(
                 _ => {}
             }
         }
-        let done_at = begin_tx(cx, now, NodeId::Host(host), 0, &mut rack.host_ports[i], pkt);
-        cx.queue.schedule(
-            LaneId(host.0),
-            done_at,
-            Ev::TxDone { node: NodeId::Host(host), port: 0 },
-        );
+        begin_tx(cx, now, NodeId::Host(host), 0, port, pkt);
     }
 }
 
-/// Occupy `port` (egress `port_idx` of `node`) with `pkt`; returns the
-/// completion time, which the caller must schedule as a `TxDone` for the
-/// port. Emits the packet's one [`TraceEvent::TxStart`] when tracing.
+/// Occupy `port` (egress `port_idx` of `node`) with `pkt` and schedule
+/// the `TxDone` that frees it. Emits the packet's one
+/// [`TraceEvent::TxStart`] when tracing.
 fn begin_tx<M: PacketMeta>(
     cx: &mut Ctx<'_, M>,
     now: SimTime,
@@ -379,7 +339,7 @@ fn begin_tx<M: PacketMeta>(
     port_idx: u32,
     port: &mut Port<M>,
     pkt: Packet<M>,
-) -> SimTime {
+) {
     debug_assert!(!port.busy(), "begin_tx on busy port");
     let dur = SimDuration::serialization(pkt.wire_bytes() as u64, port.rate_bps);
     let done_at = now + dur;
@@ -405,7 +365,7 @@ fn begin_tx<M: PacketMeta>(
     // Preemption-lag accounting for everything still waiting.
     port.queue.on_tx_start(&pkt, dur);
     port.sending = Some((pkt, done_at));
-    done_at
+    cx.queue.schedule(LANE, done_at, Ev::TxDone { node, port: port_idx });
 }
 
 /// Start serializing the head of switch port `port`'s queue, if any
@@ -441,38 +401,35 @@ fn serve_queue<M: PacketMeta>(
             },
         );
     }
-    let done_at = begin_tx(cx, now, node, port_idx, port, next);
-    cx.queue.schedule(lane_of(cx.topo, node), done_at, Ev::TxDone { node, port: port_idx });
+    begin_tx(cx, now, node, port_idx, port, next);
 }
 
 fn on_tx_done<M: PacketMeta, T: Transport<M>>(
     cx: &mut Ctx<'_, M>,
-    racks: &mut [RackState<M, T>],
-    spine: &mut SpineState<M>,
+    hosts: &mut Hosts<M, T>,
+    switches: &mut [SwitchNode<M>],
     now: SimTime,
     node: NodeId,
     port_idx: u32,
 ) {
-    let port = port_mut(cx.topo, racks, spine, node, port_idx);
+    let port = port_mut(cx.topo, hosts, switches, node, port_idx);
     let (pkt, _) = port.sending.take().expect("TxDone without transmission");
 
     // Deliver to the peer.
     match port.peer {
         NodeId::Host(h) => {
             let at = now + cx.topo.prop_delay + cx.topo.host_sw_delay;
-            cx.queue.schedule(LaneId(h.0), at, Ev::HostDeliver { host: h, pkt });
+            cx.queue.schedule(LANE, at, Ev::HostDeliver { host: h, pkt });
         }
         sw @ (NodeId::Tor(_) | NodeId::Spine(_)) => {
             let at = now + cx.topo.prop_delay + cx.topo.switch_delay;
-            cx.queue.schedule(lane_of(cx.topo, sw), at, Ev::SwitchArrive { node: sw, pkt });
+            cx.queue.schedule(LANE, at, Ev::SwitchArrive { node: sw, pkt });
         }
     }
 
     // Keep the port busy with the next packet, if any.
     match node {
-        NodeId::Host(h) => {
-            poll_host_tx(cx, &mut racks[cx.topo.rack_of(h) as usize], now, h);
-        }
+        NodeId::Host(h) => poll_host_tx(cx, hosts, now, h),
         // A downed link finishes its in-flight packet but does not
         // start another; service resumes on the LinkUp fault.
         _ if !port.up => {}
@@ -527,15 +484,15 @@ fn route<M: PacketMeta>(
     }
 }
 
-fn on_switch_arrive<M: PacketMeta, T>(
+fn on_switch_arrive<M: PacketMeta>(
     cx: &mut Ctx<'_, M>,
-    racks: &mut [RackState<M, T>],
-    spine: &mut SpineState<M>,
+    switches: &mut [SwitchNode<M>],
+    fault_drops: &mut u64,
     now: SimTime,
     node: NodeId,
     mut pkt: Packet<M>,
 ) {
-    let (sw, counters) = switch_mut(racks, spine, node);
+    let sw = &mut switches[switch_index(cx.topo, node)];
     let port_idx = route(cx, sw, node, pkt.src, pkt.dst);
     let port = &mut sw.ports[port_idx as usize];
 
@@ -555,7 +512,7 @@ fn on_switch_arrive<M: PacketMeta, T>(
                 },
             );
         }
-        counters.fault_drops += 1;
+        *fault_drops += 1;
         return;
     }
 
@@ -566,8 +523,7 @@ fn on_switch_arrive<M: PacketMeta, T>(
     // dequeue trace events fire here — the packet never waited; its
     // `TxStart` is the whole story.
     if !port.busy() && port.queue.pass_through(now, &mut pkt) {
-        let done_at = begin_tx(cx, now, node, port_idx, port, pkt);
-        cx.queue.schedule(lane_of(cx.topo, node), done_at, Ev::TxDone { node, port: port_idx });
+        begin_tx(cx, now, node, port_idx, port, pkt);
         return;
     }
 
@@ -620,56 +576,46 @@ fn on_switch_arrive<M: PacketMeta, T>(
 
 fn apply_fault<M: PacketMeta, T: Transport<M>>(
     cx: &mut Ctx<'_, M>,
-    racks: &mut [RackState<M, T>],
-    spine: &mut SpineState<M>,
+    hosts: &mut Hosts<M, T>,
+    switches: &mut [SwitchNode<M>],
     now: SimTime,
     node: NodeId,
     port_idx: u32,
     action: FaultAction,
 ) {
-    let topo = cx.topo;
-    let counters = match node {
-        NodeId::Host(h) => &mut racks[topo.rack_of(h) as usize].counters,
-        sw => switch_mut(racks, spine, sw).1,
-    };
-    counters.faults_applied += 1;
+    if let FaultAction::PauseRx | FaultAction::ResumeRx = action {
+        let NodeId::Host(h) = node else { unreachable!("receiver pause resolved to a host") };
+        let i = h.0 as usize;
+        hosts.paused[i] = action == FaultAction::PauseRx;
+        if !hosts.paused[i] {
+            // Deliver everything buffered while paused, in arrival
+            // order, at the resume instant. The buffer is swapped
+            // back after draining so its allocation is reused next
+            // pause.
+            let mut buf = std::mem::take(&mut hosts.pause_bufs[i]);
+            for pkt in buf.drain(..) {
+                deliver_to_host(cx, hosts, now, h, pkt);
+            }
+            hosts.pause_bufs[i] = buf;
+        }
+        return;
+    }
+    let port = port_mut(cx.topo, hosts, switches, node, port_idx);
     match action {
-        FaultAction::LinkDown => port_mut(topo, racks, spine, node, port_idx).up = false,
+        FaultAction::LinkDown => port.up = false,
         FaultAction::LinkUp => {
-            let port = port_mut(topo, racks, spine, node, port_idx);
             port.up = true;
             // Restart service: a host pulls from its transport, a
             // switch port from its (preserved) queue.
             match node {
-                NodeId::Host(h) => {
-                    poll_host_tx(cx, &mut racks[topo.rack_of(h) as usize], now, h);
-                }
+                NodeId::Host(h) => poll_host_tx(cx, hosts, now, h),
                 _ if port.busy() => {}
                 _ => serve_queue(cx, now, node, port_idx, port),
             }
         }
-        FaultAction::SetRate(bps) => port_mut(topo, racks, spine, node, port_idx).rate_bps = bps,
-        FaultAction::RestoreRate => {
-            let port = port_mut(topo, racks, spine, node, port_idx);
-            port.rate_bps = port.base_rate_bps;
-        }
-        FaultAction::PauseRx | FaultAction::ResumeRx => {
-            let NodeId::Host(h) = node else { unreachable!("receiver pause resolved to a host") };
-            let rack = &mut racks[topo.rack_of(h) as usize];
-            let i = rack.slot(h);
-            rack.paused[i] = action == FaultAction::PauseRx;
-            if !rack.paused[i] {
-                // Deliver everything buffered while paused, in arrival
-                // order, at the resume instant. The buffer is swapped
-                // back after draining so its allocation is reused next
-                // pause.
-                let mut buf = std::mem::take(&mut rack.pause_bufs[i]);
-                for pkt in buf.drain(..) {
-                    deliver_to_host(cx, rack, now, h, pkt);
-                }
-                rack.pause_bufs[i] = buf;
-            }
-        }
+        FaultAction::SetRate(bps) => port.rate_bps = bps,
+        FaultAction::RestoreRate => port.rate_bps = port.base_rate_bps,
+        FaultAction::PauseRx | FaultAction::ResumeRx => unreachable!("handled above"),
     }
 }
 
@@ -686,11 +632,15 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     cfg: NetworkConfig,
     now: SimTime,
     queue: HierEventQueue<Ev<M>>,
-    racks: Vec<RackState<M, T>>,
-    spine: SpineState<M>,
+    hosts: Hosts<M, T>,
+    /// TORs in rack order, then the upper tiers (see [`switch_index`]).
+    switches: Vec<SwitchNode<M>>,
     rng: StdRng,
     app_events: Vec<(SimTime, HostId, AppEvent)>,
     events_processed: u64,
+    faults_applied: u64,
+    fault_drops: u64,
+    deferred_deliveries: u64,
     /// The flight recorder, when [`Self::enable_trace`] installed one.
     /// `None` costs one branch per guarded emit site.
     tracer: Option<FlightRecorder>,
@@ -699,145 +649,46 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
 impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// Build a network over `topo` with a transport per host produced by
     /// `make_transport`.
+    ///
+    /// # Panics
+    /// If `topo` fails [`Topology::check_shape`].
     pub fn new(
         topo: Topology,
         cfg: NetworkConfig,
-        mut make_transport: impl FnMut(HostId) -> T,
+        make_transport: impl FnMut(HostId) -> T,
     ) -> Self {
-        topology::validate(&topo);
-        let racks: Vec<RackState<M, T>> = (0..topo.racks)
-            .map(|r| {
-                let base_host = r * topo.hosts_per_rack;
-                let n = topo.hosts_per_rack as usize;
-                let mut transports = Vec::with_capacity(n);
-                let mut host_ports = Vec::with_capacity(n);
-                for i in 0..topo.hosts_per_rack {
-                    let h = HostId(base_host + i);
-                    transports.push(make_transport(h));
-                    host_ports.push(Port::new(
-                        // Host NIC egress: the transport is the queue
-                        // (pull model); discipline here is irrelevant
-                        // but harmless.
-                        QueueDiscipline::strict8(u64::MAX),
-                        topo.host_link_bps,
-                        NodeId::Tor(r),
-                        PortClass::HostUp,
-                    ));
-                }
-                let mut ports = Vec::with_capacity(topo.tor_ports() as usize);
-                for i in 0..topo.hosts_per_rack {
-                    let h = HostId(base_host + i);
-                    ports.push(Port::new(
-                        cfg.tor_down,
-                        topo.host_link_bps,
-                        NodeId::Host(h),
-                        PortClass::TorDown,
-                    ));
-                }
-                for j in 0..topo.tor_uplinks() {
-                    let (spine, _) = topo.tor_uplink_peer(r, j);
-                    ports.push(Port::new(
-                        cfg.tor_up,
-                        topo.uplink_bps,
-                        NodeId::Spine(spine),
-                        PortClass::TorUp,
-                    ));
-                }
-                RackState {
-                    base_host,
-                    transports,
-                    host_ports,
-                    paused: vec![false; n],
-                    pause_bufs: (0..n).map(|_| Vec::new()).collect(),
-                    tor: SwitchNode { ports, spray: 0 },
-                    scratch: TransportActions::new(),
-                    counters: GroupCounters::default(),
-                }
+        topo.check_shape().unwrap_or_else(|e| panic!("{e}"));
+        let n = topo.num_hosts() as usize;
+        let hosts = Hosts {
+            transports: topo.hosts().map(make_transport).collect(),
+            ports: topo.hosts().map(|h| Port::new(&cfg, topo.host_port(h))).collect(),
+            paused: vec![false; n],
+            pause_bufs: (0..n).map(|_| Vec::new()).collect(),
+            scratch: TransportActions::new(),
+        };
+        let switches = topo
+            .switches()
+            .map(|sw| SwitchNode {
+                ports: topo.switch_ports(sw).into_iter().map(|p| Port::new(&cfg, p)).collect(),
+                spray: 0,
             })
             .collect();
-
-        // Upper-tier switches. Leaf–spine: every spine has one downlink
-        // per rack. Fat tree: aggregation switch `a` (pod `a / (k/2)`)
-        // has k/2 downlinks to its pod's edges then k/2 uplinks to its
-        // core column; core `c` has one downlink per pod, to aggregation
-        // switch `c / (k/2)` of that pod.
-        let spine_switch = |s: u32| -> SwitchNode<M> {
-            let ports = match topo.kind {
-                FabricKind::LeafSpine => (0..topo.racks)
-                    .map(|r| {
-                        Port::new(
-                            cfg.spine_down,
-                            topo.uplink_bps,
-                            NodeId::Tor(r),
-                            PortClass::SpineDown,
-                        )
-                    })
-                    .collect(),
-                FabricKind::FatTree { k } => {
-                    let half = k / 2;
-                    let naggs = topo.num_aggs();
-                    if s < naggs {
-                        let pod = s / half;
-                        let col = s % half;
-                        let mut ports = Vec::with_capacity(k as usize);
-                        for i in 0..half {
-                            ports.push(Port::new(
-                                cfg.spine_down,
-                                topo.uplink_bps,
-                                NodeId::Tor(pod * half + i),
-                                PortClass::SpineDown,
-                            ));
-                        }
-                        for j in 0..half {
-                            // Agg → core carries the same up-facing role
-                            // (and discipline) as TOR → agg.
-                            ports.push(Port::new(
-                                cfg.tor_up,
-                                topo.uplink_bps,
-                                NodeId::Spine(naggs + col * half + j),
-                                PortClass::TorUp,
-                            ));
-                        }
-                        ports
-                    } else {
-                        let col = (s - naggs) / half;
-                        (0..k)
-                            .map(|pod| {
-                                Port::new(
-                                    cfg.spine_down,
-                                    topo.uplink_bps,
-                                    NodeId::Spine(pod * half + col),
-                                    PortClass::SpineDown,
-                                )
-                            })
-                            .collect()
-                    }
-                }
-            };
-            SwitchNode { ports, spray: 0 }
-        };
-        let spine = SpineState {
-            spines: (0..topo.spines).map(spine_switch).collect(),
-            counters: GroupCounters::default(),
-        };
-
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        // One event lane per host, plus one per TOR (batching all of a
-        // rack's port events) and one per spine switch. Calendar buckets
-        // are sized from the fabric's minimum forward delay.
-        let lanes = topo.num_hosts() + topo.racks + topo.spines;
+        // One lane (`LANE`); calendar buckets are sized from the fabric's
+        // minimum forward delay.
         let bucket_ns = topo.min_forward_delay().as_nanos().max(1);
-        let queue = HierEventQueue::with_bucket_width(lanes, bucket_ns);
         Network {
-            queue,
+            queue: HierEventQueue::with_bucket_width(1, bucket_ns),
+            rng: StdRng::seed_from_u64(cfg.seed),
             topo,
             cfg,
-            now: topology::T0,
-            racks,
-            spine,
-            rng,
+            now: SimTime::ZERO,
+            hosts,
+            switches,
             app_events: Vec::new(),
             events_processed: 0,
+            faults_applied: 0,
+            fault_drops: 0,
+            deferred_deliveries: 0,
             tracer: None,
         }
     }
@@ -873,8 +724,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
     /// Read access to a host's transport.
     pub fn transport(&self, h: HostId) -> &T {
-        let rack = &self.racks[self.topo.rack_of(h) as usize];
-        &rack.transports[self.topo.index_in_rack(h) as usize]
+        &self.hosts.transports[h.0 as usize]
     }
 
     /// Mutate a host's transport through a closure; any actions it records
@@ -885,17 +735,9 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         f: impl FnOnce(&mut T, SimTime, &mut TransportActions) -> R,
     ) -> R {
         let now = self.now;
-        let mut act = TransportActions::new();
-        let r = {
-            let rack = &mut self.racks[self.topo.rack_of(h) as usize];
-            let i = rack.slot(h);
-            f(&mut rack.transports[i], now, &mut act)
-        };
-        let Self { topo, racks, queue, rng, app_events, tracer, .. } = self;
-        let rack = &mut racks[topo.rack_of(h) as usize];
+        let Self { topo, hosts, queue, rng, app_events, tracer, .. } = self;
         let cx = &mut Ctx { topo, queue, app_events, tracer: tracer.as_mut(), rng };
-        apply_actions(cx, rack, now, h, act);
-        r
+        call_transport(cx, hosts, now, h, |t, act| f(t, now, act))
     }
 
     /// Begin a one-way message from `src` to `dst` at the current time.
@@ -920,35 +762,31 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         });
     }
 
-    /// Dispatch one popped event at the current time: index the rack or
+    /// Dispatch one popped event at the current time: index the host or
     /// switch it names and run its handler.
     fn dispatch(&mut self, ev: Ev<M>) {
         let now = self.now;
-        let Self { topo, racks, spine, queue, rng, app_events, tracer, .. } = self;
+        let Self { topo, hosts, switches, queue, rng, app_events, tracer, .. } = self;
         let cx = &mut Ctx { topo, queue, app_events, tracer: tracer.as_mut(), rng };
         match ev {
-            Ev::TxDone { node, port } => on_tx_done(cx, racks, spine, now, node, port),
-            Ev::SwitchArrive { node, pkt } => on_switch_arrive(cx, racks, spine, now, node, pkt),
+            Ev::TxDone { node, port } => on_tx_done(cx, hosts, switches, now, node, port),
+            Ev::SwitchArrive { node, pkt } => {
+                on_switch_arrive(cx, switches, &mut self.fault_drops, now, node, pkt)
+            }
             Ev::HostDeliver { host, pkt } => {
-                let rack = &mut racks[cx.topo.rack_of(host) as usize];
-                let i = rack.slot(host);
-                if rack.paused[i] {
-                    rack.pause_bufs[i].push(pkt);
-                    rack.counters.deferred_deliveries += 1;
-                    return;
+                if hosts.paused[host.0 as usize] {
+                    hosts.pause_bufs[host.0 as usize].push(pkt);
+                    self.deferred_deliveries += 1;
+                } else {
+                    deliver_to_host(cx, hosts, now, host, pkt);
                 }
-                deliver_to_host(cx, rack, now, host, pkt);
             }
             Ev::Fault { node, port, action } => {
-                apply_fault(cx, racks, spine, now, node, port, action)
+                self.faults_applied += 1;
+                apply_fault(cx, hosts, switches, now, node, port, action)
             }
             Ev::Timer { host, token } => {
-                let rack = &mut racks[cx.topo.rack_of(host) as usize];
-                let mut act = std::mem::take(&mut rack.scratch);
-                act.reset();
-                let i = rack.slot(host);
-                rack.transports[i].on_timer(now, token, &mut act);
-                apply_actions(cx, rack, now, host, act);
+                call_transport(cx, hosts, now, host, |t, act| t.on_timer(now, token, act))
             }
         }
     }
@@ -1008,9 +846,9 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// True when host `h`'s TOR→host downlink is idle (nothing serializing,
     /// nothing queued). Used by the Figure 16 wasted-bandwidth probe.
     pub fn downlink_idle(&self, h: HostId) -> bool {
-        let r = self.topo.rack_of(h) as usize;
-        let p = self.topo.index_in_rack(h) as usize;
-        let port = &self.racks[r].tor.ports[p];
+        let nic = self.topo.host_port(h);
+        let tor = &self.switches[switch_index(&self.topo, nic.peer)];
+        let port = &tor.ports[nic.peer_port as usize];
         !port.busy() && port.queue.is_empty()
     }
 
@@ -1018,178 +856,31 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// (Figure 21's traffic-by-priority accounting).
     pub fn uplink_bytes_by_prio(&self) -> [u64; 8] {
         let mut out = [0u64; 8];
-        for rack in &self.racks {
-            for p in &rack.host_ports {
-                for (i, b) in p.stats.bytes_by_prio.iter().enumerate() {
-                    out[i] += b;
-                }
+        for p in &self.hosts.ports {
+            for (i, b) in p.stats.bytes_by_prio.iter().enumerate() {
+                out[i] += b;
             }
         }
         out
     }
 
-    /// Install a declarative fault plan: each fault becomes an event on
-    /// the affected node's lane, ordered like any other event. Composite
-    /// faults (whole-rack / whole-spine outages) expand into one event
-    /// per member link at the same instant, in a fixed canonical order. May be called repeatedly;
+    /// Install a declarative fault plan: each fault becomes an event,
+    /// ordered like any other. Composite faults (whole-rack /
+    /// whole-spine outages) expand into one event per member port at the
+    /// same instant, in a fixed canonical order (see
+    /// [`crate::faults::resolve_fault`]). May be called repeatedly;
     /// faults must not be scheduled in the past.
+    ///
+    /// # Panics
+    /// If the plan names a host, switch or link the fabric lacks, with
+    /// the [`crate::faults::FaultError`] as the message.
     pub fn install_faults(&mut self, plan: &FaultPlan) {
-        for (at, fault) in plan.sorted_events() {
-            assert!(at >= self.now, "fault scheduled in the past: {fault:?} at {at:?}");
-            for (node, port, action) in self.resolve_fault(fault) {
-                let lane = lane_of(&self.topo, node);
-                self.queue.schedule(lane, at, Ev::Fault { node, port, action });
-            }
-        }
-    }
-
-    /// Every egress port a whole-rack outage touches, in canonical order:
-    /// per host its uplink then its downlink, then per TOR uplink the
-    /// uplink itself and the upper switch's downlink into the rack.
-    fn rack_member_ports(&self, rack: u32) -> Vec<(NodeId, u32)> {
-        assert!(rack < self.topo.racks, "no such rack {rack}");
-        let mut out = Vec::new();
-        for i in 0..self.topo.hosts_per_rack {
-            let h = HostId(rack * self.topo.hosts_per_rack + i);
-            out.push((NodeId::Host(h), 0));
-            out.push((NodeId::Tor(rack), i));
-        }
-        for j in 0..self.topo.tor_uplinks() {
-            let (spine, down) = self.topo.tor_uplink_peer(rack, j);
-            out.push((NodeId::Tor(rack), self.topo.hosts_per_rack + j));
-            out.push((NodeId::Spine(spine), down));
-        }
-        out
-    }
-
-    /// Every egress port a whole-spine (upper-switch) outage touches, in
-    /// canonical order: each of the switch's links as (its own port, the
-    /// peer's port back). On a fat tree `spine` may be an aggregation
-    /// switch (pod edge links + core uplinks) or a core (one link per
-    /// pod).
-    fn spine_member_ports(&self, spine: u32) -> Vec<(NodeId, u32)> {
-        assert!(spine < self.topo.spines, "no such spine {spine}");
-        let mut out = Vec::new();
-        match self.topo.kind {
-            FabricKind::LeafSpine => {
-                for r in 0..self.topo.racks {
-                    out.push((NodeId::Spine(spine), r));
-                    out.push((NodeId::Tor(r), self.topo.hosts_per_rack + spine));
-                }
-            }
-            FabricKind::FatTree { k } => {
-                let half = k / 2;
-                let naggs = self.topo.num_aggs();
-                if spine < naggs {
-                    let (pod, col) = (spine / half, spine % half);
-                    for i in 0..half {
-                        out.push((NodeId::Spine(spine), i));
-                        out.push((NodeId::Tor(pod * half + i), self.topo.hosts_per_rack + col));
-                    }
-                    for j in 0..half {
-                        out.push((NodeId::Spine(spine), half + j));
-                        out.push((NodeId::Spine(naggs + col * half + j), pod));
-                    }
-                } else {
-                    let cc = spine - naggs;
-                    let (col, j) = (cc / half, cc % half);
-                    for pod in 0..k {
-                        out.push((NodeId::Spine(spine), pod));
-                        out.push((NodeId::Spine(pod * half + col), half + j));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Resolve a declarative fault against the topology, validating ids.
-    /// Composite faults expand to one action per member link.
-    fn resolve_fault(&self, fault: Fault) -> Vec<(NodeId, u32, FaultAction)> {
-        let link_port = |link: LinkId| -> (NodeId, u32) {
-            match link {
-                LinkId::HostUplink(h) => {
-                    assert!(h.0 < self.topo.num_hosts(), "no such host {h}");
-                    (NodeId::Host(h), 0)
-                }
-                LinkId::HostDownlink(h) => {
-                    assert!(h.0 < self.topo.num_hosts(), "no such host {h}");
-                    (NodeId::Tor(self.topo.rack_of(h)), self.topo.index_in_rack(h))
-                }
-                LinkId::TorUplink { rack, spine } => {
-                    assert!(rack < self.topo.racks && spine < self.topo.spines);
-                    match self.topo.kind {
-                        FabricKind::LeafSpine => {
-                            (NodeId::Tor(rack), self.topo.hosts_per_rack + spine)
-                        }
-                        FabricKind::FatTree { k } => {
-                            // A TOR only uplinks to its pod's aggregation
-                            // switches.
-                            assert!(
-                                spine < self.topo.num_aggs()
-                                    && spine / (k / 2) == self.topo.pod_of_rack(rack),
-                                "agg {spine} is not in rack {rack}'s pod"
-                            );
-                            (NodeId::Tor(rack), self.topo.hosts_per_rack + spine % (k / 2))
-                        }
-                    }
-                }
-                LinkId::SpineDownlink { spine, rack } => {
-                    assert!(rack < self.topo.racks && spine < self.topo.spines);
-                    match self.topo.kind {
-                        FabricKind::LeafSpine => (NodeId::Spine(spine), rack),
-                        FabricKind::FatTree { k } => {
-                            // Only pod-local aggregation switches have a
-                            // downlink to a rack's edge (cores link to
-                            // aggs, not TORs).
-                            assert!(
-                                spine < self.topo.num_aggs()
-                                    && spine / (k / 2) == self.topo.pod_of_rack(rack),
-                                "agg {spine} has no downlink into rack {rack}"
-                            );
-                            (NodeId::Spine(spine), rack % (k / 2))
-                        }
-                    }
-                }
-            }
-        };
-        let all = |ports: Vec<(NodeId, u32)>, action: FaultAction| {
-            ports.into_iter().map(|(n, p)| (n, p, action)).collect::<Vec<_>>()
-        };
-        match fault {
-            Fault::LinkDown(l) => {
-                let (n, p) = link_port(l);
-                vec![(n, p, FaultAction::LinkDown)]
-            }
-            Fault::LinkUp(l) => {
-                let (n, p) = link_port(l);
-                vec![(n, p, FaultAction::LinkUp)]
-            }
-            Fault::RateLimit { link, bps } => {
-                assert!(bps > 0, "rate limit must be positive");
-                let (n, p) = link_port(link);
-                vec![(n, p, FaultAction::SetRate(bps))]
-            }
-            Fault::RateRestore(l) => {
-                let (n, p) = link_port(l);
-                vec![(n, p, FaultAction::RestoreRate)]
-            }
-            Fault::PauseReceiver(h) => {
-                assert!(h.0 < self.topo.num_hosts(), "no such host {h}");
-                vec![(NodeId::Host(h), 0, FaultAction::PauseRx)]
-            }
-            Fault::ResumeReceiver(h) => {
-                assert!(h.0 < self.topo.num_hosts(), "no such host {h}");
-                vec![(NodeId::Host(h), 0, FaultAction::ResumeRx)]
-            }
-            Fault::RackOutage { rack } => all(self.rack_member_ports(rack), FaultAction::LinkDown),
-            Fault::RackRestore { rack } => all(self.rack_member_ports(rack), FaultAction::LinkUp),
-            Fault::SpineOutage { spine } => {
-                all(self.spine_member_ports(spine), FaultAction::LinkDown)
-            }
-            Fault::SpineRestore { spine } => {
-                all(self.spine_member_ports(spine), FaultAction::LinkUp)
-            }
+        for (at, node, port, action) in plan.resolve(&self.topo).unwrap_or_else(|e| panic!("{e}")) {
+            assert!(
+                at >= self.now,
+                "fault scheduled in the past: {action:?} on {node:?} port {port} at {at:?}"
+            );
+            self.queue.schedule(LANE, at, Ev::Fault { node, port, action });
         }
     }
 
@@ -1201,20 +892,11 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
     /// Collect fabric-level statistics.
     pub fn harvest_stats(&self) -> RunStats {
-        let counters =
-            self.racks.iter().map(|r| r.counters).chain(std::iter::once(self.spine.counters)).fold(
-                GroupCounters::default(),
-                |a, b| GroupCounters {
-                    faults_applied: a.faults_applied + b.faults_applied,
-                    fault_drops: a.fault_drops + b.fault_drops,
-                    deferred_deliveries: a.deferred_deliveries + b.deferred_deliveries,
-                },
-            );
         let mut stats = RunStats {
             events_processed: self.events_processed,
-            faults_applied: counters.faults_applied,
-            fault_drops: counters.fault_drops,
-            deferred_deliveries: counters.deferred_deliveries,
+            faults_applied: self.faults_applied,
+            fault_drops: self.fault_drops,
+            deferred_deliveries: self.deferred_deliveries,
             ..RunStats::default()
         };
         let now = self.now;
@@ -1243,27 +925,21 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             }
         };
 
-        for rack in &self.racks {
-            for p in &rack.host_ports {
-                visit(p);
-            }
-            for p in &rack.tor.ports {
-                visit(p);
-            }
+        // The per-class queue means are float sums, so the visiting order
+        // is part of the result: per rack its host uplinks and then its
+        // TOR's ports, then the upper-tier switches.
+        let (tors, upper) = self.switches.split_at(self.topo.racks as usize);
+        let rack_nics = self.hosts.ports.chunks(self.topo.hosts_per_rack as usize);
+        for (nics, tor) in rack_nics.zip(tors) {
+            nics.iter().chain(&tor.ports).for_each(&mut visit);
         }
-        for sw in &self.spine.spines {
-            for p in &sw.ports {
-                visit(p);
-            }
-        }
+        upper.iter().flat_map(|sw| &sw.ports).for_each(&mut visit);
         let nhosts = self.topo.num_hosts();
         if nhosts > 0 {
             stats.mean_downlink_utilization /= nhosts as f64;
         }
-        for rack in &self.racks {
-            for t in &rack.transports {
-                stats.grants.merge(&t.grant_stats());
-            }
+        for t in &self.hosts.transports {
+            stats.grants.merge(&t.grant_stats());
         }
         stats.queue_means = means;
         stats.queue_maxes = maxes;
@@ -1444,8 +1120,6 @@ mod tests {
         let stats = net.harvest_stats();
         assert_eq!(stats.total_drops(), 0);
         assert_eq!(stats.events_processed, net.events_processed());
-        // Host lanes + 10 TOR lanes + spine lanes.
-        assert_eq!(net.engine_stats().lanes, 100 + 10 + net.topology().spines);
     }
 
     #[test]
@@ -1599,7 +1273,7 @@ mod tests {
 
     #[test]
     fn faulted_run_holds_the_event_order() {
-        // Fault events share lanes with packet events, the pause replays
+        // Fault events share the queue with packet events, the pause replays
         // deferred deliveries at one instant and the flaps restart port
         // service: the shadow oracle checks the order through all of it.
         use crate::faults::{FaultPlan, LinkId};
@@ -1690,8 +1364,12 @@ mod tests {
         let expect = 848 + 5 * 250 + 4 * 212 + 848 + 1500;
         assert_eq!(evs[0].0.as_nanos(), expect);
         // And the unloaded model agrees exactly.
-        let model =
-            net.topology().unloaded_one_way_class(1000, 1400, 60, topology::PathClass::InterPod);
+        let model = net.topology().unloaded_one_way_class(
+            1000,
+            1400,
+            60,
+            crate::topology::PathClass::InterPod,
+        );
         assert_eq!(evs[0].0.as_nanos(), model.as_nanos());
     }
 
@@ -1705,8 +1383,12 @@ mod tests {
         assert_eq!(evs.len(), 1);
         let expect = 848 + 3 * 250 + 2 * 212 + 848 + 1500;
         assert_eq!(evs[0].0.as_nanos(), expect);
-        let model =
-            net.topology().unloaded_one_way_class(1000, 1400, 60, topology::PathClass::IntraPod);
+        let model = net.topology().unloaded_one_way_class(
+            1000,
+            1400,
+            60,
+            crate::topology::PathClass::IntraPod,
+        );
         assert_eq!(evs[0].0.as_nanos(), model.as_nanos());
     }
 
@@ -1742,7 +1424,7 @@ mod tests {
         }
         net.run_until(SimTime::from_millis(5));
         assert_eq!(net.take_app_events().len(), 40);
-        let up: Vec<u64> = net.racks[0].tor.ports[hpr..].iter().map(|p| p.stats.packets).collect();
+        let up: Vec<u64> = net.switches[0].ports[hpr..].iter().map(|p| p.stats.packets).collect();
         assert!(up.iter().all(|&n| n > 0), "an uplink never carried traffic: {up:?}");
         assert_eq!(up.iter().sum::<u64>(), 40);
     }
@@ -1780,31 +1462,17 @@ mod tests {
     }
 
     #[test]
-    fn fat_tree_tor_uplink_fault_resolves_to_pod_local_port() {
-        use crate::faults::{FaultPlan, LinkId};
-        let mut net = simple_net(Topology::fat_tree(4));
-        // Rack 2 is in pod 1 (aggs 2 and 3); its uplink to agg 3 is the
-        // TOR's second uplink port.
-        net.install_faults(&FaultPlan::new().link_flaps(
-            LinkId::TorUplink { rack: 2, spine: 3 },
-            1_000,
-            1_000,
-            10_000,
-            1,
-        ));
-        net.run_until(SimTime::from_millis(1));
-        assert_eq!(net.harvest_stats().faults_applied, 2);
+    #[should_panic(expected = "no such spine 0")]
+    fn install_faults_panics_with_the_resolvers_message() {
+        use crate::faults::FaultPlan;
+        let mut net = simple_net(Topology::single_switch(4));
+        net.install_faults(&FaultPlan::new().spine_outage(0, 1_000, 2_000));
     }
 
     #[test]
-    #[should_panic(expected = "pod")]
-    fn fat_tree_rejects_cross_pod_uplink_fault() {
-        use crate::faults::{Fault, FaultPlan, LinkId};
-        let mut net = simple_net(Topology::fat_tree(4));
-        // Agg 0 lives in pod 0; rack 2 is in pod 1 — no such link.
-        net.install_faults(
-            &FaultPlan::new().at(1_000, Fault::LinkDown(LinkId::TorUplink { rack: 2, spine: 0 })),
-        );
+    #[should_panic(expected = "bad fabric shape: need at least two hosts per rack")]
+    fn new_panics_with_the_shape_checks_message() {
+        let _ = simple_net(Topology::single_switch(1));
     }
 
     #[test]

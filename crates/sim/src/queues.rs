@@ -23,11 +23,10 @@
 
 use crate::packet::{Packet, PacketMeta};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Which scheduling/drop policy a port uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// One FIFO per priority level; strictly higher levels first.
     StrictPriority {
@@ -48,7 +47,7 @@ pub enum QueueKind {
 }
 
 /// ECN marking configuration (DCTCP-style instantaneous-queue marking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EcnConfig {
     /// Mark packets when the queue holds at least this many bytes at
     /// enqueue time.
@@ -56,7 +55,7 @@ pub struct EcnConfig {
 }
 
 /// Full configuration of one port's queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueDiscipline {
     /// Scheduling/drop policy.
     pub kind: QueueKind,

@@ -4,11 +4,10 @@
 //! (bandwidth utilization), and Figure 16 (wasted bandwidth) of the paper.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Classification of an egress port by its position in the fabric, matching
 /// the rows of Table 1 in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortClass {
     /// Host NIC → TOR.
     HostUp,
@@ -34,7 +33,7 @@ impl PortClass {
 }
 
 /// Online mean/max accumulator.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamingStats {
     count: u64,
     sum: f64,
@@ -81,7 +80,7 @@ impl StreamingStats {
 }
 
 /// Per-port transmission statistics maintained by the network.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PortStats {
     /// Total nanoseconds the port spent serializing packets.
     pub busy_ns: u64,
@@ -120,7 +119,7 @@ impl PortStats {
 /// at harvest, by every receiver in a run). Receiver-driven protocols
 /// report these through [`crate::Transport::grant_stats`]; the defaults
 /// are zero for protocols without grants.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GrantStats {
     /// Grant packets put on the wire.
     pub grants_issued: u64,
@@ -141,7 +140,7 @@ impl GrantStats {
 }
 
 /// Aggregate statistics for a finished (or in-progress) run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Per-class aggregation of queue-length statistics: `(class, mean
     /// accumulator over ports' mean bytes, max over ports' max bytes)`.
@@ -210,7 +209,7 @@ impl RunStats {
 /// slowdowns span `[1, ~1000]`, which a 1% sketch covers in a few
 /// hundred buckets. Non-positive observations are counted in a
 /// dedicated zero bucket and reported as 0.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantileSketch {
     alpha: f64,
     /// `ln(gamma)`, cached: bucket key of `v` is `ceil(ln(v)/ln_gamma)`.

@@ -17,18 +17,20 @@
 //! For experiments beyond the paper's fabric size the same struct also
 //! describes a **three-tier k-ary fat tree** ([`Topology::fat_tree`]):
 //! k pods of k/2 edge (TOR) and k/2 aggregation switches plus (k/2)²
-//! cores, for k³/4 hosts. The `kind` field selects the wiring; every
-//! accessor that depends on it ([`tor_uplinks`](Topology::tor_uplinks),
-//! [`tor_uplink_peer`](Topology::tor_uplink_peer),
-//! [`path_class`](Topology::path_class)) is kind-aware so the network
-//! layer, fault resolution and the unloaded-latency model share one
-//! source of truth.
+//! cores, for k³/4 hosts. The `kind` field selects the wiring, and this
+//! module is where it is read: [`Topology::switch_ports`] is the one
+//! wiring table — each switch's egress ports in index order, each with
+//! its peer, the peer's port back, its role and its rate. The network
+//! builds its ports by walking that table and fault resolution
+//! ([`crate::faults`]) looks links up in it; beyond it, only packet
+//! routing and the unloaded-latency model here know one fabric kind from
+//! another.
 
-use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use crate::stats::PortClass;
+use crate::time::SimDuration;
 
 /// Identifier of a host (0-based, dense).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub u32);
 
 impl std::fmt::Display for HostId {
@@ -49,7 +51,7 @@ pub enum NodeId {
 }
 
 /// How the switch layers above the TORs are wired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FabricKind {
     /// Two tiers: every TOR has one uplink to every spine switch.
     LeafSpine,
@@ -65,7 +67,7 @@ pub enum FabricKind {
 
 /// How far apart two hosts sit in the fabric — the key for the
 /// unloaded-latency model (and the slowdown denominator cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathClass {
     /// Same rack: host → TOR → host.
     SameRack,
@@ -77,7 +79,7 @@ pub enum PathClass {
     InterPod,
 }
 
-/// Why a validated topology constructor rejected its arguments.
+/// Why a fabric cannot be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
     /// `multi_tor`: no rack size of 10, 16 or 8 divides the host count
@@ -85,6 +87,8 @@ pub enum TopologyError {
     AwkwardHostCount(u32),
     /// `fat_tree`: the arity must be even and at least 4.
     BadFatTreeArity(u32),
+    /// [`Topology::check_shape`] failed, for the reason given.
+    BadShape(&'static str),
 }
 
 impl std::fmt::Display for TopologyError {
@@ -97,14 +101,29 @@ impl std::fmt::Display for TopologyError {
             TopologyError::BadFatTreeArity(k) => {
                 write!(f, "fat_tree: arity must be even and >= 4, got {k}")
             }
+            TopologyError::BadShape(why) => write!(f, "bad fabric shape: {why}"),
         }
     }
 }
 
 impl std::error::Error for TopologyError {}
 
+/// One egress port as the wiring table lists it (see
+/// [`Topology::switch_ports`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortSpec {
+    /// The node at the far end of the link.
+    pub peer: NodeId,
+    /// The peer's egress port that leads back to this node.
+    pub peer_port: u32,
+    /// The port's role, which also selects its queue discipline.
+    pub class: PortClass,
+    /// Link speed in bits/second.
+    pub rate_bps: u64,
+}
+
 /// A fabric description: leaf–spine or three-tier fat tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Number of racks (each with one TOR switch).
     pub racks: u32,
@@ -189,9 +208,8 @@ impl Topology {
     /// A k-ary three-tier fat tree with the paper's link speeds and
     /// delays: k pods, each with k/2 edge (TOR) switches of k/2 hosts
     /// and k/2 aggregation switches, plus (k/2)² core switches — k³/4
-    /// hosts total (k = 16 gives 1024 hosts). Every TOR has one uplink
-    /// per pod-local aggregation switch; aggregation switch `i` of a pod
-    /// uplinks to cores `i·k/2 .. (i+1)·k/2`. Cross-rack packets are
+    /// hosts total (k = 16 gives 1024 hosts), wired as
+    /// [`switch_ports`](Self::switch_ports) lists. Cross-rack packets are
     /// sprayed deterministically across uplinks at every tier (see
     /// `Network`).
     ///
@@ -208,6 +226,9 @@ impl Topology {
         if k < 4 || k % 2 != 0 {
             return Err(TopologyError::BadFatTreeArity(k));
         }
+        if u128::from(k).pow(3) / 4 > u128::from(u32::MAX) {
+            return Err(TopologyError::BadShape("host count overflows u32"));
+        }
         let half = k / 2;
         Ok(Topology {
             racks: k * half,                // k pods * k/2 edge switches
@@ -221,17 +242,7 @@ impl Topology {
     /// The implementation cluster of §5.1: `n` hosts on a single 10 Gbps
     /// switch.
     pub fn single_switch(n: u32) -> Self {
-        Topology {
-            racks: 1,
-            hosts_per_rack: n,
-            spines: 0,
-            kind: FabricKind::LeafSpine,
-            host_link_bps: 10_000_000_000,
-            uplink_bps: 40_000_000_000,
-            switch_delay: SimDuration::from_nanos(250),
-            host_sw_delay: SimDuration::from_nanos(1_500),
-            prop_delay: SimDuration::ZERO,
-        }
+        Topology { racks: 1, hosts_per_rack: n, spines: 0, ..Topology::paper_fabric() }
     }
 
     /// Total number of hosts.
@@ -290,19 +301,105 @@ impl Topology {
         }
     }
 
-    /// The upper-tier switch and its down-port at the far end of TOR
-    /// `rack`'s uplink `j` (`j < tor_uplinks()`): `(spine_id,
-    /// spine_down_port)`. Leaf–spine: spine `j`, down port `rack`. Fat
-    /// tree: the pod's `j`-th aggregation switch, whose down port is the
-    /// rack's index within the pod.
-    pub fn tor_uplink_peer(&self, rack: u32, j: u32) -> (u32, u32) {
-        match self.kind {
-            FabricKind::LeafSpine => (j, rack),
-            FabricKind::FatTree { k } => {
-                let half = k / 2;
-                (self.pod_of_rack(rack) * half + j, rack % half)
+    /// A host's NIC port: its peer is the host's TOR, and the port back
+    /// is the TOR's downlink to the host.
+    pub fn host_port(&self, h: HostId) -> PortSpec {
+        PortSpec {
+            peer: NodeId::Tor(self.rack_of(h)),
+            peer_port: self.index_in_rack(h),
+            class: PortClass::HostUp,
+            rate_bps: self.host_link_bps,
+        }
+    }
+
+    /// Every switch of the fabric: the TORs in rack order, then the
+    /// upper tiers in id order.
+    pub fn switches(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.racks).map(NodeId::Tor).chain((0..self.spines).map(NodeId::Spine))
+    }
+
+    /// The wiring table: the egress ports of switch `node`, in port-index
+    /// order.
+    ///
+    /// * A TOR has one downlink per host of its rack, then its uplinks:
+    ///   to every spine (whose down port is the rack's number), or on a
+    ///   fat tree to its pod's aggregation switches (whose down port is
+    ///   the rack's index within the pod).
+    /// * A leaf–spine spine has one downlink per rack.
+    /// * Aggregation switch `a` (pod `a / (k/2)`, column `a % (k/2)`) has
+    ///   k/2 downlinks to its pod's edges, then k/2 uplinks to the cores
+    ///   of its column; agg → core carries the same up-facing role (and
+    ///   discipline) as TOR → agg.
+    /// * A core has one downlink per pod, to that pod's aggregation
+    ///   switch of the core's column.
+    ///
+    /// # Panics
+    /// If `node` is a host.
+    pub fn switch_ports(&self, node: NodeId) -> Vec<PortSpec> {
+        let hpr = self.hosts_per_rack;
+        let link = |class, peer, peer_port| PortSpec {
+            peer,
+            peer_port,
+            class,
+            rate_bps: if class == PortClass::TorDown {
+                self.host_link_bps
+            } else {
+                self.uplink_bps
+            },
+        };
+        let (up, down) = (PortClass::TorUp, PortClass::SpineDown);
+        match (node, self.kind) {
+            (NodeId::Host(_), _) => panic!("hosts are not switches"),
+            (NodeId::Tor(r), kind) => (0..hpr)
+                .map(|i| link(PortClass::TorDown, NodeId::Host(HostId(r * hpr + i)), 0))
+                .chain((0..self.tor_uplinks()).map(|j| match kind {
+                    FabricKind::LeafSpine => link(up, NodeId::Spine(j), r),
+                    FabricKind::FatTree { k } => {
+                        let half = k / 2;
+                        link(up, NodeId::Spine(r / half * half + j), r % half)
+                    }
+                }))
+                .collect(),
+            (NodeId::Spine(s), FabricKind::LeafSpine) => {
+                (0..self.racks).map(|r| link(down, NodeId::Tor(r), hpr + s)).collect()
+            }
+            (NodeId::Spine(s), FabricKind::FatTree { k }) => {
+                let (half, naggs) = (k / 2, self.num_aggs());
+                if s < naggs {
+                    let (pod, col) = (s / half, s % half);
+                    (0..half)
+                        .map(|i| link(down, NodeId::Tor(pod * half + i), hpr + col))
+                        .chain(
+                            (0..half).map(|j| link(up, NodeId::Spine(naggs + col * half + j), pod)),
+                        )
+                        .collect()
+                } else {
+                    let (col, j) = ((s - naggs) / half, (s - naggs) % half);
+                    (0..k)
+                        .map(|pod| link(down, NodeId::Spine(pod * half + col), half + j))
+                        .collect()
+                }
             }
         }
+    }
+
+    /// The shape check [`crate::Network::new`] and the spec-line parser
+    /// share: what every fabric needs whatever built it.
+    pub fn check_shape(&self) -> Result<(), TopologyError> {
+        let why = if self.racks < 1 {
+            "need at least one rack"
+        } else if self.hosts_per_rack < 2 {
+            "need at least two hosts per rack"
+        } else if self.racks > 1 && self.spines < 1 {
+            "multi-rack fabrics need spines"
+        } else if self.host_link_bps == 0 || self.uplink_bps == 0 {
+            "link rates must be positive"
+        } else if self.racks.checked_mul(self.hosts_per_rack).is_none() {
+            "host count overflows u32"
+        } else {
+            return Ok(());
+        };
+        Err(TopologyError::BadShape(why))
     }
 
     /// How far apart two hosts sit (the unloaded-latency path class).
@@ -445,24 +542,6 @@ impl Topology {
     }
 }
 
-/// Sanity checks used by `Network` at construction.
-pub(crate) fn validate(t: &Topology) {
-    assert!(t.racks >= 1, "need at least one rack");
-    assert!(t.hosts_per_rack >= 2, "need at least two hosts");
-    assert!(t.racks == 1 || t.spines >= 1, "multi-rack fabrics need spines");
-    assert!(t.host_link_bps > 0 && t.uplink_bps > 0);
-}
-
-/// Convenience conversion so tests can write `HostId::from(3)`.
-impl From<u32> for HostId {
-    fn from(v: u32) -> Self {
-        HostId(v)
-    }
-}
-
-/// A timestamp helper: `SimTime::ZERO` re-export used around the crate.
-pub(crate) const T0: SimTime = SimTime::ZERO;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,14 +659,18 @@ mod tests {
         assert_eq!(t.pod_of_rack(2), 1);
         assert_eq!(t.pod_of_rack(7), 3);
         // Pod-local aggregation switches, down port = rack index in pod.
-        assert_eq!(t.tor_uplink_peer(0, 0), (0, 0));
-        assert_eq!(t.tor_uplink_peer(0, 1), (1, 0));
-        assert_eq!(t.tor_uplink_peer(1, 0), (0, 1));
-        assert_eq!(t.tor_uplink_peer(3, 1), (3, 1));
-        assert_eq!(t.tor_uplink_peer(7, 1), (7, 1));
+        let uplink = |t: &Topology, rack: u32, j: u32| {
+            let p = t.switch_ports(NodeId::Tor(rack))[(t.hosts_per_rack + j) as usize];
+            (p.peer, p.peer_port)
+        };
+        assert_eq!(uplink(&t, 0, 0), (NodeId::Spine(0), 0));
+        assert_eq!(uplink(&t, 0, 1), (NodeId::Spine(1), 0));
+        assert_eq!(uplink(&t, 1, 0), (NodeId::Spine(0), 1));
+        assert_eq!(uplink(&t, 3, 1), (NodeId::Spine(3), 1));
+        assert_eq!(uplink(&t, 7, 1), (NodeId::Spine(7), 1));
         // Leaf–spine wiring unchanged: spine j, down port = rack.
         let ls = Topology::multi_tor(40);
-        assert_eq!(ls.tor_uplink_peer(2, 1), (1, 2));
+        assert_eq!(uplink(&ls, 2, 1), (NodeId::Spine(1), 2));
         assert_eq!(ls.pod_of_rack(3), 0);
     }
 
@@ -634,6 +717,28 @@ mod tests {
         assert!(Topology::try_fat_tree(2).unwrap_err().to_string().contains("fat_tree"));
         assert!(Topology::try_fat_tree(4).is_ok());
         assert!(Topology::try_multi_tor(40).is_ok());
+        let overflow = TopologyError::BadShape("host count overflows u32");
+        assert_eq!(Topology::try_fat_tree(4_000_000_000), Err(overflow.clone()));
+        assert_eq!(Topology::scaled_fabric(70_000, 70_000, 1).check_shape(), Err(overflow));
+    }
+
+    #[test]
+    fn shape_check_names_what_is_missing() {
+        let why = |t: Topology| t.check_shape().unwrap_err().to_string();
+        assert_eq!(
+            why(Topology::single_switch(1)),
+            "bad fabric shape: need at least two hosts per rack"
+        );
+        assert_eq!(
+            why(Topology::scaled_fabric(0, 4, 1)),
+            "bad fabric shape: need at least one rack"
+        );
+        assert_eq!(
+            why(Topology::scaled_fabric(2, 4, 0)),
+            "bad fabric shape: multi-rack fabrics need spines"
+        );
+        assert_eq!(Topology::paper_fabric().check_shape(), Ok(()));
+        assert_eq!(Topology::single_switch(2).check_shape(), Ok(()));
     }
 
     #[test]

@@ -225,7 +225,7 @@ fn write_node(out: &mut String, node: NodeId) {
 impl TraceRecord {
     /// Append the canonical JSONL form of this record (one JSON object,
     /// fixed key order, trailing newline) to `out`. Hand-rolled — the
-    /// workspace builds without a real serde — and deterministic, so
+    /// workspace builds offline, without serde — and deterministic, so
     /// traces can be compared byte-for-byte.
     pub fn write_jsonl(&self, out: &mut String) {
         let t = self.at.as_nanos();

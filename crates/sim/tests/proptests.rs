@@ -316,33 +316,58 @@ proptest! {
 }
 
 proptest! {
-    /// Fat-tree structural invariants hold for every legal arity: host
-    /// addressing round-trips, every TOR uplink lands on a pod-local
-    /// aggregation switch, and each of a pod's aggs is reachable.
+    /// The wiring table is symmetric on every fabric shape: each switch
+    /// port's peer has a port back to it at the recorded index, at the
+    /// same rate and in the opposite role; every host is some TOR's down
+    /// port exactly once; and the port counts are those of the shape.
     #[test]
-    fn fat_tree_addressing_and_uplinks_consistent(half in 2u32..7) {
-        let k = half * 2;
-        let topo = homa_sim::Topology::fat_tree(k);
-        prop_assert_eq!(topo.num_hosts(), k * k * k / 4);
-        prop_assert_eq!(topo.num_aggs(), k * k / 2);
-        prop_assert_eq!(topo.num_cores(), k * k / 4);
-        prop_assert_eq!(topo.tor_uplinks(), half);
+    fn wiring_table_is_symmetric(shape in 0u32..4, a in 0u32..6, b in 0u32..6, c in 0u32..4) {
+        use homa_sim::{FabricKind, NodeId, PortClass, Topology};
+        let topo = match shape {
+            0 => Topology::single_switch(2 + a * 3 + b),
+            1 => Topology::scaled_fabric(1 + a, 2 + b, 1 + c),
+            2 => Topology::multi_tor([16, 24, 32, 40, 100, 160][a as usize]),
+            _ => Topology::fat_tree(4 + 2 * (a % 5)),
+        };
+        prop_assert_eq!(topo.check_shape(), Ok(()));
+        prop_assert_eq!(topo.switches().count() as u32, topo.racks + topo.spines);
         for h in topo.hosts() {
             let (r, i) = (topo.rack_of(h), topo.index_in_rack(h));
             prop_assert_eq!(r * topo.hosts_per_rack + i, h.0);
             prop_assert!(i < topo.hosts_per_rack);
         }
-        for rack in 0..topo.racks {
-            let pod = topo.pod_of_rack(rack);
-            let mut aggs_seen = std::collections::BTreeSet::new();
-            for j in 0..topo.tor_uplinks() {
-                let (agg, down_port) = topo.tor_uplink_peer(rack, j);
-                prop_assert_eq!(agg / half, pod, "uplink leaves the pod");
-                prop_assert_eq!(down_port, rack % half);
-                aggs_seen.insert(agg);
+        let mut tor_ports_of_host = vec![0u32; topo.num_hosts() as usize];
+        for sw in topo.switches() {
+            let ports = topo.switch_ports(sw);
+            let want = match (sw, topo.kind) {
+                (NodeId::Tor(_), _) => topo.tor_ports(),
+                (_, FabricKind::LeafSpine) => topo.racks,
+                (_, FabricKind::FatTree { k }) => k,
+            };
+            prop_assert_eq!(ports.len() as u32, want, "port count of {:?}", sw);
+            for (i, p) in ports.iter().enumerate() {
+                let back = match p.peer {
+                    NodeId::Host(h) => {
+                        prop_assert_eq!(p.class, PortClass::TorDown);
+                        prop_assert_eq!(p.peer_port, 0);
+                        tor_ports_of_host[h.0 as usize] += 1;
+                        topo.host_port(h)
+                    }
+                    peer => topo.switch_ports(peer)[p.peer_port as usize],
+                };
+                prop_assert_eq!(back.peer, sw, "{:?} port {} is not answered", sw, i);
+                prop_assert_eq!(back.peer_port, i as u32);
+                prop_assert_eq!(back.rate_bps, p.rate_bps);
+                let opposite = match p.class {
+                    PortClass::TorDown => PortClass::HostUp,
+                    PortClass::TorUp => PortClass::SpineDown,
+                    PortClass::SpineDown => PortClass::TorUp,
+                    PortClass::HostUp => unreachable!("a switch port is never a host uplink"),
+                };
+                prop_assert_eq!(back.class, opposite);
             }
-            prop_assert_eq!(aggs_seen.len() as u32, half, "uplinks collide on an agg");
         }
+        prop_assert!(tor_ports_of_host.iter().all(|&n| n == 1), "a host is not wired exactly once");
     }
 
     /// Unloaded latency respects the hop hierarchy on any fat tree and

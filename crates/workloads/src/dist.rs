@@ -7,10 +7,9 @@
 //! ranges of datacenter workloads.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A message-size distribution given as a piecewise log-linear CDF.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageSizeDist {
     /// `(size_bytes, cumulative_probability)` anchors; the first has
     /// probability 0.0 and the last 1.0.

@@ -6,11 +6,10 @@
 //! application-level message sizes in bytes.
 
 use crate::dist::MessageSizeDist;
-use serde::{Deserialize, Serialize};
 
 /// One of the five workloads from Figure 1 of the paper, ordered by
 /// average message size (W1 smallest, W5 most heavy-tailed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// Facebook memcached ETC accesses: almost all messages are tiny.
     W1,

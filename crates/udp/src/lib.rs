@@ -23,11 +23,11 @@
 //! server.add_peer(PeerId(0), "127.0.0.1:7000".parse().unwrap());
 //!
 //! client.call(PeerId(1), b"ping".to_vec(), 1).unwrap();
-//! match server.events().recv().unwrap() {
+//! match server.events().recv() {
 //!     UdpEvent::Request { from, rpc, data } => server.respond(from, rpc, data).unwrap(),
 //!     other => panic!("unexpected {other:?}"),
 //! }
-//! match client.events().recv().unwrap() {
+//! match client.events().recv() {
 //!     UdpEvent::Response { data, .. } => assert_eq!(data, b"ping"),
 //!     other => panic!("unexpected {other:?}"),
 //! }
@@ -38,8 +38,8 @@
 //! Each node has one driver thread ([`node`]'s `run`) and one lock around
 //! the endpoint, the payload store and the reassembly buffers. A turn is:
 //!
-//! 1. **One blocking `recv_from`**, bounded by `poll_interval` (a timeout
-//!    or a signal is an empty turn, not an error).
+//! 1. **One blocking `recv_from`**, bounded by the 500 µs `POLL_INTERVAL` (a
+//!    timeout or a signal is an empty turn, not an error).
 //! 2. **A gated drain.** If that datagram left the endpoint with something
 //!    to send (`HomaEndpoint::has_pending_tx`: a GRANT to issue, or DATA
 //!    that a GRANT just released), the driver reads whatever else is
@@ -91,4 +91,4 @@
 
 pub mod node;
 
-pub use node::{HomaUdpNode, RunSummary, UdpConfig, UdpEvent};
+pub use node::{EventQueue, HomaUdpNode, RunSummary, UdpConfig, UdpEvent};

@@ -1,16 +1,15 @@
 //! The threaded UDP driver around [`HomaEndpoint`]. The crate docs say what
 //! one driver turn is, why its drain is gated and what a merged GRANT costs.
 
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use homa::packets::{Dir, HomaPacket, MsgKey, PeerId};
 use homa::{HomaConfig, HomaEndpoint, HomaEvent};
-use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Driver configuration.
@@ -18,8 +17,6 @@ use std::time::{Duration, Instant};
 pub struct UdpConfig {
     /// Protocol configuration.
     pub homa: HomaConfig,
-    /// Socket read timeout / driver loop cadence.
-    pub poll_interval: Duration,
     /// Bound on the application event channel. An application that stops
     /// consuming [`UdpEvent`]s no longer grows the queue without limit:
     /// once `event_channel_cap` events are queued, further events are
@@ -43,7 +40,6 @@ impl Default for UdpConfig {
                 resend_interval_ns: 20_000_000, // 20 ms
                 ..HomaConfig::default()
             },
-            poll_interval: Duration::from_micros(500),
             event_channel_cap: 1024,
         }
     }
@@ -61,6 +57,13 @@ const TX_BATCH: usize = 64;
 /// Most datagrams one driver turn reads, drain included, before it pumps:
 /// one lock hold. Seven packets a message are in flight (`rtt_bytes`).
 const RX_BATCH: usize = 64;
+
+/// Socket read timeout, and so how often an idle driver runs its timer tick
+/// and buffer sweep and looks at `stop`. Small against the resend intervals
+/// in use (2 to 20 ms), so that a RESEND or an abort is not late by much; the
+/// kernel rounds it up to a scheduler tick, so an idle node in fact ticks
+/// every 4 to 8 ms. No caller ever asked for another value.
+const POLL_INTERVAL: Duration = Duration::from_micros(500);
 
 /// Application events surfaced by the node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +102,72 @@ pub enum UdpEvent {
         /// Tag of the failed operation.
         tag: u64,
     },
+}
+
+/// The application's event queue, as [`HomaUdpNode::events`] hands it out.
+/// The node's threads push without ever waiting; any thread may receive. The
+/// node owns the queue for as long as it lives, so there is no disconnected
+/// state: a receive ends with an event or a timeout.
+pub struct EventQueue {
+    items: Mutex<VecDeque<UdpEvent>>,
+    /// Signalled once per event pushed.
+    ready: Condvar,
+    /// Most events held at once.
+    cap: usize,
+}
+
+impl EventQueue {
+    /// A queue of at most `cap` events; 0 is no bound.
+    fn new(cap: usize) -> Self {
+        let cap = if cap > 0 { cap } else { usize::MAX };
+        EventQueue { items: Mutex::new(VecDeque::new()), ready: Condvar::new(), cap }
+    }
+
+    /// Pushes and pops are whole `VecDeque` operations, so a thread that
+    /// panicked with the lock held left the queue sound: poison is ignored.
+    fn items(&self) -> MutexGuard<'_, VecDeque<UdpEvent>> {
+        self.items.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queue `ev` and wake one receiver, or refuse it (false) when full.
+    fn push(&self, ev: UdpEvent) -> bool {
+        let mut items = self.items();
+        if items.len() >= self.cap {
+            return false;
+        }
+        items.push_back(ev);
+        drop(items);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Block until an event arrives.
+    pub fn recv(&self) -> UdpEvent {
+        let mut items = self
+            .ready
+            .wait_while(self.items(), |q| q.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
+        items.pop_front().expect("woken with an event queued")
+    }
+
+    /// Block up to `timeout` for an event; `Timeout` is the only error.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<UdpEvent, RecvTimeoutError> {
+        let (mut items, _) = self
+            .ready
+            .wait_timeout_while(self.items(), timeout, |q| q.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
+        items.pop_front().ok_or(RecvTimeoutError::Timeout)
+    }
+
+    /// Number of events currently queued.
+    pub fn len(&self) -> usize {
+        self.items().len()
+    }
+
+    /// Whether no event is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Point-in-time driver counters for one node — the run summary printed
@@ -167,7 +236,7 @@ type RxDropFilter = Box<dyn FnMut(&HomaPacket) -> bool + Send>;
 struct Shared {
     ep: HomaEndpoint,
     /// Payload store for outbound messages.
-    out_payloads: HashMap<MsgKey, Arc<Vec<u8>>>,
+    out_payloads: HashMap<MsgKey, Vec<u8>>,
     /// Reassembly buffers for inbound messages.
     in_buffers: HashMap<MsgKey, Vec<u8>>,
     /// Peer address table.
@@ -214,11 +283,10 @@ pub struct HomaUdpNode {
     me: PeerId,
     socket: UdpSocket,
     shared: Mutex<Shared>,
-    events_tx: Sender<UdpEvent>,
-    events_rx: Receiver<UdpEvent>,
-    /// Events dropped because the bounded event channel was full (the
-    /// driver's `WouldBlock` backpressure signal).
-    events_dropped: std::sync::atomic::AtomicU64,
+    events: EventQueue,
+    /// Events the full queue refused (the driver's `WouldBlock`
+    /// backpressure signal).
+    events_dropped: AtomicU64,
     stop: AtomicBool,
 }
 
@@ -227,14 +295,12 @@ impl HomaUdpNode {
     /// thread.
     pub fn bind<A: ToSocketAddrs>(me: PeerId, addr: A, cfg: UdpConfig) -> io::Result<Arc<Self>> {
         let socket = UdpSocket::bind(addr)?;
-        socket.set_read_timeout(Some(cfg.poll_interval))?;
-        let (events_tx, events_rx) =
-            if cfg.event_channel_cap > 0 { bounded(cfg.event_channel_cap) } else { unbounded() };
+        socket.set_read_timeout(Some(POLL_INTERVAL))?;
         let node = Arc::new(HomaUdpNode {
             me,
             socket,
             shared: Mutex::new(Shared {
-                ep: HomaEndpoint::new(me, cfg.homa.clone()),
+                ep: HomaEndpoint::new(me, cfg.homa),
                 out_payloads: HashMap::new(),
                 in_buffers: HashMap::new(),
                 peers: HashMap::new(),
@@ -242,15 +308,14 @@ impl HomaUdpNode {
                 rx_drop: None,
                 sum: RunSummary { peer: me, ..RunSummary::default() },
             }),
-            events_tx,
-            events_rx,
-            events_dropped: std::sync::atomic::AtomicU64::new(0),
+            events: EventQueue::new(cfg.event_channel_cap),
+            events_dropped: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
         let driver = Arc::clone(&node);
         std::thread::Builder::new()
             .name(format!("homa-udp-{}", me.0))
-            .spawn(move || driver.run(cfg))
+            .spawn(move || driver.run())
             .expect("spawn driver thread");
         Ok(node)
     }
@@ -260,61 +325,74 @@ impl HomaUdpNode {
         self.socket.local_addr()
     }
 
+    /// The one way to the shared state. Poison is ignored: a panic in an
+    /// application thread, or in the test hook a driver runs, must not stop
+    /// every other thread of the node at its next `unwrap`.
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register a peer's address.
     pub fn add_peer(&self, peer: PeerId, addr: SocketAddr) {
-        let mut s = self.shared.lock();
+        let mut s = self.lock();
         s.peers.insert(peer, addr);
         s.addr_to_peer.insert(addr, peer);
     }
 
     /// Install a receive-side drop filter (test hook for loss injection).
     pub fn set_rx_drop_filter(&self, f: impl FnMut(&HomaPacket) -> bool + Send + 'static) {
-        self.shared.lock().rx_drop = Some(Box::new(f));
+        self.lock().rx_drop = Some(Box::new(f));
+    }
+
+    /// What `send_message`, `call` and `respond` share, under one lock take:
+    /// refuse a peer with no address, have `start` open the message in the
+    /// endpoint and name it, keep its payload; then transmit.
+    fn start_outbound(
+        &self,
+        peer: PeerId,
+        data: Vec<u8>,
+        start: impl FnOnce(&mut HomaEndpoint, u64, u64) -> MsgKey,
+    ) -> io::Result<u64> {
+        let mut s = self.lock();
+        if !s.peers.contains_key(&peer) {
+            return Err(io::Error::new(io::ErrorKind::NotFound, "unknown peer"));
+        }
+        let key = start(&mut s.ep, now_ns(), data.len() as u64);
+        s.out_payloads.insert(key, data);
+        drop(s);
+        self.pump();
+        Ok(key.seq)
     }
 
     /// Send a one-way message.
     pub fn send_message(&self, dst: PeerId, data: Vec<u8>, tag: u64) -> io::Result<u64> {
-        let mut s = self.shared.lock();
-        if !s.peers.contains_key(&dst) {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "unknown peer"));
-        }
-        let seq = s.ep.send_message(now_ns(), dst, data.len() as u64, tag);
-        let key = MsgKey { origin: self.me, seq, dir: Dir::Oneway };
-        s.out_payloads.insert(key, Arc::new(data));
-        drop(s);
-        self.pump();
-        Ok(seq)
+        self.start_outbound(dst, data, |ep, now, len| {
+            let seq = ep.send_message(now, dst, len, tag);
+            MsgKey { origin: self.me, seq, dir: Dir::Oneway }
+        })
     }
 
     /// Issue an RPC; the response arrives as [`UdpEvent::Response`] with
     /// `tag`.
     pub fn call(&self, server: PeerId, request: Vec<u8>, tag: u64) -> io::Result<u64> {
-        let mut s = self.shared.lock();
-        if !s.peers.contains_key(&server) {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "unknown peer"));
-        }
-        let seq = s.ep.begin_rpc(now_ns(), server, request.len() as u64, tag);
-        let key = MsgKey { origin: self.me, seq, dir: Dir::Request };
-        s.out_payloads.insert(key, Arc::new(request));
-        drop(s);
-        self.pump();
-        Ok(seq)
+        self.start_outbound(server, request, |ep, now, len| {
+            let seq = ep.begin_rpc(now, server, len, tag);
+            MsgKey { origin: self.me, seq, dir: Dir::Request }
+        })
     }
 
     /// Respond to an RPC surfaced via [`UdpEvent::Request`].
     pub fn respond(&self, client: PeerId, rpc: u64, response: Vec<u8>) -> io::Result<()> {
-        let mut s = self.shared.lock();
-        s.ep.send_response(now_ns(), client, rpc, response.len() as u64, rpc);
-        let key = MsgKey { origin: client, seq: rpc, dir: Dir::Response };
-        s.out_payloads.insert(key, Arc::new(response));
-        drop(s);
-        self.pump();
-        Ok(())
+        self.start_outbound(client, response, |ep, now, len| {
+            ep.send_response(now, client, rpc, len, rpc);
+            MsgKey { origin: client, seq: rpc, dir: Dir::Response }
+        })
+        .map(drop)
     }
 
-    /// The application event channel.
-    pub fn events(&self) -> &Receiver<UdpEvent> {
-        &self.events_rx
+    /// The application event queue.
+    pub fn events(&self) -> &EventQueue {
+        &self.events
     }
 
     /// Number of application events dropped because the bounded event
@@ -330,9 +408,9 @@ impl HomaUdpNode {
     /// shut a node down should check (or log) `events_dropped` here
     /// rather than silently losing sheds.
     pub fn run_summary(&self) -> RunSummary {
-        let s = self.shared.lock();
+        let s = self.lock();
         RunSummary {
-            events_queued: self.events_rx.len(),
+            events_queued: self.events.len(),
             events_dropped: self.events_dropped(),
             out_payloads: s.out_payloads.len(),
             in_buffers: s.in_buffers.len(),
@@ -344,7 +422,7 @@ impl HomaUdpNode {
     /// zero once sent messages are delivered/acknowledged and their
     /// retransmission window has passed).
     pub fn out_payload_count(&self) -> usize {
-        self.shared.lock().out_payloads.len()
+        self.lock().out_payloads.len()
     }
 
     /// Stop the driver thread (the node drains on drop of the last Arc).
@@ -359,7 +437,7 @@ impl HomaUdpNode {
         TX.with_borrow_mut(|(staged, bytes, spans)| {
             bytes.clear();
             spans.clear();
-            let mut s = self.shared.lock();
+            let mut s = self.lock();
             let now = now_ns();
             while staged.len() < TX_BATCH {
                 let Some((dst, pkt)) = s.ep.poll_transmit(now) else { break };
@@ -390,12 +468,12 @@ impl HomaUdpNode {
                 start = end;
             }
             if errors > 0 {
-                self.shared.lock().sum.tx_errors += errors;
+                self.lock().sum.tx_errors += errors;
             }
         });
     }
 
-    fn run(self: Arc<Self>, cfg: UdpConfig) {
+    fn run(self: Arc<Self>) {
         use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
         let mut buf = vec![0u8; 64 * 1024];
         let mut last_tick = Instant::now();
@@ -406,9 +484,9 @@ impl HomaUdpNode {
                 Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
                 Err(_) => break,
             }
-            if last_tick.elapsed() >= cfg.poll_interval {
+            if last_tick.elapsed() >= POLL_INTERVAL {
                 last_tick = Instant::now();
-                let mut s = self.shared.lock();
+                let mut s = self.lock();
                 s.ep.timer_tick(now_ns());
                 self.drain_events(&mut s);
                 // GC delivered out-payloads: once the endpoint's sender
@@ -431,7 +509,7 @@ impl HomaUdpNode {
     /// read into `buf` and, if the endpoint now has something to send, what
     /// else the socket already holds.
     fn rx_turn(&self, buf: &mut [u8], n: usize, from_addr: SocketAddr) {
-        let mut s = self.shared.lock();
+        let mut s = self.lock();
         s.sum.rx_turns += 1;
         self.on_datagram(&mut s, &buf[..n], from_addr);
         if s.ep.has_pending_tx() && self.socket.set_nonblocking(true).is_ok() {
@@ -513,15 +591,11 @@ impl HomaUdpNode {
                 }
             };
             if let Some(ev) = out {
-                // Non-blocking delivery: a full bounded channel signals
-                // `WouldBlock`; the event is dropped and counted rather
-                // than growing the queue (or stalling the socket thread)
-                // without bound.
-                match self.events_tx.try_send(ev) {
-                    Ok(()) | Err(TrySendError::Disconnected(_)) => {}
-                    Err(TrySendError::Full(_)) => {
-                        self.events_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
+                // Non-blocking delivery: an event the full queue refuses is
+                // dropped and counted rather than growing the queue (or
+                // stalling the socket thread) without bound.
+                if !self.events.push(ev) {
+                    self.events_dropped.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -630,6 +704,23 @@ mod tests {
             UdpEvent::Message { data, .. } => assert_eq!(data, payload),
             other => panic!("unexpected {other:?}"),
         }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn every_entry_point_refuses_a_peer_it_has_no_address_for() {
+        let (a, b) = pair();
+        let stranger = PeerId(9);
+        fn kind<T>(r: io::Result<T>) -> Result<T, io::ErrorKind> {
+            r.map_err(|e| e.kind())
+        }
+        assert_eq!(kind(a.send_message(stranger, vec![1; 64], 1)), Err(io::ErrorKind::NotFound));
+        assert_eq!(kind(a.call(stranger, vec![2; 64], 2)), Err(io::ErrorKind::NotFound));
+        // Before, `respond` opened the response, kept its payload, and every
+        // packet of it was then dropped for want of an address.
+        assert_eq!(kind(a.respond(stranger, 3, vec![3; 64])), Err(io::ErrorKind::NotFound));
+        assert_eq!(a.out_payload_count(), 0, "a refused message kept its payload");
         a.shutdown();
         b.shutdown();
     }
@@ -807,10 +898,67 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // None of them reached the buffer table or the endpoint.
-        assert!(b.shared.lock().in_buffers.is_empty(), "hostile DATA was buffered");
+        assert!(b.lock().in_buffers.is_empty(), "hostile DATA was buffered");
         assert_eq!(b.events().len(), 0, "hostile DATA surfaced an event");
         a.shutdown();
         b.shutdown();
+    }
+
+    fn aborted(tag: u64) -> UdpEvent {
+        UdpEvent::Aborted { peer: PeerId(0), tag }
+    }
+
+    #[test]
+    fn a_push_from_another_thread_wakes_a_blocked_receiver() {
+        let q = EventQueue::new(0);
+        let woke_after = std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let start = Instant::now();
+                (q.recv_timeout(Duration::from_secs(30)), start.elapsed())
+            });
+            // Whether the receiver is already waiting or not yet: it gets the
+            // event, long before its deadline.
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(q.push(aborted(7)));
+            receiver.join().unwrap()
+        });
+        assert_eq!(woke_after.0, Ok(aborted(7)));
+        assert!(woke_after.1 < Duration::from_secs(10), "woken by the deadline: {woke_after:?}");
+        // The blocking form, the same way round.
+        let got = std::thread::scope(|s| {
+            let receiver = s.spawn(|| q.recv());
+            assert!(q.push(aborted(8)));
+            receiver.join().unwrap()
+        });
+        assert_eq!(got, aborted(8));
+    }
+
+    #[test]
+    fn an_empty_queue_times_out_no_earlier_than_asked() {
+        let q = EventQueue::new(4);
+        let (start, wait) = (Instant::now(), Duration::from_millis(30));
+        assert_eq!(q.recv_timeout(wait), Err(RecvTimeoutError::Timeout));
+        assert!(start.elapsed() >= wait, "returned after {:?}", start.elapsed());
+        // An event already queued is returned at once, zero timeout included.
+        assert!(q.push(aborted(1)));
+        assert_eq!(q.recv_timeout(Duration::ZERO), Ok(aborted(1)));
+    }
+
+    #[test]
+    fn a_full_queue_refuses_the_push_until_a_slot_is_drained() {
+        let q = EventQueue::new(2);
+        assert!(q.is_empty());
+        assert!(q.push(aborted(1)) && q.push(aborted(2)));
+        assert!(!q.push(aborted(3)), "pushed past the bound");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.recv(), aborted(1));
+        assert!(q.push(aborted(3)), "a drained slot admits the next push");
+        assert_eq!(q.len(), 2);
+        assert_eq!((q.recv(), q.recv()), (aborted(2), aborted(3)));
+        // 0 is no bound.
+        let unbounded = EventQueue::new(0);
+        assert!((0..5_000).all(|i| unbounded.push(aborted(i))));
+        assert_eq!(unbounded.len(), 5_000);
     }
 
     fn grant(seq: u64, offset: u64, prio: u8, cutoffs: Option<u64>) -> HomaPacket {
@@ -968,7 +1116,7 @@ mod tests {
             3 => HomaPacket::Busy(BusyHeader { key }),
             _ => HomaPacket::Cutoffs(cutoffs),
         };
-        homa_wire::encode(&pkt, &payload).to_vec()
+        homa_wire::encode(&pkt, &payload)
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! `repro` — regenerate every table and figure of the Homa paper.
 //!
-//! One subcommand per experiment; see `repro help`. By default the
-//! experiments run at a reduced scale (fewer hosts/messages) so a full
-//! sweep finishes in minutes; pass `--full` for paper-scale runs (144
-//! hosts, 8x the messages). Every subcommand prints the familiar text
-//! table *and* writes machine-readable `FIG_<n>.json` next to it.
+//! One subcommand per table of `figdata::FIGURES`, the list that `all`,
+//! `compare`, `--from-dir` and `repro help` also walk (this file names
+//! no figure). Runs are reduced-scale by default, a full sweep in
+//! seconds; `--full` is paper scale (144 hosts, 8x the messages). Every
+//! table is written as `FIG_<n>.json` and printed to stdout as text —
+//! two renderings of the same rows — while stderr carries one progress
+//! line per simulation run and the wall time of each figure.
 //!
 //! `repro compare` is the figure-accuracy gate: it re-runs (or loads,
-//! with `--from-dir`) Figures 12–16, joins the measured points against
-//! the digitized published curves (`homa_harness::figures`), prints
-//! per-point delta tables, writes `COMPARE.json`, and exits nonzero when
-//! a gated curve drifts past its tolerance.
+//! with `--from-dir`) the figures that have digitized published curves
+//! (12–16, `homa_harness::figures`), prints per-point delta tables,
+//! writes `COMPARE.json`, and exits nonzero when a gated curve drifts
+//! past its tolerance.
 //!
 //! ```text
 //! repro fig12 --workloads W2,W4 --loads 0.8
@@ -20,14 +22,14 @@
 //! ```
 
 use homa_bench::figdata::{
-    self, compare_tables, measured_points, run_compare_set, write_table, CompareOutcome, ReproOpts,
-    COMPARE_FIGURES,
+    compare_tables, figure, measured_points, CompareOutcome, Figure, ReproOpts, FIGURES,
 };
-use homa_bench::perfjson::{parse_table, FigTable};
+use homa_bench::perfjson::{parse_table, render_table, render_text, FigTable};
 use homa_bench::{tracecmd, Protocol};
 use homa_harness::ScenarioSpec;
 use homa_workloads::Workload;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// One-line usage error, exit 2 (satellite fix: bad CLI input must not
 /// panic deep in the harness).
@@ -36,9 +38,19 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value of the flag at `args[*i]`: the next argument.
+fn take(args: &[String], i: &mut usize) -> String {
+    *i += 1;
+    args.get(*i).cloned().unwrap_or_else(|| die(&format!("{} needs a value", args[*i - 1])))
+}
+
+/// `v` parsed as the `what` that `flag` takes.
+fn parsed<T: std::str::FromStr>(flag: &str, what: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| die(&format!("{flag} takes {what}, got {v:?}")))
+}
+
 struct Cli {
     opts: ReproOpts,
-    loads_overridden: bool,
     out_dir: PathBuf,
     from_dir: Option<PathBuf>,
     tol_scale: f64,
@@ -48,91 +60,58 @@ struct Cli {
 fn parse_cli(args: &[String]) -> Cli {
     let mut cli = Cli {
         opts: ReproOpts::default(),
-        loads_overridden: false,
         out_dir: PathBuf::from("."),
         from_dir: None,
         tol_scale: 1.0,
         compare_after: false,
     };
     let mut i = 0;
-    let take = |args: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--full" => cli.opts.full = true,
             "--compare" => cli.compare_after = true,
             "--seed" => {
-                let v = take(args, &mut i, "--seed");
-                cli.opts.seed = v.parse().unwrap_or_else(|_| {
-                    die(&format!("--seed takes an unsigned integer, got {v:?}"))
-                });
+                cli.opts.seed = parsed("--seed", "an unsigned integer", &take(args, &mut i))
             }
             "--scale" => {
-                let v = take(args, &mut i, "--scale");
-                let s: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--scale takes a number, got {v:?}")));
-                if s <= 0.0 || !s.is_finite() {
+                let v = take(args, &mut i);
+                cli.opts.msgs_scale = parsed("--scale", "a number", &v);
+                if cli.opts.msgs_scale <= 0.0 || !cli.opts.msgs_scale.is_finite() {
                     die(&format!("--scale must be a positive number, got {v}"));
                 }
-                cli.opts.msgs_scale = s;
             }
             "--bins" => {
-                let v = take(args, &mut i, "--bins");
-                let b: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--bins takes an integer, got {v:?}")));
-                if b == 0 {
+                cli.opts.bins = parsed("--bins", "an integer", &take(args, &mut i));
+                if cli.opts.bins == 0 {
                     die("--bins must be at least 1");
                 }
-                cli.opts.bins = b;
             }
             "--workloads" => {
-                let v = take(args, &mut i, "--workloads");
-                cli.opts.workloads = v
-                    .split(',')
-                    .map(|s| {
-                        Workload::parse(s).unwrap_or_else(|| {
-                            die(&format!("unknown workload {s:?} (expected W1..W5)"))
-                        })
+                let parse = |s| {
+                    Workload::parse(s).unwrap_or_else(|| {
+                        die(&format!("unknown workload {s:?} (expected W1..W5)"))
                     })
-                    .collect();
-                if cli.opts.workloads.is_empty() {
-                    die("--workloads needs at least one workload");
-                }
+                };
+                cli.opts.workloads = Some(take(args, &mut i).split(',').map(parse).collect());
             }
             "--loads" => {
-                let v = take(args, &mut i, "--loads");
-                cli.opts.loads = v
-                    .split(',')
-                    .map(|s| {
-                        let l: f64 = s
-                            .parse()
-                            .unwrap_or_else(|_| die(&format!("--loads takes numbers, got {s:?}")));
-                        if !(l > 0.0 && l <= 1.0) {
-                            die(&format!("load {s} out of range: loads are fractions in (0, 1]"));
-                        }
-                        l
-                    })
-                    .collect();
-                if cli.opts.loads.is_empty() {
-                    die("--loads needs at least one load");
-                }
-                cli.loads_overridden = true;
+                let parse = |s| {
+                    let l: f64 = parsed("--loads", "numbers", s);
+                    if !(l > 0.0 && l <= 1.0) {
+                        die(&format!("load {s} out of range: loads are fractions in (0, 1]"));
+                    }
+                    l
+                };
+                cli.opts.loads = Some(take(args, &mut i).split(',').map(parse).collect());
             }
-            "--out-dir" => cli.out_dir = PathBuf::from(take(args, &mut i, "--out-dir")),
-            "--from-dir" => cli.from_dir = Some(PathBuf::from(take(args, &mut i, "--from-dir"))),
+            "--out-dir" => cli.out_dir = PathBuf::from(take(args, &mut i)),
+            "--from-dir" => cli.from_dir = Some(PathBuf::from(take(args, &mut i))),
             "--tolerance-scale" => {
-                let v = take(args, &mut i, "--tolerance-scale");
-                let t: f64 = v.parse().unwrap_or_else(|_| {
-                    die(&format!("--tolerance-scale takes a number, got {v:?}"))
-                });
-                if t <= 0.0 || !t.is_finite() {
+                let v = take(args, &mut i);
+                cli.tol_scale = parsed("--tolerance-scale", "a number", &v);
+                if cli.tol_scale <= 0.0 || !cli.tol_scale.is_finite() {
                     die(&format!("--tolerance-scale must be positive, got {v}"));
                 }
-                cli.tol_scale = t;
             }
             other => die(&format!("unknown option {other:?} (see 'repro help')")),
         }
@@ -143,110 +122,76 @@ fn parse_cli(args: &[String]) -> Cli {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        help();
-        return;
-    }
-    let cmd = args[0].clone();
+    let (cmd, rest) = args.split_first().map_or(("help", &[][..]), |(c, r)| (c.as_str(), r));
     // `trace` takes a raw spec line whose `key=value` fields are not
     // options; it must dispatch before the shared option parser, which
     // would die on them as unknown flags.
     if cmd == "trace" {
-        run_trace(&args[1..]);
+        run_trace(rest);
         return;
     }
-    let mut cli = parse_cli(&args[1..]);
+    let mut cli = parse_cli(rest);
     if cli.from_dir.is_some() && cmd != "compare" {
         die("--from-dir only applies to 'repro compare' (it would silently skip the run)");
     }
 
     // The reference curves are digitized at 50% and 80% load; compare
     // runs sweep both unless the user narrowed them explicitly.
-    if (cmd == "compare" || cli.compare_after) && !cli.loads_overridden {
-        cli.opts.loads = vec![0.5, 0.8];
+    let comparing = cmd == "compare" || cli.compare_after;
+    if comparing && cli.opts.loads.is_none() {
+        cli.opts.loads = Some(vec![0.5, 0.8]);
     }
 
-    let opts = &cli.opts;
-    let tables: Vec<FigTable> = match cmd.as_str() {
-        "fig1" => vec![figdata::fig1(opts)],
-        "fig4" => vec![figdata::fig4(opts)],
-        // fig8/9 and fig12/13 are two summaries of the same runs; asking
-        // for either produces (and writes) both rather than re-simulating.
-        "fig8" | "fig9" => {
-            let (t8, t9) = figdata::fig8_9(opts);
-            vec![t8, t9]
-        }
-        "fig10" => vec![figdata::fig10(opts)],
-        "fig12" | "fig13" => {
-            let (t12, t13) = figdata::fig12_13(opts);
-            vec![t12, t13]
-        }
-        "fig14" => vec![figdata::fig14(opts)],
-        "fig15" => vec![figdata::fig15(opts)],
-        "fig16" => vec![figdata::fig16(opts)],
-        "fig17" => vec![figdata::fig17(opts)],
-        "fig18" => vec![figdata::fig18(opts)],
-        "fig19" => vec![figdata::fig19(opts)],
-        "fig20" => vec![figdata::fig20(opts)],
-        "fig21" => vec![figdata::fig21(opts)],
-        "table1" => vec![figdata::table1(opts)],
-        "all" => {
-            // Built in figure order so the text output reads like the
-            // paper; fig8/9 and fig12/13 share their runs.
-            let mut tables = vec![figdata::fig1(opts), figdata::fig4(opts)];
-            let (t8, t9) = figdata::fig8_9(opts);
-            tables.extend([t8, t9, figdata::fig10(opts)]);
-            let (t12, t13) = figdata::fig12_13(opts);
-            tables.extend([t12, t13]);
-            tables.extend([
-                figdata::fig14(opts),
-                figdata::fig15(opts),
-                figdata::fig16(opts),
-                figdata::fig17(opts),
-                figdata::fig18(opts),
-                figdata::fig19(opts),
-                figdata::fig20(opts),
-                figdata::fig21(opts),
-                figdata::table1(opts),
-            ]);
-            tables
-        }
-        "compare" => match &cli.from_dir {
-            Some(dir) => load_tables(dir),
-            None => run_compare_set(opts),
-        },
+    let figs: Vec<&Figure> = match cmd {
         "help" | "--help" | "-h" => {
             help();
             return;
         }
-        other => {
-            eprintln!("unknown experiment '{other}'");
+        "all" => FIGURES.iter().collect(),
+        "compare" => FIGURES.iter().filter(|f| f.compared()).collect(),
+        name => vec![figure(name).unwrap_or_else(|| {
+            eprintln!("unknown experiment '{name}'");
             help();
             std::process::exit(2);
-        }
+        })],
     };
-
-    // Every run emits its machine-readable tables (loaded tables are
-    // not re-written).
     if let Err(e) = std::fs::create_dir_all(&cli.out_dir) {
         die(&format!("cannot create --out-dir {}: {e}", cli.out_dir.display()));
     }
-    if cli.from_dir.is_none() {
-        for t in &tables {
-            match write_table(&cli.out_dir, t) {
-                Ok(path) => eprintln!("wrote {}", path.display()),
-                Err(e) => die(&format!(
-                    "cannot write {} to {}: {e}",
-                    t.file_name(),
-                    cli.out_dir.display()
-                )),
-            }
-        }
-    }
-
-    if cmd == "compare" || cli.compare_after {
+    let tables = match &cli.from_dir {
+        Some(dir) => load_tables(dir, &figs),
+        None => build_tables(&figs, &cli),
+    };
+    if comparing {
         std::process::exit(run_comparison(&cli, &tables));
     }
+}
+
+/// Write a table to `dir/FIG_<n>.json`.
+fn write_or_die(dir: &Path, t: &FigTable) {
+    let path = dir.join(t.file_name());
+    match std::fs::write(&path, render_table(t)) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => die(&format!("cannot write {}: {e}", path.display())),
+    }
+}
+
+/// Run each entry's builder in registry order (so the output reads like
+/// the paper); as each returns, print its wall time (stderr) and its
+/// tables as text (stdout), and write them as JSON.
+fn build_tables(figs: &[&Figure], cli: &Cli) -> Vec<FigTable> {
+    let mut tables = Vec::new();
+    for fig in figs {
+        let start = Instant::now();
+        let built = (fig.build)(&cli.opts);
+        eprintln!("{}: {:.1}s", fig.tables.join(" "), start.elapsed().as_secs_f64());
+        for t in &built {
+            print!("\n=== {}: {} ===\n{}", t.figure, fig.title, render_text(t));
+            write_or_die(&cli.out_dir, t);
+        }
+        tables.extend(built);
+    }
+    tables
 }
 
 /// `repro trace <spec-line> [--protocol P] [--cap N] [--out-dir DIR]`:
@@ -261,25 +206,21 @@ fn run_trace(args: &[String]) {
     let mut cap: usize = 1 << 20;
     let mut out_dir = PathBuf::from(".");
     let mut i = 0;
-    let take = |args: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--protocol" => {
-                let v = take(args, &mut i, "--protocol");
+                let v = take(args, &mut i);
                 proto =
                     Protocol::parse(&v).unwrap_or_else(|| die(&format!("unknown protocol {v:?}")));
             }
             "--cap" => {
-                let v = take(args, &mut i, "--cap");
+                let v = take(args, &mut i);
                 cap =
                     v.parse().ok().filter(|&c| c > 0).unwrap_or_else(|| {
                         die(&format!("--cap takes a positive integer, got {v:?}"))
                     });
             }
-            "--out-dir" => out_dir = PathBuf::from(take(args, &mut i, "--out-dir")),
+            "--out-dir" => out_dir = PathBuf::from(take(args, &mut i)),
             tok if tok.contains('=') => spec_fields.push(tok.to_string()),
             other => die(&format!("unknown option {other:?} (see 'repro help')")),
         }
@@ -303,15 +244,15 @@ fn run_trace(args: &[String]) {
     print!("{}", tr.report);
 }
 
-/// Load the comparison figures' tables from a directory of previously
-/// written `FIG_<n>.json` files. Every comparison figure must be
-/// present — a partial directory (an interrupted earlier run) would
-/// otherwise skip gated curves and let the gate pass vacuously.
-fn load_tables(dir: &Path) -> Vec<FigTable> {
-    COMPARE_FIGURES
-        .iter()
-        .map(|fig| {
-            let path = dir.join(FigTable::new(fig, String::new()).file_name());
+/// Load the compared figures' tables from a directory of previously
+/// written `FIG_<n>.json` files. Every one must be present — a partial
+/// directory (an interrupted earlier run) would otherwise skip gated
+/// curves and let the gate pass vacuously.
+fn load_tables(dir: &Path, figs: &[&Figure]) -> Vec<FigTable> {
+    figs.iter()
+        .flat_map(|fig| fig.tables)
+        .map(|name| {
+            let path = dir.join(FigTable::new(name, String::new()).file_name());
             let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
                 die(&format!(
                     "cannot read {}: {e} (the gate needs every comparison figure; \
@@ -339,10 +280,7 @@ fn run_comparison(cli: &Cli, tables: &[FigTable]) -> i32 {
     let CompareOutcome { report, failures, gated_curves_joined, delta_table } =
         compare_tables(tables, cli.tol_scale, format!("repro compare, seed {}", cli.opts.seed));
     print!("{report}");
-    match write_table(&cli.out_dir, &delta_table) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => die(&format!("cannot write COMPARE.json: {e}")),
-    }
+    write_or_die(&cli.out_dir, &delta_table);
     match failures {
         Err(e) => {
             eprintln!("FAIL: {e}");
@@ -380,20 +318,26 @@ fn help() {
     println!(
         "repro — regenerate the figures/tables of the Homa paper (SIGCOMM 2018)\n\
          usage: repro <experiment> [options]\n\
-         experiments: fig1 fig4 fig8 fig9 fig10 fig12 fig13 fig14 fig15 fig16\n\
-         \x20            fig17 fig18 fig19 fig20 fig21 table1 all compare\n\
+         experiments:"
+    );
+    for fig in FIGURES {
+        let mark = if fig.compared() { " [compared]" } else { "" };
+        println!("  {:<12} {}{mark}", fig.tables.join(" "), fig.title);
+    }
+    println!(
+        "  all          every experiment above\n\
          options: --full              paper-scale topology and message counts\n\
-         \x20        --workloads LIST    e.g. W1,W3,W5 (default W2,W4)\n\
+         \x20        --workloads LIST    e.g. W1,W3,W5 (default: each figure's own set)\n\
          \x20        --loads LIST        e.g. 0.5,0.8; fractions in (0,1] (default 0.8)\n\
          \x20        --scale F           multiply message budgets by F\n\
          \x20        --seed N            RNG seed (default 1)\n\
          \x20        --bins N            size bins in slowdown tables (default 10)\n\
          \x20        --out-dir DIR       where FIG_<n>.json files go (default .)\n\
-         every subcommand writes machine-readable FIG_<n>.json alongside the text\n\
+         each table is written as FIG_<n>.json and printed as text; progress goes to stderr\n\
          \n\
          repro compare [--from-dir DIR] [--tolerance-scale F]\n\
-         \x20   re-run (or load from DIR) Figures 12-16, diff against the digitized\n\
-         \x20   published curves, write COMPARE.json, exit 1 on gated drift\n\
+         \x20   re-run (or load from DIR) the [compared] figures, diff against the\n\
+         \x20   digitized published curves, write COMPARE.json, exit 1 on gated drift\n\
          repro all --compare\n\
          \x20   regenerate everything, then run the comparison on the fresh tables\n\
          repro trace <spec-line> [--protocol P] [--cap N] [--out-dir DIR]\n\

@@ -1,40 +1,121 @@
 //! Figure-data builders behind the `repro` binary.
 //!
-//! Each paper figure/table has a builder that *runs the experiment and
-//! returns the data* as a [`FigTable`] (printing the familiar text table
-//! as it goes): the `repro` binary is a thin CLI over this module, the
-//! golden tests pin the tables' schema and seed-42 numbers, and the
-//! `repro compare` figure-accuracy gate joins the tables against the
-//! digitized reference curves in [`homa_harness::figures`].
+//! [`FIGURES`] is the one list of the paper's figures and tables: per
+//! entry the tables it produces, a title and the builder that *runs the
+//! experiment and returns the data* as [`FigTable`]s. `repro <name>`,
+//! `all`, `compare`, `--from-dir` and the help text all walk that list.
+//! Builders print nothing: `repro`'s text is
+//! [`render_text`](crate::perfjson::render_text) of the rows the JSON
+//! holds, and this module's only output is one progress line on stderr
+//! per scenario run (`logged`).
+//!
+//! Figures 17–20 are one sweep, [`ablation`]: one row per [`Variant`] of
+//! Homa's configuration. What `sched=N`, `unsched=N`, `cutoff=N` and
+//! `unsched_limit=…` mean as a [`HomaConfig`] is written once, in
+//! [`Variant::config`], which Figure 16 and `tests/ablations.rs` use too.
 //!
 //! Rows destined for the comparison carry the canonical columns
 //! (`workload`/`protocol`/`variant`/`load`/`metric`/`x`/`value`, see
 //! [`measured_points`]); everything else is free-form per figure.
 
-use crate::perfjson::{render_table, Field, FigRow, FigTable};
+use crate::perfjson::{Field, FigRow, FigTable};
 use crate::{run_protocol_rpc_scenario, run_protocol_scenario, Protocol};
+use homa::config::RTT_BYTES;
 use homa::HomaConfig;
 use homa_baselines::homa_sim::static_map_for_workload;
 use homa_baselines::HomaSimTransport;
 use homa_harness::capacity::{max_sustainable_load, max_sustainable_load_with, CapacitySearch};
-use homa_harness::driver::OnewayOpts;
+use homa_harness::driver::{OnewayOpts, OnewayResult};
 use homa_harness::figures::{self, MeasuredPoint};
-use homa_harness::render::{delta_report, fmt_bps, fmt_bytes, slowdown_table};
+use homa_harness::render::delta_report;
 use homa_harness::slowdown::SlowdownSummary;
 use homa_harness::{FabricSpec, ScenarioSpec};
-use homa_sim::{PortClass, SimDuration, Topology};
+use homa_sim::{PortClass, SimDuration};
 use homa_workloads::Workload;
-use std::collections::BTreeMap;
+use std::time::Instant;
+
+/// One entry of the paper's evaluation: the tables one builder produces.
+pub struct Figure {
+    /// The tables `build` returns, in order. Builders whose figures are
+    /// two summaries of the same runs (8/9, 12/13) produce both, so
+    /// asking for either writes both rather than re-simulating.
+    pub tables: &'static [&'static str],
+    /// What the figure shows (text header and `repro help`).
+    pub title: &'static str,
+    /// Run the experiment and return its tables.
+    pub build: fn(&ReproOpts) -> Vec<FigTable>,
+}
+
+impl Figure {
+    const fn new(
+        tables: &'static [&'static str],
+        title: &'static str,
+        build: fn(&ReproOpts) -> Vec<FigTable>,
+    ) -> Figure {
+        Figure { tables, title, build }
+    }
+
+    /// Whether `repro compare` reads these tables: whether any of them
+    /// has a digitized published curve in [`figures::REFERENCE`].
+    pub fn compared(&self) -> bool {
+        figures::REFERENCE.iter().any(|curve| self.tables.contains(&curve.figure))
+    }
+}
+
+/// Every figure and table `repro` regenerates, in paper order.
+pub const FIGURES: &[Figure] = &[
+    Figure::new(&["fig1"], "workload message-size CDFs", fig1),
+    Figure::new(&["fig4"], "unscheduled priority allocation (8 levels)", fig4),
+    Figure::new(
+        &["fig8", "fig9"],
+        "echo-RPC slowdown by size, p99 / p50 (16-node cluster, 80% load)",
+        fig8_9,
+    ),
+    Figure::new(
+        &["fig10"],
+        "incast throughput with and without incast control (10 KB responses, 15 servers)",
+        fig10,
+    ),
+    Figure::new(
+        &["fig12", "fig13"],
+        "one-way slowdown by size, p99 / p50 (leaf-spine fabric)",
+        fig12_13,
+    ),
+    Figure::new(&["fig14"], "tail-delay attribution for short messages (80% load)", fig14),
+    Figure::new(&["fig15"], "maximum sustainable load", fig15),
+    Figure::new(&["fig16"], "wasted bandwidth vs load by scheduled priorities (W4)", fig16),
+    Figure::new(&["fig17"], "unscheduled priority levels (W1, 80% load, 1 scheduled)", |o| {
+        vec![ablation(&FIG17, FIG17.variants, o)]
+    }),
+    Figure::new(&["fig18"], "cutoff between two unscheduled priorities (W3, 80% load)", |o| {
+        vec![ablation(&FIG18, FIG18.variants, o)]
+    }),
+    Figure::new(&["fig19"], "scheduled priority levels (W4, 80% load, 1 unscheduled)", |o| {
+        vec![ablation(&FIG19, FIG19.variants, o)]
+    }),
+    Figure::new(&["fig20"], "unscheduled byte limit (W4, 80% load)", |o| {
+        vec![ablation(&FIG20, FIG20.variants, o)]
+    }),
+    Figure::new(&["fig21"], "uplink bandwidth per priority level vs load (W3)", fig21),
+    Figure::new(&["table1"], "switch queue lengths at 80% load", table1),
+];
+
+/// The registry entry that produces table `name`.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.tables.contains(&name))
+}
 
 /// Options shared by every `repro` experiment (the binary's CLI flags).
 #[derive(Debug, Clone)]
 pub struct ReproOpts {
     /// Paper-scale fabric and message counts (`--full`).
     pub full: bool,
-    /// Workloads to sweep where a figure allows a choice.
-    pub workloads: Vec<Workload>,
-    /// Loads to sweep where a figure allows a choice.
-    pub loads: Vec<f64>,
+    /// Workloads to sweep where a figure allows a choice; `None` is the
+    /// figure's own default set.
+    pub workloads: Option<Vec<Workload>>,
+    /// Loads to sweep where a figure allows a choice; `None` is the
+    /// figure's own default set.
+    pub loads: Option<Vec<f64>>,
     /// RNG seed.
     pub seed: u64,
     /// Multiplier on per-workload message budgets (`--scale`).
@@ -45,18 +126,16 @@ pub struct ReproOpts {
 
 impl Default for ReproOpts {
     fn default() -> Self {
-        ReproOpts {
-            full: false,
-            workloads: vec![Workload::W2, Workload::W4],
-            loads: vec![0.8],
-            seed: 1,
-            msgs_scale: 1.0,
-            bins: 10,
-        }
+        ReproOpts { full: false, workloads: None, loads: None, seed: 1, msgs_scale: 1.0, bins: 10 }
     }
 }
 
 impl ReproOpts {
+    /// The workloads asked for, or the figure's `default` set.
+    pub fn workloads_or<'a>(&'a self, default: &'a [Workload]) -> &'a [Workload] {
+        self.workloads.as_deref().unwrap_or(default)
+    }
+
     /// Simulation fabric: scaled-down by default, Figure 11's 144 hosts
     /// with `--full`.
     pub fn fabric_spec(&self) -> FabricSpec {
@@ -65,12 +144,6 @@ impl ReproOpts {
         } else {
             FabricSpec::LeafSpine { racks: 3, hosts_per_rack: 8, spines: 2 }
         }
-    }
-
-    /// The fabric as a concrete topology (for printing shapes and
-    /// computing link capacities).
-    pub fn fabric(&self) -> Topology {
-        self.fabric_spec().topology()
     }
 
     /// A one-way [`ScenarioSpec`] on this run's fabric and seed.
@@ -92,16 +165,45 @@ impl ReproOpts {
         ((base * full_mult) as f64 * self.msgs_scale) as u64
     }
 
-    /// Deterministic provenance string for `FIG_<n>.json` (no
-    /// timestamps: golden tests pin whole files).
-    fn stamp(&self, figure: &str) -> String {
-        format!(
-            "repro {figure} (homa-bench), seed {}, scale {}, {}",
-            self.seed,
-            self.msgs_scale,
-            if self.full { "paper-scale fabric" } else { "reduced fabric" }
+    /// New empty table `figure`, with a deterministic provenance string
+    /// (no timestamps: golden tests pin whole files).
+    fn table(&self, figure: &str) -> FigTable {
+        let fabric = if self.full { "paper-scale fabric" } else { "reduced fabric" };
+        FigTable::new(
+            figure,
+            format!(
+                "repro {figure} (homa-bench), seed {}, scale {}, {fabric}",
+                self.seed, self.msgs_scale
+            ),
         )
     }
+}
+
+/// Every scenario a builder runs goes through here, so no run is silent:
+/// one stderr line of protocol, replayable spec line, delivered/injected
+/// and wall seconds (`repro` adds each entry's total).
+fn logged(p: Protocol, spec: &ScenarioSpec, run: impl FnOnce() -> OnewayResult) -> OnewayResult {
+    let start = Instant::now();
+    let res = run();
+    eprintln!(
+        "  {:<8} {}  {}/{}  {:.2}s",
+        p.name(),
+        spec.to_spec_line(),
+        res.delivered,
+        res.injected,
+        start.elapsed().as_secs_f64()
+    );
+    res
+}
+
+/// A one-way run of `p` on `spec` (the shape of every figure but 8–10).
+fn oneway(
+    p: Protocol,
+    spec: &ScenarioSpec,
+    opts: &OnewayOpts,
+    cfg: Option<HomaConfig>,
+) -> OnewayResult {
+    logged(p, spec, || run_protocol_scenario(p, spec, opts, cfg))
 }
 
 /// Tiny builder so row construction reads as a sentence.
@@ -109,7 +211,7 @@ struct Row(FigRow);
 
 impl Row {
     fn new() -> Row {
-        Row(BTreeMap::new())
+        Row(FigRow::new())
     }
 
     fn s(mut self, k: &str, v: &str) -> Row {
@@ -194,21 +296,11 @@ fn push_slowdown_bins(
 }
 
 /// Figure 1: the workload CDFs (message- and byte-weighted).
-pub fn fig1(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig1", opts.stamp("fig1"));
-    println!("=== Figure 1: workload message-size CDFs ===");
+fn fig1(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t = opts.table("fig1");
     for w in Workload::ALL {
         let d = w.dist();
-        println!("\n{w} ({}) — mean {:.0} B", w.description(), d.mean());
-        println!("{:>6} {:>12} {:>14} {:>14}", "pct", "size", "CDF(msgs)", "CDF(bytes)");
         for (pct, size) in d.decile_points() {
-            println!(
-                "{:>5.0}% {:>12} {:>13.1}% {:>13.1}%",
-                pct,
-                size,
-                d.cdf(size) * 100.0,
-                d.byte_weighted_cdf(size) * 100.0
-            );
             Row::new()
                 .s("workload", w.name())
                 .n("x", pct)
@@ -218,220 +310,130 @@ pub fn fig1(opts: &ReproOpts) -> FigTable {
                 .push(&mut t);
         }
     }
-    t
+    vec![t]
 }
 
 /// Figure 4: unscheduled priority allocation per workload.
-pub fn fig4(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig4", opts.stamp("fig4"));
-    println!("\n=== Figure 4: unscheduled priority allocation (8 levels) ===");
+fn fig4(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t = opts.table("fig4");
     let cfg = HomaConfig::default();
     for w in Workload::ALL {
-        let map = static_map_for_workload(&w.dist(), &cfg);
         let d = w.dist();
-        let unsched_frac = d.mean_capped(cfg.rtt_bytes) / d.mean();
-        print!(
-            "{w}: unscheduled bytes {:>4.1}% -> {} unscheduled + {} scheduled levels; cutoffs: ",
-            unsched_frac * 100.0,
-            map.unsched_levels,
-            map.sched_levels()
-        );
-        let mut cutoff_text = String::new();
-        if map.cutoffs.is_empty() {
-            println!("(single unscheduled level)");
-        } else {
-            let mut prev = 1u64;
-            let top = map.num_priorities - 1;
-            for (i, &c) in map.cutoffs.iter().enumerate() {
-                let seg = format!("P{}:{}..{}B ", top - i as u8, prev, c);
-                print!("{seg}");
-                cutoff_text.push_str(&seg);
-                prev = c + 1;
-            }
-            let last = format!("P{}:{}B+", top - map.cutoffs.len() as u8, prev);
-            println!("{last}");
-            cutoff_text.push_str(&last);
+        let map = static_map_for_workload(&d, &cfg);
+        // "P7:1..280B P6:281..1035B P5:1036B+": the size range of each
+        // unscheduled level, highest priority first.
+        let top = map.num_priorities - 1;
+        let mut cutoffs = String::new();
+        let mut prev = 1u64;
+        for (i, &c) in map.cutoffs.iter().enumerate() {
+            cutoffs.push_str(&format!("P{}:{prev}..{c}B ", top - i as u8));
+            prev = c + 1;
+        }
+        if !map.cutoffs.is_empty() {
+            cutoffs.push_str(&format!("P{}:{prev}B+", top - map.cutoffs.len() as u8));
         }
         Row::new()
             .s("workload", w.name())
-            .n("unsched_frac", unsched_frac)
+            .n("unsched_frac", d.mean_capped(cfg.rtt_bytes) / d.mean())
             .n("unsched_levels", map.unsched_levels as f64)
             .n("sched_levels", map.sched_levels() as f64)
-            .s("cutoffs", cutoff_text.trim())
+            .s("cutoffs", &cutoffs)
             .push(&mut t);
     }
-    t
+    vec![t]
 }
 
 /// Figures 8/9: implementation echo-RPC slowdown. Both figures
 /// summarize the same runs (p99 vs p50), so they are built together.
-pub fn fig8_9(opts: &ReproOpts) -> (FigTable, FigTable) {
-    let mut t8 = FigTable::new("fig8", opts.stamp("fig8"));
-    let mut t9 = FigTable::new("fig9", opts.stamp("fig9"));
-    println!("\n=== Figures 8/9 (p99/p50): echo RPC slowdown, 16-node cluster, 80% load ===");
+fn fig8_9(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t8 = opts.table("fig8");
+    let mut t9 = opts.table("fig9");
     let cluster = FabricSpec::SingleSwitch { hosts: 16 };
-    let workloads = if opts.workloads == ReproOpts::default().workloads {
-        vec![Workload::W3, Workload::W4, Workload::W5]
-    } else {
-        opts.workloads.clone()
-    };
+    let records = OnewayOpts::default().with_records();
     let protos = [
         Protocol::Homa,
         Protocol::HomaP(4),
         Protocol::HomaP(2),
         Protocol::HomaP(1),
         Protocol::Basic,
-    ];
-    let push_overall = |t: &mut FigTable,
-                        w: Workload,
-                        p: Protocol,
-                        metric: &str,
-                        stat: f64,
-                        done: u64,
-                        all: u64| {
-        Row::new()
-            .curve(w.name(), &p.name(), "", 0.8, metric)
-            .xy(0.0, stat)
-            .n("completed", done as f64)
-            .n("issued", all as f64)
-            .push(t);
-    };
-    for w in workloads {
-        let n = opts.msgs_for(w);
-        let spec = ScenarioSpec::new("fig8_9_rpc", cluster, w, 0.8, n, opts.seed);
-        println!("\n--- workload {w}, {n} RPCs ---");
-        for p in protos {
-            let res = run_protocol_rpc_scenario(p, &spec, &OnewayOpts::default().with_records());
-            let s = SlowdownSummary::from_records(&res.records, opts.bins);
-            println!(
-                "{:<10} completed {}/{} overall p99 {:>8.2}  p50 {:>8.2}",
-                p.name(),
-                res.delivered,
-                res.injected,
-                s.overall_p99,
-                s.overall_p50
-            );
-            for b in &s.bins {
-                println!(
-                    "    {:>10}..{:<10} {:>8.2} {:>8.2}",
-                    b.min_size, b.max_size, b.p99, b.p50
-                );
-            }
-            push_slowdown_bins(&mut t8, w.name(), &p.name(), 0.8, "p99_slowdown", &s);
-            push_overall(&mut t8, w, p, "overall_p99", s.overall_p99, res.delivered, res.injected);
-            push_slowdown_bins(&mut t9, w.name(), &p.name(), 0.8, "p50_slowdown", &s);
-            push_overall(&mut t9, w, p, "overall_p50", s.overall_p50, res.delivered, res.injected);
-        }
         // The streaming baseline demonstrates head-of-line blocking
-        // (one-way messages; the effect the paper's TCP/InfRC rows show).
-        let res = run_protocol_scenario(
-            Protocol::Stream,
-            &ScenarioSpec::new("fig8_9_stream", cluster, w, 0.8, opts.msgs_for(w), opts.seed),
-            &OnewayOpts::default().with_records(),
-            None,
-        );
-        let s = SlowdownSummary::from_records(&res.records, opts.bins);
-        println!(
-            "{:<10} (one-way) delivered {}/{} overall p99 {:>8.2}  p50 {:>8.2}",
-            Protocol::Stream.name(),
-            res.delivered,
-            res.injected,
-            s.overall_p99,
-            s.overall_p50
-        );
-        push_overall(
-            &mut t8,
-            w,
-            Protocol::Stream,
-            "overall_p99",
-            s.overall_p99,
-            res.delivered,
-            res.injected,
-        );
-        push_overall(
-            &mut t9,
-            w,
-            Protocol::Stream,
-            "overall_p50",
-            s.overall_p50,
-            res.delivered,
-            res.injected,
-        );
+        // (one-way messages; the effect the paper's TCP/InfRC rows
+        // show). It contributes an overall row only.
+        Protocol::Stream,
+    ];
+    for &w in opts.workloads_or(&[Workload::W3, Workload::W4, Workload::W5]) {
+        let n = opts.msgs_for(w);
+        for p in protos {
+            let res = if p == Protocol::Stream {
+                let spec = ScenarioSpec::new("fig8_9_stream", cluster, w, 0.8, n, opts.seed);
+                oneway(p, &spec, &records, None)
+            } else {
+                let spec = ScenarioSpec::new("fig8_9_rpc", cluster, w, 0.8, n, opts.seed);
+                logged(p, &spec, || run_protocol_rpc_scenario(p, &spec, &records))
+            };
+            let s = SlowdownSummary::from_records(&res.records, opts.bins);
+            for (t, bins, overall, stat) in [
+                (&mut t8, "p99_slowdown", "overall_p99", s.overall_p99),
+                (&mut t9, "p50_slowdown", "overall_p50", s.overall_p50),
+            ] {
+                if p != Protocol::Stream {
+                    push_slowdown_bins(t, w.name(), &p.name(), 0.8, bins, &s);
+                }
+                Row::new()
+                    .curve(w.name(), &p.name(), "", 0.8, overall)
+                    .xy(0.0, stat)
+                    .n("completed", res.delivered as f64)
+                    .n("issued", res.injected as f64)
+                    .push(t);
+            }
+        }
     }
-    (t8, t9)
-}
-
-/// Figure 8: echo-RPC p99 slowdown.
-pub fn fig8(opts: &ReproOpts) -> FigTable {
-    fig8_9(opts).0
-}
-
-/// Figure 9: echo-RPC median slowdown.
-pub fn fig9(opts: &ReproOpts) -> FigTable {
-    fig8_9(opts).1
+    vec![t8, t9]
 }
 
 /// Figure 10: incast throughput with/without incast control.
-pub fn fig10(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig10", opts.stamp("fig10"));
-    println!("\n=== Figure 10: incast (10 KB responses, 15 servers) ===");
+fn fig10(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t = opts.table("fig10");
     let cluster = FabricSpec::SingleSwitch { hosts: 16 };
-    let sweep: Vec<u64> = if opts.full {
-        vec![16, 64, 128, 256, 512, 1024, 2048, 4096]
+    let sweep: &[u64] = if opts.full {
+        &[16, 64, 128, 256, 512, 1024, 2048, 4096]
     } else {
-        vec![16, 64, 128, 256, 512, 1024]
+        &[16, 64, 128, 256, 512, 1024]
     };
-    println!("{:>12} {:>32} {:>32}", "concurrent", "with control", "without control");
-    for &n in &sweep {
-        let mut row = Vec::new();
+    for &n in sweep {
         for enabled in [true, false] {
             let cfg = HomaConfig {
                 incast_threshold: if enabled { 32 } else { u32::MAX },
                 ..HomaConfig::default()
             };
             let spec = ScenarioSpec::incast("fig10", cluster, n, opts.seed);
-            let res = spec.run_incast(
-                None,
-                |h| HomaSimTransport::new(h, cfg.clone()),
-                &OnewayOpts::default(),
-            );
-            let drops = res.stats.total_drops();
-            row.push(format!(
-                "{} ({} aborted, {drops} drops)",
-                fmt_bps(res.delivered_bps),
-                res.aborted
-            ));
+            let res = logged(Protocol::Homa, &spec, || {
+                spec.run_incast(
+                    None,
+                    |h| HomaSimTransport::new(h, cfg.clone()),
+                    &OnewayOpts::default(),
+                )
+            });
             Row::new()
                 .n("concurrent", n as f64)
                 .s("variant", if enabled { "control" } else { "no_control" })
                 .n("throughput_bps", res.delivered_bps)
                 .n("aborted", res.aborted as f64)
-                .n("drops", drops as f64)
+                .n("drops", res.stats.total_drops() as f64)
                 .push(&mut t);
         }
-        println!("{n:>12} {:>32} {:>32}", row[0], row[1]);
     }
-    t
+    vec![t]
 }
 
 /// Figures 12/13: simulation slowdown across protocols. Both figures
 /// summarize the same runs (p99 vs p50), so they are built together.
-pub fn fig12_13(opts: &ReproOpts) -> (FigTable, FigTable) {
-    let mut t12 = FigTable::new("fig12", opts.stamp("fig12"));
-    let mut t13 = FigTable::new("fig13", opts.stamp("fig13"));
-    println!("\n=== Figures 12/13 (p99/p50): one-way slowdown on the leaf-spine fabric ===");
-    let topo = opts.fabric();
-    println!(
-        "fabric: {} hosts ({} racks x {}), {} spines",
-        topo.num_hosts(),
-        topo.racks,
-        topo.hosts_per_rack,
-        topo.spines
-    );
-    for &load in &opts.loads {
-        for &w in &opts.workloads {
+fn fig12_13(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t12 = opts.table("fig12");
+    let mut t13 = opts.table("fig13");
+    for &load in opts.loads.as_deref().unwrap_or(&[0.8]) {
+        for &w in opts.workloads_or(&[Workload::W2, Workload::W4]) {
             let n = opts.msgs_for(w);
-            println!("\n--- workload {w}, load {:.0}%, {n} messages ---", load * 100.0);
             let mut protos =
                 vec![Protocol::Homa, Protocol::Pfabric, Protocol::Phost, Protocol::Pias];
             if w == Workload::W5 {
@@ -441,11 +443,10 @@ pub fn fig12_13(opts: &ReproOpts) -> (FigTable, FigTable) {
                 // pHost and NDP cannot sustain 80% (Fig 12 caption): cap
                 // their load at the paper's observed limits.
                 let eff_load = match p {
-                    Protocol::Phost => load.min(0.7),
-                    Protocol::Ndp => load.min(0.7),
+                    Protocol::Phost | Protocol::Ndp => load.min(0.7),
                     _ => load,
                 };
-                let res = run_protocol_scenario(
+                let res = oneway(
                     p,
                     &opts.spec("fig12_13", w, eff_load, n),
                     &OnewayOpts::default().with_records(),
@@ -453,57 +454,29 @@ pub fn fig12_13(opts: &ReproOpts) -> (FigTable, FigTable) {
                 );
                 let s = SlowdownSummary::from_records(&res.records, opts.bins);
                 let small_p99 = SlowdownSummary::small_message_p99(&res.records, 0.5);
-                println!(
-                    "{:<10} load {:>3.0}% delivered {}/{} small-msg p99 {:>7.2}",
-                    p.name(),
-                    eff_load * 100.0,
-                    res.delivered,
-                    res.injected,
-                    small_p99,
-                );
-                print!("{}", slowdown_table(&format!("  {} bins:", p.name()), &s));
-                push_slowdown_bins(&mut t12, w.name(), &p.name(), eff_load, "p99_slowdown", &s);
-                Row::new()
-                    .curve(w.name(), &p.name(), "", eff_load, "small_msg_p99")
-                    .xy(0.0, small_p99)
-                    .n("delivered", res.delivered as f64)
-                    .n("injected", res.injected as f64)
-                    .push(&mut t12);
-                push_slowdown_bins(&mut t13, w.name(), &p.name(), eff_load, "p50_slowdown", &s);
-                Row::new()
-                    .curve(w.name(), &p.name(), "", eff_load, "overall_p50")
-                    .xy(0.0, s.overall_p50)
-                    .n("delivered", res.delivered as f64)
-                    .n("injected", res.injected as f64)
-                    .push(&mut t13);
+                for (t, bins, summary, stat) in [
+                    (&mut t12, "p99_slowdown", "small_msg_p99", small_p99),
+                    (&mut t13, "p50_slowdown", "overall_p50", s.overall_p50),
+                ] {
+                    push_slowdown_bins(t, w.name(), &p.name(), eff_load, bins, &s);
+                    Row::new()
+                        .curve(w.name(), &p.name(), "", eff_load, summary)
+                        .xy(0.0, stat)
+                        .n("delivered", res.delivered as f64)
+                        .n("injected", res.injected as f64)
+                        .push(t);
+                }
             }
         }
     }
-    (t12, t13)
-}
-
-/// Figure 12: p99 one-way slowdown.
-pub fn fig12(opts: &ReproOpts) -> FigTable {
-    fig12_13(opts).0
-}
-
-/// Figure 13: median one-way slowdown.
-pub fn fig13(opts: &ReproOpts) -> FigTable {
-    fig12_13(opts).1
+    vec![t12, t13]
 }
 
 /// Figure 14: sources of tail delay for short messages.
-pub fn fig14(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig14", opts.stamp("fig14"));
-    println!("\n=== Figure 14: tail-delay attribution for short messages (80% load) ===");
-    let workloads = if opts.workloads == ReproOpts::default().workloads {
-        Workload::ALL.to_vec()
-    } else {
-        opts.workloads.clone()
-    };
-    println!("{:>4} {:>16} {:>16} {:>10}", "wl", "queueing(us)", "preempt-lag(us)", "samples");
-    for w in workloads {
-        let res = run_protocol_scenario(
+fn fig14(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t = opts.table("fig14");
+    for &w in opts.workloads_or(&Workload::ALL) {
+        let res = oneway(
             Protocol::Homa,
             &opts.spec("fig14", w, 0.8, opts.msgs_for(w)),
             &OnewayOpts { track_delay: true, ..OnewayOpts::default() }.with_records(),
@@ -526,38 +499,32 @@ pub fn fig14(opts: &ReproOpts) -> FigTable {
         let n = sel.len().max(1) as f64;
         let q: f64 = sel.iter().map(|r| r.delay.queueing.as_micros_f64()).sum::<f64>() / n;
         let l: f64 = sel.iter().map(|r| r.delay.preemption_lag.as_micros_f64()).sum::<f64>() / n;
-        println!("{:>4} {q:>16.3} {l:>16.3} {:>10}", w.name(), sel.len());
-        Row::new()
-            .curve(w.name(), "Homa", "", 0.8, "queueing_us")
-            .xy(0.0, q)
-            .n("samples", sel.len() as f64)
-            .push(&mut t);
-        Row::new()
-            .curve(w.name(), "Homa", "", 0.8, "preempt_lag_us")
-            .xy(0.0, l)
-            .n("samples", sel.len() as f64)
-            .push(&mut t);
+        for (metric, value) in [("queueing_us", q), ("preempt_lag_us", l)] {
+            Row::new()
+                .curve(w.name(), "Homa", "", 0.8, metric)
+                .xy(0.0, value)
+                .n("samples", sel.len() as f64)
+                .push(&mut t);
+        }
     }
-    t
+    vec![t]
 }
 
 /// Figure 15: maximum sustainable network load per protocol.
-pub fn fig15(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig15", opts.stamp("fig15"));
-    println!("\n=== Figure 15: maximum sustainable load ===");
-    let protos = if opts.full {
-        vec![Protocol::Homa, Protocol::Pfabric, Protocol::Phost, Protocol::Pias]
+fn fig15(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t = opts.table("fig15");
+    let protos: &[Protocol] = if opts.full {
+        &[Protocol::Homa, Protocol::Pfabric, Protocol::Phost, Protocol::Pias]
     } else {
-        vec![Protocol::Homa, Protocol::Phost]
+        &[Protocol::Homa, Protocol::Phost]
     };
-    println!("{:>4} {:<10} {:>10} {:>14}", "wl", "protocol", "max load", "goodput frac");
-    for &w in &opts.workloads {
+    for &w in opts.workloads_or(&[Workload::W2, Workload::W4]) {
         let dist = w.dist();
         let n = opts.msgs_for(w) / 2;
         // The base spec for this workload; each probe reruns it at the
         // bisection's trial load.
         let base = opts.spec("fig15", w, 0.0, n);
-        for &p in &protos {
+        for &p in protos {
             let cap = match p {
                 Protocol::Homa => {
                     let cfg = HomaConfig::default();
@@ -579,12 +546,7 @@ pub fn fig15(opts: &ReproOpts) -> FigTable {
                         OnewayOpts { drain: SimDuration::from_millis(20), ..OnewayOpts::default() };
                     max_sustainable_load_with(
                         |load| {
-                            let res = run_protocol_scenario(
-                                p,
-                                &base.clone().with_load(load),
-                                &probe_opts,
-                                None,
-                            );
+                            let res = oneway(p, &base.clone().with_load(load), &probe_opts, None);
                             res.delivered as f64 / res.injected.max(1) as f64
                         },
                         CapacitySearch { lo: 0.3, hi: 0.98, tol: 0.03 },
@@ -593,7 +555,7 @@ pub fn fig15(opts: &ReproOpts) -> FigTable {
                 }
             };
             // Application-goodput fraction at the capacity point.
-            let res = run_protocol_scenario(
+            let res = oneway(
                 p,
                 &base.clone().with_load((cap - 0.02).max(0.1)),
                 &OnewayOpts::default(),
@@ -604,13 +566,6 @@ pub fn fig15(opts: &ReproOpts) -> FigTable {
             } else {
                 0.0
             };
-            println!(
-                "{:>4} {:<10} {:>9.0}% {:>13.0}%",
-                w.name(),
-                p.name(),
-                cap * 100.0,
-                cap * frac * 100.0
-            );
             Row::new()
                 .curve(w.name(), &p.name(), "", 0.0, "max_load")
                 .xy(0.0, cap)
@@ -618,42 +573,146 @@ pub fn fig15(opts: &ReproOpts) -> FigTable {
                 .push(&mut t);
         }
     }
+    vec![t]
+}
+
+/// One configuration of an ablation: a `variant` label and the
+/// [`HomaConfig`] it stands for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Variant {
+    /// `unsched=N`: N unscheduled levels above one scheduled level.
+    Unsched(u8),
+    /// `sched=N`: N scheduled levels below one unscheduled level.
+    Sched(u8),
+    /// `cutoff=N`: two unscheduled levels split at N bytes.
+    Cutoff(u64),
+    /// `unsched_limit=<name>`: at most this many blind bytes per message.
+    UnschedLimit(&'static str, u64),
+}
+
+impl Variant {
+    /// The row's `variant` column.
+    pub fn label(&self) -> String {
+        match self {
+            Variant::Unsched(n) => format!("unsched={n}"),
+            Variant::Sched(n) => format!("sched={n}"),
+            Variant::Cutoff(bytes) => format!("cutoff={bytes}"),
+            Variant::UnschedLimit(name, _) => format!("unsched_limit={name}"),
+        }
+    }
+
+    /// The configuration the label stands for.
+    pub fn config(&self) -> HomaConfig {
+        let base = HomaConfig::default();
+        match *self {
+            Variant::Unsched(n) => {
+                HomaConfig { num_priorities: n + 1, unsched_levels_override: Some(n), ..base }
+            }
+            Variant::Sched(n) => {
+                HomaConfig { num_priorities: n + 1, unsched_levels_override: Some(1), ..base }
+            }
+            Variant::Cutoff(bytes) => HomaConfig {
+                unsched_levels_override: Some(2),
+                cutoff_override: Some(vec![bytes]),
+                ..base
+            },
+            Variant::UnschedLimit(_, bytes) => HomaConfig { unsched_limit: bytes, ..base },
+        }
+    }
+}
+
+/// One of Figures 17–20: a workload and the variants swept on it.
+pub struct Ablation {
+    /// The table this sweep fills.
+    pub figure: &'static str,
+    /// The workload every variant runs (at 80% load).
+    pub workload: Workload,
+    /// The variants the figure shows, in row order.
+    pub variants: &'static [Variant],
+}
+
+/// Figure 17: number of unscheduled priority levels (W1).
+pub const FIG17: Ablation = Ablation {
+    figure: "fig17",
+    workload: Workload::W1,
+    variants: &[Variant::Unsched(1), Variant::Unsched(2), Variant::Unsched(3), Variant::Unsched(7)],
+};
+
+/// Figure 18: cutoff point between two unscheduled priorities (W3).
+pub const FIG18: Ablation = Ablation {
+    figure: "fig18",
+    workload: Workload::W3,
+    variants: &[
+        Variant::Cutoff(100),
+        Variant::Cutoff(400),
+        Variant::Cutoff(1_000),
+        Variant::Cutoff(2_000),
+        Variant::Cutoff(4_000),
+    ],
+};
+
+/// Figure 19: number of scheduled priority levels (W4).
+pub const FIG19: Ablation = Ablation {
+    figure: "fig19",
+    workload: Workload::W4,
+    variants: &[Variant::Sched(4), Variant::Sched(7)],
+};
+
+/// Figure 20: unscheduled-bytes limit (W4).
+pub const FIG20: Ablation = Ablation {
+    figure: "fig20",
+    workload: Workload::W4,
+    variants: &[
+        Variant::UnschedLimit("1B", 1),
+        Variant::UnschedLimit("500B", 500),
+        Variant::UnschedLimit("1000B", 1_000),
+        Variant::UnschedLimit("RTTbytes", RTT_BYTES),
+        Variant::UnschedLimit("2xRTTbytes", 2 * RTT_BYTES),
+    ],
+};
+
+/// Figures 17–20: Homa on `a.workload` at 80% load, one row per variant
+/// (`overall_p99`, with the small-message tail and completion beside it).
+/// `variants` is `a.variants` or, for a test that needs two rows, two.
+pub fn ablation(a: &Ablation, variants: &[Variant], opts: &ReproOpts) -> FigTable {
+    let mut t = opts.table(a.figure);
+    let spec = opts.spec(a.figure, a.workload, 0.8, opts.msgs_for(a.workload));
+    for v in variants {
+        let res =
+            oneway(Protocol::Homa, &spec, &OnewayOpts::default().with_records(), Some(v.config()));
+        let s = SlowdownSummary::from_records(&res.records, opts.bins);
+        Row::new()
+            .curve(a.workload.name(), "Homa", &v.label(), 0.8, "overall_p99")
+            .xy(0.0, s.overall_p99)
+            .n("small_msg_p99", SlowdownSummary::small_message_p99(&res.records, 0.5))
+            .n("delivered", res.delivered as f64)
+            .n("injected", res.injected as f64)
+            .push(&mut t);
+    }
     t
 }
 
 /// Figure 16: wasted bandwidth vs load for different overcommitment.
-pub fn fig16(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig16", opts.stamp("fig16"));
-    println!("\n=== Figure 16: wasted bandwidth vs load (W4) ===");
-    let scheds: Vec<u8> = if opts.full { vec![1, 2, 3, 4, 5, 7] } else { vec![1, 3, 7] };
-    let loads: Vec<f64> =
-        if opts.full { vec![0.5, 0.6, 0.7, 0.8, 0.85, 0.9] } else { vec![0.5, 0.7, 0.85] };
+/// (Not an [`ablation`]: its metric comes from the wasted-bandwidth
+/// sampler and its x axis is the load.)
+fn fig16(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t = opts.table("fig16");
+    let scheds: &[u8] = if opts.full { &[1, 2, 3, 4, 5, 7] } else { &[1, 3, 7] };
+    let loads: &[f64] =
+        if opts.full { &[0.5, 0.6, 0.7, 0.8, 0.85, 0.9] } else { &[0.5, 0.7, 0.85] };
     let n = opts.msgs_for(Workload::W4);
-    println!("{:>12} {:>8} {:>16} {:>16}", "sched prios", "load", "wasted bw", "delivered");
-    for &s in &scheds {
-        for &load in &loads {
-            let cfg = HomaConfig {
-                num_priorities: s + 1,
-                unsched_levels_override: Some(1),
-                ..HomaConfig::default()
-            };
-            let res = run_protocol_scenario(
+    for v in scheds.iter().map(|&s| Variant::Sched(s)) {
+        for &load in loads {
+            let res = oneway(
                 Protocol::Homa,
                 &opts.spec("fig16", Workload::W4, load, n),
                 &OnewayOpts { sample_wasted: true, ..OnewayOpts::default() },
-                Some(cfg),
-            );
-            println!(
-                "{s:>12} {:>7.0}% {:>15.1}% {:>11}/{}",
-                load * 100.0,
-                res.wasted_fraction * 100.0,
-                res.delivered,
-                res.injected
+                Some(v.config()),
             );
             // Per the reference encoding, the canonical `load` is 0 and
             // the network load rides the x axis (XAxis::Load).
             Row::new()
-                .curve("W4", "Homa", &format!("sched={s}"), 0.0, "wasted_frac")
+                .curve("W4", "Homa", &v.label(), 0.0, "wasted_frac")
                 .xy(load, res.wasted_fraction)
                 .n("net_load", load)
                 .n("delivered", res.delivered as f64)
@@ -661,159 +720,16 @@ pub fn fig16(opts: &ReproOpts) -> FigTable {
                 .push(&mut t);
         }
     }
-    t
-}
-
-/// Figure 17: number of unscheduled priority levels (W1).
-pub fn fig17(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig17", opts.stamp("fig17"));
-    println!("\n=== Figure 17: unscheduled priority levels (W1, 80% load, 1 sched) ===");
-    let n = opts.msgs_for(Workload::W1);
-    for u in [1u8, 2, 3, 7] {
-        let cfg = HomaConfig {
-            num_priorities: u + 1,
-            unsched_levels_override: Some(u),
-            ..HomaConfig::default()
-        };
-        let res = run_protocol_scenario(
-            Protocol::Homa,
-            &opts.spec("fig17", Workload::W1, 0.8, n),
-            &OnewayOpts::default().with_records(),
-            Some(cfg),
-        );
-        let s = SlowdownSummary::from_records(&res.records, opts.bins);
-        let small = SlowdownSummary::small_message_p99(&res.records, 0.5);
-        println!(
-            "unsched={u}: overall p99 {:>7.2}  small-msg p99 {:>7.2}  delivered {}/{}",
-            s.overall_p99, small, res.delivered, res.injected
-        );
-        Row::new()
-            .curve("W1", "Homa", &format!("unsched={u}"), 0.8, "overall_p99")
-            .xy(0.0, s.overall_p99)
-            .n("small_msg_p99", small)
-            .n("delivered", res.delivered as f64)
-            .n("injected", res.injected as f64)
-            .push(&mut t);
-    }
-    t
-}
-
-/// Figure 18: cutoff point between two unscheduled priorities (W3).
-pub fn fig18(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig18", opts.stamp("fig18"));
-    println!("\n=== Figure 18: unscheduled cutoff sweep (W3, 80% load, 2 unsched) ===");
-    let dist = Workload::W3.dist();
-    let n = opts.msgs_for(Workload::W3);
-    // Homa's own equal-bytes choice, for reference.
-    let auto = static_map_for_workload(
-        &dist,
-        &HomaConfig { unsched_levels_override: Some(2), ..HomaConfig::default() },
-    );
-    println!("Homa's equal-bytes algorithm picks cutoff {:?}", auto.cutoffs);
-    for cutoff in [100u64, 400, 1_000, 2_000, 4_000] {
-        let cfg = HomaConfig {
-            unsched_levels_override: Some(2),
-            cutoff_override: Some(vec![cutoff]),
-            ..HomaConfig::default()
-        };
-        let res = run_protocol_scenario(
-            Protocol::Homa,
-            &opts.spec("fig18", Workload::W3, 0.8, n),
-            &OnewayOpts::default().with_records(),
-            Some(cfg),
-        );
-        let s = SlowdownSummary::from_records(&res.records, opts.bins);
-        let small = SlowdownSummary::small_message_p99(&res.records, 0.5);
-        println!(
-            "cutoff={cutoff:>5}B: overall p99 {:>7.2}  small-msg p99 {:>7.2}",
-            s.overall_p99, small
-        );
-        Row::new()
-            .curve("W3", "Homa", &format!("cutoff={cutoff}"), 0.8, "overall_p99")
-            .xy(0.0, s.overall_p99)
-            .n("small_msg_p99", small)
-            .push(&mut t);
-    }
-    t
-}
-
-/// Figure 19: number of scheduled priority levels (W4).
-pub fn fig19(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig19", opts.stamp("fig19"));
-    println!("\n=== Figure 19: scheduled priority levels (W4, 80% load, 1 unsched) ===");
-    let n = opts.msgs_for(Workload::W4);
-    for s in [4u8, 7] {
-        let cfg = HomaConfig {
-            num_priorities: s + 1,
-            unsched_levels_override: Some(1),
-            ..HomaConfig::default()
-        };
-        let res = run_protocol_scenario(
-            Protocol::Homa,
-            &opts.spec("fig19", Workload::W4, 0.8, n),
-            &OnewayOpts::default().with_records(),
-            Some(cfg),
-        );
-        let sm = SlowdownSummary::from_records(&res.records, opts.bins);
-        println!(
-            "sched={s}: overall p99 {:>7.2}  delivered {}/{}",
-            sm.overall_p99, res.delivered, res.injected
-        );
-        Row::new()
-            .curve("W4", "Homa", &format!("sched={s}"), 0.8, "overall_p99")
-            .xy(0.0, sm.overall_p99)
-            .n("delivered", res.delivered as f64)
-            .n("injected", res.injected as f64)
-            .push(&mut t);
-    }
-    t
-}
-
-/// Figure 20: unscheduled-bytes limit (W4).
-pub fn fig20(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig20", opts.stamp("fig20"));
-    println!("\n=== Figure 20: unscheduled byte limit (W4, 80% load) ===");
-    let n = opts.msgs_for(Workload::W4);
-    let rtt = HomaConfig::default().rtt_bytes;
-    for (label, limit) in
-        [("1B", 1u64), ("500B", 500), ("1000B", 1_000), ("RTTbytes", rtt), ("2xRTTbytes", 2 * rtt)]
-    {
-        let cfg = HomaConfig { unsched_limit: limit, ..HomaConfig::default() };
-        let res = run_protocol_scenario(
-            Protocol::Homa,
-            &opts.spec("fig20", Workload::W4, 0.8, n),
-            &OnewayOpts::default().with_records(),
-            Some(cfg),
-        );
-        let s = SlowdownSummary::from_records(&res.records, opts.bins);
-        let small = SlowdownSummary::small_message_p99(&res.records, 0.5);
-        println!(
-            "unsched_limit={label:>10}: overall p99 {:>7.2}  small-msg p99 {:>7.2}",
-            s.overall_p99, small
-        );
-        Row::new()
-            .curve("W4", "Homa", &format!("unsched_limit={label}"), 0.8, "overall_p99")
-            .xy(0.0, s.overall_p99)
-            .n("small_msg_p99", small)
-            .n("unsched_limit_bytes", limit as f64)
-            .push(&mut t);
-    }
-    t
+    vec![t]
 }
 
 /// Figure 21: traffic per priority level vs load (W3).
-pub fn fig21(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("fig21", opts.stamp("fig21"));
-    println!("\n=== Figure 21: priority level usage (W3) ===");
-    let topo = opts.fabric();
+fn fig21(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t = opts.table("fig21");
+    let topo = opts.fabric_spec().topology();
     let n = opts.msgs_for(Workload::W3);
-    println!(
-        "{:>6} {}",
-        "load",
-        (0..8).map(|i| format!("{:>8}", format!("P{i}"))).collect::<String>()
-    );
     for load in [0.5, 0.8, 0.9] {
-        let res = run_protocol_scenario(
+        let res = oneway(
             Protocol::Homa,
             &opts.spec("fig21", Workload::W3, load, n),
             &OnewayOpts::default(),
@@ -822,12 +738,6 @@ pub fn fig21(opts: &ReproOpts) -> FigTable {
         // Fraction of total available uplink bandwidth per priority.
         let capacity_bytes =
             topo.num_hosts() as f64 * topo.host_link_bps as f64 / 8.0 * res.duration.as_secs_f64();
-        let row: String = res
-            .prio_bytes
-            .iter()
-            .map(|&b| format!("{:>7.1}%", b as f64 / capacity_bytes * 100.0))
-            .collect();
-        println!("{:>5.0}% {row}", load * 100.0);
         for (i, &b) in res.prio_bytes.iter().enumerate() {
             Row::new()
                 .curve("W3", "Homa", &format!("P{i}"), 0.0, "prio_frac")
@@ -835,62 +745,29 @@ pub fn fig21(opts: &ReproOpts) -> FigTable {
                 .push(&mut t);
         }
     }
-    t
+    vec![t]
 }
 
 /// Table 1: queue lengths at the three fabric levels.
-pub fn table1(opts: &ReproOpts) -> FigTable {
-    let mut t = FigTable::new("table1", opts.stamp("table1"));
-    println!("\n=== Table 1: switch queue lengths at 80% load (mean/max) ===");
-    let workloads = if opts.workloads == ReproOpts::default().workloads {
-        Workload::ALL.to_vec()
-    } else {
-        opts.workloads.clone()
-    };
-    println!(
-        "{:<12} {}",
-        "queue",
-        workloads.iter().map(|w| format!("{:>20}", w.name())).collect::<String>()
-    );
-    let mut rows: BTreeMap<&str, Vec<String>> = BTreeMap::new();
-    for &w in &workloads {
-        let res = run_protocol_scenario(
+fn table1(opts: &ReproOpts) -> Vec<FigTable> {
+    let mut t = opts.table("table1");
+    for &w in opts.workloads_or(&Workload::ALL) {
+        let res = oneway(
             Protocol::Homa,
             &opts.spec("table1", w, 0.8, opts.msgs_for(w)),
             &OnewayOpts::default(),
             None,
         );
         for class in [PortClass::TorUp, PortClass::SpineDown, PortClass::TorDown] {
-            let mean = res.stats.mean_queue_bytes(class).unwrap_or(0.0);
-            let max = res.stats.max_queue_bytes(class).unwrap_or(0) as f64;
-            rows.entry(class.label()).or_default().push(format!(
-                "{:>8}/{:>8}",
-                fmt_bytes(mean),
-                fmt_bytes(max)
-            ));
             Row::new()
                 .s("workload", w.name())
                 .s("queue", class.label())
-                .n("mean_bytes", mean)
-                .n("max_bytes", max)
+                .n("mean_bytes", res.stats.mean_queue_bytes(class).unwrap_or(0.0))
+                .n("max_bytes", res.stats.max_queue_bytes(class).unwrap_or(0) as f64)
                 .push(&mut t);
         }
     }
-    for (label, cells) in rows {
-        println!("{label:<12} {}", cells.iter().map(|c| format!("{c:>20}")).collect::<String>());
-    }
-    t
-}
-
-/// The figures `repro compare` checks against [`figures::REFERENCE`]:
-/// 12/13 (slowdown curves), 14 (delay attribution, report-only),
-/// 15 (capacity), 16 (wasted bandwidth).
-pub const COMPARE_FIGURES: &[&str] = &["fig12", "fig13", "fig14", "fig15", "fig16"];
-
-/// Run the comparison set of figures and return their tables.
-pub fn run_compare_set(opts: &ReproOpts) -> Vec<FigTable> {
-    let (t12, t13) = fig12_13(opts);
-    vec![t12, t13, fig14(opts), fig15(opts), fig16(opts)]
+    vec![t]
 }
 
 /// The outcome of a figure-accuracy comparison.
@@ -965,11 +842,4 @@ pub fn compare_tables(tables: &[FigTable], tol_scale: f64, produced_by: String) 
         }
     }
     CompareOutcome { report, failures, gated_curves_joined, delta_table }
-}
-
-/// Write a table to `dir/FIG_<n>.json`, returning the path.
-pub fn write_table(dir: &std::path::Path, t: &FigTable) -> std::io::Result<std::path::PathBuf> {
-    let path = dir.join(t.file_name());
-    std::fs::write(&path, render_table(t))?;
-    Ok(path)
 }

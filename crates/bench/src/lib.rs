@@ -12,10 +12,10 @@
 //! | module | paper section |
 //! |---|---|
 //! | [`Protocol`] dispatch | §5.1–§5.2 transport comparison |
-//! | [`figdata`] | every §5 figure/table as data (+ the Figures 12–16 accuracy gate) |
-//! | [`perfjson`] | machine-readable results (`BENCH_*.json`, `FIG_*.json`) |
+//! | [`figdata`] | `FIGURES`: every §5 figure/table as one registry of data builders (+ the Figures 12–16 accuracy gate) |
+//! | [`perfjson`] | machine-readable results (`BENCH_*.json`, `FIG_*.json`) and their text view |
 //! | [`tracecmd`] | flight-recorder trace export + summaries (`repro trace`) |
-//! | `bin/repro` | the §5 evaluation, regenerated |
+//! | `bin/repro` | the §5 evaluation, regenerated: a CLI over the registry |
 //! | `bin/perf-smoke` | CI performance-regression gate (not in the paper) |
 
 #![warn(missing_docs)]

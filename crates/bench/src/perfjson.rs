@@ -10,13 +10,14 @@
 //!   object per data row inside a `"rows"` array, with free-form columns
 //!   ([`Field`]: string or number) so every figure can carry its own
 //!   shape while the comparison gate reads the canonical columns it
-//!   needs.
+//!   needs. [`render_text`] is the same rows as the aligned text table
+//!   `repro` prints.
 //!
 //! The parsers accept exactly what the renderers emit (plus whitespace
 //! variations) — they are readers for our own files, not general JSON
 //! parsers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// One cell of a [`FigTable`] row: a string or a (finite) number.
@@ -53,9 +54,13 @@ impl Field {
 }
 
 /// One row of figure data: column name → cell. Columns are free-form;
-/// the `repro compare` gate looks for the canonical ones
-/// (`workload`/`protocol`/`variant`/`load`/`metric`/`x`/`value`).
+/// the `repro compare` gate looks for the [`CANONICAL_COLUMNS`].
 pub type FigRow = BTreeMap<String, Field>;
+
+/// The columns that say which curve a row belongs to and where its point
+/// sits, in the order the text view shows them.
+pub const CANONICAL_COLUMNS: [&str; 7] =
+    ["workload", "protocol", "variant", "load", "metric", "x", "value"];
 
 /// Machine-readable data for one figure/table of the paper, written as
 /// `FIG_<n>.json` next to the text output.
@@ -133,6 +138,40 @@ pub fn render_table(t: &FigTable) -> String {
         out.push_str(if i + 1 < t.rows.len() { "},\n" } else { "}\n" });
     }
     out.push_str("  ]\n}\n");
+    out
+}
+
+/// Render a figure table as aligned text: a header line, then one line
+/// per row. The [`CANONICAL_COLUMNS`] that any row carries come first,
+/// then the rest in key order. Numbers go through [`fmt_num`], so the
+/// text and the JSON agree digit for digit; an absent (or empty) cell
+/// prints `-`.
+pub fn render_text(t: &FigTable) -> String {
+    let present: BTreeSet<&str> =
+        t.rows.iter().flat_map(|r| r.keys().map(String::as_str)).collect();
+    let cols: Vec<&str> = (CANONICAL_COLUMNS.into_iter().filter(|c| present.contains(c)))
+        .chain(present.iter().copied().filter(|c| !CANONICAL_COLUMNS.contains(c)))
+        .collect();
+    let mut lines: Vec<Vec<String>> = vec![cols.iter().map(|c| c.to_string()).collect()];
+    lines.extend(t.rows.iter().map(|row| {
+        cols.iter()
+            .map(|&c| match row.get(c) {
+                Some(Field::Text(s)) if !s.is_empty() => s.clone(),
+                Some(Field::Num(n)) => fmt_num(*n),
+                _ => "-".to_string(),
+            })
+            .collect()
+    }));
+    let widths: Vec<usize> = (0..cols.len())
+        .map(|i| lines.iter().map(|l| l[i].chars().count()).max().unwrap_or(0))
+        .collect();
+    let mut out = String::new();
+    for line in &lines {
+        for (i, (cell, width)) in line.iter().zip(&widths).enumerate() {
+            let _ = write!(out, "{}{cell:>width$}", if i > 0 { "  " } else { "" });
+        }
+        out.push('\n');
+    }
     out
 }
 

@@ -18,8 +18,8 @@
 //! To refresh after an intentional change:
 //! `BLESS=1 cargo test -p homa-bench --test fig_golden`
 
-use homa_bench::figdata::{self, measured_points, ReproOpts};
-use homa_bench::perfjson::{parse_table, render_table, FigTable};
+use homa_bench::figdata::{figure, measured_points, ReproOpts};
+use homa_bench::perfjson::{parse_table, render_table};
 use homa_workloads::Workload;
 
 /// The options the golden files were generated with (equivalent to
@@ -27,30 +27,30 @@ use homa_workloads::Workload;
 fn golden_opts(workload: Workload) -> ReproOpts {
     ReproOpts {
         full: false,
-        workloads: vec![workload],
-        loads: vec![0.8],
+        workloads: Some(vec![workload]),
+        loads: Some(vec![0.8]),
         seed: 42,
         msgs_scale: 0.05,
         bins: 10,
     }
 }
 
-/// One pinned figure: its builder, workload, checked-in bytes and the
-/// path `BLESS=1` rewrites.
-type Golden = (fn(&ReproOpts) -> FigTable, Workload, &'static str, &'static str);
+/// One pinned table: its name in the registry, workload, checked-in
+/// bytes and the path `BLESS=1` rewrites.
+type Golden = (&'static str, Workload, &'static str, &'static str);
 
 /// `fig12` pins the one-way driver shape (four protocols on W4), `fig8`
 /// the echo-RPC shape (600 RPCs × five Homa variants on W3, plus the
 /// one-way streaming row).
 const GOLDENS: [Golden; 2] = [
     (
-        figdata::fig12,
+        "fig12",
         Workload::W4,
         include_str!("golden/FIG_12_seed42_w4.json"),
         "tests/golden/FIG_12_seed42_w4.json",
     ),
     (
-        figdata::fig8,
+        "fig8",
         Workload::W3,
         include_str!("golden/FIG_8_seed42_w3.json"),
         "tests/golden/FIG_8_seed42_w3.json",
@@ -59,8 +59,10 @@ const GOLDENS: [Golden; 2] = [
 
 #[test]
 fn seed42_reduced_figures_match_goldens() {
-    for (build, workload, golden, path) in GOLDENS {
-        let json = render_table(&build(&golden_opts(workload)));
+    for (name, workload, golden, path) in GOLDENS {
+        let built = (figure(name).expect("registered").build)(&golden_opts(workload));
+        let table = built.iter().find(|t| t.figure == name).expect("builder returns its table");
+        let json = render_table(table);
         if std::env::var("BLESS").is_ok() {
             std::fs::write(path, &json).expect("write golden");
             continue;

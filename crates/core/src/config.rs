@@ -1,5 +1,19 @@
 //! Protocol configuration.
 
+/// Maximum application payload bytes per DATA packet. With
+/// [`DATA_OVERHEAD`] it approximates the 1500-byte Ethernet frames of
+/// the paper's simulations. The baseline transports and the harness
+/// define their packet sizes from these four constants, so every
+/// comparison runs on the same framing.
+pub const MAX_PAYLOAD: u32 = 1_400;
+/// Wire overhead of a DATA packet beyond its payload (Homa header +
+/// IP/Ethernet framing).
+pub const DATA_OVERHEAD: u32 = 60;
+/// Wire size of a control packet (GRANT/RESEND/BUSY/CUTOFFS).
+pub const CTRL_BYTES: u32 = 40;
+/// RTTbytes on the paper's simulated 10 Gbps fabric.
+pub const RTT_BYTES: u64 = 9_700;
+
 /// All tunables of a Homa endpoint.
 ///
 /// Defaults correspond to the paper's 10 Gbps configuration: `RTTbytes ≈
@@ -77,15 +91,15 @@ pub struct HomaConfig {
 impl Default for HomaConfig {
     fn default() -> Self {
         HomaConfig {
-            rtt_bytes: 9_700,
-            unsched_limit: 9_700,
+            rtt_bytes: RTT_BYTES,
+            unsched_limit: RTT_BYTES,
             num_priorities: 8,
             unsched_levels_override: None,
             cutoff_override: None,
             overcommit_override: None,
-            max_payload: 1_400,
-            data_overhead: 60,
-            ctrl_bytes: 40,
+            max_payload: MAX_PAYLOAD,
+            data_overhead: DATA_OVERHEAD,
+            ctrl_bytes: CTRL_BYTES,
             resend_interval_ns: 2_000_000, // 2 ms
             abort_after_resends: 5,
             incast_threshold: 64,

@@ -27,13 +27,13 @@ use homa_workloads::{LoadPlan, MessageSizeDist, PoissonArrivals, TrafficMatrix};
 use std::collections::HashMap;
 
 /// Per-packet constants used for unloaded-latency denominators and load
-/// planning; all transports in this repository share them (see
-/// `homa_baselines::common`).
-pub const PAYLOAD: u64 = 1_400;
+/// planning: the ones every transport in this repository is built on
+/// (`homa::config`, from which `homa_baselines::common` takes its own).
+pub const PAYLOAD: u64 = homa::config::MAX_PAYLOAD as u64;
 /// Wire overhead per data packet.
-pub const OVERHEAD: u64 = 60;
+pub const OVERHEAD: u64 = homa::config::DATA_OVERHEAD as u64;
 /// Wire size of control packets.
-pub const CTRL: u64 = 40;
+pub const CTRL: u64 = homa::config::CTRL_BYTES as u64;
 
 /// Cadence of the Figure 16 wasted-bandwidth probe.
 const SAMPLE_INTERVAL: SimDuration = SimDuration::from_micros(10);
@@ -396,7 +396,7 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
 
 /// Mean wire overhead per message of `dist`, for load planning.
 fn mean_overhead(dist: &MessageSizeDist) -> f64 {
-    LoadPlan::estimate_overhead(dist, PAYLOAD, OVERHEAD, CTRL, 9_700)
+    LoadPlan::estimate_overhead(dist, PAYLOAD, OVERHEAD, CTRL, homa::config::RTT_BYTES)
 }
 
 /// Run the one-way-message experiment `spec` describes: inject

@@ -1,7 +1,7 @@
 //! Plain-text rendering of experiment outputs.
 //!
-//! The `repro` binary prints figures as aligned text tables (one row per
-//! size bin / sweep point), which is what `EXPERIMENTS.md` records.
+//! Slowdown summaries for the examples and the per-curve delta tables of
+//! `repro compare` (figure tables: `homa_bench::perfjson::render_text`).
 
 use crate::figures::CurveDelta;
 use crate::slowdown::SlowdownSummary;
@@ -105,17 +105,6 @@ pub fn fmt_bps(bps: f64) -> String {
     }
 }
 
-/// Format a byte count with units.
-pub fn fmt_bytes(b: f64) -> String {
-    if b >= 1e6 {
-        format!("{:.1} MB", b / 1e6)
-    } else if b >= 1e3 {
-        format!("{:.1} KB", b / 1e3)
-    } else {
-        format!("{b:.0} B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +164,5 @@ mod tests {
     fn formatting_units() {
         assert_eq!(fmt_bps(9.6e9), "9.60 Gbps");
         assert_eq!(fmt_bps(42e6), "42.00 Mbps");
-        assert_eq!(fmt_bytes(1_500.0), "1.5 KB");
-        assert_eq!(fmt_bytes(2_500_000.0), "2.5 MB");
     }
 }

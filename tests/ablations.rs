@@ -1,8 +1,10 @@
 //! Integration tests for the paper's mechanism ablations: each of Homa's
 //! design choices must have a measurable effect in the direction the
-//! paper reports.
+//! paper reports. The Figure 17/18/20 claims are ordinal assertions over
+//! the rows `repro` writes, at the `--scale 0.2` of the CI figure gate
+//! and at both of its seeds.
 
-use homa::HomaConfig;
+use homa_bench::figdata::{ablation, Ablation, ReproOpts, Variant, FIG17, FIG18, FIG20};
 use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::slowdown::SlowdownSummary;
@@ -10,6 +12,17 @@ use homa_harness::{FabricSpec, ScenarioSpec};
 use homa_workloads::Workload;
 
 const FABRIC: FabricSpec = FabricSpec::LeafSpine { racks: 3, hosts_per_rack: 8, spines: 2 };
+
+/// `small_msg_p99` of each labelled variant of `a` (all of them for an
+/// empty `labels`), from the table `repro` builds at `seed`.
+fn small_msg_p99(a: &Ablation, labels: &[&str], seed: u64) -> Vec<f64> {
+    let picked: Vec<Variant> = (a.variants.iter().copied())
+        .filter(|v| labels.is_empty() || labels.contains(&v.label().as_str()))
+        .collect();
+    let opts = ReproOpts { seed, msgs_scale: 0.2, ..ReproOpts::default() };
+    let table = ablation(a, &picked, &opts);
+    table.rows.iter().map(|r| r["small_msg_p99"].as_num().expect("numeric column")).collect()
+}
 
 #[test]
 fn delay_attribution_shows_preemption_lag_dominates() {
@@ -41,16 +54,11 @@ fn overcommitment_reduces_wasted_bandwidth() {
     // overcommitment) means less wasted receiver bandwidth on W4.
     let spec = ScenarioSpec::new("ablate_sched", FABRIC, Workload::W4, 0.75, 1_200, 13);
     let run = |sched: u8| {
-        let cfg = HomaConfig {
-            num_priorities: sched + 1,
-            unsched_levels_override: Some(1),
-            ..HomaConfig::default()
-        };
         let res = run_protocol_scenario(
             Protocol::Homa,
             &spec,
             &OnewayOpts { sample_wasted: true, ..OnewayOpts::default() },
-            Some(cfg),
+            Some(Variant::Sched(sched).config()),
         );
         res.wasted_fraction
     };
@@ -66,51 +74,43 @@ fn overcommitment_reduces_wasted_bandwidth() {
 
 #[test]
 fn more_unscheduled_levels_improve_w1_tails() {
-    // Figure 17: W1 needs multiple unscheduled levels.
-    let spec = ScenarioSpec::new("ablate_unsched", FABRIC, Workload::W1, 0.8, 8_000, 31);
-    let run = |unsched: u8| {
-        let cfg = HomaConfig {
-            num_priorities: unsched + 1,
-            unsched_levels_override: Some(unsched),
-            ..HomaConfig::default()
-        };
-        let res = run_protocol_scenario(
-            Protocol::Homa,
-            &spec,
-            &OnewayOpts::default().with_records(),
-            Some(cfg),
+    // Figure 17: W1 needs multiple unscheduled levels, and each one added
+    // helps (unsched = 1, 2, 3, 7).
+    for seed in [42, 7] {
+        let p99 = small_msg_p99(&FIG17, &[], seed);
+        assert!(p99.windows(2).all(|w| w[0] >= w[1]), "seed {seed}: not monotone: {p99:?}");
+        assert!(
+            p99[0] >= p99[3] * 1.5,
+            "seed {seed}: one unscheduled level must be >=1.5x worse than seven: {p99:?}"
         );
-        SlowdownSummary::small_message_p99(&res.records, 0.5)
-    };
-    let one = run(1);
-    let seven = run(7);
-    assert!(
-        one > seven * 1.5,
-        "one unscheduled level must be >=1.5x worse: 1 -> {one:.2}, 7 -> {seven:.2}"
-    );
+    }
+}
+
+#[test]
+fn balanced_cutoff_beats_the_extremes() {
+    // Figure 18: with two unscheduled levels, a cutoff that starves one of
+    // them (100 B) is the worst choice and the best one is interior.
+    for seed in [42, 7] {
+        let p99 = small_msg_p99(&FIG18, &[], seed);
+        let by_value = |i: &usize, j: &usize| p99[*i].total_cmp(&p99[*j]);
+        let worst = (0..p99.len()).max_by(by_value).expect("rows");
+        let best = (0..p99.len()).min_by(by_value).expect("rows");
+        assert_eq!(worst, 0, "seed {seed}: cutoff=100 must be the worst: {p99:?}");
+        assert!((1..=3).contains(&best), "seed {seed}: the best cutoff is interior: {p99:?}");
+    }
 }
 
 #[test]
 fn blind_transmission_matters_for_small_messages() {
     // Figure 20: a tiny unscheduled limit forces a scheduling round trip
     // onto every message and inflates small-message latency.
-    let spec = ScenarioSpec::new("ablate_blind", FABRIC, Workload::W4, 0.7, 1_200, 41);
-    let run = |limit: u64| {
-        let cfg = HomaConfig { unsched_limit: limit, ..HomaConfig::default() };
-        let res = run_protocol_scenario(
-            Protocol::Homa,
-            &spec,
-            &OnewayOpts::default().with_records(),
-            Some(cfg),
+    for seed in [42, 7] {
+        let p99 = small_msg_p99(&FIG20, &["unsched_limit=1B", "unsched_limit=RTTbytes"], seed);
+        assert!(
+            p99[0] >= p99[1] * 1.5,
+            "seed {seed}: suppressing blind transmission must hurt (1B, RTTbytes): {p99:?}"
         );
-        SlowdownSummary::small_message_p99(&res.records, 0.4)
-    };
-    let tiny = run(1);
-    let rtt = run(9_700);
-    assert!(
-        tiny > rtt * 1.5,
-        "suppressing blind transmission must hurt: limit=1B -> {tiny:.2}, RTTbytes -> {rtt:.2}"
-    );
+    }
 }
 
 #[test]

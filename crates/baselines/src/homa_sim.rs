@@ -123,7 +123,7 @@ impl HomaSimTransport {
     }
 
     fn drain_events(&mut self, act: &mut TransportActions) {
-        for ev in self.ep.take_events() {
+        for ev in self.ep.drain_events() {
             match ev {
                 HomaEvent::MessageDelivered { src, len, tag, .. } => {
                     act.event(AppEvent::MessageDelivered { src: HostId(src.0), tag, len });

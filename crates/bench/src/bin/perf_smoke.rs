@@ -1,7 +1,10 @@
 //! `perf-smoke` — the CI fixed-point and footprint gate.
 //!
-//! Runs a fixed set of deterministic scenarios (fixed seed, W4 at 80%
-//! load, 40- to 160-host multi-TOR fabrics and the 1,024-host fat tree),
+//! Runs a fixed set of deterministic scenarios (fixed seed; W4 at 80%
+//! load on 40- to 160-host multi-TOR fabrics and the 1,024-host fat
+//! tree, an incast under link flaps, and 200,000 W1 messages on the
+//! 160-host fabric, where per-message state rather than the event engine
+//! sets the cost and the footprint),
 //! measures wall-clock, events/sec and peak resident set, and emits a
 //! machine-readable JSON report. CI compares the report against the
 //! checked-in `BENCH_BASELINE.json` and fails when a deterministic count
@@ -118,6 +121,23 @@ fn gate_scenarios(quick: bool) -> Vec<GateScenario> {
                 5,
             )),
             min_delivered_frac: 0.90,
+        },
+        // The short-message path: the benchmark's `sim_w1_small` spec,
+        // eight events a message, nearly every message one packet. The
+        // whole run fits inside one linger window (§3.8), so its peak RSS
+        // is what a sender retains per fully-sent one-way times 200,000:
+        // 25 MB as parked-ring records, 58 MB when they were whole
+        // messages in two hash tables.
+        GateScenario {
+            spec: ScenarioSpec::new(
+                "w1_80_160h",
+                FabricSpec::MultiTor { hosts: 160 },
+                Workload::W1,
+                0.8,
+                200_000 / scale,
+                SEED,
+            ),
+            min_delivered_frac: 0.99,
         },
         // The memory-lean scale target: 1024 hosts on a k=16 fat tree,
         // same W4 @ 80% shape, with a message budget (~30 msgs/host)

@@ -528,6 +528,14 @@ impl HomaEndpoint {
         std::mem::take(&mut self.events)
     }
 
+    /// Drain application events in place: the same events in the same
+    /// order as [`take_events`](Self::take_events), but the endpoint
+    /// keeps its buffer, so a caller that looks after every packet
+    /// allocates nothing per delivery.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, HomaEvent> {
+        self.events.drain(..)
+    }
+
     /// The Figure 16 probe: is this receiver withholding grants because of
     /// the overcommitment limit?
     pub fn withholding_grants(&self) -> bool {
@@ -673,6 +681,28 @@ mod tests {
         );
         assert_eq!(b.delivered_bytes(), 50_000);
         assert_eq!(b.inbound_count(), 0);
+    }
+
+    #[test]
+    fn drain_events_yields_what_take_events_would() {
+        // Two receivers fed the same traffic: one-packet one-ways, a long
+        // one and a request, so several events are pending at once.
+        let feed = |b: &mut HomaEndpoint| {
+            let mut a = HomaEndpoint::new(PeerId(0), HomaConfig::default());
+            for (len, tag) in [(100, 1), (20_000, 2), (300, 3)] {
+                a.send_message(0, PeerId(1), len, tag);
+            }
+            a.begin_rpc(0, PeerId(1), 50, 4);
+            shuttle(&mut a, b, 0, |_| false);
+        };
+        let (_, mut taken) = pair();
+        let (_, mut drained) = pair();
+        feed(&mut taken);
+        feed(&mut drained);
+        let want = taken.take_events();
+        assert_eq!(want.len(), 4);
+        assert_eq!(drained.drain_events().collect::<Vec<_>>(), want);
+        assert!(drained.take_events().is_empty(), "drained once");
     }
 
     #[test]

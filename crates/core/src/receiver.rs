@@ -105,6 +105,17 @@ impl ReceiverState {
     /// Handle an arriving DATA packet. Returns the completed message, if
     /// this packet finished one; grants produced by the scheduling pass
     /// are appended to `grants`.
+    ///
+    /// A message that arrives whole in a packet at offset 0 for a key with
+    /// no state (most of W1–W3, §2) is delivered straight from the header.
+    /// The general path would give the same answer the long way: create
+    /// an entry, record one range that covers it, take the blind bytes as
+    /// granted (no GRANT: nothing is left to grant), find it complete,
+    /// build the same `DeliveredMessage` from fields just copied out of
+    /// the header, remove the entry and reschedule over the same
+    /// messages as before. A key that already has state — a partly
+    /// received message whose sender restarted — takes the general path,
+    /// which merges the packet into what is there.
     pub fn on_data(
         &mut self,
         now: Nanos,
@@ -113,6 +124,23 @@ impl ReceiverState {
         map: &PriorityMap,
         grants: &mut Vec<(PeerId, GrantHeader)>,
     ) -> Option<DeliveredMessage> {
+        if hdr.offset == 0
+            && hdr.msg_len > 0
+            && u64::from(hdr.payload) >= hdr.msg_len
+            && !self.msgs.contains_key(&hdr.key)
+        {
+            self.delivered_bytes += hdr.msg_len;
+            self.delivered_msgs += 1;
+            self.reschedule(map, grants);
+            return Some(DeliveredMessage {
+                key: hdr.key,
+                src: from,
+                len: hdr.msg_len,
+                tag: hdr.tag,
+                incast_mark: hdr.incast_mark,
+                first_arrival: now,
+            });
+        }
         let m = self
             .msgs
             .entry(hdr.key)
@@ -564,7 +592,83 @@ mod tests {
         // state is created; it completes again (at-least-once semantics —
         // duplicate suppression happens above the transport, §3.8).
         let d2 = r.on_data(1, PeerId(5), &data(1, 100, 0, 100, true), &map(), &mut grants);
-        assert!(d2.is_some());
-        assert_eq!(r.delivered_msgs(), 2);
+        assert_eq!(d2.map(|d| d.first_arrival), Some(1));
+        assert_eq!((r.delivered_msgs(), r.delivered_bytes()), (2, 200));
+        assert_eq!(r.inbound_count(), 0);
+    }
+
+    #[test]
+    fn oversized_first_packet_delivers_the_message_length() {
+        let mut r = rx();
+        let mut grants = Vec::new();
+        let d = r.on_data(3, PeerId(5), &data(1, 100, 0, 1_400, true), &map(), &mut grants);
+        let want = DeliveredMessage {
+            key: key(1),
+            src: PeerId(5),
+            len: 100,
+            tag: 10,
+            incast_mark: false,
+            first_arrival: 3,
+        };
+        assert_eq!(d, Some(want));
+        assert!(grants.is_empty());
+        assert_eq!((r.delivered_msgs(), r.delivered_bytes()), (1, 100));
+        assert_eq!(r.inbound_count(), 0);
+    }
+
+    #[test]
+    fn empty_message_is_delivered_empty() {
+        let mut r = rx();
+        let mut grants = Vec::new();
+        let d = r.on_data(0, PeerId(5), &data(1, 0, 0, 0, true), &map(), &mut grants);
+        assert_eq!(d.map(|d| d.len), Some(0));
+        assert_eq!((r.delivered_msgs(), r.delivered_bytes()), (1, 0));
+        assert_eq!(r.inbound_count(), 0);
+    }
+
+    #[test]
+    fn whole_message_retransmission_completes_existing_partial_state() {
+        let mut r = rx();
+        let mut grants = Vec::new();
+        // A middle packet first: the key has state when the whole message
+        // comes in one (retransmitted) packet.
+        assert!(r
+            .on_data(0, PeerId(5), &data(1, 1_000, 400, 300, true), &map(), &mut grants)
+            .is_none());
+        assert_eq!(r.inbound_count(), 1);
+        let d = r.on_data(7, PeerId(5), &data(1, 1_000, 0, 1_000, false), &map(), &mut grants);
+        let d = d.expect("completed through the existing state");
+        assert_eq!(
+            (d.len, d.first_arrival),
+            (1_000, 0),
+            "the first packet's arrival, not this one's"
+        );
+        assert_eq!((r.delivered_msgs(), r.delivered_bytes()), (1, 1_000));
+        assert_eq!(r.inbound_count(), 0);
+    }
+
+    #[test]
+    fn one_packet_delivery_leaves_withholding_as_a_full_pass_would() {
+        let cfg = HomaConfig { overcommit_override: Some(1), ..HomaConfig::default() };
+        let mut r = ReceiverState::new(cfg);
+        let mut grants = Vec::new();
+        r.on_data(0, PeerId(5), &data(1, 20_000, 0, 1_400, true), &map(), &mut grants);
+        assert!(!r.withholding());
+        // A one-packet message arrives while nothing is withheld, then
+        // while something is: the probe follows the incomplete messages.
+        assert!(r
+            .on_data(1, PeerId(5), &data(8, 100, 0, 100, true), &map(), &mut grants)
+            .is_some());
+        assert!(!r.withholding());
+        r.on_data(2, PeerId(5), &data(2, 30_000, 0, 1_400, true), &map(), &mut grants);
+        assert!(r
+            .on_data(3, PeerId(5), &data(9, 100, 0, 100, true), &map(), &mut grants)
+            .is_some());
+        assert!(r.withholding());
+        let before = grants.len();
+        r.reschedule(&map(), &mut grants);
+        assert_eq!(grants.len(), before, "the delivery's own pass left nothing to grant");
+        assert!(r.withholding());
+        assert_eq!(r.inbound_count(), 2);
     }
 }

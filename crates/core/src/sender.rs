@@ -13,11 +13,27 @@
 //! removed when the response arrives; one-way messages linger for four
 //! resend intervals after their last byte so a late RESEND can still be
 //! answered. A lingering one-way has nothing to send, so it is *parked*:
-//! moved out of the map the per-packet paths scan (SRPT selection, the
-//! BUSY check, the stall sweep) into a side map that only keyed lookups
-//! touch. A RESEND that queues a retransmission moves it back until the
-//! retransmission has gone out. Per-packet cost therefore follows the
-//! number of messages with work left, not the number merely retained.
+//! taken out of the map the per-packet paths scan (SRPT selection, the
+//! BUSY check, the stall sweep) and kept as a 40-byte `Parked` record
+//! in a ring sorted by sequence number, which only keyed lookups touch.
+//! A RESEND that queues a retransmission rebuilds the message and moves
+//! it back until the retransmission has gone out. Per-packet cost
+//! therefore follows the number of messages with work left, not the
+//! number merely retained, and retention costs a `push_back`, not a
+//! hash-table insert: most one-ways are a single packet (§2), so every
+//! one of them passes through here.
+//!
+//! A parked record holds what the protocol can still be asked about —
+//! `seq`, `len`, `tag`, `created_at`, `dst`, both priorities and the
+//! incast mark — and nothing that follows from "every byte was sent":
+//! `sent == granted == len` (a grant never exceeds `len`, and `sent`
+//! never exceeds the grant), `retx` is empty, `unsched_limit` is
+//! `cfg.unsched_limit_for(incast_mark)` clipped to `len`, and the key's
+//! `origin` is the endpoint's own id, the same for every one-way it
+//! sends. `last_peer_activity` and `stall_pokes` are not kept because
+//! nothing reads them again: the stall sweep skips a message that is
+//! `transmittable` or `fully_sent`, and a woken one-way is the first
+//! until its retransmission is out and the second from then on.
 
 use crate::config::HomaConfig;
 use crate::messages::OutboundMessage;
@@ -39,6 +55,42 @@ pub enum ResendReaction {
     Unknown,
 }
 
+/// A fully-sent one-way retained for late RESENDs: the fields of its
+/// [`OutboundMessage`] that a full send does not determine (module doc).
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    seq: u64,
+    len: u64,
+    tag: u64,
+    created_at: Nanos,
+    dst: PeerId,
+    sched_prio: u8,
+    unsched_prio: u8,
+    incast_mark: bool,
+}
+
+impl Parked {
+    /// The message as it stood when its last byte went out.
+    fn wake(&self, key: MsgKey, cfg: &HomaConfig) -> OutboundMessage {
+        OutboundMessage {
+            key,
+            dst: self.dst,
+            len: self.len,
+            sent: self.len,
+            granted: self.len,
+            unsched_limit: cfg.unsched_limit_for(self.incast_mark).min(self.len),
+            sched_prio: self.sched_prio,
+            unsched_prio: self.unsched_prio,
+            retx: Vec::new(),
+            incast_mark: self.incast_mark,
+            tag: self.tag,
+            created_at: self.created_at,
+            last_peer_activity: self.created_at,
+            stall_pokes: 0,
+        }
+    }
+}
+
 /// Sender half of a Homa endpoint.
 #[derive(Debug)]
 pub struct SenderState {
@@ -47,19 +99,30 @@ pub struct SenderState {
     /// runs over these.
     msgs: HashMap<MsgKey, OutboundMessage>,
     /// Fully-sent one-way messages retained so that late RESENDs can
-    /// still be answered. Never scanned. A key is in at most one of
-    /// `msgs` and `parked`.
-    parked: HashMap<MsgKey, OutboundMessage>,
-    /// `(key, expire_at)` per full send of a one-way. `expire_at` is a
+    /// still be answered, strictly ascending in `seq`. Never scanned. A
+    /// key is in at most one of `msgs` and `parked`. One-ways are parked
+    /// just after they are sent and sequence numbers are handed out in
+    /// order, so a new record almost always belongs at the back.
+    parked: VecDeque<Parked>,
+    /// `origin` of every parked key — the endpoint's own id — learned
+    /// from the first one-way parked.
+    origin: Option<PeerId>,
+    /// `(seq, expire_at)` per full send of a one-way. `expire_at` is a
     /// constant past a non-decreasing clock, so push order is expiry
     /// order and expiry pops from the front.
-    linger: VecDeque<(MsgKey, Nanos)>,
+    linger: VecDeque<(u64, Nanos)>,
 }
 
 impl SenderState {
     /// New sender state.
     pub fn new(cfg: HomaConfig) -> Self {
-        SenderState { cfg, msgs: HashMap::new(), parked: HashMap::new(), linger: VecDeque::new() }
+        SenderState {
+            cfg,
+            msgs: HashMap::new(),
+            parked: VecDeque::new(),
+            origin: None,
+            linger: VecDeque::new(),
+        }
     }
 
     /// Number of messages with state held.
@@ -67,8 +130,17 @@ impl SenderState {
         self.msgs.len() + self.parked.len()
     }
 
-    fn get_mut(&mut self, key: MsgKey) -> Option<&mut OutboundMessage> {
-        self.msgs.get_mut(&key).or_else(|| self.parked.get_mut(&key))
+    /// Where `seq` is in the parked ring, or where it would go.
+    fn parked_slot(&self, seq: u64) -> Result<usize, usize> {
+        self.parked.binary_search_by_key(&seq, |p| p.seq)
+    }
+
+    /// Index of the parked record for `key`, if there is one.
+    fn parked_index(&self, key: MsgKey) -> Option<usize> {
+        if key.dir != Dir::Oneway || self.origin != Some(key.origin) {
+            return None;
+        }
+        self.parked_slot(key.seq).ok()
     }
 
     /// Begin transmitting a message. `peer_map` supplies the receiver's
@@ -108,14 +180,20 @@ impl SenderState {
     /// Handle a GRANT: raise the transmission limit and adopt the
     /// receiver-assigned scheduled priority.
     pub fn on_grant(&mut self, now: Nanos, key: MsgKey, offset: u64, prio: u8) -> bool {
-        match self.get_mut(key) {
-            Some(m) => {
-                if offset > m.granted {
-                    m.granted = offset.min(m.len);
-                }
-                m.sched_prio = prio;
-                m.last_peer_activity = now;
-                m.stall_pokes = 0;
+        if let Some(m) = self.msgs.get_mut(&key) {
+            if offset > m.granted {
+                m.granted = offset.min(m.len);
+            }
+            m.sched_prio = prio;
+            m.last_peer_activity = now;
+            m.stall_pokes = 0;
+            return true;
+        }
+        // A lingering one-way is granted in full already: only the
+        // priority is news.
+        match self.parked_index(key) {
+            Some(i) => {
+                self.parked[i].sched_prio = prio;
                 true
             }
             None => false,
@@ -171,15 +249,30 @@ impl SenderState {
 
     /// Handle a RESEND for one of our outbound messages.
     pub fn on_resend(&mut self, key: MsgKey, offset: u64, length: u64, prio: u8) -> ResendReaction {
+        if !self.msgs.contains_key(&key) {
+            let Some(i) = self.parked_index(key) else {
+                return ResendReaction::Unknown;
+            };
+            let p = &mut self.parked[i];
+            p.sched_prio = prio;
+            if offset >= (offset + length).min(p.len) {
+                // Clipped to nothing: it stays parked, and no other
+                // message has fewer than its zero bytes left.
+                return ResendReaction::Queued;
+            }
+            // A parked one-way with a retransmission to queue has work
+            // again.
+            let woken = p.wake(key, &self.cfg);
+            self.parked.remove(i);
+            self.msgs.insert(key, woken);
+        }
         let shortest_other = self
             .msgs
             .values()
             .filter(|m| m.key != key && m.transmittable())
             .map(|m| m.remaining())
             .min();
-        let Some(m) = self.get_mut(key) else {
-            return ResendReaction::Unknown;
-        };
+        let m = self.msgs.get_mut(&key).expect("found or just woken");
         // Also treat the RESEND as an implicit grant: the receiver
         // must have been expecting these bytes.
         if offset + length > m.granted {
@@ -187,31 +280,22 @@ impl SenderState {
         }
         m.sched_prio = prio;
         m.queue_retx(offset, length);
-        let reaction = match shortest_other {
+        match shortest_other {
             Some(r) if r < m.remaining() => ResendReaction::QueuedButBusy(BusyHeader { key }),
             _ => ResendReaction::Queued,
-        };
-        // A parked one-way with a retransmission queued has work again;
-        // a RESEND clipped to nothing leaves it parked.
-        if !m.fully_sent() {
-            if let Some(m) = self.parked.remove(&key) {
-                self.msgs.insert(key, m);
-            }
         }
-        reaction
     }
 
     /// SRPT packet selection: produce the next DATA packet for the wire,
     /// or `None` when nothing is transmittable.
     pub fn next_data_packet(&mut self, now: Nanos) -> Option<(PeerId, DataHeader)> {
-        let key = self
-            .msgs
-            .values()
-            .filter(|m| m.transmittable())
-            .min_by_key(|m| (m.remaining(), m.created_at, m.key))?
-            .key;
         let max_payload = self.cfg.max_payload;
-        let m = self.msgs.get_mut(&key).expect("selected message exists");
+        let m = self
+            .msgs
+            .values_mut()
+            .filter(|m| m.transmittable())
+            .min_by_key(|m| (m.remaining(), m.created_at, m.key))?;
+        let key = m.key;
         let (offset, payload, retransmit) = m.next_chunk(max_payload).expect("transmittable");
         let unscheduled = offset < m.unsched_limit && !retransmit;
         let hdr = DataHeader {
@@ -246,10 +330,10 @@ impl SenderState {
             // by a few resend intervals, out of the scanned map.
             Dir::Oneway => {
                 if let Some(m) = self.msgs.remove(&key) {
-                    self.parked.insert(key, m);
+                    self.park(&m);
                 }
                 let expire = now + 4 * self.cfg.resend_interval_ns;
-                self.linger.push_back((key, expire));
+                self.linger.push_back((key.seq, expire));
             }
             // Requests are retained until the RPC completes (the response
             // acknowledges them); the RPC layer removes them.
@@ -257,22 +341,54 @@ impl SenderState {
         }
     }
 
+    /// File a fully-sent one-way in the parked ring.
+    fn park(&mut self, m: &OutboundMessage) {
+        debug_assert!(m.fully_sent() && m.sent == m.len && m.granted == m.len);
+        let origin = *self.origin.get_or_insert(m.key.origin);
+        assert_eq!(origin, m.key.origin, "one sender's one-way messages share one origin");
+        let rec = Parked {
+            seq: m.key.seq,
+            len: m.len,
+            tag: m.tag,
+            created_at: m.created_at,
+            dst: m.dst,
+            sched_prio: m.sched_prio,
+            unsched_prio: m.unsched_prio,
+            incast_mark: m.incast_mark,
+        };
+        match self.parked.back() {
+            // A straggler: a long message that finished after shorter,
+            // later ones, or a woken one parked again.
+            Some(back) if back.seq >= rec.seq => match self.parked_slot(rec.seq) {
+                Ok(i) => self.parked[i] = rec,
+                Err(i) => self.parked.insert(i, rec),
+            },
+            _ => self.parked.push_back(rec),
+        }
+    }
+
     /// Remove a message (used by the RPC layer when a response arrives,
     /// or on abort).
     pub fn remove(&mut self, key: MsgKey) {
         if self.msgs.remove(&key).is_none() {
-            self.parked.remove(&key);
+            if let Some(i) = self.parked_index(key) {
+                self.parked.remove(i);
+            }
         }
     }
 
     /// Whether the sender holds state for `key`.
     pub fn contains(&self, key: MsgKey) -> bool {
-        self.msgs.contains_key(&key) || self.parked.contains_key(&key)
+        self.msgs.contains_key(&key) || self.parked_index(key).is_some()
     }
 
-    /// Read access to a message (diagnostics/tests).
-    pub fn get(&self, key: MsgKey) -> Option<&OutboundMessage> {
-        self.msgs.get(&key).or_else(|| self.parked.get(&key))
+    /// A copy of a message's state (diagnostics/tests); a parked one is
+    /// rebuilt from its record.
+    pub fn get(&self, key: MsgKey) -> Option<OutboundMessage> {
+        self.msgs
+            .get(&key)
+            .cloned()
+            .or_else(|| self.parked_index(key).map(|i| self.parked[i].wake(key, &self.cfg)))
     }
 
     /// Whether any message currently has transmittable bytes.
@@ -283,23 +399,30 @@ impl SenderState {
     /// Snapshot of outbound messages:
     /// `(key, len, sent, granted, retx_ranges)`. Diagnostics only.
     pub fn outbound_snapshot(&self) -> Vec<(MsgKey, u64, u64, u64, usize)> {
+        let parked = self.origin.into_iter().flat_map(|origin| {
+            self.parked.iter().map(move |p| {
+                (MsgKey { origin, seq: p.seq, dir: Dir::Oneway }, p.len, p.len, p.len, 0)
+            })
+        });
         self.msgs
             .values()
-            .chain(self.parked.values())
             .map(|m| (m.key, m.len, m.sent, m.granted, m.retx.len()))
+            .chain(parked)
             .collect()
     }
 
     /// Garbage-collect lingering one-way state.
     pub fn expire_lingering(&mut self, now: Nanos) {
-        while let Some(&(key, at)) = self.linger.front() {
+        while let Some(&(seq, at)) = self.linger.front() {
             if at > now {
                 break;
             }
             self.linger.pop_front();
             // Only parked state is dropped: a one-way back in `msgs` has a
             // retransmission queued, and lingers afresh once that is out.
-            self.parked.remove(&key);
+            if let Ok(i) = self.parked_slot(seq) {
+                self.parked.remove(i);
+            }
         }
     }
 }
@@ -458,7 +581,7 @@ mod tests {
         let mut s = sender();
         s.start_message(0, key(1), PeerId(1), 500, 0, false, &map());
         let _ = s.next_data_packet(sent_at).unwrap();
-        assert!(s.parked.contains_key(&key(1)) && s.msgs.is_empty(), "fully sent: parked");
+        assert!(s.parked_index(key(1)).is_some() && s.msgs.is_empty(), "fully sent: parked");
         s
     }
 
@@ -476,7 +599,7 @@ mod tests {
         assert_eq!(dst, PeerId(1));
         assert!(hdr.retransmit);
         assert_eq!((hdr.offset, hdr.payload, hdr.prio), (0, 500, 3));
-        assert!(s.parked.contains_key(&key(1)) && s.msgs.is_empty(), "retransmitted: re-parked");
+        assert!(s.parked_index(key(1)).is_some() && s.msgs.is_empty(), "retransmitted: re-parked");
         // The retransmission does not extend the retention window.
         s.expire_lingering(1_000 + LINGER - 1);
         assert!(s.contains(key(1)));
@@ -504,7 +627,7 @@ mod tests {
         let mut s = parked_oneway(0);
         // Entirely beyond the message: nothing to retransmit.
         assert_eq!(s.on_resend(key(1), 500, 1_400, 3), ResendReaction::Queued);
-        assert!(s.parked.contains_key(&key(1)) && s.msgs.is_empty());
+        assert!(s.parked_index(key(1)).is_some() && s.msgs.is_empty());
         assert!(!s.has_transmittable());
         assert!(s.next_data_packet(0).is_none());
     }
@@ -514,7 +637,7 @@ mod tests {
         let mut s = parked_oneway(0);
         let before = s.outbound_snapshot();
         assert!(s.on_grant(10, key(1), 1_000_000, 2), "state is still held: grant accepted");
-        assert!(s.parked.contains_key(&key(1)) && s.msgs.is_empty());
+        assert!(s.parked_index(key(1)).is_some() && s.msgs.is_empty());
         assert_eq!(s.outbound_snapshot(), before);
         assert!(!s.has_transmittable());
         assert!(s.next_data_packet(10).is_none());
@@ -572,5 +695,280 @@ mod tests {
         // Equal remaining and equal creation time: lower key wins.
         let (_, hdr) = s.next_data_packet(0).unwrap();
         assert_eq!(hdr.key, key(1));
+    }
+
+    #[test]
+    fn unknown_resend_does_not_scan_the_active_messages() {
+        let mut s = sender();
+        for seq in 1..=1_000 {
+            s.start_message(0, key(seq), PeerId(1), 50_000, 0, false, &map());
+        }
+        // Never started, wrong origin, and a request sharing a live seq.
+        assert_eq!(s.on_resend(key(5_000), 0, 1_400, 3), ResendReaction::Unknown);
+        let stranger = MsgKey { origin: PeerId(9), ..key(1) };
+        assert_eq!(s.on_resend(stranger, 0, 1_400, 3), ResendReaction::Unknown);
+        let request = MsgKey { dir: Dir::Request, ..key(1) };
+        assert_eq!(s.on_resend(request, 0, 1_400, 3), ResendReaction::Unknown);
+        assert_eq!(s.active_messages(), 1_000);
+    }
+
+    #[test]
+    fn retained_records_stay_small() {
+        fn entry_bytes<T>(_: &VecDeque<T>) -> usize {
+            size_of::<T>()
+        }
+        let s = sender();
+        assert!(entry_bytes(&s.parked) <= 40);
+        assert_eq!(entry_bytes(&s.linger), 16);
+    }
+
+    /// The store the parked ring replaced, as the reference it is held
+    /// to: every message whole in one of two hash tables, `linger` keyed
+    /// by the full `MsgKey`.
+    struct TableSender {
+        cfg: HomaConfig,
+        msgs: HashMap<MsgKey, OutboundMessage>,
+        kept: HashMap<MsgKey, OutboundMessage>,
+        linger: VecDeque<(MsgKey, Nanos)>,
+    }
+
+    impl TableSender {
+        fn get_mut(&mut self, key: MsgKey) -> Option<&mut OutboundMessage> {
+            self.msgs.get_mut(&key).or_else(|| self.kept.get_mut(&key))
+        }
+
+        fn on_grant(&mut self, now: Nanos, key: MsgKey, offset: u64, prio: u8) -> bool {
+            let Some(m) = self.get_mut(key) else { return false };
+            if offset > m.granted {
+                m.granted = offset.min(m.len);
+            }
+            m.sched_prio = prio;
+            m.last_peer_activity = now;
+            m.stall_pokes = 0;
+            true
+        }
+
+        fn on_resend(&mut self, key: MsgKey, offset: u64, length: u64, prio: u8) -> ResendReaction {
+            let shortest_other = self
+                .msgs
+                .values()
+                .filter(|m| m.key != key && m.transmittable())
+                .map(|m| m.remaining())
+                .min();
+            let Some(m) = self.get_mut(key) else { return ResendReaction::Unknown };
+            if offset + length > m.granted {
+                m.granted = (offset + length).min(m.len);
+            }
+            m.sched_prio = prio;
+            m.queue_retx(offset, length);
+            let reaction = match shortest_other {
+                Some(r) if r < m.remaining() => ResendReaction::QueuedButBusy(BusyHeader { key }),
+                _ => ResendReaction::Queued,
+            };
+            if !m.fully_sent() {
+                if let Some(m) = self.kept.remove(&key) {
+                    self.msgs.insert(key, m);
+                }
+            }
+            reaction
+        }
+
+        fn next_data_packet(&mut self, now: Nanos) -> Option<(PeerId, DataHeader)> {
+            let key = self
+                .msgs
+                .values()
+                .filter(|m| m.transmittable())
+                .min_by_key(|m| (m.remaining(), m.created_at, m.key))?
+                .key;
+            let m = self.msgs.get_mut(&key).unwrap();
+            let (offset, payload, retransmit) = m.next_chunk(self.cfg.max_payload).unwrap();
+            let unscheduled = offset < m.unsched_limit && !retransmit;
+            let hdr = DataHeader {
+                key,
+                msg_len: m.len,
+                offset,
+                payload,
+                prio: if unscheduled { m.unsched_prio } else { m.sched_prio },
+                unscheduled,
+                retransmit,
+                incast_mark: m.incast_mark,
+                tag: m.tag,
+            };
+            let dst = m.dst;
+            if m.fully_sent() {
+                match key.dir {
+                    Dir::Response => {
+                        self.msgs.remove(&key);
+                    }
+                    Dir::Oneway => {
+                        if let Some(m) = self.msgs.remove(&key) {
+                            self.kept.insert(key, m);
+                        }
+                        self.linger.push_back((key, now + 4 * self.cfg.resend_interval_ns));
+                    }
+                    Dir::Request => {}
+                }
+            }
+            Some((dst, hdr))
+        }
+
+        fn remove(&mut self, key: MsgKey) {
+            if self.msgs.remove(&key).is_none() {
+                self.kept.remove(&key);
+            }
+        }
+
+        fn contains(&self, key: MsgKey) -> bool {
+            self.msgs.contains_key(&key) || self.kept.contains_key(&key)
+        }
+
+        fn outbound_snapshot(&self) -> Vec<(MsgKey, u64, u64, u64, usize)> {
+            self.msgs
+                .values()
+                .chain(self.kept.values())
+                .map(|m| (m.key, m.len, m.sent, m.granted, m.retx.len()))
+                .collect()
+        }
+
+        fn expire_lingering(&mut self, now: Nanos) {
+            while let Some(&(key, at)) = self.linger.front() {
+                if at > now {
+                    break;
+                }
+                self.linger.pop_front();
+                self.kept.remove(&key);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parked_ring_answers_like_the_tables_it_replaced(
+            ops in proptest::collection::vec(
+                (0u8..16, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()),
+                1..400,
+            ),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            const SIZES: [u64; 8] = [1, 200, 1_400, 1_401, 5_000, 9_700, 30_000, 200_000];
+            const STEPS: [Nanos; 4] = [0, 1_000, 50_000, 300_000];
+            let mut s = sender();
+            let mut t = TableSender {
+                cfg: HomaConfig::default(),
+                msgs: HashMap::new(),
+                kept: HashMap::new(),
+                linger: VecDeque::new(),
+            };
+            // Every key started so far with its length; ops pick from it,
+            // half the time among the latest eight.
+            let mut started: Vec<(MsgKey, u64)> = Vec::new();
+            let mut now: Nanos = 0;
+            for (op, a, b) in ops {
+                let (a, b) = (a as u64, b as u64);
+                now += STEPS[(a % 4) as usize];
+                let pick = |started: &[(MsgKey, u64)]| {
+                    let (n, r) = (started.len(), b as usize / 2);
+                    if n == 0 {
+                        return None;
+                    }
+                    Some(started[if b % 2 == 0 { n - 1 - r % n.min(8) } else { r % n }])
+                };
+                match op {
+                    // Mostly one-ways of mixed sizes — a big low-seq one
+                    // finishes after small high-seq ones — and some RPC
+                    // halves, which never park.
+                    0..=2 => {
+                        let seq = started.len() as u64 + 1;
+                        let k = match b % 8 {
+                            0 => MsgKey { dir: Dir::Request, ..key(seq) },
+                            1 => MsgKey { origin: PeerId(7), seq, dir: Dir::Response },
+                            _ => key(seq),
+                        };
+                        let len = SIZES[(a / 4 % 8) as usize];
+                        let (dst, mark) = (PeerId(1 + (b % 3) as u32), b % 5 == 0);
+                        s.start_message(now, k, dst, len, a, mark, &map());
+                        let unsched_limit = t.cfg.unsched_limit_for(mark).min(len);
+                        t.msgs.insert(k, OutboundMessage {
+                            key: k,
+                            dst,
+                            len,
+                            sent: 0,
+                            granted: unsched_limit,
+                            unsched_limit,
+                            sched_prio: 0,
+                            unsched_prio: map().unsched_prio(len),
+                            retx: Vec::new(),
+                            incast_mark: mark,
+                            tag: a,
+                            created_at: now,
+                            last_peer_activity: now,
+                            stall_pokes: 0,
+                        });
+                        started.push((k, len));
+                    }
+                    3..=8 => prop_assert_eq!(s.next_data_packet(now), t.next_data_packet(now)),
+                    9 => {
+                        if let Some((k, _)) = pick(&started) {
+                            let (offset, prio) = (a % 300_000, (a % 8) as u8);
+                            prop_assert_eq!(
+                                s.on_grant(now, k, offset, prio),
+                                t.on_grant(now, k, offset, prio)
+                            );
+                        }
+                    }
+                    // RESENDs the receiver could send: part of the
+                    // message, all of it, or a range past its end.
+                    10 | 11 => {
+                        if let Some((k, len)) = pick(&started) {
+                            let (offset, length) = match a / 4 % 3 {
+                                0 => (a % len, 1 + a % 3_000),
+                                1 => (0, len),
+                                _ => (len + a % 2, 1_400),
+                            };
+                            let prio = (a % 8) as u8;
+                            prop_assert_eq!(
+                                s.on_resend(k, offset, length, prio),
+                                t.on_resend(k, offset, length, prio)
+                            );
+                        }
+                    }
+                    // RESENDs nobody should answer: a seq never started,
+                    // a live seq under another origin or as a request.
+                    12 => {
+                        let k = match (a / 4 % 3, pick(&started)) {
+                            (1, Some((k, _))) => MsgKey { origin: PeerId(99), ..k },
+                            (2, Some((k, _))) => MsgKey { dir: Dir::Request, ..k },
+                            _ => key(started.len() as u64 + 1 + b % 5),
+                        };
+                        prop_assert_eq!(s.on_resend(k, 0, 1_400, 0), t.on_resend(k, 0, 1_400, 0));
+                    }
+                    13 => {
+                        if let Some((k, _)) = pick(&started) {
+                            s.remove(k);
+                            t.remove(k);
+                        }
+                    }
+                    _ => {
+                        // Far enough, sometimes, to pass linger deadlines.
+                        now += (b % 4) * 1_000_000;
+                        s.expire_lingering(now);
+                        t.expire_lingering(now);
+                    }
+                }
+                prop_assert_eq!(s.active_messages(), t.msgs.len() + t.kept.len());
+                for &(k, _) in &started {
+                    prop_assert_eq!(s.contains(k), t.contains(k), "{:?}", k);
+                }
+                let (mut got, mut want) = (s.outbound_snapshot(), t.outbound_snapshot());
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(s.msgs.len(), t.msgs.len());
+                prop_assert!(
+                    s.parked.iter().zip(s.parked.iter().skip(1)).all(|(x, y)| x.seq < y.seq),
+                    "ring out of order"
+                );
+            }
+        }
     }
 }

@@ -25,6 +25,32 @@ use homa_sim::{
 };
 use homa_workloads::{LoadPlan, MessageSizeDist, PoissonArrivals, TrafficMatrix};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiplicative hash for maps whose keys this process makes up itself:
+/// `pending` (tags are injection order) and the `unloaded` memo (sizes the
+/// generator drew, path classes of this fabric). `std`'s keyed SipHash costs
+/// more than the rest of a `pending` round trip and guards against keys
+/// chosen to collide, which nobody can choose here. It stays private to this
+/// file: a map keyed by anything that can arrive off the wire — `MsgKey`,
+/// `PeerId`, RPC ids, in `homa` and the UDP node that runs the same core —
+/// must keep the keyed default, or one peer can degrade it to a list.
+#[derive(Default)]
+struct OwnKeyHasher(u64);
+
+impl Hasher for OwnKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type OwnKeyMap<K, V> = HashMap<K, V, BuildHasherDefault<OwnKeyHasher>>;
 
 /// Per-packet constants used for unloaded-latency denominators and load
 /// planning: the ones every transport in this repository is built on
@@ -201,10 +227,10 @@ struct Run<'a, M: PacketMeta, T: Transport<M>> {
     opts: &'a OnewayOpts,
     /// Response length servers send; `None` echoes the request.
     resp_len: Option<u64>,
-    pending: HashMap<u64, Pending>,
+    pending: OwnKeyMap<u64, Pending>,
     resolved: ResolvedSet,
     /// Memoized one-way unloaded latency by `(size, path class)`.
-    unloaded: HashMap<(u64, PathClass), u64>,
+    unloaded: OwnKeyMap<(u64, PathClass), u64>,
     /// Records, sketch and message counts accumulate here; `finish`
     /// fills in what is only known at the end.
     out: OnewayResult,
@@ -237,9 +263,9 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
             net,
             opts,
             resp_len: None,
-            pending: HashMap::new(),
+            pending: OwnKeyMap::default(),
             resolved: ResolvedSet::default(),
-            unloaded: HashMap::new(),
+            unloaded: OwnKeyMap::default(),
             out: OnewayResult::default(),
             injected_bytes: 0,
             delivered_bytes: 0,

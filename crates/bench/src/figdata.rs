@@ -726,7 +726,6 @@ fn fig16(opts: &ReproOpts) -> Vec<FigTable> {
 /// Figure 21: traffic per priority level vs load (W3).
 fn fig21(opts: &ReproOpts) -> Vec<FigTable> {
     let mut t = opts.table("fig21");
-    let topo = opts.fabric_spec().topology();
     let n = opts.msgs_for(Workload::W3);
     for load in [0.5, 0.8, 0.9] {
         let res = oneway(
@@ -735,13 +734,16 @@ fn fig21(opts: &ReproOpts) -> Vec<FigTable> {
             &OnewayOpts::default(),
             None,
         );
-        // Fraction of total available uplink bandwidth per priority.
-        let capacity_bytes =
-            topo.num_hosts() as f64 * topo.host_link_bps as f64 / 8.0 * res.duration.as_secs_f64();
+        // Fraction of total available uplink bandwidth per priority: each
+        // level's share of the uplink bytes times the offered wire load,
+        // so the eight bars stack to the load. (Bytes over `duration`'s
+        // capacity stack to a fraction of it: most of a run is the drain
+        // of W3's longest messages, when nothing is offered.)
+        let total = res.prio_bytes.iter().sum::<u64>().max(1) as f64;
         for (i, &b) in res.prio_bytes.iter().enumerate() {
             Row::new()
                 .curve("W3", "Homa", &format!("P{i}"), 0.0, "prio_frac")
-                .xy(load, b as f64 / capacity_bytes)
+                .xy(load, b as f64 / total * load)
                 .push(&mut t);
         }
     }

@@ -841,15 +841,10 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #[test]
-        fn parked_ring_answers_like_the_tables_it_replaced(
-            ops in proptest::collection::vec(
-                (0u8..16, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()),
-                1..400,
-            ),
-        ) {
-            use proptest::{prop_assert, prop_assert_eq};
+    #[test]
+    fn parked_ring_answers_like_the_tables_it_replaced() {
+        const FAMILY: homa_harness::FuzzFamily = homa_harness::FuzzFamily::new("parked-ring");
+        FAMILY.check_seeds("parked_ring_answers_like_the_tables_it_replaced", |rng| {
             const SIZES: [u64; 8] = [1, 200, 1_400, 1_401, 5_000, 9_700, 30_000, 200_000];
             const STEPS: [Nanos; 4] = [0, 1_000, 50_000, 300_000];
             let mut s = sender();
@@ -863,8 +858,9 @@ mod tests {
             // half the time among the latest eight.
             let mut started: Vec<(MsgKey, u64)> = Vec::new();
             let mut now: Nanos = 0;
-            for (op, a, b) in ops {
-                let (a, b) = (a as u64, b as u64);
+            for _ in 0..rng.range(1, 399) {
+                let (op, a, b) =
+                    (rng.edge_range(0, 15), rng.next_u64() >> 32, rng.next_u64() >> 32);
                 now += STEPS[(a % 4) as usize];
                 let pick = |started: &[(MsgKey, u64)]| {
                     let (n, r) = (started.len(), b as usize / 2);
@@ -888,7 +884,7 @@ mod tests {
                         let (dst, mark) = (PeerId(1 + (b % 3) as u32), b % 5 == 0);
                         s.start_message(now, k, dst, len, a, mark, &map());
                         let unsched_limit = t.cfg.unsched_limit_for(mark).min(len);
-                        t.msgs.insert(k, OutboundMessage {
+                        let msg = OutboundMessage {
                             key: k,
                             dst,
                             len,
@@ -903,14 +899,15 @@ mod tests {
                             created_at: now,
                             last_peer_activity: now,
                             stall_pokes: 0,
-                        });
+                        };
+                        t.msgs.insert(k, msg);
                         started.push((k, len));
                     }
-                    3..=8 => prop_assert_eq!(s.next_data_packet(now), t.next_data_packet(now)),
+                    3..=8 => assert_eq!(s.next_data_packet(now), t.next_data_packet(now)),
                     9 => {
                         if let Some((k, _)) = pick(&started) {
                             let (offset, prio) = (a % 300_000, (a % 8) as u8);
-                            prop_assert_eq!(
+                            assert_eq!(
                                 s.on_grant(now, k, offset, prio),
                                 t.on_grant(now, k, offset, prio)
                             );
@@ -926,7 +923,7 @@ mod tests {
                                 _ => (len + a % 2, 1_400),
                             };
                             let prio = (a % 8) as u8;
-                            prop_assert_eq!(
+                            assert_eq!(
                                 s.on_resend(k, offset, length, prio),
                                 t.on_resend(k, offset, length, prio)
                             );
@@ -940,7 +937,7 @@ mod tests {
                             (2, Some((k, _))) => MsgKey { dir: Dir::Request, ..k },
                             _ => key(started.len() as u64 + 1 + b % 5),
                         };
-                        prop_assert_eq!(s.on_resend(k, 0, 1_400, 0), t.on_resend(k, 0, 1_400, 0));
+                        assert_eq!(s.on_resend(k, 0, 1_400, 0), t.on_resend(k, 0, 1_400, 0));
                     }
                     13 => {
                         if let Some((k, _)) = pick(&started) {
@@ -955,20 +952,20 @@ mod tests {
                         t.expire_lingering(now);
                     }
                 }
-                prop_assert_eq!(s.active_messages(), t.msgs.len() + t.kept.len());
+                assert_eq!(s.active_messages(), t.msgs.len() + t.kept.len());
                 for &(k, _) in &started {
-                    prop_assert_eq!(s.contains(k), t.contains(k), "{:?}", k);
+                    assert_eq!(s.contains(k), t.contains(k), "{:?}", k);
                 }
                 let (mut got, mut want) = (s.outbound_snapshot(), t.outbound_snapshot());
                 got.sort_unstable();
                 want.sort_unstable();
-                prop_assert_eq!(got, want);
-                prop_assert_eq!(s.msgs.len(), t.msgs.len());
-                prop_assert!(
+                assert_eq!(got, want);
+                assert_eq!(s.msgs.len(), t.msgs.len());
+                assert!(
                     s.parked.iter().zip(s.parked.iter().skip(1)).all(|(x, y)| x.seq < y.seq),
                     "ring out of order"
                 );
             }
-        }
+        });
     }
 }

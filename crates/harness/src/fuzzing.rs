@@ -1,4 +1,16 @@
-//! Structure-aware scenario generation and shrinking for the fuzz suites.
+//! The workspace's one randomized-testing kit: a seedable generator
+//! ([`SplitMix64`]), one loop with iteration scaling, failure artifacts
+//! and replay ([`FuzzFamily`]), greedy shrinking
+//! ([`shrink_to_minimal_with`]) and panic capture ([`failure_or_panic`]).
+//!
+//! Two kinds of family run on it. *Seed-keyed* properties (the core,
+//! simulator-kernel and cross-crate properties) build their whole input
+//! from one `u64` seed and run under [`FuzzFamily::check_seeds`]; a
+//! failure is the line `seed=<n>`, which fails by itself. *Line-keyed*
+//! families draw something printable — a [`ScenarioSpec`], an op trace, a
+//! mutated spec line — shrink it, and report the shrunk line. Either way
+//! `HOMA_FUZZ_REPLAY='<family>:<line>'` re-runs exactly that case in the
+//! family named and nowhere else.
 //!
 //! The differential and conservation fuzzers (`tests/fuzz_differential.rs`,
 //! `tests/fuzz_conservation.rs`) draw whole scenarios from
@@ -28,7 +40,8 @@ pub mod grammar;
 pub mod stateful;
 
 /// SplitMix64: tiny, seedable, and statistically fine for test-case
-/// generation. Hand-rolled so the fuzzers add no dependencies.
+/// generation. Hand-rolled so the fuzzers add no dependencies; pinned to
+/// the published vectors by `splitmix64_matches_the_published_vectors`.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -51,13 +64,29 @@ impl SplitMix64 {
 
     /// Uniform draw in `[0, n)`. `n` must be non-zero.
     pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
+        assert!(n > 0, "SplitMix64::below(0): an empty range has no draw");
         self.next_u64() % n
     }
 
-    /// Uniform draw in the inclusive range `[lo, hi]`.
+    /// Uniform draw in the inclusive range `[lo, hi]`, up to and
+    /// including the full `[0, u64::MAX]`.
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
+        assert!(lo <= hi, "SplitMix64::range({lo}, {hi}): the range is empty");
+        match (hi - lo).checked_add(1) {
+            Some(span) => lo + self.below(span),
+            None => self.next_u64(),
+        }
+    }
+
+    /// A draw in `[lo, hi]` with one draw in eight pinned to an endpoint,
+    /// half to each: the pressure on boundaries a property's integer
+    /// inputs need when nothing shrinks a failure toward them.
+    pub fn edge_range(&mut self, lo: u64, hi: u64) -> u64 {
+        match self.below(16) {
+            0 => lo,
+            1 => hi,
+            _ => self.range(lo, hi),
+        }
     }
 
     /// True with probability `num`/`den`.
@@ -332,77 +361,211 @@ pub fn failure_or_panic(check: impl FnOnce() -> Option<String>) -> Option<String
     catch_panic(check).unwrap_or_else(|msg| Some(format!("panicked: {msg}")))
 }
 
-/// Iteration count for a fuzz loop: `HOMA_FUZZ_ITERS` if set and
-/// parseable, else `default`. CI smoke jobs pin this to 500; the
-/// `#[ignore]` long-haul variants multiply it further.
-pub fn fuzz_iters(default: u64) -> u64 {
-    std::env::var("HOMA_FUZZ_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The iteration budget `HOMA_FUZZ_ITERS` asks for (`raw` is its value),
+/// or `default` when it is unset. A value that is not a number panics:
+/// read as "unset", a typo in CI's `500` would quietly run the default
+/// and stay green.
+fn parse_iters(raw: Option<&str>, default: u64) -> u64 {
+    let Some(raw) = raw else { return default };
+    raw.trim().parse().unwrap_or_else(|e| panic!("HOMA_FUZZ_ITERS=`{raw}` is not a count: {e}"))
+}
+
+/// Append `entry` to `<dir>/<family>.txt`, creating both as needed. The
+/// error names the path, so a CI artifact that went missing says why.
+fn append_failure(dir: &str, family: &str, entry: &str) -> Result<(), String> {
+    use std::io::Write as _;
+    let path = std::path::Path::new(dir).join(format!("{family}.txt"));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::OpenOptions::new().create(true).append(true).open(&path))
+        .and_then(|mut f| writeln!(f, "{entry}"))
+        .map_err(|e| format!("failure artifact {} not written: {e}", path.display()))
 }
 
 /// Record a fuzz failure: always printed to stderr, and appended to
 /// `$HOMA_FUZZ_FAILURE_DIR/<family>.txt` when that variable is set (CI
 /// uploads the directory as an artifact). Each line is a replayable
-/// spec line followed by ` # <detail>`.
-pub fn report_failure(family: &str, spec_line: &str, detail: &str) {
-    eprintln!("[{family}] FUZZ FAILURE — replay with:\n  {spec_line}\n  ({detail})");
+/// line followed by ` # <detail>`.
+fn report_failure(family: &str, line: &str, detail: &str) {
+    eprintln!("[{family}] FUZZ FAILURE — replay with:\n  {line}\n  ({detail})");
     if let Ok(dir) = std::env::var("HOMA_FUZZ_FAILURE_DIR") {
-        let _ = std::fs::create_dir_all(&dir);
-        let path = std::path::Path::new(&dir).join(format!("{family}.txt"));
-        use std::io::Write as _;
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-            let _ = writeln!(f, "{spec_line} # {detail}");
+        if let Err(e) = append_failure(&dir, family, &format!("{line} # {detail}")) {
+            eprintln!("[{family}] {e}");
         }
     }
 }
 
-/// One fuzz family's shared plumbing: its artifact name, its replay
-/// environment variable, and the `HOMA_FUZZ_ITERS` / failure-reporting /
-/// replay-env conventions every family follows. All five families (wire,
-/// differential, conservation, stateful, spec-grammar) drive their test
-/// loops through one of these so iteration budgets, artifact paths and
-/// replay hooks stay consistent.
+/// One fuzz family: its name, and with it the conventions every family
+/// follows. The name is the artifact file
+/// (`$HOMA_FUZZ_FAILURE_DIR/<name>.txt`) and the prefix that addresses a
+/// replay line to this family (`HOMA_FUZZ_REPLAY='<name>:<line>'`);
+/// `HOMA_FUZZ_ITERS` scales every family alike. All nine families —
+/// wire, differential, conservation, stateful, spec-grammar and the four
+/// seed-keyed property files — run their loops through one of these.
 #[derive(Debug, Clone, Copy)]
 pub struct FuzzFamily {
-    /// Family name: the artifact file is `$HOMA_FUZZ_FAILURE_DIR/<name>.txt`.
+    /// Family name: artifact file stem and replay-line prefix.
     pub name: &'static str,
-    /// Environment variable holding a one-line failure to replay.
-    pub replay_var: &'static str,
 }
 
 impl FuzzFamily {
-    /// A family with its artifact `name` and replay environment variable.
-    pub const fn new(name: &'static str, replay_var: &'static str) -> Self {
-        FuzzFamily { name, replay_var }
+    /// The family called `name`.
+    pub const fn new(name: &'static str) -> Self {
+        FuzzFamily { name }
     }
 
-    /// Iteration budget: `HOMA_FUZZ_ITERS` if set and parseable, else
-    /// `default`. CI smoke jobs pin the variable to 500; the `#[ignore]`
-    /// long-haul variants multiply the default instead.
+    /// Iteration budget: `HOMA_FUZZ_ITERS` if set (anything but a count
+    /// panics), else `default`. CI smoke jobs pin the variable to 500;
+    /// the `#[ignore]` long-haul variants multiply the result.
     pub fn iters(&self, default: u64) -> u64 {
-        fuzz_iters(default)
+        parse_iters(std::env::var("HOMA_FUZZ_ITERS").ok().as_deref(), default)
     }
 
-    /// The one-line failure to replay, if the family's replay variable
-    /// is set and non-empty.
+    /// The line to replay, if `HOMA_FUZZ_REPLAY` is addressed to this
+    /// family. A line for another family is that family's to run, so a
+    /// whole-workspace `cargo test` with the variable set replays once.
     pub fn replay(&self) -> Option<String> {
-        std::env::var(self.replay_var).ok().filter(|line| !line.trim().is_empty())
+        self.addressed(&std::env::var("HOMA_FUZZ_REPLAY").ok()?).map(str::to_string)
     }
 
-    /// Record a shrunk failure through [`report_failure`] and panic with
-    /// the replay instructions. The panic message names `replay_var` so
-    /// a failing CI log is self-describing.
+    /// `value` without its `<name>:` prefix, if it carries this family's.
+    fn addressed<'a>(&self, value: &'a str) -> Option<&'a str> {
+        value.strip_prefix(self.name)?.strip_prefix(':')
+    }
+
+    /// Record a (shrunk) failure — on stderr, and as a line of
+    /// `$HOMA_FUZZ_FAILURE_DIR/<name>.txt` when that is set — and panic
+    /// with the replay instructions, so a failing CI log is self-describing.
     pub fn fail(&self, minimal_line: &str, detail: &str) -> ! {
-        report_failure(self.name, minimal_line, detail);
-        panic!(
-            "[{}] {detail}\nreplay with:\n  {}='{minimal_line}' cargo test\n",
-            self.name, self.replay_var
-        );
+        let name = self.name;
+        let addressed = format!("{name}:{minimal_line}");
+        report_failure(name, &addressed, detail);
+        panic!("[{name}] {detail}\nreplay with:\n  HOMA_FUZZ_REPLAY='{addressed}' cargo test\n");
+    }
+
+    /// The loop every seed-keyed property runs: `case` draws its whole
+    /// input from the generator it is handed, `SplitMix64::new(seed)`, and
+    /// asserts, once for each seed in `0..iters(64)`. A panic in `case` is
+    /// the failure; it is reported as the line `seed=<n>`. When
+    /// `HOMA_FUZZ_REPLAY='<name>:seed=<n>'` is set, every property of the
+    /// family runs that seed alone.
+    pub fn check_seeds(&self, property: &str, case: impl Fn(&mut SplitMix64)) {
+        let replayed = self.replay().map(|line| {
+            let seed = line.trim().strip_prefix("seed=").and_then(|n| n.parse::<u64>().ok());
+            seed.unwrap_or_else(|| panic!("[{}] replay line `{line}` is not `seed=<n>`", self.name))
+        });
+        let seeds = match replayed {
+            Some(seed) => seed..seed.saturating_add(1),
+            None => 0..self.iters(64),
+        };
+        for seed in seeds {
+            if let Err(msg) = catch_panic(|| case(&mut SplitMix64::new(seed))) {
+                self.fail(&format!("seed={seed}"), &format!("{property}: panicked: {msg}"));
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_matches_the_published_vectors() {
+        // The first outputs of Vigna's reference `splitmix64.c`. The
+        // benchmark's RPC plan and every property ride on this stream.
+        let first = |seed, n| {
+            let mut rng = SplitMix64::new(seed);
+            (0..n).map(|_| rng.next_u64()).collect::<Vec<u64>>()
+        };
+        let want_1234567 = [
+            6_457_827_717_110_365_317,
+            3_203_168_211_198_807_973,
+            9_817_491_932_198_370_423,
+            4_593_380_528_125_082_431,
+            16_408_922_859_458_223_821,
+        ];
+        assert_eq!(first(1_234_567, 5), want_1234567);
+        assert_eq!(
+            first(0, 3),
+            [0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f]
+        );
+    }
+
+    #[test]
+    fn ranges_reach_the_whole_u64_and_edge_draws_reach_both_ends() {
+        let mut rng = SplitMix64::new(3);
+        let mut twin = rng.clone();
+        assert_eq!(rng.range(0, u64::MAX), twin.next_u64());
+        assert_eq!(rng.range(u64::MAX, u64::MAX), u64::MAX);
+        let (mut lo, mut hi) = (0, 0);
+        for _ in 0..8_000 {
+            assert!(rng.range(u64::MAX - 2, u64::MAX) >= u64::MAX - 2);
+            match rng.edge_range(5, 1_000_004) {
+                5 => lo += 1,
+                1_000_004 => hi += 1,
+                draw => assert!((5..1_000_004).contains(&draw)),
+            }
+        }
+        // One draw in sixteen at each end; a uniform draw would give none.
+        assert!((400..600).contains(&lo) && (400..600).contains(&hi), "lo {lo}, hi {hi}");
+    }
+
+    /// What a `debug_assert!` or a silent default let through in release
+    /// builds is refused in every build, by name.
+    #[test]
+    fn bad_arguments_and_bad_budgets_are_refused() {
+        assert_eq!(parse_iters(None, 20), 20);
+        assert_eq!(parse_iters(Some("500"), 20), 500);
+        let refused: [(fn(), &str); 3] = [
+            (|| _ = SplitMix64::new(3).range(5, 4), "range(5, 4): the range is empty"),
+            (|| _ = SplitMix64::new(3).below(0), "below(0)"),
+            (|| _ = parse_iters(Some("5OO"), 20), "HOMA_FUZZ_ITERS=`5OO` is not a count"),
+        ];
+        for (call, want) in refused {
+            let msg = catch_panic(call).expect_err(want);
+            assert!(msg.contains(want), "`{msg}` does not say `{want}`");
+        }
+    }
+
+    #[test]
+    fn an_unwritable_failure_artifact_says_so_and_names_the_path() {
+        // A regular file where the directory should be.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let err = append_failure(dir, "wire", "line # detail").expect_err("a file is no directory");
+        assert!(err.contains("Cargo.toml/wire.txt not written: "), "{err}");
+    }
+
+    /// `check_seeds` runs its whole budget, and the line its failure prints
+    /// through `fail` is the line `replay` answers — for the family that
+    /// printed it and for no other.
+    #[test]
+    fn a_failing_seed_is_reported_as_a_line_only_its_own_family_replays() {
+        let family = FuzzFamily::new("sim");
+        let budget = family.iters(64);
+        let ran = std::cell::Cell::new(0);
+        family.check_seeds("counts", |_| ran.set(ran.get() + 1));
+        assert_eq!(ran.get(), budget);
+        if budget == 0 {
+            return;
+        }
+        // The case is handed `SplitMix64::new(seed)`: fail on seed 0's.
+        let unlucky = SplitMix64::new(0).next_u64();
+        let msg = catch_panic(|| {
+            family.check_seeds("odd_one_out", |rng| assert_ne!(rng.next_u64(), unlucky, "unlucky"))
+        })
+        .expect_err("seed 0 fails");
+        assert!(msg.contains("odd_one_out: panicked: "), "{msg}");
+        let (_, rest) = msg.split_once("HOMA_FUZZ_REPLAY='").expect("a replay command");
+        let (value, _) = rest.split_once("' cargo test").expect("a quoted value");
+        for name in ["sim", "sim-properties", "si", "wire"] {
+            let want = (name == "sim").then_some("seed=0");
+            assert_eq!(FuzzFamily::new(name).addressed(value), want, "{name} reads `{value}`");
+        }
+        // A line-keyed family's line has colons and spaces of its own.
+        let line = "name=x fabric=sw:8 faults=100:down:h2";
+        let value = format!("conservation:{line}");
+        assert_eq!(FuzzFamily::new("conservation").addressed(&value), Some(line));
+    }
 
     #[test]
     fn arbitrary_is_deterministic_and_bounded() {

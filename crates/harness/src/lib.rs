@@ -23,9 +23,11 @@
 //! * [`spec_line`] — the canonical `key=value` text encoding of a spec
 //!   (`format ∘ parse` identity), so any run — including a shrunk fuzz
 //!   failure — is replayable from a pasted line.
-//! * [`fuzzing`] — seeded scenario generation ([`ScenarioSpec::arbitrary`])
-//!   and deterministic shrinking ([`fuzzing::shrink_to_minimal`]) for the
-//!   differential and conservation fuzz suites.
+//! * [`fuzzing`] — the randomized-testing kit every crate tests with
+//!   ([`SplitMix64`], [`FuzzFamily`]: one generator, one loop, one replay
+//!   variable), plus seeded scenario generation
+//!   ([`ScenarioSpec::arbitrary`]) and deterministic shrinking
+//!   ([`fuzzing::shrink_to_minimal`]) for the scenario-level fuzz suites.
 //! * [`slowdown`] — per-message records and the paper's slowdown metric:
 //!   observed completion time over the best possible time on an unloaded
 //!   network, summarized at p50/p99 over size bins that are linear in
@@ -67,8 +69,7 @@ pub use driver::{OnewayOpts, OnewayResult};
 pub use figures::{compare_curves, CurveDelta, MeasuredPoint, PointDelta, RefCurve};
 pub use fuzzing::stateful::{parse_ops_line, shrink_ops_to_minimal, OpTrace};
 pub use fuzzing::{
-    failure_or_panic, fuzz_iters, report_failure, shrink_to_minimal, shrink_to_minimal_with,
-    FuzzFamily, SplitMix64,
+    failure_or_panic, shrink_to_minimal, shrink_to_minimal_with, FuzzFamily, SplitMix64,
 };
 pub use scenario::{FabricSpec, ScenarioSpec};
 pub use slowdown::{MsgRecord, SlowdownBin, SlowdownSummary};

@@ -25,11 +25,11 @@ use homa::packets::{
 use homa_harness::{FuzzFamily, SplitMix64};
 use homa_wire::{decode, encode, encode_into, encoded_len, WireError, HEADER_LEN};
 
-/// The wire family shares the workspace fuzz plumbing (`HOMA_FUZZ_ITERS`
-/// for iteration budgets). Its failures are plain assert panics — the
-/// corpus table below is the replay mechanism — so the replay variable
-/// is only ever mentioned, never read.
-const FAMILY: FuzzFamily = FuzzFamily::new("wire", "HOMA_FUZZ_REPLAY");
+/// The wire family takes its iteration budgets from the workspace fuzz
+/// plumbing (`HOMA_FUZZ_ITERS`). Its failures are plain assert panics on
+/// a fixed seed, and the corpus table below is where a new failure class
+/// is kept, so it has nothing to replay.
+const FAMILY: FuzzFamily = FuzzFamily::new("wire");
 
 fn arbitrary_key(rng: &mut SplitMix64) -> MsgKey {
     MsgKey {
@@ -57,7 +57,8 @@ fn arbitrary_packet(rng: &mut SplitMix64) -> (HomaPacket, Vec<u8>) {
     let key = arbitrary_key(rng);
     match rng.below(5) {
         0 => {
-            let payload: Vec<u8> = (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect();
+            // Lengths from empty to past a full packet's 1,400 bytes.
+            let payload: Vec<u8> = (0..rng.below(2_000)).map(|_| rng.next_u64() as u8).collect();
             let flags = rng.next_u64();
             (
                 HomaPacket::Data(DataHeader {

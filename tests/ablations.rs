@@ -1,10 +1,11 @@
 //! Integration tests for the paper's mechanism ablations: each of Homa's
 //! design choices must have a measurable effect in the direction the
-//! paper reports. The Figure 17/18/20 claims are ordinal assertions over
-//! the rows `repro` writes, at the `--scale 0.2` of the CI figure gate
-//! and at both of its seeds.
+//! paper reports. The Figure 17/18/20/21 and Table 1 claims are ordinal
+//! assertions over the rows `repro` writes, at the `--scale 0.2` of the
+//! CI figure gate and at both of its seeds.
 
-use homa_bench::figdata::{ablation, Ablation, ReproOpts, Variant, FIG17, FIG18, FIG20};
+use homa_bench::figdata::{ablation, figure, Ablation, ReproOpts, Variant, FIG17, FIG18, FIG20};
+use homa_bench::perfjson::FigRow;
 use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::slowdown::SlowdownSummary;
@@ -19,9 +20,18 @@ fn small_msg_p99(a: &Ablation, labels: &[&str], seed: u64) -> Vec<f64> {
     let picked: Vec<Variant> = (a.variants.iter().copied())
         .filter(|v| labels.is_empty() || labels.contains(&v.label().as_str()))
         .collect();
-    let opts = ReproOpts { seed, msgs_scale: 0.2, ..ReproOpts::default() };
-    let table = ablation(a, &picked, &opts);
+    let table = ablation(a, &picked, &gate_opts(seed));
     table.rows.iter().map(|r| r["small_msg_p99"].as_num().expect("numeric column")).collect()
+}
+
+fn gate_opts(seed: u64) -> ReproOpts {
+    ReproOpts { seed, msgs_scale: 0.2, ..ReproOpts::default() }
+}
+
+/// The rows of the one table `repro <name>` writes at `seed`.
+fn rows_of(name: &str, seed: u64) -> Vec<FigRow> {
+    let build = figure(name).expect("a registered figure").build;
+    build(&gate_opts(seed)).remove(0).rows
 }
 
 #[test]
@@ -110,6 +120,51 @@ fn blind_transmission_matters_for_small_messages() {
             p99[0] >= p99[1] * 1.5,
             "seed {seed}: suppressing blind transmission must hurt (1B, RTTbytes): {p99:?}"
         );
+    }
+}
+
+#[test]
+fn priority_levels_stack_to_the_load_and_scheduled_ones_fill_from_the_bottom() {
+    // Figure 21: the bars are fractions of the available bandwidth, so
+    // the eight of one load stack to that load; W3 spreads unscheduled
+    // bytes over all four of its levels, and scheduled bytes use the
+    // lowest level first (§3.4, Figure 5), so P0 outweighs P1–P3.
+    for seed in [42, 7] {
+        let rows = rows_of("fig21", seed);
+        for load in [0.5, 0.8, 0.9] {
+            let frac: Vec<f64> = (rows.iter().filter(|r| r["x"].as_num() == Some(load)))
+                .map(|r| r["value"].as_num().expect("numeric column"))
+                .collect();
+            assert_eq!(frac.len(), 8, "seed {seed}, load {load}: one row a level");
+            let sum: f64 = frac.iter().sum();
+            assert!((sum - load).abs() <= 0.1 * load, "seed {seed}, load {load}: sum {sum}");
+            assert!(frac[4..].iter().all(|&f| f > 0.0), "seed {seed}, load {load}: {frac:?}");
+            assert!(
+                frac[0] > frac[1..4].iter().sum::<f64>(),
+                "seed {seed}, load {load}: scheduled bytes must sit at the bottom: {frac:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn queueing_lives_at_the_tor_downlinks() {
+    // Table 1: at 80% load queues build where receivers' downlinks are
+    // shared, and the core stays nearly empty, on every workload. Rows
+    // come three a workload: TOR->Aggr, Aggr->TOR, TOR->host.
+    for seed in [42, 7] {
+        let rows = rows_of("table1", seed);
+        assert_eq!(rows.len(), 3 * Workload::ALL.len());
+        for of_workload in rows.chunks(3) {
+            let who = format!("seed {seed}, {:?}", of_workload[2]["workload"]);
+            assert_eq!(of_workload[2]["queue"].as_text(), Some("TOR->host"), "{who}");
+            let column = |c: &str| -> Vec<f64> {
+                of_workload.iter().map(|r| r[c].as_num().expect("numeric column")).collect()
+            };
+            let (mean, max) = (column("mean_bytes"), column("max_bytes"));
+            assert!(mean[2] >= 3.0 * mean[0].max(mean[1]), "{who}: means {mean:?}");
+            assert!(max[2] > max[0].max(max[1]), "{who}: maxima {max:?}");
+        }
     }
 }
 

@@ -23,7 +23,7 @@ use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::{failure_or_panic, shrink_to_minimal, FuzzFamily, ScenarioSpec};
 
-const FAMILY: FuzzFamily = FuzzFamily::new("conservation", "HOMA_FUZZ_REPLAY");
+const FAMILY: FuzzFamily = FuzzFamily::new("conservation");
 
 const TRANSPORTS: [Protocol; 6] = [
     Protocol::Homa,
@@ -108,14 +108,15 @@ fn long_haul_conservation_fuzz() {
     check_seed_range(200_000, FAMILY.iters(10) * 25);
 }
 
-/// Replay hook: set `HOMA_FUZZ_REPLAY` to a spec line printed by a fuzz
-/// failure and this test re-checks conservation on it for every
-/// transport (it passes trivially when the variable is unset).
+/// Replay hook: set `HOMA_FUZZ_REPLAY` to the `conservation:<spec line>`
+/// a fuzz failure printed and this test re-checks conservation on it for
+/// every transport (it passes trivially when the variable is unset or
+/// names another family).
 #[test]
 fn replay_spec_line_from_env() {
     let Some(line) = FAMILY.replay() else { return };
     let spec = ScenarioSpec::parse_spec_line(&line)
-        .unwrap_or_else(|e| panic!("bad {} line: {e}", FAMILY.replay_var));
+        .unwrap_or_else(|e| panic!("bad spec line `{line}`: {e}"));
     for p in TRANSPORTS {
         if let Some(detail) = violates_conservation(p, &spec) {
             panic!("replayed spec still violates conservation: {detail}\n  {line}");

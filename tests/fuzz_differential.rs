@@ -22,7 +22,7 @@
 //! minimal still-failing one and prints it as a one-line replay string
 //! (also appended under `$HOMA_FUZZ_FAILURE_DIR` for CI artifact upload).
 //! Replay locally with
-//! `HOMA_FUZZ_REPLAY='<line>' cargo test --test fuzz_differential replay`.
+//! `HOMA_FUZZ_REPLAY='differential:<line>' cargo test --test fuzz_differential replay`.
 //!
 //! Iteration counts honor `HOMA_FUZZ_ITERS`; the `#[ignore]` variant is
 //! the nightly long haul.
@@ -31,7 +31,7 @@ use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::{failure_or_panic, shrink_to_minimal, FuzzFamily, ScenarioSpec};
 
-const FAMILY: FuzzFamily = FuzzFamily::new("differential", "HOMA_FUZZ_REPLAY");
+const FAMILY: FuzzFamily = FuzzFamily::new("differential");
 
 /// The protocols differentially fuzzed, rotated per iteration: Homa
 /// plus the two baselines with the most transport-side state.
@@ -108,14 +108,14 @@ fn long_haul_differential_fuzz() {
     check_seed_range(100_000, FAMILY.iters(20) * 25);
 }
 
-/// Replay hook: set `HOMA_FUZZ_REPLAY` to a spec line printed by a fuzz
-/// failure and this test re-runs it under the oracle (it passes
-/// trivially when the variable is unset).
+/// Replay hook: set `HOMA_FUZZ_REPLAY` to the `differential:<spec line>`
+/// a fuzz failure printed and this test re-runs it under the oracle (it
+/// passes trivially when the variable is unset or names another family).
 #[test]
 fn replay_spec_line_from_env() {
     let Some(line) = FAMILY.replay() else { return };
     require_oracle();
-    let spec = ScenarioSpec::parse_spec_line(&line).expect("HOMA_FUZZ_REPLAY must be a spec line");
+    let spec = ScenarioSpec::parse_spec_line(&line).expect("the replay line must be a spec line");
     for p in PROTOCOLS {
         if let Some(detail) = diverges(p, &spec) {
             panic!("replayed spec still fails: {detail}\n  {line}");

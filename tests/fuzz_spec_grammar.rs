@@ -9,7 +9,7 @@
 //! Replay a shrunk line with:
 //!
 //! ```text
-//! HOMA_FUZZ_REPLAY_LINE='name=x fabric=ss4 wl=w9' \
+//! HOMA_FUZZ_REPLAY='spec-grammar:name=x fabric=ss4 wl=w9' \
 //!     cargo test --test fuzz_spec_grammar replay_line_from_env
 //! ```
 
@@ -18,7 +18,7 @@ use homa_harness::fuzzing::grammar::{
 };
 use homa_harness::{FuzzFamily, ScenarioSpec};
 
-const FAMILY: FuzzFamily = FuzzFamily::new("spec-grammar", "HOMA_FUZZ_REPLAY_LINE");
+const FAMILY: FuzzFamily = FuzzFamily::new("spec-grammar");
 
 fn check_seed_range(first_seed: u64, iters: u64) {
     for i in 0..iters {

@@ -8,14 +8,14 @@
 //! Replay a shrunk line with:
 //!
 //! ```text
-//! HOMA_FUZZ_REPLAY_OPS='ra:200:30000,pa:8,db:8,xb,ta:2100000' \
+//! HOMA_FUZZ_REPLAY='stateful:ra:200:30000,pa:8,db:8,xb,ta:2100000' \
 //!     cargo test --test fuzz_stateful replay_ops_line_from_env
 //! ```
 
 use homa_harness::fuzzing::stateful::{check_ops_caught, trace_deliveries};
 use homa_harness::{parse_ops_line, shrink_ops_to_minimal, FuzzFamily, OpTrace};
 
-const FAMILY: FuzzFamily = FuzzFamily::new("stateful", "HOMA_FUZZ_REPLAY_OPS");
+const FAMILY: FuzzFamily = FuzzFamily::new("stateful");
 
 fn check_seed_range(first_seed: u64, iters: u64) {
     for i in 0..iters {
@@ -44,8 +44,7 @@ fn long_haul_stateful_fuzz() {
 #[test]
 fn replay_ops_line_from_env() {
     let Some(line) = FAMILY.replay() else { return };
-    let trace =
-        parse_ops_line(&line).unwrap_or_else(|e| panic!("bad {} line: {e}", FAMILY.replay_var));
+    let trace = parse_ops_line(&line).unwrap_or_else(|e| panic!("bad ops line `{line}`: {e}"));
     match check_ops_caught(&trace) {
         Ok(()) => println!("replayed `{line}`: model satisfied"),
         Err(detail) => panic!("replayed `{line}`: {detail}"),

@@ -1,81 +1,21 @@
-//! Property-based tests spanning crates: wire round-trips, end-to-end
-//! delivery for arbitrary message mixes, and workload CDF invariants.
+//! Properties spanning crates: end-to-end delivery for arbitrary message
+//! mixes and workload CDF invariants. Each case builds its whole input
+//! from one seed, so a failure is a seed that fails alone:
+//! `HOMA_FUZZ_REPLAY='cross-crate-properties:seed=<n>' cargo test --test properties`.
 
-use homa::packets::{DataHeader, Dir, GrantHeader, HomaPacket, MsgKey, PeerId, ResendHeader};
+use homa::packets::PeerId;
 use homa::{HomaConfig, HomaEndpoint};
+use homa_harness::FuzzFamily;
 use homa_workloads::MessageSizeDist;
-use proptest::prelude::*;
 
-fn arb_dir() -> impl Strategy<Value = Dir> {
-    prop_oneof![Just(Dir::Request), Just(Dir::Response), Just(Dir::Oneway)]
-}
+const FAMILY: FuzzFamily = FuzzFamily::new("cross-crate-properties");
 
-fn arb_key() -> impl Strategy<Value = MsgKey> {
-    (any::<u32>(), any::<u64>(), arb_dir()).prop_map(|(o, seq, dir)| MsgKey {
-        origin: PeerId(o),
-        seq,
-        dir,
-    })
-}
-
-proptest! {
-    #[test]
-    fn wire_data_round_trip(
-        key in arb_key(),
-        msg_len in 1u64..u64::MAX / 2,
-        offset in 0u64..u64::MAX / 2,
-        payload_len in 0u32..2_000,
-        prio in 0u8..8,
-        flags in any::<[bool; 3]>(),
-        tag in any::<u64>(),
-    ) {
-        let hdr = DataHeader {
-            key,
-            msg_len,
-            offset,
-            payload: payload_len,
-            prio,
-            unscheduled: flags[0],
-            retransmit: flags[1],
-            incast_mark: flags[2],
-            tag,
-        };
-        let payload = vec![0x5Au8; payload_len as usize];
-        let pkt = HomaPacket::Data(hdr);
-        let buf = homa_wire::encode(&pkt, &payload);
-        let (out, off) = homa_wire::decode(&buf).expect("round trip");
-        prop_assert_eq!(out, pkt);
-        prop_assert_eq!(&buf[off..], &payload[..]);
-    }
-
-    #[test]
-    fn wire_control_round_trip(
-        key in arb_key(),
-        offset in any::<u64>(),
-        length in any::<u64>(),
-        prio in 0u8..8,
-    ) {
-        for pkt in [
-            HomaPacket::Grant(GrantHeader { key, offset, prio, cutoffs: None }),
-            HomaPacket::Resend(ResendHeader { key, offset, length, prio }),
-        ] {
-            let buf = homa_wire::encode(&pkt, &[]);
-            let (out, _) = homa_wire::decode(&buf).expect("round trip");
-            prop_assert_eq!(out, pkt);
-        }
-    }
-
-    #[test]
-    fn wire_decode_never_panics_on_noise(noise in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = homa_wire::decode(&noise); // must not panic
-    }
-
-    #[test]
-    fn endpoint_delivers_arbitrary_message_mixes(
-        sizes in proptest::collection::vec(1u64..200_000, 1..20),
-    ) {
-        // A zero-latency lossless shuttle between two endpoints must
-        // deliver every message exactly once, whatever the mix.
+/// A zero-latency lossless shuttle between two endpoints must deliver
+/// every message exactly once, whatever the mix.
+#[test]
+fn endpoint_delivers_arbitrary_message_mixes() {
+    FAMILY.check_seeds("endpoint_delivers_arbitrary_message_mixes", |rng| {
+        let sizes: Vec<u64> = (0..rng.range(1, 19)).map(|_| rng.edge_range(1, 199_999)).collect();
         let mut a = HomaEndpoint::new(PeerId(0), HomaConfig::default());
         let mut b = HomaEndpoint::new(PeerId(1), HomaConfig::default());
         for (i, &s) in sizes.iter().enumerate() {
@@ -96,34 +36,34 @@ proptest! {
             }
         }
         let evs = b.take_events();
-        prop_assert_eq!(evs.len(), sizes.len());
-        prop_assert_eq!(b.delivered_bytes(), sizes.iter().sum::<u64>());
-    }
+        assert_eq!(evs.len(), sizes.len());
+        assert_eq!(b.delivered_bytes(), sizes.iter().sum::<u64>());
+    });
+}
 
-    #[test]
-    fn cdf_quantile_consistency(
-        anchors in proptest::collection::vec((1u64..1_000_000, 0u32..1000), 2..8),
-        p in 0.0f64..1.0,
-    ) {
+#[test]
+fn cdf_quantile_consistency() {
+    FAMILY.check_seeds("cdf_quantile_consistency", |rng| {
         // Build a valid anchor set from arbitrary input.
-        let mut sizes: Vec<u64> = anchors.iter().map(|&(s, _)| s).collect();
+        let mut sizes: Vec<u64> =
+            (0..rng.range(2, 7)).map(|_| rng.edge_range(1, 999_999)).collect();
+        let p = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         sizes.sort_unstable();
         sizes.dedup();
-        prop_assume!(sizes.len() >= 2);
+        if sizes.len() < 2 {
+            return;
+        }
         let n = sizes.len();
-        let pts: Vec<(u64, f64)> = sizes
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| (s, i as f64 / (n - 1) as f64))
-            .collect();
+        let pts: Vec<(u64, f64)> =
+            sizes.into_iter().enumerate().map(|(i, s)| (s, i as f64 / (n - 1) as f64)).collect();
         let d = MessageSizeDist::from_anchors(pts);
         // Quantile is monotone and stays in support.
         let q = d.quantile(p);
-        prop_assert!(q >= d.min_size() && q <= d.max_size());
+        assert!(q >= d.min_size() && q <= d.max_size());
         let q2 = d.quantile((p + 0.05).min(1.0));
-        prop_assert!(q2 >= q);
+        assert!(q2 >= q);
         // CDF inverts within tolerance.
         let back = d.cdf(q);
-        prop_assert!((back - p).abs() < 0.1, "p={} q={} back={}", p, q, back);
-    }
+        assert!((back - p).abs() < 0.1, "p={p} q={q} back={back}");
+    });
 }

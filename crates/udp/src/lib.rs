@@ -56,10 +56,22 @@
 //! 3. **One `pump`**, which takes up to `TX_BATCH` packets from the
 //!    endpoint, *merges the GRANTs*, encodes each header and the payload
 //!    slice borrowed from the payload store straight into a per-thread
-//!    byte arena ([`homa_wire::encode_into`]), and `send_to`s the datagrams
-//!    with no lock held. `send_message`, `call` and `respond` run the same
-//!    `pump` on the calling thread, so nothing waits for the driver to
-//!    wake up.
+//!    byte arena ([`homa_wire::encode_into`]), and sends the datagrams
+//!    with no lock held. Each run of adjacent full-size DATA datagrams
+//!    (1,446 bytes) to one peer, at most 45 of them and the run's last one
+//!    any size, goes out in **one `send_to`**: at `bind` the socket was
+//!    given `UDP_SEGMENT` = 1,446 (the crate's one foreign call, in `sys`),
+//!    so the kernel cuts the send back into the same datagrams and the wire
+//!    does not change. GRANTs and other short datagrams end a run. Where the
+//!    option is refused (not Linux, or a kernel before 4.18) every send is
+//!    one datagram. The kernel checks the option on every send, a GRANT's
+//!    too: a send it refuses for it (EIO on an IPsec route or a device that
+//!    cannot checksum a segment, EINVAL or EMSGSIZE below a 1,446-byte path
+//!    MTU) turns it off and goes again one datagram at a time, as do all
+//!    later sends. Any other failed send is lost datagrams and changes
+//!    nothing. `send_message`,
+//!    `call` and `respond` run the same `pump` on the calling thread, so
+//!    nothing waits for the driver to wake up.
 //!
 //! **Merged GRANTs.** The endpoint issues one GRANT per DATA packet
 //! (§3.3); a turn that read N DATA packets of one message therefore finds
@@ -76,9 +88,11 @@
 //! GRANT — the sender treats the RESEND as an implicit grant.
 //!
 //! [`RunSummary`] counts what the turn did: `datagrams_rx`/`datagrams_tx`,
+//! `tx_sends` (the send system calls that carried `datagrams_tx`),
 //! `rx_turns`, `rx_drained` (datagrams that arrived through the drain),
-//! `grants_merged` and `tx_errors` (a failed `send_to` is a lost packet,
-//! which the protocol recovers; it is counted, not retried).
+//! `grants_merged` and `tx_errors` (a datagram whose send failed is a lost
+//! packet, which the protocol recovers; it is counted, not retried, unless
+//! the failure was segmentation's).
 //!
 //! ## Paper map
 //!
@@ -87,8 +101,10 @@
 //! | [`node`] | §4's implementation layer: socket I/O threads, pacing, DSCP priority mapping, RPC surface |
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `sys`, the one foreign call, allows it for itself.
+#![deny(unsafe_code)]
 
 pub mod node;
+mod sys;
 
 pub use node::{EventQueue, HomaUdpNode, RunSummary, UdpConfig, UdpEvent};

@@ -54,6 +54,17 @@ impl Default for UdpConfig {
 /// goes out on the driver's next turn, after it has read the socket again.
 const TX_BATCH: usize = 64;
 
+/// Bytes of a full-size DATA datagram, and so the size the kernel cuts a
+/// coalesced send into: every DATA packet but a message's last is this long.
+const SEGMENT: usize = homa_wire::DATA_HEADER_LEN + homa::config::MAX_PAYLOAD as usize;
+
+// Under 40 bytes of IPv6 and 8 of UDP header, a segment fits a 1,500-byte MTU.
+const _: () = assert!(SEGMENT + 48 <= 1_500, "a full DATA datagram overruns a 1,500-byte MTU");
+
+/// Most datagrams in one send: the kernel's `UDP_MAX_SEGMENTS` (64), and no
+/// more than fit in the largest UDP payload over IPv4 (65,507 bytes): 45.
+const MAX_SEGMENTS: usize = if 65_507 / SEGMENT < 64 { 65_507 / SEGMENT } else { 64 };
+
 /// Most datagrams one driver turn reads, drain included, before it pumps:
 /// one lock hold. Seven packets a message are in flight (`rtt_bytes`).
 const RX_BATCH: usize = 64;
@@ -189,15 +200,18 @@ pub struct RunSummary {
     pub in_buffers: usize,
     /// Datagrams read from the socket, undecodable and filtered included.
     pub datagrams_rx: u64,
-    /// Datagrams handed to `send_to`, failed sends included.
+    /// Datagrams handed to the kernel, lost ones included.
     pub datagrams_tx: u64,
+    /// Send system calls that carried them: one per run of full-size DATA
+    /// datagrams to one peer while segmentation offload works, else one each.
+    pub tx_sends: u64,
     /// Driver turns that read at least one datagram.
     pub rx_turns: u64,
     /// Of `datagrams_rx`, those a turn's non-blocking drain read.
     pub rx_drained: u64,
     /// GRANTs folded into an earlier GRANT of the same transmit batch.
     pub grants_merged: u64,
-    /// `send_to` calls that failed: packets lost before the wire.
+    /// Datagrams whose send failed: packets lost before the wire.
     pub tx_errors: u64,
 }
 
@@ -210,8 +224,8 @@ impl std::fmt::Display for RunSummary {
             f,
             "node {}: {queued} events queued, {shed} dropped (channel overflow), {out_payloads} \
              out-payloads retained, {in_buffers} in-buffers; rx {rx} in {rx_turns} turns \
-             ({rx_drained} drained), tx {tx} ({tx_errors} errors, {} grants merged)",
-            self.peer.0, self.grants_merged
+             ({rx_drained} drained), tx {tx} in {} sends ({tx_errors} errors, {} grants merged)",
+            self.peer.0, self.tx_sends, self.grants_merged
         )
     }
 }
@@ -277,6 +291,73 @@ fn stage(staged: &mut Vec<(PeerId, HomaPacket)>, dst: PeerId, pkt: HomaPacket) -
     false
 }
 
+/// How many datagrams of `spans` (each `(address, end)` in the arena, the
+/// first starting at `start`) one send carries when the kernel cuts sends
+/// into `segment`-byte datagrams: the longest run to one address in which
+/// every datagram but the last is exactly `segment` bytes, at most
+/// [`MAX_SEGMENTS`]. The kernel then cuts the run back into the very same
+/// datagrams. With `segment` 0, no segmentation, a run is one datagram.
+fn run_len(spans: &[(SocketAddr, usize)], start: usize, segment: usize) -> usize {
+    let Some(&(addr, _)) = spans.first() else { return 0 };
+    let (mut len, mut from) = (0, start);
+    for &(to, end) in spans.iter().take(MAX_SEGMENTS) {
+        if to != addr {
+            break;
+        }
+        len += 1;
+        if end - from != segment {
+            break;
+        }
+        from = end;
+    }
+    len
+}
+
+/// Send the datagrams of `bytes` that `spans` delimit, each [`run_len`] run
+/// in one `send` while `coalesce` holds. A send made while it held that the
+/// kernel refuses for its segmentation ([`refuses_segmentation`]), a single
+/// GRANT's included, clears `coalesce`, has `unsegment` turn the socket's
+/// segmentation off, and goes again one datagram at a time, as do all later
+/// sends: the refusal is a property of the path, and every retransmission
+/// would be refused too. Any other failure loses the run's datagrams and
+/// leaves `coalesce` alone: one unreachable peer must not cost the others
+/// their segmentation. Returns the sends made and the datagrams lost.
+///
+/// [`refuses_segmentation`]: crate::sys::refuses_segmentation
+fn transmit(
+    bytes: &[u8],
+    spans: &[(SocketAddr, usize)],
+    coalesce: &AtomicBool,
+    mut send: impl FnMut(&[u8], SocketAddr) -> io::Result<usize>,
+    unsegment: impl Fn(),
+) -> (u64, u64) {
+    let (mut sends, mut lost, mut at, mut start) = (0, 0, 0, 0);
+    while at < spans.len() {
+        let segmented = coalesce.load(Ordering::Relaxed);
+        let len = run_len(&spans[at..], start, if segmented { SEGMENT } else { 0 });
+        let (addr, end) = spans[at + len - 1];
+        sends += 1;
+        match send(&bytes[start..end], addr) {
+            Ok(_) => {}
+            // The flag is down once this arm has run, so a span goes again
+            // at most once. A run another thread planned before it fell goes
+            // out as one datagram, whose first packet alone the receiver
+            // reads, and a send made before that thread's `unsegment` is
+            // refused: losses the protocol recovers.
+            Err(e) if segmented && crate::sys::refuses_segmentation(&e) => {
+                if coalesce.swap(false, Ordering::Relaxed) {
+                    unsegment();
+                }
+                continue;
+            }
+            // A failed send is lost packets, which the protocol recovers.
+            Err(_) => lost += len as u64,
+        }
+        (at, start) = (at + len, end);
+    }
+    (sends, lost)
+}
+
 /// One Homa endpoint bound to a UDP socket, serviced by a background
 /// thread.
 pub struct HomaUdpNode {
@@ -287,6 +368,12 @@ pub struct HomaUdpNode {
     /// Events the full queue refused (the driver's `WouldBlock`
     /// backpressure signal).
     events_dropped: AtomicU64,
+    /// Send system calls made, as [`RunSummary::tx_sends`] reports them.
+    tx_sends: AtomicU64,
+    /// Whether sends coalesce runs of full-size DATA datagrams: the socket
+    /// took `UDP_SEGMENT` at bind, and the kernel has refused no send for it
+    /// since.
+    coalesce: AtomicBool,
     stop: AtomicBool,
 }
 
@@ -296,6 +383,10 @@ impl HomaUdpNode {
     pub fn bind<A: ToSocketAddrs>(me: PeerId, addr: A, cfg: UdpConfig) -> io::Result<Arc<Self>> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_read_timeout(Some(POLL_INTERVAL))?;
+        // The kernel cuts any send longer than a segment, so a node whose
+        // DATA can be longer than `SEGMENT` must not ask for it.
+        let coalesce = cfg.homa.max_payload <= homa::config::MAX_PAYLOAD
+            && crate::sys::set_udp_segment(&socket, SEGMENT as u16).is_ok();
         let node = Arc::new(HomaUdpNode {
             me,
             socket,
@@ -310,6 +401,8 @@ impl HomaUdpNode {
             }),
             events: EventQueue::new(cfg.event_channel_cap),
             events_dropped: AtomicU64::new(0),
+            tx_sends: AtomicU64::new(0),
+            coalesce: AtomicBool::new(coalesce),
             stop: AtomicBool::new(false),
         });
         let driver = Arc::clone(&node);
@@ -412,6 +505,7 @@ impl HomaUdpNode {
         RunSummary {
             events_queued: self.events.len(),
             events_dropped: self.events_dropped(),
+            tx_sends: self.tx_sends.load(Ordering::Relaxed),
             out_payloads: s.out_payloads.len(),
             in_buffers: s.in_buffers.len(),
             ..s.sum.clone()
@@ -432,7 +526,8 @@ impl HomaUdpNode {
 
     /// Transmit what the endpoint has ready, up to [`TX_BATCH`] packets:
     /// [`stage`]d and encoded into this thread's arena under the lock, sent
-    /// with no lock held. Driver and application threads all send here.
+    /// with no lock held, each run of full-size DATA to one peer in one
+    /// [`transmit`] send. Driver and application threads all send here.
     fn pump(&self) {
         TX.with_borrow_mut(|(staged, bytes, spans)| {
             bytes.clear();
@@ -460,15 +555,22 @@ impl HomaUdpNode {
             }
             s.sum.datagrams_tx += spans.len() as u64;
             drop(s);
-            let (mut start, mut errors) = (0, 0);
-            for &(addr, end) in spans.iter() {
-                // DSCP marking would go here (requires raw socket options);
-                // see `priority_to_dscp`. A failed send is a lost packet.
-                errors += u64::from(self.socket.send_to(&bytes[start..end], addr).is_err());
-                start = end;
-            }
-            if errors > 0 {
-                self.lock().sum.tx_errors += errors;
+            // No DSCP marking (`priority_to_dscp`): a per-send `IP_TOS`
+            // control message would mark a whole run, so runs would have to
+            // split wherever the priority changes.
+            let (sends, lost) = transmit(
+                bytes,
+                spans,
+                &self.coalesce,
+                |dgram, addr| self.socket.send_to(dgram, addr),
+                // Should even this fail, single sends fail too and are lost.
+                || {
+                    let _ = crate::sys::set_udp_segment(&self.socket, 0);
+                },
+            );
+            self.tx_sends.fetch_add(sends, Ordering::Relaxed);
+            if lost > 0 {
+                self.lock().sum.tx_errors += lost;
             }
         });
     }
@@ -1180,6 +1282,184 @@ mod tests {
         assert!(b.run_summary().datagrams_rx >= 1_000, "junk was shed: {}", b.run_summary());
         a.shutdown();
         b.shutdown();
+    }
+
+    /// `(address, end)` spans of datagrams of the given lengths, back to back.
+    fn spans(datagrams: &[(SocketAddr, usize)]) -> Vec<(SocketAddr, usize)> {
+        let mut end = 0;
+        datagrams
+            .iter()
+            .map(|&(addr, len)| {
+                end += len;
+                (addr, end)
+            })
+            .collect()
+    }
+
+    /// The run lengths `pump` sends `spans` in, given the segment size.
+    fn runs(spans: &[(SocketAddr, usize)], segment: usize) -> Vec<usize> {
+        let (mut out, mut at, mut start) = (Vec::new(), 0, 0);
+        while at < spans.len() {
+            let len = run_len(&spans[at..], start, segment);
+            out.push(len);
+            (at, start) = (at + len, spans[at + len - 1].1);
+        }
+        out
+    }
+
+    fn addrs() -> (SocketAddr, SocketAddr) {
+        ("127.0.0.1:7000".parse().unwrap(), "127.0.0.1:7001".parse().unwrap())
+    }
+
+    /// A GRANT without cutoffs, as the node sends most of them.
+    const GRANT: usize = homa_wire::HEADER_LEN + 9;
+
+    #[test]
+    fn full_size_datagrams_to_one_peer_coalesce_up_to_the_cap() {
+        let (p, _) = addrs();
+        assert_eq!(MAX_SEGMENTS, 45);
+        assert_eq!(runs(&spans(&[(p, SEGMENT); 100]), SEGMENT), [45, 45, 10]);
+        // With no segmentation every datagram is its own send.
+        assert_eq!(runs(&spans(&[(p, SEGMENT); 3]), 0), [1, 1, 1]);
+    }
+
+    #[test]
+    fn a_short_datagram_ends_a_run_as_its_last_segment() {
+        let (p, _) = addrs();
+        let d = [(p, SEGMENT), (p, SEGMENT), (p, 500), (p, SEGMENT), (p, SEGMENT - 1), (p, 1)];
+        assert_eq!(runs(&spans(&d), SEGMENT), [3, 2, 1]);
+        // One byte too long is not a segment either.
+        assert_eq!(runs(&spans(&[(p, SEGMENT + 1), (p, SEGMENT)]), SEGMENT), [1, 1]);
+    }
+
+    #[test]
+    fn a_change_of_address_ends_a_run() {
+        let (p, q) = addrs();
+        let d = [(p, SEGMENT), (p, SEGMENT), (q, SEGMENT), (q, 700), (p, SEGMENT), (q, SEGMENT)];
+        assert_eq!(runs(&spans(&d), SEGMENT), [2, 2, 1, 1]);
+    }
+
+    #[test]
+    fn a_grant_is_never_followed_by_another_datagram_in_one_send() {
+        let (p, _) = addrs();
+        let d = [(p, GRANT), (p, SEGMENT), (p, SEGMENT), (p, GRANT), (p, GRANT), (p, SEGMENT)];
+        assert_eq!(runs(&spans(&d), SEGMENT), [1, 3, 1, 1]);
+    }
+
+    /// Datagrams, each with its address.
+    type Datagrams = Vec<(SocketAddr, Vec<u8>)>;
+
+    /// The datagrams `spans` delimit in `bytes`.
+    fn datagrams(bytes: &[u8], spans: &[(SocketAddr, usize)]) -> Datagrams {
+        let mut start = 0;
+        spans
+            .iter()
+            .map(|&(addr, end)| (addr, bytes[std::mem::replace(&mut start, end)..end].to_vec()))
+            .collect()
+    }
+
+    /// `transmit` over a fake kernel on a path whose MTU is below a segment:
+    /// while the socket segments, every send is refused with EINVAL, however
+    /// short; once `unsegment` has run, every send goes out. Returns the
+    /// result, the datagrams sent and the `unsegment` calls.
+    fn over_a_small_mtu(
+        bytes: &[u8],
+        spans: &[(SocketAddr, usize)],
+        coalesce: &AtomicBool,
+    ) -> ((u64, u64), Datagrams, u64) {
+        let (segmenting, unsegmented) =
+            (AtomicBool::new(coalesce.load(Ordering::Relaxed)), AtomicU64::new(0));
+        let mut sent = Vec::new();
+        let send = |dgram: &[u8], addr: SocketAddr| {
+            if segmenting.load(Ordering::Relaxed) {
+                return Err(io::Error::from_raw_os_error(crate::sys::EINVAL));
+            }
+            sent.push((addr, dgram.to_vec()));
+            Ok(dgram.len())
+        };
+        let unsegment = || {
+            segmenting.store(false, Ordering::Relaxed);
+            unsegmented.fetch_add(1, Ordering::Relaxed);
+        };
+        let result = transmit(bytes, spans, coalesce, send, unsegment);
+        (result, sent, unsegmented.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn a_refused_coalesced_send_goes_again_one_datagram_at_a_time() {
+        let (p, q) = addrs();
+        let d = spans(&[(p, SEGMENT), (p, SEGMENT), (p, 9), (q, GRANT), (q, SEGMENT), (q, 30)]);
+        let bytes: Vec<u8> = (0..d.last().unwrap().1).map(|i| i as u8).collect();
+        let coalesce = AtomicBool::new(true);
+        // One refused send of three, then six single ones: nothing lost.
+        let (result, sent, unsegmented) = over_a_small_mtu(&bytes, &d, &coalesce);
+        assert_eq!((result, unsegmented), ((7, 0), 1));
+        assert!(!coalesce.load(Ordering::Relaxed));
+        assert_eq!(sent, datagrams(&bytes, &d));
+        // Later batches are not coalesced: the refusal is the path's.
+        let (result, sent, unsegmented) = over_a_small_mtu(&bytes, &d, &coalesce);
+        assert_eq!((result, unsegmented), ((6, 0), 0));
+        assert_eq!(sent, datagrams(&bytes, &d));
+        // With the flag down, the same error is a loss, not another try.
+        let refused = |_: &[u8], _| Err(io::Error::from_raw_os_error(crate::sys::EMSGSIZE));
+        assert_eq!(transmit(&bytes, &d, &coalesce, refused, || panic!("reset twice")), (6, 6));
+    }
+
+    #[test]
+    fn a_node_that_sends_only_grants_falls_back_too() {
+        // The kernel refuses a GRANT on a segmenting socket as it refuses a
+        // run: a receiver that never coalesces must still turn it off.
+        let (p, q) = addrs();
+        let d = spans(&[(p, GRANT), (p, GRANT), (q, GRANT + 8)]);
+        let bytes: Vec<u8> = (0..d.last().unwrap().1).map(|i| (i * 3) as u8).collect();
+        let coalesce = AtomicBool::new(true);
+        let (result, sent, unsegmented) = over_a_small_mtu(&bytes, &d, &coalesce);
+        assert_eq!((result, unsegmented), ((4, 0), 1));
+        assert!(!coalesce.load(Ordering::Relaxed));
+        assert_eq!(sent, datagrams(&bytes, &d));
+    }
+
+    #[test]
+    fn a_send_failing_for_another_reason_loses_its_run_and_keeps_coalescing() {
+        let (p, q) = addrs();
+        let d = spans(&[(p, SEGMENT), (p, SEGMENT), (p, 9), (q, GRANT), (p, GRANT)]);
+        let bytes: Vec<u8> = (0..d.last().unwrap().1).map(|i| i as u8).collect();
+        let coalesce = AtomicBool::new(true);
+        // ENETUNREACH to `p`, EPERM (a firewall) on the GRANT to `p`.
+        let mut sent = Vec::new();
+        let mut fails = [101, 1].into_iter();
+        let send = |dgram: &[u8], addr: SocketAddr| {
+            if addr == p {
+                return Err(io::Error::from_raw_os_error(fails.next().unwrap()));
+            }
+            sent.push((addr, dgram.to_vec()));
+            Ok(dgram.len())
+        };
+        // The run of three is one send and three losses; `q`'s GRANT goes out.
+        let result = transmit(&bytes, &d, &coalesce, send, || panic!("segmentation turned off"));
+        assert_eq!(result, (3, 4));
+        assert!(coalesce.load(Ordering::Relaxed));
+        assert_eq!(sent, datagrams(&bytes, &d)[3..4]);
+    }
+
+    #[test]
+    fn a_node_with_larger_datagrams_than_a_segment_sends_them_whole() {
+        let homa = HomaConfig { max_payload: 2_000, ..UdpConfig::default().homa };
+        let node = HomaUdpNode::bind(
+            PeerId(0),
+            ("127.0.0.1", 0),
+            UdpConfig { homa, ..UdpConfig::default() },
+        )
+        .unwrap();
+        assert!(!node.coalesce.load(Ordering::Relaxed));
+        let peer = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        node.add_peer(PeerId(1), peer.local_addr().unwrap());
+        node.send_message(PeerId(1), vec![7; 5_000], 1).unwrap();
+        let mut buf = [0u8; 4_096];
+        // Segmentation on, the kernel would have cut it into 1,446 + 600 bytes.
+        assert_eq!(peer.recv(&mut buf).unwrap(), homa_wire::DATA_HEADER_LEN + 2_000);
+        node.shutdown();
     }
 
     #[test]

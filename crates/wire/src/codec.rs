@@ -24,6 +24,10 @@ const F_INCAST: u8 = 0x04;
 /// Fixed common-header length (see crate docs for the layout).
 pub const HEADER_LEN: usize = 18;
 
+/// Length of a DATA packet's header, payload excluded: the common header,
+/// then message length (8), offset (8), payload length (4) and tag (8).
+pub const DATA_HEADER_LEN: usize = HEADER_LEN + 28;
+
 /// Maximum cutoffs a CUTOFFS/GRANT may carry (7 boundaries for 8 levels).
 const MAX_CUTOFFS: usize = 7;
 
@@ -101,7 +105,7 @@ fn get_cutoffs(buf: &mut &[u8]) -> Result<CutoffsUpdate, WireError> {
 pub fn encoded_len(pkt: &HomaPacket) -> usize {
     HEADER_LEN
         + match pkt {
-            HomaPacket::Data(_) => 28,
+            HomaPacket::Data(_) => DATA_HEADER_LEN - HEADER_LEN,
             HomaPacket::Grant(g) => {
                 9 + g.cutoffs.as_ref().map(|c| 10 + 8 * c.cutoffs.len()).unwrap_or(0)
             }
@@ -186,14 +190,14 @@ pub fn decode(buf: &[u8]) -> Result<(HomaPacket, usize), WireError> {
 
     match ty {
         T_DATA => {
-            if b.len() < 28 {
-                return Err(WireError::Truncated { needed: HEADER_LEN + 28, got: buf.len() });
+            if buf.len() < DATA_HEADER_LEN {
+                return Err(WireError::Truncated { needed: DATA_HEADER_LEN, got: buf.len() });
             }
             let msg_len = get_u64(&mut b);
             let offset = get_u64(&mut b);
             let payload = get_u32(&mut b);
             let tag = get_u64(&mut b);
-            let payload_off = HEADER_LEN + 28;
+            let payload_off = DATA_HEADER_LEN;
             if buf.len() < payload_off + payload as usize {
                 return Err(WireError::BadLength {
                     declared: payload as usize,
@@ -266,6 +270,7 @@ mod tests {
         let buf = encode(&pkt, b"hello");
         let (out, off) = decode(&buf).expect("decodes");
         assert_eq!(out, pkt);
+        assert_eq!((off, DATA_HEADER_LEN), (46, encoded_len(&pkt)));
         assert_eq!(&buf[off..off + 5], b"hello");
     }
 

@@ -1,7 +1,8 @@
 //! Integration tests for the real-socket UDP transport.
 
-use homa::packets::PeerId;
+use homa::packets::{GrantHeader, HomaPacket, PeerId};
 use homa_udp::{HomaUdpNode, UdpConfig, UdpEvent};
+use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,13 +77,70 @@ fn rpc_pipeline_over_loopback() {
     b.shutdown();
 }
 
+/// A full-size DATA datagram: header and `MAX_PAYLOAD` bytes.
+const FULL_DATAGRAM: usize = homa_wire::DATA_HEADER_LEN + homa::config::MAX_PAYLOAD as usize;
+
+#[test]
+fn a_256_kib_request_arrives_whole_from_a_fraction_of_the_sends() {
+    let (a, b) = pair();
+    let payload: Vec<u8> = (0..256 * 1024u32).map(|i| (i * 13 % 251) as u8).collect();
+    a.call(PeerId(1), payload.clone(), 1).expect("call");
+    match b.events().recv_timeout(Duration::from_secs(10)).expect("request") {
+        UdpEvent::Request { data, .. } => assert!(data == payload, "the request differs"),
+        other => panic!("unexpected {other:?}"),
+    }
+    let sum = a.run_summary();
+    // Segmentation offload is Linux's (4.18 on); elsewhere a send is a datagram.
+    if cfg!(target_os = "linux") {
+        assert!(sum.datagrams_tx > 4 * sum.tx_sends, "few datagrams per send: {sum}");
+    }
+    a.shutdown();
+    b.shutdown();
+}
+
+/// Segmentation is invisible on the wire: a peer that is a plain socket,
+/// with no segmentation offload of its own, reads one full-size DATA
+/// datagram at a time, in order, and together they are the message.
+#[test]
+fn a_plain_socket_peer_reads_segmented_sends_as_ordinary_datagrams() {
+    let node = HomaUdpNode::bind(PeerId(0), "127.0.0.1:0", UdpConfig::default()).expect("bind");
+    let peer = UdpSocket::bind("127.0.0.1:0").expect("bind the plain socket");
+    peer.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    node.add_peer(PeerId(1), peer.local_addr().expect("addr"));
+    let payload: Vec<u8> = (0..100_000u32).map(|i| (i * 7 % 253) as u8).collect();
+    node.send_message(PeerId(1), payload.clone(), 5).expect("send");
+    let (mut got, mut buf, mut granted) = (Vec::new(), vec![0u8; 1 << 16], false);
+    while got.len() < payload.len() {
+        let n = peer.recv(&mut buf).expect("a datagram within 5 s");
+        assert!(n <= FULL_DATAGRAM, "a {n}-byte datagram");
+        let (pkt, off) = homa_wire::decode(&buf[..n]).expect("decodes");
+        let HomaPacket::Data(h) = pkt else { panic!("not DATA: {pkt:?}") };
+        assert_eq!(h.offset, got.len() as u64, "offsets are not contiguous");
+        got.extend_from_slice(&buf[off..off + h.payload as usize]);
+        // Past the unscheduled bytes, the sender waits for a grant: grant it all.
+        if !granted {
+            let grant = GrantHeader { key: h.key, offset: h.msg_len, prio: 0, cutoffs: None };
+            let grant = homa_wire::encode(&HomaPacket::Grant(grant), &[]);
+            peer.send_to(&grant, node.local_addr().expect("addr")).expect("grant");
+            granted = true;
+        }
+    }
+    assert!(got == payload, "the reassembled bytes differ");
+    // ... and they were segmented sends, not one send each.
+    let sum = node.run_summary();
+    if cfg!(target_os = "linux") {
+        assert!(sum.tx_sends < sum.datagrams_tx, "nothing was coalesced: {sum}");
+    }
+    node.shutdown();
+}
+
 #[test]
 fn recovery_after_injected_loss() {
     let (a, b) = pair();
     // Drop every 5th data packet the receiver sees, for the first 10.
     let mut seen = 0;
     b.set_rx_drop_filter(move |p| {
-        if matches!(p, homa::packets::HomaPacket::Data(_)) {
+        if matches!(p, HomaPacket::Data(_)) {
             seen += 1;
             seen <= 10 && seen % 5 == 0
         } else {

@@ -4,7 +4,7 @@
 //! ([`shrink_to_minimal_with`]) and panic capture ([`failure_or_panic`]).
 //!
 //! Two kinds of family run on it. *Seed-keyed* properties (the core,
-//! simulator-kernel and cross-crate properties) build their whole input
+//! simulator-kernel, cross-crate and UDP read-split properties) build their whole input
 //! from one `u64` seed and run under [`FuzzFamily::check_seeds`]; a
 //! failure is the line `seed=<n>`, which fails by itself. *Line-keyed*
 //! families draw something printable — a [`ScenarioSpec`], an op trace, a
@@ -398,9 +398,9 @@ fn report_failure(family: &str, line: &str, detail: &str) {
 /// follows. The name is the artifact file
 /// (`$HOMA_FUZZ_FAILURE_DIR/<name>.txt`) and the prefix that addresses a
 /// replay line to this family (`HOMA_FUZZ_REPLAY='<name>:<line>'`);
-/// `HOMA_FUZZ_ITERS` scales every family alike. All nine families —
-/// wire, differential, conservation, stateful, spec-grammar and the four
-/// seed-keyed property files — run their loops through one of these.
+/// `HOMA_FUZZ_ITERS` scales every family alike. All ten families —
+/// wire, differential, conservation, stateful, spec-grammar and the five
+/// seed-keyed property families — run their loops through one of these.
 #[derive(Debug, Clone, Copy)]
 pub struct FuzzFamily {
     /// Family name: artifact file stem and replay-line prefix.

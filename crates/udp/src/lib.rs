@@ -38,21 +38,33 @@
 //! Each node has one driver thread ([`node`]'s `run`) and one lock around
 //! the endpoint, the payload store and the reassembly buffers. A turn is:
 //!
-//! 1. **One blocking `recv_from`**, bounded by the 500 µs `POLL_INTERVAL` (a
-//!    timeout or a signal is an empty turn, not an error).
-//! 2. **A gated drain.** If that datagram left the endpoint with something
-//!    to send (`HomaEndpoint::has_pending_tx`: a GRANT to issue, or DATA
-//!    that a GRANT just released), the driver reads whatever else is
-//!    already queued on the socket without blocking, at most `RX_BATCH`
-//!    datagrams in the turn. Every datagram of the turn is handled under
-//!    one lock take and application events are delivered once, at its
-//!    end. `std` has no `MSG_DONTWAIT`, so the drain brackets itself with
-//!    `set_nonblocking(true)` / `(false)`: two system calls and one failed
-//!    read. That price is why the drain is selected from what the code can
-//!    observe and not always on: a turn that has nothing to answer — a
-//!    single-packet request or response, most of W2 — does not pay it. If
-//!    the socket cannot be made blocking again the driver stops instead of
-//!    spinning.
+//! 1. **One blocking `recvmsg`** (`sys::recv`, a foreign call: `std` reads
+//!    no control message), bounded by the 500 µs `POLL_INTERVAL` (a timeout
+//!    or a signal is an empty turn, not an error). A read may hold many
+//!    datagrams: once the socket has `UDP_GRO`, the kernel hands a peer's
+//!    segmented send (step 3) over whole, up to 45 datagrams in one read,
+//!    with their segment size in a control message, and the driver cuts the
+//!    read at that size and hands each datagram on as if read alone. Every
+//!    datagram of a read has the same sender, as the kernel coalesces one
+//!    flow only. A read the kernel flags truncated is dropped whole. Where
+//!    the option is refused (not Linux, or a kernel before 5.0) a read is
+//!    one datagram. It is set lazily, at the first full-size datagram the
+//!    node reads, because it is not free: the system's first GRO socket
+//!    takes ~15 µs to set it and ~15 µs more to close, later ones 0.3 µs (a
+//!    pinned micro-benchmark on Linux 6.18: 15.1–15.9 against 0.27 µs; the
+//!    kernel switching its UDP encapsulation path on and off fits that). A
+//!    node that only exchanges short messages, the set-up probe's 64-byte
+//!    RPC among them, never pays.
+//! 2. **A gated drain.** If that read left the endpoint with something to
+//!    send (`HomaEndpoint::has_pending_tx`: a GRANT to issue, or DATA that
+//!    a GRANT just released), the driver reads whatever else is already
+//!    queued on the socket with `MSG_DONTWAIT`, until a read finds nothing
+//!    or the turn has handled `RX_BATCH` datagrams; a read is never split
+//!    across turns, so a turn can exceed that by up to 44. Every datagram of
+//!    the turn is handled under one lock take and application events are
+//!    delivered once, at its end. The drain costs one failed read, which a
+//!    turn that has nothing to answer — a single-packet request or
+//!    response, most of W2 — does not pay.
 //! 3. **One `pump`**, which takes up to `TX_BATCH` packets from the
 //!    endpoint, *merges the GRANTs*, encodes each header and the payload
 //!    slice borrowed from the payload store straight into a per-thread
@@ -60,7 +72,7 @@
 //!    with no lock held. Each run of adjacent full-size DATA datagrams
 //!    (1,446 bytes) to one peer, at most 45 of them and the run's last one
 //!    any size, goes out in **one `send_to`**: at `bind` the socket was
-//!    given `UDP_SEGMENT` = 1,446 (the crate's one foreign call, in `sys`),
+//!    given `UDP_SEGMENT` = 1,446 (a foreign call too, in `sys`),
 //!    so the kernel cuts the send back into the same datagrams and the wire
 //!    does not change. GRANTs and other short datagrams end a run. Where the
 //!    option is refused (not Linux, or a kernel before 4.18) every send is
@@ -88,8 +100,9 @@
 //! GRANT — the sender treats the RESEND as an implicit grant.
 //!
 //! [`RunSummary`] counts what the turn did: `datagrams_rx`/`datagrams_tx`,
-//! `tx_sends` (the send system calls that carried `datagrams_tx`),
-//! `rx_turns`, `rx_drained` (datagrams that arrived through the drain),
+//! `rx_reads`/`tx_sends` (the system calls that carried them),
+//! `rx_truncated` (reads dropped whole), `rx_turns`, `rx_drained`
+//! (datagrams that arrived through the drain),
 //! `grants_merged` and `tx_errors` (a datagram whose send failed is a lost
 //! packet, which the protocol recovers; it is counted, not retried, unless
 //! the failure was segmentation's).
@@ -101,7 +114,7 @@
 //! | [`node`] | §4's implementation layer: socket I/O threads, pacing, DSCP priority mapping, RPC surface |
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: `sys`, the one foreign call, allows it for itself.
+// `deny`, not `forbid`: `sys`, the foreign calls, allows it for itself.
 #![deny(unsafe_code)]
 
 pub mod node;

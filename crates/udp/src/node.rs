@@ -48,10 +48,12 @@ impl Default for UdpConfig {
 /// Most packets one `pump` call takes from the endpoint under the shared
 /// lock before sending them. The cap bounds one lock hold, the transmit
 /// arena, and what one batch puts into a peer's socket buffer with nothing
-/// pacing it (64 full datagrams are ~150 KB of the kernel's 208 KB): a
-/// restarted sender is granted its whole message at once, and a larger
-/// batch lost its tail to the buffer every time it was re-sent. The rest
-/// goes out on the driver's next turn, after it has read the socket again.
+/// pacing it: 64 full datagrams are charged 147 KB of the kernel's 208 KB
+/// as 64 buffers, 94 KB as the two coalesced ones a receiver with
+/// `UDP_GRO` holds them in (Linux 6.18, loopback). A restarted sender is
+/// granted its whole message at once, and a larger batch lost its tail to
+/// the buffer every time it was re-sent. The rest goes out on the driver's
+/// next turn, after it has read the socket again.
 const TX_BATCH: usize = 64;
 
 /// Bytes of a full-size DATA datagram, and so the size the kernel cuts a
@@ -65,8 +67,10 @@ const _: () = assert!(SEGMENT + 48 <= 1_500, "a full DATA datagram overruns a 1,
 /// more than fit in the largest UDP payload over IPv4 (65,507 bytes): 45.
 const MAX_SEGMENTS: usize = if 65_507 / SEGMENT < 64 { 65_507 / SEGMENT } else { 64 };
 
-/// Most datagrams one driver turn reads, drain included, before it pumps:
-/// one lock hold. Seven packets a message are in flight (`rtt_bytes`).
+/// Most datagrams one driver turn handles, drain included, before it pumps:
+/// one lock hold. Seven packets a message are in flight (`rtt_bytes`). A
+/// read is never split across turns, so a turn whose last read is a
+/// coalesced one may handle up to `MAX_SEGMENTS` − 1 more.
 const RX_BATCH: usize = 64;
 
 /// Socket read timeout, and so how often an idle driver runs its timer tick
@@ -198,14 +202,21 @@ pub struct RunSummary {
     pub out_payloads: usize,
     /// Reassembly buffers held for inbound messages still arriving.
     pub in_buffers: usize,
-    /// Datagrams read from the socket, undecodable and filtered included.
+    /// Datagrams (segments) read from the socket, undecodable and filtered
+    /// included: a coalesced read counts each datagram it holds.
     pub datagrams_rx: u64,
+    /// Receive system calls that carried them: one per coalesced send of a
+    /// peer once the node reads with `UDP_GRO`, else one each.
+    pub rx_reads: u64,
+    /// Reads the kernel flagged truncated, dropped whole and counted here
+    /// only.
+    pub rx_truncated: u64,
     /// Datagrams handed to the kernel, lost ones included.
     pub datagrams_tx: u64,
     /// Send system calls that carried them: one per run of full-size DATA
     /// datagrams to one peer while segmentation offload works, else one each.
     pub tx_sends: u64,
-    /// Driver turns that read at least one datagram.
+    /// Driver turns: one per blocking read that returned something.
     pub rx_turns: u64,
     /// Of `datagrams_rx`, those a turn's non-blocking drain read.
     pub rx_drained: u64,
@@ -217,15 +228,17 @@ pub struct RunSummary {
 
 impl std::fmt::Display for RunSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let Self { datagrams_rx: rx, datagrams_tx: tx, rx_turns, rx_drained, tx_errors, .. } = self;
+        let Self { datagrams_rx: rx, rx_reads, rx_truncated, rx_turns, rx_drained, .. } = self;
         let Self { events_queued: queued, events_dropped: shed, out_payloads, in_buffers, .. } =
             self;
+        let Self { datagrams_tx: tx, tx_sends, tx_errors, grants_merged, .. } = self;
         write!(
             f,
             "node {}: {queued} events queued, {shed} dropped (channel overflow), {out_payloads} \
-             out-payloads retained, {in_buffers} in-buffers; rx {rx} in {rx_turns} turns \
-             ({rx_drained} drained), tx {tx} in {} sends ({tx_errors} errors, {} grants merged)",
-            self.peer.0, self.tx_sends, self.grants_merged
+             out-payloads retained, {in_buffers} in-buffers; rx {rx} in {rx_reads} reads \
+             ({rx_turns} turns, {rx_drained} drained, {rx_truncated} truncated reads dropped), \
+             tx {tx} in {tx_sends} sends ({tx_errors} errors, {grants_merged} grants merged)",
+            self.peer.0
         )
     }
 }
@@ -358,6 +371,15 @@ fn transmit(
     (sends, lost)
 }
 
+/// The datagrams of `read`, which the kernel coalesced at `segment` bytes:
+/// each is `segment` long but the last, which is 1 to `segment` bytes. With
+/// `segment` 0 the read is one datagram, and so is an empty read.
+fn split_read(read: &[u8], segment: usize) -> impl Iterator<Item = &[u8]> {
+    let size = if segment == 0 { read.len() } else { segment };
+    let count = if read.is_empty() { 1 } else { read.len().div_ceil(size) };
+    (0..count).map(move |i| &read[i * size..read.len().min((i + 1) * size)])
+}
+
 /// One Homa endpoint bound to a UDP socket, serviced by a background
 /// thread.
 pub struct HomaUdpNode {
@@ -374,6 +396,12 @@ pub struct HomaUdpNode {
     /// took `UDP_SEGMENT` at bind, and the kernel has refused no send for it
     /// since.
     coalesce: AtomicBool,
+    /// Whether the socket was asked for `UDP_GRO`, once, at the first
+    /// full-size datagram it read: from then on a peer's coalesced send
+    /// arrives as one read. Not at `bind`: the system's first GRO socket
+    /// costs ~15 µs to set and ~15 µs to close, and a node that exchanges
+    /// only short messages gains nothing from it.
+    gro: AtomicBool,
     stop: AtomicBool,
 }
 
@@ -403,6 +431,7 @@ impl HomaUdpNode {
             events_dropped: AtomicU64::new(0),
             tx_sends: AtomicU64::new(0),
             coalesce: AtomicBool::new(coalesce),
+            gro: AtomicBool::new(false),
             stop: AtomicBool::new(false),
         });
         let driver = Arc::clone(&node);
@@ -580,8 +609,8 @@ impl HomaUdpNode {
         let mut buf = vec![0u8; 64 * 1024];
         let mut last_tick = Instant::now();
         while !self.stop.load(Ordering::SeqCst) {
-            match self.socket.recv_from(&mut buf) {
-                Ok((n, from_addr)) => self.rx_turn(&mut buf, n, from_addr),
+            match crate::sys::recv(&self.socket, &mut buf, false) {
+                Ok(read) => self.rx_turn(&mut buf, read),
                 // A timeout or a signal: nothing arrived, the node lives.
                 Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
                 Err(_) => break,
@@ -607,23 +636,47 @@ impl HomaUdpNode {
         }
     }
 
-    /// The receive half of a turn, under one lock take: the datagram just
-    /// read into `buf` and, if the endpoint now has something to send, what
-    /// else the socket already holds.
-    fn rx_turn(&self, buf: &mut [u8], n: usize, from_addr: SocketAddr) {
+    /// The receive half of a turn, under one lock take: the read just made
+    /// into `buf` and, if the endpoint now has something to send, what else
+    /// the socket already holds, read without waiting until a read finds
+    /// nothing or the turn has handled [`RX_BATCH`] datagrams.
+    fn rx_turn(&self, buf: &mut [u8], first: crate::sys::Read) {
         let mut s = self.lock();
         s.sum.rx_turns += 1;
-        self.on_datagram(&mut s, &buf[..n], from_addr);
-        if s.ep.has_pending_tx() && self.socket.set_nonblocking(true).is_ok() {
-            for _ in 1..RX_BATCH {
-                let Ok((n, from_addr)) = self.socket.recv_from(buf) else { break };
-                s.sum.rx_drained += 1;
-                self.on_datagram(&mut s, &buf[..n], from_addr);
+        let mut handled = self.on_read(&mut s, buf, first);
+        if s.ep.has_pending_tx() {
+            while handled < RX_BATCH {
+                let Ok(read) = crate::sys::recv(&self.socket, buf, true) else { break };
+                let n = self.on_read(&mut s, buf, read);
+                s.sum.rx_drained += n as u64;
+                // A truncated read counts as one, so that the drain ends.
+                handled += n.max(1);
             }
-            // Left non-blocking, the loop in `run` would spin: stop it.
-            self.socket.set_nonblocking(false).unwrap_or_else(|_| self.shutdown());
         }
         self.drain_events(&mut s);
+    }
+
+    /// Hand each datagram of `read` to `on_datagram`, and return how many
+    /// there were. A read the kernel truncated is dropped whole: its last
+    /// datagrams are missing, or cut short. The first full-size datagram
+    /// read turns `UDP_GRO` on; should the kernel refuse, reads stay one
+    /// datagram each and it is not asked again.
+    fn on_read(&self, s: &mut Shared, buf: &[u8], read: crate::sys::Read) -> usize {
+        if read.truncated {
+            s.sum.rx_truncated += 1;
+            return 0;
+        }
+        s.sum.rx_reads += 1;
+        if read.len == SEGMENT && !self.gro.load(Ordering::Relaxed) {
+            self.gro.store(true, Ordering::Relaxed);
+            let _ = crate::sys::set_udp_gro(&self.socket);
+        }
+        let mut n = 0;
+        for dgram in split_read(&buf[..read.len], read.segment) {
+            self.on_datagram(s, dgram, read.from);
+            n += 1;
+        }
+        n
     }
 
     fn on_datagram(&self, s: &mut Shared, dgram: &[u8], from_addr: SocketAddr) {
@@ -1460,6 +1513,57 @@ mod tests {
         // Segmentation on, the kernel would have cut it into 1,446 + 600 bytes.
         assert_eq!(peer.recv(&mut buf).unwrap(), homa_wire::DATA_HEADER_LEN + 2_000);
         node.shutdown();
+    }
+
+    #[test]
+    fn a_coalesced_read_splits_into_the_datagrams_sent() {
+        const FAMILY: homa_harness::FuzzFamily = homa_harness::FuzzFamily::new("udp-split");
+        FAMILY.check_seeds("a_coalesced_read_splits_into_the_datagrams_sent", |rng| {
+            let segment = rng.edge_range(1, SEGMENT as u64) as usize;
+            let full = rng.edge_range(0, MAX_SEGMENTS as u64 - 1) as usize;
+            let last = rng.edge_range(1, segment as u64) as usize;
+            let mut bytes = |n: usize| (0..n).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>();
+            let mut sent: Vec<Vec<u8>> = (0..full).map(|_| bytes(segment)).collect();
+            sent.push(bytes(last));
+            let read = sent.concat();
+            let split = split_read(&read, segment);
+            assert!(split.eq(sent.iter().map(Vec::as_slice)), "{full} x {segment} + {last} bytes");
+        });
+        // With no segment size a read is one datagram, and so is an empty one.
+        let one = |read: &[u8], segment| -> Vec<Vec<u8>> {
+            split_read(read, segment).map(<[u8]>::to_vec).collect()
+        };
+        assert_eq!(one(&[1, 2, 3], 0), [vec![1, 2, 3]]);
+        assert_eq!(one(&[], 0), [vec![]]);
+        assert_eq!(one(&[], SEGMENT), [vec![]]);
+    }
+
+    #[test]
+    fn gro_waits_for_the_first_full_size_datagram_at_its_receiver() {
+        let (a, b) = pair();
+        let gro = |n: &HomaUdpNode| n.gro.load(Ordering::Relaxed);
+        for i in 0..100u64 {
+            a.call(PeerId(1), vec![i as u8; 64], i).unwrap();
+            match b.events().recv_timeout(Duration::from_secs(5)).unwrap() {
+                UdpEvent::Request { from, rpc, data } => b.respond(from, rpc, data).unwrap(),
+                other => panic!("unexpected {other:?}"),
+            }
+            match a.events().recv_timeout(Duration::from_secs(5)).unwrap() {
+                UdpEvent::Response { tag, .. } => assert_eq!(tag, i),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(!gro(&a) && !gro(&b), "64-byte RPCs turned GRO on");
+        // 1,400 + 1,400 + 1,400 + 800 bytes: three full-size datagrams.
+        a.send_message(PeerId(1), vec![3; 5_000], 7).unwrap();
+        match b.events().recv_timeout(Duration::from_secs(5)).unwrap() {
+            UdpEvent::Message { data, .. } => assert_eq!(data, vec![3; 5_000]),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(gro(&b), "the receiver read full-size DATA and did not turn GRO on");
+        assert!(!gro(&a), "the sender read none and turned GRO on");
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]

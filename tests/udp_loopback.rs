@@ -1,9 +1,9 @@
 //! Integration tests for the real-socket UDP transport.
 
 use homa::packets::{GrantHeader, HomaPacket, PeerId};
-use homa_udp::{HomaUdpNode, UdpConfig, UdpEvent};
+use homa_udp::{HomaUdpNode, RunSummary, UdpConfig, UdpEvent};
 use std::net::UdpSocket;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,8 +80,9 @@ fn rpc_pipeline_over_loopback() {
 /// A full-size DATA datagram: header and `MAX_PAYLOAD` bytes.
 const FULL_DATAGRAM: usize = homa_wire::DATA_HEADER_LEN + homa::config::MAX_PAYLOAD as usize;
 
-#[test]
-fn a_256_kib_request_arrives_whole_from_a_fraction_of_the_sends() {
+/// One 256 KiB request from a fresh client to a fresh server, checked
+/// whole; returns both nodes' summaries.
+fn a_256_kib_request() -> (RunSummary, RunSummary) {
     let (a, b) = pair();
     let payload: Vec<u8> = (0..256 * 1024u32).map(|i| (i * 13 % 251) as u8).collect();
     a.call(PeerId(1), payload.clone(), 1).expect("call");
@@ -89,13 +90,28 @@ fn a_256_kib_request_arrives_whole_from_a_fraction_of_the_sends() {
         UdpEvent::Request { data, .. } => assert!(data == payload, "the request differs"),
         other => panic!("unexpected {other:?}"),
     }
-    let sum = a.run_summary();
+    a.shutdown();
+    b.shutdown();
+    (a.run_summary(), b.run_summary())
+}
+
+#[test]
+fn a_256_kib_request_arrives_whole_from_a_fraction_of_the_sends() {
+    let (sum, _) = a_256_kib_request();
     // Segmentation offload is Linux's (4.18 on); elsewhere a send is a datagram.
     if cfg!(target_os = "linux") {
         assert!(sum.datagrams_tx > 4 * sum.tx_sends, "few datagrams per send: {sum}");
     }
-    a.shutdown();
-    b.shutdown();
+}
+
+#[test]
+fn a_256_kib_request_arrives_in_a_fraction_of_the_reads() {
+    let (_, sum) = a_256_kib_request();
+    // Receive offload is Linux's (5.0 on); elsewhere a read is a datagram.
+    if cfg!(target_os = "linux") {
+        assert!(sum.datagrams_rx > 4 * sum.rx_reads, "few datagrams per read: {sum}");
+    }
+    assert_eq!(sum.rx_truncated, 0, "{sum}");
 }
 
 /// Segmentation is invisible on the wire: a peer that is a plain socket,
@@ -155,6 +171,51 @@ fn recovery_after_injected_loss() {
     }
     a.shutdown();
     b.shutdown();
+}
+
+/// Loss inside coalesced reads: the drop filter sees each datagram of a
+/// read on its own, and losing some of them loses only those. A request and
+/// not a one-way: the receiver asks for its 27 gaps one per resend interval,
+/// and a one-way's sender forgets it four intervals after its last byte,
+/// while a client keeps its request until the response.
+#[test]
+fn every_seventh_data_segment_lost_and_a_256_kib_request_still_arrives() {
+    let (a, b) = pair();
+    let (seen, data) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let (seen2, data2) = (seen.clone(), data.clone());
+    b.set_rx_drop_filter(move |p| {
+        seen2.fetch_add(1, Ordering::Relaxed);
+        matches!(p, HomaPacket::Data(_)) && (data2.fetch_add(1, Ordering::Relaxed) + 1) % 7 == 0
+    });
+    let payload: Vec<u8> = (0..256 * 1024u32).map(|i| (i * 17 % 253) as u8).collect();
+    a.call(PeerId(1), payload.clone(), 2).expect("call");
+    match b.events().recv_timeout(Duration::from_secs(30)).expect("recovered request") {
+        UdpEvent::Request { from, rpc, data } => {
+            assert!(data == payload, "the request differs");
+            b.respond(from, rpc, vec![1; 8]).expect("respond");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    match a.events().recv_timeout(Duration::from_secs(10)).expect("response") {
+        UdpEvent::Response { data, .. } => assert_eq!(data, [1; 8]),
+        other => panic!("unexpected {other:?}"),
+    }
+    // Once the server's driver has stopped, the filter has seen every
+    // datagram it counted.
+    a.shutdown();
+    b.shutdown();
+    std::thread::sleep(Duration::from_millis(100));
+    let sum = b.run_summary();
+    let (seen, data) = (seen.load(Ordering::Relaxed), data.load(Ordering::Relaxed));
+    assert_eq!(seen, sum.datagrams_rx, "the filter missed datagrams: {sum}");
+    // 188 packets, and the retransmissions of the one in seven lost.
+    assert!(data > 188, "nothing was retransmitted: {data} DATA, {sum}");
+    // Only the first reads are coalesced: a lost packet's bytes stay in the
+    // grant window until resent, so after seven losses a grant releases one
+    // packet at a time.
+    if cfg!(target_os = "linux") {
+        assert!(sum.datagrams_rx > sum.rx_reads, "no read was coalesced: {sum}");
+    }
 }
 
 /// Loss of every kind of packet, at both ends: no other test ever drops a

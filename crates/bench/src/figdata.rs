@@ -24,13 +24,13 @@ use homa::config::RTT_BYTES;
 use homa::HomaConfig;
 use homa_baselines::homa_sim::static_map_for_workload;
 use homa_baselines::HomaSimTransport;
-use homa_harness::capacity::{max_sustainable_load, max_sustainable_load_with, CapacitySearch};
+use homa_harness::capacity::max_sustainable_load;
 use homa_harness::driver::{OnewayOpts, OnewayResult};
 use homa_harness::figures::{self, MeasuredPoint};
 use homa_harness::render::delta_report;
 use homa_harness::slowdown::SlowdownSummary;
 use homa_harness::{FabricSpec, ScenarioSpec};
-use homa_sim::{PortClass, SimDuration};
+use homa_sim::PortClass;
 use homa_workloads::Workload;
 use std::time::Instant;
 
@@ -519,41 +519,17 @@ fn fig15(opts: &ReproOpts) -> Vec<FigTable> {
         &[Protocol::Homa, Protocol::Phost]
     };
     for &w in opts.workloads_or(&[Workload::W2, Workload::W4]) {
-        let dist = w.dist();
         let n = opts.msgs_for(w) / 2;
         // The base spec for this workload; each probe reruns it at the
         // bisection's trial load.
         let base = opts.spec("fig15", w, 0.0, n);
         for &p in protos {
-            let cap = match p {
-                Protocol::Homa => {
-                    let cfg = HomaConfig::default();
-                    let map = static_map_for_workload(&dist, &cfg);
-                    max_sustainable_load(
-                        &base,
-                        None,
-                        |h| HomaSimTransport::new(h, cfg.clone()).with_static_map(map.clone()),
-                        CapacitySearch { lo: 0.5, hi: 0.98, tol: 0.03 },
-                    )
-                    .0
-                }
-                _ => {
-                    // Generic path: bisection over the dispatcher. A short
-                    // drain budget makes the criterion meaningful at
-                    // reduced message counts: an over-capacity run cannot
-                    // catch up within it.
-                    let probe_opts =
-                        OnewayOpts { drain: SimDuration::from_millis(20), ..OnewayOpts::default() };
-                    max_sustainable_load_with(
-                        |load| {
-                            let res = oneway(p, &base.clone().with_load(load), &probe_opts, None);
-                            res.delivered as f64 / res.injected.max(1) as f64
-                        },
-                        CapacitySearch { lo: 0.3, hi: 0.98, tol: 0.03 },
-                    )
-                    .0
-                }
-            };
+            // Every protocol probes the same way, with the one drain budget
+            // of `OnewayOpts::default()`.
+            let (cap, _) = max_sustainable_load(|load| {
+                let res = oneway(p, &base.clone().with_load(load), &OnewayOpts::default(), None);
+                res.delivered as f64 / res.injected.max(1) as f64
+            });
             // Application-goodput fraction at the capacity point.
             let res = oneway(
                 p,

@@ -7,10 +7,6 @@
 //! *sustainable* if, within a bounded drain budget after the last
 //! injection, (almost) every message completes.
 
-use crate::driver::OnewayOpts;
-use crate::scenario::ScenarioSpec;
-use homa_sim::{HostId, PacketMeta, QueueDiscipline, Transport};
-
 /// Outcome of one probe.
 #[derive(Debug, Clone, Copy)]
 pub struct CapacityProbe {
@@ -22,36 +18,20 @@ pub struct CapacityProbe {
     pub sustainable: bool,
 }
 
-/// Bracket and tolerance for the bisection.
-#[derive(Debug, Clone, Copy)]
-pub struct CapacitySearch {
-    /// Lower bracket: if this load is not sustainable the search
-    /// reports capacity 0.0 immediately.
-    pub lo: f64,
-    /// Upper bracket: if this load *is* sustainable it is returned
-    /// without bisecting further.
-    pub hi: f64,
-    /// Stop once the bracket is narrower than this.
-    pub tol: f64,
-}
-
-impl Default for CapacitySearch {
-    fn default() -> Self {
-        CapacitySearch { lo: 0.5, hi: 0.98, tol: 0.03 }
-    }
-}
+/// Lower bracket: if this load is not sustainable the capacity is 0.0.
+const LO: f64 = 0.5;
+/// Upper bracket: if this load *is* sustainable it is the capacity,
+/// without bisecting further.
+const HI: f64 = 0.98;
+/// The bisection stops once the bracket is narrower than this.
+const TOL: f64 = 0.03;
 
 /// Bisect for the maximum sustainable load given a probe function that
 /// maps an offered load to the delivered fraction of a bounded run.
 /// A probe counts as sustainable at 99.5% completion. Returns the
-/// highest sustainable load found (within `search.tol`) and the probe
-/// history. This is the raw engine behind [`max_sustainable_load`];
-/// callers with bespoke run shapes (per-protocol drain budgets, say)
-/// can drive it directly.
-pub fn max_sustainable_load_with(
-    mut probe: impl FnMut(f64) -> f64,
-    search: CapacitySearch,
-) -> (f64, Vec<CapacityProbe>) {
+/// highest sustainable load found (within 0.03 of the true one, between
+/// 0.5 and 0.98) and the probe history.
+pub fn max_sustainable_load(mut probe: impl FnMut(f64) -> f64) -> (f64, Vec<CapacityProbe>) {
     let mut probes = Vec::new();
     let mut check = |load: f64| -> bool {
         let frac = probe(load);
@@ -61,8 +41,7 @@ pub fn max_sustainable_load_with(
         ok
     };
 
-    let mut lo = search.lo;
-    let mut hi = search.hi;
+    let (mut lo, mut hi) = (LO, HI);
     // Establish brackets.
     if !check(lo) {
         return (0.0, probes);
@@ -70,7 +49,7 @@ pub fn max_sustainable_load_with(
     if check(hi) {
         return (hi, probes);
     }
-    while hi - lo > search.tol {
+    while hi - lo > TOL {
         let mid = (lo + hi) / 2.0;
         if check(mid) {
             lo = mid;
@@ -81,34 +60,11 @@ pub fn max_sustainable_load_with(
     (lo, probes)
 }
 
-/// Bisect for the maximum sustainable load of a transport on `spec`'s
-/// fabric and workload. The spec's own `load` field is ignored — each
-/// probe reruns the scenario at the bisection's trial load. `make` must
-/// build a fresh transport per host per probe run.
-pub fn max_sustainable_load<M, T>(
-    spec: &ScenarioSpec,
-    queues: Option<QueueDiscipline>,
-    mut make: impl FnMut(HostId) -> T,
-    search: CapacitySearch,
-) -> (f64, Vec<CapacityProbe>)
-where
-    M: PacketMeta,
-    T: Transport<M>,
-{
-    let opts = OnewayOpts::default();
-    max_sustainable_load_with(
-        |load| {
-            let res = spec.clone().with_load(load).run_oneway(queues, &mut make, &opts);
-            res.delivered as f64 / res.injected.max(1) as f64
-        },
-        search,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::FabricSpec;
+    use crate::driver::OnewayOpts;
+    use crate::scenario::{FabricSpec, ScenarioSpec};
     use homa::HomaConfig;
     use homa_baselines::HomaSimTransport;
     use homa_workloads::Workload;
@@ -123,13 +79,11 @@ mod tests {
             400,
             11,
         );
-        let (cap, probes) = max_sustainable_load(
-            &spec,
-            None,
-            |h| HomaSimTransport::new(h, HomaConfig::default()),
-            // coarse tolerance: just verify the bisection machinery
-            CapacitySearch { lo: 0.5, hi: 0.99, tol: 0.25 },
-        );
+        let (cap, probes) = max_sustainable_load(|load| {
+            let make = |h| HomaSimTransport::new(h, HomaConfig::default());
+            let res = spec.clone().with_load(load).run_oneway(None, make, &OnewayOpts::default());
+            res.delivered as f64 / res.injected.max(1) as f64
+        });
         assert!(cap >= 0.5, "homa must sustain 50% on W1, probes: {probes:?}");
         assert!(!probes.is_empty());
     }
@@ -137,18 +91,15 @@ mod tests {
     #[test]
     fn bisection_brackets_behave() {
         // Unsustainable at the low bracket → capacity 0.
-        let (cap, probes) = max_sustainable_load_with(|_| 0.5, CapacitySearch::default());
+        let (cap, probes) = max_sustainable_load(|_| 0.5);
         assert_eq!(cap, 0.0);
         assert_eq!(probes.len(), 1);
         // Sustainable at the high bracket → returned directly.
-        let (cap, probes) = max_sustainable_load_with(|_| 1.0, CapacitySearch::default());
+        let (cap, probes) = max_sustainable_load(|_| 1.0);
         assert_eq!(cap, 0.98);
         assert_eq!(probes.len(), 2);
-        // A sharp cliff at 0.8 is localized to within tol.
-        let (cap, _) = max_sustainable_load_with(
-            |load| if load <= 0.8 { 1.0 } else { 0.9 },
-            CapacitySearch { lo: 0.5, hi: 0.98, tol: 0.01 },
-        );
-        assert!((cap - 0.8).abs() < 0.01, "cliff at 0.8, found {cap}");
+        // A sharp cliff at 0.8 is localized to within the tolerance.
+        let (cap, _) = max_sustainable_load(|load| if load <= 0.8 { 1.0 } else { 0.9 });
+        assert!(cap <= 0.8 && 0.8 - cap < TOL, "cliff at 0.8, found {cap}");
     }
 }

@@ -62,9 +62,7 @@ pub mod scenario;
 pub mod slowdown;
 pub mod spec_line;
 
-pub use capacity::{
-    max_sustainable_load, max_sustainable_load_with, CapacityProbe, CapacitySearch,
-};
+pub use capacity::{max_sustainable_load, CapacityProbe};
 pub use driver::{OnewayOpts, OnewayResult};
 pub use figures::{compare_curves, CurveDelta, MeasuredPoint, PointDelta, RefCurve};
 pub use fuzzing::stateful::{parse_ops_line, shrink_ops_to_minimal, OpTrace};

@@ -3,13 +3,11 @@
 //! A threaded driver that runs the [`homa`] protocol core over
 //! `std::net::UdpSocket`, carrying real payload bytes with the
 //! [`homa_wire`] binary encoding. This is the repository's analogue of
-//! the paper's RAMCloud/DPDK implementation (§4): where the paper
-//! bypasses the kernel and programs NIC priority queues, we use ordinary
-//! sockets and map Homa's packet priorities to DSCP code points (see
-//! [`node::priority_to_dscp`]) — commodity switches can be configured to
-//! honour them. The protocol logic (grants, priorities,
-//! overcommitment, RESEND/BUSY recovery, at-least-once RPCs) is the
-//! *same code* that runs packet-accurately in the simulator.
+//! the paper's RAMCloud/DPDK implementation (§4), and the protocol logic is
+//! the *same code* that runs packet-accurately in the simulator. Only its
+//! receiver-driven half runs here (grants, overcommitment, RESEND/BUSY
+//! recovery, at-least-once RPCs): the paper programs NIC priority queues,
+//! and over sockets every packet leaves at one priority.
 //!
 //! ## Quick start
 //!
@@ -35,26 +33,27 @@
 //!
 //! ## One driver turn
 //!
-//! Each node has one driver thread ([`node`]'s `run`) and one lock around
-//! the endpoint, the payload store and the reassembly buffers. A turn is:
+//! A node is two halves. [`HomaUdpNode`] owns the socket, the clock, the
+//! lock, the driver thread ([`node`]'s `run`), the [`EventQueue`], the sends
+//! and the offload flags. Behind the lock, the private `NodeCore` owns the
+//! endpoint, the payload store, the reassembly buffers and their guard
+//! against hostile headers, the peer table, the drop-filter hook and the
+//! [`RunSummary`] counters. It takes the time (read once per read, tick and
+//! send) and each read's bytes as arguments, and names no socket and no
+//! clock (CI checks), so `node`'s tests run two cores joined by an in-memory
+//! wire on a virtual clock. A turn is:
 //!
 //! 1. **One blocking `recvmsg`** (`sys::recv`, a foreign call: `std` reads
 //!    no control message), bounded by the 500 µs `POLL_INTERVAL` (a timeout
-//!    or a signal is an empty turn, not an error). A read may hold many
-//!    datagrams: once the socket has `UDP_GRO`, the kernel hands a peer's
-//!    segmented send (step 3) over whole, up to 45 datagrams in one read,
-//!    with their segment size in a control message, and the driver cuts the
-//!    read at that size and hands each datagram on as if read alone. Every
-//!    datagram of a read has the same sender, as the kernel coalesces one
-//!    flow only. A read the kernel flags truncated is dropped whole. Where
-//!    the option is refused (not Linux, or a kernel before 5.0) a read is
-//!    one datagram. It is set lazily, at the first full-size datagram the
-//!    node reads, because it is not free: the system's first GRO socket
-//!    takes ~15 µs to set it and ~15 µs more to close, later ones 0.3 µs (a
-//!    pinned micro-benchmark on Linux 6.18: 15.1–15.9 against 0.27 µs; the
-//!    kernel switching its UDP encapsulation path on and off fits that). A
-//!    node that only exchanges short messages, the set-up probe's 64-byte
-//!    RPC among them, never pays.
+//!    or a signal is an empty turn, not an error). With `UDP_GRO`, a read may
+//!    hold a peer's whole segmented send (step 3): up to 45 datagrams of one
+//!    sender, which the core cuts back at the segment size the kernel
+//!    reports. A truncated read is dropped whole. The node sets the option
+//!    at the first full-size datagram it reads, not at `bind`: the system's
+//!    first GRO socket costs ~15 µs to set and ~15 µs to close (pinned, Linux
+//!    6.18: 15.1–15.9 against 0.27 µs), which a node that only exchanges
+//!    short messages would pay for nothing. Where the option is refused (not
+//!    Linux, or a kernel before 5.0) a read is one datagram.
 //! 2. **A gated drain.** If that read left the endpoint with something to
 //!    send (`HomaEndpoint::has_pending_tx`: a GRANT to issue, or DATA that
 //!    a GRANT just released), the driver reads whatever else is already
@@ -65,59 +64,44 @@
 //!    delivered once, at its end. The drain costs one failed read, which a
 //!    turn that has nothing to answer — a single-packet request or
 //!    response, most of W2 — does not pay.
-//! 3. **One `pump`**, which takes up to `TX_BATCH` packets from the
-//!    endpoint, *merges the GRANTs*, encodes each header and the payload
-//!    slice borrowed from the payload store straight into a per-thread
-//!    byte arena ([`homa_wire::encode_into`]), and sends the datagrams
-//!    with no lock held. Each run of adjacent full-size DATA datagrams
-//!    (1,446 bytes) to one peer, at most 45 of them and the run's last one
-//!    any size, goes out in **one `send_to`**: at `bind` the socket was
-//!    given `UDP_SEGMENT` = 1,446 (a foreign call too, in `sys`),
-//!    so the kernel cuts the send back into the same datagrams and the wire
-//!    does not change. GRANTs and other short datagrams end a run. Where the
-//!    option is refused (not Linux, or a kernel before 4.18) every send is
-//!    one datagram. The kernel checks the option on every send, a GRANT's
-//!    too: a send it refuses for it (EIO on an IPsec route or a device that
-//!    cannot checksum a segment, EINVAL or EMSGSIZE below a 1,446-byte path
-//!    MTU) turns it off and goes again one datagram at a time, as do all
-//!    later sends. Any other failed send is lost datagrams and changes
-//!    nothing. `send_message`,
+//! 3. **One `pump`**: the core takes up to `TX_BATCH` packets from the
+//!    endpoint, *merges the GRANTs*, and encodes each header and the payload
+//!    slice borrowed from the payload store straight into a per-thread byte
+//!    arena ([`homa_wire::encode_into`]); the node sends them with no lock
+//!    held. Each run of adjacent full-size DATA datagrams (1,446 bytes) to
+//!    one peer, at most 45 of them and the run's last one any size, goes out
+//!    in **one `send_to`**: at `bind` the socket was given `UDP_SEGMENT` =
+//!    1,446 (a foreign call too, in `sys`), so the kernel cuts the send back
+//!    into the same datagrams and the wire does not change. GRANTs and other
+//!    short datagrams end a run. Where the option is refused (not Linux, or a
+//!    kernel before 4.18), and from the first send the kernel refuses for it
+//!    (`transmit` says which), every send is one datagram. `send_message`,
 //!    `call` and `respond` run the same `pump` on the calling thread, so
 //!    nothing waits for the driver to wake up.
 //!
 //! **Merged GRANTs.** The endpoint issues one GRANT per DATA packet
-//! (§3.3); a turn that read N DATA packets of one message therefore finds
-//! N GRANTs for it in its batch. Grants are cumulative — "you may send
-//! everything below `offset`" — so the node sends one: the largest offset,
-//! the newest priority, and a piggybacked `cutoffs` update never dropped
-//! (the newer if both carry one). This is what Homa/Linux gets from GRO
-//! batches. The endpoint's grant policy and counters are untouched; the
-//! merge is a property of the batch, and a node that reads one datagram
-//! per turn sends exactly the grants it always did. For loss it means one
-//! datagram now carries several packets' worth of window: losing it stalls
-//! the message for that whole window instead of one packet of it, and the
-//! receiver's RESEND sweep (§3.7) recovers it the way it recovers any lost
-//! GRANT — the sender treats the RESEND as an implicit grant.
-//!
-//! [`RunSummary`] counts what the turn did: `datagrams_rx`/`datagrams_tx`,
-//! `rx_reads`/`tx_sends` (the system calls that carried them),
-//! `rx_truncated` (reads dropped whole), `rx_turns`, `rx_drained`
-//! (datagrams that arrived through the drain),
-//! `grants_merged` and `tx_errors` (a datagram whose send failed is a lost
-//! packet, which the protocol recovers; it is counted, not retried, unless
-//! the failure was segmentation's).
+//! (§3.3), so a turn that read N DATA packets of one message finds N GRANTs
+//! for it in its batch. Grants are cumulative — "you may send everything
+//! below `offset`" — so the node sends one (`stage` says how they merge), as
+//! Homa/Linux does for a GRO batch. The endpoint's grant policy and counters
+//! are untouched, and a node that reads one datagram per turn sends exactly
+//! the grants it always did. Losing a merged GRANT stalls its message for
+//! the whole window instead of one packet of it; the receiver's RESEND sweep
+//! (§3.7) recovers it as it recovers any lost GRANT, since the sender treats
+//! the RESEND as an implicit grant.
 //!
 //! ## Paper map
 //!
 //! | module | paper section |
 //! |---|---|
-//! | [`node`] | §4's implementation layer: socket I/O threads, pacing, DSCP priority mapping, RPC surface |
+//! | [`node`] | §4's implementation layer: the socket, the driver thread, the RPC surface, and behind the lock the core (payload store, reassembly, grant merging) |
 
 #![warn(missing_docs)]
 // `deny`, not `forbid`: `sys`, the foreign calls, allows it for itself.
 #![deny(unsafe_code)]
 
 pub mod node;
+mod node_core;
 mod sys;
 
 pub use node::{EventQueue, HomaUdpNode, RunSummary, UdpConfig, UdpEvent};

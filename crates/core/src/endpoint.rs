@@ -8,6 +8,7 @@
 //! thin shells around this type.
 
 use crate::config::HomaConfig;
+use crate::messages::{sorted_keys, Due, Silence};
 use crate::packets::{
     BusyHeader, CutoffsUpdate, DataHeader, Dir, GrantHeader, HomaPacket, MsgKey, PeerId,
     ResendHeader,
@@ -88,11 +89,10 @@ pub enum HomaEvent {
 struct ClientRpc {
     server: PeerId,
     tag: u64,
-    /// True until the first response packet arrives (after which the
-    /// receiver's own gap-chasing takes over loss recovery).
-    awaiting_first_response: bool,
-    last_activity: Nanos,
-    resends: u32,
+    /// The server's silence, heard by BUSY, while the response has not
+    /// sent a packet; `None` from its first packet on, when the
+    /// receiver's own gap chase takes over loss recovery.
+    chase: Option<Silence>,
 }
 
 /// Server-side record of a delivered request awaiting its response.
@@ -207,16 +207,7 @@ impl HomaEndpoint {
         let key = MsgKey { origin: self.me, seq, dir: Dir::Request };
         let map = self.peer_maps.get(&server).unwrap_or(&self.default_peer_map);
         self.sender.start_message(now, key, server, req_len, tag, incast_mark, map);
-        self.client_rpcs.insert(
-            seq,
-            ClientRpc {
-                server,
-                tag,
-                awaiting_first_response: true,
-                last_activity: now,
-                resends: 0,
-            },
-        );
+        self.client_rpcs.insert(seq, ClientRpc { server, tag, chase: Some(Silence::new(now)) });
         seq
     }
 
@@ -265,9 +256,10 @@ impl HomaEndpoint {
                 // A BUSY about a response also reassures the waiting
                 // client RPC.
                 if b.key.dir == Dir::Response && b.key.origin == self.me {
-                    if let Some(rpc) = self.client_rpcs.get_mut(&b.key.seq) {
-                        rpc.last_activity = now;
-                        rpc.resends = 0;
+                    if let Some(chase) =
+                        self.client_rpcs.get_mut(&b.key.seq).and_then(|rpc| rpc.chase.as_mut())
+                    {
+                        chase.heard(now);
                     }
                 }
             }
@@ -290,11 +282,7 @@ impl HomaEndpoint {
         // Response packets reassure the client RPC immediately.
         if hdr.key.dir == Dir::Response && hdr.key.origin == self.me {
             match self.client_rpcs.get_mut(&hdr.key.seq) {
-                Some(rpc) => {
-                    rpc.awaiting_first_response = false;
-                    rpc.last_activity = now;
-                    rpc.resends = 0;
-                }
+                Some(rpc) => rpc.chase = None,
                 // Stray packet for an RPC that already completed or
                 // aborted (a duplicate from re-execution, or a
                 // retransmission that crossed the completing packet).
@@ -382,18 +370,7 @@ impl HomaEndpoint {
                                 .push_back((from, HomaPacket::Busy(BusyHeader { key: r.key })));
                             self.receiver.on_busy(now, req_key);
                         } else {
-                            self.resends_sent += 1;
-                            self.ctrl.push_back((
-                                from,
-                                HomaPacket::Resend(ResendHeader {
-                                    key: req_key,
-                                    offset: 0,
-                                    length: self.cfg.rtt_bytes,
-                                    prio: self
-                                        .local_map
-                                        .sched_prio(self.local_map.max_sched_prio()),
-                                }),
-                            ));
+                            self.resend(from, req_key, 0, self.cfg.rtt_bytes);
                         }
                     }
                     // A RESEND for a request or one-way whose state we
@@ -405,18 +382,35 @@ impl HomaEndpoint {
         }
     }
 
+    /// Queue a RESEND (§3.7) for `length` bytes of `key` at `offset`, at
+    /// the highest scheduled priority.
+    fn resend(&mut self, dst: PeerId, key: MsgKey, offset: u64, length: u64) {
+        self.resends_sent += 1;
+        let prio = self.local_map.max_sched_prio();
+        self.ctrl.push_back((dst, HomaPacket::Resend(ResendHeader { key, offset, length, prio })));
+    }
+
+    /// Give up on client RPC `seq`: release its request's sender state,
+    /// which only the response would have (§3.1), and report the abort.
+    /// False if there is no such RPC.
+    fn abort_rpc(&mut self, seq: u64) -> bool {
+        let Some(rpc) = self.client_rpcs.remove(&seq) else { return false };
+        self.sender.remove(MsgKey { origin: self.me, seq, dir: Dir::Request });
+        self.events.push(HomaEvent::RpcAborted { server: rpc.server, tag: rpc.tag });
+        true
+    }
+
     /// Periodic housekeeping: loss-detection sweeps, client RPC timeouts,
     /// lingering-state expiry, and (optionally) dynamic cutoff refresh.
     /// Call every few hundred microseconds.
     pub fn timer_tick(&mut self, now: Nanos) {
         // Receiver-side gap chasing.
-        let mut resends: Vec<(PeerId, ResendHeader)> = Vec::new();
+        let mut resends = Vec::new();
         let mut aborts: Vec<InboundAbort> = Vec::new();
         let mut grants: Vec<(PeerId, GrantHeader)> = Vec::new();
         self.receiver.timer_tick(now, &self.local_map, &mut resends, &mut aborts, &mut grants);
-        for (dst, r) in resends {
-            self.resends_sent += 1;
-            self.ctrl.push_back((dst, HomaPacket::Resend(r)));
+        for (dst, key, offset, length) in resends {
+            self.resend(dst, key, offset, length);
         }
         for (dst, g) in grants {
             self.ctrl.push_back((dst, HomaPacket::Grant(g)));
@@ -424,63 +418,34 @@ impl HomaEndpoint {
         for a in aborts {
             // An abandoned inbound *response* is the death of one of our
             // own RPCs: once its first packet arrived the client sweep
-            // below stops chasing it (`awaiting_first_response` is
-            // false), so if we dropped only the receiver state here the
-            // RPC entry — and the retained request sender state that is
-            // only released by the response (§3.1) — would leak forever.
-            // Abort the RPC instead of reporting a generic inbound abort.
-            if a.key.dir == Dir::Response && a.key.origin == self.me {
-                if let Some(rpc) = self.client_rpcs.remove(&a.key.seq) {
-                    self.sender.remove(a.key.flipped());
-                    self.events.push(HomaEvent::RpcAborted { server: rpc.server, tag: rpc.tag });
-                    continue;
-                }
+            // below stops chasing it (its `chase` is gone), so if we
+            // dropped only the receiver state here the RPC entry — and
+            // the retained request sender state that is only released by
+            // the response (§3.1) — would leak forever. Abort the RPC
+            // instead of reporting a generic inbound abort.
+            let ours = a.key.dir == Dir::Response && a.key.origin == self.me;
+            if !(ours && self.abort_rpc(a.key.seq)) {
+                self.events.push(HomaEvent::InboundAborted { key: a.key, src: a.src });
             }
-            self.events.push(HomaEvent::InboundAborted { key: a.key, src: a.src });
         }
 
         // Client-side response timeouts (§3.7): chase responses that have
         // not produced a single packet yet — sent "even if the request has
         // not been fully transmitted".
-        let mut dead: Vec<u64> = Vec::new();
-        let mut chase: Vec<(PeerId, u64)> = Vec::new();
-        // Sorted order: the chase RESENDs go on the wire in this order,
-        // and HashMap iteration order is not run-to-run deterministic.
-        let mut seqs: Vec<u64> = self.client_rpcs.keys().copied().collect();
-        seqs.sort_unstable();
-        for seq in seqs {
+        for seq in sorted_keys(&self.client_rpcs) {
             let rpc = self.client_rpcs.get_mut(&seq).expect("seq just collected");
-            if !rpc.awaiting_first_response {
-                continue;
+            let Some(chase) = rpc.chase.as_mut() else { continue };
+            match chase.check(now, &self.cfg) {
+                Due::Wait => {}
+                Due::Prod => {
+                    let (server, key) =
+                        (rpc.server, MsgKey { origin: self.me, seq, dir: Dir::Response });
+                    self.resend(server, key, 0, self.cfg.rtt_bytes);
+                }
+                Due::GiveUp => {
+                    self.abort_rpc(seq);
+                }
             }
-            if now.saturating_sub(rpc.last_activity) < self.cfg.resend_interval_ns {
-                continue;
-            }
-            if rpc.resends >= self.cfg.abort_after_resends {
-                dead.push(seq);
-                continue;
-            }
-            rpc.resends += 1;
-            rpc.last_activity = now;
-            chase.push((rpc.server, seq));
-        }
-        for (server, seq) in chase {
-            let key = MsgKey { origin: self.me, seq, dir: Dir::Response };
-            self.resends_sent += 1;
-            self.ctrl.push_back((
-                server,
-                HomaPacket::Resend(ResendHeader {
-                    key,
-                    offset: 0,
-                    length: self.cfg.rtt_bytes,
-                    prio: self.local_map.sched_prio(self.local_map.max_sched_prio()),
-                }),
-            ));
-        }
-        for seq in dead {
-            let rpc = self.client_rpcs.remove(&seq).expect("dead rpc exists");
-            self.sender.remove(MsgKey { origin: self.me, seq, dir: Dir::Request });
-            self.events.push(HomaEvent::RpcAborted { server: rpc.server, tag: rpc.tag });
         }
 
         self.sender.expire_lingering(now);
@@ -614,9 +579,7 @@ impl HomaEndpoint {
 
     /// Sequence numbers of outstanding client RPCs, sorted (diagnostics).
     pub fn client_rpc_seqs(&self) -> Vec<u64> {
-        let mut seqs: Vec<u64> = self.client_rpcs.keys().copied().collect();
-        seqs.sort_unstable();
-        seqs
+        sorted_keys(&self.client_rpcs)
     }
 
     /// Control packets queued but not yet pulled by
@@ -938,7 +901,7 @@ mod tests {
 
     /// Regression (found by the stateful model fuzzer): once the first
     /// response packet arrives, the client sweep stops chasing the RPC
-    /// (`awaiting_first_response` is false) — loss recovery belongs to
+    /// (its `chase` is gone) — loss recovery belongs to
     /// the receiver's gap chasing. If the receiver then gives up on the
     /// partially-received response, the endpoint used to report only a
     /// generic `InboundAborted` and leave the client RPC entry (plus the
@@ -1022,6 +985,42 @@ mod tests {
         }
         assert!(abandoned, "silent client must abandon the response");
         assert_eq!(b.outbound_count(), 0, "response sender state leaked");
+    }
+
+    /// §3.7's sender-side timer on its exact schedule: a one-way whose
+    /// every DATA packet is lost leaves its receiver nothing to chase, so
+    /// the sender re-sends the first packet once per silent resend
+    /// interval, `abort_after_resends` times, then abandons the message.
+    #[test]
+    fn oneway_lost_whole_is_poked_on_schedule_then_abandoned() {
+        let (mut a, mut b) = pair();
+        let (interval, budget) = (a.config().resend_interval_ns, a.config().abort_after_resends);
+        a.send_message(0, PeerId(1), 20_000, 21);
+        let (mut pokes, mut abandoned) = (Vec::new(), Vec::new());
+        let mut t = 0;
+        while t <= 2 * u64::from(budget + 1) * interval {
+            a.timer_tick(t);
+            while let Some((_, pkt)) = a.poll_transmit(t) {
+                match pkt {
+                    HomaPacket::Data(h) if h.retransmit => pokes.push((t, h.offset, h.payload)),
+                    HomaPacket::Data(_) => {}
+                    other => panic!("the sender sent {other:?}"),
+                }
+            }
+            abandoned.extend(a.take_events().into_iter().map(|e| (t, e)));
+            t += interval / 4;
+        }
+        let want: Vec<_> = (1..=u64::from(budget)).map(|i| (i * interval, 0, 1_400)).collect();
+        assert_eq!(pokes, want);
+        let gave_up = u64::from(budget + 1) * interval;
+        assert_eq!(
+            abandoned,
+            vec![(gave_up, HomaEvent::OutboundAborted { dst: PeerId(1), tag: 21 })]
+        );
+        assert_eq!((a.outbound_count(), a.inbound_count(), a.pending_ctrl()), (0, 0, 0));
+        assert!(!a.has_pending_tx());
+        b.timer_tick(t);
+        assert_eq!((b.inbound_count(), b.outbound_count()), (0, 0), "the receiver never knew");
     }
 
     /// Pinned edge case: DATA arriving again after full delivery. The

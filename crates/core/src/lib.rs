@@ -49,7 +49,8 @@
 //! | [`sender`] | §3.2 blind transmission + sender-side SRPT |
 //! | [`receiver`] | §3.3–§3.6 grant scheduling, priority assignment, overcommitment, incast control |
 //! | [`messages`] | §3.1/§3.8 message reassembly and RPC lifetimes |
-//! | [`endpoint`] | the assembled protocol machine (§3, §3.7 loss recovery) |
+//! | [`messages::Silence`] | §3.7 loss recovery's one retry rule: the receiver's gap chase, the client's response chase and the sender's stall poke each hold one |
+//! | [`endpoint`] | the assembled protocol machine (§3, §3.7 RESEND/BUSY handling) |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -7,9 +7,76 @@
 //! RESEND requests; [`OutboundMessage`] tracks how far the sender has
 //! transmitted, how far the receiver has granted, and any retransmission
 //! ranges queued by RESENDs.
+//!
+//! Loss recovery (§3.7) is one rule, and [`Silence`] is it: whoever
+//! expects something from a peer and hears nothing for a resend interval
+//! prods the peer, and gives up after `abort_after_resends` unanswered
+//! prods. Each inbound message, outbound message and client RPC holds one.
 
+use crate::config::HomaConfig;
 use crate::packets::{MsgKey, PeerId};
 use crate::Nanos;
+use std::collections::HashMap;
+
+/// The keys of `map` in ascending order. A sweep that puts packets on the
+/// wire or raises events walks this, not the map: `HashMap` iteration
+/// order differs from run to run, and runs must repeat bit for bit.
+pub(crate) fn sorted_keys<K: Ord + Copy, V>(map: &HashMap<K, V>) -> Vec<K> {
+    let mut keys: Vec<K> = map.keys().copied().collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// What a [`Silence`] asks of its holder at a timer tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Due {
+    /// Heard from the peer within the last resend interval, or prodded it.
+    Wait,
+    /// A resend interval of silence: prod the peer (it is counted).
+    Prod,
+    /// Still silent after `abort_after_resends` prods: give up.
+    GiveUp,
+}
+
+/// How long a peer has been silent, and how often it has been prodded
+/// since it last spoke (§3.7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Silence {
+    /// When the peer last spoke, or was last prodded.
+    since: Nanos,
+    /// Prods sent since the peer last spoke.
+    prods: u32,
+}
+
+impl Silence {
+    /// A clock that starts at `now`, with nothing prodded.
+    pub fn new(now: Nanos) -> Self {
+        Silence { since: now, prods: 0 }
+    }
+
+    /// The peer spoke: restart the clock and forget the prods.
+    pub(crate) fn heard(&mut self, now: Nanos) {
+        *self = Silence::new(now);
+    }
+
+    /// Prods sent since the peer last spoke.
+    pub(crate) fn prods(&self) -> u32 {
+        self.prods
+    }
+
+    /// The one retry rule. A prod restarts the interval and is counted.
+    pub(crate) fn check(&mut self, now: Nanos, cfg: &HomaConfig) -> Due {
+        if now.saturating_sub(self.since) < cfg.resend_interval_ns {
+            Due::Wait
+        } else if self.prods >= cfg.abort_after_resends {
+            Due::GiveUp
+        } else {
+            self.prods += 1;
+            self.since = now;
+            Due::Prod
+        }
+    }
+}
 
 /// Sort `(offset, length)` ranges and merge those that overlap or touch,
 /// in place: afterwards they are sorted, disjoint and separated by gaps.
@@ -64,12 +131,9 @@ pub struct OutboundMessage {
     pub tag: u64,
     /// When the message was submitted (for diagnostics).
     pub created_at: Nanos,
-    /// Last time the receiver showed signs of life for this message
-    /// (grant or resend); drives the sender-side stall poke for one-way
-    /// messages whose blind prefix was lost entirely.
-    pub last_peer_activity: Nanos,
-    /// Number of stall pokes sent without any grant progress.
-    pub stall_pokes: u32,
+    /// The receiver's silence, heard by a GRANT; drives the sender's
+    /// stall poke for messages waiting on grants.
+    pub silence: Silence,
 }
 
 impl OutboundMessage {
@@ -153,10 +217,8 @@ pub struct InboundMessage {
     /// Scheduled priority currently assigned to the message (meaningful
     /// only while the message is active).
     pub sched_prio: u8,
-    /// Last time any packet (DATA or BUSY) arrived for this message.
-    pub last_activity: Nanos,
-    /// Consecutive RESENDs sent without progress.
-    pub resends_outstanding: u32,
+    /// The sender's silence, heard by DATA or BUSY; drives the gap chase.
+    pub silence: Silence,
     /// Application tag from the first packet.
     pub tag: u64,
     /// Whether the first packet carried the incast mark (relevant for
@@ -177,8 +239,7 @@ impl InboundMessage {
             received: 0,
             granted: 0,
             sched_prio: 0,
-            last_activity: now,
-            resends_outstanding: 0,
+            silence: Silence::new(now),
             tag: 0,
             incast_mark: false,
             first_arrival: now,
@@ -211,6 +272,12 @@ impl InboundMessage {
     /// Whether the whole message has arrived.
     pub fn complete(&self) -> bool {
         self.received >= self.len
+    }
+
+    /// Whether bytes are owed: granted but not received, or a gap below
+    /// the grant. Only such a message is chased with RESENDs.
+    pub(crate) fn expecting(&self) -> bool {
+        self.granted > self.received || self.first_gap().is_some_and(|(o, _)| o < self.granted)
     }
 
     /// The first missing byte range `(offset, length)`, for RESEND.
@@ -264,9 +331,40 @@ mod tests {
             incast_mark: false,
             tag: 0,
             created_at: 0,
-            last_peer_activity: 0,
-            stall_pokes: 0,
+            silence: Silence::new(0),
         }
+    }
+
+    #[test]
+    fn silence_prods_each_interval_then_gives_up_and_hearing_resets_it() {
+        let cfg =
+            HomaConfig { resend_interval_ns: 10, abort_after_resends: 2, ..HomaConfig::default() };
+        let mut s = Silence::new(5);
+        let mut dues = Vec::new();
+        for now in [14, 15, 24, 25, 35, 44, 45, 99] {
+            dues.push((now, s.check(now, &cfg), s.prods()));
+        }
+        use Due::*;
+        let want = [
+            (14, Wait, 0),
+            (15, Prod, 1),
+            (24, Wait, 1),
+            (25, Prod, 2),
+            (35, GiveUp, 2),
+            (44, GiveUp, 2),
+            (45, GiveUp, 2),
+            (99, GiveUp, 2),
+        ];
+        assert_eq!(dues, want);
+        s.heard(100);
+        assert_eq!((s.check(109, &cfg), s.prods()), (Wait, 0));
+        assert_eq!((s.check(110, &cfg), s.prods()), (Prod, 1));
+    }
+
+    #[test]
+    fn sorted_keys_ascend() {
+        let map: HashMap<u64, ()> = [9, 3, 7, 1].into_iter().map(|k| (k, ())).collect();
+        assert_eq!(sorted_keys(&map), vec![1, 3, 7, 9]);
     }
 
     #[test]

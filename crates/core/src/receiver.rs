@@ -15,13 +15,18 @@
 //!   the *lowest* levels up, so that a newly arriving shorter message can
 //!   be granted a *higher* level than the packets already buffered in the
 //!   TOR (avoiding preemption lag, Figure 5).
-//! * **Loss detection** (§3.7): Homa has no acks; if an expected message
-//!   stalls for a resend interval, the receiver asks for the first missing
-//!   range with RESEND. BUSY resets the clock.
+//! * **Loss detection** (§3.7): Homa has no acks, so the receiver is the
+//!   one that notices loss. Each inbound message holds a
+//!   [`Silence`](crate::messages::Silence), heard by every DATA and BUSY
+//!   packet. A message that is owed bytes and has been silent for a
+//!   resend interval gets a RESEND for its first missing range, clipped
+//!   to `RTTbytes`; after `abort_after_resends` unanswered ones it is
+//!   aborted. The client's response chase and the sender's stall poke
+//!   (`endpoint`, `sender`) ask the same clock.
 
 use crate::config::HomaConfig;
-use crate::messages::InboundMessage;
-use crate::packets::{DataHeader, GrantHeader, MsgKey, PeerId, ResendHeader};
+use crate::messages::{sorted_keys, Due, InboundMessage};
+use crate::packets::{DataHeader, GrantHeader, MsgKey, PeerId};
 use crate::unsched::PriorityMap;
 use crate::Nanos;
 use std::collections::HashMap;
@@ -69,8 +74,6 @@ pub struct ReceiverState {
     /// Total new credit extended via grants, in bytes (excludes the
     /// implicit credit of unscheduled data).
     granted_bytes: u64,
-    /// RESEND requests emitted by the loss-detection sweep.
-    resends_requested: u64,
     /// [`reschedule`](Self::reschedule)'s candidate list, kept between
     /// calls for its allocation (the pass runs once per DATA packet).
     cands: Vec<(u64, MsgKey)>,
@@ -87,7 +90,6 @@ impl ReceiverState {
             withholding: false,
             grants_issued: 0,
             granted_bytes: 0,
-            resends_requested: 0,
             cands: Vec::new(),
         }
     }
@@ -145,8 +147,7 @@ impl ReceiverState {
             .msgs
             .entry(hdr.key)
             .or_insert_with(|| InboundMessage::new(hdr.key, from, hdr.msg_len, now));
-        m.last_activity = now;
-        m.resends_outstanding = 0;
+        m.silence.heard(now);
         if hdr.offset == 0 {
             m.tag = hdr.tag;
             m.incast_mark = hdr.incast_mark;
@@ -203,8 +204,7 @@ impl ReceiverState {
     /// timer for the message.
     pub fn on_busy(&mut self, now: Nanos, key: MsgKey) {
         if let Some(m) = self.msgs.get_mut(&key) {
-            m.last_activity = now;
-            m.resends_outstanding = 0;
+            m.silence.heard(now);
         }
     }
 
@@ -258,65 +258,50 @@ impl ReceiverState {
                 ));
             }
         }
+        // Liveness: an incomplete message is receiving bytes, withheld by
+        // overcommitment, or chased by the loss sweep. The active ones
+        // must be owed bytes, or nothing would ever move them.
+        debug_assert!(
+            cands.iter().take(k).all(|(_, key)| self.msgs[key].expecting()),
+            "an active message is owed no bytes: {:?}",
+            self.inbound_snapshot()
+        );
         self.cands = cands;
     }
 
-    /// Periodic loss-detection sweep (§3.7): emit a RESEND for any message
-    /// that expects data but has been silent for a resend interval; abort
-    /// peers that stay silent through `abort_after_resends` attempts.
+    /// Periodic loss-detection sweep (§3.7), in key order: each message
+    /// owed bytes whose sender has been silent for a resend interval gets
+    /// a gap request `(src, key, offset, length)` in `resends`, and one
+    /// still silent after `abort_after_resends` requests is aborted.
     /// Aborting frees overcommitment slots, so the grant scheduler reruns
     /// and `grants` may be produced for previously-withheld messages.
     pub fn timer_tick(
         &mut self,
         now: Nanos,
         map: &PriorityMap,
-        resends: &mut Vec<(PeerId, ResendHeader)>,
+        resends: &mut Vec<(PeerId, MsgKey, u64, u64)>,
         aborts: &mut Vec<InboundAbort>,
         grants: &mut Vec<(PeerId, GrantHeader)>,
     ) {
-        let interval = self.cfg.resend_interval_ns;
-        let limit = self.cfg.abort_after_resends;
-        let mut dead: Vec<MsgKey> = Vec::new();
-        // Sorted key order: the emitted RESENDs go on the wire in this
-        // order, and HashMap iteration order is not deterministic across
-        // runs (it would break bit-for-bit reproducibility).
-        let mut keys: Vec<MsgKey> = self.msgs.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let m = self.msgs.get_mut(&key).expect("key just collected");
-            // Only chase messages from which we expect bytes: either
-            // granted-but-undelivered data, or a gap in what has arrived.
-            let expecting =
-                m.granted > m.received() || m.first_gap().is_some_and(|(o, _)| o < m.granted);
-            if !expecting {
-                continue;
-            }
-            if now.saturating_sub(m.last_activity) < interval {
-                continue;
-            }
-            if m.resends_outstanding >= limit {
-                dead.push(m.key);
-                continue;
-            }
-            let (offset, length) = m.first_gap().expect("incomplete message has a gap");
-            m.resends_outstanding += 1;
-            m.last_activity = now;
-            self.resends_requested += 1;
-            resends.push((
-                m.src,
-                ResendHeader {
-                    key: m.key,
-                    offset,
-                    length: length.min(self.cfg.rtt_bytes),
-                    prio: map.sched_prio(map.max_sched_prio()),
-                },
-            ));
-        }
         let mut removed_any = false;
-        for key in dead {
-            let m = self.msgs.remove(&key).expect("dead message exists");
-            aborts.push(InboundAbort { key, src: m.src });
-            removed_any = true;
+        for key in sorted_keys(&self.msgs) {
+            let m = self.msgs.get_mut(&key).expect("key just collected");
+            if !m.expecting() {
+                continue;
+            }
+            match m.silence.check(now, &self.cfg) {
+                Due::Wait => {}
+                Due::Prod => {
+                    let (offset, length) = m.first_gap().expect("incomplete message has a gap");
+                    resends.push((m.src, key, offset, length.min(self.cfg.rtt_bytes)));
+                }
+                Due::GiveUp => {
+                    let src = m.src;
+                    self.msgs.remove(&key);
+                    aborts.push(InboundAbort { key, src });
+                    removed_any = true;
+                }
+            }
         }
         if removed_any {
             // Freed slots must go to withheld messages immediately — no
@@ -358,24 +343,20 @@ impl ReceiverState {
         self.granted_bytes
     }
 
-    /// RESEND requests this receiver's loss sweep (§3.7) has emitted.
-    pub fn resends_requested(&self) -> u64 {
-        self.resends_requested
-    }
-
     /// Read access to an inbound message (tests).
     pub fn get(&self, key: MsgKey) -> Option<&InboundMessage> {
         self.msgs.get(&key)
     }
 
     /// Snapshot of all incomplete inbound messages:
-    /// `(key, len, received, granted, resends_outstanding)` sorted by
-    /// remaining bytes. Diagnostics only.
+    /// `(key, len, received, granted, resends)` sorted by remaining bytes,
+    /// `resends` counting those sent since the sender last spoke.
+    /// Diagnostics only.
     pub fn inbound_snapshot(&self) -> Vec<(MsgKey, u64, u64, u64, u32)> {
         let mut v: Vec<_> = self
             .msgs
             .values()
-            .map(|m| (m.key, m.len, m.received(), m.granted, m.resends_outstanding))
+            .map(|m| (m.key, m.len, m.received(), m.granted, m.silence.prods()))
             .collect();
         v.sort_by_key(|&(_, len, recv, _, _)| len - recv);
         v
@@ -526,8 +507,7 @@ mod tests {
         let mut aborts = Vec::new();
         // Silent for 2ms -> first RESEND for the gap right after received.
         r.timer_tick(2_100_000, &map(), &mut resends, &mut aborts, &mut Vec::new());
-        assert_eq!(resends.len(), 1);
-        assert_eq!(resends[0].1.offset, 1_400);
+        assert_eq!(resends, vec![(PeerId(5), key(1), 1_400, 9_700)]);
         assert!(aborts.is_empty());
         // Keep being silent: more RESENDs, then abort.
         let mut t = 2_100_000u64;
@@ -579,7 +559,7 @@ mod tests {
         // granted == received) -> not chased, because its sender is not
         // expected to transmit.
         assert!(!resends.is_empty());
-        assert!(resends.iter().all(|(_, h)| h.key == key(2)), "{resends:?}");
+        assert!(resends.iter().all(|&(_, k, _, _)| k == key(2)), "{resends:?}");
     }
 
     #[test]

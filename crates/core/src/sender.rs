@@ -30,13 +30,13 @@
 //! never exceeds the grant), `retx` is empty, `unsched_limit` is
 //! `cfg.unsched_limit_for(incast_mark)` clipped to `len`, and the key's
 //! `origin` is the endpoint's own id, the same for every one-way it
-//! sends. `last_peer_activity` and `stall_pokes` are not kept because
-//! nothing reads them again: the stall sweep skips a message that is
-//! `transmittable` or `fully_sent`, and a woken one-way is the first
-//! until its retransmission is out and the second from then on.
+//! sends. Its `silence` is not kept because nothing reads it again: the
+//! stall sweep skips a message that is `transmittable` or `fully_sent`,
+//! and a woken one-way is the first until its retransmission is out and
+//! the second from then on.
 
 use crate::config::HomaConfig;
-use crate::messages::OutboundMessage;
+use crate::messages::{sorted_keys, Due, OutboundMessage, Silence};
 use crate::packets::{BusyHeader, DataHeader, Dir, MsgKey, PeerId};
 use crate::unsched::PriorityMap;
 use crate::Nanos;
@@ -85,8 +85,7 @@ impl Parked {
             incast_mark: self.incast_mark,
             tag: self.tag,
             created_at: self.created_at,
-            last_peer_activity: self.created_at,
-            stall_pokes: 0,
+            silence: Silence::new(self.created_at),
         }
     }
 }
@@ -171,8 +170,7 @@ impl SenderState {
             incast_mark,
             tag,
             created_at: now,
-            last_peer_activity: now,
-            stall_pokes: 0,
+            silence: Silence::new(now),
         };
         self.msgs.insert(key, msg);
     }
@@ -185,8 +183,7 @@ impl SenderState {
                 m.granted = offset.min(m.len);
             }
             m.sched_prio = prio;
-            m.last_peer_activity = now;
-            m.stall_pokes = 0;
+            m.silence.heard(now);
             return true;
         }
         // A lingering one-way is granted in full already: only the
@@ -205,44 +202,31 @@ impl SenderState {
     /// entire blind prefix may have been lost — the receiver does not even
     /// know the message exists — so retransmit the first packet to
     /// re-create receiver state. For *responses* the client's own chasing
-    /// (RESENDs while `awaiting_first_response`, receiver gap chasing
+    /// (RESENDs until the first response packet, receiver gap chasing
     /// after) covers every loss pattern, so a silent client means the RPC
     /// is dead on its side; just age the state out without retransmitting
     /// (found by the stateful model fuzzer: stalled response state used
     /// to leak forever once the client aborted the RPC). Requests are
     /// skipped: the client RPC sweep owns their whole lifecycle. Gives up
-    /// after the abort budget and returns the abandoned `(dst, tag)`s.
+    /// after the abort budget and returns the abandoned `(dst, tag)`s, in
+    /// key order.
     pub fn poke_stalled(&mut self, now: Nanos) -> Vec<(PeerId, u64)> {
-        let interval = self.cfg.resend_interval_ns;
-        let limit = self.cfg.abort_after_resends;
-        let payload = self.cfg.max_payload as u64;
         let mut abandoned = Vec::new();
-        let mut dead = Vec::new();
-        // Sorted key order so retransmit state changes (and the abandoned
-        // list) are independent of HashMap iteration order.
-        let mut keys: Vec<MsgKey> = self.msgs.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
+        for key in sorted_keys(&self.msgs) {
             let m = self.msgs.get_mut(&key).expect("key just collected");
-            if m.key.dir == Dir::Request || m.fully_sent() || m.transmittable() {
+            if key.dir == Dir::Request || m.fully_sent() || m.transmittable() {
                 continue;
             }
-            if now.saturating_sub(m.last_peer_activity) < interval {
-                continue;
+            match m.silence.check(now, &self.cfg) {
+                Due::Prod if key.dir == Dir::Oneway => {
+                    m.queue_retx(0, u64::from(self.cfg.max_payload).min(m.len));
+                }
+                Due::Wait | Due::Prod => {}
+                Due::GiveUp => {
+                    abandoned.push((m.dst, m.tag));
+                    self.msgs.remove(&key);
+                }
             }
-            if m.stall_pokes >= limit {
-                dead.push(m.key);
-                abandoned.push((m.dst, m.tag));
-                continue;
-            }
-            m.stall_pokes += 1;
-            m.last_peer_activity = now;
-            if m.key.dir == Dir::Oneway {
-                m.queue_retx(0, payload.min(m.len));
-            }
-        }
-        for k in dead {
-            self.msgs.remove(&k);
         }
         abandoned
     }
@@ -743,8 +727,7 @@ mod tests {
                 m.granted = offset.min(m.len);
             }
             m.sched_prio = prio;
-            m.last_peer_activity = now;
-            m.stall_pokes = 0;
+            m.silence.heard(now);
             true
         }
 
@@ -897,8 +880,7 @@ mod tests {
                             incast_mark: mark,
                             tag: a,
                             created_at: now,
-                            last_peer_activity: now,
-                            stall_pokes: 0,
+                            silence: Silence::new(now),
                         };
                         t.msgs.insert(k, msg);
                         started.push((k, len));

@@ -2,7 +2,7 @@
 //! whole input from one seed, so a failure is a seed that fails alone:
 //! `HOMA_FUZZ_REPLAY='core-properties:seed=<n>' cargo test -p homa --test properties`.
 
-use homa::messages::{merge_ranges, InboundMessage, OutboundMessage};
+use homa::messages::{merge_ranges, InboundMessage, OutboundMessage, Silence};
 use homa::packets::{Dir, MsgKey, PeerId};
 use homa::unsched::TrafficTracker;
 use homa::HomaConfig;
@@ -123,8 +123,7 @@ fn outbound_chunks_cover_exactly_once() {
             incast_mark: false,
             tag: 0,
             created_at: 0,
-            last_peer_activity: 0,
-            stall_pokes: 0,
+            silence: Silence::new(0),
         };
         let mut covered = vec![false; len as usize];
         loop {

@@ -432,39 +432,6 @@ impl Topology {
         (0..self.num_hosts()).map(HostId)
     }
 
-    /// The minimum one-way network latency for a message of `len`
-    /// application bytes between hosts in *different* racks on an idle
-    /// network, per the store-and-forward model: full wire serialization on
-    /// the sender's host link plus per-hop forwarding of the final packet,
-    /// plus the receiver's software delay. `per_packet_payload` and
-    /// `per_packet_overhead` describe the transport's segmentation.
-    ///
-    /// Used as the slowdown denominator (slowdown = observed / this).
-    pub fn unloaded_one_way(
-        &self,
-        len: u64,
-        per_packet_payload: u64,
-        per_packet_overhead: u64,
-    ) -> SimDuration {
-        self.unloaded_one_way_path(len, per_packet_payload, per_packet_overhead, self.spines > 0)
-    }
-
-    /// [`unloaded_one_way`](Self::unloaded_one_way) with explicit path
-    /// selection: `cross_rack = false` computes the two-hop, single-switch
-    /// path for hosts in the same rack; `true` assumes the longest path
-    /// in the fabric (cross-pod on a fat tree). Callers that know the
-    /// exact path use [`unloaded_one_way_class`](Self::unloaded_one_way_class).
-    pub fn unloaded_one_way_path(
-        &self,
-        len: u64,
-        per_packet_payload: u64,
-        per_packet_overhead: u64,
-        cross_rack: bool,
-    ) -> SimDuration {
-        let class = if cross_rack { PathClass::InterPod } else { PathClass::SameRack };
-        self.unloaded_one_way_class(len, per_packet_payload, per_packet_overhead, class)
-    }
-
     /// The number of uplink-speed hops, switch traversals and propagation
     /// hops of the class's store-and-forward path (host links excluded:
     /// every path starts and ends with one).
@@ -482,9 +449,13 @@ impl Topology {
     }
 
     /// The minimum one-way latency for `len` application bytes between
-    /// hosts separated by `class`, per the store-and-forward model. All
-    /// bytes serialize onto the host uplink back-to-back; the *last*
-    /// packet then store-and-forwards across the remaining hops.
+    /// hosts separated by `class` on an idle network, per the
+    /// store-and-forward model. All bytes serialize onto the host uplink
+    /// back-to-back; the *last* packet then store-and-forwards across the
+    /// remaining hops, and the receiver's software delay is added.
+    /// `per_packet_payload` and `per_packet_overhead` describe the
+    /// transport's segmentation. The harness's slowdown denominator
+    /// (`Run::unloaded_ns`) is this, per message, for its path's class.
     pub fn unloaded_one_way_class(
         &self,
         len: u64,
@@ -602,7 +573,7 @@ mod tests {
         // Paper: minimum one-way time for a small message is 2.3us on the
         // simulated fabric.
         let t = Topology::paper_fabric();
-        let d = t.unloaded_one_way(100, 1400, 60);
+        let d = t.unloaded_one_way_class(100, 1400, 60, PathClass::InterPod);
         let us = d.as_micros_f64();
         assert!((1.9..2.9).contains(&us), "unloaded {us}us out of expected band");
     }
@@ -610,11 +581,13 @@ mod tests {
     #[test]
     fn unloaded_latency_monotone_in_size() {
         let t = Topology::paper_fabric();
-        let mut prev = SimDuration::ZERO;
-        for len in [1u64, 100, 1_000, 10_000, 100_000, 1_000_000] {
-            let d = t.unloaded_one_way(len, 1400, 60);
-            assert!(d >= prev, "latency not monotone at {len}");
-            prev = d;
+        for class in [PathClass::SameRack, PathClass::InterPod] {
+            let mut prev = SimDuration::ZERO;
+            for len in [1u64, 100, 1_000, 10_000, 100_000, 1_000_000] {
+                let d = t.unloaded_one_way_class(len, 1400, 60, class);
+                assert!(d >= prev, "latency not monotone at {len} ({class:?})");
+                prev = d;
+            }
         }
     }
 
@@ -622,7 +595,7 @@ mod tests {
     fn unloaded_large_message_dominated_by_line_rate() {
         let t = Topology::paper_fabric();
         let len = 10_000_000u64;
-        let d = t.unloaded_one_way(len, 1400, 60);
+        let d = t.unloaded_one_way_class(len, 1400, 60, PathClass::InterPod);
         // 10 MB at 10 Gbps is 8ms of pure serialization; overheads add a
         // few percent but the total must be within 10%.
         let pure = 8.0e-3;
@@ -633,7 +606,11 @@ mod tests {
     fn single_switch_unloaded_is_shorter() {
         let big = Topology::paper_fabric();
         let small = Topology::single_switch(16);
-        assert!(small.unloaded_one_way(100, 1400, 60) < big.unloaded_one_way(100, 1400, 60));
+        let across = |t: &Topology| {
+            let class = t.path_class(HostId(0), HostId(t.num_hosts() - 1));
+            t.unloaded_one_way_class(100, 1400, 60, class)
+        };
+        assert!(across(&small) < across(&big));
     }
 
     #[test]
@@ -695,16 +672,11 @@ mod tests {
             assert!(same < intra, "same-rack not shortest at {len}");
             assert!(intra < inter, "intra-pod not shorter than cross-pod at {len}");
         }
-        // On a leaf–spine fabric InterPod and IntraPod are the same path,
-        // and unloaded_one_way keeps its historical (cross-rack) value.
+        // On a leaf–spine fabric InterPod and IntraPod are the same path.
         let ls = Topology::paper_fabric();
         assert_eq!(
             ls.unloaded_one_way_class(100, 1400, 60, PathClass::IntraPod),
             ls.unloaded_one_way_class(100, 1400, 60, PathClass::InterPod)
-        );
-        assert_eq!(
-            ls.unloaded_one_way(100, 1400, 60),
-            ls.unloaded_one_way_path(100, 1400, 60, true)
         );
     }
 

@@ -1542,5 +1542,17 @@ mod tests {
             .filter(|(_, p)| matches!(p, HomaPacket::Resend(_)))
             .count();
         assert_eq!(asked_first, 28);
+        // Until then the sender's stall poke also re-sends the first
+        // packet, which arrived long ago, each 2.5 ms: a RESEND does not
+        // count as hearing from the receiver, only a GRANT does.
+        let resent: Vec<u64> = wire
+            .iter()
+            .filter_map(|(i, p)| match p {
+                HomaPacket::Data(h) if *i == 0 && h.retransmit => Some(h.offset),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(resent.len(), 59);
+        assert_eq!(resent.iter().filter(|&&offset| offset == 0).count(), 28, "{resent:?}");
     }
 }

@@ -46,7 +46,10 @@ fn main() {
                         let rtt = at - issued_at[i];
                         // Best case: one request crossing + one response
                         // crossing of an idle fabric.
-                        let best = 2 * net.topology().unloaded_one_way(size, 1_400, 60).as_nanos();
+                        let topo = net.topology();
+                        let class = topo.path_class(HostId(0), HostId(1));
+                        let best =
+                            2 * topo.unloaded_one_way_class(size, 1_400, 60, class).as_nanos();
                         println!(
                             "{size:>12} {:>14.2} {:>12.2}",
                             rtt.as_micros_f64(),

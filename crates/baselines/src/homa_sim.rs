@@ -13,7 +13,7 @@
 //! * *Basic* (RAMCloud's receiver-driven transport without priorities or
 //!   overcommitment limits): [`basic_config`].
 
-use crate::common::ns;
+use crate::common::{ns, CTRL_BYTES, DATA_OVERHEAD};
 use homa::packets::{HomaPacket, PeerId};
 use homa::{HomaConfig, HomaEndpoint, HomaEvent, PriorityMap, TrafficTracker};
 use homa_sim::{
@@ -22,22 +22,20 @@ use homa_sim::{
 };
 use homa_workloads::MessageSizeDist;
 
-/// Simulator packet metadata for Homa: the protocol packet plus cached
-/// wire sizing.
+/// Simulator packet metadata for Homa: the protocol packet plus the
+/// sender's top priority level, which its control packets use.
 #[derive(Debug, Clone)]
 pub struct HomaMeta {
     /// The protocol-level packet.
     pub pkt: HomaPacket,
-    data_overhead: u32,
-    ctrl_bytes: u32,
     top_prio: u8,
 }
 
 impl PacketMeta for HomaMeta {
     fn wire_bytes(&self) -> u32 {
         match &self.pkt {
-            HomaPacket::Data(h) => h.payload + self.data_overhead,
-            _ => self.ctrl_bytes,
+            HomaPacket::Data(h) => h.payload + DATA_OVERHEAD,
+            _ => CTRL_BYTES,
         }
     }
 
@@ -156,17 +154,8 @@ impl HomaSimTransport {
     }
 
     fn wrap(&self, dst: PeerId, pkt: HomaPacket) -> Packet<HomaMeta> {
-        let cfg = self.ep.config();
-        Packet::new(
-            self.me,
-            HostId(dst.0),
-            HomaMeta {
-                pkt,
-                data_overhead: cfg.data_overhead,
-                ctrl_bytes: cfg.ctrl_bytes,
-                top_prio: cfg.num_priorities - 1,
-            },
-        )
+        let top_prio = self.ep.config().num_priorities - 1;
+        Packet::new(self.me, HostId(dst.0), HomaMeta { pkt, top_prio })
     }
 }
 
@@ -289,7 +278,7 @@ pub fn static_map_for_workload(dist: &MessageSizeDist, cfg: &HomaConfig) -> Prio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use homa_sim::{Network, NetworkConfig, Topology};
+    use homa_sim::{Network, NetworkConfig, QueueDiscipline, Topology};
     use homa_workloads::Workload;
 
     fn homa_net(n: u32) -> Network<HomaMeta, HomaSimTransport> {
@@ -407,15 +396,7 @@ mod tests {
         // event ordering is at its most delicate: ten senders overflow a
         // three-packet buffer across racks, and the queue's shadow oracle
         // (debug builds) checks every pop of the recovery.
-        use homa_sim::{QueueDiscipline, QueueKind};
-        let cfg = NetworkConfig {
-            tor_down: QueueDiscipline {
-                kind: QueueKind::StrictPriority { levels: 8 },
-                cap_bytes: 4_500,
-                ecn: None,
-            },
-            ..NetworkConfig::default()
-        };
+        let cfg = NetworkConfig::uniform(1, QueueDiscipline::strict8(4_500)); // 3 packets
         let topo = Topology::multi_tor(16);
         let mut net: Network<HomaMeta, HomaSimTransport> =
             Network::new(topo, cfg, |h| HomaSimTransport::new(h, HomaConfig::default()));
@@ -429,16 +410,8 @@ mod tests {
 
     #[test]
     fn loss_recovery_inside_fabric() {
-        // Force drops by shrinking the TOR downlink buffer drastically.
-        use homa_sim::{QueueDiscipline, QueueKind};
-        let cfg = NetworkConfig {
-            tor_down: QueueDiscipline {
-                kind: QueueKind::StrictPriority { levels: 8 },
-                cap_bytes: 4_500, // 3 packets
-                ecn: None,
-            },
-            ..NetworkConfig::default()
-        };
+        // Force drops by shrinking every switch buffer drastically.
+        let cfg = NetworkConfig::uniform(1, QueueDiscipline::strict8(4_500)); // 3 packets
         let topo = Topology::single_switch(6);
         let mut net: Network<HomaMeta, HomaSimTransport> =
             Network::new(topo, cfg, |h| HomaSimTransport::new(h, HomaConfig::default()));

@@ -334,7 +334,7 @@ fn fig4(opts: &ReproOpts) -> Vec<FigTable> {
         }
         Row::new()
             .s("workload", w.name())
-            .n("unsched_frac", d.mean_capped(cfg.rtt_bytes) / d.mean())
+            .n("unsched_frac", d.mean_capped(RTT_BYTES) / d.mean())
             .n("unsched_levels", map.unsched_levels as f64)
             .n("sched_levels", map.sched_levels() as f64)
             .s("cutoffs", &cutoffs)

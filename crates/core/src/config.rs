@@ -1,9 +1,14 @@
 //! Protocol configuration.
+//!
+//! The framing and the fabric's RTTbytes are constants: every endpoint,
+//! the baseline transports and the harness's slowdown denominator read
+//! the same values, so a packet is sized one way everywhere.
+//! [`HomaConfig`] holds only what an experiment varies.
 
 /// Maximum application payload bytes per DATA packet. With
 /// [`DATA_OVERHEAD`] it approximates the 1500-byte Ethernet frames of
 /// the paper's simulations. The baseline transports and the harness
-/// define their packet sizes from these four constants, so every
+/// define their packet sizes from these constants, so every
 /// comparison runs on the same framing.
 pub const MAX_PAYLOAD: u32 = 1_400;
 /// Wire overhead of a DATA packet beyond its payload (Homa header +
@@ -11,25 +16,27 @@ pub const MAX_PAYLOAD: u32 = 1_400;
 pub const DATA_OVERHEAD: u32 = 60;
 /// Wire size of a control packet (GRANT/RESEND/BUSY/CUTOFFS).
 pub const CTRL_BYTES: u32 = 40;
-/// RTTbytes on the paper's simulated 10 Gbps fabric.
+/// RTTbytes on the paper's simulated 10 Gbps fabric ("about 9.7
+/// Kbytes", §2.2): how far ahead of received data grants reach, and the
+/// default blind prefix ([`HomaConfig::unsched_limit`]).
 pub const RTT_BYTES: u64 = 9_700;
+/// Blind-prefix limit applied to responses of incast-marked RPCs ("a
+/// few hundred bytes", §3.6).
+pub const INCAST_UNSCHED_LIMIT: u64 = 400;
+/// Messages observed between dynamic cutoff recomputations
+/// ([`HomaConfig::dynamic_cutoffs`]).
+pub const CUTOFF_REFRESH_MSGS: u64 = 1_000;
 
-/// All tunables of a Homa endpoint.
+/// The settings of a Homa endpoint that an experiment varies.
 ///
-/// Defaults correspond to the paper's 10 Gbps configuration: `RTTbytes ≈
-/// 10 KB`, 8 in-network priority levels, millisecond-scale loss timers.
-/// The experiment sweeps of §5.2 (Figures 16–20) are expressed as
-/// overrides here.
+/// Defaults correspond to the paper's 10 Gbps configuration: a blind
+/// prefix of [`RTT_BYTES`], 8 in-network priority levels,
+/// millisecond-scale loss timers. The experiment sweeps of §5.2
+/// (Figures 16–20) are expressed as overrides here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HomaConfig {
-    /// The bandwidth-delay product: how many bytes a sender transmits
-    /// blindly before switching to grant-paced transmission, and how far
-    /// ahead of received data grants reach. ~9.7 KB on the paper's
-    /// simulated fabric, 10 KB in their implementation.
-    pub rtt_bytes: u64,
-
     /// Cap on blindly-transmitted bytes per message. Normally equal to
-    /// [`rtt_bytes`](Self::rtt_bytes); Figure 20 sweeps it independently.
+    /// [`RTT_BYTES`]; Figure 20 sweeps it independently.
     pub unsched_limit: u64,
 
     /// Number of in-network priority levels available (8 on commodity
@@ -52,16 +59,6 @@ pub struct HomaConfig {
     /// scheduled priority levels.
     pub overcommit_override: Option<u8>,
 
-    /// Maximum application payload bytes per DATA packet.
-    pub max_payload: u32,
-
-    /// Wire overhead of a DATA packet beyond its payload: Homa header +
-    /// IP/Ethernet framing.
-    pub data_overhead: u32,
-
-    /// Wire size of a control packet (GRANT/RESEND/BUSY/CUTOFFS).
-    pub ctrl_bytes: u32,
-
     /// Receiver-side loss detection: if an incomplete inbound message sees
     /// no packets for this long, send a RESEND ("a few milliseconds" in
     /// the paper).
@@ -75,61 +72,34 @@ pub struct HomaConfig {
     /// response's blind prefix.
     pub incast_threshold: u32,
 
-    /// Blind-prefix limit applied to responses of incast-marked RPCs
-    /// ("a few hundred bytes").
-    pub incast_unsched_limit: u64,
-
     /// Whether receivers measure incoming traffic and recompute
     /// unscheduled cutoffs on the fly. The paper's implementation
     /// precomputed cutoffs from workload knowledge; ours supports both.
+    /// Recomputation runs every [`CUTOFF_REFRESH_MSGS`] messages.
     pub dynamic_cutoffs: bool,
-
-    /// Messages observed between dynamic cutoff recomputations.
-    pub cutoff_refresh_msgs: u64,
 }
 
 impl Default for HomaConfig {
     fn default() -> Self {
         HomaConfig {
-            rtt_bytes: RTT_BYTES,
             unsched_limit: RTT_BYTES,
             num_priorities: 8,
             unsched_levels_override: None,
             cutoff_override: None,
             overcommit_override: None,
-            max_payload: MAX_PAYLOAD,
-            data_overhead: DATA_OVERHEAD,
-            ctrl_bytes: CTRL_BYTES,
             resend_interval_ns: 2_000_000, // 2 ms
             abort_after_resends: 5,
             incast_threshold: 64,
-            incast_unsched_limit: 400,
             dynamic_cutoffs: false,
-            cutoff_refresh_msgs: 1_000,
         }
     }
 }
 
 impl HomaConfig {
-    /// Full wire size of a DATA packet carrying `payload` bytes.
-    pub fn data_wire_bytes(&self, payload: u32) -> u32 {
-        payload + self.data_overhead
-    }
-
-    /// Wire size of a full-size DATA packet.
-    pub fn full_data_wire_bytes(&self) -> u32 {
-        self.data_wire_bytes(self.max_payload)
-    }
-
-    /// Number of DATA packets needed for a message of `len` bytes.
-    pub fn packets_for(&self, len: u64) -> u64 {
-        len.div_ceil(self.max_payload as u64).max(1)
-    }
-
     /// The blind-prefix limit for a message, honouring the incast mark.
     pub fn unsched_limit_for(&self, incast_marked: bool) -> u64 {
         if incast_marked {
-            self.incast_unsched_limit.min(self.unsched_limit)
+            INCAST_UNSCHED_LIMIT.min(self.unsched_limit)
         } else {
             self.unsched_limit
         }
@@ -137,8 +107,6 @@ impl HomaConfig {
 
     /// Validate internal consistency; called by `HomaEndpoint::new`.
     pub fn validate(&self) {
-        assert!(self.rtt_bytes > 0, "rtt_bytes must be positive");
-        assert!(self.max_payload > 0, "max_payload must be positive");
         assert!((1..=8).contains(&self.num_priorities), "num_priorities must be in 1..=8");
         if let Some(u) = self.unsched_levels_override {
             assert!(
@@ -161,20 +129,9 @@ mod tests {
     fn defaults_are_valid_and_paper_like() {
         let c = HomaConfig::default();
         c.validate();
-        assert_eq!(c.rtt_bytes, 9_700);
+        assert_eq!(c.unsched_limit, 9_700);
         assert_eq!(c.num_priorities, 8);
-        assert_eq!(c.full_data_wire_bytes(), 1_460);
-    }
-
-    #[test]
-    fn packets_for_rounds_up() {
-        let c = HomaConfig::default();
-        assert_eq!(c.packets_for(1), 1);
-        assert_eq!(c.packets_for(1_400), 1);
-        assert_eq!(c.packets_for(1_401), 2);
-        assert_eq!(c.packets_for(14_000), 10);
-        // Zero-length messages still need one (empty) packet.
-        assert_eq!(c.packets_for(0), 1);
+        assert_eq!(MAX_PAYLOAD + DATA_OVERHEAD, 1_460);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! packets out of it. Both the simulator adapter and the UDP driver are
 //! thin shells around this type.
 
-use crate::config::HomaConfig;
+use crate::config::{HomaConfig, CUTOFF_REFRESH_MSGS, RTT_BYTES};
 use crate::messages::{sorted_keys, Due, Silence};
 use crate::packets::{
     BusyHeader, CutoffsUpdate, DataHeader, Dir, GrantHeader, HomaPacket, MsgKey, PeerId,
@@ -370,7 +370,7 @@ impl HomaEndpoint {
                                 .push_back((from, HomaPacket::Busy(BusyHeader { key: r.key })));
                             self.receiver.on_busy(now, req_key);
                         } else {
-                            self.resend(from, req_key, 0, self.cfg.rtt_bytes);
+                            self.resend(from, req_key, 0, RTT_BYTES);
                         }
                     }
                     // A RESEND for a request or one-way whose state we
@@ -440,7 +440,7 @@ impl HomaEndpoint {
                 Due::Prod => {
                     let (server, key) =
                         (rpc.server, MsgKey { origin: self.me, seq, dir: Dir::Response });
-                    self.resend(server, key, 0, self.cfg.rtt_bytes);
+                    self.resend(server, key, 0, RTT_BYTES);
                 }
                 Due::GiveUp => {
                     self.abort_rpc(seq);
@@ -460,8 +460,7 @@ impl HomaEndpoint {
         // Dynamic cutoff refresh (§3.4): recompute from observed traffic
         // and push the new allocation to peers we are receiving from.
         if self.cfg.dynamic_cutoffs
-            && self.tracker.messages_seen()
-                >= self.tracker_last_recompute + self.cfg.cutoff_refresh_msgs
+            && self.tracker.messages_seen() >= self.tracker_last_recompute + CUTOFF_REFRESH_MSGS
         {
             self.tracker_last_recompute = self.tracker.messages_seen();
             let new_map = self.tracker.recompute(&self.cfg, self.local_map.version + 1);
@@ -830,12 +829,11 @@ mod tests {
 
     #[test]
     fn cutoffs_disseminate_via_grants() {
-        let cfg =
-            HomaConfig { dynamic_cutoffs: true, cutoff_refresh_msgs: 10, ..HomaConfig::default() };
+        let cfg = HomaConfig { dynamic_cutoffs: true, ..HomaConfig::default() };
         let mut a = HomaEndpoint::new(PeerId(0), cfg.clone());
         let mut b = HomaEndpoint::new(PeerId(1), cfg);
         // Send enough small messages to trigger a recompute at b...
-        for i in 0..20 {
+        for i in 0..CUTOFF_REFRESH_MSGS + 10 {
             a.send_message(0, PeerId(1), 200, i);
             shuttle(&mut a, &mut b, 0, |_| false);
         }

@@ -13,7 +13,7 @@
 //! prods the peer, and gives up after `abort_after_resends` unanswered
 //! prods. Each inbound message, outbound message and client RPC holds one.
 
-use crate::config::HomaConfig;
+use crate::config::{HomaConfig, MAX_PAYLOAD};
 use crate::packets::{MsgKey, PeerId};
 use crate::Nanos;
 use std::collections::HashMap;
@@ -168,14 +168,14 @@ impl OutboundMessage {
         merge_ranges(&mut self.retx);
     }
 
-    /// Take the next chunk to transmit, up to `max_payload` bytes:
+    /// Take the next chunk to transmit, up to [`MAX_PAYLOAD`] bytes:
     /// retransmissions first, then fresh granted bytes. Returns
     /// `(offset, len, is_retransmit)`. Fresh chunks never span the
     /// unscheduled/scheduled boundary, since the two sides carry
     /// different priorities.
-    pub fn next_chunk(&mut self, max_payload: u32) -> Option<(u64, u32, bool)> {
+    pub fn next_chunk(&mut self) -> Option<(u64, u32, bool)> {
         if let Some((o, l)) = self.retx.first_mut() {
-            let take = (*l).min(max_payload as u64) as u32;
+            let take = (*l).min(MAX_PAYLOAD as u64) as u32;
             let off = *o;
             *o += take as u64;
             *l -= take as u64;
@@ -186,7 +186,7 @@ impl OutboundMessage {
         }
         let limit = self.granted.min(self.len);
         if self.sent < limit {
-            let mut take = (limit - self.sent).min(max_payload as u64);
+            let mut take = (limit - self.sent).min(MAX_PAYLOAD as u64);
             if self.sent < self.unsched_limit {
                 take = take.min(self.unsched_limit - self.sent);
             }
@@ -371,7 +371,7 @@ mod tests {
     fn outbound_chunks_respect_grant() {
         let mut m = outbound(10_000, 3_000);
         let mut sent = 0;
-        while let Some((off, l, retx)) = m.next_chunk(1_400) {
+        while let Some((off, l, retx)) = m.next_chunk() {
             assert!(!retx);
             assert_eq!(off, sent);
             sent += l as u64;
@@ -381,7 +381,7 @@ mod tests {
         // A grant extends transmission.
         m.granted = 10_000;
         assert!(m.transmittable());
-        let (off, l, _) = m.next_chunk(1_400).unwrap();
+        let (off, l, _) = m.next_chunk().unwrap();
         assert_eq!(off, 3_000);
         assert_eq!(l, 1_400);
     }
@@ -389,16 +389,16 @@ mod tests {
     #[test]
     fn outbound_remaining_counts_retx() {
         let mut m = outbound(10_000, 10_000);
-        while m.next_chunk(1_400).is_some() {}
+        while m.next_chunk().is_some() {}
         assert_eq!(m.remaining(), 0);
         assert!(m.fully_sent());
         m.queue_retx(0, 2_000);
         assert_eq!(m.remaining(), 2_000);
         assert!(!m.fully_sent());
-        let (off, l, retx) = m.next_chunk(1_400).unwrap();
+        let (off, l, retx) = m.next_chunk().unwrap();
         assert!(retx);
         assert_eq!((off, l), (0, 1_400));
-        let (off, l, retx) = m.next_chunk(1_400).unwrap();
+        let (off, l, retx) = m.next_chunk().unwrap();
         assert!(retx);
         assert_eq!((off, l), (1_400, 600));
         assert!(m.fully_sent());

@@ -24,7 +24,7 @@
 //!   aborted. The client's response chase and the sender's stall poke
 //!   (`endpoint`, `sender`) ask the same clock.
 
-use crate::config::HomaConfig;
+use crate::config::{HomaConfig, RTT_BYTES};
 use crate::messages::{sorted_keys, Due, InboundMessage};
 use crate::packets::{DataHeader, GrantHeader, MsgKey, PeerId};
 use crate::unsched::PriorityMap;
@@ -245,7 +245,7 @@ impl ReceiverState {
             let m = self.msgs.get_mut(&key).expect("candidate exists");
             let prio_changed = m.sched_prio != prio;
             m.sched_prio = prio;
-            let target = (m.received() + self.cfg.rtt_bytes).min(m.len);
+            let target = (m.received() + RTT_BYTES).min(m.len);
             if target > m.granted || (prio_changed && m.granted < m.len) {
                 if target > m.granted {
                     self.granted_bytes += target - m.granted;
@@ -293,7 +293,7 @@ impl ReceiverState {
                 Due::Wait => {}
                 Due::Prod => {
                     let (offset, length) = m.first_gap().expect("incomplete message has a gap");
-                    resends.push((m.src, key, offset, length.min(self.cfg.rtt_bytes)));
+                    resends.push((m.src, key, offset, length.min(RTT_BYTES)));
                 }
                 Due::GiveUp => {
                     let src = m.src;

@@ -35,7 +35,7 @@
 //! and a woken one-way is the first until its retransmission is out and
 //! the second from then on.
 
-use crate::config::HomaConfig;
+use crate::config::{HomaConfig, MAX_PAYLOAD};
 use crate::messages::{sorted_keys, Due, OutboundMessage, Silence};
 use crate::packets::{BusyHeader, DataHeader, Dir, MsgKey, PeerId};
 use crate::unsched::PriorityMap;
@@ -219,7 +219,7 @@ impl SenderState {
             }
             match m.silence.check(now, &self.cfg) {
                 Due::Prod if key.dir == Dir::Oneway => {
-                    m.queue_retx(0, u64::from(self.cfg.max_payload).min(m.len));
+                    m.queue_retx(0, u64::from(MAX_PAYLOAD).min(m.len));
                 }
                 Due::Wait | Due::Prod => {}
                 Due::GiveUp => {
@@ -273,14 +273,13 @@ impl SenderState {
     /// SRPT packet selection: produce the next DATA packet for the wire,
     /// or `None` when nothing is transmittable.
     pub fn next_data_packet(&mut self, now: Nanos) -> Option<(PeerId, DataHeader)> {
-        let max_payload = self.cfg.max_payload;
         let m = self
             .msgs
             .values_mut()
             .filter(|m| m.transmittable())
             .min_by_key(|m| (m.remaining(), m.created_at, m.key))?;
         let key = m.key;
-        let (offset, payload, retransmit) = m.next_chunk(max_payload).expect("transmittable");
+        let (offset, payload, retransmit) = m.next_chunk().expect("transmittable");
         let unscheduled = offset < m.unsched_limit && !retransmit;
         let hdr = DataHeader {
             key,
@@ -293,6 +292,17 @@ impl SenderState {
             incast_mark: m.incast_mark,
             tag: m.tag,
         };
+        // §3.3: fresh bytes go out only inside the grant (the blind
+        // prefix counts as granted), and a retransmission only repeats
+        // bytes already sent.
+        debug_assert!(
+            offset + u64::from(payload) <= if retransmit { m.sent } else { m.granted.min(m.len) },
+            "DATA [{offset}, +{payload}) of {key:?} (retransmit {retransmit}) past its limit: \
+             sent {}, granted {}, len {}",
+            m.sent,
+            m.granted,
+            m.len
+        );
         let dst = m.dst;
         if m.fully_sent() {
             self.on_fully_sent(now, key);
@@ -764,7 +774,7 @@ mod tests {
                 .min_by_key(|m| (m.remaining(), m.created_at, m.key))?
                 .key;
             let m = self.msgs.get_mut(&key).unwrap();
-            let (offset, payload, retransmit) = m.next_chunk(self.cfg.max_payload).unwrap();
+            let (offset, payload, retransmit) = m.next_chunk().unwrap();
             let unscheduled = offset < m.unsched_limit && !retransmit;
             let hdr = DataHeader {
                 key,

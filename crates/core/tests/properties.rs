@@ -127,7 +127,7 @@ fn outbound_chunks_cover_exactly_once() {
         };
         let mut covered = vec![false; len as usize];
         loop {
-            while let Some((off, l, retx)) = m.next_chunk(1_400) {
+            while let Some((off, l, retx)) = m.next_chunk() {
                 assert!(!retx);
                 assert!(l > 0);
                 for b in off..off + l as u64 {

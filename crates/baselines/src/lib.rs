@@ -36,6 +36,33 @@
 //! | [`stream`] | §5.1's TCP head-of-line-blocking comparison |
 //! | [`pfabric`] / [`phost`] / [`pias`] / [`ndp`] | §5.2's comparison transports (Figures 12–15) |
 //! | [`common`] | shared scaffolding (flow tables, reassembly, timers) — engineering, not paper |
+//!
+//! ## Fixed parameters
+//!
+//! Every transport sends the Homa core's packet sizes
+//! (`homa::config::{MAX_PAYLOAD, DATA_OVERHEAD, CTRL_BYTES}`), so
+//! comparisons are apples-to-apples, and sizes its windows in
+//! `homa::config::RTT_BYTES` (9,700 bytes, one BDP of the paper's 10 Gbps
+//! fabric). The rest are private constants in each module, with where the
+//! value comes from:
+//!
+//! * [`pfabric`]: `WINDOW` = 1 BDP and `QUEUE_CAP_BYTES` = 4 × RTTbytes
+//!   per port, the pFabric paper's line-rate start and ~2-BDP buffers;
+//!   `RTO_NS` = 100 µs, this model's.
+//! * [`phost`]: `FREE_BYTES` = `TOKEN_WINDOW` = 1 BDP, the pHost paper's
+//!   free tokens and per-message token cap; `DOWNGRADE_NS` = 30 µs and
+//!   `PENALTY_NS` = 100 µs, this model's downgrade timeouts.
+//! * [`pias`]: `DCTCP_G` = 1/16, DCTCP's EWMA weight; `INIT_CWND` = 1 BDP,
+//!   `MIN_CWND` = one packet, `MAX_CWND` = 4 BDP, `RTO_NS` = 500 µs and
+//!   `ECN_THRESHOLD_BYTES` = 30 KB, this model's.
+//! * [`ndp`]: `DATA_QUEUE_PACKETS` = 8, the NDP paper's switch queue;
+//!   `INITIAL_WINDOW` = 1 BDP, its blind first RTT.
+//! * [`stream`]: `WINDOW` = 1 BDP and `RTO_NS` = 1 ms, this model's.
+//!
+//! The config structs keep only what an input sets: PIAS's demotion
+//! thresholds, tuned per workload ([`PiasConfig::thresholds_for`]), and
+//! the link speed pHost and NDP pace at, read from the topology.
+//! [`PfabricConfig`] and [`StreamConfig`] are empty.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -17,29 +17,30 @@
 
 use crate::common::{
     full_packet_time_ns, ns, CtrlQueue, FlowId, FlowTable, ReassemblyTable, TickTimer, TxBody,
-    CTRL_BYTES, DATA_OVERHEAD, MAX_PAYLOAD, RTT_BYTES,
 };
+use homa::config::{CTRL_BYTES, DATA_OVERHEAD, MAX_PAYLOAD, RTT_BYTES};
 use homa_sim::{
     HostId, Packet, PacketMeta, SimDuration, SimTime, TimerToken, Transport, TransportActions,
 };
 use std::collections::VecDeque;
 
-/// NDP configuration.
+/// NDP configuration: the one value that comes from the fabric.
 #[derive(Debug, Clone)]
 pub struct NdpConfig {
-    /// Initial blind window per message (RTTbytes).
-    pub initial_window: u64,
     /// Downlink speed used to pace pulls, bits/second.
     pub link_bps: u64,
-    /// Switch data-queue cap in packets (NDP uses 8).
-    pub data_queue_packets: usize,
 }
 
 impl Default for NdpConfig {
     fn default() -> Self {
-        NdpConfig { initial_window: RTT_BYTES, link_bps: 10_000_000_000, data_queue_packets: 8 }
+        NdpConfig { link_bps: 10_000_000_000 }
     }
 }
+
+/// Initial blind window per message (RTTbytes).
+const INITIAL_WINDOW: u64 = RTT_BYTES;
+/// Switch data-queue cap in packets (NDP uses 8).
+const DATA_QUEUE_PACKETS: usize = 8;
 
 /// Packet metadata for NDP.
 #[derive(Debug, Clone)]
@@ -125,7 +126,6 @@ const PACER_TOKEN: TimerToken = TimerToken(5);
 /// The NDP transport instance for one host.
 pub struct NdpTransport {
     me: HostId,
-    cfg: NdpConfig,
     next_seq: u64,
     tx: FlowTable<FlowId, TxMsg>,
     rx: ReassemblyTable,
@@ -141,7 +141,6 @@ impl NdpTransport {
         let gap = SimDuration::from_nanos(full_packet_time_ns(cfg.link_bps));
         NdpTransport {
             me,
-            cfg,
             next_seq: 1,
             tx: FlowTable::new(),
             rx: ReassemblyTable::new(),
@@ -251,7 +250,7 @@ impl Transport<NdpMeta> for NdpTransport {
     ) {
         let flow = FlowId { src: self.me, seq: self.next_seq };
         self.next_seq += 1;
-        let granted = self.cfg.initial_window.min(len);
+        let granted = INITIAL_WINDOW.min(len);
         self.tx.insert(flow, TxMsg { body: TxBody::new(dst, len, tag), granted });
         act.kick_tx();
     }
@@ -263,9 +262,9 @@ impl Transport<NdpMeta> for NdpTransport {
 
 /// Fabric configuration for NDP: short trim-capable data queues on every
 /// switch port.
-pub fn fabric_queues(cfg: &NdpConfig) -> homa_sim::QueueDiscipline {
+pub fn fabric_queues(_cfg: &NdpConfig) -> homa_sim::QueueDiscipline {
     homa_sim::QueueDiscipline {
-        kind: homa_sim::QueueKind::NdpTrim { data_cap_packets: cfg.data_queue_packets },
+        kind: homa_sim::QueueKind::NdpTrim { data_cap_packets: DATA_QUEUE_PACKETS },
         cap_bytes: 1 << 20,
         ecn: None,
     }
@@ -277,9 +276,8 @@ mod tests {
     use homa_sim::{AppEvent, Network, NetworkConfig, Topology};
 
     fn net(n: u32) -> Network<NdpMeta, NdpTransport> {
-        let cfg = NdpConfig::default();
-        let netcfg = NetworkConfig::uniform(1, fabric_queues(&cfg));
-        Network::new(Topology::single_switch(n), netcfg, move |h| {
+        let netcfg = NetworkConfig::uniform(1, fabric_queues(&NdpConfig::default()));
+        Network::new(Topology::single_switch(n), netcfg, |h| {
             NdpTransport::new(h, NdpConfig::default())
         })
     }

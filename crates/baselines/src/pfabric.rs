@@ -10,39 +10,33 @@
 //!
 //! The fabric must be configured with [`homa_sim::QueueKind::Pfabric`]
 //! queues and a small per-port buffer (the original paper uses ~2 BDP;
-//! see [`PfabricConfig::queue_cap_bytes`]).
+//! see [`fabric_queues`]).
 //!
 //! The Homa paper's observations reproduced here: latency close to Homa's
 //! across sizes (Figure 12), but wasted bandwidth from dropped-then-
 //! retransmitted packets limits the sustainable load (Figure 15).
 
 use crate::common::{
-    ns, payload_at, CtrlQueue, FlowId, FlowTable, ReassemblyTable, TickTimer, TxBody, CTRL_BYTES,
-    DATA_OVERHEAD, MAX_PAYLOAD, RTT_BYTES,
+    ns, payload_at, CtrlQueue, FlowId, FlowTable, ReassemblyTable, TickTimer, TxBody,
 };
+use homa::config::{CTRL_BYTES, DATA_OVERHEAD, MAX_PAYLOAD, RTT_BYTES};
 use homa_sim::{
     HostId, Packet, PacketMeta, SimDuration, SimTime, TimerToken, Transport, TransportActions,
 };
 use std::collections::BTreeSet;
 
-/// pFabric configuration.
-#[derive(Debug, Clone)]
-pub struct PfabricConfig {
-    /// Per-message window of unacked packets, in bytes (1 BDP).
-    pub window: u64,
-    /// Per-message retransmission timeout in nanoseconds.
-    pub rto_ns: u64,
-    /// Suggested per-port buffer for the fabric (2 BDP, per the pFabric
-    /// paper). Exposed so the harness configures the switches
-    /// consistently.
-    pub queue_cap_bytes: u64,
-}
+/// pFabric configuration: none; the transport runs on the fixed
+/// parameters below.
+#[derive(Debug, Clone, Default)]
+pub struct PfabricConfig {}
 
-impl Default for PfabricConfig {
-    fn default() -> Self {
-        PfabricConfig { window: RTT_BYTES, rto_ns: 100_000, queue_cap_bytes: 2 * RTT_BYTES * 2 }
-    }
-}
+/// Per-message window of unacked packets, in bytes (1 BDP).
+const WINDOW: u64 = RTT_BYTES;
+/// Per-message retransmission timeout in nanoseconds.
+const RTO_NS: u64 = 100_000;
+/// Per-port buffer for the fabric (2 BDP, per the pFabric paper), read by
+/// [`fabric_queues`] so the harness configures the switches consistently.
+const QUEUE_CAP_BYTES: u64 = 2 * RTT_BYTES * 2;
 
 /// Packet metadata for pFabric.
 #[derive(Debug, Clone)]
@@ -119,8 +113,8 @@ impl TxMsg {
     fn window_used(&self) -> u64 {
         self.unacked.len() as u64 * MAX_PAYLOAD as u64
     }
-    fn has_sendable(&self, window: u64) -> bool {
-        self.body.has_work(self.body.len) && self.window_used() < window
+    fn has_sendable(&self) -> bool {
+        self.body.has_work(self.body.len) && self.window_used() < WINDOW
     }
     fn done(&self) -> bool {
         self.acked_bytes >= self.body.len
@@ -133,7 +127,6 @@ const RTO_TICK: SimDuration = SimDuration::from_micros(50);
 /// The pFabric transport instance for one host.
 pub struct PfabricTransport {
     me: HostId,
-    cfg: PfabricConfig,
     next_seq: u64,
     tx: FlowTable<FlowId, TxMsg>,
     rx: ReassemblyTable,
@@ -143,10 +136,9 @@ pub struct PfabricTransport {
 
 impl PfabricTransport {
     /// New pFabric transport for host `me`.
-    pub fn new(me: HostId, cfg: PfabricConfig) -> Self {
+    pub fn new(me: HostId, _cfg: PfabricConfig) -> Self {
         PfabricTransport {
             me,
-            cfg,
             next_seq: 1,
             tx: FlowTable::new(),
             rx: ReassemblyTable::new(),
@@ -192,7 +184,7 @@ impl Transport<PfabricMeta> for PfabricTransport {
     fn on_timer(&mut self, now: SimTime, _token: TimerToken, act: &mut TransportActions) {
         let mut kick = false;
         for m in self.tx.values_mut() {
-            if !m.unacked.is_empty() && ns(now).saturating_sub(m.last_progress) > self.cfg.rto_ns {
+            if !m.unacked.is_empty() && ns(now).saturating_sub(m.last_progress) > RTO_NS {
                 // Requeue all unacked packets (priority dropping means the
                 // small-remaining ones almost never get here).
                 for &o in m.unacked.iter() {
@@ -216,9 +208,7 @@ impl Transport<PfabricMeta> for PfabricTransport {
         // Sender-side SRPT: among messages with window space, fewest
         // remaining bytes first (pFabric hosts transmit their
         // highest-priority flow).
-        let window = self.cfg.window;
-        let flow =
-            self.tx.select_min(|f, m| m.has_sendable(window).then(|| (m.remaining(), f.seq)))?;
+        let flow = self.tx.select_min(|f, m| m.has_sendable().then(|| (m.remaining(), f.seq)))?;
         let m = self.tx.get_mut(flow).expect("selected");
         let (offset, payload, retx) = m.body.next_chunk(m.body.len).expect("has_sendable");
         m.unacked.insert(offset);
@@ -267,10 +257,10 @@ impl Transport<PfabricMeta> for PfabricTransport {
 
 /// Fabric configuration matching the pFabric paper: small per-port
 /// buffers with priority dropping on every switch port.
-pub fn fabric_queues(cfg: &PfabricConfig) -> homa_sim::QueueDiscipline {
+pub fn fabric_queues(_cfg: &PfabricConfig) -> homa_sim::QueueDiscipline {
     homa_sim::QueueDiscipline {
         kind: homa_sim::QueueKind::Pfabric,
-        cap_bytes: cfg.queue_cap_bytes,
+        cap_bytes: QUEUE_CAP_BYTES,
         ecn: None,
     }
 }
@@ -281,9 +271,8 @@ mod tests {
     use homa_sim::{AppEvent, Network, NetworkConfig, Topology};
 
     fn net(n: u32) -> Network<PfabricMeta, PfabricTransport> {
-        let cfg = PfabricConfig::default();
-        let netcfg = NetworkConfig::uniform(1, fabric_queues(&cfg));
-        Network::new(Topology::single_switch(n), netcfg, move |h| {
+        let netcfg = NetworkConfig::uniform(1, fabric_queues(&PfabricConfig::default()));
+        Network::new(Topology::single_switch(n), netcfg, |h| {
             PfabricTransport::new(h, PfabricConfig::default())
         })
     }

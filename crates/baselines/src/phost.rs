@@ -22,38 +22,33 @@
 
 use crate::common::{
     full_packet_time_ns, ns, CtrlQueue, FlowId, FlowTable, ReassemblyTable, TickTimer, TxBody,
-    CTRL_BYTES, DATA_OVERHEAD, MAX_PAYLOAD, RTT_BYTES,
 };
+use homa::config::{CTRL_BYTES, DATA_OVERHEAD, MAX_PAYLOAD, RTT_BYTES};
 use homa_sim::{
     HostId, Packet, PacketMeta, SimDuration, SimTime, TimerToken, Transport, TransportActions,
 };
 
-/// pHost configuration.
+/// pHost configuration: the one value that comes from the fabric.
 #[derive(Debug, Clone)]
 pub struct PhostConfig {
-    /// Free (token-less) bytes at the head of each message.
-    pub free_bytes: u64,
-    /// Maximum tokens outstanding per message, in bytes.
-    pub token_window: u64,
     /// Downlink speed used to pace tokens, bits/second.
     pub link_bps: u64,
-    /// Silence threshold after which a granted sender is downgraded, ns.
-    pub downgrade_ns: u64,
-    /// How long a downgraded sender stays penalized, ns.
-    pub penalty_ns: u64,
 }
 
 impl Default for PhostConfig {
     fn default() -> Self {
-        PhostConfig {
-            free_bytes: RTT_BYTES,
-            token_window: RTT_BYTES,
-            link_bps: 10_000_000_000,
-            downgrade_ns: 30_000,
-            penalty_ns: 100_000,
-        }
+        PhostConfig { link_bps: 10_000_000_000 }
     }
 }
+
+/// Free (token-less) bytes at the head of each message.
+const FREE_BYTES: u64 = RTT_BYTES;
+/// Maximum tokens outstanding per message, in bytes.
+const TOKEN_WINDOW: u64 = RTT_BYTES;
+/// Silence threshold after which a granted sender is downgraded, ns.
+const DOWNGRADE_NS: u64 = 30_000;
+/// How long a downgraded sender stays penalized, ns.
+const PENALTY_NS: u64 = 100_000;
 
 /// Packet metadata for pHost.
 #[derive(Debug, Clone)]
@@ -149,7 +144,6 @@ const PACER_TOKEN: TimerToken = TimerToken(4);
 /// The pHost transport instance for one host.
 pub struct PhostTransport {
     me: HostId,
-    cfg: PhostConfig,
     next_seq: u64,
     tx: FlowTable<FlowId, TxMsg>,
     rx: ReassemblyTable<RxSched>,
@@ -163,7 +157,6 @@ impl PhostTransport {
         let gap = SimDuration::from_nanos(full_packet_time_ns(cfg.link_bps));
         PhostTransport {
             me,
-            cfg,
             next_seq: 1,
             tx: FlowTable::new(),
             rx: ReassemblyTable::new(),
@@ -176,14 +169,13 @@ impl PhostTransport {
     /// credit one packet.
     fn issue_token(&mut self, now: SimTime) {
         let t = ns(now);
-        let window = self.cfg.token_window;
         let best = self
             .rx
             .iter()
             .filter(|(_, f)| {
                 !f.msg.complete()
                     && f.ext.granted < f.msg.len
-                    && f.ext.granted.saturating_sub(f.msg.received()) < window
+                    && f.ext.granted.saturating_sub(f.msg.received()) < TOKEN_WINDOW
                     && f.ext.penalized_until <= t
             })
             // Full FlowId in the rank: `seq` alone collides across
@@ -202,17 +194,14 @@ impl PhostTransport {
     /// Downgrade granted-but-silent senders (pHost's timeout mechanism).
     fn downgrade_silent(&mut self, now: SimTime) {
         let t = ns(now);
-        let free_bytes = self.cfg.free_bytes;
-        let downgrade_ns = self.cfg.downgrade_ns;
-        let penalty_ns = self.cfg.penalty_ns;
         for f in self.rx.values_mut() {
             if f.ext.granted > f.msg.received()
                 && f.ext.penalized_until <= t
-                && t.saturating_sub(f.ext.last_data) > downgrade_ns
+                && t.saturating_sub(f.ext.last_data) > DOWNGRADE_NS
             {
-                f.ext.penalized_until = t + penalty_ns;
+                f.ext.penalized_until = t + PENALTY_NS;
                 // Rescind unused credit so it can be re-issued to others.
-                f.ext.granted = f.msg.received().max(free_bytes.min(f.msg.len));
+                f.ext.granted = f.msg.received().max(FREE_BYTES.min(f.msg.len));
             }
         }
     }
@@ -222,11 +211,10 @@ impl Transport<PhostMeta> for PhostTransport {
     fn on_packet(&mut self, now: SimTime, pkt: Packet<PhostMeta>, act: &mut TransportActions) {
         match pkt.meta {
             PhostMeta::Rts { flow, msg_len } => {
-                let free = self.cfg.free_bytes;
                 // A late RTS for a delivered message is dropped by the
                 // tombstone check inside upsert_with.
                 let _ = self.rx.upsert_with(flow, msg_len, 0, ns(now), || RxSched {
-                    granted: free.min(msg_len),
+                    granted: FREE_BYTES.min(msg_len),
                     last_data: ns(now),
                     penalized_until: 0,
                 });
@@ -242,11 +230,10 @@ impl Transport<PhostMeta> for PhostTransport {
                 }
             }
             PhostMeta::Data { flow, msg_len, offset, payload, tag, .. } => {
-                let free = self.cfg.free_bytes;
                 let fresh_entry = self
                     .rx
                     .upsert_with(flow, msg_len, tag, ns(now), || RxSched {
-                        granted: free.min(msg_len),
+                        granted: FREE_BYTES.min(msg_len),
                         last_data: ns(now),
                         penalized_until: 0,
                     })
@@ -288,7 +275,7 @@ impl Transport<PhostMeta> for PhostTransport {
         })?;
         let m = self.tx.get_mut(flow).expect("selected");
         let (offset, payload, _) = m.body.next_chunk(m.granted).expect("has_work");
-        let free = offset < self.cfg.free_bytes;
+        let free = offset < FREE_BYTES;
         let pkt =
             PhostMeta::Data { flow, msg_len: m.body.len, offset, payload, free, tag: m.body.tag };
         let dst = m.body.dst;
@@ -308,7 +295,7 @@ impl Transport<PhostMeta> for PhostTransport {
     ) {
         let flow = FlowId { src: self.me, seq: self.next_seq };
         self.next_seq += 1;
-        let granted = self.cfg.free_bytes.min(len);
+        let granted = FREE_BYTES.min(len);
         self.tx.insert(flow, TxMsg { body: TxBody::new(dst, len, tag), granted });
         self.ctrl.push(dst, PhostMeta::Rts { flow, msg_len: len });
         act.kick_tx();

@@ -14,50 +14,43 @@
 //! The fabric must be configured with ECN marking
 //! ([`fabric_queues`]).
 
-use crate::common::{
-    ns, CtrlQueue, FlowId, FlowTable, ReassemblyTable, TickTimer, TxBody, CTRL_BYTES,
-    DATA_OVERHEAD, MAX_PAYLOAD, RTT_BYTES,
-};
+use crate::common::{ns, CtrlQueue, FlowId, FlowTable, ReassemblyTable, TickTimer, TxBody};
+use homa::config::{CTRL_BYTES, DATA_OVERHEAD, MAX_PAYLOAD, RTT_BYTES};
 use homa_sim::{
     EcnConfig, HostId, Packet, PacketMeta, SimDuration, SimTime, TimerToken, Transport,
     TransportActions,
 };
 use homa_workloads::MessageSizeDist;
 
-/// PIAS configuration.
+/// PIAS configuration: the one value tuned per workload.
 #[derive(Debug, Clone)]
 pub struct PiasConfig {
     /// Ascending byte thresholds demoting a flow from priority `7-k` to
     /// `7-k-1` once its sent bytes exceed `thresholds[k]`. At most 7
     /// entries (8 levels).
     pub thresholds: Vec<u64>,
-    /// Initial congestion window in bytes.
-    pub init_cwnd: u64,
-    /// Minimum congestion window in bytes.
-    pub min_cwnd: u64,
-    /// Maximum congestion window in bytes.
-    pub max_cwnd: u64,
-    /// DCTCP g parameter (EWMA weight for the marked fraction).
-    pub dctcp_g: f64,
-    /// Retransmission timeout (go-back-N) in nanoseconds.
-    pub rto_ns: u64,
-    /// ECN marking threshold for fabric queues, in bytes.
-    pub ecn_threshold_bytes: u64,
 }
 
 impl Default for PiasConfig {
     fn default() -> Self {
         PiasConfig {
             thresholds: vec![1_500, 10_000, 50_000, 200_000, 1_000_000, 5_000_000, 20_000_000],
-            init_cwnd: RTT_BYTES,
-            min_cwnd: MAX_PAYLOAD as u64,
-            max_cwnd: 4 * RTT_BYTES,
-            dctcp_g: 0.0625,
-            rto_ns: 500_000,
-            ecn_threshold_bytes: 30_000,
         }
     }
 }
+
+/// Initial congestion window in bytes.
+const INIT_CWND: u64 = RTT_BYTES;
+/// Minimum congestion window in bytes.
+const MIN_CWND: u64 = MAX_PAYLOAD as u64;
+/// Maximum congestion window in bytes.
+const MAX_CWND: u64 = 4 * RTT_BYTES;
+/// DCTCP g parameter (EWMA weight for the marked fraction).
+const DCTCP_G: f64 = 0.0625;
+/// Retransmission timeout (go-back-N) in nanoseconds.
+const RTO_NS: u64 = 500_000;
+/// ECN marking threshold for fabric queues, in bytes.
+const ECN_THRESHOLD_BYTES: u64 = 30_000;
 
 impl PiasConfig {
     /// Derive demotion thresholds for a workload, mimicking PIAS's
@@ -251,13 +244,13 @@ impl Transport<PiasMeta> for PiasTransport {
                         // End of a congestion window: update alpha, adjust
                         // cwnd.
                         let frac = if f.total > 0 { f.marked as f64 / f.total as f64 } else { 0.0 };
-                        f.alpha = (1.0 - self.cfg.dctcp_g) * f.alpha + self.cfg.dctcp_g * frac;
+                        f.alpha = (1.0 - DCTCP_G) * f.alpha + DCTCP_G * frac;
                         if frac > 0.0 {
                             f.cwnd *= 1.0 - f.alpha / 2.0;
                         } else {
                             f.cwnd += MAX_PAYLOAD as f64;
                         }
-                        f.cwnd = f.cwnd.clamp(self.cfg.min_cwnd as f64, self.cfg.max_cwnd as f64);
+                        f.cwnd = f.cwnd.clamp(MIN_CWND as f64, MAX_CWND as f64);
                         f.marked = 0;
                         f.total = 0;
                         f.window_end = f.acked + f.cwnd as u64;
@@ -275,13 +268,11 @@ impl Transport<PiasMeta> for PiasTransport {
     fn on_timer(&mut self, now: SimTime, _token: TimerToken, act: &mut TransportActions) {
         // Go-back-N on stall.
         let mut kick = false;
-        let rto_ns = self.cfg.rto_ns;
-        let min_cwnd = self.cfg.min_cwnd as f64;
         for f in self.tx.values_mut() {
-            if f.acked < f.body.fresh && ns(now).saturating_sub(f.last_progress) > rto_ns {
+            if f.acked < f.body.fresh && ns(now).saturating_sub(f.last_progress) > RTO_NS {
                 f.body.fresh = f.acked;
                 f.last_progress = ns(now);
-                f.cwnd = (f.cwnd / 2.0).max(min_cwnd);
+                f.cwnd = (f.cwnd / 2.0).max(MIN_CWND as f64);
                 kick = true;
             }
         }
@@ -336,11 +327,11 @@ impl Transport<PiasMeta> for PiasTransport {
             TxFlow {
                 body: TxBody::new(dst, len, tag),
                 acked: 0,
-                cwnd: self.cfg.init_cwnd as f64,
+                cwnd: INIT_CWND as f64,
                 alpha: 0.0,
                 marked: 0,
                 total: 0,
-                window_end: self.cfg.init_cwnd,
+                window_end: INIT_CWND,
                 last_progress: ns(now),
             },
         );
@@ -354,11 +345,11 @@ impl Transport<PiasMeta> for PiasTransport {
 
 /// Fabric configuration for PIAS: strict priorities with DCTCP-style ECN
 /// marking.
-pub fn fabric_queues(cfg: &PiasConfig) -> homa_sim::QueueDiscipline {
+pub fn fabric_queues(_cfg: &PiasConfig) -> homa_sim::QueueDiscipline {
     homa_sim::QueueDiscipline {
         kind: homa_sim::QueueKind::StrictPriority { levels: 8 },
         cap_bytes: 1 << 20,
-        ecn: Some(EcnConfig { threshold_bytes: cfg.ecn_threshold_bytes }),
+        ecn: Some(EcnConfig { threshold_bytes: ECN_THRESHOLD_BYTES }),
     }
 }
 
@@ -369,9 +360,8 @@ mod tests {
     use homa_workloads::Workload;
 
     fn net(n: u32) -> Network<PiasMeta, PiasTransport> {
-        let cfg = PiasConfig::default();
-        let netcfg = NetworkConfig::uniform(1, fabric_queues(&cfg));
-        Network::new(Topology::single_switch(n), netcfg, move |h| {
+        let netcfg = NetworkConfig::uniform(1, fabric_queues(&PiasConfig::default()));
+        Network::new(Topology::single_switch(n), netcfg, |h| {
             PiasTransport::new(h, PiasConfig::default())
         })
     }

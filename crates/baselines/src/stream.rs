@@ -7,7 +7,7 @@
 //! latency penalty. The model here:
 //!
 //! * messages to the same destination are serialized FIFO into one stream;
-//! * a fixed window (one bandwidth-delay product by default) of unacked
+//! * a fixed window (one bandwidth-delay product) of unacked
 //!   bytes, cumulative acks, go-back-N on timeout;
 //! * no network priorities (everything at level 0);
 //! * fair round-robin between streams at the sender.
@@ -17,29 +17,23 @@
 //! host rather than flow); reassembly is byte-stream-specific (in-order
 //! delivery with message boundaries), so it stays local.
 
-use crate::common::{
-    ns, CtrlQueue, FlowTable, TickTimer, TxBody, CTRL_BYTES, DATA_OVERHEAD, RTT_BYTES,
-};
+use crate::common::{ns, CtrlQueue, FlowTable, TickTimer, TxBody};
+use homa::config::{CTRL_BYTES, DATA_OVERHEAD, RTT_BYTES};
 use homa_sim::{
     AppEvent, HostId, Packet, PacketMeta, SimDuration, SimTime, TimerToken, Transport,
     TransportActions,
 };
 use std::collections::{HashMap, VecDeque};
 
-/// Stream transport configuration.
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Maximum unacked bytes per stream (default: one BDP).
-    pub window: u64,
-    /// Retransmission timeout (go-back-N restart) in nanoseconds.
-    pub rto_ns: u64,
-}
+/// Stream transport configuration: none; the transport runs on the
+/// fixed parameters below.
+#[derive(Debug, Clone, Default)]
+pub struct StreamConfig {}
 
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig { window: RTT_BYTES, rto_ns: 1_000_000 }
-    }
-}
+/// Maximum unacked bytes per stream (one BDP).
+const WINDOW: u64 = RTT_BYTES;
+/// Retransmission timeout (go-back-N restart) in nanoseconds.
+const RTO_NS: u64 = 1_000_000;
 
 /// Packet metadata for the stream transport.
 #[derive(Debug, Clone)]
@@ -114,7 +108,6 @@ const RTO_TICK: SimDuration = SimDuration::from_micros(500);
 /// The stream transport instance for one host.
 pub struct StreamTransport {
     me: HostId,
-    cfg: StreamConfig,
     tx: FlowTable<HostId, TxStream>,
     rx: HashMap<HostId, RxStream>,
     acks: CtrlQueue<StreamMeta>,
@@ -124,10 +117,9 @@ pub struct StreamTransport {
 
 impl StreamTransport {
     /// New stream transport for host `me`.
-    pub fn new(me: HostId, cfg: StreamConfig) -> Self {
+    pub fn new(me: HostId, _cfg: StreamConfig) -> Self {
         StreamTransport {
             me,
-            cfg,
             tx: FlowTable::new(),
             rx: HashMap::new(),
             acks: CtrlQueue::new(),
@@ -213,9 +205,8 @@ impl Transport<StreamMeta> for StreamTransport {
         // Go-back-N: any stream stalled past the RTO restarts from the ack
         // point.
         let mut kick = false;
-        let rto_ns = self.cfg.rto_ns;
         for tx in self.tx.values_mut() {
-            if tx.acked < tx.body.fresh && ns(now).saturating_sub(tx.last_progress) > rto_ns {
+            if tx.acked < tx.body.fresh && ns(now).saturating_sub(tx.last_progress) > RTO_NS {
                 tx.body.fresh = tx.acked;
                 tx.last_progress = ns(now);
                 kick = true;
@@ -233,10 +224,9 @@ impl Transport<StreamMeta> for StreamTransport {
             return Some(pkt);
         }
         // Round-robin across streams with window space and data.
-        let window = self.cfg.window;
-        let dst = self.tx.select_rr(|_, tx| tx.body.has_work(tx.acked + window))?;
+        let dst = self.tx.select_rr(|_, tx| tx.body.has_work(tx.acked + WINDOW))?;
         let tx = self.tx.get_mut(dst).expect("selected");
-        let (offset, payload, _) = tx.body.next_chunk(tx.acked + window).expect("eligible");
+        let (offset, payload, _) = tx.body.next_chunk(tx.acked + WINDOW).expect("eligible");
         // Message boundaries that start within this segment.
         let msgs: Vec<(u64, u64, u64)> = tx
             .msgs

@@ -104,19 +104,15 @@ pub fn homa_config_for(p: Protocol) -> HomaConfig {
 /// The switch queue discipline a protocol requires, or `None` for the
 /// default strict-priority fabric. pFabric needs priority-drop queues,
 /// NDP trimming queues, PIAS ECN marking; everything else runs on
-/// commodity strict priorities.
-pub fn fabric_queues_for(p: Protocol, dist: &MessageSizeDist) -> Option<QueueDiscipline> {
+/// commodity strict priorities. No discipline depends on the workload
+/// (`_dist`).
+pub fn fabric_queues_for(p: Protocol, _dist: &MessageSizeDist) -> Option<QueueDiscipline> {
     match p {
         Protocol::Pfabric => Some(pfabric::fabric_queues(&PfabricConfig::default())),
-        Protocol::Pias => Some(pias::fabric_queues(&pias_config_for(dist))),
+        Protocol::Pias => Some(pias::fabric_queues(&PiasConfig::default())),
         Protocol::Ndp => Some(ndp::fabric_queues(&NdpConfig::default())),
         _ => None,
     }
-}
-
-/// PIAS with its eight levels' demotion thresholds tuned to `dist`.
-fn pias_config_for(dist: &MessageSizeDist) -> PiasConfig {
-    PiasConfig { thresholds: PiasConfig::thresholds_for(dist, 8), ..PiasConfig::default() }
 }
 
 /// Run the one-way experiment a [`ScenarioSpec`] describes for any
@@ -157,20 +153,17 @@ pub fn run_protocol_scenario(
         }
         Protocol::Phost => spec.run_oneway(
             queues(),
-            move |h| {
-                PhostTransport::new(h, PhostConfig { link_bps: link, ..PhostConfig::default() })
-            },
+            move |h| PhostTransport::new(h, PhostConfig { link_bps: link }),
             opts,
         ),
         Protocol::Pias => {
-            // The fabric and the hosts take the same config: derive it once.
-            let pcfg = pias_config_for(&dist);
-            let queues = Some(pias::fabric_queues(&pcfg));
-            spec.run_oneway(queues, move |h| PiasTransport::new(h, pcfg.clone()), opts)
+            // Eight levels' demotion thresholds, tuned to the workload.
+            let pcfg = PiasConfig { thresholds: PiasConfig::thresholds_for(&dist, 8) };
+            spec.run_oneway(queues(), move |h| PiasTransport::new(h, pcfg.clone()), opts)
         }
         Protocol::Ndp => spec.run_oneway(
             queues(),
-            move |h| NdpTransport::new(h, NdpConfig { link_bps: link, ..NdpConfig::default() }),
+            move |h| NdpTransport::new(h, NdpConfig { link_bps: link }),
             opts,
         ),
     }

@@ -233,7 +233,8 @@ impl ReceiverState {
             });
 
         let active_count = cands.len().min(k);
-        for (rank, &(_, key)) in cands.iter().take(active_count).enumerate() {
+        let active = &cands[..active_count];
+        for (rank, &(_, key)) in active.iter().enumerate() {
             // Fewest-remaining (rank 0) gets the *highest* level among the
             // ones in use, but levels are filled from the bottom of the
             // scheduled band: with A active messages, ranks map to levels
@@ -262,9 +263,21 @@ impl ReceiverState {
         // overcommitment, or chased by the loss sweep. The active ones
         // must be owed bytes, or nothing would ever move them.
         debug_assert!(
-            cands.iter().take(k).all(|(_, key)| self.msgs[key].expecting()),
+            active.iter().all(|(_, key)| self.msgs[key].expecting()),
             "an active message is owed no bytes: {:?}",
             self.inbound_snapshot()
+        );
+        // Scheduled priorities (§3.4): no active message rides an
+        // unscheduled level, and a shorter message's level is at least the
+        // next one's. With one priority the two bands share level 0.
+        debug_assert!(
+            active.iter().all(|(_, key)| self.msgs[key].sched_prio <= map.max_sched_prio())
+                && active
+                    .windows(2)
+                    .all(|w| self.msgs[&w[0].1].sched_prio >= self.msgs[&w[1].1].sched_prio),
+            "scheduled levels break §3.4 (top scheduled level {}): {:?}",
+            map.max_sched_prio(),
+            active.iter().map(|(rem, key)| (*rem, self.msgs[key].sched_prio)).collect::<Vec<_>>()
         );
         self.cands = cands;
     }

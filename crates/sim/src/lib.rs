@@ -18,11 +18,11 @@
 //! * **Host model**: unlimited software throughput but a fixed software
 //!   turnaround delay (1.5 µs in the paper) between a packet arriving at a
 //!   host NIC and the transport being able to react to it.
-//! * **Egress queue disciplines** selectable per port class: strict priority
-//!   (8 levels, the commodity-switch model Homa/PIAS/pHost use), pFabric's
-//!   dequeue-smallest-remaining/drop-largest-remaining, NDP's
-//!   trim-to-header, and plain drop-tail. ECN marking is supported for
-//!   DCTCP-style baselines.
+//! * **Egress queue disciplines**, one for every switch port of a fabric:
+//!   strict priority (8 levels, the commodity-switch model Homa/PIAS/pHost
+//!   use), pFabric's dequeue-smallest-remaining/drop-largest-remaining and
+//!   NDP's trim-to-header. ECN marking is supported for DCTCP-style
+//!   baselines.
 //!
 //! ## Structure
 //!

@@ -13,7 +13,6 @@
 //! * [`QueueKind::NdpTrim`] — NDP's switch: a short FIFO for data packets;
 //!   when it is full an arriving data packet has its payload trimmed off and
 //!   the header joins a strictly-higher-priority control queue.
-//! * [`QueueKind::DropTail`] — a single FIFO, for TCP-like baselines.
 //!
 //! All disciplines share a byte capacity, optional ECN marking (used by the
 //! PIAS/DCTCP baseline) and the preemption-lag accounting that feeds
@@ -42,8 +41,6 @@ pub enum QueueKind {
         /// Maximum number of *untrimmed data* packets queued (NDP uses 8).
         data_cap_packets: usize,
     },
-    /// Single FIFO with tail drop.
-    DropTail,
 }
 
 /// ECN marking configuration (DCTCP-style instantaneous-queue marking).
@@ -96,7 +93,7 @@ pub struct PortQueue<M> {
     disc: QueueDiscipline,
     /// Strict priority: one FIFO per level, index = level (0 lowest).
     levels: Vec<VecDeque<Waiting<M>>>,
-    /// pFabric / DropTail shared pool (pFabric scans it, DropTail FIFOs it).
+    /// pFabric's scanned pool, or NDP's data FIFO.
     pool: VecDeque<Waiting<M>>,
     /// NDP control/trimmed-header queue (strictly before `pool`).
     ctrl: VecDeque<Waiting<M>>,
@@ -323,15 +320,6 @@ impl<M: PacketMeta> PortQueue<M> {
                     self.pool.push_back(w);
                 }
             }
-            QueueKind::DropTail => {
-                if self.bytes + size > self.disc.cap_bytes {
-                    self.drops += 1;
-                    return EnqueueOutcome::Dropped;
-                }
-                let w = self.fresh_waiting(now, pkt, in_flight);
-                self.account_add(now, size);
-                self.pool.push_back(w);
-            }
         }
         outcome
     }
@@ -424,7 +412,6 @@ impl<M: PacketMeta> PortQueue<M> {
                     self.pool.pop_front()?
                 }
             }
-            QueueKind::DropTail => self.pool.pop_front()?,
         };
         self.account_remove(now, w.pkt.wire_bytes() as u64);
         let mut pkt = w.pkt;
@@ -528,7 +515,6 @@ fn outranks_kind<M: PacketMeta>(
         QueueKind::NdpTrim { .. } => {
             (a.is_control() || a_trimmed) && !(b.is_control() || b_trimmed)
         }
-        QueueKind::DropTail => false,
     }
 }
 
@@ -604,10 +590,10 @@ mod tests {
 
     #[test]
     fn ecn_marks_over_threshold() {
+        // Every packet at priority 0: one strict-priority level is a FIFO.
         let mut q: PortQueue<TestMeta> = PortQueue::new(QueueDiscipline {
-            kind: QueueKind::DropTail,
-            cap_bytes: 1 << 20,
             ecn: Some(EcnConfig { threshold_bytes: 150 }),
+            ..QueueDiscipline::strict8(1 << 20)
         });
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 0)), None);
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 0)), None);
@@ -724,23 +710,6 @@ mod tests {
         q.enqueue(t(0), pkt(0, 1, TestMeta::data(1500, 0)), None);
         q.enqueue(t(0), pkt(0, 1, TestMeta::control(40, 0)), None);
         assert!(q.dequeue(t(1)).unwrap().meta.control);
-    }
-
-    #[test]
-    fn droptail_fifo_and_cap() {
-        let mut q: PortQueue<TestMeta> = PortQueue::new(QueueDiscipline {
-            kind: QueueKind::DropTail,
-            cap_bytes: 2000,
-            ecn: None,
-        });
-        q.enqueue(t(0), pkt(0, 1, TestMeta::data(1500, 5)), None);
-        assert_eq!(
-            q.enqueue(t(0), pkt(0, 1, TestMeta::data(1500, 7)), None),
-            EnqueueOutcome::Dropped
-        );
-        q.enqueue(t(0), pkt(0, 1, TestMeta::data(400, 0)), None);
-        assert_eq!(q.dequeue(t(1)).unwrap().wire_bytes(), 1500);
-        assert_eq!(q.dequeue(t(1)).unwrap().wire_bytes(), 400);
     }
 
     #[test]

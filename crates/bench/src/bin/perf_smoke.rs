@@ -84,7 +84,7 @@ fn gate_scenarios(quick: bool) -> Vec<GateScenario> {
             ),
             min_delivered_frac: 0.99,
         },
-        // The churn scenario the calendar engine targets: the
+        // The churn scenario the event engine targets: the
         // largest multi-TOR fabric the ROADMAP names (160 hosts, 16
         // racks), same W4 @ 80% shape as the smaller rows.
         GateScenario {
@@ -241,15 +241,16 @@ fn run_gate(cfg: &GateCfg) -> Report {
             eps,
             if peak_kb > 0 { format!(", peak RSS {peak_kb} KiB") } else { String::new() },
         );
-        // The calendar's shape on this row (deterministic, like `events`).
+        // The wheel's counters on this row (deterministic, like `events`).
         let e = res.engine_stats;
-        let scheduled = (e.bucket_events + e.late_events + e.far_events).max(1);
         eprintln!(
-            "  {}: epochs hold {:.1} events on average, {} at most; {:.3} of events scheduled late",
+            "  {}: {} wheel, {} far and {} past inserts; {} instants popped, {} at most at one",
             spec.name,
-            e.bucket_events as f64 / e.epochs_merged.max(1) as f64,
+            e.bucket_events,
+            e.far_events,
+            e.late_events,
+            e.epochs_merged,
             e.max_epoch_events,
-            e.late_events as f64 / scheduled as f64,
         );
     }
     if scenarios.is_empty() {

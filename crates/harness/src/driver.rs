@@ -184,8 +184,8 @@ pub struct OnewayResult {
     /// Trace records dropped because the recorder ring filled (oldest
     /// first); nonzero means `trace` holds only the tail of the run.
     pub trace_dropped: u64,
-    /// Deterministic event-engine counters (calendar bucket, late and
-    /// far insert counts, epoch occupancy) at harvest.
+    /// Deterministic event-engine counters (wheel, past and far insert
+    /// counts, instants popped) at harvest.
     pub engine_stats: EngineStats,
 }
 

@@ -7,43 +7,32 @@
 //! repository depend on it.
 //!
 //! * [`HierEventQueue`] — the engine every [`crate::Network`] runs on: a
-//!   calendar-bucketed queue that makes 100+ host fabrics affordable.
-//!   Time is divided into fixed-width *epochs* (the width is sized from
-//!   the fabric's minimum link delay, rounded to a power of two so the
-//!   epoch of a timestamp is one shift). It is built from three parts:
+//!   timing wheel with one slot per nanosecond. The wheel covers
+//!   `[base, base + WHEEL_NS)`, where `base` is the highest instant popped,
+//!   and each slot is a FIFO of the events due at its instant, linked
+//!   through a slab of nodes. `seq` is assigned at insertion, so a slot's
+//!   insertion order *is* its `seq` order and nothing is ever sorted. A
+//!   two-level occupancy bitmap (one bit per slot, one per 64 slots) finds
+//!   the next occupied instant in a few word scans. Two heaps of 24-byte
+//!   `(time, seq, node)` keys hold what the wheel cannot:
 //!
-//!   * **Keys.** What the calendar orders is a 24-byte key
-//!     `(time, seq, slot)`: an event's place in the total order plus the
-//!     index of its payload. A pending key sits in one of four places: a
-//!     ring of *buckets*, one per near-future epoch, absorbing the
-//!     overwhelmingly common insert in O(1) (unsorted append); a *far*
-//!     spill heap for timers beyond the ring horizon (`RING_EPOCHS` ×
-//!     width ahead — retransmission timers, mostly); the *current run* —
-//!     when an epoch becomes current its bucket is sorted once by
-//!     `(time, seq)`, the bucket-synchronized merge, and then served by
-//!     popping from the end of the run in O(1); or a small *late* heap
-//!     for events that land at or below the current epoch after its
-//!     merge (same-instant timers, back-to-back `TxDone`s), compared
-//!     against the run head on every pop.
-//!   * **The payload slab.** A payload (136 bytes for a fabric event) is
-//!     written into a slab slot at `schedule`, read at `pop` and never
-//!     moved in between, so the append, the sort and both heaps shuffle
-//!     24 bytes per event whatever `E` is. Vacated slots are reused
-//!     last-in-first-out: the slab is as long as the most events ever
-//!     pending at once, and an insert writes the slot a pop just read.
-//!   * **The spare list.** A merged epoch's spent key buffer goes onto a
-//!     last-in-first-out spare list and the next ring slot that turns
-//!     non-empty takes it from there, so the buffers in use number the
-//!     epochs that are non-empty at once (tens), not the ring's 4,096
-//!     slots, and the one handed out is the one most recently touched.
+//!   * **far** — events at or beyond the horizon (retransmission timers,
+//!     mostly). Each migrates into its slot as soon as a pop brings its
+//!     instant inside the horizon: before any later insert can reach that
+//!     instant, so it keeps its place ahead of them.
+//!   * **past** — events scheduled before `base`. The fabric never makes
+//!     one; the generic contract allows them, they pop first (leaving
+//!     `base` where it is), and they stay exact.
 //!
-//!   `pop_if_before` on the hot dispatch path is therefore O(1)
-//!   amortized — a comparison against the run tail plus the one-time
-//!   sort share of each event — where a single heap pays `O(log n)` of
-//!   the *total* pending population.
+//!   A payload is written into a slab node at `schedule`, read at `pop`
+//!   and never moved in between, whichever of the three places its node is
+//!   filed in. Vacated nodes are reused last in first out: the slab is as
+//!   long as the most events ever pending at once, and an insert writes
+//!   the node a pop just read. An insert inside the horizon and a pop of
+//!   the next instant's head are O(1) and compare no two events.
 //! * [`EventQueue`] — a plain binary heap over the same `(time, seq)`
 //!   key. Simple enough to trust by reading, which is why it stays: it
-//!   is the oracle the calendar is checked against.
+//!   is the oracle the wheel is checked against.
 //!
 //! ## The debug-build oracle
 //!
@@ -53,29 +42,29 @@
 //! determinism jobs, which set `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS` —
 //! a [`HierEventQueue`] carries a shadow [`EventQueue`]: `schedule`
 //! mirrors each `(time, seq)` key into it, and every `pop` /
-//! `pop_if_before` requires the calendar's answer to be the heap's
+//! `pop_if_before` requires the wheel's answer to be the heap's
 //! minimum (and a bounded miss to be a miss on the heap too). The first
 //! disagreement panics, naming where the run broke:
 //!
 //! ```text
-//! engine diverged at t=1280ns: calendar popped (1536ns, seq 7), oracle (1280ns, seq 9)
+//! engine diverged at t=1280ns: wheel popped (1536ns, seq 7), oracle (1280ns, seq 9)
 //! ```
 //!
 //! Read it as: the oracle's pair is the event that *should* have fired
-//! at `t`; the calendar's pair is what the bucket structure produced
-//! instead (or `nothing`, for a bounded pop that missed an event that
-//! was due). So every test and fuzz run is also an engine-order run.
-//! Builds without debug assertions carry no shadow field and no check.
-//! The oracle keeps its own `(time, seq)` entries and knows nothing of
-//! slots: it judges the order of keys. That a key comes back with *its
-//! own* payload is what `hier_matches_flat_on_random_interleavings` checks.
+//! at `t`; the wheel's pair is what it produced instead (or
+//! `nothing`, for a bounded pop that missed an event that was due). So
+//! every test and fuzz run is also an engine-order run. Builds without
+//! debug assertions carry no shadow field and no check. The oracle keeps
+//! its own `(time, seq)` entries and knows nothing of nodes: it judges the
+//! order of keys. That a key comes back with *its own* payload is what
+//! `hier_matches_flat_on_random_interleavings` checks.
 //!
 //! ## Lanes
 //!
-//! The constructors take a lane count and `schedule` a [`LaneId`], left
-//! from an engine that ran groups of fabric nodes in parallel. The
-//! calendar is global, so a lane orders nothing: `schedule` range-checks
-//! it and drops it. [`crate::Network`] builds its queue with one lane and
+//! The constructor takes a lane count and `schedule` a [`LaneId`], left
+//! from an engine that ran groups of fabric nodes in parallel. The wheel
+//! is global, so a lane orders nothing: `schedule` range-checks it and
+//! drops it. [`crate::Network`] builds its queue with one lane and
 //! schedules everything on it; the parameter stays only because the
 //! frozen `benchmark/` passes one (ROADMAP removes it when the benchmark
 //! is next opened).
@@ -96,13 +85,14 @@ pub struct TimerToken(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LaneId(pub u32);
 
-/// Number of near-future epochs the calendar ring covers. Events beyond
-/// `RING_EPOCHS * width` nanoseconds ahead spill to the far heap until
-/// their epoch comes within reach of becoming current. Sized so a deep
-/// steady state on a *small* fabric (fewer nodes → a wider pending-time
-/// span per event population) still fits in the ring: 4096 × 256 ns ≈
-/// 1 ms of horizon, while the ring's empty slots cost only pointers.
-const RING_EPOCHS: u64 = 4096;
+/// The wheel's span in nanoseconds, one slot each. It covers every
+/// regular fabric delay — at most 1.2 µs of serialization at 10 Gb/s, the
+/// 1.5 µs host delay, 250 ns per switch — so only timers go far.
+const WHEEL_NS: u64 = 1 << 13;
+/// Words of the slot-occupancy bitmap.
+const WORDS: usize = (WHEEL_NS / 64) as usize;
+/// The end of a slot's list.
+const NIL: u32 = u32::MAX;
 
 struct Entry<E> {
     at: SimTime,
@@ -130,14 +120,23 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// What the calendar orders: an event's `(time, seq)` place in the total
-/// order and the slab slot its payload waits in. `seq` is unique, so the
-/// derived ordering never reaches `slot`. 24 bytes whatever the payload.
+/// What the far and past heaps order: an event's `(time, seq)` place in
+/// the total order and the slab node its payload waits in. `seq` is
+/// unique, so the derived ordering never reaches `node`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    node: u32,
+}
+
+/// A slab node: one pending payload and the next node of its slot.
+struct Node<E> {
+    next: u32,
+    payload: Option<E>,
+    /// The event's `seq`, which only the oracle reads.
+    #[cfg(debug_assertions)]
+    seq: u64,
 }
 
 /// A deterministic min-heap of timestamped events.
@@ -197,109 +196,82 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Counters describing how the calendar engine behaved over a run;
-/// exposed for `perf-smoke` output and engine tuning.
+/// Counters describing how the wheel behaved over a run; exposed for
+/// `perf-smoke` output and engine tuning. The frozen `benchmark/` reads
+/// these field names, so they keep the names of an epoch calendar.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Number of event lanes the engine was built with.
     pub lanes: u32,
-    /// Calendar bucket width in nanoseconds.
+    /// Width of a wheel slot in nanoseconds: 1.
     pub bucket_width_ns: u64,
-    /// Events inserted into a near-future ring bucket (the O(1) path).
+    /// Events inserted into the wheel (the O(1) path).
     pub bucket_events: u64,
-    /// Events that landed at or below the already-merged current epoch
-    /// and went to the late heap (same-instant timers, back-to-back
-    /// transmissions).
+    /// Events inserted before the highest instant popped, into the past
+    /// heap.
     pub late_events: u64,
-    /// Events beyond the ring horizon that spilled to the far heap
-    /// (far-future timers).
+    /// Events inserted at or beyond the wheel's horizon, into the far
+    /// heap (far-future timers).
     pub far_events: u64,
-    /// Epochs merged into a current run (bucket sort + reverse).
+    /// Distinct instants popped.
     pub epochs_merged: u64,
-    /// Largest single merged epoch population.
+    /// Most events popped at one instant.
     pub max_epoch_events: u64,
 }
 
-/// The calendar-bucketed event engine: a ring of epoch buckets merged one
-/// epoch at a time, with a late heap for intra-epoch arrivals and a far
-/// heap for timers beyond the ring horizon, all ordering 24-byte keys over
-/// one payload slab. Same `(time, seq)` total order as [`EventQueue`],
-/// but the hot pop is a tail comparison instead of a heap probe over
-/// every pending event.
+/// The timing-wheel event engine: one FIFO per nanosecond over a
+/// `WHEEL_NS` horizon, a far heap beyond it and a past heap before it,
+/// all over one payload slab. Same `(time, seq)` total order as
+/// [`EventQueue`], but neither an insert nor a pop on the hot path
+/// compares two events.
 pub struct HierEventQueue<E> {
-    /// Epoch width is `1 << shift` nanoseconds.
-    shift: u32,
-    /// The epoch currently merged into `current`/served by `late`.
-    cur_epoch: u64,
-    /// The current epoch's keys, sorted *descending* by `(time, seq)`
-    /// so the minimum pops from the back in O(1).
-    current: Vec<Key>,
-    /// Keys at or below the current epoch that arrived after its merge.
-    late: BinaryHeap<Reverse<Key>>,
-    /// Near-future buckets, indexed by `epoch % RING_EPOCHS`. A slot is
-    /// owned by exactly one epoch at a time, and holds a buffer only
-    /// while it is non-empty: it takes one from `spare` when its first
-    /// key arrives and gives it up when its epoch is merged.
-    ring: Vec<Vec<Key>>,
-    /// Spent (empty, capacity-bearing) key buffers, last in first out.
-    spare: Vec<Vec<Key>>,
-    /// Nonempty ring epochs, min first. An epoch is pushed exactly once
-    /// (when its slot turns nonempty) and popped exactly once (when it is
-    /// merged), so there are no stale entries to skip.
-    active: BinaryHeap<Reverse<u64>>,
-    /// Keys beyond the ring horizon; merged directly when their epoch
-    /// becomes current.
+    /// The highest instant popped: the wheel holds `[base, base + WHEEL_NS)`.
+    base: u64,
+    /// `(head, tail)` node of each slot's FIFO, `NIL` when empty; the
+    /// events due at instant `t` are in slot `t % WHEEL_NS`.
+    slots: Vec<(u32, u32)>,
+    /// One bit per slot, set while the slot is occupied.
+    occupied: [u64; WORDS],
+    /// One bit per word of `occupied`, set while the word is nonzero.
+    summary: [u64; WORDS / 64],
+    /// Keys at or beyond the horizon, min first.
     far: BinaryHeap<Reverse<Key>>,
-    /// The payload slab: `payloads[key.slot]` is `Some` from `schedule`
-    /// to `pop` and never moves in between.
-    payloads: Vec<Option<E>>,
-    /// Vacant slab slots, last in first out.
+    /// Keys before `base`, min first.
+    past: BinaryHeap<Reverse<Key>>,
+    /// The payload slab: a node's payload is `Some` from `schedule` to
+    /// `pop` and never moves in between.
+    nodes: Vec<Node<E>>,
+    /// Vacant nodes, last in first out.
     free: Vec<u32>,
     next_seq: u64,
-    len: usize,
+    /// The latest instant popped and how many events it has popped.
+    instant: (Option<SimTime>, u64),
     stats: EngineStats,
     /// The reference heap, fed the same `(time, seq)` keys (its payload
-    /// is the calendar's `seq`) and popped in lockstep; see the module
-    /// docs.
+    /// is the wheel's `seq`) and popped in lockstep; see the module docs.
     #[cfg(debug_assertions)]
     oracle: EventQueue<u64>,
 }
 
 impl<E> HierEventQueue<E> {
-    /// An empty engine with `lanes` event lanes and the default 256 ns
-    /// bucket width.
+    /// An empty engine with `lanes` event lanes.
     pub fn new(lanes: u32) -> Self {
-        Self::with_bucket_width(lanes, 256)
-    }
-
-    /// An empty engine with `lanes` lanes and epoch buckets of
-    /// `width_ns` nanoseconds, rounded up to a power of two (fabrics pass
-    /// their minimum link delay here — 250 ns on the paper fabric, so
-    /// buckets are 256 ns wide).
-    pub fn with_bucket_width(lanes: u32, width_ns: u64) -> Self {
         assert!(lanes >= 1, "need at least one lane");
-        let shift = width_ns.max(1).next_power_of_two().trailing_zeros().min(30);
         HierEventQueue {
-            shift,
-            cur_epoch: 0,
-            current: Vec::new(),
-            late: BinaryHeap::new(),
-            ring: (0..RING_EPOCHS).map(|_| Vec::new()).collect(),
-            spare: Vec::new(),
-            active: BinaryHeap::new(),
+            base: 0,
+            slots: vec![(NIL, NIL); WHEEL_NS as usize],
+            occupied: [0; WORDS],
+            summary: [0; WORDS / 64],
             far: BinaryHeap::new(),
-            payloads: Vec::new(),
+            past: BinaryHeap::new(),
+            nodes: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
-            len: 0,
-            stats: EngineStats { lanes, bucket_width_ns: 1 << shift, ..EngineStats::default() },
+            instant: (None, 0),
+            stats: EngineStats { lanes, bucket_width_ns: 1, ..EngineStats::default() },
             #[cfg(debug_assertions)]
             oracle: EventQueue::new(),
         }
-    }
-
-    fn epoch_of(&self, at: SimTime) -> u64 {
-        at.as_nanos() >> self.shift
     }
 
     /// Schedule `payload` on `lane` at `at`. Events at equal times fire in
@@ -318,124 +290,154 @@ impl<E> HierEventQueue<E> {
         self.next_seq += 1;
         #[cfg(debug_assertions)]
         self.oracle.schedule(at, seq);
-        // The payload goes into the slab slot most recently vacated, else
-        // a new one at the end, and stays there until it is popped.
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
+        // The payload goes into the node most recently vacated, else a new
+        // one at the end, and stays there until it is popped.
+        let node = Node {
+            next: NIL,
+            payload: Some(payload),
+            #[cfg(debug_assertions)]
+            seq,
+        };
+        let node = match self.free.pop() {
+            Some(i) => {
+                debug_assert!(self.nodes[i as usize].payload.is_none(), "vacant node is occupied");
+                self.nodes[i as usize] = node;
+                i
+            }
             None => {
-                self.payloads.push(None);
-                u32::try_from(self.payloads.len() - 1).expect("over u32::MAX events pending")
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("over u32::MAX events pending")
             }
         };
-        debug_assert!(self.payloads[slot as usize].is_none(), "vacant slot is occupied");
-        self.payloads[slot as usize] = Some(payload);
-        let key = Key { at, seq, slot };
-        let e = self.epoch_of(at);
-        // Hot path first: one wrapping compare covers the whole ring
-        // window `cur_epoch < e < cur_epoch + RING_EPOCHS` (an epoch at
-        // or below `cur_epoch` wraps to a huge value and falls through).
-        if e.wrapping_sub(self.cur_epoch.wrapping_add(1)) < RING_EPOCHS - 1 {
-            let bucket = &mut self.ring[(e % RING_EPOCHS) as usize];
-            if bucket.is_empty() {
-                // An empty slot holds no buffer; the most recently spent
-                // one is the likeliest to still be in cache.
-                if let Some(buf) = self.spare.pop() {
-                    *bucket = buf;
-                }
-                self.active.push(Reverse(e));
-            }
-            debug_assert!(
-                bucket.first().is_none_or(|k| k.at.as_nanos() >> self.shift == e),
-                "ring slot epoch collision"
-            );
-            bucket.push(key);
+        // Hot path first: one wrapping compare covers the whole horizon
+        // (an instant before `base` wraps to a huge value).
+        let t = at.as_nanos();
+        if t.wrapping_sub(self.base) < WHEEL_NS {
+            self.link(t, node);
             self.stats.bucket_events += 1;
-        } else if e <= self.cur_epoch {
-            // At or below the merged epoch: joins the late heap and is
-            // compared against the current run head on every pop, so
-            // ordering stays exact even for "past" inserts.
-            self.late.push(Reverse(key));
+        } else if t < self.base {
+            self.past.push(Reverse(Key { at, seq, node }));
             self.stats.late_events += 1;
         } else {
-            self.far.push(Reverse(key));
+            self.far.push(Reverse(Key { at, seq, node }));
             self.stats.far_events += 1;
         }
-        self.len += 1;
     }
 
-    /// Advance to the next nonempty epoch and merge its bucket (plus any
-    /// far events that fall in it) into the current run. No-op while the
-    /// current epoch still has events to serve, and — crucially — never
-    /// advances *past* `bound_epoch`: a bounded pop that finds only a
-    /// far-future timer must not drag `cur_epoch` forward, or every
-    /// near-term insert until simulated time caught up would land in the
-    /// O(log n) late heap instead of an O(1) ring bucket.
-    #[inline]
-    fn ensure_current(&mut self, bound_epoch: Option<u64>) {
-        if !self.current.is_empty() || !self.late.is_empty() || self.len == 0 {
-            return;
+    /// Append `node` to the FIFO of instant `t`, which is inside the horizon.
+    fn link(&mut self, t: u64, node: u32) {
+        let s = (t % WHEEL_NS) as usize;
+        let tail = self.slots[s].1;
+        if tail == NIL {
+            self.slots[s].0 = node;
+            self.occupied[s / 64] |= 1 << (s % 64);
+            self.summary[s / 4096] |= 1 << (s / 64 % 64);
+        } else {
+            self.nodes[tail as usize].next = node;
         }
-        self.advance_epoch(bound_epoch);
+        self.slots[s].1 = node;
     }
 
-    #[cold]
-    fn advance_epoch(&mut self, bound_epoch: Option<u64>) {
-        while self.current.is_empty() && self.late.is_empty() && self.len > 0 {
-            let ring_next = self.active.peek().map(|r| r.0);
-            let far_next = self.far.peek().map(|k| self.epoch_of(k.0.at));
-            let next = match (ring_next, far_next) {
-                (Some(a), Some(f)) => a.min(f),
-                (Some(a), None) => a,
-                (None, Some(f)) => f,
-                (None, None) => unreachable!("len > 0 with every store empty"),
-            };
-            // Every event in epoch `next` fires strictly after the bound;
-            // leave the merge point where it is and let the pop miss.
-            if bound_epoch.is_some_and(|b| next > b) {
-                return;
+    /// The first occupied slot at or after `from`, without wrapping.
+    fn occupied_from(&self, from: usize) -> Option<usize> {
+        let w = from / 64;
+        let bits = self.occupied[w] & (u64::MAX << (from % 64));
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        let from = w + 1;
+        let w = (from / 64..self.summary.len()).find_map(|i| {
+            let bits = self.summary[i] & if i == from / 64 { u64::MAX << (from % 64) } else { !0 };
+            (bits != 0).then(|| i * 64 + bits.trailing_zeros() as usize)
+        })?;
+        Some(w * 64 + self.occupied[w].trailing_zeros() as usize)
+    }
+
+    /// The wheel's earliest instant and its slot.
+    fn wheel_head(&self) -> Option<(u64, usize)> {
+        let b = (self.base % WHEEL_NS) as usize;
+        let s = self.occupied_from(b).or_else(|| self.occupied_from(0))?;
+        Some((self.base + (s as u64 + WHEEL_NS - b as u64) % WHEEL_NS, s))
+    }
+
+    /// Move `base` up to `to` and bring every far key the new horizon
+    /// covers into its slot, in `(time, seq)` order.
+    fn advance(&mut self, to: u64) {
+        self.base = to;
+        while let Some(&Reverse(k)) = self.far.peek() {
+            if k.at.as_nanos() - to >= WHEEL_NS {
+                break;
             }
-            self.cur_epoch = next;
-            if ring_next == Some(next) {
-                self.active.pop();
-                // The bucket becomes the run; the spent run buffer goes
-                // on top of the spare list for the next slot that turns
-                // non-empty, so a one-off dense epoch pins one buffer,
-                // not a ring slot for the next 4,096 epochs.
-                let bucket = std::mem::take(&mut self.ring[(next % RING_EPOCHS) as usize]);
-                let spent = std::mem::replace(&mut self.current, bucket);
-                if spent.capacity() > 0 {
-                    self.spare.push(spent);
+            self.far.pop();
+            self.link(k.at.as_nanos(), k.node);
+        }
+    }
+
+    /// Pick the earliest event if it fires at or before `bound` and take
+    /// its node off the wheel or heap it was filed in.
+    fn pop_node(&mut self, bound: Option<SimTime>) -> Option<(SimTime, u32)> {
+        let due = |at: u64| bound.is_none_or(|b| at <= b.as_nanos());
+        // Everything in the past heap is before everything else.
+        if let Some(&Reverse(k)) = self.past.peek() {
+            if !due(k.at.as_nanos()) {
+                return None;
+            }
+            self.past.pop();
+            return Some((k.at, k.node));
+        }
+        let (t, s) = match self.wheel_head() {
+            Some(head) => head,
+            None => {
+                // An empty wheel: jump to the first far instant, if due.
+                let t = self.far.peek()?.0.at.as_nanos();
+                if !due(t) {
+                    return None;
                 }
+                self.advance(t);
+                self.wheel_head().expect("the far minimum migrated")
             }
-            while self.far.peek().is_some_and(|k| self.epoch_of(k.0.at) == next) {
-                self.current.push(self.far.pop().expect("peeked").0);
-            }
-            // The bucket-synchronized merge: one sort per epoch, then
-            // every pop within the epoch is O(1) off the back.
-            self.current.sort_unstable_by(|a, b| b.cmp(a));
-            self.stats.epochs_merged += 1;
-            self.stats.max_epoch_events =
-                self.stats.max_epoch_events.max(self.current.len() as u64);
+        };
+        if !due(t) {
+            return None;
         }
+        if t > self.base {
+            self.advance(t);
+        }
+        let (node, _) = self.slots[s];
+        let next = self.nodes[node as usize].next;
+        self.slots[s].0 = next;
+        if next == NIL {
+            self.slots[s].1 = NIL;
+            self.occupied[s / 64] &= !(1 << (s % 64));
+            if self.occupied[s / 64] == 0 {
+                self.summary[s / 4096] &= !(1 << (s / 64 % 64));
+            }
+        }
+        Some((SimTime::from_nanos(t), node))
     }
 
-    /// The pop every public variant builds on: [`Self::pop_calendar`]
-    /// picks the key, debug builds check it against the oracle, and the
-    /// key's payload leaves the slab.
+    /// The pop every public variant builds on: [`Self::pop_node`] picks
+    /// the event, debug builds check it against the oracle, and its
+    /// payload leaves the slab.
     #[inline]
     fn pop_bounded(&mut self, bound: Option<SimTime>) -> Option<(SimTime, E)> {
-        let got = self.pop_calendar(bound);
+        let got = self.pop_node(bound);
         #[cfg(debug_assertions)]
-        self.check_against_oracle(bound, got.map(|k| (k.at, k.seq)));
-        let key = got?;
-        let payload =
-            self.payloads[key.slot as usize].take().expect("a pending key's slot is full");
-        self.free.push(key.slot);
-        Some((key.at, payload))
+        self.check_against_oracle(bound, got.map(|(at, n)| (at, self.nodes[n as usize].seq)));
+        let (at, node) = got?;
+        if self.instant.0 != Some(at) {
+            self.instant = (Some(at), 0);
+            self.stats.epochs_merged += 1;
+        }
+        self.instant.1 += 1;
+        self.stats.max_epoch_events = self.stats.max_epoch_events.max(self.instant.1);
+        let payload = self.nodes[node as usize].payload.take().expect("a pending node is full");
+        self.free.push(node);
+        Some((at, payload))
     }
 
     /// Pop the oracle in lockstep and require it to agree with what the
-    /// calendar just returned for the same `bound`.
+    /// wheel just returned for the same `bound`.
     #[cfg(debug_assertions)]
     fn check_against_oracle(&mut self, bound: Option<SimTime>, got: Option<(SimTime, u64)>) {
         let want = match bound {
@@ -448,38 +450,7 @@ impl<E> HierEventQueue<E> {
                 None => "nothing".to_string(),
             };
             let t = want.or(got).map_or(0, |(at, _)| at.as_nanos());
-            panic!(
-                "engine diverged at t={t}ns: calendar popped {}, oracle {}",
-                show(got),
-                show(want)
-            );
-        }
-    }
-
-    /// One-pass conditional pop: advance the merge point, check the head
-    /// against `bound`, and take it — the hot dispatch-path primitive.
-    #[inline]
-    fn pop_calendar(&mut self, bound: Option<SimTime>) -> Option<Key> {
-        self.ensure_current(bound.map(|t| self.epoch_of(t)));
-        let take_run = match (self.current.last(), self.late.peek()) {
-            (Some(r), Some(l)) => *r <= l.0,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let head_at = if take_run {
-            self.current.last().expect("matched").at
-        } else {
-            self.late.peek().expect("matched").0.at
-        };
-        if bound.is_some_and(|t| head_at > t) {
-            return None;
-        }
-        self.len -= 1;
-        if take_run {
-            self.current.pop()
-        } else {
-            self.late.pop().map(|k| k.0)
+            panic!("engine diverged at t={t}ns: wheel popped {}, oracle {}", show(got), show(want));
         }
     }
 
@@ -495,37 +466,23 @@ impl<E> HierEventQueue<E> {
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let run = self.current.last().map(|k| k.at);
-        let late = self.late.peek().map(|k| k.0.at);
-        let near = match (run, late) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if near.is_some() {
-            // Anything in the ring or far heap lives in a later epoch.
-            return near;
+        if let Some(k) = self.past.peek() {
+            return Some(k.0.at);
         }
-        // Cold path (current epoch exhausted, merge not yet advanced):
-        // scan the next nonempty bucket for its minimum.
-        let ring_min = self
-            .active
-            .peek()
-            .and_then(|r| self.ring[(r.0 % RING_EPOCHS) as usize].iter().map(|k| k.at).min());
-        let far_min = self.far.peek().map(|k| k.0.at);
-        match (ring_min, far_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        match self.wheel_head() {
+            Some((t, _)) => Some(SimTime::from_nanos(t)),
+            None => self.far.peek().map(|k| k.0.at),
         }
     }
 
     /// Number of pending events across all lanes.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len() - self.free.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Behavior counters accumulated so far.
@@ -533,12 +490,14 @@ impl<E> HierEventQueue<E> {
         self.stats
     }
 
-    /// Corrupt the merged run by swapping its next two events, so a test
-    /// can show the oracle catches a calendar that pops out of order.
+    /// Corrupt the wheel by swapping the FIFOs of its next two occupied
+    /// instants, so a test can show the oracle catches a wheel that pops
+    /// out of order.
     #[cfg(test)]
-    fn swap_next_two_of_run(&mut self) {
-        let n = self.current.len();
-        self.current.swap(n - 1, n - 2);
+    fn swap_next_two_instants(&mut self) {
+        let (_, a) = self.wheel_head().expect("an instant pending");
+        let b = self.occupied_from(a + 1).expect("a second instant pending");
+        self.slots.swap(a, b);
     }
 }
 
@@ -649,41 +608,92 @@ mod tests {
     }
 
     #[test]
-    fn hier_late_arrivals_into_current_epoch_order_correctly() {
-        // Pop once (merging the first epoch), then schedule into it: the
-        // late heap must interleave exactly by (time, seq).
-        let mut q = HierEventQueue::with_bucket_width(1, 1024);
-        q.schedule(LaneId(0), SimTime::from_nanos(100), "a");
-        q.schedule(LaneId(0), SimTime::from_nanos(500), "d");
-        assert_eq!(q.pop().unwrap().1, "a");
-        q.schedule(LaneId(0), SimTime::from_nanos(200), "b");
-        q.schedule(LaneId(0), SimTime::from_nanos(300), "c");
-        assert!(q.stats().late_events >= 2, "{:?}", q.stats());
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert_eq!(q.pop().unwrap().1, "d");
+    fn hier_horizon_edges_file_into_wheel_or_far_heap() {
+        // From base 0 the wheel covers [0, WHEEL_NS): its last instant is
+        // a wheel insert, the horizon itself and anything beyond go far.
+        let mut q = HierEventQueue::new(1);
+        q.schedule(LaneId(0), SimTime::from_nanos(WHEEL_NS + 5), "beyond");
+        q.schedule(LaneId(0), SimTime::from_nanos(WHEEL_NS), "horizon");
+        q.schedule(LaneId(0), SimTime::from_nanos(WHEEL_NS - 1), "last");
+        q.schedule(LaneId(0), SimTime::from_nanos(3), "first");
+        let s = q.stats();
+        assert_eq!((s.bucket_events, s.far_events, s.late_events), (2, 2, 0));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
+        let order: Vec<_> =
+            std::iter::from_fn(|| q.pop()).map(|(at, v)| (at.as_nanos(), v)).collect();
+        assert_eq!(
+            order,
+            [(3, "first"), (WHEEL_NS - 1, "last"), (WHEEL_NS, "horizon"), (WHEEL_NS + 5, "beyond")]
+        );
+        // Popping 3 brought WHEEL_NS inside the horizon and popping
+        // WHEEL_NS - 1 brought WHEEL_NS + 5: both far keys migrated, into
+        // slots 0 and 5 of the wrapped wheel, and popped from there.
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn hier_far_timer_keeps_its_place_ahead_of_a_later_insert_at_its_instant() {
+        let mut q = HierEventQueue::new(1);
+        let t = 3 * WHEEL_NS;
+        q.schedule(LaneId(0), SimTime::from_nanos(t), "timer");
+        q.schedule(LaneId(0), SimTime::from_nanos(t - WHEEL_NS + 1), "step");
+        assert_eq!(q.stats().far_events, 2);
+        // Popping `step` brings `t` inside the horizon: the timer migrates
+        // into its slot before the next insert can reach that instant.
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(t - WHEEL_NS + 1), "step")));
+        q.schedule(LaneId(0), SimTime::from_nanos(t), "later");
+        assert_eq!(q.stats().bucket_events, 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(t), "timer")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(t), "later")));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn hier_far_future_events_beyond_ring_horizon() {
-        // Horizon = RING_EPOCHS * width; schedule far beyond it, plus a
-        // near event, and check ordering and the far counter.
-        let mut q = HierEventQueue::with_bucket_width(2, 256);
-        let horizon = RING_EPOCHS * 256;
-        q.schedule(LaneId(0), SimTime::from_nanos(horizon * 5), "far");
-        q.schedule(LaneId(1), SimTime::from_nanos(10), "near");
-        q.schedule(LaneId(0), SimTime::from_nanos(horizon * 5 + 1), "far2");
-        assert_eq!(q.stats().far_events, 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
-        assert_eq!(q.pop().unwrap().1, "near");
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(horizon * 5)));
-        assert_eq!(q.pop().unwrap().1, "far");
-        assert_eq!(q.pop().unwrap().1, "far2");
+    fn hier_inserts_before_the_last_pop_interleave_with_bounded_pops() {
+        let mut q = HierEventQueue::new(1);
+        q.schedule(LaneId(0), SimTime::from_nanos(100), "a");
+        q.schedule(LaneId(0), SimTime::from_nanos(500), "e");
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop_if_before(SimTime::from_nanos(499)), None);
+        // Base is 100: these three land before it, in the past heap.
+        q.schedule(LaneId(0), SimTime::from_nanos(60), "c");
+        q.schedule(LaneId(0), SimTime::from_nanos(20), "b");
+        q.schedule(LaneId(0), SimTime::from_nanos(60), "d");
+        assert_eq!(q.stats().late_events, 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
+        assert_eq!(q.pop_if_before(SimTime::from_nanos(10)), None);
+        assert_eq!(q.pop_if_before(SimTime::from_nanos(20)), Some((SimTime::from_nanos(20), "b")));
+        // A past pop leaves the base where it is: 100 is still a wheel insert.
+        q.schedule(LaneId(0), SimTime::from_nanos(100), "a2");
+        assert_eq!(q.stats().bucket_events, 3);
+        assert_eq!(q.pop_if_before(SimTime::from_nanos(60)), Some((SimTime::from_nanos(60), "c")));
+        assert_eq!(q.pop_if_before(SimTime::from_nanos(99)), Some((SimTime::from_nanos(60), "d")));
+        assert_eq!(q.pop_if_before(SimTime::from_nanos(99)), None);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), "a2")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(500), "e")));
         assert_eq!(q.pop(), None);
     }
 
-    /// The calendar and the reference heap must pop identical sequences
+    #[test]
+    fn hier_far_future_events_beyond_the_horizon() {
+        let mut q = HierEventQueue::new(2);
+        q.schedule(LaneId(0), SimTime::from_nanos(WHEEL_NS * 5), "far");
+        q.schedule(LaneId(1), SimTime::from_nanos(10), "near");
+        q.schedule(LaneId(0), SimTime::from_nanos(WHEEL_NS * 5 + 1), "far2");
+        q.schedule(LaneId(1), SimTime::MAX, "end of time");
+        assert_eq!(q.stats().far_events, 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(q.pop().unwrap().1, "near");
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(WHEEL_NS * 5)));
+        // A bounded miss leaves both far keys where they are.
+        assert_eq!(q.pop_if_before(SimTime::from_nanos(WHEEL_NS * 5 - 1)), None);
+        assert_eq!(q.pop().unwrap().1, "far");
+        assert_eq!(q.pop().unwrap().1, "far2");
+        assert_eq!(q.pop(), Some((SimTime::MAX, "end of time")));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// The wheel and the reference heap must pop identical sequences
     /// for identical schedule calls — compared from outside, value by
     /// value, on top of the built-in shadow check — with `payload(i)` as
     /// the `i`th event's payload.
@@ -694,27 +704,28 @@ mod tests {
             lcg >> 33
         };
         let mut flat: EventQueue<E> = EventQueue::new();
-        let mut hier: HierEventQueue<E> = HierEventQueue::with_bucket_width(7, 64);
+        let mut hier: HierEventQueue<E> = HierEventQueue::new(7);
         let mut popped = 0u64;
-        let (mut peak_len, mut peak_epochs) = (0, 0);
+        let mut peak_len = 0;
         for i in 0..5_000u64 {
             let r = next();
             if r % 3 != 0 || flat.is_empty() {
                 let lane = LaneId((r % 7) as u32);
-                let at = SimTime::from_nanos(r % 10_000);
+                // Times up to three horizons out: wheel, far and (after
+                // a pop) past inserts alike.
+                let at = SimTime::from_nanos(r % (3 * WHEEL_NS));
                 flat.schedule(at, payload(i));
                 hier.schedule(lane, at, payload(i));
             } else if r % 2 == 0 {
                 assert_eq!(flat.pop(), hier.pop());
                 popped += 1;
             } else {
-                let t = SimTime::from_nanos(next() % 10_000);
+                let t = SimTime::from_nanos(next() % (3 * WHEEL_NS));
                 assert_eq!(flat.pop_if_before(t), hier.pop_if_before(t));
             }
             assert_eq!(flat.len(), hier.len());
             assert_eq!(flat.peek_time(), hier.peek_time());
             peak_len = peak_len.max(hier.len());
-            peak_epochs = peak_epochs.max(hier.active.len());
         }
         while let Some(got) = hier.pop() {
             assert_eq!(Some(got), flat.pop());
@@ -722,13 +733,16 @@ mod tests {
         }
         assert_eq!(flat.pop(), None);
         assert!(popped > 1_000, "exercised only {popped} pops");
-        // Vacated slots were reused and spent buffers handed on: the slab
-        // is no longer than the most events ever pending, and no more key
-        // buffers exist than epochs were ever non-empty at once.
-        assert!(hier.payloads.len() <= peak_len, "{} slots for {peak_len}", hier.payloads.len());
-        assert_eq!(hier.free.len(), hier.payloads.len(), "a drained slab is all vacant");
-        assert!(hier.spare.len() <= peak_epochs, "{} spares for {peak_epochs}", hier.spare.len());
-        assert!(hier.ring.iter().all(|b| b.capacity() == 0), "a merged slot kept its buffer");
+        let s = hier.stats();
+        assert!(s.bucket_events > 1_000 && s.far_events > 100 && s.late_events > 100, "{s:?}");
+        // Vacated nodes were reused: the slab is no longer than the most
+        // events ever pending, and a drained one is all vacant, with every
+        // slot and occupancy bit clear.
+        assert!(hier.nodes.len() <= peak_len, "{} nodes for {peak_len}", hier.nodes.len());
+        assert_eq!(hier.free.len(), hier.nodes.len(), "a drained slab is all vacant");
+        assert!(hier.nodes.iter().all(|n| n.payload.is_none()));
+        assert!(hier.slots.iter().all(|&s| s == (NIL, NIL)), "a drained slot kept a node");
+        assert!(hier.occupied.iter().chain(&hier.summary).all(|&w| w == 0));
     }
 
     #[test]
@@ -742,38 +756,42 @@ mod tests {
 
     #[test]
     fn hier_stats_track_bucket_population() {
-        let mut q = HierEventQueue::with_bucket_width(2, 256);
-        for i in 0..10u64 {
-            q.schedule(LaneId(0), SimTime::from_nanos(300 + i * 10), i);
+        let mut q = HierEventQueue::new(2);
+        // Ten events at four instants, one beyond the horizon.
+        for (i, ns) in
+            [300, 300, 300, 310, 310, 320, 300, 310, 300, WHEEL_NS + 7].iter().enumerate()
+        {
+            q.schedule(LaneId(0), SimTime::from_nanos(*ns), i);
         }
         let s = q.stats();
         assert_eq!(s.lanes, 2);
-        assert_eq!(s.bucket_width_ns, 256);
-        assert_eq!(s.bucket_events, 10);
-        assert_eq!(s.far_events, 0);
-        // Draining merges the (single) epoch bucket once.
+        assert_eq!(s.bucket_width_ns, 1);
+        assert_eq!((s.bucket_events, s.far_events, s.late_events), (9, 1, 0));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(300), 0)));
+        // Before the last pop: the past heap.
+        q.schedule(LaneId(0), SimTime::from_nanos(299), 10);
+        assert_eq!(q.stats().late_events, 1);
         while q.pop().is_some() {}
         let s = q.stats();
-        assert_eq!(s.epochs_merged, 1);
-        assert_eq!(s.max_epoch_events, 10);
+        // 300, then 299 (a past instant), 300 again, 310, 320, the far one.
+        assert_eq!(s.epochs_merged, 6);
+        assert_eq!(s.max_epoch_events, 4);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(
-        expected = "engine diverged at t=2020ns: calendar popped (2030ns, seq 2), oracle (2020ns, seq 1)"
+        expected = "engine diverged at t=2020ns: wheel popped (2020ns, seq 2), oracle (2020ns, seq 1)"
     )]
     fn oracle_catches_a_calendar_that_pops_out_of_order() {
-        // Three events in one ring epoch (epoch 0 would go to the late
-        // heap instead of a bucket).
-        let mut q = HierEventQueue::with_bucket_width(1, 1024);
+        let mut q = HierEventQueue::new(1);
         for (i, ns) in [2010, 2020, 2030].into_iter().enumerate() {
             q.schedule(LaneId(0), SimTime::from_nanos(ns), i);
         }
-        // The first pop merges the epoch into the run; what is left of
-        // it is then swapped behind the oracle's back.
+        // What is left after the first pop is swapped behind the oracle's
+        // back: instant 2020 now holds the event due at 2030.
         assert_eq!(q.pop(), Some((SimTime::from_nanos(2010), 0)));
-        q.swap_next_two_of_run();
+        q.swap_next_two_instants();
         q.pop();
     }
 }

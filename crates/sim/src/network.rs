@@ -9,15 +9,21 @@
 //! 1. A transport's `next_packet` hands the packet to its host NIC when the
 //!    uplink goes idle (pull model, so sender-side SRPT is exact).
 //! 2. Serialization occupies the link for `wire_bytes * 8 / rate`.
-//! 3. The TOR receives it after the switch's internal delay
+//! 3. When serialization ends the packet moves onto the port's *wire*, a
+//!    FIFO of packets propagating to the peer, each with its due time,
+//!    and one `Arrive` event naming the port is scheduled for that time.
+//!    A link's delay (propagation plus the peer's switch or host software
+//!    delay) is constant, so packets arrive in the order they left, and
+//!    `Arrive` pops the wire's head; the event carries no packet.
+//! 4. The TOR takes it off the wire after the switch's internal delay
 //!    (store-and-forward), routes it — directly to a rack-local host port,
 //!    or sprayed across a random spine uplink — and offers it to the egress
 //!    port's [`PortQueue`].
-//! 4. Ports drain their queues as fast as the link allows; each hop
+//! 5. Ports drain their queues as fast as the link allows; each hop
 //!    accumulates delay attribution into the packet.
-//! 5. When the packet fully arrives at the destination host, the host
-//!    software delay elapses and the receiving transport's `on_packet`
-//!    runs.
+//! 6. When the packet comes off the last wire, the host software delay has
+//!    elapsed and the receiving transport's `on_packet` runs (or, while
+//!    the receiver is paused, the packet waits in its pause buffer).
 //!
 //! ## State layout and dispatch
 //!
@@ -38,6 +44,16 @@
 //! reference heap (see [`crate::events`]), and `serve_queue` checks that
 //! no waiting packet outranked the one it took, so every test and fuzz
 //! run is also an invariant run.
+//!
+//! ## Conservation
+//!
+//! Every packet a transport hands to its NIC is, from then on, in exactly
+//! one place: being serialized on a port, on a wire, in a switch queue or
+//! a pause buffer, delivered, fault-dropped, or dropped by a queue (an NDP
+//! trimmed header counts as its original packet). Debug builds check that
+//! every `CONSERVATION_EVERY` events and whenever the event queue drains,
+//! and panic with `fabric conservation broken at t=…`; release builds
+//! keep no counter for it and run the same events.
 
 use crate::events::{EngineStats, HierEventQueue, LaneId, TimerToken};
 use crate::faults::{FaultAction, FaultPlan};
@@ -50,6 +66,7 @@ use crate::trace::{FlightRecorder, TraceEvent, TraceRecord};
 use crate::transport::{AppEvent, Transport, TransportActions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 /// Fabric-wide configuration knobs that are not part of the topology.
 #[derive(Debug, Clone)]
@@ -87,20 +104,25 @@ impl NetworkConfig {
     }
 }
 
-enum Ev<M> {
+/// A fabric event: 32 bytes, no packet (packets wait in port state).
+enum Ev {
     /// A port finished serializing its current packet.
     TxDone { node: NodeId, port: u32 },
-    /// A packet fully arrived at a switch (post internal delay).
-    SwitchArrive { node: NodeId, pkt: Packet<M> },
-    /// A packet is delivered to a host transport (post software delay).
-    HostDeliver { host: HostId, pkt: Packet<M> },
+    /// The head of egress `port` of `node`'s wire reached the peer, past
+    /// its switch's internal delay or its host's software delay.
+    Arrive { node: NodeId, port: u32 },
     /// A transport timer fired.
     Timer { host: HostId, token: TimerToken },
     /// A scheduled fault takes effect (see [`crate::faults`]).
     Fault { node: NodeId, port: u32, action: FaultAction },
 }
 
-/// The lane every event is scheduled on. The calendar is global and a
+/// How many events apart debug builds check conservation (see the
+/// module docs).
+#[cfg(debug_assertions)]
+const CONSERVATION_EVERY: u64 = 4_096;
+
+/// The lane every event is scheduled on. The wheel is global and a
 /// lane orders nothing (see [`crate::events`]), so the queue is built
 /// with one.
 const LANE: LaneId = LaneId(0);
@@ -117,6 +139,10 @@ struct Port<M> {
     class: PortClass,
     /// The packet currently being serialized, with its completion time.
     sending: Option<(Packet<M>, SimTime)>,
+    /// Packets that finished serializing and are propagating to `peer`,
+    /// each with the time it arrives there; in departure order, which is
+    /// arrival order because the link's delay is constant.
+    wire: VecDeque<(Packet<M>, SimTime)>,
     stats: PortStats,
 }
 
@@ -130,6 +156,7 @@ impl<M: PacketMeta> Port<M> {
             peer: spec.peer,
             class: spec.class,
             sending: None,
+            wire: VecDeque::new(),
             stats: PortStats::default(),
         }
     }
@@ -182,6 +209,10 @@ struct Hosts<M, T> {
     pause_bufs: Vec<Vec<Packet<M>>>,
     /// The action buffer every transport callback records into.
     scratch: TransportActions,
+    /// Packets handed to a transport's `on_packet`, for the conservation
+    /// check.
+    #[cfg(debug_assertions)]
+    delivered: u64,
 }
 
 /// Index of switch `node` in `Network::switches`: TORs in rack order,
@@ -211,15 +242,15 @@ fn port_mut<'a, M, T>(
 /// What every dispatch function reaches besides the host or switch its
 /// event names: the topology, the event queue and application-event log
 /// it writes to, the flight recorder, and the fabric's spray RNG.
-struct Ctx<'a, M: PacketMeta> {
+struct Ctx<'a> {
     topo: &'a Topology,
-    queue: &'a mut HierEventQueue<Ev<M>>,
+    queue: &'a mut HierEventQueue<Ev>,
     app_events: &'a mut Vec<(SimTime, HostId, AppEvent)>,
     tracer: Option<&'a mut FlightRecorder>,
     rng: &'a mut StdRng,
 }
 
-impl<M: PacketMeta> Ctx<'_, M> {
+impl Ctx<'_> {
     /// Whether the flight recorder wants events: one bool test. Call
     /// sites must guard with this before constructing a [`TraceEvent`].
     fn tracing(&self) -> bool {
@@ -238,7 +269,7 @@ impl<M: PacketMeta> Ctx<'_, M> {
 /// buffer, then apply what it recorded: timers, application events, and
 /// a transmit poll if it asked for one.
 fn call_transport<M: PacketMeta, T: Transport<M>, R>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     hosts: &mut Hosts<M, T>,
     now: SimTime,
     host: HostId,
@@ -267,10 +298,10 @@ fn call_transport<M: PacketMeta, T: Transport<M>, R>(
     r
 }
 
-/// Hand a fully-arrived packet to a host's transport (the tail of the
-/// `HostDeliver` path, also used when a paused receiver resumes).
+/// Hand a fully-arrived packet to a host's transport (the tail of an
+/// `Arrive` at a host, also used when a paused receiver resumes).
 fn deliver_to_host<M: PacketMeta, T: Transport<M>>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     hosts: &mut Hosts<M, T>,
     now: SimTime,
     host: HostId,
@@ -281,12 +312,16 @@ fn deliver_to_host<M: PacketMeta, T: Transport<M>>(
             cx.trace(now, TraceEvent::GrantReceived { host, from: pkt.src, offset, prio });
         }
     }
+    #[cfg(debug_assertions)]
+    {
+        hosts.delivered += 1;
+    }
     call_transport(cx, hosts, now, host, |t, act| t.on_packet(now, pkt, act));
 }
 
 /// If the host uplink is idle, pull the next packet from the transport.
 fn poll_host_tx<M: PacketMeta, T: Transport<M>>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     hosts: &mut Hosts<M, T>,
     now: SimTime,
     host: HostId,
@@ -323,7 +358,7 @@ fn poll_host_tx<M: PacketMeta, T: Transport<M>>(
 /// the `TxDone` that frees it. Emits the packet's one
 /// [`TraceEvent::TxStart`] when tracing.
 fn begin_tx<M: PacketMeta>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     now: SimTime,
     node: NodeId,
     port_idx: u32,
@@ -363,7 +398,7 @@ fn begin_tx<M: PacketMeta>(
 /// wait split comes from [`PortQueue::last_wait`] — pure queueing behind
 /// equal-or-higher traffic vs. preemption lag.
 fn serve_queue<M: PacketMeta>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     now: SimTime,
     node: NodeId,
     port_idx: u32,
@@ -395,7 +430,7 @@ fn serve_queue<M: PacketMeta>(
 }
 
 fn on_tx_done<M: PacketMeta, T: Transport<M>>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     hosts: &mut Hosts<M, T>,
     switches: &mut [SwitchNode<M>],
     now: SimTime,
@@ -405,17 +440,14 @@ fn on_tx_done<M: PacketMeta, T: Transport<M>>(
     let port = port_mut(cx.topo, hosts, switches, node, port_idx);
     let (pkt, _) = port.sending.take().expect("TxDone without transmission");
 
-    // Deliver to the peer.
-    match port.peer {
-        NodeId::Host(h) => {
-            let at = now + cx.topo.prop_delay + cx.topo.host_sw_delay;
-            cx.queue.schedule(LANE, at, Ev::HostDeliver { host: h, pkt });
-        }
-        sw @ (NodeId::Tor(_) | NodeId::Spine(_)) => {
-            let at = now + cx.topo.prop_delay + cx.topo.switch_delay;
-            cx.queue.schedule(LANE, at, Ev::SwitchArrive { node: sw, pkt });
-        }
-    }
+    // Onto the wire to the peer.
+    let delay = match port.peer {
+        NodeId::Host(_) => cx.topo.host_sw_delay,
+        NodeId::Tor(_) | NodeId::Spine(_) => cx.topo.switch_delay,
+    };
+    let at = now + cx.topo.prop_delay + delay;
+    port.wire.push_back((pkt, at));
+    cx.queue.schedule(LANE, at, Ev::Arrive { node, port: port_idx });
 
     // Keep the port busy with the next packet, if any.
     match node {
@@ -438,7 +470,7 @@ fn on_tx_done<M: PacketMeta, T: Transport<M>>(
 /// switch's own deterministic counter hash ([`SwitchNode::spray_next`]);
 /// down-facing hops are fully determined by `dst`.
 fn route<M: PacketMeta>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     sw: &mut SwitchNode<M>,
     node: NodeId,
     src: HostId,
@@ -475,7 +507,7 @@ fn route<M: PacketMeta>(
 }
 
 fn on_switch_arrive<M: PacketMeta>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     switches: &mut [SwitchNode<M>],
     fault_drops: &mut u64,
     now: SimTime,
@@ -565,7 +597,7 @@ fn on_switch_arrive<M: PacketMeta>(
 }
 
 fn apply_fault<M: PacketMeta, T: Transport<M>>(
-    cx: &mut Ctx<'_, M>,
+    cx: &mut Ctx<'_>,
     hosts: &mut Hosts<M, T>,
     switches: &mut [SwitchNode<M>],
     now: SimTime,
@@ -621,7 +653,7 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     topo: Topology,
     cfg: NetworkConfig,
     now: SimTime,
-    queue: HierEventQueue<Ev<M>>,
+    queue: HierEventQueue<Ev>,
     hosts: Hosts<M, T>,
     /// TORs in rack order, then the upper tiers (see [`switch_index`]).
     switches: Vec<SwitchNode<M>>,
@@ -655,6 +687,8 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             paused: vec![false; n],
             pause_bufs: (0..n).map(|_| Vec::new()).collect(),
             scratch: TransportActions::new(),
+            #[cfg(debug_assertions)]
+            delivered: 0,
         };
         let switches = topo
             .switches()
@@ -663,11 +697,8 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
                 spray: 0,
             })
             .collect();
-        // One lane (`LANE`); calendar buckets are sized from the fabric's
-        // minimum forward delay.
-        let bucket_ns = topo.min_forward_delay().as_nanos().max(1);
         Network {
-            queue: HierEventQueue::with_bucket_width(1, bucket_ns),
+            queue: HierEventQueue::new(1),
             rng: StdRng::seed_from_u64(cfg.seed),
             topo,
             cfg,
@@ -754,21 +785,24 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
     /// Dispatch one popped event at the current time: index the host or
     /// switch it names and run its handler.
-    fn dispatch(&mut self, ev: Ev<M>) {
+    fn dispatch(&mut self, ev: Ev) {
         let now = self.now;
         let Self { topo, hosts, switches, queue, rng, app_events, tracer, .. } = self;
         let cx = &mut Ctx { topo, queue, app_events, tracer: tracer.as_mut(), rng };
         match ev {
             Ev::TxDone { node, port } => on_tx_done(cx, hosts, switches, now, node, port),
-            Ev::SwitchArrive { node, pkt } => {
-                on_switch_arrive(cx, switches, &mut self.fault_drops, now, node, pkt)
-            }
-            Ev::HostDeliver { host, pkt } => {
-                if hosts.paused[host.0 as usize] {
-                    hosts.pause_bufs[host.0 as usize].push(pkt);
-                    self.deferred_deliveries += 1;
-                } else {
-                    deliver_to_host(cx, hosts, now, host, pkt);
+            Ev::Arrive { node, port } => {
+                let link = port_mut(cx.topo, hosts, switches, node, port);
+                let (pkt, due) = link.wire.pop_front().expect("Arrive with an empty wire");
+                debug_assert_eq!(due, now, "wire of {node:?} port {port} out of order");
+                let peer = link.peer;
+                match peer {
+                    NodeId::Host(h) if hosts.paused[h.0 as usize] => {
+                        hosts.pause_bufs[h.0 as usize].push(pkt);
+                        self.deferred_deliveries += 1;
+                    }
+                    NodeId::Host(h) => deliver_to_host(cx, hosts, now, h, pkt),
+                    sw => on_switch_arrive(cx, switches, &mut self.fault_drops, now, sw, pkt),
                 }
             }
             Ev::Fault { node, port, action } => {
@@ -786,11 +820,8 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     pub fn run_until(&mut self, t: SimTime) -> StepOutput {
         let mut out = StepOutput::default();
         while let Some((at, ev)) = self.queue.pop_if_before(t) {
-            debug_assert!(at >= self.now, "event in the past");
-            self.now = at;
-            self.dispatch(ev);
+            self.step(at, ev);
             out.events += 1;
-            self.events_processed += 1;
         }
         if t > self.now {
             self.now = t;
@@ -806,16 +837,46 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// before `limit`.
     pub fn run_next_before(&mut self, limit: SimTime) -> Option<SimTime> {
         let (at, ev) = self.queue.pop_if_before(limit)?;
-        self.now = at;
-        self.dispatch(ev);
-        self.events_processed += 1;
+        self.step(at, ev);
         while let Some((at2, ev2)) = self.queue.pop_if_before(at) {
-            self.now = at2;
-            self.dispatch(ev2);
-            self.events_processed += 1;
+            self.step(at2, ev2);
         }
         self.now = at;
         Some(at)
+    }
+
+    /// Dispatch one popped event at its time and count it.
+    fn step(&mut self, at: SimTime, ev: Ev) {
+        debug_assert!(at >= self.now, "event in the past");
+        self.now = at;
+        self.dispatch(ev);
+        self.events_processed += 1;
+        #[cfg(debug_assertions)]
+        if self.events_processed % CONSERVATION_EVERY == 0 || self.queue.is_empty() {
+            self.check_conservation();
+        }
+    }
+
+    /// Panic unless every packet handed to a NIC is in exactly one place
+    /// (see the module docs).
+    #[cfg(debug_assertions)]
+    fn check_conservation(&self) {
+        let handed: u64 = self.hosts.ports.iter().map(|p| p.stats.packets).sum();
+        let ports = self.hosts.ports.iter().chain(self.switches.iter().flat_map(|s| &s.ports));
+        let on_ports: u64 = ports
+            .map(|p| {
+                u64::from(p.busy()) + p.wire.len() as u64 + p.queue.len() as u64 + p.queue.drops
+            })
+            .sum();
+        let paused: u64 = self.hosts.pause_bufs.iter().map(|b| b.len() as u64).sum();
+        let held = on_ports + paused + self.hosts.delivered + self.fault_drops;
+        assert_eq!(
+            handed,
+            held,
+            "fabric conservation broken at t={}ns: {handed} packets handed to NICs, {held} \
+             serializing, on a wire, queued, paused, delivered or dropped",
+            self.now.as_nanos()
+        );
     }
 
     /// Total events processed since construction.
@@ -953,7 +1014,7 @@ mod tests {
     /// each injected message as a single packet and reports delivery.
     struct Echoless {
         me: HostId,
-        outbox: std::collections::VecDeque<Packet<TestMeta>>,
+        outbox: VecDeque<Packet<TestMeta>>,
         delivered: u64,
     }
 
@@ -1010,6 +1071,11 @@ mod tests {
         // switch delay (250ns), plus 1.5us software delay.
         let expect = 128 + 250 + 128 + 1500;
         assert_eq!(at.as_nanos(), expect);
+    }
+
+    #[test]
+    fn a_fabric_event_carries_no_packet() {
+        assert!(size_of::<Ev>() <= 32, "{} bytes", size_of::<Ev>());
     }
 
     #[test]

@@ -418,15 +418,6 @@ impl Topology {
         }
     }
 
-    /// The minimum delay for a transmitted packet to *arrive* at the next
-    /// switch: propagation plus the switch's internal delay (250 ns on
-    /// the paper fabric). This is the smallest latency by which an event
-    /// at one switch can cause an event at another, which makes it the
-    /// natural calendar bucket width of the event engine.
-    pub fn min_forward_delay(&self) -> SimDuration {
-        self.prop_delay + self.switch_delay
-    }
-
     /// All hosts in the fabric.
     pub fn hosts(&self) -> impl Iterator<Item = HostId> {
         (0..self.num_hosts()).map(HostId)

@@ -236,16 +236,16 @@ fn serialization_in_64_bits_equals_the_128_bit_formula() {
     });
 }
 
-/// Bimodal times: hot near-term events plus timers far beyond the
-/// calendar's ring horizon (4096 buckets x 256ns ≈ 1.05ms; the far mode
-/// reaches a full second), interleaved with pops. The calendar engine
-/// must stay in (time, seq) lockstep with the plain heap through ring,
-/// late-heap and far-heap migrations alike.
+/// Bimodal times: near-term events (up to 200 µs, so many land past the
+/// wheel's 8,192 ns horizon or, after a pop, before its base) plus timers
+/// a full second out, interleaved with pops. The wheel must stay in
+/// (time, seq) lockstep with the plain heap through wheel, past-heap and
+/// far-heap inserts and far-to-wheel migrations alike.
 #[test]
 fn calendar_matches_heap_with_far_future_timers() {
     FAMILY.check_seeds("calendar_matches_heap_with_far_future_timers", |rng| {
         let mut flat: EventQueue<usize> = EventQueue::new();
-        let mut hier: HierEventQueue<usize> = HierEventQueue::with_bucket_width(5, 256);
+        let mut hier: HierEventQueue<usize> = HierEventQueue::new(5);
         for i in 0..rng.range(1, 299) as usize {
             let (kind, t) = (rng.edge_range(0, 3), rng.edge_range(0, 199_999));
             let (far, lane) = (rng.chance(1, 2), rng.edge_range(0, 4) as u32);
@@ -284,7 +284,7 @@ fn calendar_matches_heap_with_far_future_timers() {
 fn simultaneous_ties_across_lanes_fire_in_insertion_order() {
     FAMILY.check_seeds("simultaneous_ties_across_lanes_fire_in_insertion_order", |rng| {
         let mut flat: EventQueue<usize> = EventQueue::new();
-        let mut hier: HierEventQueue<usize> = HierEventQueue::with_bucket_width(7, 256);
+        let mut hier: HierEventQueue<usize> = HierEventQueue::new(7);
         for i in 0..rng.range(1, 199) as usize {
             let (lane, slot) = (rng.edge_range(0, 6) as u32, rng.edge_range(0, 2));
             let at = SimTime::from_nanos(1_000 * slot);
@@ -378,8 +378,7 @@ fn wiring_table_is_symmetric() {
 
 /// Unloaded latency respects the hop hierarchy on any fat tree and
 /// any message size: same-rack <= intra-pod <= inter-pod, the path
-/// class is symmetric, and the minimum forward delay (the calendar
-/// bucket width) is positive.
+/// class is symmetric.
 #[test]
 fn fat_tree_unloaded_monotone_and_symmetric() {
     use homa_sim::PathClass;
@@ -393,6 +392,5 @@ fn fat_tree_unloaded_monotone_and_symmetric() {
         let t = |c| topo.unloaded_one_way_class(len, 1_400, 60, c).as_nanos();
         assert!(t(PathClass::SameRack) <= t(PathClass::IntraPod));
         assert!(t(PathClass::IntraPod) <= t(PathClass::InterPod));
-        assert!(topo.min_forward_delay().as_nanos() > 0);
     });
 }

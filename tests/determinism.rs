@@ -6,7 +6,7 @@
 //! statistically close, *identical*. The event order itself is checked
 //! inside each run: in a build with debug assertions (`cargo test`, and
 //! CI's optimized runs, which set
-//! `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true`) the calendar queue
+//! `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true`) the timing wheel
 //! carries a reference heap and panics with `engine diverged at t=…` on
 //! the first pop the two disagree on (see `homa_sim::events`). Together
 //! these are the contract that lets the perf gate pin deterministic

@@ -7,7 +7,7 @@
 //! from the whole generator space — fabrics, workloads, traffic
 //! overlays, victims, mixes, fault schedules. The comparison against
 //! the heap happens inside the run: with debug assertions on, the
-//! calendar queue carries the heap as a shadow and panics with
+//! timing wheel carries the heap as a shadow and panics with
 //! `engine diverged at t=…` on the first pop the two disagree on (see
 //! `homa_sim::events`). On top of that each spec runs twice and must
 //! produce identical `MsgRecord` streams, `RunStats`, sketches and

@@ -273,7 +273,7 @@ pub fn static_map_for_workload(dist: &MessageSizeDist, cfg: &HomaConfig) -> Prio
         let p = (i as f64 + 0.5) / n as f64;
         tracker.record(dist.quantile(p), cfg.unsched_limit);
     }
-    tracker.recompute(cfg, 1)
+    tracker.recompute(cfg)
 }
 
 #[cfg(test)]

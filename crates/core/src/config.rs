@@ -14,7 +14,7 @@ pub const MAX_PAYLOAD: u32 = 1_400;
 /// Wire overhead of a DATA packet beyond its payload (Homa header +
 /// IP/Ethernet framing).
 pub const DATA_OVERHEAD: u32 = 60;
-/// Wire size of a control packet (GRANT/RESEND/BUSY/CUTOFFS).
+/// Wire size of a control packet (GRANT/RESEND/BUSY).
 pub const CTRL_BYTES: u32 = 40;
 /// RTTbytes on the paper's simulated 10 Gbps fabric ("about 9.7
 /// Kbytes", §2.2): how far ahead of received data grants reach, and the
@@ -23,9 +23,6 @@ pub const RTT_BYTES: u64 = 9_700;
 /// Blind-prefix limit applied to responses of incast-marked RPCs ("a
 /// few hundred bytes", §3.6).
 pub const INCAST_UNSCHED_LIMIT: u64 = 400;
-/// Messages observed between dynamic cutoff recomputations
-/// ([`HomaConfig::dynamic_cutoffs`]).
-pub const CUTOFF_REFRESH_MSGS: u64 = 1_000;
 
 /// The settings of a Homa endpoint that an experiment varies.
 ///
@@ -71,12 +68,6 @@ pub struct HomaConfig {
     /// outstanding RPCs, new requests are marked so the server limits the
     /// response's blind prefix.
     pub incast_threshold: u32,
-
-    /// Whether receivers measure incoming traffic and recompute
-    /// unscheduled cutoffs on the fly. The paper's implementation
-    /// precomputed cutoffs from workload knowledge; ours supports both.
-    /// Recomputation runs every [`CUTOFF_REFRESH_MSGS`] messages.
-    pub dynamic_cutoffs: bool,
 }
 
 impl Default for HomaConfig {
@@ -90,7 +81,6 @@ impl Default for HomaConfig {
             resend_interval_ns: 2_000_000, // 2 ms
             abort_after_resends: 5,
             incast_threshold: 64,
-            dynamic_cutoffs: false,
         }
     }
 }

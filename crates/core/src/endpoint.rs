@@ -1,17 +1,17 @@
 //! The top-level Homa endpoint: one per host.
 //!
 //! [`HomaEndpoint`] composes the sender and receiver state machines with
-//! the RPC layer (§3.1), incast control (§3.6), loss recovery (§3.7),
-//! at-least-once re-execution (§3.8) and cutoff dissemination (§3.4).
+//! the RPC layer (§3.1), incast control (§3.6), loss recovery (§3.7)
+//! and at-least-once re-execution (§3.8), under one configured priority
+//! allocation (§3.4) that it grants with and sends to every peer with.
 //! It is a pure state machine: feed it packets and clock ticks, pull
 //! packets out of it. Both the simulator adapter and the UDP driver are
 //! thin shells around this type.
 
-use crate::config::{HomaConfig, CUTOFF_REFRESH_MSGS, RTT_BYTES};
+use crate::config::{HomaConfig, RTT_BYTES};
 use crate::messages::{sorted_keys, Due, Silence};
 use crate::packets::{
-    BusyHeader, CutoffsUpdate, DataHeader, Dir, GrantHeader, HomaPacket, MsgKey, PeerId,
-    ResendHeader,
+    BusyHeader, DataHeader, Dir, GrantHeader, HomaPacket, MsgKey, PeerId, ResendHeader,
 };
 use crate::receiver::{InboundAbort, ReceiverState};
 use crate::sender::{ResendReaction, SenderState};
@@ -109,17 +109,9 @@ pub struct HomaEndpoint {
     cfg: HomaConfig,
     sender: SenderState,
     receiver: ReceiverState,
-    /// Our downlink's priority allocation (receiver role), disseminated
-    /// to peers.
-    local_map: PriorityMap,
-    /// Allocation to use when sending to a peer we have not heard from.
-    default_peer_map: PriorityMap,
-    /// Allocations learned from peers (sender role).
-    peer_maps: HashMap<PeerId, PriorityMap>,
-    /// `local_map.version` most recently sent to each peer.
-    version_sent: HashMap<PeerId, u64>,
-    tracker: TrafficTracker,
-    tracker_last_recompute: u64,
+    /// The priority allocation: our downlink's when we grant, and every
+    /// peer's when we send, since all endpoints of a run share it.
+    map: PriorityMap,
     ctrl: VecDeque<(PeerId, HomaPacket)>,
     /// Where `on_data` collects the grants of one scheduling pass; empty
     /// between calls, kept for its capacity.
@@ -138,17 +130,11 @@ impl HomaEndpoint {
     /// A new endpoint for peer `me`.
     pub fn new(me: PeerId, cfg: HomaConfig) -> Self {
         cfg.validate();
-        let map = PriorityMap::default_for(&cfg);
         HomaEndpoint {
             me,
             sender: SenderState::new(cfg.clone()),
             receiver: ReceiverState::new(cfg.clone()),
-            local_map: map.clone(),
-            default_peer_map: map,
-            peer_maps: HashMap::new(),
-            version_sent: HashMap::new(),
-            tracker: TrafficTracker::new(),
-            tracker_last_recompute: 0,
+            map: TrafficTracker::new().recompute(&cfg),
             ctrl: VecDeque::new(),
             grant_scratch: Vec::new(),
             events: Vec::new(),
@@ -171,18 +157,18 @@ impl HomaEndpoint {
     }
 
     /// Install a precomputed priority allocation, used both for our own
-    /// downlink and as the assumed allocation of every peer. This models
-    /// the paper's implementation, where cutoffs were "precomputed based
-    /// on knowledge of the benchmark workload" (§4).
+    /// downlink and for every peer we send to. This models the paper's
+    /// implementation, where cutoffs were "precomputed based on knowledge
+    /// of the benchmark workload" (§4). Install it before the first send:
+    /// a message takes its unscheduled priority when it starts.
     pub fn set_static_priority_map(&mut self, map: PriorityMap) {
-        self.local_map = map.clone();
-        self.default_peer_map = map;
-        self.peer_maps.clear();
+        debug_assert_eq!(self.sender.active_messages(), 0, "map installed mid-send");
+        self.map = map;
     }
 
-    /// The current local (receiver-role) priority allocation.
+    /// The priority allocation in effect.
     pub fn priority_map(&self) -> &PriorityMap {
-        &self.local_map
+        &self.map
     }
 
     /// Begin a one-way message; returns its sequence number.
@@ -190,8 +176,7 @@ impl HomaEndpoint {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = MsgKey { origin: self.me, seq, dir: Dir::Oneway };
-        let map = self.peer_maps.get(&dst).unwrap_or(&self.default_peer_map);
-        self.sender.start_message(now, key, dst, len, tag, false, map);
+        self.sender.start_message(now, key, dst, len, tag, false, &self.map);
         seq
     }
 
@@ -205,8 +190,7 @@ impl HomaEndpoint {
         // prefix.
         let incast_mark = self.client_rpcs.len() as u32 >= self.cfg.incast_threshold;
         let key = MsgKey { origin: self.me, seq, dir: Dir::Request };
-        let map = self.peer_maps.get(&server).unwrap_or(&self.default_peer_map);
-        self.sender.start_message(now, key, server, req_len, tag, incast_mark, map);
+        self.sender.start_message(now, key, server, req_len, tag, incast_mark, &self.map);
         self.client_rpcs.insert(seq, ClientRpc { server, tag, chase: Some(Silence::new(now)) });
         seq
     }
@@ -231,8 +215,7 @@ impl HomaEndpoint {
             })
             .unwrap_or(false);
         let key = req_key.flipped();
-        let map = self.peer_maps.get(&client).unwrap_or(&self.default_peer_map);
-        self.sender.start_message(now, key, client, resp_len, tag, incast_mark, map);
+        self.sender.start_message(now, key, client, resp_len, tag, incast_mark, &self.map);
     }
 
     /// Number of RPCs this endpoint has outstanding as a client.
@@ -245,9 +228,6 @@ impl HomaEndpoint {
         match pkt {
             HomaPacket::Data(hdr) => self.on_data(now, from, hdr),
             HomaPacket::Grant(g) => {
-                if let Some(c) = &g.cutoffs {
-                    self.apply_cutoffs(from, c);
-                }
                 self.sender.on_grant(now, g.key, g.offset, g.prio);
             }
             HomaPacket::Resend(r) => self.on_resend(now, from, r),
@@ -263,22 +243,10 @@ impl HomaEndpoint {
                     }
                 }
             }
-            HomaPacket::Cutoffs(c) => self.apply_cutoffs(from, &c),
         }
-    }
-
-    fn apply_cutoffs(&mut self, from: PeerId, c: &CutoffsUpdate) {
-        let entry = self.peer_maps.entry(from).or_insert_with(|| self.default_peer_map.clone());
-        entry.apply_update(c);
     }
 
     fn on_data(&mut self, now: Nanos, from: PeerId, hdr: DataHeader) {
-        // Traffic measurement for dynamic cutoffs: account each message
-        // once, on its first packet.
-        if self.cfg.dynamic_cutoffs && hdr.offset == 0 && !hdr.retransmit {
-            self.tracker.record(hdr.msg_len, self.cfg.unsched_limit);
-        }
-
         // Response packets reassure the client RPC immediately.
         if hdr.key.dir == Dir::Response && hdr.key.origin == self.me {
             match self.client_rpcs.get_mut(&hdr.key.seq) {
@@ -294,17 +262,8 @@ impl HomaEndpoint {
         }
 
         let mut grants = std::mem::take(&mut self.grant_scratch);
-        let delivered = self.receiver.on_data(now, from, &hdr, &self.local_map, &mut grants);
-        for (dst, mut g) in grants.drain(..) {
-            // Piggyback our cutoff allocation on grants to peers that have
-            // not seen the current version (§3.4 dissemination).
-            let sent = self.version_sent.entry(dst).or_insert(u64::MAX);
-            if *sent != self.local_map.version {
-                g.cutoffs = Some(self.local_map.to_update());
-                *sent = self.local_map.version;
-            }
-            self.ctrl.push_back((dst, HomaPacket::Grant(g)));
-        }
+        let delivered = self.receiver.on_data(now, from, &hdr, &self.map, &mut grants);
+        self.ctrl.extend(grants.drain(..).map(|(dst, g)| (dst, HomaPacket::Grant(g))));
         self.grant_scratch = grants;
 
         if let Some(d) = delivered {
@@ -386,7 +345,7 @@ impl HomaEndpoint {
     /// the highest scheduled priority.
     fn resend(&mut self, dst: PeerId, key: MsgKey, offset: u64, length: u64) {
         self.resends_sent += 1;
-        let prio = self.local_map.max_sched_prio();
+        let prio = self.map.max_sched_prio();
         self.ctrl.push_back((dst, HomaPacket::Resend(ResendHeader { key, offset, length, prio })));
     }
 
@@ -400,15 +359,14 @@ impl HomaEndpoint {
         true
     }
 
-    /// Periodic housekeeping: loss-detection sweeps, client RPC timeouts,
-    /// lingering-state expiry, and (optionally) dynamic cutoff refresh.
-    /// Call every few hundred microseconds.
+    /// Periodic housekeeping: loss-detection sweeps, client RPC timeouts
+    /// and lingering-state expiry. Call every few hundred microseconds.
     pub fn timer_tick(&mut self, now: Nanos) {
         // Receiver-side gap chasing.
         let mut resends = Vec::new();
         let mut aborts: Vec<InboundAbort> = Vec::new();
         let mut grants: Vec<(PeerId, GrantHeader)> = Vec::new();
-        self.receiver.timer_tick(now, &self.local_map, &mut resends, &mut aborts, &mut grants);
+        self.receiver.timer_tick(now, &self.map, &mut resends, &mut aborts, &mut grants);
         for (dst, key, offset, length) in resends {
             self.resend(dst, key, offset, length);
         }
@@ -456,20 +414,6 @@ impl HomaEndpoint {
         for (dst, tag) in self.sender.poke_stalled(now) {
             self.events.push(HomaEvent::OutboundAborted { dst, tag });
         }
-
-        // Dynamic cutoff refresh (§3.4): recompute from observed traffic
-        // and push the new allocation to peers we are receiving from.
-        if self.cfg.dynamic_cutoffs
-            && self.tracker.messages_seen() >= self.tracker_last_recompute + CUTOFF_REFRESH_MSGS
-        {
-            self.tracker_last_recompute = self.tracker.messages_seen();
-            let new_map = self.tracker.recompute(&self.cfg, self.local_map.version + 1);
-            if new_map.cutoffs != self.local_map.cutoffs
-                || new_map.unsched_levels != self.local_map.unsched_levels
-            {
-                self.local_map = new_map;
-            }
-        }
     }
 
     /// Pull the next packet for the wire: control packets first (they
@@ -478,7 +422,19 @@ impl HomaEndpoint {
         if let Some(p) = self.ctrl.pop_front() {
             return Some(p);
         }
-        self.sender.next_data_packet(now).map(|(dst, hdr)| (dst, HomaPacket::Data(hdr)))
+        let (dst, hdr) = self.sender.next_data_packet(now)?;
+        // §3.4, sender side: an unscheduled packet rides the level the
+        // cutoffs give its message's length. Every endpoint holds the one
+        // map, installed before its first send, so this is exact.
+        debug_assert!(
+            !hdr.unscheduled || hdr.prio == self.map.unsched_prio(hdr.msg_len),
+            "unscheduled DATA of {:?} ({} bytes) at P{}, the cutoffs give P{}",
+            hdr.key,
+            hdr.msg_len,
+            hdr.prio,
+            self.map.unsched_prio(hdr.msg_len)
+        );
+        Some((dst, HomaPacket::Data(hdr)))
     }
 
     /// Whether a call to [`poll_transmit`](Self::poll_transmit) would
@@ -825,26 +781,6 @@ mod tests {
         assert_eq!(counts[0], 400, "marked RPC's response clamped to incast limit");
         assert_eq!(counts[1], 9_700);
         assert_eq!(counts[2], 9_700);
-    }
-
-    #[test]
-    fn cutoffs_disseminate_via_grants() {
-        let cfg = HomaConfig { dynamic_cutoffs: true, ..HomaConfig::default() };
-        let mut a = HomaEndpoint::new(PeerId(0), cfg.clone());
-        let mut b = HomaEndpoint::new(PeerId(1), cfg);
-        // Send enough small messages to trigger a recompute at b...
-        for i in 0..CUTOFF_REFRESH_MSGS + 10 {
-            a.send_message(0, PeerId(1), 200, i);
-            shuttle(&mut a, &mut b, 0, |_| false);
-        }
-        b.timer_tick(1_000_000);
-        assert!(b.priority_map().version > 0, "b recomputed cutoffs");
-        // ...then a large message so b issues grants carrying the update.
-        a.send_message(1_000_000, PeerId(1), 100_000, 99);
-        shuttle(&mut a, &mut b, 1_000_000, |_| false);
-        let learned = a.peer_maps.get(&PeerId(1)).expect("a learned b's map");
-        assert_eq!(learned.version, b.priority_map().version);
-        assert_eq!(learned.unsched_levels, b.priority_map().unsched_levels);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! * **Receiver-driven flow control**: everything past the blind prefix is
 //!   sent only in response to per-packet GRANTs that keep exactly
 //!   `RTTbytes` of data in flight per message (§3.3).
-//! * **Dynamic priority allocation at receivers** (§3.4): unscheduled
-//!   packets are prioritized by message size against cutoffs computed from
-//!   the observed traffic mix and disseminated to senders; scheduled
+//! * **Priority allocation** (§3.4): unscheduled packets are prioritized
+//!   by message size against cutoffs that the Figure 4 algorithm computes
+//!   from the workload's size distribution and that every endpoint is
+//!   configured with, as in the paper's implementation (§4); scheduled
 //!   packets get a per-message priority carried in each GRANT, allocated
 //!   from the *lowest* scheduled level upward to avoid preemption lag.
 //! * **Controlled overcommitment** (§3.5): a receiver grants to at most
@@ -45,7 +46,7 @@
 //! |---|---|
 //! | [`packets`] | §3.1 packet types (DATA/GRANT/RESEND/BUSY) and RPC keys |
 //! | [`config`] | §3 protocol parameters (RTTbytes, priority counts, overcommitment) |
-//! | [`unsched`] | §3.4 unscheduled priority allocation: cutoffs from the observed traffic mix |
+//! | [`unsched`] | §3.4 unscheduled priority allocation: cutoffs from the workload's traffic mix |
 //! | [`sender`] | §3.2 blind transmission + sender-side SRPT |
 //! | [`receiver`] | §3.3–§3.6 grant scheduling, priority assignment, overcommitment, incast control |
 //! | [`messages`] | §3.1/§3.8 message reassembly and RPC lifetimes |

@@ -119,8 +119,8 @@ pub struct OutboundMessage {
     pub unsched_limit: u64,
     /// Priority for scheduled packets, from the latest GRANT.
     pub sched_prio: u8,
-    /// Priority for unscheduled packets (from the receiver's disseminated
-    /// cutoffs, stamped at message creation).
+    /// Priority for unscheduled packets (from the configured cutoffs,
+    /// stamped at message creation).
     pub unsched_prio: u8,
     /// Pending retransmission ranges (offset, length) requested via
     /// RESEND, served before fresh data.

@@ -2,11 +2,9 @@
 //!
 //! Homa uses four packet types. DATA flows sender→receiver; GRANT and
 //! RESEND flow receiver→sender; BUSY flows sender→receiver. All types
-//! except DATA travel at the highest network priority. A fifth type,
-//! CUTOFFS, carries the receiver's unscheduled priority allocation to
-//! senders — the paper piggybacks this on other packets; we piggyback on
-//! GRANTs and additionally send it standalone when no grant is pending
-//! (the Linux HomaModule does the same).
+//! except DATA travel at the highest network priority. Unscheduled
+//! cutoffs are configured at every endpoint (see [`crate::unsched`]), so
+//! no packet carries them.
 //!
 //! These are *protocol-level* representations. `homa-wire` provides the
 //! binary encoding used on real networks; the simulator carries these
@@ -100,8 +98,9 @@ pub struct GrantHeader {
     pub offset: u64,
     /// Priority the sender must stamp on the granted packets.
     pub prio: u8,
-    /// Piggybacked unscheduled-priority allocation of the granting
-    /// receiver (version, cutoffs), if it changed recently.
+    /// A slot for cutoffs piggybacked on the grant. The endpoint never
+    /// sets it and ignores it on receipt; the codec still encodes and
+    /// decodes it, and it goes when the wire format next changes.
     pub cutoffs: Option<CutoffsUpdate>,
 }
 
@@ -126,11 +125,12 @@ pub struct BusyHeader {
     pub key: MsgKey,
 }
 
-/// A receiver's unscheduled-priority allocation, disseminated to senders
-/// (§3.4, Figure 4).
+/// The body of [`GrantHeader::cutoffs`]: an unscheduled-priority
+/// allocation (§3.4, Figure 4) in wire form. Nothing builds one but the
+/// codec and its tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CutoffsUpdate {
-    /// Monotonic version so senders keep only the newest allocation.
+    /// Allocation version.
     pub version: u64,
     /// Number of priority levels reserved for unscheduled packets (the
     /// top `unsched_levels` of the priority space).
@@ -152,19 +152,16 @@ pub enum HomaPacket {
     Resend(ResendHeader),
     /// Busy notification.
     Busy(BusyHeader),
-    /// Standalone cutoffs dissemination.
-    Cutoffs(CutoffsUpdate),
 }
 
 impl HomaPacket {
-    /// The message this packet pertains to, if any.
-    pub fn key(&self) -> Option<MsgKey> {
+    /// The message this packet pertains to.
+    pub fn key(&self) -> MsgKey {
         match self {
-            HomaPacket::Data(h) => Some(h.key),
-            HomaPacket::Grant(h) => Some(h.key),
-            HomaPacket::Resend(h) => Some(h.key),
-            HomaPacket::Busy(h) => Some(h.key),
-            HomaPacket::Cutoffs(_) => None,
+            HomaPacket::Data(h) => h.key,
+            HomaPacket::Grant(h) => h.key,
+            HomaPacket::Resend(h) => h.key,
+            HomaPacket::Busy(h) => h.key,
         }
     }
 
@@ -205,15 +202,9 @@ mod tests {
             tag: 0,
         });
         assert!(!d.is_control());
-        assert_eq!(d.key(), Some(key()));
+        assert_eq!(d.key(), key());
         let g = HomaPacket::Grant(GrantHeader { key: key(), offset: 10, prio: 0, cutoffs: None });
         assert!(g.is_control());
-        let c = HomaPacket::Cutoffs(CutoffsUpdate {
-            version: 1,
-            unsched_levels: 4,
-            cutoffs: vec![100, 200, 300],
-        });
-        assert!(c.is_control());
-        assert_eq!(c.key(), None);
+        assert_eq!(g.key(), key());
     }
 }

@@ -400,7 +400,7 @@ mod tests {
     }
 
     fn map() -> PriorityMap {
-        PriorityMap { num_priorities: 8, unsched_levels: 1, cutoffs: vec![], version: 0 }
+        PriorityMap { num_priorities: 8, unsched_levels: 1, cutoffs: vec![] }
     }
 
     fn rx() -> ReceiverState {

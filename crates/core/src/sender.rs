@@ -142,9 +142,8 @@ impl SenderState {
         self.parked_slot(key.seq).ok()
     }
 
-    /// Begin transmitting a message. `peer_map` supplies the receiver's
-    /// unscheduled priority cutoffs (disseminated or statically
-    /// configured).
+    /// Begin transmitting a message. `map` supplies the unscheduled
+    /// priority cutoffs, the configured map every endpoint shares.
     #[allow(clippy::too_many_arguments)]
     pub fn start_message(
         &mut self,
@@ -154,7 +153,7 @@ impl SenderState {
         len: u64,
         tag: u64,
         incast_mark: bool,
-        peer_map: &PriorityMap,
+        map: &PriorityMap,
     ) {
         let unsched_limit = self.cfg.unsched_limit_for(incast_mark).min(len.max(1));
         let msg = OutboundMessage {
@@ -165,7 +164,7 @@ impl SenderState {
             granted: unsched_limit,
             unsched_limit,
             sched_prio: 0,
-            unsched_prio: peer_map.unsched_prio(len),
+            unsched_prio: map.unsched_prio(len),
             retx: Vec::new(),
             incast_mark,
             tag,
@@ -434,12 +433,7 @@ mod tests {
     }
 
     fn map() -> PriorityMap {
-        PriorityMap {
-            num_priorities: 8,
-            unsched_levels: 4,
-            cutoffs: vec![280, 1_000, 4_000],
-            version: 1,
-        }
+        PriorityMap { num_priorities: 8, unsched_levels: 4, cutoffs: vec![280, 1_000, 4_000] }
     }
 
     #[test]

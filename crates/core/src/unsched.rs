@@ -1,8 +1,8 @@
 //! Unscheduled priority allocation (§3.4, Figure 4).
 //!
-//! Receivers decide how the 8 network priority levels are split between
-//! unscheduled (blind) and scheduled (granted) packets, and where the
-//! message-size cutoffs between unscheduled levels fall:
+//! The 8 network priority levels are split between unscheduled (blind)
+//! and scheduled (granted) packets, and message-size cutoffs are placed
+//! between the unscheduled levels:
 //!
 //! 1. Measure the fraction of incoming bytes that arrive unscheduled
 //!    (`min(size, RTTbytes)` of every message).
@@ -13,15 +13,18 @@
 //!    carries the same number of unscheduled bytes, with smaller messages
 //!    on higher levels.
 //!
-//! [`PriorityMap`] is the resulting allocation; [`TrafficTracker`] is the
-//! receiver-side measurement machine that produces it (the paper's
-//! implementation precomputed the map from workload knowledge; both paths
-//! are supported — see `HomaConfig::dynamic_cutoffs`).
+//! [`TrafficTracker`] runs the algorithm over a message-size histogram,
+//! and [`PriorityMap`] is what it produces. The map is configured, as in
+//! the paper's implementation, whose cutoffs were "precomputed based on
+//! knowledge of the benchmark workload" (§4): a run feeds the tracker the
+//! workload's size distribution once and installs the map at every
+//! endpoint, which uses it both to grant and to send. Cutoffs are not
+//! measured while a run goes, and no packet carries them.
 
 use crate::config::HomaConfig;
-use crate::packets::CutoffsUpdate;
 
-/// A complete priority allocation for one receiver's downlink.
+/// A complete priority allocation: the levels and cutoffs an endpoint
+/// grants with and sends with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PriorityMap {
     /// Total priority levels (`P`).
@@ -33,31 +36,9 @@ pub struct PriorityMap {
     /// uses the top level; `len <= cutoffs[i]` uses level `P-1-i`; larger
     /// than all cutoffs uses the lowest unscheduled level.
     pub cutoffs: Vec<u64>,
-    /// Version for dissemination.
-    pub version: u64,
 }
 
 impl PriorityMap {
-    /// An allocation with a single unscheduled level and `P-1` scheduled
-    /// levels — the safe default before any traffic has been observed.
-    pub fn default_for(cfg: &HomaConfig) -> Self {
-        let p = cfg.num_priorities;
-        let unsched = cfg.unsched_levels_override.unwrap_or(1).min(p.max(2) - 1).max(1);
-        let unsched = if p == 1 { 1 } else { unsched };
-        let cutoffs = match &cfg.cutoff_override {
-            Some(c) => {
-                assert_eq!(
-                    c.len() as u8,
-                    unsched - 1,
-                    "cutoff_override length must be unsched_levels - 1"
-                );
-                c.clone()
-            }
-            None => default_cutoffs(unsched, cfg.unsched_limit),
-        };
-        PriorityMap { num_priorities: p, unsched_levels: unsched, cutoffs, version: 0 }
-    }
-
     /// Number of scheduled levels (`P - unsched`, at least 1 unless P==1).
     pub fn sched_levels(&self) -> u8 {
         if self.num_priorities == 1 {
@@ -90,34 +71,10 @@ impl PriorityMap {
     pub fn max_sched_prio(&self) -> u8 {
         self.sched_levels() - 1
     }
-
-    /// Serialize for dissemination in GRANT/CUTOFFS packets.
-    pub fn to_update(&self) -> CutoffsUpdate {
-        CutoffsUpdate {
-            version: self.version,
-            unsched_levels: self.unsched_levels,
-            cutoffs: self.cutoffs.clone(),
-        }
-    }
-
-    /// Apply a disseminated update (sender side). Returns true if newer.
-    pub fn apply_update(&mut self, u: &CutoffsUpdate) -> bool {
-        if u.version <= self.version {
-            return false;
-        }
-        self.version = u.version;
-        self.unsched_levels = u.unsched_levels.clamp(1, self.num_priorities.max(2) - 1).max(1);
-        if self.num_priorities == 1 {
-            self.unsched_levels = 1;
-        }
-        self.cutoffs = u.cutoffs.clone();
-        self.cutoffs.truncate(self.unsched_levels as usize - 1);
-        true
-    }
 }
 
-/// Evenly log-spaced fallback cutoffs below `limit` used before any
-/// measurement exists.
+/// Evenly log-spaced fallback cutoffs below `limit`, for a tracker that
+/// has seen no unscheduled bytes.
 fn default_cutoffs(unsched_levels: u8, limit: u64) -> Vec<u64> {
     let n = unsched_levels.saturating_sub(1) as usize;
     if n == 0 {
@@ -128,10 +85,10 @@ fn default_cutoffs(unsched_levels: u8, limit: u64) -> Vec<u64> {
     (1..=n).map(|i| (lo + (hi - lo) * i as f64 / (n + 1) as f64).exp().round() as u64).collect()
 }
 
-/// Receiver-side traffic measurement that derives a [`PriorityMap`].
+/// The traffic mix a [`PriorityMap`] is derived from.
 ///
-/// Maintains a log-bucketed histogram of incoming message sizes weighted
-/// by unscheduled and total bytes. `recompute` implements the Figure 4
+/// Maintains a log-bucketed histogram of message sizes weighted by
+/// unscheduled and total bytes. `recompute` implements the Figure 4
 /// algorithm against the histogram.
 #[derive(Debug, Clone)]
 pub struct TrafficTracker {
@@ -140,7 +97,6 @@ pub struct TrafficTracker {
     unsched_bytes: Vec<f64>,
     total_unsched: f64,
     total_bytes: f64,
-    messages_seen: u64,
 }
 
 const BUCKETS: usize = 128; // covers sizes up to 2^32 at 4 buckets/octave
@@ -157,12 +113,7 @@ fn bucket_upper(i: usize) -> u64 {
 impl TrafficTracker {
     /// Empty tracker.
     pub fn new() -> Self {
-        TrafficTracker {
-            unsched_bytes: vec![0.0; BUCKETS],
-            total_unsched: 0.0,
-            total_bytes: 0.0,
-            messages_seen: 0,
-        }
+        TrafficTracker { unsched_bytes: vec![0.0; BUCKETS], total_unsched: 0.0, total_bytes: 0.0 }
     }
 
     /// Record an incoming message of `len` bytes under blind-prefix limit
@@ -172,30 +123,26 @@ impl TrafficTracker {
         self.unsched_bytes[bucket_of(len)] += unsched;
         self.total_unsched += unsched;
         self.total_bytes += len as f64;
-        self.messages_seen += 1;
     }
 
-    /// Messages recorded so far.
-    pub fn messages_seen(&self) -> u64 {
-        self.messages_seen
-    }
-
-    /// Fraction of observed bytes that were unscheduled.
+    /// Fraction of observed bytes that were unscheduled; 0 before any
+    /// traffic, so an empty tracker reserves one unscheduled level.
     pub fn unsched_fraction(&self) -> f64 {
         if self.total_bytes == 0.0 {
-            1.0
+            0.0
         } else {
             self.total_unsched / self.total_bytes
         }
     }
 
-    /// Derive a fresh [`PriorityMap`] per the Figure 4 algorithm,
-    /// respecting any overrides in `cfg`. `version` should exceed the
-    /// previous map's version.
-    pub fn recompute(&self, cfg: &HomaConfig, version: u64) -> PriorityMap {
+    /// Derive a [`PriorityMap`] per the Figure 4 algorithm, respecting any
+    /// overrides in `cfg`. This is the one way a map is built; an empty
+    /// tracker's map, one unscheduled level unless `cfg` overrides it, is
+    /// what an endpoint uses before a map is installed.
+    pub fn recompute(&self, cfg: &HomaConfig) -> PriorityMap {
         let p = cfg.num_priorities;
         if p == 1 {
-            return PriorityMap { num_priorities: 1, unsched_levels: 1, cutoffs: vec![], version };
+            return PriorityMap { num_priorities: 1, unsched_levels: 1, cutoffs: vec![] };
         }
         // Step 1-2: split levels by unscheduled byte fraction.
         let unsched_levels = match cfg.unsched_levels_override {
@@ -212,17 +159,18 @@ impl TrafficTracker {
                 c.truncate(unsched_levels as usize - 1);
                 c
             }
-            None => self.equal_byte_cutoffs(unsched_levels),
+            None => self.equal_byte_cutoffs(unsched_levels, cfg.unsched_limit),
         };
-        PriorityMap { num_priorities: p, unsched_levels, cutoffs, version }
+        PriorityMap { num_priorities: p, unsched_levels, cutoffs }
     }
 
     /// Size boundaries placing `1/levels` of unscheduled bytes in each
-    /// unscheduled level.
-    fn equal_byte_cutoffs(&self, levels: u8) -> Vec<u64> {
+    /// unscheduled level; log-spaced below `unsched_limit` if no
+    /// unscheduled bytes were seen.
+    fn equal_byte_cutoffs(&self, levels: u8, unsched_limit: u64) -> Vec<u64> {
         let n = levels.saturating_sub(1) as usize;
         if n == 0 || self.total_unsched == 0.0 {
-            return default_cutoffs(levels, 10_000);
+            return default_cutoffs(levels, unsched_limit);
         }
         let mut cutoffs = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -268,8 +216,8 @@ mod tests {
 
     #[test]
     fn default_map_has_one_unsched_level() {
-        let m = PriorityMap::default_for(&cfg());
-        assert_eq!(m.unsched_levels, 1);
+        let m = TrafficTracker::new().recompute(&cfg());
+        assert_eq!(m, PriorityMap { num_priorities: 8, unsched_levels: 1, cutoffs: vec![] });
         assert_eq!(m.sched_levels(), 7);
         assert_eq!(m.unsched_prio(1), 7);
         assert_eq!(m.unsched_prio(1_000_000), 7);
@@ -277,12 +225,8 @@ mod tests {
 
     #[test]
     fn unsched_prio_maps_small_to_high() {
-        let m = PriorityMap {
-            num_priorities: 8,
-            unsched_levels: 4,
-            cutoffs: vec![280, 1_000, 4_000],
-            version: 1,
-        };
+        let m =
+            PriorityMap { num_priorities: 8, unsched_levels: 4, cutoffs: vec![280, 1_000, 4_000] };
         assert_eq!(m.unsched_prio(100), 7);
         assert_eq!(m.unsched_prio(280), 7);
         assert_eq!(m.unsched_prio(281), 6);
@@ -295,12 +239,8 @@ mod tests {
 
     #[test]
     fn sched_prio_clamps_to_band() {
-        let m = PriorityMap {
-            num_priorities: 8,
-            unsched_levels: 6,
-            cutoffs: vec![10, 20, 30, 40, 50],
-            version: 1,
-        };
+        let m =
+            PriorityMap { num_priorities: 8, unsched_levels: 6, cutoffs: vec![10, 20, 30, 40, 50] };
         assert_eq!(m.sched_levels(), 2);
         assert_eq!(m.sched_prio(0), 0);
         assert_eq!(m.sched_prio(1), 1);
@@ -316,7 +256,7 @@ mod tests {
             t.record(100, 9_700);
         }
         assert!((t.unsched_fraction() - 1.0).abs() < 1e-9);
-        let m = t.recompute(&cfg(), 1);
+        let m = t.recompute(&cfg());
         assert_eq!(m.unsched_levels, 7);
         assert_eq!(m.sched_levels(), 1);
 
@@ -326,7 +266,7 @@ mod tests {
             t.record(10_000_000, 9_700);
         }
         assert!(t.unsched_fraction() < 0.01);
-        let m = t.recompute(&cfg(), 1);
+        let m = t.recompute(&cfg());
         assert_eq!(m.unsched_levels, 1);
         assert_eq!(m.sched_levels(), 7);
     }
@@ -343,7 +283,7 @@ mod tests {
             t.record(10_000, 9_700); // ~0.97e6 unscheduled bytes total
         }
         let cfg = HomaConfig { unsched_levels_override: Some(2), ..HomaConfig::default() };
-        let m = t.recompute(&cfg, 1);
+        let m = t.recompute(&cfg);
         assert_eq!(m.cutoffs.len(), 1);
         let c = m.cutoffs[0];
         assert!((100..10_000).contains(&c), "cutoff {c} should separate the two size classes");
@@ -360,35 +300,28 @@ mod tests {
             ..HomaConfig::default()
         };
         let t = TrafficTracker::new();
-        let m = t.recompute(&cfg, 3);
+        let m = t.recompute(&cfg);
         assert_eq!(m.cutoffs, vec![1_930]);
         assert_eq!(m.unsched_prio(1_930), 7);
         assert_eq!(m.unsched_prio(1_931), 6);
     }
 
     #[test]
-    fn update_round_trip_and_versioning() {
-        let mut t = TrafficTracker::new();
-        for _ in 0..100 {
-            t.record(500, 9_700);
-        }
-        let m = t.recompute(&cfg(), 5);
-        let upd = m.to_update();
-        let mut sender_side = PriorityMap::default_for(&cfg());
-        assert!(sender_side.apply_update(&upd));
-        assert_eq!(sender_side.unsched_levels, m.unsched_levels);
-        assert_eq!(sender_side.cutoffs, m.cutoffs);
-        // Stale updates ignored.
-        let stale = CutoffsUpdate { version: 2, unsched_levels: 1, cutoffs: vec![] };
-        assert!(!sender_side.apply_update(&stale));
-        assert_eq!(sender_side.version, 5);
+    fn empty_tracker_fallback_cutoffs_stay_below_the_blind_prefix() {
+        let cfg = HomaConfig {
+            unsched_levels_override: Some(3),
+            unsched_limit: 1_000,
+            ..HomaConfig::default()
+        };
+        // Log-spaced between 64 bytes and the limit: 64 · (1000/64)^(i/3).
+        assert_eq!(TrafficTracker::new().recompute(&cfg).cutoffs, vec![160, 400]);
     }
 
     #[test]
     fn single_priority_degenerates() {
         let cfg = HomaConfig { num_priorities: 1, ..HomaConfig::default() };
         let t = TrafficTracker::new();
-        let m = t.recompute(&cfg, 1);
+        let m = t.recompute(&cfg);
         assert_eq!(m.unsched_levels, 1);
         assert_eq!(m.sched_levels(), 1);
         assert_eq!(m.unsched_prio(123), 0);
@@ -408,7 +341,7 @@ mod tests {
             let p = (i as f64 + 0.5) / n as f64;
             t.record(w2.quantile(p), 9_700);
         }
-        let m = t.recompute(&cfg(), 1);
+        let m = t.recompute(&cfg());
         assert_eq!(m.unsched_levels, 6, "unsched fraction {}", t.unsched_fraction());
         // Cutoffs ascend and the top level covers the smallest messages
         // (first cutoff in the low hundreds of bytes, Figure 4's ~280).

@@ -159,7 +159,7 @@ fn tracker_cutoffs_always_valid() {
             t.record(s, 9_700);
         }
         let cfg = HomaConfig { unsched_levels_override: unsched_override, ..HomaConfig::default() };
-        let map = t.recompute(&cfg, 1);
+        let map = t.recompute(&cfg);
         // Structural invariants.
         assert!(map.unsched_levels >= 1);
         assert!(map.unsched_levels < map.num_priorities);

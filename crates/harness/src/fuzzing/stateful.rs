@@ -572,7 +572,7 @@ impl Harness {
                     }
                 }
             }
-            HomaPacket::Resend(_) | HomaPacket::Busy(_) | HomaPacket::Cutoffs(_) => {}
+            HomaPacket::Resend(_) | HomaPacket::Busy(_) => {}
         }
         Ok(())
     }

@@ -879,28 +879,22 @@ mod tests {
         assert_eq!(unbounded.len(), 5_000);
     }
 
-    fn grant(seq: u64, offset: u64, prio: u8, cutoffs: Option<u64>) -> HomaPacket {
-        use homa::packets::{CutoffsUpdate, GrantHeader};
+    fn grant(seq: u64, offset: u64, prio: u8) -> HomaPacket {
+        use homa::packets::GrantHeader;
         HomaPacket::Grant(GrantHeader {
             key: MsgKey { origin: PeerId(0), seq, dir: Dir::Oneway },
             offset,
             prio,
-            cutoffs: cutoffs.map(|version| CutoffsUpdate {
-                version,
-                unsched_levels: 1,
-                cutoffs: vec![version],
-            }),
+            cutoffs: None,
         })
     }
 
     #[test]
     fn stage_merges_grants_of_one_message_and_nothing_else() {
-        use homa::packets::{BusyHeader, CutoffsUpdate, DataHeader, ResendHeader};
+        use homa::packets::{BusyHeader, DataHeader, ResendHeader};
         let key = MsgKey { origin: PeerId(0), seq: 1, dir: Dir::Oneway };
         let resend = HomaPacket::Resend(ResendHeader { key, offset: 0, length: 9, prio: 7 });
         let busy = HomaPacket::Busy(BusyHeader { key });
-        let cutoffs =
-            HomaPacket::Cutoffs(CutoffsUpdate { version: 2, unsched_levels: 1, cutoffs: vec![] });
         let data = HomaPacket::Data(DataHeader {
             key,
             msg_len: 9,
@@ -915,35 +909,31 @@ mod tests {
         let (p, q) = (PeerId(5), PeerId(6));
         let mut staged = Vec::new();
         let merged: Vec<bool> = [
-            (p, grant(1, 3_000, 2, Some(8))),
+            (p, grant(1, 3_000, 2)),
             (p, resend.clone()),
-            (p, grant(1, 5_000, 4, None)), // merges: larger offset, newer prio
-            (p, grant(2, 1_000, 1, None)), // another message
-            (q, grant(1, 9_000, 6, None)), // another peer
+            (p, grant(1, 5_000, 4)), // merges: larger offset, newer prio
+            (p, grant(2, 1_000, 1)), // another message
+            (q, grant(1, 9_000, 6)), // another peer
             (p, busy.clone()),
-            (p, grant(1, 4_000, 3, None)), // merges: a smaller offset never shrinks the window
-            (p, cutoffs.clone()),
+            (p, grant(1, 4_000, 3)), // merges: a smaller offset never shrinks the window
             (p, data.clone()),
             (p, data.clone()), // DATA is never merged
-            (q, grant(1, 9_500, 5, Some(11))),
-            (q, grant(1, 9_900, 5, Some(12))), // merges: both carry cutoffs, the newer wins
+            (q, grant(1, 9_900, 5)),
         ]
         .into_iter()
         .map(|(dst, pkt)| stage(&mut staged, dst, pkt))
         .collect();
         let t = true;
-        assert_eq!(merged, [false, false, t, false, false, false, t, false, false, false, t, t]);
-        // Everything else passes through, in order; the older grant's
-        // cutoffs survive two merges with grants that carry none.
+        assert_eq!(merged, [false, false, t, false, false, false, t, false, false, t]);
+        // Everything else passes through, in order.
         assert_eq!(
             staged,
             [
-                (p, grant(1, 5_000, 3, Some(8))),
+                (p, grant(1, 5_000, 3)),
                 (p, resend),
-                (p, grant(2, 1_000, 1, None)),
-                (q, grant(1, 9_900, 5, Some(12))),
+                (p, grant(2, 1_000, 1)),
+                (q, grant(1, 9_900, 5)),
                 (p, busy),
-                (p, cutoffs),
                 (p, data.clone()),
                 (p, data),
             ]
@@ -1003,7 +993,7 @@ mod tests {
             cutoffs: (0..rng.below(8)).map(|_| rng.below(1 << 20)).collect(),
         };
         let mut payload = Vec::new();
-        let pkt = match rng.below(5) {
+        let pkt = match rng.below(4) {
             0 => {
                 let offset = rng.below(msg_len);
                 payload = vec![0xEE; rng.below((msg_len - offset).min(1_400) + 1) as usize];
@@ -1031,8 +1021,7 @@ mod tests {
                 length: rng.below(msg_len),
                 prio: rng.below(8) as u8,
             }),
-            3 => HomaPacket::Busy(BusyHeader { key }),
-            _ => HomaPacket::Cutoffs(cutoffs),
+            _ => HomaPacket::Busy(BusyHeader { key }),
         };
         homa_wire::encode(&pkt, &payload)
     }
@@ -1127,7 +1116,7 @@ mod tests {
         ("127.0.0.1:7000".parse().unwrap(), "127.0.0.1:7001".parse().unwrap())
     }
 
-    /// A GRANT without cutoffs, as the node sends most of them.
+    /// A GRANT as the node sends every one: no cutoffs.
     const GRANT: usize = homa_wire::HEADER_LEN + 9;
 
     #[test]
@@ -1433,6 +1422,7 @@ mod tests {
         assert_eq!((client.out_payloads, client.in_buffers), (0, 0), "{client}");
         assert_eq!((server.out_payloads, server.in_buffers), (0, 0), "{server}");
         assert!(server.grants_merged > 0, "a window read in one round, one GRANT: {server}");
+        assert_grants_are_bare(&t);
     }
 
     #[test]
@@ -1460,13 +1450,29 @@ mod tests {
         }));
         t.echo(256 * 1024);
         assert!(lost.load(Ordering::Relaxed) >= 20, "{} lost", lost.load(Ordering::Relaxed));
+        assert_grants_are_bare(&t);
+    }
+
+    /// Every datagram on the wire, in order, with its sender's index.
+    fn wire_datagrams(t: &TwoCores) -> impl Iterator<Item = (usize, &[u8])> {
+        t.wire.iter().flat_map(|(i, send)| split_read(send, SEGMENT).map(move |d| (*i, d)))
     }
 
     /// Every packet on the wire, in order, with its sender's index.
     fn packets(t: &TwoCores) -> Vec<(usize, HomaPacket)> {
-        let datagrams =
-            t.wire.iter().flat_map(|(i, send)| split_read(send, SEGMENT).map(|d| (*i, d)));
-        datagrams.map(|(i, d)| (i, homa_wire::decode(d).expect("a valid datagram").0)).collect()
+        let decode = |(i, d)| (i, homa_wire::decode(d).expect("a valid datagram").0);
+        wire_datagrams(t).map(decode).collect()
+    }
+
+    /// Every GRANT on the wire is the 27-byte kind: cutoffs are configured
+    /// at both ends, so no grant carries them, the first to a peer included.
+    fn assert_grants_are_bare(t: &TwoCores) {
+        let grants: Vec<usize> = wire_datagrams(t)
+            .filter(|(_, d)| matches!(homa_wire::decode(d), Ok((HomaPacket::Grant(_), _))))
+            .map(|(_, d)| d.len())
+            .collect();
+        assert!(!grants.is_empty(), "no GRANT on the wire");
+        assert!(grants.iter().all(|&len| len == GRANT), "GRANT datagram sizes {grants:?}");
     }
 
     /// Loss recovery does not finish a one-way yet. With every seventh DATA

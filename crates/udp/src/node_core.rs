@@ -64,8 +64,7 @@ pub struct NodeCore {
 
 /// Stage `pkt` for `dst`; true if it was a GRANT folded into an earlier
 /// GRANT of the batch for the same peer and message. Grants are cumulative:
-/// the larger offset, the newer priority and the newer `cutoffs` (the older
-/// one's if only it has any) say what both did.
+/// the larger offset and the newer priority say what both did.
 pub fn stage(staged: &mut Vec<(PeerId, HomaPacket)>, dst: PeerId, pkt: HomaPacket) -> bool {
     if let HomaPacket::Grant(new) = &pkt {
         let earlier = staged.iter_mut().find_map(|(d, p)| match p {
@@ -75,7 +74,6 @@ pub fn stage(staged: &mut Vec<(PeerId, HomaPacket)>, dst: PeerId, pkt: HomaPacke
         if let Some(old) = earlier {
             old.offset = old.offset.max(new.offset);
             old.prio = new.prio;
-            old.cutoffs = new.cutoffs.clone().or(old.cutoffs.take());
             return true;
         }
     }

@@ -11,7 +11,6 @@ const T_DATA: u8 = 0x01;
 const T_GRANT: u8 = 0x02;
 const T_RESEND: u8 = 0x03;
 const T_BUSY: u8 = 0x04;
-const T_CUTOFFS: u8 = 0x05;
 
 const D_REQUEST: u8 = 0x01;
 const D_RESPONSE: u8 = 0x02;
@@ -28,7 +27,7 @@ pub const HEADER_LEN: usize = 18;
 /// then message length (8), offset (8), payload length (4) and tag (8).
 pub const DATA_HEADER_LEN: usize = HEADER_LEN + 28;
 
-/// Maximum cutoffs a CUTOFFS/GRANT may carry (7 boundaries for 8 levels).
+/// Maximum cutoffs a GRANT may carry (7 boundaries for 8 levels).
 const MAX_CUTOFFS: usize = 7;
 
 fn dir_code(d: Dir) -> u8 {
@@ -48,8 +47,7 @@ fn dir_from(code: u8) -> Result<Dir, WireError> {
     }
 }
 
-fn put_header(buf: &mut Vec<u8>, ty: u8, key: Option<MsgKey>, prio: u8, flags: u8) {
-    let key = key.unwrap_or(MsgKey { origin: PeerId(0), seq: 0, dir: Dir::Oneway });
+fn put_header(buf: &mut Vec<u8>, ty: u8, key: MsgKey, prio: u8, flags: u8) {
     buf.push(ty);
     buf.extend_from_slice(&key.origin.0.to_be_bytes());
     buf.extend_from_slice(&key.seq.to_be_bytes());
@@ -111,7 +109,6 @@ pub fn encoded_len(pkt: &HomaPacket) -> usize {
             }
             HomaPacket::Resend(_) => 16,
             HomaPacket::Busy(_) => 0,
-            HomaPacket::Cutoffs(c) => 10 + 8 * c.cutoffs.len(),
         }
 }
 
@@ -139,7 +136,7 @@ pub fn encode_into(pkt: &HomaPacket, payload: &[u8], buf: &mut Vec<u8>) {
             if h.incast_mark {
                 flags |= F_INCAST;
             }
-            put_header(buf, T_DATA, Some(h.key), h.prio, flags);
+            put_header(buf, T_DATA, h.key, h.prio, flags);
             buf.extend_from_slice(&h.msg_len.to_be_bytes());
             buf.extend_from_slice(&h.offset.to_be_bytes());
             buf.extend_from_slice(&h.payload.to_be_bytes());
@@ -148,7 +145,7 @@ pub fn encode_into(pkt: &HomaPacket, payload: &[u8], buf: &mut Vec<u8>) {
             buf.extend_from_slice(payload);
         }
         HomaPacket::Grant(g) => {
-            put_header(buf, T_GRANT, Some(g.key), g.prio, 0);
+            put_header(buf, T_GRANT, g.key, g.prio, 0);
             buf.extend_from_slice(&g.offset.to_be_bytes());
             match &g.cutoffs {
                 Some(c) => {
@@ -159,16 +156,12 @@ pub fn encode_into(pkt: &HomaPacket, payload: &[u8], buf: &mut Vec<u8>) {
             }
         }
         HomaPacket::Resend(r) => {
-            put_header(buf, T_RESEND, Some(r.key), r.prio, 0);
+            put_header(buf, T_RESEND, r.key, r.prio, 0);
             buf.extend_from_slice(&r.offset.to_be_bytes());
             buf.extend_from_slice(&r.length.to_be_bytes());
         }
         HomaPacket::Busy(b) => {
-            put_header(buf, T_BUSY, Some(b.key), 0, 0);
-        }
-        HomaPacket::Cutoffs(c) => {
-            put_header(buf, T_CUTOFFS, None, 0, 0);
-            put_cutoffs(buf, c);
+            put_header(buf, T_BUSY, b.key, 0, 0);
         }
     }
 }
@@ -237,10 +230,6 @@ pub fn decode(buf: &[u8]) -> Result<(HomaPacket, usize), WireError> {
             Ok((HomaPacket::Resend(ResendHeader { key, offset, length, prio }), buf.len()))
         }
         T_BUSY => Ok((HomaPacket::Busy(BusyHeader { key }), buf.len())),
-        T_CUTOFFS => {
-            let c = get_cutoffs(&mut b)?;
-            Ok((HomaPacket::Cutoffs(c), buf.len()))
-        }
         other => Err(WireError::BadType(other)),
     }
 }
@@ -299,15 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn resend_busy_cutoffs_round_trip() {
+    fn resend_busy_round_trip() {
         for pkt in [
             HomaPacket::Resend(ResendHeader { key: key(), offset: 10, length: 999, prio: 7 }),
             HomaPacket::Busy(BusyHeader { key: key() }),
-            HomaPacket::Cutoffs(CutoffsUpdate {
-                version: 3,
-                unsched_levels: 7,
-                cutoffs: vec![1, 2, 3, 4, 5, 6],
-            }),
         ] {
             let (out, _) = decode(&encode(&pkt, &[])).expect("decodes");
             assert_eq!(out, pkt);
@@ -359,7 +343,7 @@ mod tests {
                     key: key(Dir::Response),
                     offset: 0x5152_5354_5556_5758,
                     prio: 2,
-                    cutoffs: Some(cutoffs.clone()),
+                    cutoffs: Some(cutoffs),
                 }),
                 &[][..],
                 "02 01020304 1112131415161718 02 02 00 0000 5152535455565758 01 \
@@ -389,13 +373,6 @@ mod tests {
                 HomaPacket::Busy(BusyHeader { key: key(Dir::Response) }),
                 &[][..],
                 "04 01020304 1112131415161718 02 00 00 0000",
-            ),
-            (
-                // Keyless: origin 0, seq 0, one-way.
-                HomaPacket::Cutoffs(cutoffs),
-                &[][..],
-                "05 00000000 0000000000000000 03 00 00 0000 \
-                 6162636465666768 04 02 7172737475767778 8182838485868788",
             ),
         ];
         for (pkt, payload, wire) in vectors {
@@ -442,8 +419,11 @@ mod tests {
     fn unknown_type_rejected() {
         let pkt = HomaPacket::Busy(BusyHeader { key: key() });
         let mut buf = encode(&pkt, &[]);
-        buf[0] = 0x7F;
-        assert_eq!(decode(&buf), Err(WireError::BadType(0x7F)));
+        // 0x05 is no type: cutoffs are configured at each end, never sent alone.
+        for ty in [0x05, 0x7F] {
+            buf[0] = ty;
+            assert_eq!(decode(&buf), Err(WireError::BadType(ty)));
+        }
     }
 
     #[test]
@@ -465,10 +445,15 @@ mod tests {
             ),
             (HomaPacket::Busy(BusyHeader { key: key() }), &b""[..]),
             (
-                HomaPacket::Cutoffs(CutoffsUpdate {
-                    version: 1,
-                    unsched_levels: 2,
-                    cutoffs: vec![5],
+                HomaPacket::Grant(GrantHeader {
+                    key: key(),
+                    offset: 7,
+                    prio: 1,
+                    cutoffs: Some(CutoffsUpdate {
+                        version: 1,
+                        unsched_levels: 2,
+                        cutoffs: vec![5],
+                    }),
                 }),
                 &b""[..],
             ),

@@ -55,7 +55,7 @@ fn arbitrary_cutoffs(rng: &mut SplitMix64) -> CutoffsUpdate {
 /// A structurally valid packet plus (for DATA) its payload bytes.
 fn arbitrary_packet(rng: &mut SplitMix64) -> (HomaPacket, Vec<u8>) {
     let key = arbitrary_key(rng);
-    match rng.below(5) {
+    match rng.below(4) {
         0 => {
             // Lengths from empty to past a full packet's 1,400 bytes.
             let payload: Vec<u8> = (0..rng.below(2_000)).map(|_| rng.next_u64() as u8).collect();
@@ -96,8 +96,7 @@ fn arbitrary_packet(rng: &mut SplitMix64) -> (HomaPacket, Vec<u8>) {
             }),
             Vec::new(),
         ),
-        3 => (HomaPacket::Busy(BusyHeader { key }), Vec::new()),
-        _ => (HomaPacket::Cutoffs(arbitrary_cutoffs(rng)), Vec::new()),
+        _ => (HomaPacket::Busy(BusyHeader { key }), Vec::new()),
     }
 }
 
@@ -126,6 +125,8 @@ fn adversarial_corpus() -> Vec<(&'static str, Vec<u8>, WireError)> {
         ("dir-zero", corpus_header(0x04, 0x00), WireError::BadDir(0x00)),
         ("dir-junk", corpus_header(0x01, 0x7F), WireError::BadDir(0x7F)),
         ("type-zero", corpus_header(0x00, 0x01), WireError::BadType(0x00)),
+        // 0x05 is no type: cutoffs are configured at each end, never sent alone.
+        ("type-five", corpus_header(0x05, 0x03), WireError::BadType(0x05)),
         ("type-junk", corpus_header(0xFF, 0x03), WireError::BadType(0xFF)),
     ];
 
@@ -164,20 +165,24 @@ fn adversarial_corpus() -> Vec<(&'static str, Vec<u8>, WireError)> {
     b.extend_from_slice(&[0u8; 64]);
     t.push(("grant-cutoffs-overflow", b, WireError::TooManyCutoffs(8)));
 
-    // CUTOFFS with a saturated count byte.
-    let mut b = corpus_header(0x05, 0x03);
+    // GRANT cutoffs with a saturated count byte.
+    let mut b = corpus_header(0x02, 0x03);
+    b.extend_from_slice(&5u64.to_be_bytes()); // offset
+    b.push(1); // has_cutoffs
     b.extend_from_slice(&1u64.to_be_bytes()); // version
     b.push(2); // unsched_levels
     b.push(255); // count
-    t.push(("cutoffs-count-255", b, WireError::TooManyCutoffs(255)));
+    t.push(("grant-cutoffs-count-255", b, WireError::TooManyCutoffs(255)));
 
-    // CUTOFFS declaring 7 boundaries but carrying only 3.
-    let mut b = corpus_header(0x05, 0x03);
+    // GRANT cutoffs declaring 7 boundaries but carrying only 3.
+    let mut b = corpus_header(0x02, 0x03);
+    b.extend_from_slice(&5u64.to_be_bytes()); // offset
+    b.push(1); // has_cutoffs
     b.extend_from_slice(&1u64.to_be_bytes());
     b.push(2);
     b.push(7);
     b.extend_from_slice(&[0u8; 24]);
-    t.push(("cutoffs-boundaries-short", b, WireError::Truncated { needed: 56, got: 24 }));
+    t.push(("grant-cutoffs-boundaries-short", b, WireError::Truncated { needed: 56, got: 24 }));
 
     // RESEND one byte short of its 16-byte body.
     let mut b = corpus_header(0x03, 0x01);

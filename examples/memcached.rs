@@ -40,6 +40,7 @@ fn main() {
         println!("\n{} — delivered {}/{} messages", p.name(), res.delivered, res.injected);
         print!("{}", slowdown_table("slowdown by message-size decile:", &s));
     }
-    println!("\nHoma's dynamic unscheduled priorities keep p99 slowdown flat");
-    println!("across sizes; pHost's single blind priority level cannot.");
+    println!("\nHoma's unscheduled priorities, cut by message size from the");
+    println!("workload's distribution, keep p99 slowdown flat across sizes;");
+    println!("pHost's single blind priority level cannot.");
 }

@@ -1,12 +1,15 @@
 //! Properties spanning crates: end-to-end delivery for arbitrary message
-//! mixes and workload CDF invariants. Each case builds its whole input
-//! from one seed, so a failure is a seed that fails alone:
+//! mixes, workload CDF invariants, and the priority maps every run uses.
+//! Each randomized case builds its whole input from one seed, so a failure
+//! is a seed that fails alone:
 //! `HOMA_FUZZ_REPLAY='cross-crate-properties:seed=<n>' cargo test --test properties`.
 
 use homa::packets::PeerId;
-use homa::{HomaConfig, HomaEndpoint};
+use homa::{HomaConfig, HomaEndpoint, PriorityMap, TrafficTracker};
+use homa_baselines::homa_sim::{basic_config, homa_px_config, static_map_for_workload};
 use homa_harness::FuzzFamily;
-use homa_workloads::MessageSizeDist;
+use homa_udp::UdpConfig;
+use homa_workloads::{MessageSizeDist, Workload};
 
 const FAMILY: FuzzFamily = FuzzFamily::new("cross-crate-properties");
 
@@ -66,4 +69,39 @@ fn cdf_quantile_consistency() {
         let back = d.cdf(q);
         assert!((back - p).abs() < 0.1, "p={p} q={q} back={back}");
     });
+}
+
+/// The maps the figures, `perf-smoke` and the benchmark install: the
+/// Figure 4 algorithm over each workload's size distribution under the
+/// default configuration. A change here moves every Homa run.
+#[test]
+fn workload_priority_maps_are_pinned() {
+    let want: [(Workload, u8, &[u64]); 5] = [
+        (Workload::W1, 7, &[216, 363, 512, 725, 862, 2_897]),
+        (Workload::W2, 6, &[305, 431, 512, 725, 3_445]),
+        (Workload::W3, 4, &[1_218, 5_793, 11_586]),
+        (Workload::W4, 1, &[]),
+        (Workload::W5, 1, &[]),
+    ];
+    for (w, levels, cutoffs) in want {
+        let map = static_map_for_workload(&w.dist(), &HomaConfig::default());
+        assert_eq!((map.unsched_levels, &map.cutoffs[..]), (levels, cutoffs), "{w:?}");
+        assert_eq!(map.num_priorities, 8, "{w:?}");
+    }
+}
+
+/// An endpoint with no installed map uses an empty tracker's: one
+/// unscheduled level on top, every other level scheduled. These are the
+/// configurations every endpoint outside the tests is built with.
+#[test]
+fn an_endpoint_without_a_map_reserves_one_unscheduled_level() {
+    let configs = [HomaConfig::default(), basic_config(), UdpConfig::default().homa]
+        .into_iter()
+        .chain((1..=8).map(homa_px_config));
+    for cfg in configs {
+        let p = cfg.num_priorities;
+        let want = PriorityMap { num_priorities: p, unsched_levels: 1, cutoffs: vec![] };
+        assert_eq!(TrafficTracker::new().recompute(&cfg), want, "{cfg:?}");
+        assert_eq!(HomaEndpoint::new(PeerId(0), cfg).priority_map(), &want);
+    }
 }

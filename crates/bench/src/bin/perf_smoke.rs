@@ -99,7 +99,7 @@ fn gate_scenarios(quick: bool) -> Vec<GateScenario> {
             min_delivered_frac: 0.99,
         },
         // Pins the scenario subsystem: a 20-wide incast at 80% of the
-        // victim's downlink, with that downlink flapping five times
+        // receiver's downlink, with that downlink flapping five times
         // during the burst. Event and delivered counts gate on this, so
         // neither the TrafficMatrix stream nor the fault dispatch path
         // can drift silently.

@@ -3,7 +3,7 @@
 //!
 //! * one-way — the §5.2 simulation setup: one-way messages with Poisson
 //!   arrivals at a target network load, placed by the spec's traffic
-//!   matrix, victim overlay and workload mix (Figures 12–21, Table 1).
+//!   pattern (Figures 12–21, Table 1).
 //! * RPC echo — the §5.1 implementation setup: Poisson arrivals, each a
 //!   client's echo RPC to a random server (Figures 8–9).
 //! * incast — Figure 10: closed-loop rounds of concurrent RPCs from one
@@ -89,8 +89,8 @@ pub struct OnewayOpts {
     /// Retain every per-message [`MsgRecord`] in the result (O(messages)
     /// memory). Off by default: the always-on [`SlowdownSketch`] covers
     /// slowdown summaries in O(sketch bins), which is what keeps 1k-host
-    /// runs memory-flat. Figure pipelines and tests that read
-    /// `records`/`victim_records` opt in.
+    /// runs memory-flat. Figure pipelines and tests that read `records`
+    /// opt in.
     pub keep_records: bool,
     /// Record a flight-recorder trace of the run into
     /// [`OnewayResult::trace`]. The run itself is bit-identical to an
@@ -115,8 +115,8 @@ impl Default for OnewayOpts {
 }
 
 impl OnewayOpts {
-    /// Opt in to exact per-message records (`records`/`victim_records`
-    /// populated); memory grows with message count.
+    /// Opt in to exact per-message records (`records` populated); memory
+    /// grows with message count.
     pub fn with_records(mut self) -> Self {
         self.keep_records = true;
         self
@@ -134,17 +134,12 @@ impl OnewayOpts {
 /// the payload whose arrival completes it.
 #[derive(Debug, Default)]
 pub struct OnewayResult {
-    /// Per-message observations (delivered only; the victim overlay's
-    /// messages are reported in `victim_records` instead).
+    /// Per-message observations (delivered only).
     /// Empty unless [`OnewayOpts::keep_records`] is set — the streaming
     /// [`sketch`](OnewayResult::sketch) is the default summary channel.
     pub records: Vec<MsgRecord>,
-    /// Observations for the victim-flow overlay, if the traffic spec has
-    /// one (empty otherwise, and empty unless
-    /// [`OnewayOpts::keep_records`] is set).
-    pub victim_records: Vec<MsgRecord>,
-    /// Always-on streaming slowdown summary over the same non-victim
-    /// messages `records` would hold; O(sketch bins) memory regardless
+    /// Always-on streaming slowdown summary over the same messages
+    /// `records` would hold; O(sketch bins) memory regardless
     /// of message count.
     pub sketch: SlowdownSketch,
     /// Messages injected (RPCs issued).
@@ -217,7 +212,6 @@ struct Pending {
     size: u64,
     injected_ns: u64,
     unloaded_ns: u64,
-    victim: bool,
 }
 
 /// The run core every arrival shape drives: the fabric, the outstanding
@@ -284,21 +278,21 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
     }
 
     /// Book the next tag as outstanding from now and return it.
-    fn book(&mut self, size: u64, unloaded_ns: u64, victim: bool) -> u64 {
+    fn book(&mut self, size: u64, unloaded_ns: u64) -> u64 {
         let tag = self.out.injected;
         self.last_inject = self.net.now();
         let injected_ns = self.last_inject.as_nanos();
-        self.pending.insert(tag, Pending { size, injected_ns, unloaded_ns, victim });
+        self.pending.insert(tag, Pending { size, injected_ns, unloaded_ns });
         self.out.injected += 1;
         self.injected_bytes += size;
         tag
     }
 
     /// Inject a one-way message at the current time.
-    fn inject_message(&mut self, src: HostId, dst: HostId, size: u64, victim: bool) {
+    fn inject_message(&mut self, src: HostId, dst: HostId, size: u64) {
         let class = self.net.topology().path_class(src, dst);
         let unloaded_ns = self.unloaded_ns(size, class);
-        let tag = self.book(size, unloaded_ns, victim);
+        let tag = self.book(size, unloaded_ns);
         self.net.inject_message(src, dst, size, tag);
     }
 
@@ -308,7 +302,7 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
         let class = self.net.topology().path_class(client, server);
         let resp_len = self.resp_len.unwrap_or(req_len);
         let unloaded_ns = self.unloaded_ns(req_len, class) + self.unloaded_ns(resp_len, class);
-        let tag = self.book(resp_len, unloaded_ns, false);
+        let tag = self.book(resp_len, unloaded_ns);
         self.net.inject_rpc(client, server, req_len, tag);
     }
 
@@ -357,12 +351,9 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
                 unloaded_ns: p.unloaded_ns,
                 delay,
             };
-            if !p.victim {
-                self.out.sketch.push(p.size, rec.slowdown());
-            }
+            self.out.sketch.push(p.size, rec.slowdown());
             if self.opts.keep_records {
-                let out = &mut self.out;
-                if p.victim { &mut out.victim_records } else { &mut out.records }.push(rec);
+                self.out.records.push(rec);
             }
         }
     }
@@ -437,38 +428,24 @@ pub(crate) fn oneway<M: PacketMeta, T: Transport<M>>(
     let mut run = Run::new(spec, queues, make, opts);
     let topo = run.net.topology();
     let dist = spec.workload.dist();
-    let traffic = &spec.traffic;
     let hosts = topo.num_hosts();
-    // A bimodal mix shifts the mean message size (and overhead); fold the
-    // second mode into the load arithmetic so the target load stays
-    // honest.
-    let mix = traffic.mix.as_ref().map(|m| (m.second.dist(), m.frac));
-    let blend = |of: &dyn Fn(&MessageSizeDist) -> f64| match &mix {
-        Some((second, f)) => (1.0 - f) * of(&dist) + f * of(second),
-        None => of(&dist),
-    };
     let plan = LoadPlan {
-        // Patterns that concentrate on one link (incast) interpret `load`
-        // against that bottleneck, not the whole fabric.
-        hosts: traffic.loaded_links(hosts),
+        // An incast interprets `load` against its one bottleneck
+        // downlink, not the whole fabric.
+        hosts: spec.traffic.loaded_links(hosts),
         host_link_bps: topo.host_link_bps,
         load: spec.load,
-        mean_msg_bytes: blend(&MessageSizeDist::mean),
-        mean_overhead_bytes: blend(&mean_overhead),
+        mean_msg_bytes: dist.mean(),
+        mean_overhead_bytes: mean_overhead(&dist),
     };
     let gap = plan.mean_interarrival_secs();
-    let mut gen = PoissonArrivals::new(spec.seed ^ 0x9e37_79b9, dist, hosts, gap)
-        .with_matrix(traffic.matrix(hosts, topo.hosts_per_rack, spec.seed));
-    if let Some((second, frac)) = mix {
-        gen = gen.with_mix(second, frac);
-    }
-    if let Some(victim) = traffic.victim {
-        gen = gen.with_victim(victim);
-    }
+    let matrix = spec.traffic.matrix(hosts, topo.hosts_per_rack, spec.seed);
+    let mut gen =
+        PoissonArrivals::new(spec.seed ^ 0x9e37_79b9, dist, hosts, gap).with_matrix(matrix);
     for _ in 0..spec.messages {
         let a = gen.next_arrival();
         run.advance(SimTime::from_nanos(a.at_ns));
-        run.inject_message(HostId(a.src), HostId(a.dst), a.size, a.victim);
+        run.inject_message(HostId(a.src), HostId(a.dst), a.size);
     }
     run.drain(opts.drain);
     run.finish()
@@ -651,7 +628,6 @@ mod tests {
 
     #[test]
     fn oneway_incast_pattern_converges_on_host_zero() {
-        use homa_workloads::VictimSpec;
         let spec = ScenarioSpec::new(
             "conv",
             FabricSpec::SingleSwitch { hosts: 12 },
@@ -660,16 +636,11 @@ mod tests {
             400,
             11,
         )
-        .with_traffic(TrafficSpec::incast(8).with_victim(VictimSpec::new(9, 10, 5_000, 50_000)));
+        .with_traffic(TrafficSpec::incast(8));
         let res = spec.run_oneway(None, homa, &OnewayOpts::default().with_records());
         assert_eq!(res.injected, 400);
-        assert_eq!(res.delivered, 400, "incast at 50% of the victim downlink must complete");
-        // The victim overlay's completions are separated out.
-        assert!(!res.victim_records.is_empty(), "no victim records");
-        assert_eq!(res.records.len() + res.victim_records.len(), 400);
-        for r in &res.victim_records {
-            assert_eq!(r.size, 5_000);
-        }
+        assert_eq!(res.delivered, 400, "incast at 50% of host 0's downlink must complete");
+        assert_eq!(res.records.len(), 400);
     }
 
     /// Recorded at the parent of the run-core refactor (three rounds,
@@ -750,7 +721,7 @@ mod tests {
     #[should_panic(expected = "the rotational fan-in is the traffic pattern")]
     fn incast_rejects_non_default_traffic() {
         let spec = ScenarioSpec::incast("bad", FabricSpec::SingleSwitch { hosts: 8 }, 16, 1)
-            .with_traffic(TrafficSpec::shuffle());
+            .with_traffic(TrafficSpec::incast(4));
         spec.run_incast(None, homa, &OnewayOpts::default());
     }
 

@@ -24,17 +24,16 @@
 //! failure like any other: [`failure_or_panic`] turns the panic into a
 //! detail string, so it shrinks and replays the same way.
 //!
-//! Generation is deliberately conservative about validity: victim flows
-//! and fault events only ever name hosts that exist on the drawn fabric,
-//! cross-rack hotspots are only drawn on multi-rack fabrics, and fault
-//! plans stick to the host-level vocabulary (link flaps, receiver
-//! pauses, rate limits) that is meaningful on every topology. The goal
-//! is for *every* generated spec to be a legal run, so any panic or
-//! divergence the fuzzers see is a real bug, not a generator artifact.
+//! Generation is deliberately conservative about validity: fault events
+//! only ever name hosts that exist on the drawn fabric, and fault plans
+//! stick to the host-level vocabulary (link flaps, receiver pauses, rate
+//! limits) that is meaningful on every topology. The goal is for *every*
+//! generated spec to be a legal run, so any panic or divergence the
+//! fuzzers see is a real bug, not a generator artifact.
 
 use crate::scenario::{FabricSpec, ScenarioSpec};
 use homa_sim::{resolve_fault, Fault, FaultPlan, HostId, LinkId};
-use homa_workloads::{TrafficSpec, VictimSpec, Workload};
+use homa_workloads::{TrafficSpec, Workload};
 
 pub mod grammar;
 pub mod stateful;
@@ -125,41 +124,12 @@ fn arbitrary_fabric(rng: &mut SplitMix64) -> FabricSpec {
     }
 }
 
-fn multi_rack(fabric: FabricSpec) -> bool {
-    !matches!(fabric, FabricSpec::SingleSwitch { .. })
-}
-
-fn arbitrary_traffic(rng: &mut SplitMix64, fabric: FabricSpec, hosts: u32) -> TrafficSpec {
-    let mut traffic = if rng.chance(1, 2) {
+fn arbitrary_traffic(rng: &mut SplitMix64) -> TrafficSpec {
+    if rng.chance(1, 2) {
         TrafficSpec::uniform()
     } else {
-        match rng.below(4) {
-            0 => TrafficSpec::permutation(),
-            1 => TrafficSpec::incast(rng.range(2, 8) as u32),
-            2 => TrafficSpec::shuffle(),
-            // Cross-rack hotspots need more than one rack to make sense;
-            // on single-switch fabrics fall back to a rack-local one.
-            _ => {
-                let frac = rng.range(3, 9) as f64 / 10.0;
-                TrafficSpec::hotspot(frac, !multi_rack(fabric) || rng.chance(1, 2))
-            }
-        }
-    };
-    if hosts >= 3 && rng.chance(3, 10) {
-        let src = rng.below(hosts as u64) as u32;
-        let dst = (src + 1 + rng.below(hosts as u64 - 1) as u32) % hosts;
-        traffic = traffic.with_victim(VictimSpec::new(
-            src,
-            dst,
-            rng.range(1_000, 50_000),
-            rng.range(100_000, 1_000_000),
-        ));
+        TrafficSpec::incast(rng.range(2, 8) as u32)
     }
-    if rng.chance(1, 4) {
-        let second = WORKLOADS[rng.below(5) as usize];
-        traffic = traffic.with_mix(second, rng.range(1, 5) as f64 / 10.0);
-    }
-    traffic
 }
 
 /// Fault plans are drawn from the host-level vocabulary only — uplink
@@ -212,7 +182,7 @@ impl ScenarioSpec {
         let workload = WORKLOADS[rng.below(5) as usize];
         let messages = message_budget(&mut rng, workload);
         let load = rng.range(6, 15) as f64 / 20.0; // 0.30..=0.75 in 0.05 steps
-        let traffic = arbitrary_traffic(&mut rng, fabric, hosts);
+        let traffic = arbitrary_traffic(&mut rng);
         let faults = arbitrary_faults(&mut rng, hosts);
         ScenarioSpec::new(format!("fuzz_{seed:016x}"), fabric, workload, load, messages, seed)
             .with_traffic(traffic)
@@ -221,10 +191,10 @@ impl ScenarioSpec {
 
     /// Candidate simplifications of this spec, most aggressive first:
     /// halve the message count, step the fabric down a size class, drop
-    /// fault events one at a time, drop the victim flow, drop the
-    /// workload mix, and finally flatten the pattern to uniform. Each
-    /// candidate is itself a legal spec, so [`shrink_to_minimal`] can
-    /// greedily walk this list while a failure predicate still fires.
+    /// fault events one at a time, and finally flatten the pattern to
+    /// uniform. Each candidate is itself a legal spec, so
+    /// [`shrink_to_minimal`] can greedily walk this list while a failure
+    /// predicate still fires.
     pub fn shrink(&self) -> Vec<ScenarioSpec> {
         let mut out = Vec::new();
         if self.messages > 24 {
@@ -240,20 +210,8 @@ impl ScenarioSpec {
                 out.push(self.clone().with_faults(plan));
             }
         }
-        if self.traffic.victim.is_some() {
-            let mut t = self.traffic;
-            t.victim = None;
-            out.push(self.clone().with_traffic(t));
-        }
-        if self.traffic.mix.is_some() {
-            let mut t = self.traffic;
-            t.mix = None;
-            out.push(self.clone().with_traffic(t));
-        }
-        if !matches!(self.traffic.pattern, homa_workloads::PatternSpec::Uniform) {
-            let mut t = self.traffic;
-            t.pattern = homa_workloads::PatternSpec::Uniform;
-            out.push(self.clone().with_traffic(t));
+        if !self.traffic.is_default() {
+            out.push(self.clone().with_traffic(TrafficSpec::uniform()));
         }
         out
     }
@@ -275,30 +233,16 @@ fn shrink_fabric(f: FabricSpec) -> Option<FabricSpec> {
     }
 }
 
-/// Move `spec` onto a smaller fabric, dropping any traffic overlay that
-/// names a host and any fault event that names a host, switch or link the
-/// new fabric doesn't have (a rack or spine outage that still fits
-/// survives), and flattening cross-rack hotspots when the new fabric has
-/// one rack.
+/// Move `spec` onto a smaller fabric, dropping any fault event that names
+/// a host, switch or link the new fabric doesn't have (a rack or spine
+/// outage that still fits survives).
 fn refit(spec: ScenarioSpec, fabric: FabricSpec) -> ScenarioSpec {
-    let hosts = fabric.hosts();
-    let mut traffic = spec.traffic;
-    if let Some(v) = traffic.victim {
-        if v.src >= hosts || v.dst >= hosts {
-            traffic.victim = None;
-        }
-    }
-    if let homa_workloads::PatternSpec::Hotspot { hot_frac, rack_local: false } = traffic.pattern {
-        if !multi_rack(fabric) {
-            traffic.pattern = homa_workloads::PatternSpec::Hotspot { hot_frac, rack_local: true };
-        }
-    }
     let topo = fabric.topology();
     let mut faults = spec.faults.clone();
     faults.events.retain(|&(_, f)| resolve_fault(&topo, f).is_ok());
     let mut out = spec;
     out.fabric = fabric;
-    out.with_traffic(traffic).with_faults(faults)
+    out.with_faults(faults)
 }
 
 /// Greedily shrink `initial` while `fails` keeps returning true, taking
@@ -468,6 +412,7 @@ impl FuzzFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use homa_workloads::PatternSpec;
 
     #[test]
     fn splitmix64_matches_the_published_vectors() {
@@ -578,9 +523,6 @@ mod tests {
             assert!((24..=300).contains(&a.messages), "seed {seed}: {} msgs", a.messages);
             assert!((0.30..=0.75).contains(&a.load), "seed {seed}: load {}", a.load);
             assert_eq!(a.seed, seed);
-            if let Some(v) = a.traffic.victim {
-                assert!(v.src < hosts && v.dst < hosts && v.src != v.dst);
-            }
             assert_eq!(a.check_buildable(), Ok(()), "seed {seed}");
         }
     }
@@ -600,9 +542,7 @@ mod tests {
     fn arbitrary_covers_the_scenario_space() {
         let mut fabrics = [false; 4];
         let mut faulted = 0;
-        let mut victims = 0;
-        let mut mixed = 0;
-        let mut non_uniform = 0;
+        let (mut uniform, mut incast) = (0, 0);
         for seed in 0..400 {
             let s = ScenarioSpec::arbitrary(seed);
             let idx = match s.fabric {
@@ -613,16 +553,15 @@ mod tests {
             };
             fabrics[idx] = true;
             faulted += u32::from(!s.faults.is_empty());
-            victims += u32::from(s.traffic.victim.is_some());
-            mixed += u32::from(s.traffic.mix.is_some());
-            non_uniform +=
-                u32::from(!matches!(s.traffic.pattern, homa_workloads::PatternSpec::Uniform));
+            match s.traffic.pattern {
+                PatternSpec::Uniform => uniform += 1,
+                PatternSpec::Incast { .. } => incast += 1,
+            }
         }
         assert!(fabrics.iter().all(|&f| f), "some fabric class never drawn");
         assert!(faulted > 80, "only {faulted}/400 runs faulted");
-        assert!(victims > 50, "only {victims}/400 runs had victims");
-        assert!(mixed > 40, "only {mixed}/400 runs had mixes");
-        assert!(non_uniform > 100, "only {non_uniform}/400 non-uniform patterns");
+        assert!(uniform > 100, "only {uniform}/400 uniform patterns");
+        assert!(incast > 100, "only {incast}/400 incast patterns");
     }
 
     #[test]
@@ -630,10 +569,6 @@ mod tests {
         for seed in 0..150 {
             let spec = ScenarioSpec::arbitrary(seed);
             for cand in spec.shrink() {
-                let hosts = cand.fabric.hosts();
-                if let Some(v) = cand.traffic.victim {
-                    assert!(v.src < hosts && v.dst < hosts, "seed {seed} shrank off-fabric");
-                }
                 assert_eq!(cand.check_buildable(), Ok(()), "seed {seed} shrank off-fabric");
                 // Every candidate must still serialize and replay.
                 let line = cand.to_spec_line();

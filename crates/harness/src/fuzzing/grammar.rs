@@ -237,8 +237,7 @@ mod tests {
             "name=x fabric=ss4 wl=w9 load=0.5 msgs=10 seed=1",
             "name=x fabric=ss4 wl=w4 load=0.5 msgs=18446744073709551616 seed=1",
             "notafield",
-            // Shrunk fuzzer find (seed 68908): used to panic in
-            // `VictimSpec::new` on a self-addressed victim flow.
+            // Shrunk fuzzer find (seed 68908), once a parser panic.
             "traffic=uniform+victim:6:6:4:3",
         ] {
             let err = ScenarioSpec::parse_spec_line(bad).expect_err("must reject");

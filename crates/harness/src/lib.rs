@@ -3,7 +3,7 @@
 //! Everything needed to regenerate the tables and figures of §5 of the
 //! Homa paper on the `homa-sim` fabric. The single driving surface is
 //! the [`ScenarioSpec`]: build one (fabric shape, workload, load, seed,
-//! traffic overlay, fault plan), then call
+//! traffic pattern, fault plan), then call
 //! [`ScenarioSpec::run_oneway`], [`ScenarioSpec::run_rpc_echo`] or
 //! [`ScenarioSpec::run_incast`] on it — three arrival shapes over one
 //! run core, all taking [`OnewayOpts`] (six measurement knobs) and

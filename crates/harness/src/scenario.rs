@@ -112,9 +112,8 @@ pub struct ScenarioSpec {
     pub messages: u64,
     /// Seed for all randomness in the run.
     pub seed: u64,
-    /// Source–destination pattern, victim overlay and workload mix. The
-    /// default is the paper's uniform-random all-to-all, which replays
-    /// pre-existing specs event-for-event.
+    /// Source–destination pattern: the paper's uniform-random all-to-all
+    /// (the default) or an incast onto host 0.
     pub traffic: TrafficSpec,
     /// Declarative fault schedule (link flaps, receiver pauses, rate
     /// limits). Empty by default: no events are scheduled and runs are

@@ -8,8 +8,7 @@
 //!
 //! ```text
 //! name=det_fault_incast fabric=ls:2x6x2 wl=W2 load=0.5 msgs=700 seed=21 \
-//!   traffic=incast:8+victim:9:3:20000:100000 \
-//!   faults=300000:down:hdn0,450000:up:hdn0,500000:pause:3,900000:resume:3
+//!   traffic=incast:8 faults=100000:down:hdn0,150000:up:hdn0,160000:pause:0,240000:resume:0
 //! ```
 //!
 //! Field grammar (all values whitespace-free):
@@ -18,10 +17,7 @@
 //!   `mtor:<hosts>` | `paper` | `ft:<k>`
 //! * `wl` — `W1`..`W5`
 //! * `load` — `f64` via Rust's shortest round-trip `Display`
-//! * `traffic` — `uniform` | `perm` | `shuffle` | `incast:<fan_in>` |
-//!   `hotspot:<frac>:<local|cross>`, optionally followed by
-//!   `+victim:<src>:<dst>:<size>:<period_ns>` and/or
-//!   `+mix:<W>:<frac>`
+//! * `traffic` — `uniform` | `incast:<fan_in>`, `fan_in` ≥ 1
 //! * `faults` — `-` for an empty plan, else comma-joined
 //!   `<at_ns>:<action>` events where `action` is one of
 //!   `down:<link>` `up:<link>` `rate:<link>:<bps>` `raterestore:<link>`
@@ -35,8 +31,7 @@
 
 use crate::scenario::{FabricSpec, ScenarioSpec};
 use homa_sim::{Fault, FaultPlan, HostId, LinkId};
-use homa_workloads::{MixSpec, PatternSpec, TrafficSpec, VictimSpec, Workload};
-use std::fmt::Write as _;
+use homa_workloads::{PatternSpec, TrafficSpec, Workload};
 
 fn fabric_str(f: FabricSpec) -> String {
     match f {
@@ -76,90 +71,23 @@ fn parse_fabric(s: &str) -> Result<FabricSpec, String> {
 }
 
 fn traffic_str(t: &TrafficSpec) -> String {
-    let mut out = match t.pattern {
+    match t.pattern {
         PatternSpec::Uniform => "uniform".to_string(),
-        PatternSpec::Permutation => "perm".to_string(),
-        PatternSpec::Shuffle => "shuffle".to_string(),
         PatternSpec::Incast { fan_in } => format!("incast:{fan_in}"),
-        PatternSpec::Hotspot { hot_frac, rack_local } => {
-            format!("hotspot:{hot_frac}:{}", if rack_local { "local" } else { "cross" })
-        }
-    };
-    if let Some(v) = t.victim {
-        let _ = write!(out, "+victim:{}:{}:{}:{}", v.src, v.dst, v.size, v.period_ns);
     }
-    if let Some(m) = t.mix {
-        let _ = write!(out, "+mix:{}:{}", m.second.name(), m.frac);
-    }
-    out
 }
 
 fn parse_traffic(s: &str) -> Result<TrafficSpec, String> {
-    let mut parts = s.split('+');
-    let pat = parts.next().unwrap_or("");
-    let fields: Vec<&str> = pat.split(':').collect();
-    let pattern = match fields[0] {
-        "uniform" => PatternSpec::Uniform,
-        "perm" => PatternSpec::Permutation,
-        "shuffle" => PatternSpec::Shuffle,
-        "incast" => {
-            let fan_in = fields
-                .get(1)
-                .and_then(|t| t.parse::<u32>().ok())
-                .ok_or_else(|| format!("bad incast fan-in in `{pat}`"))?;
-            PatternSpec::Incast { fan_in }
-        }
-        "hotspot" => {
-            if fields.len() != 3 {
-                return Err(format!("bad hotspot `{pat}` (want hotspot:<frac>:<local|cross>)"));
-            }
-            let hot_frac =
-                fields[1].parse::<f64>().map_err(|_| format!("bad hotspot frac in `{pat}`"))?;
-            let rack_local = match fields[2] {
-                "local" => true,
-                "cross" => false,
-                other => return Err(format!("bad hotspot locality `{other}`")),
-            };
-            PatternSpec::Hotspot { hot_frac, rack_local }
-        }
-        other => return Err(format!("unknown traffic pattern `{other}`")),
-    };
-    let mut spec = TrafficSpec { pattern, victim: None, mix: None };
-    for part in parts {
-        let fields: Vec<&str> = part.split(':').collect();
-        match fields[0] {
-            "victim" if fields.len() == 5 => {
-                let n = |i: usize| {
-                    fields[i].parse::<u64>().map_err(|_| format!("bad victim field in `{part}`"))
-                };
-                let host = |i: usize| {
-                    fields[i].parse::<u32>().map_err(|_| format!("bad victim host in `{part}`"))
-                };
-                // Validate here rather than letting `VictimSpec::new`
-                // assert: these are user-typed values, so they must
-                // surface as named-field errors, not panics (found by
-                // the spec-line grammar fuzzer).
-                let (src, dst) = (host(1)?, host(2)?);
-                if src == dst {
-                    return Err(format!("self-addressed victim flow in `{part}`"));
-                }
-                let period_ns = n(4)?;
-                if period_ns == 0 {
-                    return Err(format!("zero victim period in `{part}`"));
-                }
-                spec.victim = Some(VictimSpec::new(src, dst, n(3)?, period_ns));
-            }
-            "mix" if fields.len() == 3 => {
-                let second = Workload::parse(fields[1])
-                    .ok_or_else(|| format!("bad mix workload in `{part}`"))?;
-                let frac =
-                    fields[2].parse::<f64>().map_err(|_| format!("bad mix frac in `{part}`"))?;
-                spec.mix = Some(MixSpec { second, frac });
-            }
-            _ => return Err(format!("unknown traffic overlay `{part}`")),
-        }
+    if s == "uniform" {
+        return Ok(TrafficSpec::uniform());
     }
-    Ok(spec)
+    let Some(fan_in) = s.strip_prefix("incast:") else {
+        return Err(format!("unknown traffic pattern `{s}`"));
+    };
+    match fan_in.parse::<u32>() {
+        Ok(n) if n >= 1 => Ok(TrafficSpec::incast(n)),
+        _ => Err(format!("bad incast fan-in in `{s}`")),
+    }
 }
 
 fn link_str(l: LinkId) -> String {
@@ -403,20 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn traffic_overlays_round_trip() {
-        for traffic in [
-            TrafficSpec::uniform(),
-            TrafficSpec::permutation(),
-            TrafficSpec::shuffle(),
-            TrafficSpec::incast(8),
-            TrafficSpec::hotspot(0.8, true),
-            TrafficSpec::hotspot(0.35, false),
-            TrafficSpec::incast(20).with_victim(VictimSpec::new(25, 30, 10_000, 500_000)),
-            TrafficSpec::uniform().with_mix(Workload::W1, 0.25),
-            TrafficSpec::shuffle()
-                .with_victim(VictimSpec::new(1, 2, 777, 12_345))
-                .with_mix(Workload::W5, 0.1),
-        ] {
+    fn traffic_patterns_round_trip() {
+        for traffic in [TrafficSpec::uniform(), TrafficSpec::incast(1), TrafficSpec::incast(20)] {
             round_trips(
                 &ScenarioSpec::new(
                     "t",
@@ -519,21 +435,24 @@ mod tests {
                 "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=blizzard",
                 "field `traffic`: unknown traffic pattern `blizzard`",
             ),
-            // Regressions (found by the spec-line grammar fuzzer): these
-            // used to panic inside `VictimSpec::new` instead of erroring.
+            // The removed patterns and overlays are unknown patterns.
             (
-                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=uniform+victim:6:6:4:3",
-                "field `traffic`: self-addressed victim flow in `victim:6:6:4:3`",
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=shuffle",
+                "field `traffic`: unknown traffic pattern `shuffle`",
             ),
             (
-                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=uniform+victim:1:2:4:0",
-                "field `traffic`: zero victim period in `victim:1:2:4:0`",
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=uniform+victim:1:2:4:3",
+                "field `traffic`: unknown traffic pattern `uniform+victim:1:2:4:3`",
             ),
-            // Host ids wider than u32 must be rejected, not truncated.
+            // An incast needs a sender; fan-ins wider than u32 are
+            // rejected, not truncated.
             (
-                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 \
-                 traffic=uniform+victim:4294967296:2:4:3",
-                "field `traffic`: bad victim host in `victim:4294967296:2:4:3`",
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=incast:0",
+                "field `traffic`: bad incast fan-in in `incast:0`",
+            ),
+            (
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 traffic=incast:4294967296",
+                "field `traffic`: bad incast fan-in in `incast:4294967296`",
             ),
             (
                 "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 faults=12:explode:hup1",

@@ -8,9 +8,10 @@
 //! yields `(time, size, src, dst)` tuples for the drivers.
 
 use crate::dist::MessageSizeDist;
-use crate::traffic::{TrafficMatrix, VictimSpec};
+use crate::traffic::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::convert::Infallible;
 
 /// Converts a target network load into a per-sender message arrival rate.
 #[derive(Debug, Clone)]
@@ -76,12 +77,10 @@ impl LoadPlan {
 ///
 /// By default senders and receivers are drawn uniformly at random
 /// (receiver != sender), matching the paper's all-to-all communication
-/// pattern; [`with_matrix`](Self::with_matrix) swaps in any
-/// [`TrafficMatrix`] pattern, [`with_mix`](Self::with_mix) makes the
-/// size distribution bimodal, and [`with_victim`](Self::with_victim)
-/// overlays a periodic victim flow. The unadorned generator is
-/// draw-for-draw identical to its historical behavior, so existing seeds
-/// replay unchanged.
+/// pattern; [`with_matrix`](Self::with_matrix) swaps in an incast and
+/// [`with_mix`](Self::with_mix) makes the size distribution bimodal. The
+/// unadorned generator is draw-for-draw identical to its historical
+/// behavior, so existing seeds replay unchanged.
 #[derive(Debug)]
 pub struct PoissonArrivals {
     rng: StdRng,
@@ -90,8 +89,6 @@ pub struct PoissonArrivals {
     /// Second size mode: `frac` of messages sample from this
     /// distribution instead of `dist`.
     mix: Option<(MessageSizeDist, f64)>,
-    victim: Option<VictimSpec>,
-    victim_next_ns: u64,
     /// Mean interarrival in nanoseconds (fabric-wide).
     mean_gap_ns: f64,
     next_ns: u64,
@@ -108,9 +105,6 @@ pub struct Arrival {
     pub dst: u32,
     /// Message size in bytes.
     pub size: u64,
-    /// True when this arrival belongs to the victim-flow overlay rather
-    /// than the main pattern.
-    pub victim: bool,
 }
 
 impl PoissonArrivals {
@@ -124,8 +118,6 @@ impl PoissonArrivals {
             dist,
             matrix: TrafficMatrix::uniform(hosts),
             mix: None,
-            victim: None,
-            victim_next_ns: 0,
             mean_gap_ns: mean_gap_secs * 1e9,
             next_ns: 0,
         };
@@ -148,12 +140,10 @@ impl PoissonArrivals {
         self
     }
 
-    /// Overlay a periodic victim flow; its arrivals interleave with the
-    /// main pattern in time order and carry `victim: true`.
-    pub fn with_victim(mut self, victim: VictimSpec) -> Self {
-        self.victim_next_ns = victim.period_ns;
-        self.victim = Some(victim);
-        self
+    /// Uncallable: kept for the frozen `benchmark/`, which passes
+    /// `TrafficSpec::victim`; ROADMAP item 10 deletes it.
+    pub fn with_victim(self, victim: Infallible) -> Self {
+        match victim {}
     }
 
     fn sample_gap(&mut self) -> u64 {
@@ -163,16 +153,8 @@ impl PoissonArrivals {
         (-u.ln() * self.mean_gap_ns).round().max(1.0) as u64
     }
 
-    /// Generate the next arrival (victim overlay and main pattern merged
-    /// in time order; the victim wins ties so its cadence never slips).
+    /// Generate the next arrival.
     pub fn next_arrival(&mut self) -> Arrival {
-        if let Some(v) = self.victim {
-            if self.victim_next_ns <= self.next_ns {
-                let at_ns = self.victim_next_ns;
-                self.victim_next_ns += v.period_ns;
-                return Arrival { at_ns, src: v.src, dst: v.dst, size: v.size, victim: true };
-            }
-        }
         let at_ns = self.next_ns;
         self.next_ns += self.sample_gap();
         let (src, dst) = self.matrix.draw(&mut self.rng);
@@ -180,7 +162,7 @@ impl PoissonArrivals {
             Some((second, frac)) if self.rng.gen::<f64>() < *frac => second.sample(&mut self.rng),
             _ => self.dist.sample(&mut self.rng),
         };
-        Arrival { at_ns, src, dst, size, victim: false }
+        Arrival { at_ns, src, dst, size }
     }
 }
 
@@ -266,30 +248,7 @@ mod tests {
             assert_eq!(a.dst, 0);
             assert!((1..=4).contains(&a.src));
             assert!((500..=501).contains(&a.size), "size {}", a.size);
-            assert!(!a.victim);
         }
-    }
-
-    #[test]
-    fn victim_overlay_interleaves_in_time_order() {
-        use crate::traffic::VictimSpec;
-        let mut g = PoissonArrivals::new(5, Workload::W1.dist(), 8, 1e-6)
-            .with_victim(VictimSpec::new(7, 0, 2_000, 10_000));
-        let mut prev = 0u64;
-        let mut victims = 0u64;
-        let mut last_victim_at = 0u64;
-        for _ in 0..5_000 {
-            let a = g.next_arrival();
-            assert!(a.at_ns >= prev, "arrivals out of order");
-            prev = a.at_ns;
-            if a.victim {
-                victims += 1;
-                assert_eq!((a.src, a.dst, a.size), (7, 0, 2_000));
-                assert_eq!(a.at_ns, last_victim_at + 10_000, "victim cadence slipped");
-                last_victim_at = a.at_ns;
-            }
-        }
-        assert!(victims > 100, "victim overlay starved: {victims}");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! | [`workload`] | Figure 1's W1–W5 definitions (+ the decile points the figure-accuracy gate joins on) |
 //! | [`dist`] | the piecewise log-linear CDF reconstruction behind Figure 1 |
 //! | [`arrivals`] | §5.1/§5.2 open-loop Poisson traffic at a target load |
-//! | [`traffic`] | beyond-paper: incast/permutation/shuffle/hotspot patterns, victim overlays, mixes |
+//! | [`traffic`] | §5.2's uniform senders and receivers, and §3.6's incast as an open-loop pattern |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,5 +43,5 @@ pub mod workload;
 
 pub use arrivals::{Arrival, LoadPlan, PoissonArrivals};
 pub use dist::MessageSizeDist;
-pub use traffic::{MixSpec, PatternSpec, TrafficMatrix, TrafficSpec, VictimSpec};
+pub use traffic::{MixSpec, PatternSpec, TrafficMatrix, TrafficSpec};
 pub use workload::Workload;

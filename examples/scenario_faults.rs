@@ -1,7 +1,6 @@
-//! Scenario-diversity demo: a 20-wide incast with a flapping victim
+//! Fault-path demo: a 20-wide open-loop incast with a flapping receiver
 //! downlink and a receiver pause, run identically across the six
-//! byte-conserving transports, with an innocent-bystander victim flow
-//! measured separately.
+//! byte-conserving transports.
 //!
 //! ```text
 //! cargo run --release --example scenario_faults
@@ -15,13 +14,12 @@ use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::{FabricSpec, ScenarioSpec, SlowdownSummary};
 use homa_sim::{FaultPlan, HostId, LinkId};
-use homa_workloads::{TrafficSpec, VictimSpec, Workload};
+use homa_workloads::{TrafficSpec, Workload};
 
 fn main() {
     // Twenty senders converge on host 0 at 80% of its downlink; the
     // downlink flaps three times during the burst and host 0's software
-    // stalls for 150µs near the end. A 10 KB victim flow between two
-    // uninvolved hosts (25 → 30) probes bystander latency throughout.
+    // stalls for 150µs near the end.
     let spec = ScenarioSpec::new(
         "incast20_flap_40h",
         FabricSpec::MultiTor { hosts: 40 },
@@ -30,19 +28,17 @@ fn main() {
         1_500,
         99,
     )
-    .with_traffic(TrafficSpec::incast(20).with_victim(VictimSpec::new(25, 30, 10_000, 500_000)))
+    .with_traffic(TrafficSpec::incast(20))
     .with_faults(
         FaultPlan::new()
             .link_flaps(LinkId::HostDownlink(HostId(0)), 200_000, 60_000, 400_000, 3)
             .receiver_pause(HostId(0), 1_300_000, 1_450_000),
     );
 
-    println!("# {} — W2 @ 50% of the victim downlink, seed {}", spec.name, spec.seed);
+    println!("# {} — W2 @ 50% of host 0's downlink, seed {}", spec.name, spec.seed);
     println!();
-    println!(
-        "| transport | delivered | lost | fault drops | p50 | p99 | victim p50 | victim p99 |"
-    );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| transport | delivered | lost | fault drops | p50 | p99 |");
+    println!("|---|---|---|---|---|---|");
     for p in [
         Protocol::Homa,
         Protocol::Pfabric,
@@ -55,9 +51,8 @@ fn main() {
         assert_eq!(res.injected, spec.messages);
         assert_eq!(res.delivered + res.aborted + res.lost, spec.messages);
         let s = SlowdownSummary::from_records(&res.records, 1);
-        let v = SlowdownSummary::from_records(&res.victim_records, 1);
         println!(
-            "| {} | {}/{} | {} | {} | {:.1} | {:.1} | {:.1} | {:.1} |",
+            "| {} | {}/{} | {} | {} | {:.1} | {:.1} |",
             p.name(),
             res.delivered,
             res.injected,
@@ -65,14 +60,11 @@ fn main() {
             res.stats.fault_drops,
             s.overall_p50,
             s.overall_p99,
-            v.overall_p50,
-            v.overall_p99,
         );
     }
     println!();
     println!(
-        "slowdown = completion time / unloaded best case; victim columns are the \
-         bystander flow (hosts 25→30, 10 KB every 500µs). `lost` counts one-way \
+        "slowdown = completion time / unloaded best case. `lost` counts one-way \
          messages whose every packet died on the downed link (fire-and-forget: \
          no transport-level delivery guarantee exists for them)."
     );

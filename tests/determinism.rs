@@ -11,12 +11,30 @@
 //! the first pop the two disagree on (see `homa_sim::events`). Together
 //! these are the contract that lets the perf gate pin deterministic
 //! event counts in `BENCH_BASELINE.json`.
+//!
+//! A fault row also requires its plan to act: every member-link event of
+//! the plan is applied before the run ends, a downed link drops packets,
+//! and a receiver pause defers deliveries. A plan timed past the end of
+//! its run would repeat trivially while exercising nothing.
 
 use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::{FabricSpec, ScenarioSpec};
-use homa_sim::{FaultPlan, HostId, LinkId};
-use homa_workloads::{TrafficSpec, VictimSpec, Workload};
+use homa_sim::{Fault, FaultPlan, HostId, LinkId, RunStats};
+use homa_workloads::{TrafficSpec, Workload};
+
+/// Every event of `spec`'s fault plan was applied, and the plan bit:
+/// packets died on a downed link and, if the plan pauses a receiver,
+/// deliveries were deferred.
+fn assert_faults_bite(spec: &ScenarioSpec, stats: &RunStats) {
+    let events = spec.faults.resolve(&spec.topology()).expect("plan fits its fabric").len();
+    let name = &spec.name;
+    assert_eq!(stats.faults_applied, events as u64, "{name}: plan outlasts the run");
+    assert!(stats.fault_drops > 0, "{name}: no packet died on a downed link");
+    if spec.faults.events.iter().any(|(_, f)| matches!(f, Fault::PauseReceiver(_))) {
+        assert!(stats.deferred_deliveries > 0, "{name}: the pause deferred nothing");
+    }
+}
 
 /// Exact signature of a run: every record field (sizes, injection and
 /// completion times, unloaded denominators, delay attribution) plus the
@@ -31,8 +49,11 @@ fn run_signature(p: Protocol, spec: &ScenarioSpec) -> (String, String, u64, u64)
         "{}: messages unaccounted for",
         spec.name
     );
+    if !spec.faults.is_empty() {
+        assert_faults_bite(spec, &res.stats);
+    }
     (
-        format!("{:?} | victims {:?}", res.records, res.victim_records),
+        format!("{:?}", res.records),
         format!("{:?}", res.stats),
         res.delivered,
         res.stats.events_processed,
@@ -102,7 +123,8 @@ fn homa_repeats_under_incast_flap_and_pause() {
     // fault events share lanes with packet events, receiver-pause defers
     // and replays deliveries, and link flaps force the RESEND machinery
     // through retransmission timing. The run must still repeat bit for
-    // bit — including the fault counters in RunStats.
+    // bit — including the fault counters in RunStats. The pause sits
+    // between two flaps on the incast's receiver, host 0.
     let spec = ScenarioSpec::new(
         "det_fault_incast",
         FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 6, spines: 2 },
@@ -111,17 +133,12 @@ fn homa_repeats_under_incast_flap_and_pause() {
         700,
         21,
     )
-    .with_traffic(TrafficSpec::incast(8).with_victim(VictimSpec::new(9, 3, 20_000, 100_000)))
+    .with_traffic(TrafficSpec::incast(8))
     .with_faults(
         FaultPlan::new()
-            .link_flaps(LinkId::HostDownlink(HostId(0)), 300_000, 150_000, 600_000, 4)
-            .receiver_pause(HostId(3), 500_000, 900_000)
-            .rate_limit(
-                LinkId::TorUplink { rack: 0, spine: 0 },
-                100_000,
-                2_000_000,
-                10_000_000_000,
-            ),
+            .link_flaps(LinkId::HostDownlink(HostId(0)), 100_000, 50_000, 150_000, 4)
+            .receiver_pause(HostId(0), 160_000, 240_000)
+            .rate_limit(LinkId::TorUplink { rack: 0, spine: 0 }, 20_000, 650_000, 10_000_000_000),
     );
     assert_repeatable(Protocol::Homa, spec);
 }
@@ -136,12 +153,11 @@ fn phost_repeats_under_link_flaps() {
         500,
         13,
     )
-    .with_traffic(TrafficSpec::shuffle())
     .with_faults(FaultPlan::new().link_flaps(
         LinkId::SpineDownlink { spine: 1, rack: 1 },
-        200_000,
-        100_000,
-        500_000,
+        10_000,
+        5_000,
+        12_000,
         3,
     ));
     assert_repeatable(Protocol::Phost, spec);
@@ -161,7 +177,7 @@ fn homa_repeats_under_rack_outage() {
         600,
         17,
     )
-    .with_faults(FaultPlan::new().rack_outage(1, 400_000, 1_200_000));
+    .with_faults(FaultPlan::new().rack_outage(1, 20_000, 60_000));
     assert_repeatable(Protocol::Homa, spec);
 }
 
@@ -175,8 +191,7 @@ fn homa_repeats_under_spine_outage() {
         500,
         29,
     )
-    .with_traffic(TrafficSpec::shuffle())
-    .with_faults(FaultPlan::new().spine_outage(0, 300_000, 900_000));
+    .with_faults(FaultPlan::new().spine_outage(0, 15_000, 45_000));
     assert_repeatable(Protocol::Homa, spec);
 }
 
@@ -195,17 +210,11 @@ fn homa_repeats_on_faulted_fat_tree() {
         700,
         23,
     )
-    .with_traffic(TrafficSpec::shuffle())
     .with_faults(
         FaultPlan::new()
-            .link_flaps(LinkId::HostDownlink(HostId(1)), 300_000, 150_000, 600_000, 4)
-            .receiver_pause(HostId(5), 500_000, 900_000)
-            .rate_limit(
-                LinkId::TorUplink { rack: 0, spine: 0 },
-                100_000,
-                2_000_000,
-                10_000_000_000,
-            ),
+            .link_flaps(LinkId::HostDownlink(HostId(1)), 20_000, 10_000, 25_000, 4)
+            .receiver_pause(HostId(5), 40_000, 90_000)
+            .rate_limit(LinkId::TorUplink { rack: 0, spine: 0 }, 10_000, 110_000, 10_000_000_000),
     );
     assert_repeatable(Protocol::Homa, spec);
 }
@@ -215,8 +224,8 @@ fn trace_jsonl_is_byte_identical_across_runs() {
     // The flight recorder writes in `(time, seq)` dispatch order, so one
     // spec line must render the *same bytes* of TRACE.jsonl every time —
     // the contract behind the trace-golden CI job. Faults and incast are on
-    // so the trace exercises drop/preemption/resend records, not just
-    // the happy path.
+    // so the trace carries fault and drop records, not just the happy
+    // path.
     let spec = ScenarioSpec::new(
         "det_trace",
         FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 6, spines: 2 },
@@ -228,9 +237,9 @@ fn trace_jsonl_is_byte_identical_across_runs() {
     .with_traffic(TrafficSpec::incast(6))
     .with_faults(FaultPlan::new().link_flaps(
         LinkId::HostDownlink(HostId(2)),
-        300_000,
-        150_000,
-        600_000,
+        50_000,
+        30_000,
+        100_000,
         3,
     ));
 
@@ -238,6 +247,7 @@ fn trace_jsonl_is_byte_identical_across_runs() {
         let res =
             run_protocol_scenario(Protocol::Homa, &spec, &OnewayOpts::default().with_trace(), None);
         assert_eq!(res.trace_dropped, 0, "trace must fit the ring");
+        assert_faults_bite(&spec, &res.stats);
         assert!(!res.trace.is_empty(), "empty trace");
         homa_sim::trace::render_jsonl(&res.trace)
     };

@@ -7,9 +7,8 @@
 //! * every injected message is accounted for exactly once
 //!   (`delivered + aborted + lost == injected`);
 //! * nothing is delivered twice (`duplicate_deliveries == 0`);
-//! * the record streams cover exactly the deliveries
-//!   (`records + victim_records == delivered`), and the streaming
-//!   sketch saw exactly the non-victim deliveries;
+//! * the record stream covers exactly the deliveries
+//!   (`records == delivered`), and so does the streaming sketch;
 //! * the run trips no debug-build invariant (the event-order oracle, the
 //!   strict-priority non-inversion check, the fabric's `debug_assert!`s):
 //!   a panic counts as a failure and shrinks like one.
@@ -57,7 +56,7 @@ fn conservation_detail(p: Protocol, spec: &ScenarioSpec) -> Option<String> {
     if res.duplicate_deliveries != 0 {
         return Some(format!("{:?}: {} duplicate deliveries", p, res.duplicate_deliveries));
     }
-    let recorded = (res.records.len() + res.victim_records.len()) as u64;
+    let recorded = res.records.len() as u64;
     if recorded != res.delivered {
         return Some(format!("{:?}: {} records for {} deliveries", p, recorded, res.delivered));
     }

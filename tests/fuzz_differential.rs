@@ -5,7 +5,7 @@
 //! This is the randomized companion to `tests/determinism.rs`: instead
 //! of a handful of hand-picked scenarios, each iteration draws a spec
 //! from the whole generator space — fabrics, workloads, traffic
-//! overlays, victims, mixes, fault schedules. The comparison against
+//! patterns, fault schedules. The comparison against
 //! the heap happens inside the run: with debug assertions on, the
 //! timing wheel carries the heap as a shadow and panics with
 //! `engine diverged at t=…` on the first pop the two disagree on (see
@@ -42,9 +42,8 @@ const PROTOCOLS: [Protocol; 3] = [Protocol::Homa, Protocol::Phost, Protocol::Pfa
 fn signature(p: Protocol, spec: &ScenarioSpec) -> String {
     let res = run_protocol_scenario(p, spec, &OnewayOpts::default().with_records(), None);
     format!(
-        "records {:?} | victims {:?} | sketch {:?} | stats {:?} | d{} a{} l{} dup{}",
+        "records {:?} | sketch {:?} | stats {:?} | d{} a{} l{} dup{}",
         res.records,
-        res.victim_records,
         res.sketch,
         res.stats,
         res.delivered,

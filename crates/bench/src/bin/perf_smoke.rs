@@ -1,10 +1,10 @@
 //! `perf-smoke` — the CI fixed-point and footprint gate.
 //!
 //! Runs a fixed set of deterministic scenarios (fixed seed; W4 at 80%
-//! load on 40- to 160-host multi-TOR fabrics and the 1,024-host fat
-//! tree, an incast under link flaps, and 200,000 W1 messages on the
-//! 160-host fabric, where per-message state rather than the event engine
-//! sets the cost and the footprint),
+//! load on 40- to 1,024-host multi-TOR leaf–spine fabrics, an incast
+//! under link flaps, and 200,000 W1 messages on the 160-host fabric,
+//! where per-message state rather than the event engine sets the cost
+//! and the footprint),
 //! measures wall-clock, events/sec and peak resident set, and emits a
 //! machine-readable JSON report. CI compares the report against the
 //! checked-in `BENCH_BASELINE.json` and fails when a deterministic count
@@ -139,15 +139,16 @@ fn gate_scenarios(quick: bool) -> Vec<GateScenario> {
             ),
             min_delivered_frac: 0.99,
         },
-        // The memory-lean scale target: 1024 hosts on a k=16 fat tree,
-        // same W4 @ 80% shape, with a message budget (~30 msgs/host)
-        // that makes retained-per-message state visible in peak RSS.
-        // Runs with streaming sketches only (no per-message records), so
-        // its `peak_rss_kb` column is the arena/sketch regression gate.
+        // The memory-lean scale target: 1024 hosts in 64 racks of 16
+        // under 4 spines, same W4 @ 80% shape, with a message budget
+        // (~30 msgs/host) that makes retained-per-message state visible
+        // in peak RSS. Runs with streaming sketches only (no per-message
+        // records), so its `peak_rss_kb` column is the arena/sketch
+        // regression gate.
         GateScenario {
             spec: ScenarioSpec::new(
                 "w4_80_1kh",
-                FabricSpec::FatTree { k: 16 },
+                FabricSpec::MultiTor { hosts: 1024 },
                 Workload::W4,
                 0.8,
                 30_720 / scale,

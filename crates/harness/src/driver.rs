@@ -21,7 +21,7 @@ use crate::scenario::ScenarioSpec;
 use crate::slowdown::{MsgRecord, SlowdownSketch};
 use homa_sim::{
     AppEvent, EngineStats, FlightRecorder, HostId, Network, PacketMeta, PathClass, QueueDiscipline,
-    RunStats, SimDuration, SimTime, TraceRecord, Transport,
+    RunStats, SimDuration, SimTime, Topology, TraceRecord, Transport,
 };
 use homa_workloads::{LoadPlan, MessageSizeDist, PoissonArrivals, TrafficMatrix};
 use std::collections::HashMap;
@@ -416,6 +416,24 @@ fn mean_overhead(dist: &MessageSizeDist) -> f64 {
     LoadPlan::estimate_overhead(dist, PAYLOAD, OVERHEAD, CTRL, homa::config::RTT_BYTES)
 }
 
+/// The arrival plan of a one-way run of `spec` on `topo`: `spec.load` of
+/// the loaded host links, offered in messages drawn from `dist`.
+pub(crate) fn oneway_plan(
+    spec: &ScenarioSpec,
+    topo: &Topology,
+    dist: &MessageSizeDist,
+) -> LoadPlan {
+    LoadPlan {
+        // An incast interprets `load` against its one bottleneck
+        // downlink, not the whole fabric.
+        hosts: spec.traffic.loaded_links(topo.num_hosts()),
+        host_link_bps: topo.host_link_bps,
+        load: spec.load,
+        mean_msg_bytes: dist.mean(),
+        mean_overhead_bytes: mean_overhead(dist),
+    }
+}
+
 /// Run the one-way-message experiment `spec` describes: inject
 /// `spec.messages` Poisson arrivals at `spec.load`, placed by the spec's
 /// traffic pattern, then drain. Entry point: [`ScenarioSpec::run_oneway`].
@@ -429,16 +447,7 @@ pub(crate) fn oneway<M: PacketMeta, T: Transport<M>>(
     let topo = run.net.topology();
     let dist = spec.workload.dist();
     let hosts = topo.num_hosts();
-    let plan = LoadPlan {
-        // An incast interprets `load` against its one bottleneck
-        // downlink, not the whole fabric.
-        hosts: spec.traffic.loaded_links(hosts),
-        host_link_bps: topo.host_link_bps,
-        load: spec.load,
-        mean_msg_bytes: dist.mean(),
-        mean_overhead_bytes: mean_overhead(&dist),
-    };
-    let gap = plan.mean_interarrival_secs();
+    let gap = oneway_plan(spec, topo, &dist).mean_interarrival_secs();
     let matrix = spec.traffic.matrix(hosts, topo.hosts_per_rack, spec.seed);
     let mut gen =
         PoissonArrivals::new(spec.seed ^ 0x9e37_79b9, dist, hosts, gap).with_matrix(matrix);

@@ -31,6 +31,7 @@
 //! generated spec to be a legal run, so any panic or divergence the
 //! fuzzers see is a real bug, not a generator artifact.
 
+use crate::driver;
 use crate::scenario::{FabricSpec, ScenarioSpec};
 use homa_sim::{resolve_fault, Fault, FaultPlan, HostId, LinkId};
 use homa_workloads::{TrafficSpec, Workload};
@@ -112,15 +113,14 @@ fn message_budget(rng: &mut SplitMix64, wl: Workload) -> u64 {
 }
 
 fn arbitrary_fabric(rng: &mut SplitMix64) -> FabricSpec {
-    match rng.below(4) {
+    match rng.below(3) {
         0 => FabricSpec::SingleSwitch { hosts: rng.range(4, 12) as u32 },
         1 => FabricSpec::LeafSpine {
             racks: rng.range(2, 3) as u32,
             hosts_per_rack: rng.range(4, 6) as u32,
             spines: rng.range(1, 2) as u32,
         },
-        2 => FabricSpec::MultiTor { hosts: [16, 24, 32][rng.below(3) as usize] },
-        _ => FabricSpec::FatTree { k: 4 },
+        _ => FabricSpec::MultiTor { hosts: [16, 24, 32][rng.below(3) as usize] },
     }
 }
 
@@ -132,19 +132,29 @@ fn arbitrary_traffic(rng: &mut SplitMix64) -> TrafficSpec {
     }
 }
 
+/// The simulated time a one-way run of `spec` takes, on average, to
+/// inject its messages: `messages` mean interarrival gaps of its load plan.
+fn arrival_span_ns(spec: &ScenarioSpec) -> u64 {
+    let plan = driver::oneway_plan(spec, &spec.topology(), &spec.workload.dist());
+    (spec.messages as f64 * plan.mean_interarrival_secs() * 1e9) as u64
+}
+
 /// Fault plans are drawn from the host-level vocabulary only — uplink
 /// and downlink flaps, receiver pauses, host-link rate limits — which
-/// is valid on every fabric. Times sit inside the first few hundred
-/// microseconds so faults actually overlap the injected traffic.
-fn arbitrary_faults(rng: &mut SplitMix64, hosts: u32) -> FaultPlan {
+/// is valid on every fabric. Every instant, a fault's end included, falls
+/// in the first half of the spec's arrival span: a run lasts at least
+/// until its last arrival, and Poisson jitter puts that before half the
+/// span only with negligible odds, so the whole plan applies.
+fn arbitrary_faults(rng: &mut SplitMix64, spec: &ScenarioSpec) -> FaultPlan {
     let mut plan = FaultPlan::new();
     if !rng.chance(45, 100) {
         return plan;
     }
+    let half_span = (arrival_span_ns(spec) / 2).max(2);
     for _ in 0..rng.range(1, 3) {
-        let host = HostId(rng.below(hosts as u64) as u32);
-        let at = rng.range(50_000, 400_000);
-        let dur = rng.range(20_000, 200_000);
+        let host = HostId(rng.below(spec.fabric.hosts() as u64) as u32);
+        let at = rng.below(half_span - 1);
+        let end = rng.range(at + 1, half_span - 1);
         match rng.below(4) {
             0 => {
                 let link = if rng.chance(1, 2) {
@@ -152,18 +162,18 @@ fn arbitrary_faults(rng: &mut SplitMix64, hosts: u32) -> FaultPlan {
                 } else {
                     LinkId::HostDownlink(host)
                 };
-                plan = plan.at(at, Fault::LinkDown(link)).at(at + dur, Fault::LinkUp(link));
+                plan = plan.at(at, Fault::LinkDown(link)).at(end, Fault::LinkUp(link));
             }
-            1 => plan = plan.receiver_pause(host, at, at + dur),
+            1 => plan = plan.receiver_pause(host, at, end),
             2 => {
                 let link = LinkId::HostUplink(host);
-                plan = plan.rate_limit(link, at, rng.range(500_000_000, 4_000_000_000), at + dur);
+                plan = plan.rate_limit(link, at, end, rng.range(500_000_000, 4_000_000_000));
             }
             _ => {
                 let link = LinkId::HostDownlink(host);
                 plan = plan
                     .at(at, Fault::RateLimit { link, bps: rng.range(500_000_000, 4_000_000_000) })
-                    .at(at + dur, Fault::RateRestore(link));
+                    .at(end, Fault::RateRestore(link));
             }
         }
     }
@@ -178,15 +188,15 @@ impl ScenarioSpec {
     pub fn arbitrary(seed: u64) -> ScenarioSpec {
         let mut rng = SplitMix64::new(seed);
         let fabric = arbitrary_fabric(&mut rng);
-        let hosts = fabric.hosts();
         let workload = WORKLOADS[rng.below(5) as usize];
         let messages = message_budget(&mut rng, workload);
         let load = rng.range(6, 15) as f64 / 20.0; // 0.30..=0.75 in 0.05 steps
         let traffic = arbitrary_traffic(&mut rng);
-        let faults = arbitrary_faults(&mut rng, hosts);
-        ScenarioSpec::new(format!("fuzz_{seed:016x}"), fabric, workload, load, messages, seed)
-            .with_traffic(traffic)
-            .with_faults(faults)
+        let spec =
+            ScenarioSpec::new(format!("fuzz_{seed:016x}"), fabric, workload, load, messages, seed)
+                .with_traffic(traffic);
+        let faults = arbitrary_faults(&mut rng, &spec);
+        spec.with_faults(faults)
     }
 
     /// Candidate simplifications of this spec, most aggressive first:
@@ -220,7 +230,7 @@ impl ScenarioSpec {
 /// One size-class step down, terminating at `SingleSwitch { hosts: 4 }`.
 fn shrink_fabric(f: FabricSpec) -> Option<FabricSpec> {
     match f {
-        FabricSpec::FatTree { .. } | FabricSpec::Paper => Some(FabricSpec::MultiTor { hosts: 16 }),
+        FabricSpec::Paper => Some(FabricSpec::MultiTor { hosts: 16 }),
         FabricSpec::MultiTor { hosts } if hosts > 16 => Some(FabricSpec::MultiTor { hosts: 16 }),
         FabricSpec::MultiTor { .. } => {
             Some(FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 4, spines: 1 })
@@ -528,6 +538,20 @@ mod tests {
     }
 
     #[test]
+    fn arbitrary_fault_instants_fall_in_the_first_half_of_the_arrival_span() {
+        let mut faulted = 0;
+        for seed in 0..1_000 {
+            let spec = ScenarioSpec::arbitrary(seed);
+            let half_span = arrival_span_ns(&spec) / 2;
+            for &(at, fault) in &spec.faults.events {
+                assert!(at < half_span, "seed {seed}: {fault:?} at {at} ns, span/2 {half_span} ns");
+            }
+            faulted += u32::from(!spec.faults.is_empty());
+        }
+        assert!(faulted > 400, "only {faulted}/1000 specs faulted");
+    }
+
+    #[test]
     fn arbitrary_specs_round_trip_through_spec_lines() {
         for seed in 0..500 {
             let spec = ScenarioSpec::arbitrary(seed);
@@ -540,7 +564,7 @@ mod tests {
 
     #[test]
     fn arbitrary_covers_the_scenario_space() {
-        let mut fabrics = [false; 4];
+        let mut fabrics = [false; 3];
         let mut faulted = 0;
         let (mut uniform, mut incast) = (0, 0);
         for seed in 0..400 {
@@ -548,8 +572,7 @@ mod tests {
             let idx = match s.fabric {
                 FabricSpec::SingleSwitch { .. } => 0,
                 FabricSpec::LeafSpine { .. } => 1,
-                FabricSpec::MultiTor { .. } => 2,
-                _ => 3,
+                _ => 2,
             };
             fabrics[idx] = true;
             faulted += u32::from(!s.faults.is_empty());

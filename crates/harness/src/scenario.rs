@@ -48,12 +48,6 @@ pub enum FabricSpec {
     },
     /// The paper's Figure 11 fabric: 144 hosts, 9 racks, 4 spines.
     Paper,
-    /// A three-tier k-ary fat tree ([`Topology::fat_tree`]): `k³/4`
-    /// hosts. `FatTree { k: 16 }` is the 1024-host scale fabric.
-    FatTree {
-        /// Fat-tree arity (even, ≥ 4).
-        k: u32,
-    },
 }
 
 impl FabricSpec {
@@ -77,7 +71,6 @@ impl FabricSpec {
             }
             FabricSpec::MultiTor { hosts } => Topology::try_multi_tor(hosts)?,
             FabricSpec::Paper => Topology::paper_fabric(),
-            FabricSpec::FatTree { k } => Topology::try_fat_tree(k)?,
         };
         topo.check_shape()?;
         Ok(topo)
@@ -89,7 +82,6 @@ impl FabricSpec {
             FabricSpec::SingleSwitch { hosts } | FabricSpec::MultiTor { hosts } => hosts,
             FabricSpec::LeafSpine { racks, hosts_per_rack, .. } => racks * hosts_per_rack,
             FabricSpec::Paper => 144,
-            FabricSpec::FatTree { k } => k * k * k / 4,
         }
     }
 }
@@ -268,10 +260,7 @@ mod tests {
         assert_eq!(ls.topology().num_hosts(), 24);
         assert_eq!(ls.hosts(), 24);
         assert_eq!(FabricSpec::Paper.hosts(), 144);
-        let ft = FabricSpec::FatTree { k: 4 };
-        assert_eq!(ft.topology().num_hosts(), 16);
-        assert_eq!(ft.hosts(), 16);
-        assert_eq!(FabricSpec::FatTree { k: 16 }.hosts(), 1024);
+        assert_eq!(FabricSpec::MultiTor { hosts: 1024 }.topology().num_hosts(), 1024);
     }
 
     #[test]
@@ -291,6 +280,8 @@ mod tests {
         );
         assert_eq!(res.injected, 120);
         assert_eq!(res.delivered, 120);
+        assert!(res.records.is_empty(), "records retained without opt-in");
+        assert_eq!(res.sketch.count(), 120);
     }
 
     #[test]
@@ -335,21 +326,6 @@ mod tests {
         assert_eq!(res.delivered + res.aborted + res.lost, 200);
         assert!(res.stats.fault_drops > 0, "flap never bit");
         assert!(res.delivered >= 120, "delivered only {}", res.delivered);
-    }
-
-    #[test]
-    fn fat_tree_spec_drives_oneway_run() {
-        let spec =
-            ScenarioSpec::new("ft", FabricSpec::FatTree { k: 4 }, Workload::W2, 0.5, 150, 13);
-        let res = spec.run_oneway(
-            None,
-            |h| HomaSimTransport::new(h, HomaConfig::default()),
-            &OnewayOpts::default(),
-        );
-        assert_eq!(res.injected, 150);
-        assert_eq!(res.delivered, 150);
-        assert!(res.records.is_empty(), "records retained without opt-in");
-        assert_eq!(res.sketch.count(), 150);
     }
 
     #[test]

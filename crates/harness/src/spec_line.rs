@@ -14,7 +14,7 @@
 //! Field grammar (all values whitespace-free):
 //!
 //! * `fabric` — `sw:<hosts>` | `ls:<racks>x<hpr>x<spines>` |
-//!   `mtor:<hosts>` | `paper` | `ft:<k>`
+//!   `mtor:<hosts>` | `paper`
 //! * `wl` — `W1`..`W5`
 //! * `load` — `f64` via Rust's shortest round-trip `Display`
 //! * `traffic` — `uniform` | `incast:<fan_in>`, `fan_in` ≥ 1
@@ -41,7 +41,6 @@ fn fabric_str(f: FabricSpec) -> String {
         }
         FabricSpec::MultiTor { hosts } => format!("mtor:{hosts}"),
         FabricSpec::Paper => "paper".into(),
-        FabricSpec::FatTree { k } => format!("ft:{k}"),
     }
 }
 
@@ -54,7 +53,6 @@ fn parse_fabric(s: &str) -> Result<FabricSpec, String> {
     match kind {
         "sw" => Ok(FabricSpec::SingleSwitch { hosts: num(rest)? }),
         "mtor" => Ok(FabricSpec::MultiTor { hosts: num(rest)? }),
-        "ft" => Ok(FabricSpec::FatTree { k: num(rest)? }),
         "ls" => {
             let parts: Vec<&str> = rest.split('x').collect();
             if parts.len() != 3 {
@@ -324,7 +322,6 @@ mod tests {
             FabricSpec::LeafSpine { racks: 3, hosts_per_rack: 8, spines: 2 },
             FabricSpec::MultiTor { hosts: 40 },
             FabricSpec::Paper,
-            FabricSpec::FatTree { k: 4 },
         ] {
             round_trips(&ScenarioSpec::new("x", fabric, Workload::W1, 0.55, 700, 9));
         }
@@ -484,9 +481,10 @@ mod tests {
                 "field `fabric`: cannot build `mtor:7`: multi_tor: pick a host count >= 16 \
                  divisible by 10, 16 or 8, got 7",
             ),
+            // `ft:<k>` (a three-tier fat tree) is no fabric kind.
             (
-                "name=t fabric=ft:5 wl=W4 load=0.5 msgs=50 seed=1",
-                "field `fabric`: cannot build `ft:5`: fat_tree: arity must be even and >= 4, got 5",
+                "name=t fabric=ft:4 wl=W4 load=0.5 msgs=50 seed=1",
+                "field `fabric`: unknown fabric kind `ft`",
             ),
             (
                 "name=t fabric=ls:0x4x1 wl=W4 load=0.5 msgs=50 seed=1",
@@ -499,9 +497,9 @@ mod tests {
             ),
             // The same checks reach every fault and every size.
             (
-                "name=t fabric=ft:4 wl=W4 load=0.5 msgs=50 seed=1 faults=5:up:hup3,9:down:tor2-0",
-                "field `faults`: Tor(2) has no link to Spine(0): TORs link to aggregation \
-                 switches of their own pod only in `down:tor2-0` on fabric `ft:4`",
+                "name=t fabric=ls:2x4x2 wl=W4 load=0.5 msgs=50 seed=1 \
+                 faults=5:up:hup3,9:down:tor1-2",
+                "field `faults`: no such spine 2 in `down:tor1-2` on fabric `ls:2x4x2`",
             ),
             (
                 "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=5:rate:hup3:0",

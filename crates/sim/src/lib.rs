@@ -73,6 +73,6 @@ pub use packet::{CtrlKind, Packet, PacketMeta};
 pub use queues::{EcnConfig, QueueDiscipline, QueueKind};
 pub use stats::{GrantStats, PortClass, PortStats, QuantileSketch, RunStats, StreamingStats};
 pub use time::{SimDuration, SimTime};
-pub use topology::{FabricKind, HostId, NodeId, PathClass, PortSpec, Topology, TopologyError};
+pub use topology::{HostId, NodeId, PathClass, PortSpec, Topology, TopologyError};
 pub use trace::{FlightRecorder, MsgLifecycle, Timeline, TraceEvent, TraceRecord};
 pub use transport::{AppEvent, Transport, TransportActions};

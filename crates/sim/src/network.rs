@@ -30,15 +30,14 @@
 //! Fabric state is two flat tables. `Hosts` is a struct-of-arrays indexed
 //! by [`HostId`]: transports, NIC ports, pause flags and pause buffers,
 //! plus the one action buffer every transport callback borrows.
-//! `switches` holds the TORs in rack order and then the upper tiers, each
+//! `switches` holds the TORs in rack order and then the spines, each
 //! switch a vector of ports built by walking the wiring table
 //! ([`Topology::switch_ports`]); a port records its peer, so nothing past
-//! construction asks how the fabric is wired, and only `route` reads the
-//! fabric kind. Each event names the node whose state it touches, and the
-//! network runs exactly one dispatch loop: pop the earliest event from the
-//! queue, index the host or switch it names, and write whatever it
-//! produces — new events, application events, trace records — straight
-//! back. Events are totally ordered by `(time, seq)` with `seq` assigned
+//! construction asks how the fabric is wired. Each event names the node
+//! whose state it touches, and the network runs exactly one dispatch loop:
+//! pop the earliest event from the queue, index the host or switch it
+//! names, and write whatever it produces — new events, application events,
+//! trace records — straight back. Events are totally ordered by `(time, seq)` with `seq` assigned
 //! at insertion, so a run is a pure function of its inputs. The queue is
 //! a [`HierEventQueue`]; in debug builds it checks every pop against a
 //! reference heap (see [`crate::events`]), and `serve_queue` checks that
@@ -61,7 +60,7 @@ use crate::packet::{CtrlKind, Packet, PacketMeta};
 use crate::queues::{PortQueue, QueueDiscipline};
 use crate::stats::{PortClass, PortStats, RunStats, StreamingStats};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{FabricKind, HostId, NodeId, PortSpec, Topology};
+use crate::topology::{HostId, NodeId, PortSpec, Topology};
 use crate::trace::{FlightRecorder, TraceEvent, TraceRecord};
 use crate::transport::{AppEvent, Transport, TransportActions};
 use rand::rngs::StdRng;
@@ -166,34 +165,6 @@ impl<M: PacketMeta> Port<M> {
     }
 }
 
-struct SwitchNode<M> {
-    ports: Vec<Port<M>>,
-    /// Deterministic-spray counter for fat-tree uplink selection: mixed
-    /// with the packet's flow key per decision (see [`Self::spray_next`]).
-    spray: u64,
-}
-
-impl<M> SwitchNode<M> {
-    /// Draw this switch's next deterministic spray decision for a
-    /// `src → dst` packet: the flow key hashed with a per-switch
-    /// counter, reduced to `0..n`.
-    fn spray_next(&mut self, src: HostId, dst: HostId, n: u32) -> u32 {
-        let c = self.spray;
-        self.spray = self.spray.wrapping_add(1);
-        let key = ((src.0 as u64) << 32) | dst.0 as u64;
-        (splitmix64(key ^ c.wrapping_mul(0xD1B54A32D192ED03)) % n as u64) as u32
-    }
-}
-
-/// SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer used for
-/// deterministic ECMP-style spray.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Every host of the fabric, struct-of-arrays, indexed by [`HostId`]: the
 /// hot fields (ports in the TxDone path, transports in the delivery path)
 /// are contiguous instead of interleaved in one node struct, and the cold
@@ -216,7 +187,7 @@ struct Hosts<M, T> {
 }
 
 /// Index of switch `node` in `Network::switches`: TORs in rack order,
-/// then the upper tiers (the order of [`Topology::switches`]).
+/// then the spines (the order of [`Topology::switches`]).
 fn switch_index(topo: &Topology, node: NodeId) -> usize {
     match node {
         NodeId::Tor(r) => r as usize,
@@ -229,13 +200,13 @@ fn switch_index(topo: &Topology, node: NodeId) -> usize {
 fn port_mut<'a, M, T>(
     topo: &Topology,
     hosts: &'a mut Hosts<M, T>,
-    switches: &'a mut [SwitchNode<M>],
+    switches: &'a mut [Vec<Port<M>>],
     node: NodeId,
     port: u32,
 ) -> &'a mut Port<M> {
     match node {
         NodeId::Host(h) => &mut hosts.ports[h.0 as usize],
-        sw => &mut switches[switch_index(topo, sw)].ports[port as usize],
+        sw => &mut switches[switch_index(topo, sw)][port as usize],
     }
 }
 
@@ -432,7 +403,7 @@ fn serve_queue<M: PacketMeta>(
 fn on_tx_done<M: PacketMeta, T: Transport<M>>(
     cx: &mut Ctx<'_>,
     hosts: &mut Hosts<M, T>,
-    switches: &mut [SwitchNode<M>],
+    switches: &mut [Vec<Port<M>>],
     now: SimTime,
     node: NodeId,
     port_idx: u32,
@@ -459,64 +430,31 @@ fn on_tx_done<M: PacketMeta, T: Transport<M>>(
     }
 }
 
-/// Pick the egress port for a `src → dst` packet at switch `sw` (which
-/// is `node`).
-///
-/// Leaf–spine: cross-rack traffic at a TOR is sprayed across spine
-/// uplinks from the fabric's seeded RNG, one draw per such arrival in
-/// dispatch order.
-///
-/// Fat tree: up-facing hops (TOR → agg, agg → core) spray via the
-/// switch's own deterministic counter hash ([`SwitchNode::spray_next`]);
-/// down-facing hops are fully determined by `dst`.
-fn route<M: PacketMeta>(
-    cx: &mut Ctx<'_>,
-    sw: &mut SwitchNode<M>,
-    node: NodeId,
-    src: HostId,
-    dst: HostId,
-) -> u32 {
+/// Pick the egress port for a packet to `dst` at switch `node`. A TOR
+/// delivers rack-local traffic to the host's downlink and sprays the rest
+/// across its spine uplinks from the fabric's seeded RNG, one draw per
+/// such arrival in dispatch order; a spine forwards down to `dst`'s rack.
+fn route(cx: &mut Ctx<'_>, node: NodeId, dst: HostId) -> u32 {
     let topo = cx.topo;
     let dst_rack = topo.rack_of(dst);
-    match (node, topo.kind) {
-        (NodeId::Tor(r), _) if dst_rack == r => topo.index_in_rack(dst),
-        (NodeId::Tor(_), FabricKind::LeafSpine) => {
-            topo.hosts_per_rack + cx.rng.gen_range(0..topo.spines)
-        }
-        (NodeId::Tor(_), FabricKind::FatTree { k }) => {
-            topo.hosts_per_rack + sw.spray_next(src, dst, k / 2)
-        }
-        (NodeId::Spine(_), FabricKind::LeafSpine) => dst_rack,
-        (NodeId::Spine(s), FabricKind::FatTree { k }) => {
-            let half = k / 2;
-            if s < topo.num_aggs() {
-                // Aggregation switch: down to the pod-local edge, or up
-                // across its core uplinks (ports half..k).
-                if topo.pod_of_rack(dst_rack) == s / half {
-                    dst_rack % half
-                } else {
-                    half + sw.spray_next(src, dst, half)
-                }
-            } else {
-                // Core switch: one down port per pod.
-                topo.pod_of_rack(dst_rack)
-            }
-        }
-        (NodeId::Host(_), _) => unreachable!("hosts do not route"),
+    match node {
+        NodeId::Tor(r) if dst_rack == r => topo.index_in_rack(dst),
+        NodeId::Tor(_) => topo.hosts_per_rack + cx.rng.gen_range(0..topo.spines),
+        NodeId::Spine(_) => dst_rack,
+        NodeId::Host(_) => unreachable!("hosts do not route"),
     }
 }
 
 fn on_switch_arrive<M: PacketMeta>(
     cx: &mut Ctx<'_>,
-    switches: &mut [SwitchNode<M>],
+    switches: &mut [Vec<Port<M>>],
     fault_drops: &mut u64,
     now: SimTime,
     node: NodeId,
     mut pkt: Packet<M>,
 ) {
-    let sw = &mut switches[switch_index(cx.topo, node)];
-    let port_idx = route(cx, sw, node, pkt.src, pkt.dst);
-    let port = &mut sw.ports[port_idx as usize];
+    let port_idx = route(cx, node, pkt.dst);
+    let port = &mut switches[switch_index(cx.topo, node)][port_idx as usize];
 
     // Link-state check: packets routed to a downed egress are lost
     // (the switch has nowhere to forward them); transports recover
@@ -599,7 +537,7 @@ fn on_switch_arrive<M: PacketMeta>(
 fn apply_fault<M: PacketMeta, T: Transport<M>>(
     cx: &mut Ctx<'_>,
     hosts: &mut Hosts<M, T>,
-    switches: &mut [SwitchNode<M>],
+    switches: &mut [Vec<Port<M>>],
     now: SimTime,
     node: NodeId,
     port_idx: u32,
@@ -655,8 +593,9 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     now: SimTime,
     queue: HierEventQueue<Ev>,
     hosts: Hosts<M, T>,
-    /// TORs in rack order, then the upper tiers (see [`switch_index`]).
-    switches: Vec<SwitchNode<M>>,
+    /// Each switch's egress ports: TORs in rack order, then the spines
+    /// (see [`switch_index`]).
+    switches: Vec<Vec<Port<M>>>,
     rng: StdRng,
     app_events: Vec<(SimTime, HostId, AppEvent)>,
     events_processed: u64,
@@ -692,10 +631,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         };
         let switches = topo
             .switches()
-            .map(|sw| SwitchNode {
-                ports: topo.switch_ports(sw).into_iter().map(|p| Port::new(&cfg, p)).collect(),
-                spray: 0,
-            })
+            .map(|sw| topo.switch_ports(sw).into_iter().map(|p| Port::new(&cfg, p)).collect())
             .collect();
         Network {
             queue: HierEventQueue::new(1),
@@ -862,7 +798,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     #[cfg(debug_assertions)]
     fn check_conservation(&self) {
         let handed: u64 = self.hosts.ports.iter().map(|p| p.stats.packets).sum();
-        let ports = self.hosts.ports.iter().chain(self.switches.iter().flat_map(|s| &s.ports));
+        let ports = self.hosts.ports.iter().chain(self.switches.iter().flatten());
         let on_ports: u64 = ports
             .map(|p| {
                 u64::from(p.busy()) + p.wire.len() as u64 + p.queue.len() as u64 + p.queue.drops
@@ -899,7 +835,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     pub fn downlink_idle(&self, h: HostId) -> bool {
         let nic = self.topo.host_port(h);
         let tor = &self.switches[switch_index(&self.topo, nic.peer)];
-        let port = &tor.ports[nic.peer_port as usize];
+        let port = &tor[nic.peer_port as usize];
         !port.busy() && port.queue.is_empty()
     }
 
@@ -978,13 +914,13 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
         // The per-class queue means are float sums, so the visiting order
         // is part of the result: per rack its host uplinks and then its
-        // TOR's ports, then the upper-tier switches.
-        let (tors, upper) = self.switches.split_at(self.topo.racks as usize);
+        // TOR's ports, then the spines.
+        let (tors, spines) = self.switches.split_at(self.topo.racks as usize);
         let rack_nics = self.hosts.ports.chunks(self.topo.hosts_per_rack as usize);
         for (nics, tor) in rack_nics.zip(tors) {
-            nics.iter().chain(&tor.ports).for_each(&mut visit);
+            nics.iter().chain(tor).for_each(&mut visit);
         }
-        upper.iter().flat_map(|sw| &sw.ports).for_each(&mut visit);
+        spines.iter().flatten().for_each(&mut visit);
         let nhosts = self.topo.num_hosts();
         if nhosts > 0 {
             stats.mean_downlink_utilization /= nhosts as f64;
@@ -1403,118 +1339,6 @@ mod tests {
         assert_eq!(delivered as u64 + stats.fault_drops, 20, "packets unaccounted for");
         assert!(stats.fault_drops > 0, "no packet ever sprayed onto the dark spine");
         assert!(delivered > 0, "the healthy spine carried nothing");
-    }
-
-    #[test]
-    fn fat_tree_cross_pod_latency_matches_model() {
-        // k=4: racks of 2 hosts, pods of 2 racks. Host 0 (pod 0) to host
-        // 14 (rack 7, pod 3) crosses TOR → agg → core → agg → TOR.
-        let mut net = simple_net(Topology::fat_tree(4));
-        net.inject_message(HostId(0), HostId(14), 1000, 1);
-        net.run_until(SimTime::from_millis(1));
-        let evs = net.take_app_events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].1, HostId(14));
-        // Wire 1060B: 848ns host link, 4 uplink hops at 40G (212ns), 5
-        // switch delays, 848ns final host link, 1.5µs software.
-        let expect = 848 + 5 * 250 + 4 * 212 + 848 + 1500;
-        assert_eq!(evs[0].0.as_nanos(), expect);
-        // And the unloaded model agrees exactly.
-        let model = net.topology().unloaded_one_way_class(
-            1000,
-            1400,
-            60,
-            crate::topology::PathClass::InterPod,
-        );
-        assert_eq!(evs[0].0.as_nanos(), model.as_nanos());
-    }
-
-    #[test]
-    fn fat_tree_intra_pod_latency_matches_model() {
-        // Host 0 (rack 0) to host 2 (rack 1): same pod, one agg hop.
-        let mut net = simple_net(Topology::fat_tree(4));
-        net.inject_message(HostId(0), HostId(2), 1000, 1);
-        net.run_until(SimTime::from_millis(1));
-        let evs = net.take_app_events();
-        assert_eq!(evs.len(), 1);
-        let expect = 848 + 3 * 250 + 2 * 212 + 848 + 1500;
-        assert_eq!(evs[0].0.as_nanos(), expect);
-        let model = net.topology().unloaded_one_way_class(
-            1000,
-            1400,
-            60,
-            crate::topology::PathClass::IntraPod,
-        );
-        assert_eq!(evs[0].0.as_nanos(), model.as_nanos());
-    }
-
-    #[test]
-    fn fat_tree_scripted_run_delivers_everything() {
-        // The fat tree sprays from per-switch counters instead of the
-        // fabric RNG; the run must lose nothing and (debug builds) keep
-        // the shadow oracle's order on all three tiers.
-        let mut net = simple_net(Topology::fat_tree(4));
-        for i in 0..200u32 {
-            net.inject_message(
-                HostId(i % 16),
-                HostId((i * 7 + 1) % 16),
-                300 + (i as u64) * 13,
-                i as u64,
-            );
-            net.run_until(SimTime::from_micros(2 * (i as u64 + 1)));
-        }
-        net.run_until(SimTime::from_millis(5));
-        assert_eq!(net.take_app_events().len(), 200, "fat tree lost messages");
-    }
-
-    #[test]
-    fn fat_tree_spray_uses_every_uplink() {
-        let topo = Topology::fat_tree(4);
-        let hpr = topo.hosts_per_rack as usize;
-        let mut net = simple_net(topo);
-        // One flow, many packets: the counter-mixed hash must still
-        // spread them across both of the TOR's agg uplinks (per-packet
-        // spray, not per-flow ECMP).
-        for i in 0..40u64 {
-            net.inject_message(HostId(0), HostId(15), 500, i);
-        }
-        net.run_until(SimTime::from_millis(5));
-        assert_eq!(net.take_app_events().len(), 40);
-        let up: Vec<u64> = net.switches[0].ports[hpr..].iter().map(|p| p.stats.packets).collect();
-        assert!(up.iter().all(|&n| n > 0), "an uplink never carried traffic: {up:?}");
-        assert_eq!(up.iter().sum::<u64>(), 40);
-    }
-
-    #[test]
-    fn fat_tree_rack_outage_expands_to_all_member_links() {
-        use crate::faults::FaultPlan;
-        // k=4 rack: 2 host links (x2 ports) + 2 uplinks (x2 ports) = 8
-        // ports down + 8 up.
-        let mut net = simple_net(Topology::fat_tree(4));
-        net.install_faults(&FaultPlan::new().rack_outage(0, 1_000, 300_000));
-        net.run_until(SimTime::from_millis(1));
-        assert_eq!(net.harvest_stats().faults_applied, 16);
-    }
-
-    #[test]
-    fn fat_tree_agg_outage_drops_sprayed_packets_only() {
-        use crate::faults::FaultPlan;
-        // Down one of pod 0's aggregation switches: cross-rack traffic
-        // sprayed onto it drops, the other agg keeps carrying.
-        let mut net = simple_net(Topology::fat_tree(4));
-        net.install_faults(&FaultPlan::new().spine_outage(0, 1_000, 2_000_000));
-        net.run_until(SimTime::from_micros(2));
-        for i in 0..20u64 {
-            net.inject_message(HostId(0), HostId(2), 300, i);
-        }
-        net.run_until(SimTime::from_millis(1));
-        let delivered = net.take_app_events().len();
-        let stats = net.harvest_stats();
-        // Agg 0: 2 edge links + 2 core links = 4 member links, down only
-        // (restore is beyond the horizon).
-        assert_eq!(stats.faults_applied, 8);
-        assert_eq!(delivered as u64 + stats.fault_drops, 20, "packets unaccounted for");
-        assert!(stats.fault_drops > 0 && delivered > 0);
     }
 
     #[test]

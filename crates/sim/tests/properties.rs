@@ -324,15 +324,14 @@ fn delay_attribution_never_exceeds_wait() {
 /// port exactly once; and the port counts are those of the shape.
 #[test]
 fn wiring_table_is_symmetric() {
-    use homa_sim::{FabricKind, NodeId, PortClass, Topology};
+    use homa_sim::{NodeId, PortClass, Topology};
     FAMILY.check_seeds("wiring_table_is_symmetric", |rng| {
         let (a, b) = (rng.edge_range(0, 5) as u32, rng.edge_range(0, 5) as u32);
         let c = rng.edge_range(0, 3) as u32;
-        let topo = match rng.edge_range(0, 3) {
+        let topo = match rng.edge_range(0, 2) {
             0 => Topology::single_switch(2 + a * 3 + b),
             1 => Topology::scaled_fabric(1 + a, 2 + b, 1 + c),
-            2 => Topology::multi_tor([16, 24, 32, 40, 100, 160][a as usize]),
-            _ => Topology::fat_tree(4 + 2 * (a % 5)),
+            _ => Topology::multi_tor([16, 24, 32, 40, 100, 160, 1024][rng.below(7) as usize]),
         };
         assert_eq!(topo.check_shape(), Ok(()));
         assert_eq!(topo.switches().count() as u32, topo.racks + topo.spines);
@@ -344,10 +343,9 @@ fn wiring_table_is_symmetric() {
         let mut tor_ports_of_host = vec![0u32; topo.num_hosts() as usize];
         for sw in topo.switches() {
             let ports = topo.switch_ports(sw);
-            let want = match (sw, topo.kind) {
-                (NodeId::Tor(_), _) => topo.tor_ports(),
-                (_, FabricKind::LeafSpine) => topo.racks,
-                (_, FabricKind::FatTree { k }) => k,
+            let want = match sw {
+                NodeId::Tor(_) => topo.tor_ports(),
+                _ => topo.racks,
             };
             assert_eq!(ports.len() as u32, want, "port count of {sw:?}");
             for (i, p) in ports.iter().enumerate() {
@@ -373,24 +371,5 @@ fn wiring_table_is_symmetric() {
             }
         }
         assert!(tor_ports_of_host.iter().all(|&n| n == 1), "a host is not wired exactly once");
-    });
-}
-
-/// Unloaded latency respects the hop hierarchy on any fat tree and
-/// any message size: same-rack <= intra-pod <= inter-pod, the path
-/// class is symmetric.
-#[test]
-fn fat_tree_unloaded_monotone_and_symmetric() {
-    use homa_sim::PathClass;
-    FAMILY.check_seeds("fat_tree_unloaded_monotone_and_symmetric", |rng| {
-        let topo = homa_sim::Topology::fat_tree(rng.edge_range(2, 5) as u32 * 2);
-        let len = rng.edge_range(1, 199_999);
-        let n = topo.num_hosts() as u64;
-        let host = |rng: &mut SplitMix64| HostId((rng.edge_range(0, 999) % n) as u32);
-        let (a, b) = (host(rng), host(rng));
-        assert_eq!(topo.path_class(a, b), topo.path_class(b, a));
-        let t = |c| topo.unloaded_one_way_class(len, 1_400, 60, c).as_nanos();
-        assert!(t(PathClass::SameRack) <= t(PathClass::IntraPod));
-        assert!(t(PathClass::IntraPod) <= t(PathClass::InterPod));
     });
 }

@@ -196,30 +196,6 @@ fn homa_repeats_under_spine_outage() {
 }
 
 #[test]
-fn homa_repeats_on_faulted_fat_tree() {
-    // The 1k-host scale fabric in miniature: a k=4 fat tree with the
-    // deterministic counter-spray on TOR, aggregation and core tiers,
-    // stressed with the same fault vocabulary as the leaf–spine rows.
-    // Agg 0 serves pod 0, so `TorUplink { rack: 0, spine: 0 }` is a
-    // valid pod-local uplink for the rate limit.
-    let spec = ScenarioSpec::new(
-        "det_fault_fat_tree",
-        FabricSpec::FatTree { k: 4 },
-        Workload::W2,
-        0.5,
-        700,
-        23,
-    )
-    .with_faults(
-        FaultPlan::new()
-            .link_flaps(LinkId::HostDownlink(HostId(1)), 20_000, 10_000, 25_000, 4)
-            .receiver_pause(HostId(5), 40_000, 90_000)
-            .rate_limit(LinkId::TorUplink { rack: 0, spine: 0 }, 10_000, 110_000, 10_000_000_000),
-    );
-    assert_repeatable(Protocol::Homa, spec);
-}
-
-#[test]
 fn trace_jsonl_is_byte_identical_across_runs() {
     // The flight recorder writes in `(time, seq)` dispatch order, so one
     // spec line must render the *same bytes* of TRACE.jsonl every time —

@@ -107,6 +107,30 @@ fn long_haul_conservation_fuzz() {
     check_seed_range(200_000, FAMILY.iters(10) * 25);
 }
 
+/// Pinned defect: the long haul's seed 200187, shrunk. Host 4's receive
+/// path pauses for 17.5 ms while it sends an 18,938-byte message to host 0,
+/// so host 0's RESENDs for the message's tail queue up unread. On resume
+/// host 4 answers every one of them; the first answer completes the
+/// message, and a later one re-creates it at host 0 as a fresh inbound
+/// message (the receiver keeps no completed-message state, §3.8). The
+/// sender still lingers on the message, so it answers that ghost's own
+/// RESENDs and Homa delivers the message twice. A fix flips the first
+/// assertion; until then the long haul fails on that seed.
+#[test]
+fn homa_delivers_twice_after_a_long_receiver_pause() {
+    let line = "name=fuzz_0000000000030dfb fabric=sw:5 wl=W4 load=0.3 msgs=51 seed=200187 \
+                traffic=incast:7 faults=26634780:rate:hup2:2673048782,12388051:pause:4,\
+                29853167:resume:4";
+    let spec = ScenarioSpec::parse_spec_line(line).expect("the pinned line parses");
+    assert_eq!(
+        conservation_detail(Protocol::Homa, &spec).as_deref(),
+        Some("Homa: 1 duplicate deliveries")
+    );
+    for p in &TRANSPORTS[1..] {
+        assert_eq!(conservation_detail(*p, &spec), None, "{p:?}");
+    }
+}
+
 /// Replay hook: set `HOMA_FUZZ_REPLAY` to the `conservation:<spec line>`
 /// a fuzz failure printed and this test re-checks conservation on it for
 /// every transport (it passes trivially when the variable is unset or

@@ -21,8 +21,11 @@
 //!     (default BENCH_PR.json); `--rss` samples per-scenario peak
 //!     resident set (VmHWM, Linux) into the report's `peak_rss_kb`
 //!     column; `--only` keeps just the scenarios whose name contains
-//!     SUBSTR. Where the time goes inside a run is the benchmark's
-//!     question: `bash benchmark/run.sh --trace 1`.
+//!     SUBSTR. When more than one scenario is selected, each runs in a
+//!     child `perf-smoke --only <name>` process, so its peak resident
+//!     set is its own and not the high-water mark of the rows before it.
+//!     Where the time goes inside a run is the benchmark's question:
+//!     `bash benchmark/run.sh --trace 1`.
 //!
 //! perf-smoke --compare BASELINE CURRENT
 //!     print both reports side by side and exit nonzero if CURRENT's
@@ -42,6 +45,7 @@ use homa_harness::driver::{OnewayOpts, OnewayResult};
 use homa_harness::{FabricSpec, ScenarioSpec};
 use homa_sim::{FaultPlan, HostId, LinkId};
 use homa_workloads::{TrafficSpec, Workload};
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 /// Fixed seed for every gate scenario: the runs are deterministic, so
@@ -173,15 +177,6 @@ fn peak_rss_kb() -> u64 {
     0
 }
 
-/// Reset the VmHWM peak to the current RSS (write `5` to
-/// `/proc/self/clear_refs`), so each scenario's peak is its own.
-/// Best-effort: on kernels/filesystems that refuse the write, peaks
-/// accumulate monotonically across scenarios — still a valid upper
-/// bound, just a coarser one.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
 /// How one gate invocation runs: which scenario subset, and whether
 /// peak RSS is sampled.
 struct GateCfg {
@@ -193,9 +188,6 @@ struct GateCfg {
 
 /// Run one scenario, returning the result, wall seconds and peak RSS.
 fn run_once(spec: &ScenarioSpec, rss: bool) -> (OnewayResult, f64, u64) {
-    if rss {
-        reset_peak_rss();
-    }
     let start = Instant::now();
     let res = run_protocol_scenario(Protocol::Homa, spec, &OnewayOpts::default(), None);
     let wall = start.elapsed().as_secs_f64();
@@ -203,21 +195,51 @@ fn run_once(spec: &ScenarioSpec, rss: bool) -> (OnewayResult, f64, u64) {
     (res, wall, peak_kb)
 }
 
+/// Run scenario `name` in a child `perf-smoke --only <name>` and return
+/// its report's one row. No scenario's full name is a substring of
+/// another's, so the child selects that row alone and runs it in-process.
+fn run_in_child(name: &str, cfg: &GateCfg) -> ScenarioReport {
+    let exe = std::env::current_exe().expect("perf-smoke knows its own path");
+    let mut cmd = Command::new(exe);
+    cmd.args(["--only", name, "--out", "/dev/null"]);
+    if cfg.quick {
+        cmd.arg("--quick");
+    }
+    if cfg.rss {
+        cmd.arg("--rss");
+    }
+    let out = cmd.stderr(Stdio::inherit()).output().expect("perf-smoke starts a child");
+    if !out.status.success() {
+        eprintln!("perf-smoke: the child running {name} failed ({})", out.status);
+        std::process::exit(out.status.code().unwrap_or(2));
+    }
+    let report = String::from_utf8_lossy(&out.stdout);
+    let mut report = parse_report(&report).unwrap_or_else(|e| {
+        eprintln!("perf-smoke: cannot parse the report of {name}: {e}");
+        std::process::exit(2);
+    });
+    assert_eq!(report.scenarios.len(), 1, "the child ran exactly {name}");
+    report.scenarios.remove(0)
+}
+
 fn run_gate(cfg: &GateCfg) -> Report {
+    let selected: Vec<GateScenario> = gate_scenarios(cfg.quick)
+        .into_iter()
+        .filter(|g| cfg.only.as_ref().is_none_or(|f| g.spec.name.contains(f.as_str())))
+        .collect();
     let mut scenarios = Vec::new();
-    for GateScenario { spec, min_delivered_frac } in gate_scenarios(cfg.quick) {
-        if let Some(f) = &cfg.only {
-            if !spec.name.contains(f.as_str()) {
-                continue;
-            }
+    for GateScenario { spec, min_delivered_frac } in &selected {
+        if selected.len() > 1 {
+            scenarios.push(run_in_child(&spec.name, cfg));
+            continue;
         }
         eprintln!("running {} ...", spec.name);
-        let (res, wall, peak_kb) = run_once(&spec, cfg.rss);
+        let (res, wall, peak_kb) = run_once(spec, cfg.rss);
         let events = res.stats.events_processed;
         let wall_ms = wall * 1e3;
         let eps = events as f64 / wall.max(1e-9);
         assert!(
-            res.delivered as f64 >= res.injected as f64 * min_delivered_frac,
+            res.delivered as f64 >= res.injected as f64 * *min_delivered_frac,
             "{}: only {}/{} delivered — scenario miscalibrated",
             spec.name,
             res.delivered,
@@ -245,13 +267,8 @@ fn run_gate(cfg: &GateCfg) -> Report {
         // The wheel's counters on this row (deterministic, like `events`).
         let e = res.engine_stats;
         eprintln!(
-            "  {}: {} wheel, {} far and {} past inserts; {} instants popped, {} at most at one",
-            spec.name,
-            e.bucket_events,
-            e.far_events,
-            e.late_events,
-            e.epochs_merged,
-            e.max_epoch_events,
+            "  {}: {} wheel and {} far inserts; {} instants popped, {} at most at one",
+            spec.name, e.bucket_events, e.far_events, e.epochs_merged, e.max_epoch_events,
         );
     }
     if scenarios.is_empty() {

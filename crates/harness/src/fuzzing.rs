@@ -36,64 +36,12 @@ use crate::scenario::{FabricSpec, ScenarioSpec};
 use homa_sim::{resolve_fault, Fault, FaultPlan, HostId, LinkId};
 use homa_workloads::{TrafficSpec, Workload};
 
+/// The randomized-testing generator, written beside the simulation's own
+/// in [`homa_sim::rng`].
+pub use homa_sim::SplitMix64;
+
 pub mod grammar;
 pub mod stateful;
-
-/// SplitMix64: tiny, seedable, and statistically fine for test-case
-/// generation. Hand-rolled so the fuzzers add no dependencies; pinned to
-/// the published vectors by `splitmix64_matches_the_published_vectors`.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator whose whole stream is determined by `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, n)`. `n` must be non-zero.
-    pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "SplitMix64::below(0): an empty range has no draw");
-        self.next_u64() % n
-    }
-
-    /// Uniform draw in the inclusive range `[lo, hi]`, up to and
-    /// including the full `[0, u64::MAX]`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "SplitMix64::range({lo}, {hi}): the range is empty");
-        match (hi - lo).checked_add(1) {
-            Some(span) => lo + self.below(span),
-            None => self.next_u64(),
-        }
-    }
-
-    /// A draw in `[lo, hi]` with one draw in eight pinned to an endpoint,
-    /// half to each: the pressure on boundaries a property's integer
-    /// inputs need when nothing shrinks a failure toward them.
-    pub fn edge_range(&mut self, lo: u64, hi: u64) -> u64 {
-        match self.below(16) {
-            0 => lo,
-            1 => hi,
-            _ => self.range(lo, hi),
-        }
-    }
-
-    /// True with probability `num`/`den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
-}
 
 /// All workloads, in index order, for seeded selection.
 const WORKLOADS: [Workload; 5] =
@@ -423,47 +371,6 @@ impl FuzzFamily {
 mod tests {
     use super::*;
     use homa_workloads::PatternSpec;
-
-    #[test]
-    fn splitmix64_matches_the_published_vectors() {
-        // The first outputs of Vigna's reference `splitmix64.c`. The
-        // benchmark's RPC plan and every property ride on this stream.
-        let first = |seed, n| {
-            let mut rng = SplitMix64::new(seed);
-            (0..n).map(|_| rng.next_u64()).collect::<Vec<u64>>()
-        };
-        let want_1234567 = [
-            6_457_827_717_110_365_317,
-            3_203_168_211_198_807_973,
-            9_817_491_932_198_370_423,
-            4_593_380_528_125_082_431,
-            16_408_922_859_458_223_821,
-        ];
-        assert_eq!(first(1_234_567, 5), want_1234567);
-        assert_eq!(
-            first(0, 3),
-            [0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f]
-        );
-    }
-
-    #[test]
-    fn ranges_reach_the_whole_u64_and_edge_draws_reach_both_ends() {
-        let mut rng = SplitMix64::new(3);
-        let mut twin = rng.clone();
-        assert_eq!(rng.range(0, u64::MAX), twin.next_u64());
-        assert_eq!(rng.range(u64::MAX, u64::MAX), u64::MAX);
-        let (mut lo, mut hi) = (0, 0);
-        for _ in 0..8_000 {
-            assert!(rng.range(u64::MAX - 2, u64::MAX) >= u64::MAX - 2);
-            match rng.edge_range(5, 1_000_004) {
-                5 => lo += 1,
-                1_000_004 => hi += 1,
-                draw => assert!((5..1_000_004).contains(&draw)),
-            }
-        }
-        // One draw in sixteen at each end; a uniform draw would give none.
-        assert!((400..600).contains(&lo) && (400..600).contains(&hi), "lo {lo}, hi {hi}");
-    }
 
     /// What a `debug_assert!` or a silent default let through in release
     /// builds is refused in every build, by name.

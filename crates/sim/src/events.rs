@@ -13,22 +13,19 @@
 //!   through a slab of nodes. `seq` is assigned at insertion, so a slot's
 //!   insertion order *is* its `seq` order and nothing is ever sorted. A
 //!   two-level occupancy bitmap (one bit per slot, one per 64 slots) finds
-//!   the next occupied instant in a few word scans. Two heaps of 24-byte
-//!   `(time, seq, node)` keys hold what the wheel cannot:
-//!
-//!   * **far** — events at or beyond the horizon (retransmission timers,
-//!     mostly). Each migrates into its slot as soon as a pop brings its
-//!     instant inside the horizon: before any later insert can reach that
-//!     instant, so it keeps its place ahead of them.
-//!   * **past** — events scheduled before `base`. The fabric never makes
-//!     one; the generic contract allows them, they pop first (leaving
-//!     `base` where it is), and they stay exact.
+//!   the next occupied instant in a few word scans. Events at or beyond
+//!   the horizon (retransmission timers, mostly) wait in the **far** heap
+//!   of 24-byte `(time, seq, node)` keys. Each migrates into its slot as
+//!   soon as a pop brings its instant inside the horizon: before any later
+//!   insert can reach that instant, so it keeps its place ahead of them.
+//!   Nothing is scheduled before `base`: the fabric never does, and
+//!   `schedule` panics, naming the instant and `base`, if asked to.
 //!
 //!   A payload is written into a slab node at `schedule`, read at `pop`
-//!   and never moved in between, whichever of the three places its node is
-//!   filed in. Vacated nodes are reused last in first out: the slab is as
-//!   long as the most events ever pending at once, and an insert writes
-//!   the node a pop just read. An insert inside the horizon and a pop of
+//!   and never moved in between, whether its node is filed in a slot or
+//!   in the far heap. Vacated nodes are reused last in first out: the
+//!   slab is as long as the most events ever pending at once, and an
+//!   insert writes the node a pop just read. An insert inside the horizon and a pop of
 //!   the next instant's head are O(1) and compare no two events.
 //! * [`EventQueue`] — a plain binary heap over the same `(time, seq)`
 //!   key. Simple enough to trust by reading, which is why it stays: it
@@ -120,9 +117,9 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// What the far and past heaps order: an event's `(time, seq)` place in
-/// the total order and the slab node its payload waits in. `seq` is
-/// unique, so the derived ordering never reaches `node`.
+/// What the far heap orders: an event's `(time, seq)` place in the total
+/// order and the slab node its payload waits in. `seq` is unique, so the
+/// derived ordering never reaches `node`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: SimTime,
@@ -207,8 +204,8 @@ pub struct EngineStats {
     pub bucket_width_ns: u64,
     /// Events inserted into the wheel (the O(1) path).
     pub bucket_events: u64,
-    /// Events inserted before the highest instant popped, into the past
-    /// heap.
+    /// Always 0: nothing is scheduled before the highest instant popped.
+    /// Kept because the frozen `benchmark/` reads it.
     pub late_events: u64,
     /// Events inserted at or beyond the wheel's horizon, into the far
     /// heap (far-future timers).
@@ -220,10 +217,9 @@ pub struct EngineStats {
 }
 
 /// The timing-wheel event engine: one FIFO per nanosecond over a
-/// `WHEEL_NS` horizon, a far heap beyond it and a past heap before it,
-/// all over one payload slab. Same `(time, seq)` total order as
-/// [`EventQueue`], but neither an insert nor a pop on the hot path
-/// compares two events.
+/// `WHEEL_NS` horizon and a far heap beyond it, both over one payload
+/// slab. Same `(time, seq)` total order as [`EventQueue`], but neither an
+/// insert nor a pop on the hot path compares two events.
 pub struct HierEventQueue<E> {
     /// The highest instant popped: the wheel holds `[base, base + WHEEL_NS)`.
     base: u64,
@@ -236,8 +232,6 @@ pub struct HierEventQueue<E> {
     summary: [u64; WORDS / 64],
     /// Keys at or beyond the horizon, min first.
     far: BinaryHeap<Reverse<Key>>,
-    /// Keys before `base`, min first.
-    past: BinaryHeap<Reverse<Key>>,
     /// The payload slab: a node's payload is `Some` from `schedule` to
     /// `pop` and never moves in between.
     nodes: Vec<Node<E>>,
@@ -263,7 +257,6 @@ impl<E> HierEventQueue<E> {
             occupied: [0; WORDS],
             summary: [0; WORDS / 64],
             far: BinaryHeap::new(),
-            past: BinaryHeap::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -278,13 +271,23 @@ impl<E> HierEventQueue<E> {
     /// the order they were scheduled, across all lanes.
     ///
     /// # Panics
-    /// If `lane` is out of range for this engine.
+    /// If `lane` is out of range for this engine, or `at` is before the
+    /// highest instant popped.
     pub fn schedule(&mut self, lane: LaneId, at: SimTime, payload: E) {
         assert!(
             lane.0 < self.stats.lanes,
             "lane {} out of range ({} lanes)",
             lane.0,
             self.stats.lanes
+        );
+        // Hot path first: one wrapping compare covers the whole horizon
+        // (an instant before `base` wraps to a huge value).
+        let t = at.as_nanos();
+        let in_wheel = t.wrapping_sub(self.base) < WHEEL_NS;
+        assert!(
+            in_wheel || t >= self.base,
+            "event scheduled at {t}ns, before the latest instant popped ({}ns)",
+            self.base
         );
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -309,15 +312,9 @@ impl<E> HierEventQueue<E> {
                 u32::try_from(self.nodes.len() - 1).expect("over u32::MAX events pending")
             }
         };
-        // Hot path first: one wrapping compare covers the whole horizon
-        // (an instant before `base` wraps to a huge value).
-        let t = at.as_nanos();
-        if t.wrapping_sub(self.base) < WHEEL_NS {
+        if in_wheel {
             self.link(t, node);
             self.stats.bucket_events += 1;
-        } else if t < self.base {
-            self.past.push(Reverse(Key { at, seq, node }));
-            self.stats.late_events += 1;
         } else {
             self.far.push(Reverse(Key { at, seq, node }));
             self.stats.far_events += 1;
@@ -374,17 +371,9 @@ impl<E> HierEventQueue<E> {
     }
 
     /// Pick the earliest event if it fires at or before `bound` and take
-    /// its node off the wheel or heap it was filed in.
+    /// its node off the wheel.
     fn pop_node(&mut self, bound: Option<SimTime>) -> Option<(SimTime, u32)> {
         let due = |at: u64| bound.is_none_or(|b| at <= b.as_nanos());
-        // Everything in the past heap is before everything else.
-        if let Some(&Reverse(k)) = self.past.peek() {
-            if !due(k.at.as_nanos()) {
-                return None;
-            }
-            self.past.pop();
-            return Some((k.at, k.node));
-        }
         let (t, s) = match self.wheel_head() {
             Some(head) => head,
             None => {
@@ -466,9 +455,6 @@ impl<E> HierEventQueue<E> {
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(k) = self.past.peek() {
-            return Some(k.0.at);
-        }
         match self.wheel_head() {
             Some((t, _)) => Some(SimTime::from_nanos(t)),
             None => self.far.peek().map(|k| k.0.at),
@@ -649,32 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn hier_inserts_before_the_last_pop_interleave_with_bounded_pops() {
-        let mut q = HierEventQueue::new(1);
-        q.schedule(LaneId(0), SimTime::from_nanos(100), "a");
-        q.schedule(LaneId(0), SimTime::from_nanos(500), "e");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop_if_before(SimTime::from_nanos(499)), None);
-        // Base is 100: these three land before it, in the past heap.
-        q.schedule(LaneId(0), SimTime::from_nanos(60), "c");
-        q.schedule(LaneId(0), SimTime::from_nanos(20), "b");
-        q.schedule(LaneId(0), SimTime::from_nanos(60), "d");
-        assert_eq!(q.stats().late_events, 3);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
-        assert_eq!(q.pop_if_before(SimTime::from_nanos(10)), None);
-        assert_eq!(q.pop_if_before(SimTime::from_nanos(20)), Some((SimTime::from_nanos(20), "b")));
-        // A past pop leaves the base where it is: 100 is still a wheel insert.
-        q.schedule(LaneId(0), SimTime::from_nanos(100), "a2");
-        assert_eq!(q.stats().bucket_events, 3);
-        assert_eq!(q.pop_if_before(SimTime::from_nanos(60)), Some((SimTime::from_nanos(60), "c")));
-        assert_eq!(q.pop_if_before(SimTime::from_nanos(99)), Some((SimTime::from_nanos(60), "d")));
-        assert_eq!(q.pop_if_before(SimTime::from_nanos(99)), None);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), "a2")));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(500), "e")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn hier_far_future_events_beyond_the_horizon() {
         let mut q = HierEventQueue::new(2);
         q.schedule(LaneId(0), SimTime::from_nanos(WHEEL_NS * 5), "far");
@@ -705,23 +665,32 @@ mod tests {
         };
         let mut flat: EventQueue<E> = EventQueue::new();
         let mut hier: HierEventQueue<E> = HierEventQueue::new(7);
-        let mut popped = 0u64;
+        let (mut popped, mut base) = (0u64, 0);
         let mut peak_len = 0;
         for i in 0..5_000u64 {
             let r = next();
             if r % 3 != 0 || flat.is_empty() {
                 let lane = LaneId((r % 7) as u32);
-                // Times up to three horizons out: wheel, far and (after
-                // a pop) past inserts alike.
-                let at = SimTime::from_nanos(r % (3 * WHEEL_NS));
+                // Times up to three horizons past the latest pop: wheel
+                // and far inserts alike.
+                let at = SimTime::from_nanos(base + r % (3 * WHEEL_NS));
                 flat.schedule(at, payload(i));
                 hier.schedule(lane, at, payload(i));
-            } else if r % 2 == 0 {
-                assert_eq!(flat.pop(), hier.pop());
-                popped += 1;
             } else {
-                let t = SimTime::from_nanos(next() % (3 * WHEEL_NS));
-                assert_eq!(flat.pop_if_before(t), hier.pop_if_before(t));
+                let got = if r % 2 == 0 {
+                    popped += 1;
+                    let got = hier.pop();
+                    assert_eq!(flat.pop(), got);
+                    got
+                } else {
+                    let t = SimTime::from_nanos(base + next() % (3 * WHEEL_NS));
+                    let got = hier.pop_if_before(t);
+                    assert_eq!(flat.pop_if_before(t), got);
+                    got
+                };
+                if let Some((at, _)) = got {
+                    base = at.as_nanos();
+                }
             }
             assert_eq!(flat.len(), hier.len());
             assert_eq!(flat.peek_time(), hier.peek_time());
@@ -734,7 +703,8 @@ mod tests {
         assert_eq!(flat.pop(), None);
         assert!(popped > 1_000, "exercised only {popped} pops");
         let s = hier.stats();
-        assert!(s.bucket_events > 1_000 && s.far_events > 100 && s.late_events > 100, "{s:?}");
+        assert!(s.bucket_events > 1_000 && s.far_events > 100, "{s:?}");
+        assert_eq!(s.late_events, 0);
         // Vacated nodes were reused: the slab is no longer than the most
         // events ever pending, and a drained one is all vacant, with every
         // slot and occupancy bit clear.
@@ -768,14 +738,25 @@ mod tests {
         assert_eq!(s.bucket_width_ns, 1);
         assert_eq!((s.bucket_events, s.far_events, s.late_events), (9, 1, 0));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(300), 0)));
-        // Before the last pop: the past heap.
-        q.schedule(LaneId(0), SimTime::from_nanos(299), 10);
-        assert_eq!(q.stats().late_events, 1);
+        // At the last instant popped: still a wheel insert, behind the
+        // four still due there.
+        q.schedule(LaneId(0), SimTime::from_nanos(300), 10);
+        assert_eq!(q.stats().bucket_events, 10);
         while q.pop().is_some() {}
         let s = q.stats();
-        // 300, then 299 (a past instant), 300 again, 310, 320, the far one.
-        assert_eq!(s.epochs_merged, 6);
-        assert_eq!(s.max_epoch_events, 4);
+        // 300, 310, 320 and the far one; six events at 300.
+        assert_eq!(s.epochs_merged, 4);
+        assert_eq!(s.max_epoch_events, 6);
+        assert_eq!(s.late_events, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled at 299ns, before the latest instant popped (300ns)")]
+    fn a_schedule_before_the_latest_pop_panics() {
+        let mut q = HierEventQueue::new(1);
+        q.schedule(LaneId(0), SimTime::from_nanos(300), ());
+        q.pop();
+        q.schedule(LaneId(0), SimTime::from_nanos(299), ());
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! without modelling a deep NIC queue.
 //!
 //! Determinism: all events are ordered by `(time, sequence)` and all
-//! randomness derives from one seeded RNG, so a run is a pure function of
-//! its configuration.
+//! randomness derives from one seeded generator ([`rng`]), so a run is a
+//! pure function of its configuration.
 //!
 //! ## Paper map
 //!
@@ -48,6 +48,7 @@
 //! | [`delay`] | Figure 14's per-packet delay attribution |
 //! | [`stats`] | Table 1 queue statistics, §5 run accounting |
 //! | [`faults`] | beyond-paper: link flaps, receiver pauses, rate limits (scenario stress) |
+//! | [`rng`] | the seeded streams: §5.2 Poisson arrivals and per-packet spraying, fuzz inputs |
 //! | [`packet`] / [`time`] | shared vocabulary types |
 
 #![warn(missing_docs)]
@@ -59,6 +60,7 @@ pub mod faults;
 pub mod network;
 pub mod packet;
 pub mod queues;
+pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod topology;
@@ -71,7 +73,8 @@ pub use faults::{resolve_fault, Fault, FaultAction, FaultError, FaultPlan, Fault
 pub use network::{Network, NetworkConfig, StepOutput};
 pub use packet::{CtrlKind, Packet, PacketMeta};
 pub use queues::{EcnConfig, QueueDiscipline, QueueKind};
-pub use stats::{GrantStats, PortClass, PortStats, QuantileSketch, RunStats, StreamingStats};
+pub use rng::{SplitMix64, Xoshiro256PlusPlus};
+pub use stats::{GrantStats, PortClass, PortStats, QuantileSketch, RunStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{HostId, NodeId, PathClass, PortSpec, Topology, TopologyError};
 pub use trace::{FlightRecorder, MsgLifecycle, Timeline, TraceEvent, TraceRecord};

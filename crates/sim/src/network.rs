@@ -58,13 +58,12 @@ use crate::events::{EngineStats, HierEventQueue, LaneId, TimerToken};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::packet::{CtrlKind, Packet, PacketMeta};
 use crate::queues::{PortQueue, QueueDiscipline};
-use crate::stats::{PortClass, PortStats, RunStats, StreamingStats};
+use crate::rng::Xoshiro256PlusPlus;
+use crate::stats::{PortClass, PortStats, RunStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, NodeId, PortSpec, Topology};
 use crate::trace::{FlightRecorder, TraceEvent, TraceRecord};
 use crate::transport::{AppEvent, Transport, TransportActions};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// Fabric-wide configuration knobs that are not part of the topology.
@@ -218,7 +217,7 @@ struct Ctx<'a> {
     queue: &'a mut HierEventQueue<Ev>,
     app_events: &'a mut Vec<(SimTime, HostId, AppEvent)>,
     tracer: Option<&'a mut FlightRecorder>,
-    rng: &'a mut StdRng,
+    rng: &'a mut Xoshiro256PlusPlus,
 }
 
 impl Ctx<'_> {
@@ -339,7 +338,6 @@ fn begin_tx<M: PacketMeta>(
     debug_assert!(!port.busy(), "begin_tx on busy port");
     let dur = SimDuration::serialization(pkt.wire_bytes() as u64, port.rate_bps);
     let done_at = now + dur;
-    port.stats.busy_ns += dur.as_nanos();
     port.stats.wire_bytes += pkt.wire_bytes() as u64;
     port.stats.goodput_bytes += pkt.meta.goodput_bytes() as u64;
     port.stats.packets += 1;
@@ -439,7 +437,7 @@ fn route(cx: &mut Ctx<'_>, node: NodeId, dst: HostId) -> u32 {
     let dst_rack = topo.rack_of(dst);
     match node {
         NodeId::Tor(r) if dst_rack == r => topo.index_in_rack(dst),
-        NodeId::Tor(_) => topo.hosts_per_rack + cx.rng.gen_range(0..topo.spines),
+        NodeId::Tor(_) => topo.hosts_per_rack + cx.rng.below(topo.spines),
         NodeId::Spine(_) => dst_rack,
         NodeId::Host(_) => unreachable!("hosts do not route"),
     }
@@ -596,7 +594,7 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     /// Each switch's egress ports: TORs in rack order, then the spines
     /// (see [`switch_index`]).
     switches: Vec<Vec<Port<M>>>,
-    rng: StdRng,
+    rng: Xoshiro256PlusPlus,
     app_events: Vec<(SimTime, HostId, AppEvent)>,
     events_processed: u64,
     faults_applied: u64,
@@ -635,7 +633,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             .collect();
         Network {
             queue: HierEventQueue::new(1),
-            rng: StdRng::seed_from_u64(cfg.seed),
+            rng: Xoshiro256PlusPlus::new(cfg.seed),
             topo,
             cfg,
             now: SimTime::ZERO,
@@ -889,26 +887,22 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         let now = self.now;
         let classes =
             [PortClass::HostUp, PortClass::TorUp, PortClass::SpineDown, PortClass::TorDown];
-        let mut means: Vec<(PortClass, StreamingStats)> =
-            classes.iter().map(|&c| (c, StreamingStats::default())).collect();
+        // Per class: the sum of its ports' mean queue bytes and their count.
+        let mut means: Vec<(f64, u64)> = vec![(0.0, 0); classes.len()];
         let mut maxes: Vec<(PortClass, u64)> = classes.iter().map(|&c| (c, 0)).collect();
         let mut drops: Vec<(PortClass, u64)> = classes.iter().map(|&c| (c, 0)).collect();
         let mut trims: Vec<(PortClass, u64)> = classes.iter().map(|&c| (c, 0)).collect();
 
         let mut visit = |port: &Port<M>| {
             let idx = classes.iter().position(|&c| c == port.class).expect("known class");
-            means[idx].1.push(port.queue.mean_bytes(now));
+            means[idx].0 += port.queue.mean_bytes(now);
+            means[idx].1 += 1;
             maxes[idx].1 = maxes[idx].1.max(port.queue.max_bytes_seen());
             drops[idx].1 += port.queue.drops;
             trims[idx].1 += port.queue.trims;
-            match port.class {
-                PortClass::HostUp => stats.host_up_wire_bytes += port.stats.wire_bytes,
-                PortClass::TorDown => {
-                    stats.tor_down_wire_bytes += port.stats.wire_bytes;
-                    stats.tor_down_goodput_bytes += port.stats.goodput_bytes;
-                    stats.mean_downlink_utilization += port.stats.utilization(now);
-                }
-                _ => {}
+            if port.class == PortClass::TorDown {
+                stats.tor_down_wire_bytes += port.stats.wire_bytes;
+                stats.tor_down_goodput_bytes += port.stats.goodput_bytes;
             }
         };
 
@@ -921,14 +915,14 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             nics.iter().chain(tor).for_each(&mut visit);
         }
         spines.iter().flatten().for_each(&mut visit);
-        let nhosts = self.topo.num_hosts();
-        if nhosts > 0 {
-            stats.mean_downlink_utilization /= nhosts as f64;
-        }
         for t in &self.hosts.transports {
             stats.grants.merge(&t.grant_stats());
         }
-        stats.queue_means = means;
+        stats.queue_means = classes
+            .iter()
+            .zip(means)
+            .map(|(&c, (sum, n))| (c, if n == 0 { 0.0 } else { sum / n as f64 }))
+            .collect();
         stats.queue_maxes = maxes;
         stats.drops = drops;
         stats.trims = trims;
@@ -1044,7 +1038,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_utilization_and_queues() {
+    fn stats_track_queues_and_delivered_bytes() {
         let mut net = simple_net(Topology::single_switch(4));
         for i in 0..50 {
             net.inject_message(HostId(0), HostId(2), 1400, i);

@@ -105,8 +105,6 @@ pub struct PortQueue<M> {
     pub drops: u64,
     /// Number of packets trimmed by this queue (NDP).
     pub trims: u64,
-    /// Number of packets ECN-marked by this queue.
-    pub ecn_marks: u64,
     max_bytes_seen: u64,
     /// Time-weighted integral of queue bytes (for mean queue length).
     byte_time_integral: u128,
@@ -135,7 +133,6 @@ impl<M: PacketMeta> PortQueue<M> {
             packets: 0,
             drops: 0,
             trims: 0,
-            ecn_marks: 0,
             max_bytes_seen: 0,
             byte_time_integral: 0,
             last_change: SimTime::ZERO,
@@ -222,7 +219,6 @@ impl<M: PacketMeta> PortQueue<M> {
         if let Some(ecn) = self.disc.ecn {
             if self.bytes >= ecn.threshold_bytes {
                 pkt.ecn = true;
-                self.ecn_marks += 1;
             }
         }
 
@@ -371,7 +367,6 @@ impl<M: PacketMeta> PortQueue<M> {
         if let Some(ecn) = self.disc.ecn {
             if self.bytes >= ecn.threshold_bytes {
                 pkt.ecn = true;
-                self.ecn_marks += 1;
             }
         }
         self.account_add(now, size);
@@ -603,7 +598,6 @@ mod tests {
         let b = q.dequeue(t(0)).unwrap();
         let c = q.dequeue(t(0)).unwrap();
         assert!(!a.ecn && !b.ecn && c.ecn);
-        assert_eq!(q.ecn_marks, 1);
     }
 
     #[test]

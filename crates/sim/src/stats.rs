@@ -1,9 +1,8 @@
-//! Run statistics: link utilization, queue occupancy, drops.
+//! Run statistics: per-class queue occupancy, drops and trims, delivered
+//! bytes, grant credit, and the slowdown sketch.
 //!
-//! These feed Table 1 (queue lengths per fabric level), Figure 15
-//! (bandwidth utilization), and Figure 16 (wasted bandwidth) of the paper.
-
-use crate::time::SimTime;
+//! These feed Table 1 (queue lengths per fabric level) and Figure 15 (the
+//! goodput share of the bytes delivered at capacity) of the paper.
 
 /// Classification of an egress port by its position in the fabric, matching
 /// the rows of Table 1 in the paper.
@@ -32,87 +31,18 @@ impl PortClass {
     }
 }
 
-/// Online mean/max accumulator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamingStats {
-    count: u64,
-    sum: f64,
-    max: f64,
-}
-
-impl StreamingStats {
-    /// Record one observation.
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observations (0 if none).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Maximum observation (0 if none).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &StreamingStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
-}
-
-/// Per-port transmission statistics maintained by the network.
+/// Per-port transmission counters maintained by the network.
 #[derive(Debug, Clone, Default)]
 pub struct PortStats {
-    /// Total nanoseconds the port spent serializing packets.
-    pub busy_ns: u64,
     /// Total wire bytes transmitted.
     pub wire_bytes: u64,
     /// Application-goodput bytes transmitted.
     pub goodput_bytes: u64,
-    /// Packets transmitted.
+    /// Packets transmitted (the debug conservation check counts the
+    /// packets handed to NICs with it).
     pub packets: u64,
     /// Wire bytes transmitted per strict-priority level (Figure 21).
     pub bytes_by_prio: [u64; 8],
-    /// Packets dropped at this port's queue.
-    pub drops: u64,
-    /// Packets trimmed at this port's queue (NDP).
-    pub trims: u64,
-    /// Packets ECN-marked at this port's queue.
-    pub ecn_marks: u64,
-    /// Time-weighted mean queue length in bytes (filled in at harvest).
-    pub mean_queue_bytes: f64,
-    /// Maximum instantaneous queue length in bytes.
-    pub max_queue_bytes: u64,
-}
-
-impl PortStats {
-    /// Link utilization over `[0, now]` (busy fraction).
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now.as_nanos() == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / now.as_nanos() as f64
-        }
-    }
 }
 
 /// Grant/overcommit credit issued by one receiver transport (or, summed
@@ -142,24 +72,19 @@ impl GrantStats {
 /// Aggregate statistics for a finished (or in-progress) run.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
-    /// Per-class aggregation of queue-length statistics: `(class, mean
-    /// accumulator over ports' mean bytes, max over ports' max bytes)`.
-    pub queue_means: Vec<(PortClass, StreamingStats)>,
+    /// Mean queue bytes per class: the mean over the class's ports of
+    /// each port's time-weighted mean (0 for a class with no port).
+    pub queue_means: Vec<(PortClass, f64)>,
     /// Max queue bytes per class.
     pub queue_maxes: Vec<(PortClass, u64)>,
     /// Total drops per class.
     pub drops: Vec<(PortClass, u64)>,
     /// Total trims per class.
     pub trims: Vec<(PortClass, u64)>,
-    /// Sum of wire bytes transmitted on host uplinks (offered) and TOR
-    /// downlinks (delivered).
-    pub host_up_wire_bytes: u64,
     /// Wire bytes delivered on TOR→host downlinks.
     pub tor_down_wire_bytes: u64,
     /// Goodput bytes delivered on TOR→host downlinks.
     pub tor_down_goodput_bytes: u64,
-    /// Mean downlink utilization across hosts.
-    pub mean_downlink_utilization: f64,
     /// Total simulator events processed when the stats were harvested
     /// (the numerator of the `perf-smoke` events/sec metric).
     pub events_processed: u64,
@@ -179,7 +104,7 @@ pub struct RunStats {
 impl RunStats {
     /// Mean queue bytes for a class, if any port of that class exists.
     pub fn mean_queue_bytes(&self, class: PortClass) -> Option<f64> {
-        self.queue_means.iter().find(|(c, _)| *c == class).map(|(_, s)| s.mean())
+        self.queue_means.iter().find(|(c, _)| *c == class).map(|&(_, m)| m)
     }
 
     /// Max queue bytes for a class.
@@ -386,29 +311,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn streaming_stats_mean_max() {
-        let mut s = StreamingStats::default();
-        for v in [1.0, 2.0, 3.0, 10.0] {
-            s.push(v);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(s.max(), 10.0);
-    }
-
-    #[test]
-    fn streaming_stats_merge() {
-        let mut a = StreamingStats::default();
-        a.push(1.0);
-        let mut b = StreamingStats::default();
-        b.push(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(a.max(), 3.0);
-    }
-
-    #[test]
     fn percentile_basics() {
         let v: Vec<f64> = (1..=100).map(|x| x as f64).collect();
         assert!((percentile(&v, 50.0) - 50.5).abs() < 1e-9);
@@ -423,13 +325,6 @@ mod tests {
     fn port_class_labels() {
         assert_eq!(PortClass::TorDown.label(), "TOR->host");
         assert_eq!(PortClass::TorUp.label(), "TOR->Aggr");
-    }
-
-    #[test]
-    fn port_stats_utilization() {
-        let s = PortStats { busy_ns: 500, ..Default::default() };
-        assert!((s.utilization(SimTime::from_nanos(1000)) - 0.5).abs() < 1e-12);
-        assert_eq!(s.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

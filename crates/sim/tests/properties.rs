@@ -237,33 +237,45 @@ fn serialization_in_64_bits_equals_the_128_bit_formula() {
 }
 
 /// Bimodal times: near-term events (up to 200 µs, so many land past the
-/// wheel's 8,192 ns horizon or, after a pop, before its base) plus timers
-/// a full second out, interleaved with pops. The wheel must stay in
-/// (time, seq) lockstep with the plain heap through wheel, past-heap and
-/// far-heap inserts and far-to-wheel migrations alike.
+/// wheel's 8,192 ns horizon; one drawn before the latest pop is moved up
+/// to it) plus timers a full second out, interleaved with pops. The wheel
+/// must stay in (time, seq) lockstep with the plain heap through wheel
+/// and far-heap inserts and far-to-wheel migrations alike.
 #[test]
 fn calendar_matches_heap_with_far_future_timers() {
     FAMILY.check_seeds("calendar_matches_heap_with_far_future_timers", |rng| {
         let mut flat: EventQueue<usize> = EventQueue::new();
         let mut hier: HierEventQueue<usize> = HierEventQueue::new(5);
+        // The latest instant popped: nothing may be scheduled before it.
+        let mut base = SimTime::ZERO;
         for i in 0..rng.range(1, 299) as usize {
             let (kind, t) = (rng.edge_range(0, 3), rng.edge_range(0, 199_999));
             let (far, lane) = (rng.chance(1, 2), rng.edge_range(0, 4) as u32);
-            match kind {
+            let popped = match kind {
                 0 | 1 => {
                     let at = if far {
                         SimTime::from_nanos(1_000_000_000 + t * 37)
                     } else {
                         SimTime::from_nanos(t)
-                    };
+                    }
+                    .max(base);
                     flat.schedule(at, i);
                     hier.schedule(LaneId(lane), at, i);
+                    None
                 }
-                2 => assert_eq!(flat.pop(), hier.pop()),
-                _ => assert_eq!(
-                    flat.pop_if_before(SimTime::from_nanos(t)),
-                    hier.pop_if_before(SimTime::from_nanos(t))
-                ),
+                2 => {
+                    let got = hier.pop();
+                    assert_eq!(flat.pop(), got);
+                    got
+                }
+                _ => {
+                    let got = hier.pop_if_before(SimTime::from_nanos(t));
+                    assert_eq!(flat.pop_if_before(SimTime::from_nanos(t)), got);
+                    got
+                }
+            };
+            if let Some((at, _)) = popped {
+                base = at;
             }
             assert_eq!(flat.len(), hier.len());
             assert_eq!(flat.peek_time(), hier.peek_time());

@@ -9,8 +9,7 @@
 
 use crate::dist::MessageSizeDist;
 use crate::traffic::TrafficMatrix;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use homa_sim::Xoshiro256PlusPlus;
 use std::convert::Infallible;
 
 /// Converts a target network load into a per-sender message arrival rate.
@@ -83,7 +82,7 @@ impl LoadPlan {
 /// behavior, so existing seeds replay unchanged.
 #[derive(Debug)]
 pub struct PoissonArrivals {
-    rng: StdRng,
+    rng: Xoshiro256PlusPlus,
     dist: MessageSizeDist,
     matrix: TrafficMatrix,
     /// Second size mode: `frac` of messages sample from this
@@ -114,7 +113,7 @@ impl PoissonArrivals {
         assert!(hosts >= 2);
         assert!(mean_gap_secs > 0.0);
         let mut gen = PoissonArrivals {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Xoshiro256PlusPlus::new(seed),
             dist,
             matrix: TrafficMatrix::uniform(hosts),
             mix: None,
@@ -149,7 +148,7 @@ impl PoissonArrivals {
     fn sample_gap(&mut self) -> u64 {
         // Exponential via inverse transform; bounded away from 0 to keep
         // u64 math safe.
-        let u: f64 = self.rng.gen::<f64>().max(1e-12);
+        let u = self.rng.unit_f64().max(1e-12);
         (-u.ln() * self.mean_gap_ns).round().max(1.0) as u64
     }
 
@@ -159,7 +158,7 @@ impl PoissonArrivals {
         self.next_ns += self.sample_gap();
         let (src, dst) = self.matrix.draw(&mut self.rng);
         let size = match &self.mix {
-            Some((second, frac)) if self.rng.gen::<f64>() < *frac => second.sample(&mut self.rng),
+            Some((second, frac)) if self.rng.unit_f64() < *frac => second.sample(&mut self.rng),
             _ => self.dist.sample(&mut self.rng),
         };
         Arrival { at_ns, src, dst, size }

@@ -6,7 +6,7 @@
 //! `log(size)` — the natural interpolation for the many-decades size
 //! ranges of datacenter workloads.
 
-use rand::Rng;
+use homa_sim::Xoshiro256PlusPlus;
 
 /// A message-size distribution given as a piecewise log-linear CDF.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,8 +110,8 @@ impl MessageSizeDist {
     }
 
     /// Draw a message size.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        self.quantile(rng.gen::<f64>())
+    pub fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> u64 {
+        self.quantile(rng.unit_f64())
     }
 
     /// Mean message size in bytes, computed by integrating the quantile
@@ -205,8 +205,6 @@ impl MessageSizeDist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn simple() -> MessageSizeDist {
         MessageSizeDist::from_anchors(vec![(10, 0.0), (100, 0.5), (1000, 1.0)])
@@ -249,7 +247,7 @@ mod tests {
     #[test]
     fn sample_within_support_and_distributed() {
         let d = simple();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Xoshiro256PlusPlus::new(7);
         let mut below_100 = 0;
         let n = 20_000;
         for _ in 0..n {
@@ -266,7 +264,7 @@ mod tests {
     #[test]
     fn mean_matches_monte_carlo() {
         let d = simple();
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Xoshiro256PlusPlus::new(3);
         let n = 200_000;
         let mc: f64 = (0..n).map(|_| d.sample(&mut rng) as f64).sum::<f64>() / n as f64;
         let analytic = d.mean();
@@ -293,7 +291,7 @@ mod tests {
     #[test]
     fn fixed_dist_always_returns_size() {
         let d = MessageSizeDist::fixed(777);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Xoshiro256PlusPlus::new(1);
         for _ in 0..100 {
             let s = d.sample(&mut rng);
             assert!((777..=778).contains(&s));

@@ -14,8 +14,7 @@
 //!   host 0 (round-robin over senders), the §3.6 stress shape.
 
 use crate::workload::Workload;
-use rand::rngs::StdRng;
-use rand::Rng;
+use homa_sim::Xoshiro256PlusPlus;
 use std::convert::Infallible;
 
 /// The source–destination pattern of a traffic scenario.
@@ -144,10 +143,10 @@ impl TrafficMatrix {
     }
 
     /// Draw the next `(src, dst)` pair. An incast advances its rotation;
-    /// the uniform pattern makes exactly the two `gen_range` calls the
+    /// the uniform pattern makes exactly the two `below` draws the
     /// historical generator made, so default-spec runs replay
     /// bit-for-bit.
-    pub fn draw(&mut self, rng: &mut StdRng) -> (u32, u32) {
+    pub fn draw(&mut self, rng: &mut Xoshiro256PlusPlus) -> (u32, u32) {
         match self.incast {
             Some(_) => self.draw_rotational(),
             None => uniform_pair(rng, self.hosts),
@@ -157,9 +156,9 @@ impl TrafficMatrix {
 
 /// The historical uniform draw: src uniform, dst uniform over the other
 /// hosts.
-fn uniform_pair(rng: &mut StdRng, hosts: u32) -> (u32, u32) {
-    let src = rng.gen_range(0..hosts);
-    let mut dst = rng.gen_range(0..hosts - 1);
+fn uniform_pair(rng: &mut Xoshiro256PlusPlus, hosts: u32) -> (u32, u32) {
+    let src = rng.below(hosts);
+    let mut dst = rng.below(hosts - 1);
     if dst >= src {
         dst += 1;
     }
@@ -169,10 +168,9 @@ fn uniform_pair(rng: &mut StdRng, hosts: u32) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    fn rng() -> Xoshiro256PlusPlus {
+        Xoshiro256PlusPlus::new(7)
     }
 
     #[test]
@@ -184,8 +182,8 @@ mod tests {
         let mut m = TrafficMatrix::uniform(16);
         for _ in 0..1_000 {
             let got = m.draw(&mut a);
-            let src = b.gen_range(0..16u32);
-            let mut dst = b.gen_range(0..15u32);
+            let src = b.below(16);
+            let mut dst = b.below(15);
             if dst >= src {
                 dst += 1;
             }

@@ -18,7 +18,7 @@
 //! repro fig12 --workloads W2,W4 --loads 0.8
 //! repro table1
 //! repro all [--compare]
-//! repro compare [--from-dir DIR] [--tolerance-scale F]
+//! repro compare [--from-dir DIR]
 //! ```
 
 use homa_bench::figdata::{
@@ -53,7 +53,6 @@ struct Cli {
     opts: ReproOpts,
     out_dir: PathBuf,
     from_dir: Option<PathBuf>,
-    tol_scale: f64,
     compare_after: bool,
 }
 
@@ -62,7 +61,6 @@ fn parse_cli(args: &[String]) -> Cli {
         opts: ReproOpts::default(),
         out_dir: PathBuf::from("."),
         from_dir: None,
-        tol_scale: 1.0,
         compare_after: false,
     };
     let mut i = 0;
@@ -78,12 +76,6 @@ fn parse_cli(args: &[String]) -> Cli {
                 cli.opts.msgs_scale = parsed("--scale", "a number", &v);
                 if cli.opts.msgs_scale <= 0.0 || !cli.opts.msgs_scale.is_finite() {
                     die(&format!("--scale must be a positive number, got {v}"));
-                }
-            }
-            "--bins" => {
-                cli.opts.bins = parsed("--bins", "an integer", &take(args, &mut i));
-                if cli.opts.bins == 0 {
-                    die("--bins must be at least 1");
                 }
             }
             "--workloads" => {
@@ -106,13 +98,6 @@ fn parse_cli(args: &[String]) -> Cli {
             }
             "--out-dir" => cli.out_dir = PathBuf::from(take(args, &mut i)),
             "--from-dir" => cli.from_dir = Some(PathBuf::from(take(args, &mut i))),
-            "--tolerance-scale" => {
-                let v = take(args, &mut i);
-                cli.tol_scale = parsed("--tolerance-scale", "a number", &v);
-                if cli.tol_scale <= 0.0 || !cli.tol_scale.is_finite() {
-                    die(&format!("--tolerance-scale must be positive, got {v}"));
-                }
-            }
             other => die(&format!("unknown option {other:?} (see 'repro help')")),
         }
         i += 1;
@@ -271,14 +256,9 @@ fn load_tables(dir: &Path, figs: &[&Figure]) -> Vec<FigTable> {
 fn run_comparison(cli: &Cli, tables: &[FigTable]) -> i32 {
     let n_points: usize = tables.iter().map(|t| measured_points(t).len()).sum();
     println!("\n=== repro compare: measured vs published Figures 12-16 ===");
-    println!(
-        "{} measured points from {} tables, tolerance scale {:.2}",
-        n_points,
-        tables.len(),
-        cli.tol_scale
-    );
+    println!("{} measured points from {} tables", n_points, tables.len());
     let CompareOutcome { report, failures, gated_curves_joined, delta_table } =
-        compare_tables(tables, cli.tol_scale, format!("repro compare, seed {}", cli.opts.seed));
+        compare_tables(tables, format!("repro compare, seed {}", cli.opts.seed));
     print!("{report}");
     write_or_die(&cli.out_dir, &delta_table);
     match failures {
@@ -331,11 +311,10 @@ fn help() {
          \x20        --loads LIST        e.g. 0.5,0.8; fractions in (0,1] (default 0.8)\n\
          \x20        --scale F           multiply message budgets by F\n\
          \x20        --seed N            RNG seed (default 1)\n\
-         \x20        --bins N            size bins in slowdown tables (default 10)\n\
          \x20        --out-dir DIR       where FIG_<n>.json files go (default .)\n\
          each table is written as FIG_<n>.json and printed as text; progress goes to stderr\n\
          \n\
-         repro compare [--from-dir DIR] [--tolerance-scale F]\n\
+         repro compare [--from-dir DIR]\n\
          \x20   re-run (or load from DIR) the [compared] figures, diff against the\n\
          \x20   digitized published curves, write COMPARE.json, exit 1 on gated drift\n\
          repro all --compare\n\

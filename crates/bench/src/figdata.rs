@@ -120,15 +120,18 @@ pub struct ReproOpts {
     pub seed: u64,
     /// Multiplier on per-workload message budgets (`--scale`).
     pub msgs_scale: f64,
-    /// Number of size bins in slowdown tables.
-    pub bins: usize,
 }
 
 impl Default for ReproOpts {
     fn default() -> Self {
-        ReproOpts { full: false, workloads: None, loads: None, seed: 1, msgs_scale: 1.0, bins: 10 }
+        ReproOpts { full: false, workloads: None, loads: None, seed: 1, msgs_scale: 1.0 }
     }
 }
+
+/// Size bins in every slowdown table: deciles, the message-count
+/// percentiles at which `homa_harness::figures` joins the published
+/// slowdown curves (any other count leaves reference points unjoined).
+pub const SLOWDOWN_BINS: usize = 10;
 
 impl ReproOpts {
     /// The workloads asked for, or the figure's `default` set.
@@ -371,7 +374,7 @@ fn fig8_9(opts: &ReproOpts) -> Vec<FigTable> {
                 let spec = ScenarioSpec::new("fig8_9_rpc", cluster, w, 0.8, n, opts.seed);
                 logged(p, &spec, || run_protocol_rpc_scenario(p, &spec, &records))
             };
-            let s = SlowdownSummary::from_records(&res.records, opts.bins);
+            let s = SlowdownSummary::from_records(&res.records, SLOWDOWN_BINS);
             for (t, bins, overall, stat) in [
                 (&mut t8, "p99_slowdown", "overall_p99", s.overall_p99),
                 (&mut t9, "p50_slowdown", "overall_p50", s.overall_p50),
@@ -452,7 +455,7 @@ fn fig12_13(opts: &ReproOpts) -> Vec<FigTable> {
                     &OnewayOpts::default().with_records(),
                     None,
                 );
-                let s = SlowdownSummary::from_records(&res.records, opts.bins);
+                let s = SlowdownSummary::from_records(&res.records, SLOWDOWN_BINS);
                 let small_p99 = SlowdownSummary::small_message_p99(&res.records, 0.5);
                 for (t, bins, summary, stat) in [
                     (&mut t12, "p99_slowdown", "small_msg_p99", small_p99),
@@ -656,7 +659,7 @@ pub fn ablation(a: &Ablation, variants: &[Variant], opts: &ReproOpts) -> FigTabl
     for v in variants {
         let res =
             oneway(Protocol::Homa, &spec, &OnewayOpts::default().with_records(), Some(v.config()));
-        let s = SlowdownSummary::from_records(&res.records, opts.bins);
+        let s = SlowdownSummary::from_records(&res.records, SLOWDOWN_BINS);
         Row::new()
             .curve(a.workload.name(), "Homa", &v.label(), 0.8, "overall_p99")
             .xy(0.0, s.overall_p99)
@@ -764,11 +767,11 @@ pub struct CompareOutcome {
 }
 
 /// Join measured figure tables against the digitized reference curves.
-pub fn compare_tables(tables: &[FigTable], tol_scale: f64, produced_by: String) -> CompareOutcome {
+pub fn compare_tables(tables: &[FigTable], produced_by: String) -> CompareOutcome {
     let measured: Vec<MeasuredPoint> = tables.iter().flat_map(measured_points).collect();
     let deltas = figures::compare_curves(&measured);
-    let report = delta_report(&deltas, tol_scale);
-    let failures = figures::gate_failures(&deltas, tol_scale);
+    let report = delta_report(&deltas);
+    let failures = figures::gate_failures(&deltas);
     let gated_curves_joined =
         deltas.iter().filter(|d| d.curve.gate && !d.points.is_empty()).count();
     let mut delta_table = FigTable::new("compare", produced_by);
@@ -804,13 +807,13 @@ pub fn compare_tables(tables: &[FigTable], tol_scale: f64, produced_by: String) 
                 .s("metric", "curve_summary")
                 .n("rms_rel", d.rms_rel())
                 .n("worst_rel", d.worst().map(|w| w.rel_delta()).unwrap_or(0.0))
-                .n("tolerance", d.curve.rel_tolerance * tol_scale)
+                .n("tolerance", d.curve.rel_tolerance)
                 .n("missing_points", d.missing.len() as f64)
                 .s(
                     "verdict",
                     if !d.curve.gate {
                         "report-only"
-                    } else if d.within_tolerance(tol_scale) {
+                    } else if d.within_tolerance() {
                         "pass"
                     } else {
                         "fail"

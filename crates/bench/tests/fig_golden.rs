@@ -31,7 +31,6 @@ fn golden_opts(workload: Workload) -> ReproOpts {
         loads: Some(vec![0.8]),
         seed: 42,
         msgs_scale: 0.05,
-        bins: 10,
     }
 }
 

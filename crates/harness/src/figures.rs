@@ -174,26 +174,26 @@ impl CurveDelta {
         })
     }
 
-    /// Whether the curve is within tolerance (`tol_scale` multiplies the
-    /// curve's own `rel_tolerance`; 1.0 is the published gate). A curve
-    /// with no joined points trivially passes — the caller decides
-    /// whether an entirely-unjoined comparison is an error.
-    pub fn within_tolerance(&self, tol_scale: f64) -> bool {
-        self.rms_rel() <= self.curve.rel_tolerance * tol_scale
+    /// Whether the curve's RMS relative error is within its own
+    /// `rel_tolerance`. A curve with no joined points trivially passes —
+    /// the caller decides whether an entirely-unjoined comparison is an
+    /// error.
+    pub fn within_tolerance(&self) -> bool {
+        self.rms_rel() <= self.curve.rel_tolerance
     }
 
     /// Whether this curve should fail the gate: a gated curve with at
     /// least one joined point fails on drift past tolerance *or* on any
     /// unjoined reference point — a partial join means the run stopped
-    /// covering percentiles the reference pins (e.g. a `--bins` change),
+    /// covering percentiles the reference pins (e.g. too few messages),
     /// and a regression confined to the unjoined points must not pass
     /// silently. A fully-unjoined curve is skipped instead (the run
     /// deliberately excluded its workload/load; [`gate_failures`] still
     /// errors when *nothing* joined at all).
-    pub fn gated_failure(&self, tol_scale: f64) -> bool {
+    pub fn gated_failure(&self) -> bool {
         self.curve.gate
             && !self.points.is_empty()
-            && (!self.within_tolerance(tol_scale) || !self.missing.is_empty())
+            && (!self.within_tolerance() || !self.missing.is_empty())
     }
 }
 
@@ -238,7 +238,7 @@ pub fn compare_curves(measured: &[MeasuredPoint]) -> Vec<CurveDelta> {
 /// Gate verdict over a whole comparison: the failing curve keys, or an
 /// error when nothing joined at all (which means the extraction or the
 /// run shape broke, not that the reproduction is perfect).
-pub fn gate_failures(deltas: &[CurveDelta], tol_scale: f64) -> Result<Vec<String>, String> {
+pub fn gate_failures(deltas: &[CurveDelta]) -> Result<Vec<String>, String> {
     if deltas.iter().all(|d| d.points.is_empty()) {
         return Err("no measured point joined any reference curve; \
              the run shape or the FIG_*.json extraction is broken"
@@ -246,14 +246,14 @@ pub fn gate_failures(deltas: &[CurveDelta], tol_scale: f64) -> Result<Vec<String
     }
     Ok(deltas
         .iter()
-        .filter(|d| d.gated_failure(tol_scale))
+        .filter(|d| d.gated_failure())
         .map(|d| {
-            if !d.within_tolerance(tol_scale) {
+            if !d.within_tolerance() {
                 format!(
                     "{}: RMS rel err {:.2} > tolerance {:.2}",
                     d.curve.key(),
                     d.rms_rel(),
-                    d.curve.rel_tolerance * tol_scale
+                    d.curve.rel_tolerance
                 )
             } else {
                 format!(
@@ -754,9 +754,9 @@ mod tests {
         assert_eq!(d.points.len(), curve.points.len());
         assert!(d.missing.is_empty());
         assert_eq!(d.rms_rel(), 0.0);
-        assert!(d.within_tolerance(1.0));
-        assert!(!d.gated_failure(1.0));
-        let fails = gate_failures(&deltas, 1.0).unwrap();
+        assert!(d.within_tolerance());
+        assert!(!d.gated_failure());
+        let fails = gate_failures(&deltas).unwrap();
         assert!(fails.is_empty(), "{fails:?}");
     }
 
@@ -772,12 +772,10 @@ mod tests {
         let deltas = compare_curves(&measured);
         let d = deltas.iter().find(|d| std::ptr::eq(d.curve, curve)).unwrap();
         assert!((d.rms_rel() - 2.0).abs() < 1e-9, "rms {}", d.rms_rel());
-        assert!(d.gated_failure(1.0));
-        let fails = gate_failures(&deltas, 1.0).unwrap();
+        assert!(d.gated_failure());
+        let fails = gate_failures(&deltas).unwrap();
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("fig12 W2/Homa"));
-        // A bigger tolerance scale waves it through.
-        assert!(gate_failures(&deltas, 5.0).unwrap().is_empty());
     }
 
     #[test]
@@ -796,9 +794,9 @@ mod tests {
             .collect();
         let deltas = compare_curves(&measured);
         let d = deltas.iter().find(|d| std::ptr::eq(d.curve, curve)).unwrap();
-        assert!(!d.within_tolerance(1.0));
-        assert!(!d.gated_failure(1.0), "ungated curve must not fail the gate");
-        assert!(gate_failures(&deltas, 1.0).unwrap().is_empty());
+        assert!(!d.within_tolerance());
+        assert!(!d.gated_failure(), "ungated curve must not fail the gate");
+        assert!(gate_failures(&deltas).unwrap().is_empty());
     }
 
     #[test]
@@ -818,10 +816,10 @@ mod tests {
 
     #[test]
     fn unjoined_comparison_is_an_error() {
-        assert!(gate_failures(&compare_curves(&[]), 1.0).is_err());
+        assert!(gate_failures(&compare_curves(&[])).is_err());
         // Wrong load: nothing joins.
         let measured = vec![mp("fig12", "W2", "Homa", 0.65, "p99_slowdown", 50.0, 1.8)];
-        assert!(gate_failures(&compare_curves(&measured), 1.0).is_err());
+        assert!(gate_failures(&compare_curves(&measured)).is_err());
     }
 
     #[test]
@@ -846,9 +844,9 @@ mod tests {
         // A partial join on a gated curve fails the gate even though the
         // joined point is within tolerance: a regression confined to the
         // unjoined percentiles must not pass silently.
-        assert!(d.within_tolerance(1.0));
-        assert!(d.gated_failure(1.0));
-        let fails = gate_failures(&deltas, 1.0).unwrap();
+        assert!(d.within_tolerance());
+        assert!(d.gated_failure());
+        let fails = gate_failures(&deltas).unwrap();
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("unjoined"), "{fails:?}");
     }

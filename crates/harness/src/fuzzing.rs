@@ -25,11 +25,9 @@
 //! detail string, so it shrinks and replays the same way.
 //!
 //! Generation is deliberately conservative about validity: fault events
-//! only ever name hosts that exist on the drawn fabric, and fault plans
-//! stick to the host-level vocabulary (link flaps, receiver pauses, rate
-//! limits) that is meaningful on every topology. The goal is for *every*
-//! generated spec to be a legal run, so any panic or divergence the
-//! fuzzers see is a real bug, not a generator artifact.
+//! only ever name hosts that exist on the drawn fabric. The goal is for
+//! *every* generated spec to be a legal run, so any panic or divergence
+//! the fuzzers see is a real bug, not a generator artifact.
 
 use crate::driver;
 use crate::scenario::{FabricSpec, ScenarioSpec};
@@ -87,12 +85,12 @@ fn arrival_span_ns(spec: &ScenarioSpec) -> u64 {
     (spec.messages as f64 * plan.mean_interarrival_secs() * 1e9) as u64
 }
 
-/// Fault plans are drawn from the host-level vocabulary only — uplink
-/// and downlink flaps, receiver pauses, host-link rate limits — which
-/// is valid on every fabric. Every instant, a fault's end included, falls
-/// in the first half of the spec's arrival span: a run lasts at least
-/// until its last arrival, and Poisson jitter puts that before half the
-/// span only with negligible odds, so the whole plan applies.
+/// Fault plans are drawn from the whole vocabulary — uplink and downlink
+/// flaps, receiver pauses, host-link rate limits. Every instant, a
+/// fault's end included, falls in the first half of the spec's arrival
+/// span: a run lasts at least until its last arrival, and Poisson jitter
+/// puts that before half the span only with negligible odds, so the whole
+/// plan applies.
 fn arbitrary_faults(rng: &mut SplitMix64, spec: &ScenarioSpec) -> FaultPlan {
     let mut plan = FaultPlan::new();
     if !rng.chance(45, 100) {
@@ -192,8 +190,7 @@ fn shrink_fabric(f: FabricSpec) -> Option<FabricSpec> {
 }
 
 /// Move `spec` onto a smaller fabric, dropping any fault event that names
-/// a host, switch or link the new fabric doesn't have (a rack or spine
-/// outage that still fits survives).
+/// a host the new fabric doesn't have.
 fn refit(spec: ScenarioSpec, fabric: FabricSpec) -> ScenarioSpec {
     let topo = fabric.topology();
     let mut faults = spec.faults.clone();
@@ -508,27 +505,26 @@ mod tests {
     }
 
     #[test]
-    fn refit_keeps_the_switch_level_faults_that_still_fit() {
+    fn refit_keeps_the_faults_that_still_fit() {
         let plan = FaultPlan::new()
-            .rack_outage(1, 100_000, 200_000)
-            .rack_outage(3, 100_000, 200_000)
-            .spine_outage(0, 120_000, 180_000)
             .receiver_pause(HostId(5), 50_000, 90_000)
             .receiver_pause(HostId(30), 50_000, 90_000)
-            .at(7, Fault::LinkDown(LinkId::TorUplink { rack: 1, spine: 1 }));
+            .link_flaps(LinkId::HostDownlink(HostId(12)), 100_000, 20_000, 50_000, 2)
+            .rate_limit(LinkId::HostUplink(HostId(20)), 7, 200_000, 1_000_000_000);
         let spec =
             ScenarioSpec::new("r", FabricSpec::MultiTor { hosts: 40 }, Workload::W2, 0.5, 50, 1)
                 .with_faults(plan);
         assert_eq!(spec.check_buildable(), Ok(()));
-        // 40 hosts are 4 racks under 3 spines; 16 hosts are 2 racks under
-        // 2: rack 3 and host 30 go, everything else still names something.
+        // 16 hosts: hosts 20 and 30 go, hosts 5 and 12 stay.
         let smaller = refit(spec.clone(), FabricSpec::MultiTor { hosts: 16 });
         assert_eq!(smaller.check_buildable(), Ok(()));
         assert_eq!(smaller.faults.events.len(), spec.faults.events.len() - 4);
-        assert!(smaller.faults.events.contains(&(100_000, Fault::RackOutage { rack: 1 })));
-        assert!(smaller.faults.events.contains(&(120_000, Fault::SpineOutage { spine: 0 })));
-        // One switch has no spine and no second rack: the host pause is
-        // all that is left.
+        assert!(smaller.faults.events.contains(&(50_000, Fault::PauseReceiver(HostId(5)))));
+        assert!(smaller
+            .faults
+            .events
+            .contains(&(100_000, Fault::LinkDown(LinkId::HostDownlink(HostId(12))))));
+        // Eight hosts: the pause of host 5 is all that is left.
         let single = refit(smaller, FabricSpec::SingleSwitch { hosts: 8 });
         assert_eq!(single.faults, FaultPlan::new().receiver_pause(HostId(5), 50_000, 90_000));
     }

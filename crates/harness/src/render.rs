@@ -28,7 +28,7 @@ pub fn slowdown_table(label: &str, s: &SlowdownSummary) -> String {
 /// `EXPERIMENTS.md`: one block per reference curve with per-point
 /// reference/measured/delta columns, then the curve's RMS relative
 /// error, worst point, and gate verdict.
-pub fn delta_report(deltas: &[CurveDelta], tol_scale: f64) -> String {
+pub fn delta_report(deltas: &[CurveDelta]) -> String {
     let mut out = String::new();
     for d in deltas {
         if d.points.is_empty() && d.missing.len() == d.curve.points.len() {
@@ -63,8 +63,8 @@ pub fn delta_report(deltas: &[CurveDelta], tol_scale: f64) -> String {
         }
         let verdict = if !d.curve.gate {
             "report-only".to_string()
-        } else if d.gated_failure(tol_scale) {
-            if d.within_tolerance(tol_scale) {
+        } else if d.gated_failure() {
+            if d.within_tolerance() {
                 format!("FAIL ({} reference points unjoined)", d.missing.len())
             } else {
                 "FAIL".to_string()
@@ -79,7 +79,7 @@ pub fn delta_report(deltas: &[CurveDelta], tol_scale: f64) -> String {
         out.push_str(&format!(
             "curve: RMS rel err {:.2} (tolerance {:.2}) — {worst} — {verdict}\n\n",
             d.rms_rel(),
-            d.curve.rel_tolerance * tol_scale
+            d.curve.rel_tolerance
         ));
     }
     out
@@ -146,7 +146,7 @@ mod tests {
             })
             .collect();
         let deltas = compare_curves(&measured);
-        let text = delta_report(&deltas, 1.0);
+        let text = delta_report(&deltas);
         assert!(text.contains("fig12 W2/Homa@80% p99_slowdown"));
         assert!(text.contains("PASS"), "{text}");
         assert!(text.contains("worst +10.0%"), "{text}");
@@ -156,7 +156,7 @@ mod tests {
         for m in &mut measured {
             m.y *= 10.0;
         }
-        let text = delta_report(&compare_curves(&measured), 1.0);
+        let text = delta_report(&compare_curves(&measured));
         assert!(text.contains("FAIL"), "{text}");
     }
 

@@ -21,9 +21,8 @@
 //! * `faults` — `-` for an empty plan, else comma-joined
 //!   `<at_ns>:<action>` events where `action` is one of
 //!   `down:<link>` `up:<link>` `rate:<link>:<bps>` `raterestore:<link>`
-//!   `pause:<host>` `resume:<host>` `rackout:<rack>` `rackrestore:<rack>`
-//!   `spineout:<spine>` `spinerestore:<spine>`, and `<link>` is
-//!   `hup<host>` | `hdn<host>` | `tor<rack>-<spine>` | `spd<spine>-<rack>`
+//!   `pause:<host>` `resume:<host>`, and `<link>` is `hup<host>` (the
+//!   host's uplink) | `hdn<host>` (its downlink)
 //!
 //! `format ∘ parse` is the identity on every spec whose name is free of
 //! whitespace (names with whitespace are sanitized to `_` on output);
@@ -92,29 +91,15 @@ fn link_str(l: LinkId) -> String {
     match l {
         LinkId::HostUplink(h) => format!("hup{}", h.0),
         LinkId::HostDownlink(h) => format!("hdn{}", h.0),
-        LinkId::TorUplink { rack, spine } => format!("tor{rack}-{spine}"),
-        LinkId::SpineDownlink { spine, rack } => format!("spd{spine}-{rack}"),
     }
 }
 
 fn parse_link(s: &str) -> Result<LinkId, String> {
-    let pair = |t: &str| -> Result<(u32, u32), String> {
-        let (a, b) = t.split_once('-').ok_or_else(|| format!("bad link `{s}`"))?;
-        Ok((
-            a.parse::<u32>().map_err(|_| format!("bad link `{s}`"))?,
-            b.parse::<u32>().map_err(|_| format!("bad link `{s}`"))?,
-        ))
-    };
+    let host = |t: &str| t.parse().map(HostId).map_err(|_| format!("bad link `{s}`"));
     if let Some(t) = s.strip_prefix("hup") {
-        Ok(LinkId::HostUplink(HostId(t.parse().map_err(|_| format!("bad link `{s}`"))?)))
+        Ok(LinkId::HostUplink(host(t)?))
     } else if let Some(t) = s.strip_prefix("hdn") {
-        Ok(LinkId::HostDownlink(HostId(t.parse().map_err(|_| format!("bad link `{s}`"))?)))
-    } else if let Some(t) = s.strip_prefix("tor") {
-        let (rack, spine) = pair(t)?;
-        Ok(LinkId::TorUplink { rack, spine })
-    } else if let Some(t) = s.strip_prefix("spd") {
-        let (spine, rack) = pair(t)?;
-        Ok(LinkId::SpineDownlink { spine, rack })
+        Ok(LinkId::HostDownlink(host(t)?))
     } else {
         Err(format!("unknown link `{s}`"))
     }
@@ -128,10 +113,6 @@ fn fault_str(f: Fault) -> String {
         Fault::RateRestore(l) => format!("raterestore:{}", link_str(l)),
         Fault::PauseReceiver(h) => format!("pause:{}", h.0),
         Fault::ResumeReceiver(h) => format!("resume:{}", h.0),
-        Fault::RackOutage { rack } => format!("rackout:{rack}"),
-        Fault::RackRestore { rack } => format!("rackrestore:{rack}"),
-        Fault::SpineOutage { spine } => format!("spineout:{spine}"),
-        Fault::SpineRestore { spine } => format!("spinerestore:{spine}"),
     }
 }
 
@@ -140,7 +121,6 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
     let host = |t: &str| -> Result<HostId, String> {
         Ok(HostId(t.parse::<u32>().map_err(|_| format!("bad host in `{s}`"))?))
     };
-    let num = |t: &str| t.parse::<u32>().map_err(|_| format!("bad number in `{s}`"));
     match kind {
         "down" => Ok(Fault::LinkDown(parse_link(rest)?)),
         "up" => Ok(Fault::LinkUp(parse_link(rest)?)),
@@ -155,10 +135,6 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
         "raterestore" => Ok(Fault::RateRestore(parse_link(rest)?)),
         "pause" => Ok(Fault::PauseReceiver(host(rest)?)),
         "resume" => Ok(Fault::ResumeReceiver(host(rest)?)),
-        "rackout" => Ok(Fault::RackOutage { rack: num(rest)? }),
-        "rackrestore" => Ok(Fault::RackRestore { rack: num(rest)? }),
-        "spineout" => Ok(Fault::SpineOutage { spine: num(rest)? }),
-        "spinerestore" => Ok(Fault::SpineRestore { spine: num(rest)? }),
         _ => Err(format!("unknown fault `{s}`")),
     }
 }
@@ -346,14 +322,14 @@ mod tests {
 
     #[test]
     fn fault_vocabulary_round_trips() {
-        let plan = FaultPlan::new()
-            .link_flaps(LinkId::HostDownlink(HostId(0)), 300_000, 150_000, 600_000, 2)
-            .receiver_pause(HostId(3), 500_000, 900_000)
-            .rate_limit(LinkId::TorUplink { rack: 0, spine: 1 }, 100_000, 2_000_000, 10_000_000)
-            .rack_outage(1, 400_000, 1_200_000)
-            .spine_outage(0, 300_000, 900_000)
-            .at(42, Fault::LinkDown(LinkId::SpineDownlink { spine: 1, rack: 0 }))
-            .at(43, Fault::LinkUp(LinkId::HostUplink(HostId(7))));
+        // All six faults, the link ones on both of a host's links.
+        let mut plan = FaultPlan::new().receiver_pause(HostId(3), 500_000, 900_000);
+        for link in [LinkId::HostDownlink(HostId(0)), LinkId::HostUplink(HostId(7))] {
+            plan = plan
+                .link_flaps(link, 300_000, 150_000, 600_000, 2)
+                .rate_limit(link, 100_000, 2_000_000, 10_000_000);
+        }
+        let plan = plan.at(42, Fault::LinkDown(LinkId::HostUplink(HostId(11))));
         round_trips(
             &ScenarioSpec::new(
                 "faulty",
@@ -464,12 +440,18 @@ mod tests {
             // Regressions: each of these parsed, then panicked mid-run in
             // `Network::new` or `install_faults` with a backtrace.
             (
-                "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=1000:down:tor0-5",
-                "field `faults`: no such spine 5 in `down:tor0-5` on fabric `sw:8`",
+                "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=1000:pause:8",
+                "field `faults`: no such host h8 in `pause:8` on fabric `sw:8`",
+            ),
+            // A fault names a host's link or the host: switch links and
+            // rack or spine outages are no tokens.
+            (
+                "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=1000:down:tor0-1",
+                "field `faults`: unknown link `tor0-1`",
             ),
             (
                 "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=1000:spineout:0",
-                "field `faults`: no such spine 0 in `spineout:0` on fabric `sw:8`",
+                "field `faults`: unknown fault `spineout:0`",
             ),
             (
                 "name=t fabric=sw:1 wl=W4 load=0.5 msgs=50 seed=1",
@@ -498,8 +480,8 @@ mod tests {
             // The same checks reach every fault and every size.
             (
                 "name=t fabric=ls:2x4x2 wl=W4 load=0.5 msgs=50 seed=1 \
-                 faults=5:up:hup3,9:down:tor1-2",
-                "field `faults`: no such spine 2 in `down:tor1-2` on fabric `ls:2x4x2`",
+                 faults=5:up:hup3,9:down:hdn8",
+                "field `faults`: no such host h8 in `down:hdn8` on fabric `ls:2x4x2`",
             ),
             (
                 "name=t fabric=sw:8 wl=W4 load=0.5 msgs=50 seed=1 faults=5:rate:hup3:0",

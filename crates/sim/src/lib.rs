@@ -69,8 +69,8 @@ pub mod transport;
 
 pub use delay::DelayBreakdown;
 pub use events::{EngineStats, EventQueue, HierEventQueue, LaneId, TimerToken};
-pub use faults::{resolve_fault, Fault, FaultAction, FaultError, FaultPlan, FaultSpec, LinkId};
-pub use network::{Network, NetworkConfig, StepOutput};
+pub use faults::{resolve_fault, Fault, FaultAction, FaultError, FaultPlan, LinkId};
+pub use network::{Network, NetworkConfig};
 pub use packet::{CtrlKind, Packet, PacketMeta};
 pub use queues::{EcnConfig, QueueDiscipline, QueueKind};
 pub use rng::{SplitMix64, Xoshiro256PlusPlus};

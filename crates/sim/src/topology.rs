@@ -18,7 +18,8 @@
 //! [`Topology::switch_ports`] is the one wiring table — each switch's
 //! egress ports in index order, each with its peer, the peer's port back,
 //! its role and its rate. The network builds its ports by walking that
-//! table and fault resolution ([`crate::faults`]) looks links up in it.
+//! table; fault resolution ([`crate::faults`]) finds a host's downlink
+//! through [`Topology::host_port`].
 
 use crate::stats::PortClass;
 use crate::time::SimDuration;

@@ -34,7 +34,7 @@
 use crate::queues::EnqueueOutcome;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, NodeId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 
 fn outcome_label(o: EnqueueOutcome) -> &'static str {
@@ -388,15 +388,13 @@ impl FlightRecorder {
     }
 }
 
-/// Per-priority link utilization and queue occupancy folded into
-/// fixed-width time buckets — the paper's Fig. 9 view, derived entirely
-/// from a recorded trace (no simulator-side cost).
+/// Per-priority link utilization folded into fixed-width time buckets —
+/// the paper's Fig. 9 view, derived entirely from a recorded trace (no
+/// simulator-side cost).
 ///
-/// Utilization buckets accumulate serialization nanoseconds per priority
-/// over every port matched by the fold's filter, with transmissions that
-/// span bucket boundaries split proportionally. Occupancy buckets track
-/// the peak of the aggregate queued bytes per priority across matched
-/// ports, reconstructed from enqueue/dequeue byte deltas.
+/// Buckets accumulate serialization nanoseconds per priority over every
+/// port matched by the fold's filter, with transmissions that span bucket
+/// boundaries split proportionally.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Timeline {
     /// Bucket width, nanoseconds.
@@ -404,9 +402,6 @@ pub struct Timeline {
     /// Per bucket: busy (serializing) nanoseconds by priority, summed
     /// over matched ports.
     pub busy_ns_by_prio: Vec<[u64; 8]>,
-    /// Per bucket: peak aggregate queued bytes by priority across
-    /// matched ports.
-    pub peak_queue_by_prio: Vec<[u64; 8]>,
     /// Distinct matched ports that transmitted at least once.
     pub ports: usize,
 }
@@ -424,48 +419,27 @@ impl Timeline {
     ) -> Timeline {
         let bucket_ns = bucket.as_nanos().max(1);
         let nbuckets = (end.as_nanos().div_ceil(bucket_ns)).max(1) as usize;
-        let mut tl = Timeline {
-            bucket_ns,
-            busy_ns_by_prio: vec![[0u64; 8]; nbuckets],
-            peak_queue_by_prio: vec![[0u64; 8]; nbuckets],
-            ports: 0,
-        };
-        // Aggregate queued bytes per priority across matched ports.
-        let mut occupancy = [0u64; 8];
-        let mut tx_ports: HashMap<(NodeId, u32), ()> = HashMap::new();
+        let mut tl = Timeline { bucket_ns, busy_ns_by_prio: vec![[0u64; 8]; nbuckets], ports: 0 };
+        let mut tx_ports = HashSet::new();
         for r in records {
-            let t = r.at.as_nanos();
-            match r.ev {
-                TraceEvent::TxStart { node, port, prio, dur_ns, .. } if port_filter(node, port) => {
-                    tx_ports.entry((node, port)).or_insert(());
-                    let p = (prio as usize).min(7);
-                    // Split the serialization interval across buckets.
-                    let mut start = t;
-                    let end_tx = t + dur_ns;
-                    while start < end_tx {
-                        let b = (start / bucket_ns) as usize;
-                        if b >= nbuckets {
-                            break;
-                        }
-                        let bucket_end = (b as u64 + 1) * bucket_ns;
-                        let slice = end_tx.min(bucket_end) - start;
-                        tl.busy_ns_by_prio[b][p] += slice;
-                        start = bucket_end;
-                    }
+            let TraceEvent::TxStart { node, port, prio, dur_ns, .. } = r.ev else { continue };
+            if !port_filter(node, port) {
+                continue;
+            }
+            tx_ports.insert((node, port));
+            let p = (prio as usize).min(7);
+            // Split the serialization interval across buckets.
+            let mut start = r.at.as_nanos();
+            let end_tx = start + dur_ns;
+            while start < end_tx {
+                let b = (start / bucket_ns) as usize;
+                if b >= nbuckets {
+                    break;
                 }
-                TraceEvent::Enqueue { node, port, prio, bytes, .. } if port_filter(node, port) => {
-                    let p = (prio as usize).min(7);
-                    occupancy[p] += bytes as u64;
-                    let b = ((t / bucket_ns) as usize).min(nbuckets - 1);
-                    tl.peak_queue_by_prio[b][p] = tl.peak_queue_by_prio[b][p].max(occupancy[p]);
-                }
-                TraceEvent::Dequeue { node, port, prio, bytes, .. } if port_filter(node, port) => {
-                    let p = (prio as usize).min(7);
-                    occupancy[p] = occupancy[p].saturating_sub(bytes as u64);
-                    let b = ((t / bucket_ns) as usize).min(nbuckets - 1);
-                    tl.peak_queue_by_prio[b][p] = tl.peak_queue_by_prio[b][p].max(occupancy[p]);
-                }
-                _ => {}
+                let bucket_end = (b as u64 + 1) * bucket_ns;
+                let slice = end_tx.min(bucket_end) - start;
+                tl.busy_ns_by_prio[b][p] += slice;
+                start = bucket_end;
             }
         }
         tl.ports = tx_ports.len();
@@ -704,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn timeline_folds_utilization_and_occupancy() {
+    fn timeline_folds_utilization() {
         let tor = NodeId::Tor(0);
         let recs = [
             // 100 ns of prio-7 serialization spanning the 0/1 bucket edge.
@@ -759,8 +733,8 @@ mod tests {
         assert_eq!(tl.ports, 1);
         assert_eq!(tl.busy_ns_by_prio[0][7], 50);
         assert_eq!(tl.busy_ns_by_prio[1][7], 50);
-        assert_eq!(tl.peak_queue_by_prio[0][0], 1000);
-        assert_eq!(tl.peak_queue_by_prio[1][0], 0);
+        // Queue records carry no serialization time.
+        assert!(tl.busy_ns_by_prio.iter().all(|b| b[0] == 0));
         let util = tl.utilization_by_prio();
         assert!((util[7] - 0.05).abs() < 1e-9, "{util:?}");
         // Filtered fold sees nothing.

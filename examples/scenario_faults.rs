@@ -6,7 +6,7 @@
 //! cargo run --release --example scenario_faults
 //! ```
 //!
-//! This is the runnable form of the `TrafficSpec`/`FaultSpec` example in
+//! This is the runnable form of the `TrafficSpec`/`FaultPlan` example in
 //! the README, and the source of the incast/flap slowdown table in
 //! EXPERIMENTS.md.
 

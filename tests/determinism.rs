@@ -12,9 +12,9 @@
 //! these are the contract that lets the perf gate pin deterministic
 //! event counts in `BENCH_BASELINE.json`.
 //!
-//! A fault row also requires its plan to act: every member-link event of
-//! the plan is applied before the run ends, a downed link drops packets,
-//! and a receiver pause defers deliveries. A plan timed past the end of
+//! A fault row also requires its plan to act: every event of the plan is
+//! applied before the run ends, a downed link drops packets, and a
+//! receiver pause defers deliveries. A plan timed past the end of
 //! its run would repeat trivially while exercising nothing.
 
 use homa_bench::{run_protocol_scenario, Protocol};
@@ -124,7 +124,8 @@ fn homa_repeats_under_incast_flap_and_pause() {
     // and replays deliveries, and link flaps force the RESEND machinery
     // through retransmission timing. The run must still repeat bit for
     // bit — including the fault counters in RunStats. The pause sits
-    // between two flaps on the incast's receiver, host 0.
+    // between two flaps on the incast's receiver, host 0, and one sender's
+    // uplink runs at half rate.
     let spec = ScenarioSpec::new(
         "det_fault_incast",
         FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 6, spines: 2 },
@@ -138,7 +139,7 @@ fn homa_repeats_under_incast_flap_and_pause() {
         FaultPlan::new()
             .link_flaps(LinkId::HostDownlink(HostId(0)), 100_000, 50_000, 150_000, 4)
             .receiver_pause(HostId(0), 160_000, 240_000)
-            .rate_limit(LinkId::TorUplink { rack: 0, spine: 0 }, 20_000, 650_000, 10_000_000_000),
+            .rate_limit(LinkId::HostUplink(HostId(1)), 20_000, 650_000, 5_000_000_000),
     );
     assert_repeatable(Protocol::Homa, spec);
 }
@@ -153,46 +154,15 @@ fn phost_repeats_under_link_flaps() {
         500,
         13,
     )
+    // Host 9's downlink flaps while it is receiving.
     .with_faults(FaultPlan::new().link_flaps(
-        LinkId::SpineDownlink { spine: 1, rack: 1 },
+        LinkId::HostDownlink(HostId(9)),
         10_000,
         5_000,
         12_000,
         3,
     ));
     assert_repeatable(Protocol::Phost, spec);
-}
-
-#[test]
-fn homa_repeats_under_rack_outage() {
-    // Correlated failure: a whole rack goes dark mid-run and comes back.
-    // The composite fault expands to one event per member link at the
-    // same instant; both runs must produce identical records, loss
-    // accounting and fault counters.
-    let spec = ScenarioSpec::new(
-        "det_rack_outage",
-        FabricSpec::MultiTor { hosts: 16 },
-        Workload::W2,
-        0.45,
-        600,
-        17,
-    )
-    .with_faults(FaultPlan::new().rack_outage(1, 20_000, 60_000));
-    assert_repeatable(Protocol::Homa, spec);
-}
-
-#[test]
-fn homa_repeats_under_spine_outage() {
-    let spec = ScenarioSpec::new(
-        "det_spine_outage",
-        FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 6, spines: 2 },
-        Workload::W2,
-        0.5,
-        500,
-        29,
-    )
-    .with_faults(FaultPlan::new().spine_outage(0, 15_000, 45_000));
-    assert_repeatable(Protocol::Homa, spec);
 }
 
 #[test]

@@ -130,8 +130,8 @@ fn gate_scenarios(quick: bool) -> Vec<GateScenario> {
         // eight events a message, nearly every message one packet. The
         // whole run fits inside one linger window (§3.8), so its peak RSS
         // is what a sender retains per fully-sent one-way times 200,000:
-        // 25 MB as parked-ring records, 58 MB when they were whole
-        // messages in two hash tables.
+        // 14 MB as 40-byte slots of `SenderState`'s own-message store. A
+        // hash-table entry per lingering one-way reads 25 MB or more.
         GateScenario {
             spec: ScenarioSpec::new(
                 "w1_80_160h",

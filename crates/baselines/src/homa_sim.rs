@@ -249,10 +249,10 @@ impl Transport<HomaMeta> for HomaSimTransport {
     }
 }
 
-/// The paper's `HomaPx` variants: Homa restricted to `levels` priority
-/// levels (Figures 8–9).
-pub fn homa_px_config(levels: u8) -> HomaConfig {
-    HomaConfig { num_priorities: levels, ..HomaConfig::default() }
+/// The paper's `HomaPx` variants: Homa restricted to `priorities`
+/// priority levels (Figures 8–9).
+pub fn homa_px_config(priorities: u8) -> HomaConfig {
+    HomaConfig { num_priorities: priorities, ..HomaConfig::default() }
 }
 
 /// RAMCloud's *Basic* transport: "similar to Homa in that it is

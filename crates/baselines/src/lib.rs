@@ -55,8 +55,9 @@
 //! * [`pias`]: `DCTCP_G` = 1/16, DCTCP's EWMA weight; `INIT_CWND` = 1 BDP,
 //!   `MIN_CWND` = one packet, `MAX_CWND` = 4 BDP, `RTO_NS` = 500 µs and
 //!   `ECN_THRESHOLD_BYTES` = 30 KB, this model's.
-//! * [`ndp`]: `DATA_QUEUE_PACKETS` = 8, the NDP paper's switch queue;
-//!   `INITIAL_WINDOW` = 1 BDP, its blind first RTT.
+//! * [`ndp`]: `INITIAL_WINDOW` = 1 BDP, the NDP paper's blind first RTT.
+//!   Its switch queue of 8 data packets is the fabric's
+//!   (`homa_sim::queues::NDP_DATA_PACKETS`).
 //! * [`stream`]: `WINDOW` = 1 BDP and `RTO_NS` = 1 ms, this model's.
 //!
 //! The config structs keep only what an input sets: PIAS's demotion

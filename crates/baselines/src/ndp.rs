@@ -39,8 +39,6 @@ impl Default for NdpConfig {
 
 /// Initial blind window per message (RTTbytes).
 const INITIAL_WINDOW: u64 = RTT_BYTES;
-/// Switch data-queue cap in packets (NDP uses 8).
-const DATA_QUEUE_PACKETS: usize = 8;
 
 /// Packet metadata for NDP.
 #[derive(Debug, Clone)]
@@ -260,14 +258,10 @@ impl Transport<NdpMeta> for NdpTransport {
     }
 }
 
-/// Fabric configuration for NDP: short trim-capable data queues on every
-/// switch port.
+/// Fabric configuration for NDP: trim-capable data queues of
+/// [`homa_sim::queues::NDP_DATA_PACKETS`] on every switch port.
 pub fn fabric_queues(_cfg: &NdpConfig) -> homa_sim::QueueDiscipline {
-    homa_sim::QueueDiscipline {
-        kind: homa_sim::QueueKind::NdpTrim { data_cap_packets: DATA_QUEUE_PACKETS },
-        cap_bytes: 1 << 20,
-        ecn: None,
-    }
+    homa_sim::QueueDiscipline { kind: homa_sim::QueueKind::NdpTrim, cap_bytes: 1 << 20, ecn: None }
 }
 
 #[cfg(test)]

@@ -55,10 +55,11 @@ const ECN_THRESHOLD_BYTES: u64 = 30_000;
 impl PiasConfig {
     /// Derive demotion thresholds for a workload, mimicking PIAS's
     /// per-workload threshold tuning: boundaries that spread the
-    /// workload's *bytes* evenly across the 8 levels, floored at one
-    /// packet so single-packet messages always ride the top level (the
-    /// behaviour the Homa paper notes for W1-W3).
-    pub fn thresholds_for(dist: &MessageSizeDist, levels: u8) -> Vec<u64> {
+    /// workload's *bytes* evenly across `priorities` levels (every caller
+    /// passes the switch's 8), floored at one packet so single-packet
+    /// messages always ride the top level (the behaviour the Homa paper
+    /// notes for W1-W3).
+    pub fn thresholds_for(dist: &MessageSizeDist, priorities: u8) -> Vec<u64> {
         // `MessageSizeDist::byte_weighted_cdf` as a table: the grid sizes
         // ascend, so the bytes at or below a size are a prefix of the grid
         // and its sum is a running sum (`below[j]` = first `j` sizes).
@@ -71,10 +72,10 @@ impl PiasConfig {
         let total = below[grid.len()];
         let byte_weighted_cdf = |size: u64| below[grid.partition_point(|&s| s <= size)] / total;
 
-        let n = levels.saturating_sub(1) as usize;
+        let n = priorities.saturating_sub(1) as usize;
         let mut out = Vec::with_capacity(n);
         for k in 1..=n {
-            let target = k as f64 / levels as f64;
+            let target = k as f64 / priorities as f64;
             let mut lo = 0.0f64;
             let mut hi = 1.0f64;
             // The byte-weighted CDF is monotone in size; binary-search the
@@ -347,7 +348,7 @@ impl Transport<PiasMeta> for PiasTransport {
 /// marking.
 pub fn fabric_queues(_cfg: &PiasConfig) -> homa_sim::QueueDiscipline {
     homa_sim::QueueDiscipline {
-        kind: homa_sim::QueueKind::StrictPriority { levels: 8 },
+        kind: homa_sim::QueueKind::StrictPriority,
         cap_bytes: 1 << 20,
         ecn: Some(EcnConfig { threshold_bytes: ECN_THRESHOLD_BYTES }),
     }

@@ -135,34 +135,23 @@ struct SizeBucket {
 /// O(occupied sketch bins), not O(messages), which is what lets a
 /// 1k-host run with tens of thousands of messages keep a flat footprint.
 ///
-/// Sizes are hashed into logarithmic buckets (relative width `alpha`)
-/// and each bucket carries a [`QuantileSketch`] of slowdowns, so
-/// [`summary`](SlowdownSketch::summary) can rebuild the paper's
-/// equal-message-count size bins after the fact by walking buckets in
-/// ascending size order. Quantiles carry the sketch's `alpha` relative
+/// Sizes are hashed into logarithmic buckets (relative width
+/// [`QuantileSketch::ALPHA`]) and each bucket carries a [`QuantileSketch`]
+/// of slowdowns, so [`summary`](SlowdownSketch::summary) can rebuild the
+/// paper's equal-message-count size bins after the fact by walking
+/// buckets in ascending size order. Quantiles carry the same relative
 /// error; bin *edges* land on size-bucket boundaries, so each bin holds
 /// its target message count only to within one bucket's population.
 /// Counts, means, and size extrema are exact.
 #[derive(Debug, Clone)]
 pub struct SlowdownSketch {
-    alpha: f64,
+    /// `ln(gamma)` of the size buckets, cached.
     ln_gamma: f64,
     by_size: std::collections::BTreeMap<i32, SizeBucket>,
     overall: QuantileSketch,
 }
 
 impl SlowdownSketch {
-    /// A sketch with relative quantile error at most `alpha`.
-    pub fn new(alpha: f64) -> SlowdownSketch {
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
-        SlowdownSketch {
-            alpha,
-            ln_gamma: gamma.ln(),
-            by_size: Default::default(),
-            overall: QuantileSketch::new(alpha),
-        }
-    }
-
     fn size_key(&self, size: u64) -> i32 {
         if size <= 1 {
             0
@@ -178,7 +167,7 @@ impl SlowdownSketch {
         let b = self.by_size.entry(self.size_key(size)).or_insert_with(|| SizeBucket {
             min_size: size,
             max_size: size,
-            slowdowns: QuantileSketch::new(self.alpha),
+            slowdowns: QuantileSketch::default(),
         });
         b.min_size = b.min_size.min(size);
         b.max_size = b.max_size.max(size);
@@ -190,14 +179,14 @@ impl SlowdownSketch {
         self.overall.count()
     }
 
-    /// Fold another sketch into this one (same `alpha` required).
+    /// Fold another sketch into this one.
     pub fn merge(&mut self, other: &SlowdownSketch) {
         self.overall.merge(&other.overall);
         for (&key, ob) in &other.by_size {
             let b = self.by_size.entry(key).or_insert_with(|| SizeBucket {
                 min_size: ob.min_size,
                 max_size: ob.max_size,
-                slowdowns: QuantileSketch::new(self.alpha),
+                slowdowns: QuantileSketch::default(),
             });
             b.min_size = b.min_size.min(ob.min_size);
             b.max_size = b.max_size.max(ob.max_size);
@@ -272,10 +261,12 @@ impl SlowdownSketch {
 }
 
 impl Default for SlowdownSketch {
-    /// 1% relative quantile error — well inside the repro-gate
-    /// tolerances used by `repro compare`.
     fn default() -> Self {
-        SlowdownSketch::new(0.01)
+        SlowdownSketch {
+            ln_gamma: QuantileSketch::GAMMA.ln(),
+            by_size: Default::default(),
+            overall: QuantileSketch::default(),
+        }
     }
 }
 

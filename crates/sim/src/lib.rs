@@ -9,9 +9,10 @@
 //! ## Model
 //!
 //! * **Store-and-forward** switching (the paper's simulated switches do not
-//!   support cut-through), with a configurable per-switch internal delay
-//!   (250 ns in the paper).
-//! * **Zero propagation delay** (per the paper), configurable.
+//!   support cut-through), with the paper's 250 ns per-switch internal
+//!   delay.
+//! * **Zero propagation delay**, per the paper: a link delays a packet by
+//!   its peer's switch or host software delay alone.
 //! * **Per-packet spraying**: packets from a TOR to the spine layer pick a
 //!   random uplink, so core congestion is negligible and queueing
 //!   concentrates on TOR→host downlinks.

@@ -10,17 +10,21 @@
 //!    uplink goes idle (pull model, so sender-side SRPT is exact).
 //! 2. Serialization occupies the link for `wire_bytes * 8 / rate`.
 //! 3. When serialization ends the packet moves onto the port's *wire*, a
-//!    FIFO of packets propagating to the peer, each with its due time,
+//!    FIFO of packets on their way to the peer, each with its due time,
 //!    and one `Arrive` event naming the port is scheduled for that time.
-//!    A link's delay (propagation plus the peer's switch or host software
-//!    delay) is constant, so packets arrive in the order they left, and
-//!    `Arrive` pops the wire's head; the event carries no packet.
+//!    A link's delay (the peer's switch or host software delay; links
+//!    have no propagation delay) is constant, so packets arrive in the
+//!    order they left, and `Arrive` pops the wire's head; the event
+//!    carries no packet.
 //! 4. The TOR takes it off the wire after the switch's internal delay
 //!    (store-and-forward), routes it — directly to a rack-local host port,
 //!    or sprayed across a random spine uplink — and offers it to the egress
 //!    port's [`PortQueue`].
 //! 5. Ports drain their queues as fast as the link allows; each hop
-//!    accumulates delay attribution into the packet.
+//!    accumulates delay attribution into the packet. A packet that arrives
+//!    while the link sends one it outranks is credited the rest of that
+//!    transmission as preemption lag (Figure 14), the rest of its wait as
+//!    queueing; a port only ever starts a packet no waiting one outranks.
 //! 6. When the packet comes off the last wire, the host software delay has
 //!    elapsed and the receiving transport's `on_packet` runs (or, while
 //!    the receiver is paused, the packet waits in its pause buffer).
@@ -57,7 +61,7 @@
 use crate::events::{EngineStats, HierEventQueue, LaneId, TimerToken};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::packet::{CtrlKind, Packet, PacketMeta};
-use crate::queues::{PortQueue, QueueDiscipline};
+use crate::queues::{PortQueue, QueueDiscipline, LEVELS};
 use crate::rng::Xoshiro256PlusPlus;
 use crate::stats::{PortClass, PortStats, RunStats};
 use crate::time::{SimDuration, SimTime};
@@ -137,7 +141,7 @@ struct Port<M> {
     class: PortClass,
     /// The packet currently being serialized, with its completion time.
     sending: Option<(Packet<M>, SimTime)>,
-    /// Packets that finished serializing and are propagating to `peer`,
+    /// Packets that finished serializing and are on their way to `peer`,
     /// each with the time it arrives there; in departure order, which is
     /// arrival order because the link's delay is constant.
     wire: VecDeque<(Packet<M>, SimTime)>,
@@ -341,7 +345,7 @@ fn begin_tx<M: PacketMeta>(
     port.stats.wire_bytes += pkt.wire_bytes() as u64;
     port.stats.goodput_bytes += pkt.meta.goodput_bytes() as u64;
     port.stats.packets += 1;
-    port.stats.bytes_by_prio[(pkt.priority() as usize).min(7)] += pkt.wire_bytes() as u64;
+    port.stats.bytes_by_prio[pkt.priority() as usize] += pkt.wire_bytes() as u64;
     if cx.tracing() {
         cx.trace(
             now,
@@ -356,8 +360,6 @@ fn begin_tx<M: PacketMeta>(
             },
         );
     }
-    // Preemption-lag accounting for everything still waiting.
-    port.queue.on_tx_start(&pkt, dur);
     port.sending = Some((pkt, done_at));
     cx.queue.schedule(LANE, done_at, Ev::TxDone { node, port: port_idx });
 }
@@ -411,10 +413,10 @@ fn on_tx_done<M: PacketMeta, T: Transport<M>>(
 
     // Onto the wire to the peer.
     let delay = match port.peer {
-        NodeId::Host(_) => cx.topo.host_sw_delay,
-        NodeId::Tor(_) | NodeId::Spine(_) => cx.topo.switch_delay,
+        NodeId::Host(_) => Topology::HOST_SW_DELAY,
+        NodeId::Tor(_) | NodeId::Spine(_) => Topology::SWITCH_DELAY,
     };
-    let at = now + cx.topo.prop_delay + delay;
+    let at = now + delay;
     port.wire.push_back((pkt, at));
     cx.queue.schedule(LANE, at, Ev::Arrive { node, port: port_idx });
 
@@ -822,8 +824,8 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
     /// Total wire bytes transmitted on host uplinks per priority level
     /// (Figure 21's traffic-by-priority accounting).
-    pub fn uplink_bytes_by_prio(&self) -> [u64; 8] {
-        let mut out = [0u64; 8];
+    pub fn uplink_bytes_by_prio(&self) -> [u64; LEVELS] {
+        let mut out = [0u64; LEVELS];
         for p in &self.hosts.ports {
             for (i, b) in p.stats.bytes_by_prio.iter().enumerate() {
                 out[i] += b;

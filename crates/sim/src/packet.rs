@@ -47,8 +47,10 @@ pub trait PacketMeta: Clone + std::fmt::Debug + 'static {
     fn wire_bytes(&self) -> u32;
 
     /// The in-network priority of this packet for strict-priority queues.
-    /// Higher values are served first; commodity switches provide 8 levels
-    /// (0–7). Protocols that do not use priorities return 0 for everything.
+    /// Higher values are served first. It must lie in
+    /// `0..`[`LEVELS`](crate::queues::LEVELS), the paper's switch's eight
+    /// levels: nothing clamps it, and the fabric panics on a larger one.
+    /// Protocols that do not use priorities return 0 for everything.
     fn priority(&self) -> u8;
 
     /// Fine-grained priority for pFabric-style switches: the number of

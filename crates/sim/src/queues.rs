@@ -3,44 +3,51 @@
 //! Each switch output port owns one [`PortQueue`], configured with a
 //! [`QueueKind`]:
 //!
-//! * [`QueueKind::StrictPriority`] — the commodity-switch model the paper
-//!   builds on: one FIFO per priority level (8 on modern switches), higher
-//!   levels strictly first. Used by Homa, pHost, PIAS, Basic and Stream.
+//! * [`QueueKind::StrictPriority`] — the commodity switch the paper
+//!   builds on: one FIFO per each of its [`LEVELS`] priority levels,
+//!   higher levels strictly first. Used by Homa, pHost, PIAS, Basic and
+//!   Stream.
 //! * [`QueueKind::Pfabric`] — pFabric's idealized switch: dequeue the packet
 //!   with the fewest remaining message bytes; on overflow drop the queued
 //!   packet with the *most* remaining bytes. Control packets are served
 //!   before data.
-//! * [`QueueKind::NdpTrim`] — NDP's switch: a short FIFO for data packets;
-//!   when it is full an arriving data packet has its payload trimmed off and
-//!   the header joins a strictly-higher-priority control queue.
+//! * [`QueueKind::NdpTrim`] — NDP's switch: a FIFO of at most
+//!   [`NDP_DATA_PACKETS`] data packets; when it is full an arriving data
+//!   packet has its payload trimmed off and the header joins a
+//!   strictly-higher-priority control queue.
 //!
 //! All disciplines share a byte capacity, optional ECN marking (used by the
 //! PIAS/DCTCP baseline) and the preemption-lag accounting that feeds
-//! Figure 14: while a packet waits, time during which the link is occupied
-//! by a *lower-priority* packet is accounted as preemption lag, the rest as
-//! ordinary queueing delay.
+//! Figure 14: a packet that arrives while the link sends a packet it
+//! outranks is credited the rest of that transmission as preemption lag,
+//! and the rest of its wait is ordinary queueing delay. Nothing else is
+//! ever credited: a port only starts a packet that no waiting packet
+//! outranks (the fabric asserts it in debug builds, through
+//! [`PortQueue::waiting_outranks`]).
 
 use crate::packet::{Packet, PacketMeta};
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
+/// Priority levels of a strict-priority port: the paper's commodity
+/// switch. Every [`PacketMeta::priority`] is below it.
+pub const LEVELS: usize = 8;
+
+/// Untrimmed data packets an NDP port queues before it trims: the NDP
+/// paper's switch queue.
+pub const NDP_DATA_PACKETS: usize = 8;
+
 /// Which scheduling/drop policy a port uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// One FIFO per priority level; strictly higher levels first.
-    StrictPriority {
-        /// Number of priority levels the port supports (8 on commodity
-        /// switches). Packet priorities are clamped into range.
-        levels: u8,
-    },
+    /// One FIFO per each of the [`LEVELS`] priority levels; strictly
+    /// higher levels first.
+    StrictPriority,
     /// pFabric: dequeue smallest-remaining, drop largest-remaining.
     Pfabric,
-    /// NDP: short data FIFO with payload trimming to a high-priority
-    /// control queue.
-    NdpTrim {
-        /// Maximum number of *untrimmed data* packets queued (NDP uses 8).
-        data_cap_packets: usize,
-    },
+    /// NDP: a data FIFO of [`NDP_DATA_PACKETS`] with payload trimming to
+    /// a high-priority control queue.
+    NdpTrim,
 }
 
 /// ECN marking configuration (DCTCP-style instantaneous-queue marking).
@@ -63,10 +70,10 @@ pub struct QueueDiscipline {
 }
 
 impl QueueDiscipline {
-    /// The paper's commodity switch: 8 strict priorities with a generous
-    /// (1 MB) shared buffer and no ECN.
+    /// The paper's commodity switch: [`LEVELS`] strict priorities sharing
+    /// `cap_bytes` of buffer, and no ECN.
     pub fn strict8(cap_bytes: u64) -> Self {
-        QueueDiscipline { kind: QueueKind::StrictPriority { levels: 8 }, cap_bytes, ecn: None }
+        QueueDiscipline { kind: QueueKind::StrictPriority, cap_bytes, ecn: None }
     }
 }
 
@@ -84,7 +91,8 @@ pub enum EnqueueOutcome {
 struct Waiting<M> {
     pkt: Packet<M>,
     enqueued_at: SimTime,
-    /// Time so far spent waiting while a lower-priority packet held the link.
+    /// Preemption lag, credited once at arrival: the rest of the
+    /// transmission of the outranked packet then on the link.
     lag: SimDuration,
 }
 
@@ -119,9 +127,7 @@ impl<M: PacketMeta> PortQueue<M> {
     /// An empty queue with the given discipline.
     pub fn new(disc: QueueDiscipline) -> Self {
         let levels = match disc.kind {
-            QueueKind::StrictPriority { levels } => {
-                (0..levels.max(1)).map(|_| VecDeque::new()).collect()
-            }
+            QueueKind::StrictPriority => (0..LEVELS).map(|_| VecDeque::new()).collect(),
             _ => Vec::new(),
         };
         PortQueue {
@@ -226,12 +232,12 @@ impl<M: PacketMeta> PortQueue<M> {
         let mut outcome = EnqueueOutcome::Accepted;
 
         match self.disc.kind {
-            QueueKind::StrictPriority { levels } => {
+            QueueKind::StrictPriority => {
                 if self.bytes + size > self.disc.cap_bytes {
                     self.drops += 1;
                     return EnqueueOutcome::Dropped;
                 }
-                let lvl = (pkt.priority()).min(levels - 1) as usize;
+                let lvl = pkt.priority() as usize;
                 let w = self.fresh_waiting(now, pkt, in_flight);
                 self.account_add(now, size);
                 self.levels[lvl].push_back(w);
@@ -278,7 +284,7 @@ impl<M: PacketMeta> PortQueue<M> {
                     self.pool.push_back(w);
                 }
             }
-            QueueKind::NdpTrim { data_cap_packets } => {
+            QueueKind::NdpTrim => {
                 let is_ctrl = pkt.meta.is_control() || pkt.was_trimmed;
                 if is_ctrl {
                     if self.bytes + size > self.disc.cap_bytes {
@@ -288,7 +294,7 @@ impl<M: PacketMeta> PortQueue<M> {
                     let w = self.fresh_waiting(now, pkt, in_flight);
                     self.account_add(now, size);
                     self.ctrl.push_back(w);
-                } else if self.pool.len() >= data_cap_packets {
+                } else if self.pool.len() >= NDP_DATA_PACKETS {
                     match pkt.meta.trimmed() {
                         Some(tm) => {
                             self.trims += 1;
@@ -356,12 +362,6 @@ impl<M: PacketMeta> PortQueue<M> {
         if size > self.disc.cap_bytes {
             return false;
         }
-        if let QueueKind::NdpTrim { data_cap_packets } = self.disc.kind {
-            // A zero-capacity data FIFO trims even the first data packet.
-            if data_cap_packets == 0 && !(pkt.meta.is_control() || pkt.was_trimmed) {
-                return false;
-            }
-        }
         // Same ECN rule as `enqueue`: mark on instantaneous occupancy at
         // arrival (zero here, so only a zero threshold marks).
         if let Some(ecn) = self.disc.ecn {
@@ -378,8 +378,8 @@ impl<M: PacketMeta> PortQueue<M> {
     /// attribution. Returns `None` when the queue is empty.
     pub fn dequeue(&mut self, now: SimTime) -> Option<Packet<M>> {
         let w = match self.disc.kind {
-            QueueKind::StrictPriority { .. } => {
-                let lvl = (0..self.levels.len()).rev().find(|&l| !self.levels[l].is_empty())?;
+            QueueKind::StrictPriority => {
+                let lvl = (0..LEVELS).rev().find(|&l| !self.levels[l].is_empty())?;
                 self.levels[lvl].pop_front().expect("level nonempty")
             }
             QueueKind::Pfabric => {
@@ -400,7 +400,7 @@ impl<M: PacketMeta> PortQueue<M> {
                     .expect("pool nonempty");
                 self.pool.remove(idx).expect("index valid")
             }
-            QueueKind::NdpTrim { .. } => {
+            QueueKind::NdpTrim => {
                 if let Some(w) = self.ctrl.pop_front() {
                     w
                 } else {
@@ -411,9 +411,11 @@ impl<M: PacketMeta> PortQueue<M> {
         self.account_remove(now, w.pkt.wire_bytes() as u64);
         let mut pkt = w.pkt;
         let waited = now.saturating_since(w.enqueued_at);
-        let lag = w.lag.min(waited);
-        pkt.delay.record_wait(waited, lag);
-        self.last_wait = (waited.saturating_sub(lag), lag);
+        // The outranked packet finished before this one could start; a
+        // downed link only delays the start further.
+        debug_assert!(w.lag <= waited, "lag {:?} exceeds the wait {waited:?}", w.lag);
+        pkt.delay.record_wait(waited, w.lag);
+        self.last_wait = (waited.saturating_sub(w.lag), w.lag);
         Some(pkt)
     }
 
@@ -433,56 +435,16 @@ impl<M: PacketMeta> PortQueue<M> {
     /// Whether any packet still waiting strictly outranks `taken` under
     /// this queue's discipline. Never true of the packet
     /// [`dequeue`](Self::dequeue) just returned: that is the
-    /// non-inversion invariant the fabric asserts in debug builds. Strict
-    /// priority compares the levels packets were filed under, so
-    /// priorities clamped into one level do not count as an inversion.
+    /// non-inversion invariant the fabric asserts in debug builds, and
+    /// why a packet's preemption lag is all credited at its arrival.
     pub fn waiting_outranks(&self, taken: &Packet<M>) -> bool {
         match self.disc.kind {
-            QueueKind::StrictPriority { levels } => {
-                let lvl = taken.priority().min(levels - 1) as usize;
-                self.levels[lvl + 1..].iter().any(|q| !q.is_empty())
+            QueueKind::StrictPriority => {
+                self.levels[taken.priority() as usize + 1..].iter().any(|q| !q.is_empty())
             }
             kind => self.pool.iter().chain(&self.ctrl).any(|w| {
                 outranks_kind(kind, &w.pkt.meta, w.pkt.was_trimmed, &taken.meta, taken.was_trimmed)
             }),
-        }
-    }
-
-    /// Inform the queue that the port just started transmitting `started`
-    /// and will stay busy for `dur`: every queued packet that outranks it
-    /// accrues preemption lag for that interval.
-    ///
-    /// Returns at once on an empty queue (every host NIC, and most switch
-    /// ports most of the time). Under strict priority only the level
-    /// `started` would be filed under and the levels above it are
-    /// visited: a packet filed below has a lower priority and cannot
-    /// outrank it. The started packet's own level is visited because
-    /// priorities above the port's top level clamp into it, where a
-    /// waiting 5 still outranks an in-service 3.
-    pub fn on_tx_start(&mut self, started: &Packet<M>, dur: SimDuration) {
-        if self.packets == 0 {
-            return;
-        }
-        let kind = self.disc.kind;
-        let first_level = match kind {
-            QueueKind::StrictPriority { levels } => started.priority().min(levels - 1) as usize,
-            _ => 0,
-        };
-        let waiting = self.levels[first_level..]
-            .iter_mut()
-            .flatten()
-            .chain(&mut self.pool)
-            .chain(&mut self.ctrl);
-        for w in waiting {
-            if outranks_kind(
-                kind,
-                &w.pkt.meta,
-                w.pkt.was_trimmed,
-                &started.meta,
-                started.was_trimmed,
-            ) {
-                w.lag += dur;
-            }
         }
     }
 }
@@ -496,7 +458,7 @@ fn outranks_kind<M: PacketMeta>(
     b_trimmed: bool,
 ) -> bool {
     match kind {
-        QueueKind::StrictPriority { .. } => a.priority() > b.priority(),
+        QueueKind::StrictPriority => a.priority() > b.priority(),
         QueueKind::Pfabric => {
             // Control packets outrank data; among data, fewer remaining
             // bytes outranks more.
@@ -507,9 +469,7 @@ fn outranks_kind<M: PacketMeta>(
                 (None, None) => false,
             }
         }
-        QueueKind::NdpTrim { .. } => {
-            (a.is_control() || a_trimmed) && !(b.is_control() || b_trimmed)
-        }
+        QueueKind::NdpTrim => (a.is_control() || a_trimmed) && !(b.is_control() || b_trimmed),
     }
 }
 
@@ -569,18 +529,9 @@ mod tests {
     }
 
     #[test]
-    fn priorities_above_levels_clamp() {
-        let mut q: PortQueue<TestMeta> = PortQueue::new(QueueDiscipline {
-            kind: QueueKind::StrictPriority { levels: 2 },
-            cap_bytes: 1 << 20,
-            ecn: None,
-        });
-        q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 7)), None);
-        q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 5)), None);
-        // 7 and 5 share the top level, so FIFO between them is no
-        // inversion.
-        assert!(!q.waiting_outranks(&pkt(0, 1, TestMeta::data(100, 5))));
-        assert_eq!(q.dequeue(t(0)).unwrap().priority(), 7);
+    #[should_panic(expected = "out of bounds")]
+    fn a_priority_above_the_levels_is_refused() {
+        strict(1 << 20).enqueue(t(0), pkt(0, 1, TestMeta::data(100, LEVELS as u8)), None);
     }
 
     #[test]
@@ -677,12 +628,13 @@ mod tests {
     #[test]
     fn ndp_trims_when_data_queue_full() {
         let mut q: PortQueue<TestMeta> = PortQueue::new(QueueDiscipline {
-            kind: QueueKind::NdpTrim { data_cap_packets: 2 },
+            kind: QueueKind::NdpTrim,
             cap_bytes: 1 << 20,
             ecn: None,
         });
-        q.enqueue(t(0), pkt(0, 1, TestMeta::data(1500, 0)), None);
-        q.enqueue(t(0), pkt(0, 1, TestMeta::data(1500, 0)), None);
+        for _ in 0..NDP_DATA_PACKETS {
+            q.enqueue(t(0), pkt(0, 1, TestMeta::data(1500, 0)), None);
+        }
         assert_eq!(
             q.enqueue(t(0), pkt(0, 1, TestMeta::data(1500, 0)), None),
             EnqueueOutcome::Trimmed
@@ -697,7 +649,7 @@ mod tests {
     #[test]
     fn ndp_control_packets_bypass_data() {
         let mut q: PortQueue<TestMeta> = PortQueue::new(QueueDiscipline {
-            kind: QueueKind::NdpTrim { data_cap_packets: 8 },
+            kind: QueueKind::NdpTrim,
             cap_bytes: 1 << 20,
             ecn: None,
         });
@@ -734,7 +686,7 @@ mod tests {
         // flag. One is on the wire until t=48 when a control packet
         // arrives: the two rank equal, so the wait is queueing, not lag.
         let mut q: PortQueue<TestMeta> = PortQueue::new(QueueDiscipline {
-            kind: QueueKind::NdpTrim { data_cap_packets: 8 },
+            kind: QueueKind::NdpTrim,
             cap_bytes: 1 << 20,
             ecn: None,
         });
@@ -750,22 +702,6 @@ mod tests {
         let data = pkt(0, 1, TestMeta::data(1500, 0));
         q.enqueue(t(100), pkt(1, 0, TestMeta::control(40, 0)), Some((&data, t(1300))));
         assert_eq!(q.dequeue(t(1300)).unwrap().delay.preemption_lag.as_nanos(), 1200);
-    }
-
-    #[test]
-    fn on_tx_start_accrues_lag_for_outranking_waiters() {
-        let mut q = strict(1 << 20);
-        q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 7)), None);
-        q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 0)), None);
-        // Port starts sending a priority-3 packet for 500ns: the P7 waiter
-        // accrues lag, the P0 waiter does not.
-        let started = pkt(0, 1, TestMeta::data(625, 3));
-        q.on_tx_start(&started, SimDuration::from_nanos(500));
-        let hi = q.dequeue(t(500)).unwrap();
-        assert_eq!(hi.delay.preemption_lag.as_nanos(), 500);
-        let lo = q.dequeue(t(500)).unwrap();
-        assert_eq!(lo.delay.preemption_lag.as_nanos(), 0);
-        assert_eq!(lo.delay.queueing.as_nanos(), 500);
     }
 
     #[test]

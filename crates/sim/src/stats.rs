@@ -4,6 +4,8 @@
 //! These feed Table 1 (queue lengths per fabric level) and Figure 15 (the
 //! goodput share of the bytes delivered at capacity) of the paper.
 
+use crate::queues::LEVELS;
+
 /// Classification of an egress port by its position in the fabric, matching
 /// the rows of Table 1 in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +44,7 @@ pub struct PortStats {
     /// packets handed to NICs with it).
     pub packets: u64,
     /// Wire bytes transmitted per strict-priority level (Figure 21).
-    pub bytes_by_prio: [u64; 8],
+    pub bytes_by_prio: [u64; LEVELS],
 }
 
 /// Grant/overcommit credit issued by one receiver transport (or, summed
@@ -126,8 +128,8 @@ impl RunStats {
 /// A mergeable streaming quantile sketch with bounded *relative* error,
 /// in the style of DDSketch (Masson et al., VLDB 2019): log-spaced
 /// buckets of ratio `gamma = (1+alpha)/(1-alpha)` so any quantile
-/// estimate is within `alpha` of the true value, using O(bins) memory
-/// regardless of how many observations are pushed.
+/// estimate is within [`alpha`](Self::ALPHA) of the true value, using
+/// O(bins) memory regardless of how many observations are pushed.
 ///
 /// This is what lets the harness hot path drop its retained
 /// `Vec<MsgRecord>` (O(messages) heap) for slowdown percentiles:
@@ -136,7 +138,6 @@ impl RunStats {
 /// dedicated zero bucket and reported as 0.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
-    alpha: f64,
     /// `ln(gamma)`, cached: bucket key of `v` is `ceil(ln(v)/ln_gamma)`.
     ln_gamma: f64,
     /// Sparse bucket -> count map. BTreeMap keeps iteration (and thus
@@ -152,19 +153,8 @@ pub struct QuantileSketch {
 
 impl Default for QuantileSketch {
     fn default() -> Self {
-        QuantileSketch::new(0.01)
-    }
-}
-
-impl QuantileSketch {
-    /// A sketch whose quantile estimates have relative error at most
-    /// `alpha` (e.g. 0.01 for 1%).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
         QuantileSketch {
-            alpha,
-            ln_gamma: gamma.ln(),
+            ln_gamma: Self::GAMMA.ln(),
             bins: std::collections::BTreeMap::new(),
             zero_count: 0,
             count: 0,
@@ -173,11 +163,14 @@ impl QuantileSketch {
             max: f64::NEG_INFINITY,
         }
     }
+}
 
-    /// The configured relative-error bound.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
+impl QuantileSketch {
+    /// The relative-error bound of every quantile estimate: 1 %, well
+    /// inside the tolerances `repro compare` gates on.
+    pub const ALPHA: f64 = 0.01;
+    /// The ratio between consecutive bucket bounds.
+    pub const GAMMA: f64 = (1.0 + Self::ALPHA) / (1.0 - Self::ALPHA);
 
     /// Record one observation.
     pub fn push(&mut self, v: f64) {
@@ -236,7 +229,8 @@ impl QuantileSketch {
     }
 
     /// Estimate the `p`-th percentile (`p` in `[0, 100]`), within
-    /// `alpha` relative error. Returns 0.0 on an empty sketch.
+    /// [`ALPHA`](Self::ALPHA) relative error. Returns 0.0 on an empty
+    /// sketch.
     pub fn percentile(&self, p: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -254,20 +248,14 @@ impl QuantileSketch {
                 // Bucket k covers (gamma^(k-1), gamma^k]; the midpoint
                 // 2*gamma^k/(gamma+1) is within alpha of any member.
                 let gamma_k = (key as f64 * self.ln_gamma).exp();
-                let gamma = (1.0 + self.alpha) / (1.0 - self.alpha);
-                return (2.0 * gamma_k / (gamma + 1.0)).clamp(self.min, self.max);
+                return (2.0 * gamma_k / (Self::GAMMA + 1.0)).clamp(self.min, self.max);
             }
         }
         self.max()
     }
 
-    /// Merge another sketch into this one. Both must have been built
-    /// with the same `alpha`.
+    /// Merge another sketch into this one.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "cannot merge sketches with different error bounds"
-        );
         for (&key, &n) in &other.bins {
             *self.bins.entry(key).or_insert(0) += n;
         }
@@ -331,7 +319,7 @@ mod tests {
     fn quantile_sketch_bounded_relative_error() {
         // Uniform, exponential-ish and constant streams: every sketched
         // percentile must be within alpha (plus rank slack) of exact.
-        let mut s = QuantileSketch::new(0.01);
+        let mut s = QuantileSketch::default();
         let vals: Vec<f64> = (1..=10_000).map(|i| 1.0 + (i as f64) * 0.37).collect();
         for &v in &vals {
             s.push(v);
@@ -354,9 +342,9 @@ mod tests {
 
     #[test]
     fn quantile_sketch_merge_matches_single_stream() {
-        let mut all = QuantileSketch::new(0.01);
-        let mut a = QuantileSketch::new(0.01);
-        let mut b = QuantileSketch::new(0.01);
+        let mut all = QuantileSketch::default();
+        let mut a = QuantileSketch::default();
+        let mut b = QuantileSketch::default();
         for i in 1..=1_000 {
             let v = (i as f64).sqrt();
             all.push(v);

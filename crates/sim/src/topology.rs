@@ -5,13 +5,16 @@
 //! * **Implementation cluster** (Figures 8–10): 16 hosts on one 10 Gbps
 //!   switch — [`Topology::single_switch`].
 //! * **Simulation fabric** (Figure 11, used for Figures 12–21 and Table 1):
-//!   144 hosts in 9 racks of 16, a TOR per rack, 4 spine switches,
-//!   10 Gbps host links and 40 Gbps TOR↔spine links, 250 ns of
-//!   switch delay, zero propagation delay, and 1.5 µs of host software
-//!   turnaround — [`Topology::paper_fabric`].
+//!   144 hosts in 9 racks of 16, a TOR per rack, 4 spine switches —
+//!   [`Topology::paper_fabric`].
 //!
-//! Both are instances of a two-level leaf–spine parameterized here, and so
-//! are the larger fabrics of the scale runs ([`Topology::multi_tor`]).
+//! Both are instances of a two-level leaf–spine parameterized here by its
+//! shape alone, and so are the larger fabrics of the scale runs
+//! ([`Topology::multi_tor`]). Every fabric has Figure 11's links and
+//! delays: 10 Gbps host links, 40 Gbps TOR↔spine links
+//! ([`Topology::UPLINK_BPS`]), 250 ns of switch delay
+//! ([`Topology::SWITCH_DELAY`]), 1.5 µs of host software turnaround
+//! ([`Topology::HOST_SW_DELAY`]) and no propagation delay.
 //! Packets travelling between racks are sprayed uniformly across spine
 //! uplinks (per-packet load balancing, §2.2 of the paper).
 //!
@@ -93,7 +96,7 @@ pub struct PortSpec {
     pub rate_bps: u64,
 }
 
-/// A two-level leaf–spine fabric description.
+/// A two-level leaf–spine fabric: its shape, and the host link rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Number of racks (each with one TOR switch).
@@ -103,40 +106,29 @@ pub struct Topology {
     /// Number of spine switches, each linked to every TOR (0 for a
     /// single-rack cluster).
     pub spines: u32,
-    /// Host↔TOR link speed in bits/second.
+    /// Host↔TOR link speed in bits/second: Figure 11's 10 Gbps on every
+    /// fabric the constructors build.
     pub host_link_bps: u64,
-    /// TOR↔spine link speed in bits/second.
-    pub uplink_bps: u64,
-    /// Per-switch internal (processing) delay.
-    pub switch_delay: SimDuration,
-    /// Host software turnaround: delay from a packet fully arriving at a
-    /// host NIC until the transport can react to it.
-    pub host_sw_delay: SimDuration,
-    /// Per-link propagation delay (0 in the paper's simulations).
-    pub prop_delay: SimDuration,
 }
 
 impl Topology {
-    /// The Figure 11 fabric: 9 racks x 16 hosts, 4 spines, 10/40 Gbps,
-    /// 250 ns switch delay, 1.5 µs host software delay, zero propagation.
+    /// TOR↔spine link speed in bits/second (Figure 11).
+    pub const UPLINK_BPS: u64 = 40_000_000_000;
+    /// Per-switch internal (processing) delay (Figure 11).
+    pub const SWITCH_DELAY: SimDuration = SimDuration::from_nanos(250);
+    /// Host software turnaround: delay from a packet fully arriving at a
+    /// host NIC until the transport can react to it (Figure 11).
+    pub const HOST_SW_DELAY: SimDuration = SimDuration::from_nanos(1_500);
+
+    /// The Figure 11 fabric: 9 racks x 16 hosts, 4 spines.
     pub fn paper_fabric() -> Self {
-        Topology {
-            racks: 9,
-            hosts_per_rack: 16,
-            spines: 4,
-            host_link_bps: 10_000_000_000,
-            uplink_bps: 40_000_000_000,
-            switch_delay: SimDuration::from_nanos(250),
-            host_sw_delay: SimDuration::from_nanos(1_500),
-            prop_delay: SimDuration::ZERO,
-        }
+        Topology::scaled_fabric(9, 16, 4)
     }
 
-    /// A scaled-down leaf–spine fabric with the paper's link speeds and
-    /// delays, for faster experiments. Uplink capacity is kept
-    /// non-oversubscribed like the paper's fabric.
+    /// A leaf–spine fabric of the given shape with the paper's link
+    /// speeds and delays, for faster experiments.
     pub fn scaled_fabric(racks: u32, hosts_per_rack: u32, spines: u32) -> Self {
-        Topology { racks, hosts_per_rack, spines, ..Topology::paper_fabric() }
+        Topology { racks, hosts_per_rack, spines, host_link_bps: 10_000_000_000 }
     }
 
     /// A multi-TOR fabric for `hosts` hosts (40, 100, 160, ...), with the
@@ -169,7 +161,7 @@ impl Topology {
         let base = Topology::paper_fabric();
         // Enough spine bandwidth that a rack's full uplink demand fits:
         // hosts_per_rack * 10G <= spines * 40G.
-        let spines = (hosts_per_rack as u64 * base.host_link_bps).div_ceil(base.uplink_bps) as u32;
+        let spines = (hosts_per_rack as u64 * base.host_link_bps).div_ceil(Self::UPLINK_BPS) as u32;
         Ok(Topology { racks, hosts_per_rack, spines, ..base })
     }
 
@@ -239,11 +231,11 @@ impl Topology {
                 })
                 .chain(
                     (0..self.spines)
-                        .map(|j| link(PortClass::TorUp, NodeId::Spine(j), r, self.uplink_bps)),
+                        .map(|j| link(PortClass::TorUp, NodeId::Spine(j), r, Self::UPLINK_BPS)),
                 )
                 .collect(),
             NodeId::Spine(s) => (0..self.racks)
-                .map(|r| link(PortClass::SpineDown, NodeId::Tor(r), hpr + s, self.uplink_bps))
+                .map(|r| link(PortClass::SpineDown, NodeId::Tor(r), hpr + s, Self::UPLINK_BPS))
                 .collect(),
         }
     }
@@ -257,7 +249,7 @@ impl Topology {
             "need at least two hosts per rack"
         } else if self.racks > 1 && self.spines < 1 {
             "multi-rack fabrics need spines"
-        } else if self.host_link_bps == 0 || self.uplink_bps == 0 {
+        } else if self.host_link_bps == 0 {
             "link rates must be positive"
         } else if self.racks.checked_mul(self.hosts_per_rack).is_none() {
             "host count overflows u32"
@@ -281,15 +273,15 @@ impl Topology {
         (0..self.num_hosts()).map(HostId)
     }
 
-    /// The number of uplink-speed hops, switch traversals and propagation
-    /// hops of the class's store-and-forward path (host links excluded:
-    /// every path starts and ends with one).
-    fn path_hops(&self, class: PathClass) -> (u64, u64, u64) {
+    /// The number of uplink-speed hops and switch traversals of the
+    /// class's store-and-forward path (host links excluded: every path
+    /// starts and ends with one).
+    fn path_hops(&self, class: PathClass) -> (u64, u64) {
         match class {
             // Host -> TOR -> host.
-            PathClass::SameRack => (0, 1, 2),
+            PathClass::SameRack => (0, 1),
             // Host -> TOR -> spine -> TOR -> host.
-            PathClass::CrossRack => (2, 3, 4),
+            PathClass::CrossRack => (2, 3),
         }
     }
 
@@ -319,13 +311,13 @@ impl Topology {
         };
         let wire_total = len + npkts * per_packet_overhead;
 
-        let (uplink_hops, switch_hops, prop_hops) = self.path_hops(class);
+        let (uplink_hops, switch_hops) = self.path_hops(class);
         let first_link = SimDuration::serialization(wire_total, self.host_link_bps);
         let mut rest = SimDuration::ZERO;
-        rest += self.switch_delay * switch_hops;
-        rest += SimDuration::serialization(last_pkt_bytes, self.uplink_bps) * uplink_hops;
+        rest += Self::SWITCH_DELAY * switch_hops;
+        rest += SimDuration::serialization(last_pkt_bytes, Self::UPLINK_BPS) * uplink_hops;
         rest += SimDuration::serialization(last_pkt_bytes, self.host_link_bps);
-        first_link + rest + self.prop_delay * prop_hops + self.host_sw_delay
+        first_link + rest + Self::HOST_SW_DELAY
     }
 }
 
@@ -344,16 +336,15 @@ mod tests {
         fn control_data_rtt(&self, ctrl_bytes: u64, data_bytes: u64) -> SimDuration {
             // The pacing RTT is the fabric's *longest* unloaded path.
             let class = if self.spines > 0 { PathClass::CrossRack } else { PathClass::SameRack };
-            let (uplink_hops, switch_hops, prop_hops) = self.path_hops(class);
+            let (uplink_hops, switch_hops) = self.path_hops(class);
             let one_way = |bytes: u64| -> SimDuration {
                 let mut d = SimDuration::ZERO;
                 d += SimDuration::serialization(bytes, self.host_link_bps) * 2;
-                d += SimDuration::serialization(bytes, self.uplink_bps) * uplink_hops;
-                d += self.switch_delay * switch_hops;
-                d += self.prop_delay * prop_hops;
+                d += SimDuration::serialization(bytes, Self::UPLINK_BPS) * uplink_hops;
+                d += Self::SWITCH_DELAY * switch_hops;
                 d
             };
-            one_way(ctrl_bytes) + self.host_sw_delay + one_way(data_bytes) + self.host_sw_delay
+            one_way(ctrl_bytes) + Self::HOST_SW_DELAY + one_way(data_bytes) + Self::HOST_SW_DELAY
         }
 
         /// The bandwidth-delay product of the fabric in whole bytes:
@@ -394,7 +385,7 @@ mod tests {
         for hosts in [40, 100, 160, 1024] {
             let t = Topology::multi_tor(hosts);
             assert!(
-                t.spines as u64 * t.uplink_bps >= t.hosts_per_rack as u64 * t.host_link_bps,
+                t.spines as u64 * Topology::UPLINK_BPS >= t.hosts_per_rack as u64 * t.host_link_bps,
                 "{hosts}-host fabric oversubscribed"
             );
         }

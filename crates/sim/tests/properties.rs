@@ -3,7 +3,7 @@
 //! `HOMA_FUZZ_REPLAY='sim-properties:seed=<n>' cargo test -p homa-sim --test properties`.
 
 use homa_harness::{FuzzFamily, SplitMix64};
-use homa_sim::queues::PortQueue;
+use homa_sim::queues::{EnqueueOutcome, PortQueue};
 use homa_sim::{
     EventQueue, HierEventQueue, HostId, LaneId, Packet, PacketMeta, QueueDiscipline, QueueKind,
     SimDuration, SimTime,
@@ -13,6 +13,8 @@ const FAMILY: FuzzFamily = FuzzFamily::new("sim-properties");
 
 #[derive(Debug, Clone)]
 struct M {
+    /// Identity in the lag property; 0 elsewhere.
+    id: u32,
     bytes: u32,
     prio: u8,
     remaining: u64,
@@ -50,6 +52,7 @@ impl PacketMeta for M {
 
 fn arb_meta(rng: &mut SplitMix64) -> M {
     M {
+        id: 0,
         bytes: rng.edge_range(60, 1_999) as u32,
         prio: rng.edge_range(0, 7) as u8,
         remaining: rng.edge_range(0, 999_999),
@@ -97,7 +100,7 @@ fn event_queue_pops_sorted() {
 #[test]
 fn strict_priority_conserves_packets_and_bytes() {
     FAMILY.check_seeds("strict_priority_conserves_packets_and_bytes", |rng| {
-        let (mut q, n, bytes) = offered_port(rng, QueueKind::StrictPriority { levels: 8 }, 99);
+        let (mut q, n, bytes) = offered_port(rng, QueueKind::StrictPriority, 99);
         assert_eq!(q.bytes(), bytes);
         assert_eq!(q.len(), n);
         // Dequeue: priorities never increase.
@@ -138,7 +141,7 @@ fn pfabric_dequeues_in_remaining_order_among_data() {
 #[test]
 fn ndp_never_drops_data_it_can_trim() {
     FAMILY.check_seeds("ndp_never_drops_data_it_can_trim", |rng| {
-        let (mut q, n, _) = offered_port(rng, QueueKind::NdpTrim { data_cap_packets: 4 }, 99);
+        let (mut q, n, _) = offered_port(rng, QueueKind::NdpTrim, 99);
         assert_eq!(q.drops, 0, "trimmable data is never dropped");
         // Every packet (possibly trimmed) comes back out.
         let mut out = 0;
@@ -149,71 +152,73 @@ fn ndp_never_drops_data_it_can_trim() {
     });
 }
 
-/// One port under strict priority: packets arrive while the link is busy
-/// or idle, and whenever it is idle the head is dequeued and put on the
-/// wire. With fewer than 8 levels several priorities clamp into the top
-/// one, where a waiting 5 still outranks an in-service 3.
+/// One port under each discipline: packets arrive while the link is busy
+/// or idle, and whenever it is idle the next packet is dequeued and put
+/// on the wire. A packet's preemption lag is exactly what it was credited
+/// at arrival, the rest of the transmission of a packet it outranks (an
+/// NDP arrival ranks as the trimmed header it may become), and nothing
+/// ever waits that outranks a packet the port starts.
 #[test]
-fn on_tx_start_matches_a_scan_of_every_waiting_packet() {
-    /// The reference: per-level FIFOs of `(id, prio, enqueued_at, lag)`
-    /// whose transmission-start pass visits every waiting packet.
-    struct Model {
-        levels: Vec<std::collections::VecDeque<(u32, u8, u64, u64)>>,
-    }
-    impl Model {
-        fn tx_start(&mut self, started_prio: u8, dur: u64) {
-            for w in self.levels.iter_mut().flatten() {
-                if w.1 > started_prio {
-                    w.3 += dur;
-                }
+fn preemption_lag_is_the_outranked_residual_at_arrival() {
+    /// The reference rank of each discipline, written from its
+    /// definition: priority, then pFabric's control-first and
+    /// fewest-remaining-bytes, then NDP's control-or-trimmed first.
+    fn outranks(kind: QueueKind, a: &Packet<M>, b: &Packet<M>) -> bool {
+        match kind {
+            QueueKind::StrictPriority => a.meta.prio > b.meta.prio,
+            QueueKind::Pfabric => match (a.meta.ctrl, b.meta.ctrl) {
+                (true, false) => true,
+                (false, false) => a.meta.remaining < b.meta.remaining,
+                _ => false,
+            },
+            QueueKind::NdpTrim => {
+                let high = |p: &Packet<M>| p.meta.ctrl || p.was_trimmed;
+                high(a) && !high(b)
             }
         }
-        /// `(id, queueing, preemption lag)` of the next packet out.
-        fn dequeue(&mut self, now: u64) -> Option<(u32, u64, u64)> {
-            let (id, _, at, lag) = self.levels.iter_mut().rev().find_map(|q| q.pop_front())?;
-            let lag = lag.min(now - at);
-            Some((id, now - at - lag, lag))
-        }
     }
-    FAMILY.check_seeds("on_tx_start_matches_a_scan_of_every_waiting_packet", |rng| {
-        let levels = 1u8 << rng.edge_range(0, 3);
-        let mut q = port(QueueKind::StrictPriority { levels });
-        let mut model = Model { levels: (0..levels).map(|_| Default::default()).collect() };
+    FAMILY.check_seeds("preemption_lag_is_the_outranked_residual_at_arrival", |rng| {
+        let kind = [QueueKind::StrictPriority, QueueKind::Pfabric, QueueKind::NdpTrim]
+            [rng.below(3) as usize];
+        let mut q = port(kind);
+        // Each waiting packet's arrival time and expected lag, by id.
+        let mut waiting = std::collections::HashMap::new();
         let mut sending: Option<(Packet<M>, SimTime)> = None;
         let mut now = 0u64;
-        for i in 0..rng.range(1, 199) {
-            let (arrive, prio) = (rng.chance(1, 2), rng.edge_range(0, 7) as u8);
+        for id in 0..rng.range(1, 299) as u32 {
             now += rng.edge_range(1, 399);
             if sending.as_ref().is_some_and(|(_, ends)| ends.as_nanos() <= now) {
                 sending = None;
             }
-            if arrive {
-                // `bytes` doubles as the packet's identity.
-                let id = 60 + i as u32;
-                let meta = M { bytes: id, prio, remaining: 0, ctrl: false };
-                let pkt = Packet::new(HostId(0), HostId(1), meta);
+            if rng.chance(1, 2) {
+                // Few distinct remaining sizes, so pFabric ties are common.
+                let remaining = rng.edge_range(0, 3);
+                let pkt = Packet::new(HostId(0), HostId(1), M { id, remaining, ..arb_meta(rng) });
+                let mut queued = pkt.clone();
+                let in_flight = sending.as_ref().map(|(p, t)| (p, *t));
+                let outcome = q.enqueue(SimTime::from_nanos(now), pkt, in_flight);
+                assert_ne!(outcome, EnqueueOutcome::Dropped);
+                queued.was_trimmed = outcome == EnqueueOutcome::Trimmed;
                 let lag = match &sending {
-                    Some((s, ends)) if s.priority() < prio => ends.as_nanos() - now,
+                    Some((s, ends)) if outranks(kind, &queued, s) => ends.as_nanos() - now,
                     _ => 0,
                 };
-                q.enqueue(SimTime::from_nanos(now), pkt, sending.as_ref().map(|(p, t)| (p, *t)));
-                model.levels[prio.min(levels - 1) as usize].push_back((id, prio, now, lag));
+                waiting.insert(id, (now, lag));
             }
             if sending.is_none() {
-                let got = q.dequeue(SimTime::from_nanos(now));
-                let seen = got.as_ref().map(|p| {
-                    let d = &p.delay;
-                    (p.meta.bytes, d.queueing.as_nanos(), d.preemption_lag.as_nanos())
-                });
-                assert_eq!(seen, model.dequeue(now));
-                if let Some(p) = got {
+                if let Some(p) = q.dequeue(SimTime::from_nanos(now)) {
+                    assert!(
+                        !q.waiting_outranks(&p),
+                        "started {p:?} while a waiting packet outranks it"
+                    );
+                    let (at, lag) = waiting.remove(&p.meta.id).expect("dequeued a packet once");
+                    assert_eq!(p.delay.preemption_lag.as_nanos(), lag, "{kind:?} lag of {p:?}");
+                    assert_eq!(p.delay.queueing.as_nanos(), now - at - lag, "{kind:?} queueing");
                     let dur = SimDuration::serialization(p.wire_bytes() as u64, 10_000_000_000);
-                    q.on_tx_start(&p, dur);
-                    model.tx_start(p.priority(), dur.as_nanos());
                     sending = Some((p, SimTime::from_nanos(now) + dur));
                 }
             }
-            assert_eq!(q.len(), model.levels.iter().map(|l| l.len()).sum::<usize>());
+            assert_eq!(q.len(), waiting.len());
         }
     });
 }

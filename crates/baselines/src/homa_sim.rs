@@ -23,6 +23,12 @@ use homa_sim::{
 };
 use homa_workloads::MessageSizeDist;
 
+/// The tag of an abort that names no message the application injected:
+/// an inbound message given up on, or a response, to which
+/// `inject_response` gives no tag. A server's response sequence number in
+/// its place could name a pending message of the driver's.
+const NO_TAG: u64 = u64::MAX;
+
 /// Simulator packet metadata for Homa: the protocol packet plus the
 /// sender's top priority level, which its control packets use.
 #[derive(Debug, Clone)]
@@ -145,7 +151,7 @@ impl HomaSimTransport {
                     act.event(AppEvent::Aborted { peer: HostId(server.0), tag });
                 }
                 HomaEvent::InboundAborted { src, .. } => {
-                    act.event(AppEvent::Aborted { peer: HostId(src.0), tag: u64::MAX });
+                    act.event(AppEvent::Aborted { peer: HostId(src.0), tag: NO_TAG });
                 }
                 HomaEvent::OutboundAborted { dst, tag } => {
                     act.event(AppEvent::Aborted { peer: HostId(dst.0), tag });
@@ -224,7 +230,7 @@ impl Transport<HomaMeta> for HomaSimTransport {
         act: &mut TransportActions,
     ) {
         self.arm_tick(now, act);
-        self.ep.send_response(ns(now), PeerId(client.0), rpc, resp_len, rpc);
+        self.ep.send_response(ns(now), PeerId(client.0), rpc, resp_len, NO_TAG);
         act.kick_tx();
     }
 

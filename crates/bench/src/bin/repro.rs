@@ -27,6 +27,7 @@ use homa_bench::figdata::{
 use homa_bench::perfjson::{parse_table, render_table, render_text, FigTable};
 use homa_bench::{tracecmd, Protocol};
 use homa_harness::ScenarioSpec;
+use homa_sim::FlightRecorder;
 use homa_workloads::Workload;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -188,7 +189,7 @@ fn build_tables(figs: &[&Figure], cli: &Cli) -> Vec<FigTable> {
 fn run_trace(args: &[String]) {
     let mut spec_fields: Vec<String> = Vec::new();
     let mut proto = Protocol::Homa;
-    let mut cap: usize = 1 << 20;
+    let mut cap = FlightRecorder::DEFAULT_CAP;
     let mut out_dir = PathBuf::from(".");
     let mut i = 0;
     while i < args.len() {

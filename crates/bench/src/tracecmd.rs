@@ -5,10 +5,10 @@
 //!
 //! * `TRACE.jsonl` — the raw trace, one JSON object per line in global
 //!   `(time, seq)` order (byte-identical run to run).
-//! * A per-priority TOR-downlink utilization table — the receiver-side
-//!   view the paper's Figures 9/21 reason about: scheduled traffic
-//!   concentrates on the low priority levels, unscheduled on the high
-//!   ones.
+//! * A per-priority TOR-downlink utilization table over the whole run —
+//!   the receiver-side view the paper's Figures 9/21 reason about:
+//!   scheduled traffic concentrates on the low priority levels,
+//!   unscheduled on the high ones.
 //! * A message-lifecycle summary: where delivered messages spent their
 //!   time (switch queueing vs serialization) and how much grant/resend
 //!   traffic drove them — the trace-level analogue of Figure 10's
@@ -21,8 +21,10 @@
 use crate::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::ScenarioSpec;
+use homa_sim::queues::LEVELS;
 use homa_sim::trace::{render_jsonl, summarize_messages};
-use homa_sim::{MsgLifecycle, NodeId, SimDuration, Timeline};
+use homa_sim::{MsgLifecycle, NodeId, SimTime, TraceEvent, TraceRecord};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Output of one traced run.
@@ -36,9 +38,6 @@ pub struct TraceRun {
     /// Human-readable utilization + lifecycle report.
     pub report: String,
 }
-
-/// Fixed bucket width for the utilization timeline.
-const BUCKET: SimDuration = SimDuration::from_micros(10);
 
 /// How many of the slowest lifecycles the report lists individually.
 const SLOWEST: usize = 5;
@@ -69,20 +68,13 @@ pub fn trace_run(p: Protocol, spec: &ScenarioSpec, cap: usize) -> TraceRun {
         g.grants_issued, g.granted_bytes, g.resends_requested
     );
 
-    // Per-priority utilization over TOR→host downlinks (ports
-    // 0..hosts_per_rack on every TOR are the host-facing ones).
-    let hpr = spec.topology().hosts_per_rack;
-    let tl = Timeline::from_records(&res.trace, BUCKET, res.duration, |node, port| {
-        matches!(node, NodeId::Tor(_)) && port < hpr
-    });
-    let util = tl.utilization_by_prio();
+    let (util, ports) =
+        tor_downlink_utilization(&res.trace, spec.topology().hosts_per_rack, res.duration);
     rep.push('\n');
     let _ = writeln!(
         rep,
-        "TOR-downlink utilization by priority ({}us buckets over {:.3}ms, {} active ports)",
-        BUCKET.as_nanos() / 1_000,
+        "TOR-downlink utilization by priority (over {:.3}ms, {ports} active ports)",
         res.duration.as_nanos() as f64 / 1e6,
-        tl.ports,
     );
     let _ = writeln!(rep, "  prio  util");
     for (prio, u) in util.iter().enumerate() {
@@ -142,11 +134,76 @@ pub fn trace_run(p: Protocol, spec: &ScenarioSpec, cap: usize) -> TraceRun {
     TraceRun { jsonl, kept: res.trace.len(), dropped: res.trace_dropped, report: rep }
 }
 
+/// Busy fraction by priority of the TOR→host downlinks (ports
+/// `0..hosts_per_rack` of every TOR) over `[0, end)`, and how many of them
+/// transmitted: each `TxStart`'s serialization time, cut at `end`, summed
+/// per priority and divided by active ports × `end`.
+fn tor_downlink_utilization(
+    records: &[TraceRecord],
+    hosts_per_rack: u32,
+    end: SimTime,
+) -> ([f64; LEVELS], usize) {
+    let end = end.as_nanos();
+    let mut busy = [0u64; LEVELS];
+    let mut ports = HashSet::new();
+    for r in records {
+        let TraceEvent::TxStart { node: node @ NodeId::Tor(_), port, prio, dur_ns, .. } = r.ev
+        else {
+            continue;
+        };
+        if port < hosts_per_rack {
+            ports.insert((node, port));
+            let start = r.at.as_nanos();
+            busy[prio as usize] += (start + dur_ns).min(end).saturating_sub(start);
+        }
+    }
+    let link_ns = (ports.len() as u64 * end).max(1) as f64;
+    (busy.map(|b| b as f64 / link_ns), ports.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use homa_harness::FabricSpec;
+    use homa_sim::queues::EnqueueOutcome;
+    use homa_sim::{FlightRecorder, HostId};
     use homa_workloads::Workload;
+
+    fn tx(at: u64, node: NodeId, port: u32, prio: u8, dur_ns: u64) -> TraceRecord {
+        let (src, dst) = (HostId(0), HostId(1));
+        let ev = TraceEvent::TxStart { node, port, src, dst, prio, bytes: 0, dur_ns };
+        TraceRecord { at: SimTime::from_nanos(at), ev }
+    }
+
+    #[test]
+    fn utilization_folds_downlink_transmissions_over_the_run() {
+        let enqueue = TraceEvent::Enqueue {
+            node: NodeId::Tor(1),
+            port: 0,
+            src: HostId(0),
+            dst: HostId(1),
+            prio: 2,
+            bytes: 1_000,
+            qpkts: 1,
+            qbytes: 1_000,
+            outcome: EnqueueOutcome::Accepted,
+        };
+        let recs = [
+            tx(0, NodeId::Tor(0), 0, 7, 100),
+            // A queue record adds no busy time.
+            TraceRecord { at: SimTime::from_nanos(50), ev: enqueue },
+            // Port 4 of a TOR with four hosts is an uplink; a host's own
+            // port is no TOR downlink.
+            tx(100, NodeId::Tor(0), 4, 7, 500),
+            tx(100, NodeId::Host(HostId(0)), 0, 7, 500),
+            // Crosses the end of the run at 1,000 ns: 150 of 300 ns count.
+            tx(850, NodeId::Tor(1), 3, 0, 300),
+        ];
+        let (util, ports) = tor_downlink_utilization(&recs, 4, SimTime::from_nanos(1_000));
+        assert_eq!(ports, 2);
+        assert_eq!(util, [0.075, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.05]);
+        assert_eq!(tor_downlink_utilization(&recs[1..4], 4, SimTime::from_nanos(1_000)).1, 0);
+    }
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioSpec::new(
@@ -161,7 +218,7 @@ mod tests {
 
     #[test]
     fn traced_run_produces_jsonl_and_report() {
-        let tr = trace_run(Protocol::Homa, &tiny_spec(), 1 << 20);
+        let tr = trace_run(Protocol::Homa, &tiny_spec(), FlightRecorder::DEFAULT_CAP);
         assert_eq!(tr.dropped, 0, "tiny run must fit the ring");
         assert!(tr.kept > 0, "trace must not be empty");
         assert_eq!(tr.jsonl.lines().count(), tr.kept);

@@ -14,6 +14,7 @@
 use homa_bench::tracecmd::trace_run;
 use homa_bench::Protocol;
 use homa_harness::{FabricSpec, ScenarioSpec};
+use homa_sim::FlightRecorder;
 use homa_workloads::Workload;
 
 /// The spec the golden trace was generated from (equivalent to
@@ -27,7 +28,7 @@ const GOLDEN_PATH: &str = "tests/golden/TRACE_seed42_w2.jsonl";
 
 #[test]
 fn trace_jsonl_seed42_matches_golden() {
-    let tr = trace_run(Protocol::Homa, &golden_spec(), 1 << 20);
+    let tr = trace_run(Protocol::Homa, &golden_spec(), FlightRecorder::DEFAULT_CAP);
     assert_eq!(tr.dropped, 0, "golden run must fit the ring");
     if std::env::var("BLESS").is_ok() {
         std::fs::write(GOLDEN_PATH, &tr.jsonl).expect("write golden");

@@ -97,7 +97,8 @@ pub struct OnewayOpts {
     /// untraced one.
     pub trace: bool,
     /// Ring capacity (records) for the flight recorder when `trace` is
-    /// set; the oldest records are dropped beyond it.
+    /// set, by default [`FlightRecorder::DEFAULT_CAP`]; the oldest records
+    /// are dropped beyond it.
     pub trace_cap: usize,
 }
 
@@ -212,6 +213,20 @@ struct Pending {
     size: u64,
     injected_ns: u64,
     unloaded_ns: u64,
+    #[cfg(debug_assertions)]
+    ends: Ends,
+}
+
+/// Who injected a message and whom it names: a one-way's source and
+/// destination, or an RPC's client and server. Kept only in builds with
+/// debug assertions, for the delivery contract [`Run::check_event`]
+/// holds every event to.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(debug_assertions), allow(dead_code))]
+struct Ends {
+    from: HostId,
+    to: HostId,
+    rpc: bool,
 }
 
 /// The run core every arrival shape drives: the fabric, the outstanding
@@ -230,6 +245,11 @@ struct Run<'a, M: PacketMeta, T: Transport<M>> {
     out: OnewayResult,
     injected_bytes: u64,
     delivered_bytes: u64,
+    /// Bytes of every delivery event the pump saw (one-ways, requests
+    /// and responses, duplicates and written-off stragglers included),
+    /// which `finish` holds the transports' own counters to.
+    #[cfg(debug_assertions)]
+    event_bytes: u64,
     last_inject: SimTime,
     // Wasted-bandwidth sampling state.
     next_sample: SimTime,
@@ -263,6 +283,8 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
             out: OnewayResult::default(),
             injected_bytes: 0,
             delivered_bytes: 0,
+            #[cfg(debug_assertions)]
+            event_bytes: 0,
             last_inject: SimTime::ZERO,
             next_sample: SimTime::ZERO + SAMPLE_INTERVAL,
             samples: 0,
@@ -278,11 +300,19 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
     }
 
     /// Book the next tag as outstanding from now and return it.
-    fn book(&mut self, size: u64, unloaded_ns: u64) -> u64 {
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn book(&mut self, size: u64, unloaded_ns: u64, ends: Ends) -> u64 {
         let tag = self.out.injected;
         self.last_inject = self.net.now();
         let injected_ns = self.last_inject.as_nanos();
-        self.pending.insert(tag, Pending { size, injected_ns, unloaded_ns });
+        let p = Pending {
+            size,
+            injected_ns,
+            unloaded_ns,
+            #[cfg(debug_assertions)]
+            ends,
+        };
+        self.pending.insert(tag, p);
         self.out.injected += 1;
         self.injected_bytes += size;
         tag
@@ -292,7 +322,7 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
     fn inject_message(&mut self, src: HostId, dst: HostId, size: u64) {
         let class = self.net.topology().path_class(src, dst);
         let unloaded_ns = self.unloaded_ns(size, class);
-        let tag = self.book(size, unloaded_ns);
+        let tag = self.book(size, unloaded_ns, Ends { from: src, to: dst, rpc: false });
         self.net.inject_message(src, dst, size, tag);
     }
 
@@ -302,17 +332,59 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
         let class = self.net.topology().path_class(client, server);
         let resp_len = self.resp_len.unwrap_or(req_len);
         let unloaded_ns = self.unloaded_ns(req_len, class) + self.unloaded_ns(resp_len, class);
-        let tag = self.book(resp_len, unloaded_ns);
+        let tag = self.book(resp_len, unloaded_ns, Ends { from: client, to: server, rpc: true });
         self.net.inject_rpc(client, server, req_len, tag);
+    }
+
+    /// The delivery contract, checked in builds with debug assertions on
+    /// every event about a still-pending tag: a one-way is delivered at
+    /// its destination, from its source, with its size; an RPC completes
+    /// at its client, from its server, with the response length; an abort
+    /// is raised at the injecting host and names its peer. Duplicates are
+    /// counted in [`OnewayResult::duplicate_deliveries`], not checked here.
+    #[cfg(debug_assertions)]
+    fn check_event(&mut self, host: HostId, ev: &AppEvent) {
+        let tag = match *ev {
+            AppEvent::MessageDelivered { tag, len, .. }
+            | AppEvent::RpcCompleted { tag, response_len: len, .. } => {
+                self.event_bytes += len;
+                tag
+            }
+            AppEvent::RpcRequestArrived { request_len, .. } => {
+                self.event_bytes += request_len;
+                return;
+            }
+            AppEvent::Aborted { tag, .. } => tag,
+        };
+        let Some(p) = self.pending.get(&tag) else { return };
+        let Ends { from, to, rpc } = p.ends;
+        let kept = match *ev {
+            AppEvent::MessageDelivered { src, len, .. } => {
+                !rpc && (host, src, len) == (to, from, p.size)
+            }
+            AppEvent::RpcCompleted { server, response_len, .. } => {
+                rpc && (host, server, response_len) == (from, to, p.size)
+            }
+            AppEvent::Aborted { peer, .. } => (host, peer) == (from, to),
+            AppEvent::RpcRequestArrived { .. } => unreachable!("names no tag"),
+        };
+        assert!(
+            kept,
+            "delivery contract broken for tag {tag}: {ev:?} at {host:?}, \
+             injected as {:?} with {} bytes to deliver",
+            p.ends, p.size
+        );
     }
 
     /// The one application-event pump: settle deliveries, completions
     /// and aborts against `pending`, and answer RPC requests.
     fn pump(&mut self) {
         for (at, host, ev) in self.net.take_app_events() {
-            let (tag, len, from) = match ev {
-                AppEvent::MessageDelivered { src, tag, len } => (tag, len, Some(src)),
-                AppEvent::RpcCompleted { tag, response_len, .. } => (tag, response_len, None),
+            #[cfg(debug_assertions)]
+            self.check_event(host, &ev);
+            let (tag, from) = match ev {
+                AppEvent::MessageDelivered { src, tag, .. } => (tag, Some(src)),
+                AppEvent::RpcCompleted { tag, .. } => (tag, None),
                 AppEvent::RpcRequestArrived { client, rpc, request_len } => {
                     let len = self.resp_len.unwrap_or(request_len);
                     self.net.inject_response(host, client, rpc, len);
@@ -334,7 +406,6 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
                 }
                 continue;
             };
-            debug_assert_eq!(p.size, len);
             self.resolved.mark(tag);
             self.out.delivered += 1;
             self.delivered_bytes += p.size;
@@ -389,6 +460,17 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
     }
 
     fn finish(mut self) -> OnewayResult {
+        #[cfg(debug_assertions)]
+        {
+            let net = &self.net;
+            let counted: u64 =
+                net.topology().hosts().map(|h| net.transport(h).delivered_bytes()).sum();
+            assert_eq!(
+                counted, self.event_bytes,
+                "the transports count {counted} bytes delivered, their delivery events {}",
+                self.event_bytes
+            );
+        }
         let bps = |bytes: u64, over: SimTime| match over.as_nanos() {
             0 => 0.0,
             _ => bytes as f64 * 8.0 / over.as_secs_f64(),

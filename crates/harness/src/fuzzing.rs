@@ -12,15 +12,16 @@
 //! `HOMA_FUZZ_REPLAY='<family>:<line>'` re-runs exactly that case in the
 //! family named and nowhere else.
 //!
-//! The differential and conservation fuzzers (`tests/fuzz_differential.rs`,
-//! `tests/fuzz_conservation.rs`) draw whole scenarios from
+//! The conservation fuzzer (`tests/fuzz_conservation.rs`) and the
+//! spec-grammar mutator draw whole scenarios from
 //! [`ScenarioSpec::arbitrary`]: a seeded, bounded walk over the fabric ×
 //! workload × load × traffic × fault space. Because every run here is a
 //! pure function of its spec, a failing draw is fully captured by its
 //! [`ScenarioSpec::to_spec_line`] string — the harness shrinks the spec
 //! with [`shrink_to_minimal`] and prints that line for exact replay. A
 //! run that trips a debug-build invariant (the event-order oracle in
-//! `homa_sim::events`, a `debug_assert!` in the fabric) counts as a
+//! `homa_sim::events`, the run core's delivery contract in
+//! [`crate::driver`], a `debug_assert!` in the fabric) counts as a
 //! failure like any other: [`failure_or_panic`] turns the panic into a
 //! detail string, so it shrinks and replays the same way.
 //!
@@ -297,9 +298,9 @@ fn report_failure(family: &str, line: &str, detail: &str) {
 /// follows. The name is the artifact file
 /// (`$HOMA_FUZZ_FAILURE_DIR/<name>.txt`) and the prefix that addresses a
 /// replay line to this family (`HOMA_FUZZ_REPLAY='<name>:<line>'`);
-/// `HOMA_FUZZ_ITERS` scales every family alike. All ten families —
-/// wire, differential, conservation, stateful, spec-grammar and the five
-/// seed-keyed property families — run their loops through one of these.
+/// `HOMA_FUZZ_ITERS` scales every family alike. All nine families —
+/// wire, conservation, stateful, spec-grammar and the five seed-keyed
+/// property families — run their loops through one of these.
 #[derive(Debug, Clone, Copy)]
 pub struct FuzzFamily {
     /// Family name: artifact file stem and replay-line prefix.

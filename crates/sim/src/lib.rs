@@ -78,5 +78,5 @@ pub use rng::{SplitMix64, Xoshiro256PlusPlus};
 pub use stats::{GrantStats, PortClass, PortStats, QuantileSketch, RunStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{HostId, NodeId, PathClass, PortSpec, Topology, TopologyError};
-pub use trace::{FlightRecorder, MsgLifecycle, Timeline, TraceEvent, TraceRecord};
+pub use trace::{FlightRecorder, MsgLifecycle, TraceEvent, TraceRecord};
 pub use transport::{AppEvent, Transport, TransportActions};

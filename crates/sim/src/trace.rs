@@ -25,16 +25,14 @@
 //!   renders a canonical one-object-per-line JSON form with fixed key
 //!   order, so a trace can be golden-tested byte-for-byte.
 //!
-//! On top of the raw record stream, [`Timeline`] folds per-priority link
-//! utilization and queue occupancy into fixed-width time buckets (the
-//! paper's Fig. 9 visibility), and [`summarize_messages`] reconstructs
+//! On top of the raw record stream, [`summarize_messages`] reconstructs
 //! per-message lifecycles — queueing vs. transmission vs. grant/resend
 //! activity — for the `repro trace` summarize view.
 
 use crate::queues::EnqueueOutcome;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
 fn outcome_label(o: EnqueueOutcome) -> &'static str {
@@ -348,9 +346,12 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Default ring capacity: 2^18 records (~10 MB), enough for every
-    /// packet event of a perf-smoke-sized run.
-    pub const DEFAULT_CAP: usize = 1 << 18;
+    /// Default ring capacity: 2^20 records of 64 bytes, 64 MiB when full
+    /// (the ring grows as it records, so a shorter run allocates less).
+    /// On 40 hosts at 80 % load that is a whole W4 run of about 400
+    /// messages (~2,600 records each; 1,200 record 3,093,488) or a W2 run
+    /// of about 100,000 (~10 each).
+    pub const DEFAULT_CAP: usize = 1 << 20;
 
     /// A recorder retaining at most `cap` records (minimum 1).
     pub fn new(cap: usize) -> Self {
@@ -385,91 +386,6 @@ impl FlightRecorder {
     /// Drain the ring into a `Vec` in recording order.
     pub fn take(&mut self) -> Vec<TraceRecord> {
         self.records.drain(..).collect()
-    }
-}
-
-/// Per-priority link utilization folded into fixed-width time buckets —
-/// the paper's Fig. 9 view, derived entirely from a recorded trace (no
-/// simulator-side cost).
-///
-/// Buckets accumulate serialization nanoseconds per priority over every
-/// port matched by the fold's filter, with transmissions that span bucket
-/// boundaries split proportionally.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Timeline {
-    /// Bucket width, nanoseconds.
-    pub bucket_ns: u64,
-    /// Per bucket: busy (serializing) nanoseconds by priority, summed
-    /// over matched ports.
-    pub busy_ns_by_prio: Vec<[u64; 8]>,
-    /// Distinct matched ports that transmitted at least once.
-    pub ports: usize,
-}
-
-impl Timeline {
-    /// Fold `records` into buckets of `bucket` width, covering
-    /// `[0, end)`. Only events at ports for which `port_filter` returns
-    /// `true` contribute (pass `|_, _| true` for the whole fabric, or
-    /// filter to TOR downlinks for the paper's receiver-side view).
-    pub fn from_records(
-        records: &[TraceRecord],
-        bucket: SimDuration,
-        end: SimTime,
-        mut port_filter: impl FnMut(NodeId, u32) -> bool,
-    ) -> Timeline {
-        let bucket_ns = bucket.as_nanos().max(1);
-        let nbuckets = (end.as_nanos().div_ceil(bucket_ns)).max(1) as usize;
-        let mut tl = Timeline { bucket_ns, busy_ns_by_prio: vec![[0u64; 8]; nbuckets], ports: 0 };
-        let mut tx_ports = HashSet::new();
-        for r in records {
-            let TraceEvent::TxStart { node, port, prio, dur_ns, .. } = r.ev else { continue };
-            if !port_filter(node, port) {
-                continue;
-            }
-            tx_ports.insert((node, port));
-            let p = (prio as usize).min(7);
-            // Split the serialization interval across buckets.
-            let mut start = r.at.as_nanos();
-            let end_tx = start + dur_ns;
-            while start < end_tx {
-                let b = (start / bucket_ns) as usize;
-                if b >= nbuckets {
-                    break;
-                }
-                let bucket_end = (b as u64 + 1) * bucket_ns;
-                let slice = end_tx.min(bucket_end) - start;
-                tl.busy_ns_by_prio[b][p] += slice;
-                start = bucket_end;
-            }
-        }
-        tl.ports = tx_ports.len();
-        tl
-    }
-
-    /// Number of buckets.
-    pub fn buckets(&self) -> usize {
-        self.busy_ns_by_prio.len()
-    }
-
-    /// Whole-run utilization fraction per priority: busy time at each
-    /// priority divided by total matched link-time (`ports × span`).
-    /// Zeros if no matched port ever transmitted.
-    pub fn utilization_by_prio(&self) -> [f64; 8] {
-        let mut out = [0.0f64; 8];
-        let span_ns = self.bucket_ns * self.buckets() as u64;
-        let denom = (self.ports as u64 * span_ns) as f64;
-        if denom == 0.0 {
-            return out;
-        }
-        for b in &self.busy_ns_by_prio {
-            for (o, busy) in out.iter_mut().zip(b.iter()) {
-                *o += *busy as f64;
-            }
-        }
-        for o in &mut out {
-            *o /= denom;
-        }
-        out
     }
 }
 
@@ -675,77 +591,6 @@ mod tests {
             assert!(line.starts_with("{\"t\":1,\"ev\":\""), "{line}");
             assert!(line.ends_with("}\n"), "{line}");
         }
-    }
-
-    #[test]
-    fn timeline_folds_utilization() {
-        let tor = NodeId::Tor(0);
-        let recs = [
-            // 100 ns of prio-7 serialization spanning the 0/1 bucket edge.
-            TraceRecord {
-                at: SimTime::from_nanos(950),
-                ev: TraceEvent::TxStart {
-                    node: tor,
-                    port: 0,
-                    src: h(0),
-                    dst: h(1),
-                    prio: 7,
-                    bytes: 125,
-                    dur_ns: 100,
-                },
-            },
-            TraceRecord {
-                at: SimTime::from_nanos(100),
-                ev: TraceEvent::Enqueue {
-                    node: tor,
-                    port: 0,
-                    src: h(0),
-                    dst: h(1),
-                    prio: 0,
-                    bytes: 1000,
-                    qpkts: 1,
-                    qbytes: 1000,
-                    outcome: EnqueueOutcome::Accepted,
-                },
-            },
-            TraceRecord {
-                at: SimTime::from_nanos(1200),
-                ev: TraceEvent::Dequeue {
-                    node: tor,
-                    port: 0,
-                    src: h(0),
-                    dst: h(1),
-                    prio: 0,
-                    bytes: 1000,
-                    waited_ns: 1100,
-                    lag_ns: 0,
-                    qbytes: 0,
-                },
-            },
-        ];
-        let tl = Timeline::from_records(
-            &recs,
-            SimDuration::from_nanos(1000),
-            SimTime::from_nanos(2000),
-            |_, _| true,
-        );
-        assert_eq!(tl.buckets(), 2);
-        assert_eq!(tl.ports, 1);
-        assert_eq!(tl.busy_ns_by_prio[0][7], 50);
-        assert_eq!(tl.busy_ns_by_prio[1][7], 50);
-        // Queue records carry no serialization time.
-        assert!(tl.busy_ns_by_prio.iter().all(|b| b[0] == 0));
-        let util = tl.utilization_by_prio();
-        assert!((util[7] - 0.05).abs() < 1e-9, "{util:?}");
-        // Filtered fold sees nothing.
-        let none = Timeline::from_records(
-            &recs,
-            SimDuration::from_nanos(1000),
-            SimTime::from_nanos(2000),
-            |_, _| false,
-        );
-        assert_eq!(none.ports, 0);
-        assert_eq!(none.utilization_by_prio(), [0.0; 8]);
     }
 
     #[test]

@@ -197,7 +197,10 @@ pub trait Transport<M: PacketMeta> {
     }
 
     /// Bytes of (application) goodput this transport has delivered to its
-    /// local application. Used for throughput accounting.
+    /// local application: the lengths of every `MessageDelivered`,
+    /// `RpcRequestArrived` and `RpcCompleted` it raised, duplicates
+    /// included. The harness's run core holds the sum over all hosts to
+    /// that in builds with debug assertions.
     fn delivered_bytes(&self) -> u64 {
         0
     }

@@ -1425,6 +1425,38 @@ mod tests {
         assert_grants_are_bare(&t);
     }
 
+    /// A retransmission read after the packet that completes a request, but
+    /// before the request's event is taken, starts the request anew at the
+    /// endpoint (§3.8's re-execution). Both copies must arrive whole: the
+    /// retransmitted bytes belong in the second copy's buffer, not in the
+    /// one the first copy's event takes.
+    #[test]
+    fn a_retransmission_read_beside_the_completing_packet_leaves_both_requests_whole() {
+        let mut t = TwoCores::new(UdpConfig::default().homa);
+        let len = 2 * homa::config::MAX_PAYLOAD as usize;
+        let request: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        t.cores[0].start(0, PeerId(1), request.clone(), Open::Call { tag: 1 }).unwrap();
+        let (mut bytes, mut spans) = (Vec::new(), Vec::new());
+        t.cores[0].poll(0, &mut bytes, &mut spans);
+        let [(_, cut), (_, end)] = spans[..] else { panic!("two DATA packets: {spans:?}") };
+        let (first, second) = (&bytes[..cut], &bytes[cut..end]);
+        for dgram in [first, second, first] {
+            t.cores[1].on_read(0, addr(0), dgram, 0);
+        }
+        t.events[1].extend(t.cores[1].take_events());
+        let mut requests = Vec::new();
+        while let Some(UdpEvent::Request { data, .. }) =
+            t.until(1, 100_000_000, |e| matches!(e, UdpEvent::Request { .. }))
+        {
+            requests.push(data);
+        }
+        assert_eq!(requests.len(), 2, "the retransmission started no second request");
+        for data in requests {
+            let at = data.iter().zip(&request).position(|(a, b)| a != b);
+            assert!(data == request, "a request differs from byte {at:?}");
+        }
+    }
+
     #[test]
     fn the_same_script_twice_gives_equal_counters_and_equal_datagram_bytes() {
         let run = || {

@@ -51,6 +51,14 @@ pub struct NodeCore {
     pub out_payloads: HashMap<MsgKey, Vec<u8>>,
     /// Reassembly buffers for inbound messages.
     pub in_buffers: HashMap<MsgKey, Vec<u8>>,
+    /// Buffers of the messages the endpoint completed since the events
+    /// were last taken, in completion order. A completed buffer leaves
+    /// `in_buffers` with the packet that completes it, so a retransmission
+    /// of the same key read before the events are taken, which the
+    /// endpoint takes for a new message (§3.8's re-execution), gets a
+    /// buffer of its own: it neither writes into the one being delivered
+    /// nor leaves its bytes behind in it.
+    completed: Vec<(MsgKey, Vec<u8>)>,
     /// Peer address table.
     peers: HashMap<PeerId, SocketAddr>,
     addr_to_peer: HashMap<SocketAddr, PeerId>,
@@ -96,6 +104,7 @@ impl NodeCore {
             ep: HomaEndpoint::new(me, homa),
             out_payloads: HashMap::new(),
             in_buffers: HashMap::new(),
+            completed: Vec::new(),
             peers: HashMap::new(),
             addr_to_peer: HashMap::new(),
             rx_drop: None,
@@ -151,7 +160,7 @@ impl NodeCore {
         }
         // Stash payload bytes into the reassembly buffer before the
         // endpoint consumes the header.
-        if let HomaPacket::Data(h) = &pkt {
+        let key = if let HomaPacket::Data(h) = &pkt {
             // The header is the peer's claim: drop a packet whose span
             // overflows or overruns the message it announces, or that
             // announces more than the cap, before anything is allocated
@@ -165,8 +174,16 @@ impl NodeCore {
             let end = (end as usize).min(buf.len());
             let avail = &dgram[payload_off..payload_off + h.payload as usize];
             buf[start..end].copy_from_slice(&avail[..end - start]);
-        }
+            Some(h.key)
+        } else {
+            None
+        };
+        let delivered = self.ep.delivered_msgs();
         self.ep.on_packet(now, from, pkt);
+        if let Some(key) = key.filter(|_| self.ep.delivered_msgs() > delivered) {
+            let buf = self.in_buffers.remove(&key).unwrap_or_default();
+            self.completed.push((key, buf));
+        }
     }
 
     /// The endpoint's timer tick at `now`, then both buffer sweeps. Take the
@@ -174,13 +191,16 @@ impl NodeCore {
     /// reassembly buffer of a message the endpoint has delivered.
     pub fn tick(&mut self, now: u64) {
         self.ep.timer_tick(now);
+        // A completion whose event was taken took its buffer along; one
+        // without an event (a response to an aborted call) leaves it here.
+        self.completed.clear();
         // GC delivered out-payloads: once the endpoint's sender has dropped
         // a message (response acked, one-way linger expired, or aborted), no
         // retransmission can ask for its bytes — the buffer is dead weight
         // on a long-running node.
         self.out_payloads.retain(|key, _| self.ep.outbound_contains(*key));
         // Likewise a buffer whose DATA the endpoint discarded (a stray
-        // response packet) or completed without an event.
+        // response packet).
         self.in_buffers.retain(|key, _| self.ep.inbound_contains(*key));
     }
 
@@ -216,22 +236,23 @@ impl NodeCore {
     /// The application events the endpoint raised since the last call, each
     /// taking its message's bytes out of the core.
     pub fn take_events(&mut self) -> impl Iterator<Item = UdpEvent> + '_ {
-        let NodeCore { ep, out_payloads, in_buffers, .. } = self;
+        let NodeCore { ep, out_payloads, in_buffers, completed, .. } = self;
         let me = ep.peer_id();
+        let mut take = move |key| match completed.iter().position(|(k, _)| *k == key) {
+            Some(i) => completed.remove(i).1,
+            None => Vec::new(),
+        };
         ep.drain_events().filter_map(move |ev| match ev {
             HomaEvent::MessageDelivered { src, seq, tag, .. } => {
-                let key = MsgKey { origin: src, seq, dir: Dir::Oneway };
-                let data = in_buffers.remove(&key).unwrap_or_default();
+                let data = take(MsgKey { origin: src, seq, dir: Dir::Oneway });
                 Some(UdpEvent::Message { from: src, tag, data })
             }
             HomaEvent::RequestArrived { client, rpc_seq, .. } => {
-                let key = MsgKey { origin: client, seq: rpc_seq, dir: Dir::Request };
-                let data = in_buffers.remove(&key).unwrap_or_default();
+                let data = take(MsgKey { origin: client, seq: rpc_seq, dir: Dir::Request });
                 Some(UdpEvent::Request { from: client, rpc: rpc_seq, data })
             }
             HomaEvent::RpcCompleted { server, rpc_seq, tag, .. } => {
-                let key = MsgKey { origin: me, seq: rpc_seq, dir: Dir::Response };
-                let data = in_buffers.remove(&key).unwrap_or_default();
+                let data = take(MsgKey { origin: me, seq: rpc_seq, dir: Dir::Response });
                 // The request payload is no longer needed.
                 out_payloads.remove(&MsgKey { origin: me, seq: rpc_seq, dir: Dir::Request });
                 Some(UdpEvent::Response { from: server, tag, data })

@@ -1,5 +1,6 @@
 //! Transport-conservation fuzzing: on every arbitrary [`ScenarioSpec`],
-//! each of the six transports must conserve messages exactly.
+//! each of the six transports must conserve messages exactly, and the
+//! run must repeat bit for bit.
 //!
 //! The invariants, per run:
 //!
@@ -9,17 +10,29 @@
 //! * nothing is delivered twice (`duplicate_deliveries == 0`);
 //! * the record stream covers exactly the deliveries
 //!   (`records == delivered`), and so does the streaming sketch;
-//! * the run trips no debug-build invariant (the event-order oracle, the
-//!   strict-priority non-inversion check, the fabric's `debug_assert!`s):
-//!   a panic counts as a failure and shrinks like one.
+//! * the run trips no debug-build invariant: the run core's delivery
+//!   contract (each delivery at its destination, from its sender, with
+//!   its length; the transports' byte counters equal to the deliveries),
+//!   the timing wheel's heap oracle (`engine diverged at t=…`), the
+//!   fabric's packet conservation, the `debug_assert!`s. A panic counts
+//!   as a failure and shrinks like one;
+//! * for the protocol the spec's seed rotates to (Homa, pHost or
+//!   pFabric), a second run of the spec has the same records, sketch,
+//!   `RunStats` and counts.
+//!
+//! Those checks exist only with debug assertions, so the family **fails**
+//! without them instead of passing vacuously: run it with plain
+//! `cargo test`, or optimized with
+//! `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo test --release`.
 //!
 //! Failures shrink to a minimal spec and print a one-line replay string
-//! (also appended under `$HOMA_FUZZ_FAILURE_DIR` for CI artifacts).
+//! (also appended under `$HOMA_FUZZ_FAILURE_DIR` for CI artifacts):
+//! `HOMA_FUZZ_REPLAY='conservation:<line>' cargo test --test fuzz_conservation replay`.
 //! Iteration counts honor `HOMA_FUZZ_ITERS`; the `#[ignore]` variant is
 //! the nightly long haul.
 
 use homa_bench::{run_protocol_scenario, Protocol};
-use homa_harness::driver::OnewayOpts;
+use homa_harness::driver::{OnewayOpts, OnewayResult};
 use homa_harness::{failure_or_panic, shrink_to_minimal, FuzzFamily, ScenarioSpec};
 
 const FAMILY: FuzzFamily = FuzzFamily::new("conservation");
@@ -33,14 +46,49 @@ const TRANSPORTS: [Protocol; 6] = [
     Protocol::Stream,
 ];
 
-/// `Some(detail)` if `p` violates conservation on `spec` or panics on
-/// it, else `None`.
+/// The protocols whose runs are also repeated, one per spec, rotated by
+/// its seed: Homa plus the two baselines with the most transport-side
+/// state.
+const REPEATED: [Protocol; 3] = [Protocol::Homa, Protocol::Phost, Protocol::Pfabric];
+
+fn run(p: Protocol, spec: &ScenarioSpec) -> OnewayResult {
+    run_protocol_scenario(p, spec, &OnewayOpts::default().with_records(), None)
+}
+
+/// Lossless signature of one run: Debug formatting is exact for the
+/// integer fields and bit-faithful for the floats.
+fn signature(res: &OnewayResult) -> String {
+    format!(
+        "records {:?} | sketch {:?} | stats {:?} | d{} a{} l{} dup{}",
+        res.records,
+        res.sketch,
+        res.stats,
+        res.delivered,
+        res.aborted,
+        res.lost,
+        res.duplicate_deliveries,
+    )
+}
+
+/// `Some(detail)` if `p` violates conservation on `spec`, panics on it,
+/// or (for the protocol `spec`'s seed rotates to) runs it differently a
+/// second time; else `None`.
 fn violates_conservation(p: Protocol, spec: &ScenarioSpec) -> Option<String> {
-    failure_or_panic(|| conservation_detail(p, spec))
+    failure_or_panic(|| {
+        let res = run(p, spec);
+        conservation_detail_of(p, spec, &res).or_else(|| {
+            let repeated = p == REPEATED[(spec.seed % REPEATED.len() as u64) as usize];
+            (repeated && signature(&run(p, spec)) != signature(&res))
+                .then(|| format!("{p:?}: two runs differ"))
+        })
+    })
 }
 
 fn conservation_detail(p: Protocol, spec: &ScenarioSpec) -> Option<String> {
-    let res = run_protocol_scenario(p, spec, &OnewayOpts::default().with_records(), None);
+    conservation_detail_of(p, spec, &run(p, spec))
+}
+
+fn conservation_detail_of(p: Protocol, spec: &ScenarioSpec, res: &OnewayResult) -> Option<String> {
     if res.injected != spec.messages {
         return Some(format!(
             "{:?}: injected {} of {} planned messages",
@@ -71,7 +119,19 @@ fn conservation_detail(p: Protocol, spec: &ScenarioSpec) -> Option<String> {
     None
 }
 
+/// Most of the checks live behind `debug_assertions`; without them this
+/// family would skip what it exists for and pass.
+fn require_oracle() {
+    if !cfg!(debug_assertions) {
+        panic!(
+            "fuzz_conservation needs the debug-build checks: build with debug assertions \
+             (plain `cargo test`, or CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true with --release)"
+        );
+    }
+}
+
 fn check_seed_range(first_seed: u64, iters: u64) {
+    require_oracle();
     for i in 0..iters {
         let seed = first_seed + i;
         let spec = ScenarioSpec::arbitrary(seed);
@@ -133,11 +193,13 @@ fn homa_delivers_twice_after_a_long_receiver_pause() {
 
 /// Replay hook: set `HOMA_FUZZ_REPLAY` to the `conservation:<spec line>`
 /// a fuzz failure printed and this test re-checks conservation on it for
-/// every transport (it passes trivially when the variable is unset or
-/// names another family).
+/// every transport, and repeatability for the one its seed rotates to
+/// (it passes trivially when the variable is unset or names another
+/// family).
 #[test]
 fn replay_spec_line_from_env() {
     let Some(line) = FAMILY.replay() else { return };
+    require_oracle();
     let spec = ScenarioSpec::parse_spec_line(&line)
         .unwrap_or_else(|e| panic!("bad spec line `{line}`: {e}"));
     for p in TRANSPORTS {

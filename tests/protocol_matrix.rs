@@ -1,21 +1,13 @@
 //! Every transport in the comparison matrix completes a moderate-load run
 //! on the leaf-spine fabric — the invariant behind all the figure runs —
-//! and conserves bytes exactly under an identical W4 scenario.
+//! and delivers every message exactly once under an identical W4
+//! scenario.
 
-use homa::HomaConfig;
-use homa_baselines::{
-    ndp, pfabric, pias, HomaSimTransport, NdpConfig, NdpTransport, PfabricConfig, PfabricTransport,
-    PhostConfig, PhostTransport, PiasConfig, PiasTransport, StreamConfig, StreamTransport,
-};
 use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::{FabricSpec, ScenarioSpec};
-use homa_sim::{
-    AppEvent, HostId, Network, NetworkConfig, PacketMeta, QueueDiscipline, SimTime, Topology,
-    Transport,
-};
-use homa_workloads::Workload;
-use std::collections::HashMap;
+use homa_sim::{FaultPlan, HostId, LinkId};
+use homa_workloads::{TrafficSpec, Workload};
 
 fn check(p: Protocol, w: Workload, load: f64, n: u64) {
     check_on(p, w, load, n, 17, FabricSpec::LeafSpine { racks: 2, hosts_per_rack: 6, spines: 2 });
@@ -144,11 +136,7 @@ fn long_haul_basic_and_stream_second_seed() {
 // `cargo test --release --test protocol_matrix -- --ignored`.
 // ---------------------------------------------------------------------
 
-#[cfg(test)]
 fn fault_matrix_spec(p: Protocol) -> ScenarioSpec {
-    use homa_harness::{FabricSpec, ScenarioSpec};
-    use homa_sim::{FaultPlan, LinkId};
-    use homa_workloads::TrafficSpec;
     ScenarioSpec::new(
         format!("fault_incast20_{}", p.name()),
         FabricSpec::MultiTor { hosts: 40 },
@@ -168,9 +156,7 @@ fn fault_matrix_spec(p: Protocol) -> ScenarioSpec {
     )
 }
 
-#[cfg(test)]
 fn check_fault_matrix(p: Protocol) {
-    use homa_bench::run_protocol_scenario;
     let spec = fault_matrix_spec(p);
     let res = run_protocol_scenario(p, &spec, &OnewayOpts::default(), None);
     assert_eq!(res.injected, spec.messages, "{}: injection shortfall", p.name());
@@ -222,190 +208,60 @@ fn long_haul_fault_matrix_stream() {
 }
 
 // ---------------------------------------------------------------------
-// Conservation: under one identical W4 scenario (same sizes, same
-// endpoints, same injection times, same fabric seed), every transport
-// must hand the application exactly the injected bytes — nothing lost,
-// nothing delivered twice. This is the contract the shared
-// `baselines::common` scaffolding (reassembly table, send queues,
-// fragmentation) owes every protocol built on it.
+// Conservation: every transport, under the same W4 scenario on one
+// switch, uniform and as a five-way incast, at a load where each of them
+// delivers every message. What a delivery must be — at its destination,
+// from its sender, with its length, and summing to the transports' own
+// delivered-byte counters — the run core checks on every run in builds
+// with debug assertions; this table adds that nothing is lost and
+// nothing arrives twice.
 // ---------------------------------------------------------------------
 
-const CONSERVE_HOSTS: u32 = 8;
-const CONSERVE_MSGS: u64 = 60;
-const CONSERVE_SEED: u64 = 0xC0FFEE;
-
-/// Source–destination pattern of a conservation scenario: the historical
-/// uniform row plus the `TrafficMatrix` incast row.
-#[derive(Clone, Copy)]
-enum ConservePattern {
-    Uniform,
-    Incast,
-}
-
-impl ConservePattern {
-    const ALL: [ConservePattern; 2] = [ConservePattern::Uniform, ConservePattern::Incast];
-
-    fn name(self) -> &'static str {
-        match self {
-            ConservePattern::Uniform => "uniform",
-            ConservePattern::Incast => "incast",
-        }
+fn assert_conserves(p: Protocol) {
+    for traffic in [TrafficSpec::uniform(), TrafficSpec::incast(5)] {
+        let spec = ScenarioSpec::new(
+            "conserve",
+            FabricSpec::SingleSwitch { hosts: 8 },
+            Workload::W4,
+            0.8,
+            60,
+            0xC0FFEE,
+        )
+        .with_traffic(traffic);
+        let res = run_protocol_scenario(p, &spec, &OnewayOpts::default(), None);
+        let case = format!("{} under {}", p.name(), spec.to_spec_line());
+        assert_eq!(res.injected, 60, "{case}");
+        assert_eq!(res.delivered, res.injected, "{case}");
+        assert_eq!(res.duplicate_deliveries, 0, "{case}");
     }
-}
-
-/// The shared scenario: deterministic W4 sizes at a fixed cadence, with
-/// endpoints from the selected pattern. Returns
-/// `(at_ns, src, dst, size, tag)`.
-fn conserve_scenario(pattern: ConservePattern) -> Vec<(u64, HostId, HostId, u64, u64)> {
-    use homa_workloads::TrafficMatrix;
-
-    let dist = Workload::W4.dist();
-    let mut x = CONSERVE_SEED;
-    let mut lcg = move || {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        x >> 33
-    };
-    let mut matrix = match pattern {
-        // The historical uniform row keeps its original LCG endpoint
-        // draws (bit-compatible with the pre-TrafficMatrix test).
-        ConservePattern::Uniform => None,
-        ConservePattern::Incast => Some(TrafficMatrix::incast(5, CONSERVE_HOSTS)),
-    };
-    (0..CONSERVE_MSGS)
-        .map(|i| {
-            // Quantile-sampled sizes, capped below the extreme tail so a
-            // single 10 MB outlier doesn't dominate the run.
-            let p = (lcg() % 10_000) as f64 / 10_000.0;
-            let size = dist.quantile(p.min(0.995)).max(1);
-            let (src, dst) = match &mut matrix {
-                None => {
-                    let src = (lcg() % CONSERVE_HOSTS as u64) as u32;
-                    let dst_raw = (lcg() % (CONSERVE_HOSTS as u64 - 1)) as u32;
-                    let dst = if dst_raw >= src { dst_raw + 1 } else { dst_raw };
-                    (src, dst)
-                }
-                Some(m) => m.draw_rotational(),
-            };
-            (i * 30_000, HostId(src), HostId(dst), size, i)
-        })
-        .collect()
-}
-
-/// Drive one transport through the shared scenario (both traffic
-/// patterns) and assert exact byte conservation under each.
-fn assert_conserves<M, T>(
-    name: &str,
-    queues: Option<QueueDiscipline>,
-    mut mk: impl FnMut(HostId) -> T,
-) where
-    M: PacketMeta,
-    T: Transport<M>,
-{
-    for pattern in ConservePattern::ALL {
-        assert_conserves_on(name, pattern, queues, &mut mk);
-    }
-}
-
-/// One transport, one traffic pattern: exact byte conservation.
-fn assert_conserves_on<M, T>(
-    name: &str,
-    pattern: ConservePattern,
-    queues: Option<QueueDiscipline>,
-    mk: impl FnMut(HostId) -> T,
-) where
-    M: PacketMeta,
-    T: Transport<M>,
-{
-    let name = &format!("{name}/{}", pattern.name());
-    let netcfg = match queues {
-        Some(q) => NetworkConfig::uniform(CONSERVE_SEED, q),
-        None => NetworkConfig { seed: CONSERVE_SEED, ..NetworkConfig::default() },
-    };
-    let topo = Topology::single_switch(CONSERVE_HOSTS);
-    let mut net: Network<M, T> = Network::new(topo, netcfg, mk);
-
-    let scenario = conserve_scenario(pattern);
-    let injected_bytes: u64 = scenario.iter().map(|&(_, _, _, size, _)| size).sum();
-    let mut expect: HashMap<u64, (HostId, HostId, u64)> = HashMap::new();
-    let mut deliveries = Vec::new();
-
-    for (at_ns, src, dst, size, tag) in scenario {
-        net.run_until(SimTime::from_nanos(at_ns));
-        deliveries.extend(net.take_app_events());
-        net.inject_message(src, dst, size, tag);
-        expect.insert(tag, (src, dst, size));
-    }
-    net.run_until(SimTime::from_millis(500));
-    deliveries.extend(net.take_app_events());
-
-    // Exactly one delivery per message, at the right host, with the
-    // right sender and length.
-    let mut seen: HashMap<u64, u64> = HashMap::new();
-    for (_, host, ev) in &deliveries {
-        if let AppEvent::MessageDelivered { src, tag, len } = ev {
-            let &(exp_src, exp_dst, exp_size) =
-                expect.get(tag).unwrap_or_else(|| panic!("{name}: unknown tag {tag}"));
-            assert_eq!(*src, exp_src, "{name}: tag {tag} wrong sender");
-            assert_eq!(*host, exp_dst, "{name}: tag {tag} delivered to wrong host");
-            assert_eq!(*len, exp_size, "{name}: tag {tag} wrong length");
-            *seen.entry(*tag).or_default() += 1;
-        }
-    }
-    for (tag, &count) in &seen {
-        assert_eq!(count, 1, "{name}: tag {tag} delivered {count} times");
-    }
-    assert_eq!(
-        seen.len() as u64,
-        CONSERVE_MSGS,
-        "{name}: {} of {CONSERVE_MSGS} messages delivered",
-        seen.len()
-    );
-
-    // Goodput accounting agrees: summed transport counters equal the
-    // injected bytes exactly (no loss, no double-count).
-    let delivered_bytes: u64 =
-        (0..CONSERVE_HOSTS).map(|h| net.transport(HostId(h)).delivered_bytes()).sum();
-    assert_eq!(
-        delivered_bytes, injected_bytes,
-        "{name}: delivered {delivered_bytes} bytes of {injected_bytes} injected"
-    );
 }
 
 #[test]
 fn conservation_homa() {
-    assert_conserves("Homa", None, |h| HomaSimTransport::new(h, HomaConfig::default()));
+    assert_conserves(Protocol::Homa);
 }
 
 #[test]
 fn conservation_pfabric() {
-    let cfg = PfabricConfig::default();
-    assert_conserves("pFabric", Some(pfabric::fabric_queues(&cfg)), move |h| {
-        PfabricTransport::new(h, PfabricConfig::default())
-    });
+    assert_conserves(Protocol::Pfabric);
 }
 
 #[test]
 fn conservation_phost() {
-    assert_conserves("pHost", None, |h| PhostTransport::new(h, PhostConfig::default()));
+    assert_conserves(Protocol::Phost);
 }
 
 #[test]
 fn conservation_pias() {
-    let cfg = PiasConfig::default();
-    assert_conserves("PIAS", Some(pias::fabric_queues(&cfg)), move |h| {
-        PiasTransport::new(h, PiasConfig::default())
-    });
+    assert_conserves(Protocol::Pias);
 }
 
 #[test]
 fn conservation_ndp() {
-    let cfg = NdpConfig::default();
-    assert_conserves("NDP", Some(ndp::fabric_queues(&cfg)), move |h| {
-        NdpTransport::new(h, NdpConfig::default())
-    });
+    assert_conserves(Protocol::Ndp);
 }
 
 #[test]
 fn conservation_stream() {
-    assert_conserves("Stream", None, |h| StreamTransport::new(h, StreamConfig::default()));
+    assert_conserves(Protocol::Stream);
 }

@@ -269,7 +269,16 @@ fn echo_rpcs_survive_one_packet_in_seven_lost_at_both_nodes() {
         }
         match a.events().recv_timeout(Duration::from_secs(60)).expect("a response") {
             UdpEvent::Response { tag, data, .. } => {
-                assert!(data == payload(tag), "response {tag} differs from its request");
+                let sent = payload(tag);
+                let at = data.iter().zip(&sent).position(|(a, b)| a != b);
+                assert!(
+                    data == sent,
+                    "response {tag} differs from its request: {} bytes back for {} sent, \
+                     first difference at byte {}",
+                    data.len(),
+                    sent.len(),
+                    at.unwrap_or(data.len().min(sent.len()))
+                );
                 done += 1;
             }
             other => panic!("unexpected {other:?}"),

@@ -42,125 +42,60 @@
 use homa_bench::perfjson::{parse_report, render_report, Report, ScenarioReport};
 use homa_bench::{run_protocol_scenario, Protocol};
 use homa_harness::driver::{OnewayOpts, OnewayResult};
-use homa_harness::{FabricSpec, ScenarioSpec};
-use homa_sim::{FaultPlan, HostId, LinkId};
-use homa_workloads::{TrafficSpec, Workload};
+use homa_harness::ScenarioSpec;
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-/// Fixed seed for every gate scenario: the runs are deterministic, so
-/// the baseline's event counts must reproduce exactly.
-const SEED: u64 = 42;
+/// One gate scenario as a spec line (fixed seed: the runs are
+/// deterministic, so the baseline's event counts must reproduce exactly),
+/// plus the minimum delivered fraction it must reach. The uniform
+/// scenarios must complete outright; the incast-under-flaps scenario
+/// legitimately loses the few one-way messages whose every packet died on
+/// the downed link (fire-and-forget), so its floor is lower — and the
+/// exact delivered count is still pinned by the baseline comparison.
+const GATE: [(&str, f64); 6] = [
+    ("name=w4_80_40h fabric=mtor:40 wl=W4 load=0.8 msgs=1200 seed=42", 0.99),
+    ("name=w4_80_100h fabric=mtor:100 wl=W4 load=0.8 msgs=3000 seed=42", 0.99),
+    // The churn scenario the event engine targets: the largest multi-TOR
+    // fabric the ROADMAP names (160 hosts, 16 racks), same W4 @ 80% shape
+    // as the smaller rows.
+    ("name=w4_80_160h fabric=mtor:160 wl=W4 load=0.8 msgs=4800 seed=42", 0.99),
+    // Pins the scenario subsystem: a 20-wide incast at 80% of the
+    // receiver's downlink, with that downlink flapping five times during
+    // the burst. Event and delivered counts gate on this, so neither the
+    // TrafficMatrix stream nor the fault dispatch path can drift silently.
+    (
+        "name=incast20_flap_40h fabric=mtor:40 wl=W4 load=0.8 msgs=600 seed=42 traffic=incast:20 \
+         faults=5000000:down:hdn0,5500000:up:hdn0,15000000:down:hdn0,15500000:up:hdn0,\
+         25000000:down:hdn0,25500000:up:hdn0,35000000:down:hdn0,35500000:up:hdn0,\
+         45000000:down:hdn0,45500000:up:hdn0",
+        0.90,
+    ),
+    // The short-message path: the benchmark's `sim_w1_small` spec, eight
+    // events a message, nearly every message one packet. The whole run
+    // fits inside one linger window (§3.8), so its peak RSS is what a
+    // sender retains per fully-sent one-way times 200,000: 14 MB as
+    // 40-byte slots of `SenderState`'s own-message store. A hash-table
+    // entry per lingering one-way reads 25 MB or more.
+    ("name=w1_80_160h fabric=mtor:160 wl=W1 load=0.8 msgs=200000 seed=42", 0.99),
+    // The memory-lean scale target: 1024 hosts in 64 racks of 16 under 4
+    // spines, same W4 @ 80% shape, with a message budget (~30 msgs/host)
+    // that makes retained-per-message state visible in peak RSS. Runs with
+    // streaming sketches only (no per-message records), so its
+    // `peak_rss_kb` column is the arena/sketch regression gate.
+    ("name=w4_80_1kh fabric=mtor:1024 wl=W4 load=0.8 msgs=30720 seed=42", 0.99),
+];
 
-/// One gate scenario plus the minimum delivered fraction it must reach.
-/// The uniform scenarios must complete outright; the incast-under-flaps
-/// scenario legitimately loses the few one-way messages whose every
-/// packet died on the downed link (fire-and-forget), so its floor is
-/// lower — and the exact delivered count is still pinned by the
-/// baseline comparison.
-struct GateScenario {
-    spec: ScenarioSpec,
-    min_delivered_frac: f64,
-}
-
-fn gate_scenarios(quick: bool) -> Vec<GateScenario> {
+/// The gate's scenarios, with a quarter of the messages under `--quick`.
+fn gate_scenarios(quick: bool) -> Vec<(ScenarioSpec, f64)> {
     let scale = if quick { 4 } else { 1 };
-    vec![
-        GateScenario {
-            spec: ScenarioSpec::new(
-                "w4_80_40h",
-                FabricSpec::MultiTor { hosts: 40 },
-                Workload::W4,
-                0.8,
-                1_200 / scale,
-                SEED,
-            ),
-            min_delivered_frac: 0.99,
-        },
-        GateScenario {
-            spec: ScenarioSpec::new(
-                "w4_80_100h",
-                FabricSpec::MultiTor { hosts: 100 },
-                Workload::W4,
-                0.8,
-                3_000 / scale,
-                SEED,
-            ),
-            min_delivered_frac: 0.99,
-        },
-        // The churn scenario the event engine targets: the
-        // largest multi-TOR fabric the ROADMAP names (160 hosts, 16
-        // racks), same W4 @ 80% shape as the smaller rows.
-        GateScenario {
-            spec: ScenarioSpec::new(
-                "w4_80_160h",
-                FabricSpec::MultiTor { hosts: 160 },
-                Workload::W4,
-                0.8,
-                4_800 / scale,
-                SEED,
-            ),
-            min_delivered_frac: 0.99,
-        },
-        // Pins the scenario subsystem: a 20-wide incast at 80% of the
-        // receiver's downlink, with that downlink flapping five times
-        // during the burst. Event and delivered counts gate on this, so
-        // neither the TrafficMatrix stream nor the fault dispatch path
-        // can drift silently.
-        GateScenario {
-            spec: ScenarioSpec::new(
-                "incast20_flap_40h",
-                FabricSpec::MultiTor { hosts: 40 },
-                Workload::W4,
-                0.8,
-                600 / scale,
-                SEED,
-            )
-            .with_traffic(TrafficSpec::incast(20))
-            .with_faults(FaultPlan::new().link_flaps(
-                LinkId::HostDownlink(HostId(0)),
-                5_000_000,
-                500_000,
-                10_000_000,
-                5,
-            )),
-            min_delivered_frac: 0.90,
-        },
-        // The short-message path: the benchmark's `sim_w1_small` spec,
-        // eight events a message, nearly every message one packet. The
-        // whole run fits inside one linger window (§3.8), so its peak RSS
-        // is what a sender retains per fully-sent one-way times 200,000:
-        // 14 MB as 40-byte slots of `SenderState`'s own-message store. A
-        // hash-table entry per lingering one-way reads 25 MB or more.
-        GateScenario {
-            spec: ScenarioSpec::new(
-                "w1_80_160h",
-                FabricSpec::MultiTor { hosts: 160 },
-                Workload::W1,
-                0.8,
-                200_000 / scale,
-                SEED,
-            ),
-            min_delivered_frac: 0.99,
-        },
-        // The memory-lean scale target: 1024 hosts in 64 racks of 16
-        // under 4 spines, same W4 @ 80% shape, with a message budget
-        // (~30 msgs/host) that makes retained-per-message state visible
-        // in peak RSS. Runs with streaming sketches only (no per-message
-        // records), so its `peak_rss_kb` column is the arena/sketch
-        // regression gate.
-        GateScenario {
-            spec: ScenarioSpec::new(
-                "w4_80_1kh",
-                FabricSpec::MultiTor { hosts: 1024 },
-                Workload::W4,
-                0.8,
-                30_720 / scale,
-                SEED,
-            ),
-            min_delivered_frac: 0.99,
-        },
-    ]
+    GATE.iter()
+        .map(|&(line, min_delivered_frac)| {
+            let spec = ScenarioSpec::parse_spec_line(line).expect("a gate line parses");
+            let messages = spec.messages / scale;
+            (spec.with_messages(messages), min_delivered_frac)
+        })
+        .collect()
 }
 
 /// Peak resident set (VmHWM) of this process in KiB, from
@@ -223,12 +158,12 @@ fn run_in_child(name: &str, cfg: &GateCfg) -> ScenarioReport {
 }
 
 fn run_gate(cfg: &GateCfg) -> Report {
-    let selected: Vec<GateScenario> = gate_scenarios(cfg.quick)
+    let selected: Vec<(ScenarioSpec, f64)> = gate_scenarios(cfg.quick)
         .into_iter()
-        .filter(|g| cfg.only.as_ref().is_none_or(|f| g.spec.name.contains(f.as_str())))
+        .filter(|(spec, _)| cfg.only.as_ref().is_none_or(|f| spec.name.contains(f.as_str())))
         .collect();
     let mut scenarios = Vec::new();
-    for GateScenario { spec, min_delivered_frac } in &selected {
+    for (spec, min_delivered_frac) in &selected {
         if selected.len() > 1 {
             scenarios.push(run_in_child(&spec.name, cfg));
             continue;
@@ -278,7 +213,7 @@ fn run_gate(cfg: &GateCfg) -> Report {
     Report {
         schema: 1,
         produced_by: format!(
-            "perf-smoke (homa-bench), seed {SEED}, engine Hierarchical{}",
+            "perf-smoke (homa-bench), seed 42, engine Hierarchical{}",
             if cfg.quick { ", quick" } else { "" }
         ),
         scenarios,

@@ -6,7 +6,8 @@
 //! seconds; `--full` is paper scale (144 hosts, 8x the messages). Every
 //! table is written as `FIG_<n>.json` and printed to stdout as text —
 //! two renderings of the same rows — while stderr carries one progress
-//! line per simulation run and the wall time of each figure.
+//! line per simulation run (its run line, then its tally) and the wall
+//! time of each figure. `repro trace <run line>` replays any such run.
 //!
 //! `repro compare` is the figure-accuracy gate: it re-runs (or loads,
 //! with `--from-dir`) the figures that have digitized published curves
@@ -19,14 +20,14 @@
 //! repro table1
 //! repro all [--compare]
 //! repro compare [--from-dir DIR]
+//! repro trace proto=Homa variant=sched=1 name=fig16 fabric=ls:3x8x2 wl=W4 ...
 //! ```
 
 use homa_bench::figdata::{
     compare_tables, figure, measured_points, CompareOutcome, Figure, ReproOpts, FIGURES,
 };
 use homa_bench::perfjson::{parse_table, render_table, render_text, FigTable};
-use homa_bench::{tracecmd, Protocol};
-use homa_harness::ScenarioSpec;
+use homa_bench::{parse_run_line, tracecmd};
 use homa_sim::FlightRecorder;
 use homa_workloads::Workload;
 use std::path::{Path, PathBuf};
@@ -109,7 +110,7 @@ fn parse_cli(args: &[String]) -> Cli {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = args.split_first().map_or(("help", &[][..]), |(c, r)| (c.as_str(), r));
-    // `trace` takes a raw spec line whose `key=value` fields are not
+    // `trace` takes a raw run line whose `key=value` fields are not
     // options; it must dispatch before the shared option parser, which
     // would die on them as unknown flags.
     if cmd == "trace" {
@@ -180,25 +181,20 @@ fn build_tables(figs: &[&Figure], cli: &Cli) -> Vec<FigTable> {
     tables
 }
 
-/// `repro trace <spec-line> [--protocol P] [--cap N] [--out-dir DIR]`:
-/// replay a scenario with the flight recorder on, write `TRACE.jsonl`,
-/// and print the per-priority utilization and message-lifecycle
-/// summaries. The spec line is the harness `key=value` grammar, so a
-/// line can be pasted verbatim from a fuzzer artifact, EXPERIMENTS.md,
-/// or `ScenarioSpec::to_spec_line`.
+/// `repro trace <run-line> [--cap N] [--out-dir DIR]`: replay a run
+/// with the flight recorder on, write `TRACE.jsonl`, and print the
+/// per-priority utilization and message-lifecycle summaries. The run
+/// line is what a progress line of `repro` starts with
+/// (`homa_bench::run_line`) or a bare spec line, which runs Homa, so a
+/// line can be pasted verbatim from `repro`'s stderr, a fuzzer artifact
+/// or EXPERIMENTS.md.
 fn run_trace(args: &[String]) {
-    let mut spec_fields: Vec<String> = Vec::new();
-    let mut proto = Protocol::Homa;
+    let mut fields: Vec<String> = Vec::new();
     let mut cap = FlightRecorder::DEFAULT_CAP;
     let mut out_dir = PathBuf::from(".");
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--protocol" => {
-                let v = take(args, &mut i);
-                proto =
-                    Protocol::parse(&v).unwrap_or_else(|| die(&format!("unknown protocol {v:?}")));
-            }
             "--cap" => {
                 let v = take(args, &mut i);
                 cap =
@@ -207,18 +203,17 @@ fn run_trace(args: &[String]) {
                     });
             }
             "--out-dir" => out_dir = PathBuf::from(take(args, &mut i)),
-            tok if tok.contains('=') => spec_fields.push(tok.to_string()),
+            tok if tok.contains('=') => fields.push(tok.to_string()),
             other => die(&format!("unknown option {other:?} (see 'repro help')")),
         }
         i += 1;
     }
-    if spec_fields.is_empty() {
-        die("trace needs a spec line (key=value fields, e.g. \
-             'name=t fabric=mtor:40 wl=W4 load=0.8 msgs=2000 seed=42')");
+    if fields.is_empty() {
+        die("trace needs a run line (key=value fields, e.g. \
+             'proto=pFabric name=t fabric=mtor:40 wl=W4 load=0.8 msgs=2000 seed=42')");
     }
-    let line = spec_fields.join(" ");
-    let spec = ScenarioSpec::parse_spec_line(&line).unwrap_or_else(|e| die(&e));
-    let tr = tracecmd::trace_run(proto, &spec, cap);
+    let (proto, variant, spec) = parse_run_line(&fields.join(" ")).unwrap_or_else(|e| die(&e));
+    let tr = tracecmd::trace_run(proto, variant, &spec, cap);
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         die(&format!("cannot create --out-dir {}: {e}", out_dir.display()));
     }
@@ -320,9 +315,11 @@ fn help() {
          \x20   digitized published curves, write COMPARE.json, exit 1 on gated drift\n\
          repro all --compare\n\
          \x20   regenerate everything, then run the comparison on the fresh tables\n\
-         repro trace <spec-line> [--protocol P] [--cap N] [--out-dir DIR]\n\
-         \x20   replay a scenario spec line with the flight recorder on; writes\n\
-         \x20   TRACE.jsonl and prints per-priority utilization and message\n\
-         \x20   lifecycle summaries (spec grammar: see homa-harness spec_line)"
+         repro trace <run-line> [--cap N] [--out-dir DIR]\n\
+         \x20   replay a run with the flight recorder on: the run line a progress\n\
+         \x20   line of repro starts with (proto=P [variant=V] name=... shape=...)\n\
+         \x20   or a bare spec line (Homa); writes TRACE.jsonl and prints the run's\n\
+         \x20   tally, per-priority utilization and message lifecycle summaries\n\
+         \x20   (spec grammar: see homa-harness spec_line)"
     );
 }

@@ -7,29 +7,31 @@
 //! Builders print nothing: `repro`'s text is
 //! [`render_text`](crate::perfjson::render_text) of the rows the JSON
 //! holds, and this module's only output is one progress line on stderr
-//! per scenario run (`logged`).
+//! per scenario run (`logged`): the [`run_line`] that `repro trace`
+//! replays, then the run's [`tally`].
 //!
 //! Figures 17–20 are one sweep, [`ablation`]: one row per [`Variant`] of
-//! Homa's configuration. What `sched=N`, `unsched=N`, `cutoff=N` and
-//! `unsched_limit=…` mean as a [`HomaConfig`] is written once, in
-//! [`Variant::config`], which Figure 16 and `tests/ablations.rs` use too.
+//! Homa's configuration. What `sched=N`, `unsched=N`, `cutoff=N`,
+//! `unsched_limit=…` and Figure 10's `control` / `no_control` mean as a
+//! [`HomaConfig`] is written once, in [`Variant::config`], which Figures
+//! 10 and 16, `tests/ablations.rs` and a run line's `variant=` token use
+//! too.
 //!
 //! Rows destined for the comparison carry the canonical columns
 //! (`workload`/`protocol`/`variant`/`load`/`metric`/`x`/`value`, see
 //! [`measured_points`]); everything else is free-form per figure.
 
 use crate::perfjson::{Field, FigRow, FigTable};
-use crate::{run_protocol_rpc_scenario, run_protocol_scenario, Protocol};
+use crate::{run_line, run_protocol_scenario, tally, Protocol};
 use homa::config::RTT_BYTES;
 use homa::HomaConfig;
 use homa_baselines::homa_sim::static_map_for_workload;
-use homa_baselines::HomaSimTransport;
 use homa_harness::capacity::max_sustainable_load;
 use homa_harness::driver::{OnewayOpts, OnewayResult};
 use homa_harness::figures::{self, MeasuredPoint};
 use homa_harness::render::delta_report;
 use homa_harness::slowdown::SlowdownSummary;
-use homa_harness::{FabricSpec, ScenarioSpec};
+use homa_harness::{FabricSpec, ScenarioSpec, Shape};
 use homa_sim::PortClass;
 use homa_workloads::Workload;
 use std::time::Instant;
@@ -183,30 +185,19 @@ impl ReproOpts {
 }
 
 /// Every scenario a builder runs goes through here, so no run is silent:
-/// one stderr line of protocol, replayable spec line, delivered/injected
-/// and wall seconds (`repro` adds each entry's total).
-fn logged(p: Protocol, spec: &ScenarioSpec, run: impl FnOnce() -> OnewayResult) -> OnewayResult {
-    let start = Instant::now();
-    let res = run();
-    eprintln!(
-        "  {:<8} {}  {}/{}  {:.2}s",
-        p.name(),
-        spec.to_spec_line(),
-        res.delivered,
-        res.injected,
-        start.elapsed().as_secs_f64()
-    );
-    res
-}
-
-/// A one-way run of `p` on `spec` (the shape of every figure but 8–10).
-fn oneway(
+/// one stderr line of the replayable run line, the run's tally and wall
+/// seconds (`repro` adds each entry's total).
+fn logged(
     p: Protocol,
+    variant: Option<Variant>,
     spec: &ScenarioSpec,
     opts: &OnewayOpts,
-    cfg: Option<HomaConfig>,
 ) -> OnewayResult {
-    logged(p, spec, || run_protocol_scenario(p, spec, opts, cfg))
+    let start = Instant::now();
+    let res = run_protocol_scenario(p, spec, opts, variant);
+    let secs = start.elapsed().as_secs_f64();
+    eprintln!("  {}  {}  {secs:.2}s", run_line(p, variant, spec), tally(&res));
+    res
 }
 
 /// Tiny builder so row construction reads as a sentence.
@@ -367,13 +358,9 @@ fn fig8_9(opts: &ReproOpts) -> Vec<FigTable> {
     for &w in opts.workloads_or(&[Workload::W3, Workload::W4, Workload::W5]) {
         let n = opts.msgs_for(w);
         for p in protos {
-            let res = if p == Protocol::Stream {
-                let spec = ScenarioSpec::new("fig8_9_stream", cluster, w, 0.8, n, opts.seed);
-                oneway(p, &spec, &records, None)
-            } else {
-                let spec = ScenarioSpec::new("fig8_9_rpc", cluster, w, 0.8, n, opts.seed);
-                logged(p, &spec, || run_protocol_rpc_scenario(p, &spec, &records))
-            };
+            let shape = if p.homa_family() { Shape::Rpc } else { Shape::Oneway };
+            let spec = ScenarioSpec::new("fig8_9", cluster, w, 0.8, n, opts.seed).with_shape(shape);
+            let res = logged(p, None, &spec, &records);
             let s = SlowdownSummary::from_records(&res.records, SLOWDOWN_BINS);
             for (t, bins, overall, stat) in [
                 (&mut t8, "p99_slowdown", "overall_p99", s.overall_p99),
@@ -404,22 +391,12 @@ fn fig10(opts: &ReproOpts) -> Vec<FigTable> {
         &[16, 64, 128, 256, 512, 1024]
     };
     for &n in sweep {
-        for enabled in [true, false] {
-            let cfg = HomaConfig {
-                incast_threshold: if enabled { 32 } else { u32::MAX },
-                ..HomaConfig::default()
-            };
+        for v in FIG10 {
             let spec = ScenarioSpec::incast("fig10", cluster, n, opts.seed);
-            let res = logged(Protocol::Homa, &spec, || {
-                spec.run_incast(
-                    None,
-                    |h| HomaSimTransport::new(h, cfg.clone()),
-                    &OnewayOpts::default(),
-                )
-            });
+            let res = logged(Protocol::Homa, Some(v), &spec, &OnewayOpts::default());
             Row::new()
                 .n("concurrent", n as f64)
-                .s("variant", if enabled { "control" } else { "no_control" })
+                .s("variant", &v.label())
                 .n("throughput_bps", res.delivered_bps)
                 .n("aborted", res.aborted as f64)
                 .n("drops", res.stats.total_drops() as f64)
@@ -449,11 +426,11 @@ fn fig12_13(opts: &ReproOpts) -> Vec<FigTable> {
                     Protocol::Phost | Protocol::Ndp => load.min(0.7),
                     _ => load,
                 };
-                let res = oneway(
+                let res = logged(
                     p,
+                    None,
                     &opts.spec("fig12_13", w, eff_load, n),
                     &OnewayOpts::default().with_records(),
-                    None,
                 );
                 let s = SlowdownSummary::from_records(&res.records, SLOWDOWN_BINS);
                 let small_p99 = SlowdownSummary::small_message_p99(&res.records, 0.5);
@@ -479,11 +456,11 @@ fn fig12_13(opts: &ReproOpts) -> Vec<FigTable> {
 fn fig14(opts: &ReproOpts) -> Vec<FigTable> {
     let mut t = opts.table("fig14");
     for &w in opts.workloads_or(&Workload::ALL) {
-        let res = oneway(
+        let res = logged(
             Protocol::Homa,
+            None,
             &opts.spec("fig14", w, 0.8, opts.msgs_for(w)),
             &OnewayOpts { track_delay: true, ..OnewayOpts::default() }.with_records(),
-            None,
         );
         // Short messages: smallest 20% (W5: single-packet messages).
         let mut recs = res.records.clone();
@@ -530,15 +507,15 @@ fn fig15(opts: &ReproOpts) -> Vec<FigTable> {
             // Every protocol probes the same way, with the one drain budget
             // of `OnewayOpts::default()`.
             let (cap, _) = max_sustainable_load(|load| {
-                let res = oneway(p, &base.clone().with_load(load), &OnewayOpts::default(), None);
+                let res = logged(p, None, &base.clone().with_load(load), &OnewayOpts::default());
                 res.delivered as f64 / res.injected.max(1) as f64
             });
             // Application-goodput fraction at the capacity point.
-            let res = oneway(
+            let res = logged(
                 p,
+                None,
                 &base.clone().with_load((cap - 0.02).max(0.1)),
                 &OnewayOpts::default(),
-                None,
             );
             let frac = if res.stats.tor_down_wire_bytes > 0 {
                 res.stats.tor_down_goodput_bytes as f64 / res.stats.tor_down_wire_bytes as f64
@@ -555,8 +532,8 @@ fn fig15(opts: &ReproOpts) -> Vec<FigTable> {
     vec![t]
 }
 
-/// One configuration of an ablation: a `variant` label and the
-/// [`HomaConfig`] it stands for.
+/// One configuration of Homa that a figure sweeps: a `variant` label and
+/// the [`HomaConfig`] it stands for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Variant {
     /// `unsched=N`: N unscheduled levels above one scheduled level.
@@ -567,6 +544,9 @@ pub enum Variant {
     Cutoff(u64),
     /// `unsched_limit=<name>`: at most this many blind bytes per message.
     UnschedLimit(&'static str, u64),
+    /// `control` / `no_control`: Figure 10's incast control, marking
+    /// requests beyond 32 outstanding (§3.6), or never marking.
+    IncastControl(bool),
 }
 
 impl Variant {
@@ -577,7 +557,16 @@ impl Variant {
             Variant::Sched(n) => format!("sched={n}"),
             Variant::Cutoff(bytes) => format!("cutoff={bytes}"),
             Variant::UnschedLimit(name, _) => format!("unsched_limit={name}"),
+            Variant::IncastControl(on) => if *on { "control" } else { "no_control" }.into(),
         }
+    }
+
+    /// The variant `label` names, among those a figure runs: Figures
+    /// 17–20's, Figure 16's and Figure 10's.
+    pub fn parse(label: &str) -> Option<Variant> {
+        let ablations = [FIG17, FIG18, FIG19, FIG20].into_iter().flat_map(|a| a.variants);
+        let mut known = FIG16.into_iter().chain(ablations.copied()).chain(FIG10);
+        known.find(|v| v.label() == label)
     }
 
     /// The configuration the label stands for.
@@ -596,9 +585,26 @@ impl Variant {
                 ..base
             },
             Variant::UnschedLimit(_, bytes) => HomaConfig { unsched_limit: bytes, ..base },
+            Variant::IncastControl(on) => {
+                HomaConfig { incast_threshold: if on { 32 } else { u32::MAX }, ..base }
+            }
         }
     }
 }
+
+/// Figure 16: the scheduled-priority counts of `--full`'s overcommitment
+/// sweep (the quick sweep runs sched=1, 3 and 7).
+pub const FIG16: [Variant; 6] = [
+    Variant::Sched(1),
+    Variant::Sched(2),
+    Variant::Sched(3),
+    Variant::Sched(4),
+    Variant::Sched(5),
+    Variant::Sched(7),
+];
+
+/// Figure 10: incast control on, then off.
+pub const FIG10: [Variant; 2] = [Variant::IncastControl(true), Variant::IncastControl(false)];
 
 /// One of Figures 17–20: a workload and the variants swept on it.
 pub struct Ablation {
@@ -656,9 +662,8 @@ pub const FIG20: Ablation = Ablation {
 pub fn ablation(a: &Ablation, variants: &[Variant], opts: &ReproOpts) -> FigTable {
     let mut t = opts.table(a.figure);
     let spec = opts.spec(a.figure, a.workload, 0.8, opts.msgs_for(a.workload));
-    for v in variants {
-        let res =
-            oneway(Protocol::Homa, &spec, &OnewayOpts::default().with_records(), Some(v.config()));
+    for &v in variants {
+        let res = logged(Protocol::Homa, Some(v), &spec, &OnewayOpts::default().with_records());
         let s = SlowdownSummary::from_records(&res.records, SLOWDOWN_BINS);
         Row::new()
             .curve(a.workload.name(), "Homa", &v.label(), 0.8, "overall_p99")
@@ -676,17 +681,18 @@ pub fn ablation(a: &Ablation, variants: &[Variant], opts: &ReproOpts) -> FigTabl
 /// sampler and its x axis is the load.)
 fn fig16(opts: &ReproOpts) -> Vec<FigTable> {
     let mut t = opts.table("fig16");
-    let scheds: &[u8] = if opts.full { &[1, 2, 3, 4, 5, 7] } else { &[1, 3, 7] };
+    let quick = [FIG16[0], FIG16[2], FIG16[5]];
+    let variants: &[Variant] = if opts.full { &FIG16 } else { &quick };
     let loads: &[f64] =
         if opts.full { &[0.5, 0.6, 0.7, 0.8, 0.85, 0.9] } else { &[0.5, 0.7, 0.85] };
     let n = opts.msgs_for(Workload::W4);
-    for v in scheds.iter().map(|&s| Variant::Sched(s)) {
+    for &v in variants {
         for &load in loads {
-            let res = oneway(
+            let res = logged(
                 Protocol::Homa,
+                Some(v),
                 &opts.spec("fig16", Workload::W4, load, n),
                 &OnewayOpts { sample_wasted: true, ..OnewayOpts::default() },
-                Some(v.config()),
             );
             // Per the reference encoding, the canonical `load` is 0 and
             // the network load rides the x axis (XAxis::Load).
@@ -707,11 +713,11 @@ fn fig21(opts: &ReproOpts) -> Vec<FigTable> {
     let mut t = opts.table("fig21");
     let n = opts.msgs_for(Workload::W3);
     for load in [0.5, 0.8, 0.9] {
-        let res = oneway(
+        let res = logged(
             Protocol::Homa,
+            None,
             &opts.spec("fig21", Workload::W3, load, n),
             &OnewayOpts::default(),
-            None,
         );
         // Fraction of total available uplink bandwidth per priority: each
         // level's share of the uplink bytes times the offered wire load,
@@ -733,11 +739,11 @@ fn fig21(opts: &ReproOpts) -> Vec<FigTable> {
 fn table1(opts: &ReproOpts) -> Vec<FigTable> {
     let mut t = opts.table("table1");
     for &w in opts.workloads_or(&Workload::ALL) {
-        let res = oneway(
+        let res = logged(
             Protocol::Homa,
+            None,
             &opts.spec("table1", w, 0.8, opts.msgs_for(w)),
             &OnewayOpts::default(),
-            None,
         );
         for class in [PortClass::TorUp, PortClass::SpineDown, PortClass::TorDown] {
             Row::new()

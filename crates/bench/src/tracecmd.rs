@@ -1,5 +1,8 @@
-//! The `repro trace` subcommand: replay a scenario spec line with the
-//! flight recorder enabled and summarize what the fabric did.
+//! The `repro trace` subcommand: replay a run line (a spec line of any
+//! shape, with its `proto=` and `variant=` tokens) with the flight
+//! recorder enabled and summarize what the fabric did. The report's
+//! header repeats the run's tally as `repro` logged it, so a replay is
+//! checked by comparing two lines.
 //!
 //! Three artifacts per run:
 //!
@@ -18,7 +21,7 @@
 //! back into the simulation, so a traced run delivers the same messages
 //! at the same times as an untraced one.
 
-use crate::{run_protocol_scenario, Protocol};
+use crate::{run_line, run_protocol_scenario, tally, Protocol, Variant};
 use homa_harness::driver::OnewayOpts;
 use homa_harness::ScenarioSpec;
 use homa_sim::queues::LEVELS;
@@ -42,22 +45,25 @@ pub struct TraceRun {
 /// How many of the slowest lifecycles the report lists individually.
 const SLOWEST: usize = 5;
 
-/// Run `spec` for protocol `p` with the flight recorder capped at `cap`
-/// records, and fold the trace into the run's artifacts.
-pub fn trace_run(p: Protocol, spec: &ScenarioSpec, cap: usize) -> TraceRun {
+/// Run `spec` for protocol `p` under `variant` with the flight recorder
+/// capped at `cap` records, and fold the trace into the run's artifacts.
+pub fn trace_run(
+    p: Protocol,
+    variant: Option<Variant>,
+    spec: &ScenarioSpec,
+    cap: usize,
+) -> TraceRun {
     let mut opts = OnewayOpts::default().with_trace();
     opts.trace_cap = cap;
-    let res = run_protocol_scenario(p, spec, &opts, None);
+    let res = run_protocol_scenario(p, spec, &opts, variant);
 
     let jsonl = render_jsonl(&res.trace);
     let mut rep = String::new();
-    let _ = writeln!(rep, "=== trace: {} ===", spec.to_spec_line());
+    let _ = writeln!(rep, "=== trace: {} ===", run_line(p, variant, spec));
     let _ = writeln!(
         rep,
-        "protocol {}; injected {}, delivered {}; trace records {} ({} dropped)",
-        p.name(),
-        res.injected,
-        res.delivered,
+        "{}; trace records {} ({} dropped)",
+        tally(&res),
         res.trace.len(),
         res.trace_dropped,
     );
@@ -218,7 +224,7 @@ mod tests {
 
     #[test]
     fn traced_run_produces_jsonl_and_report() {
-        let tr = trace_run(Protocol::Homa, &tiny_spec(), FlightRecorder::DEFAULT_CAP);
+        let tr = trace_run(Protocol::Homa, None, &tiny_spec(), FlightRecorder::DEFAULT_CAP);
         assert_eq!(tr.dropped, 0, "tiny run must fit the ring");
         assert!(tr.kept > 0, "trace must not be empty");
         assert_eq!(tr.jsonl.lines().count(), tr.kept);

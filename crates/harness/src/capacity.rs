@@ -81,7 +81,7 @@ mod tests {
         );
         let (cap, probes) = max_sustainable_load(|load| {
             let make = |h| HomaSimTransport::new(h, HomaConfig::default());
-            let res = spec.clone().with_load(load).run_oneway(None, make, &OnewayOpts::default());
+            let res = spec.clone().with_load(load).run(None, make, &OnewayOpts::default());
             res.delivered as f64 / res.injected.max(1) as f64
         });
         assert!(cap >= 0.5, "homa must sustain 50% on W1, probes: {probes:?}");

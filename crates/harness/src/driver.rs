@@ -1,5 +1,6 @@
 //! Generic experiment driver: one run core, three arrival shapes, all
-//! entered through [`crate::ScenarioSpec`]'s run methods.
+//! entered through [`crate::ScenarioSpec::run`], which matches on the
+//! spec's [`crate::scenario::Shape`].
 //!
 //! * one-way — the §5.2 simulation setup: one-way messages with Poisson
 //!   arrivals at a target network load, placed by the spec's traffic
@@ -14,8 +15,12 @@
 //! the outstanding messages, every tally, the one application-event
 //! pump, the one drain loop — and every shape takes [`OnewayOpts`] and
 //! returns [`OnewayResult`]. What a run *is* (fabric, workload, load,
-//! seed, traffic, faults) comes from the spec, so every run is
+//! seed, traffic, faults, shape) comes from the spec, so every run is
 //! replayable from its one-line text form (`ScenarioSpec::to_spec_line`).
+//! A shape's preconditions (an RPC fabric's server, an incast's uniform
+//! traffic and zero load) are checked when a line is parsed
+//! (`ScenarioSpec::check_buildable`); a hand-built spec that breaks them
+//! panics here with the same message.
 
 use crate::scenario::ScenarioSpec;
 use crate::slowdown::{MsgRecord, SlowdownSketch};
@@ -64,7 +69,7 @@ pub const CTRL: u64 = homa::config::CTRL_BYTES as u64;
 /// Cadence of the Figure 16 wasted-bandwidth probe.
 const SAMPLE_INTERVAL: SimDuration = SimDuration::from_micros(10);
 /// Echo-RPC shape: the first `RPC_CLIENTS` host ids issue, the rest serve.
-const RPC_CLIENTS: u32 = 8;
+pub(crate) const RPC_CLIENTS: u32 = 8;
 /// Incast shape (Figure 10): request and response bytes, fan-in rounds,
 /// and the simulated time a round gets before its stragglers are aborted.
 const INCAST_REQ_LEN: u64 = 100;
@@ -72,9 +77,10 @@ const INCAST_RESP_LEN: u64 = 10_000;
 const INCAST_ROUNDS: u64 = 3;
 const INCAST_ROUND_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
-/// Options shared by the three run methods of [`ScenarioSpec`]: the
+/// Options of [`ScenarioSpec::run`], whatever the shape: the
 /// measurement knobs that are *not* part of what a scenario is (those —
-/// fabric, workload, load, traffic, faults — live on the spec itself).
+/// fabric, workload, load, traffic, faults, shape — live on the spec
+/// itself).
 #[derive(Debug, Clone)]
 pub struct OnewayOpts {
     /// Sample the Figure 16 wasted-bandwidth probe (every 10 µs, on the
@@ -518,7 +524,7 @@ pub(crate) fn oneway_plan(
 
 /// Run the one-way-message experiment `spec` describes: inject
 /// `spec.messages` Poisson arrivals at `spec.load`, placed by the spec's
-/// traffic pattern, then drain. Entry point: [`ScenarioSpec::run_oneway`].
+/// traffic pattern, then drain.
 pub(crate) fn oneway<M: PacketMeta, T: Transport<M>>(
     spec: &ScenarioSpec,
     queues: Option<QueueDiscipline>,
@@ -544,8 +550,7 @@ pub(crate) fn oneway<M: PacketMeta, T: Transport<M>>(
 
 /// The §5.1 echo benchmark: clients (the first [`RPC_CLIENTS`] hosts)
 /// issue `spec.messages` echo RPCs of workload-sampled sizes to random
-/// servers at `spec.load`; servers return the same payload. Entry point:
-/// [`ScenarioSpec::run_rpc_echo`].
+/// servers at `spec.load`; servers return the same payload.
 pub(crate) fn rpc_echo<M: PacketMeta, T: Transport<M>>(
     spec: &ScenarioSpec,
     queues: Option<QueueDiscipline>,
@@ -555,7 +560,6 @@ pub(crate) fn rpc_echo<M: PacketMeta, T: Transport<M>>(
     let mut run = Run::new(spec, queues, make, opts);
     let topo = run.net.topology();
     let dist = spec.workload.dist();
-    assert!(RPC_CLIENTS < topo.num_hosts(), "echo RPCs need {RPC_CLIENTS} clients and a server");
     let servers = topo.num_hosts() - RPC_CLIENTS;
     let plan = LoadPlan {
         hosts: RPC_CLIENTS,
@@ -582,28 +586,13 @@ pub(crate) fn rpc_echo<M: PacketMeta, T: Transport<M>>(
 /// Figure 10: host 0 issues `spec.messages` RPCs in parallel (round-robin
 /// over the other hosts), each answered with [`INCAST_RESP_LEN`] bytes,
 /// for [`INCAST_ROUNDS`] rounds; `delivered_bps` is the aggregate
-/// response goodput. Entry point: [`ScenarioSpec::run_incast`].
-///
-/// A spec with a non-default `traffic` or a nonzero `load` is rejected
-/// loudly rather than silently ignored (pinned by tests).
+/// response goodput.
 pub(crate) fn incast<M: PacketMeta, T: Transport<M>>(
     spec: &ScenarioSpec,
     queues: Option<QueueDiscipline>,
     make: impl FnMut(HostId) -> T,
     opts: &OnewayOpts,
 ) -> OnewayResult {
-    assert!(
-        spec.traffic.is_default(),
-        "incast scenario '{}': the rotational fan-in is the traffic pattern; \
-         a non-default TrafficSpec would be silently ignored — remove it",
-        spec.name
-    );
-    assert!(
-        spec.load == 0.0,
-        "incast scenario '{}': the run is closed-loop (no Poisson arrivals), \
-         so `load` has no effect — set it to 0.0",
-        spec.name
-    );
     let concurrent = spec.messages;
     let mut run = Run::new(spec, queues, make, opts);
     run.resp_len = Some(INCAST_RESP_LEN);
@@ -631,7 +620,7 @@ pub(crate) fn incast<M: PacketMeta, T: Transport<M>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::FabricSpec;
+    use crate::scenario::{FabricSpec, Shape};
     use homa::HomaConfig;
     use homa_baselines::HomaSimTransport;
     use homa_workloads::{TrafficSpec, Workload};
@@ -650,7 +639,7 @@ mod tests {
             500,
             7,
         );
-        let res = spec.run_oneway(None, homa, &OnewayOpts::default().with_records());
+        let res = spec.run(None, homa, &OnewayOpts::default().with_records());
         assert_eq!(res.injected, 500);
         assert_eq!(res.delivered, 500, "all messages must complete");
         assert_eq!(res.aborted, 0);
@@ -673,7 +662,7 @@ mod tests {
             600,
             5,
         );
-        let res = spec.run_oneway(None, homa, &OnewayOpts::default().with_records());
+        let res = spec.run(None, homa, &OnewayOpts::default().with_records());
         // The sketch runs alongside the exact records and must tell the
         // same story within its alpha.
         assert_eq!(res.sketch.count(), res.records.len() as u64);
@@ -707,8 +696,9 @@ mod tests {
             0.4,
             300,
             3,
-        );
-        let res = spec.run_rpc_echo(None, homa, &OnewayOpts::default().with_records());
+        )
+        .with_shape(Shape::Rpc);
+        let res = spec.run(None, homa, &OnewayOpts::default().with_records());
         assert_eq!(res.injected, 300);
         assert_eq!(res.delivered, 300);
         assert_eq!(res.records.len(), 300);
@@ -728,7 +718,7 @@ mod tests {
             11,
         )
         .with_traffic(TrafficSpec::incast(8));
-        let res = spec.run_oneway(None, homa, &OnewayOpts::default().with_records());
+        let res = spec.run(None, homa, &OnewayOpts::default().with_records());
         assert_eq!(res.injected, 400);
         assert_eq!(res.delivered, 400, "incast at 50% of host 0's downlink must complete");
         assert_eq!(res.records.len(), 400);
@@ -748,11 +738,8 @@ mod tests {
         ] {
             let cfg = HomaConfig { incast_threshold: threshold, ..HomaConfig::default() };
             let spec = ScenarioSpec::incast("pin", FabricSpec::SingleSwitch { hosts: 16 }, n, 42);
-            let res = spec.run_incast(
-                None,
-                |h| HomaSimTransport::new(h, cfg.clone()),
-                &OnewayOpts::default(),
-            );
+            let res =
+                spec.run(None, |h| HomaSimTransport::new(h, cfg.clone()), &OnewayOpts::default());
             let case = format!("{n}-wide, threshold {threshold}");
             assert_eq!(res.stats.events_processed, events, "{case}");
             assert_eq!((res.injected, res.delivered, res.aborted), (3 * n, 3 * n, 0), "{case}");
@@ -764,19 +751,14 @@ mod tests {
     #[test]
     fn all_shapes_conserve_messages_under_a_flap() {
         use homa_sim::{FaultPlan, LinkId};
-        type Shape = fn(&ScenarioSpec, &OnewayOpts) -> OnewayResult;
         let cluster = FabricSpec::SingleSwitch { hosts: 16 };
         let open = |name| ScenarioSpec::new(name, cluster, Workload::W3, 0.5, 400, 3);
-        let rows: [(ScenarioSpec, Shape, u64); 3] = [
-            (open("oneway"), |s, o| s.run_oneway(None, homa, o), 400),
-            (open("rpc"), |s, o| s.run_rpc_echo(None, homa, o), 400),
-            (
-                ScenarioSpec::incast("incast", cluster, 64, 3),
-                |s, o| s.run_incast(None, homa, o),
-                3 * 64,
-            ),
+        let rows = [
+            (open("oneway"), 400),
+            (open("rpc").with_shape(Shape::Rpc), 400),
+            (ScenarioSpec::incast("incast", cluster, 64, 3), 3 * 64),
         ];
-        for (spec, shape, injected) in rows {
+        for (spec, injected) in rows {
             // Flap host 0's downlink twice during the run: host 0 is the
             // incast client and an echo client, so every shape sends it
             // payload the flap cuts. Whatever kept a surviving packet is
@@ -789,7 +771,7 @@ mod tests {
                 200_000,
                 2,
             ));
-            let res = shape(&spec, &OnewayOpts::default());
+            let res = spec.run(None, homa, &OnewayOpts::default());
             let name = &spec.name;
             assert_eq!(res.injected, injected, "{name}");
             assert_eq!(
@@ -808,26 +790,14 @@ mod tests {
         }
     }
 
+    /// A parsed line cannot break its shape's rules
+    /// (`spec_line::tests::parse_errors_name_the_offending_key_and_value`
+    /// pins each); a hand-built spec that does stops before the run.
     #[test]
-    #[should_panic(expected = "the rotational fan-in is the traffic pattern")]
-    fn incast_rejects_non_default_traffic() {
-        let spec = ScenarioSpec::incast("bad", FabricSpec::SingleSwitch { hosts: 8 }, 16, 1)
-            .with_traffic(TrafficSpec::incast(4));
-        spec.run_incast(None, homa, &OnewayOpts::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "closed-loop")]
-    fn incast_rejects_nonzero_load() {
-        let spec = ScenarioSpec::new(
-            "bad_load",
-            FabricSpec::SingleSwitch { hosts: 8 },
-            Workload::W4,
-            0.5,
-            16,
-            1,
-        );
-        spec.run_incast(None, homa, &OnewayOpts::default());
+    #[should_panic(expected = "scenario 'bad': field `load`")]
+    fn a_spec_breaking_its_shape_panics_before_the_run() {
+        let spec = ScenarioSpec::incast("bad", FabricSpec::SingleSwitch { hosts: 8 }, 16, 1);
+        spec.with_load(0.5).run(None, homa, &OnewayOpts::default());
     }
 
     /// The slowdown denominator against the simulator itself: one Homa

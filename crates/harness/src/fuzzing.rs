@@ -170,6 +170,8 @@ impl ScenarioSpec {
         if !self.traffic.is_default() {
             out.push(self.clone().with_traffic(TrafficSpec::uniform()));
         }
+        // A smaller fabric may leave an RPC spec without a server.
+        out.retain(|spec| spec.check_shape().is_ok());
         out
     }
 }
@@ -494,8 +496,12 @@ mod tests {
 
     #[test]
     fn shrink_candidates_stay_legal() {
-        for seed in 0..150 {
-            let spec = ScenarioSpec::arbitrary(seed);
+        // An RPC spec on 16 hosts shrinks to no 8-host fabric: no server.
+        let rpc = ScenarioSpec::arbitrary(3).with_shape(crate::Shape::Rpc);
+        let rpc =
+            refit(rpc.with_traffic(TrafficSpec::uniform()), FabricSpec::MultiTor { hosts: 16 });
+        let specs = (0..150).map(ScenarioSpec::arbitrary).chain([rpc]);
+        for (seed, spec) in specs.enumerate() {
             for cand in spec.shrink() {
                 assert_eq!(cand.check_buildable(), Ok(()), "seed {seed} shrank off-fabric");
                 // Every candidate must still serialize and replay.

@@ -239,6 +239,12 @@ mod tests {
             "notafield",
             // Shrunk fuzzer find (seed 68908), once a parser panic.
             "traffic=uniform+victim:6:6:4:3",
+            // A shape the rest of the line cannot run: once a panic in the
+            // driver, after the line had parsed.
+            "name=x fabric=sw:16 wl=w4 load=0.5 msgs=10 seed=1 shape=tcp",
+            "name=x fabric=sw:8 wl=w4 load=0.5 msgs=10 seed=1 shape=rpc",
+            "name=x fabric=sw:16 wl=w4 load=0 msgs=10 seed=1 traffic=incast:2 shape=incast",
+            "name=x fabric=sw:16 wl=w4 load=0.5 msgs=10 seed=1 shape=incast",
         ] {
             let err = ScenarioSpec::parse_spec_line(bad).expect_err("must reject");
             assert!(err.contains("field `"), "`{bad}`: unnamed rejection: {err}");

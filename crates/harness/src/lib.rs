@@ -3,18 +3,18 @@
 //! Everything needed to regenerate the tables and figures of §5 of the
 //! Homa paper on the `homa-sim` fabric. The single driving surface is
 //! the [`ScenarioSpec`]: build one (fabric shape, workload, load, seed,
-//! traffic pattern, fault plan), then call
-//! [`ScenarioSpec::run_oneway`], [`ScenarioSpec::run_rpc_echo`] or
-//! [`ScenarioSpec::run_incast`] on it — three arrival shapes over one
-//! run core, all taking [`OnewayOpts`] (six measurement knobs) and
-//! returning [`OnewayResult`]. Every run is a pure function of its
-//! spec, and every spec serializes to a one-line replay string via
+//! traffic pattern, fault plan, experiment [`Shape`]), then call
+//! [`ScenarioSpec::run`] on it — one method for the three arrival shapes
+//! (one-way messages, echo RPCs, incast) over one run core, taking
+//! [`OnewayOpts`] (six measurement knobs) and returning
+//! [`OnewayResult`]. Every run is a pure function of its spec, and every
+//! spec serializes to a one-line replay string via
 //! [`ScenarioSpec::to_spec_line`].
 //!
-//! * [`scenario`] — declarative [`ScenarioSpec`]s and their run methods;
-//!   the vocabulary of the `perf-smoke` CI gate, the determinism tests
-//!   and the fuzz suites.
-//! * [`driver`] — the run core behind the spec run methods (one event
+//! * [`scenario`] — declarative [`ScenarioSpec`]s and their run method;
+//!   the vocabulary of the figures, the `perf-smoke` CI gate, the
+//!   determinism tests and the fuzz suites.
+//! * [`driver`] — the run core behind [`ScenarioSpec::run`] (one event
 //!   pump, one drain loop, one result: delivery accounting,
 //!   wasted-bandwidth sampling, delay attribution) and the three arrival
 //!   shapes that feed it: Poisson one-way messages for the §5.2
@@ -36,8 +36,8 @@
 //! * [`figures`] — digitized reference curves from the published
 //!   Figures 12–16 and the delta machinery of the `repro compare`
 //!   figure-accuracy gate.
-//! * [`render`] — plain-text table/series renderers used by the `repro`
-//!   binary and recorded in `EXPERIMENTS.md`.
+//! * [`render`] — the plain-text delta tables of `repro compare`, as
+//!   recorded in `EXPERIMENTS.md`.
 //!
 //! ## Paper map
 //!
@@ -48,7 +48,7 @@
 //! | [`slowdown`] | §5.1 slowdown metric, Figures 8/9/12/13 binning |
 //! | [`capacity`] | Figure 15 capacity search |
 //! | [`figures`] | Figures 12–16 published curves |
-//! | [`render`] | the figures' text form |
+//! | [`render`] | Figures 12–16 deltas as text |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -69,5 +69,5 @@ pub use fuzzing::stateful::{parse_ops_line, shrink_ops_to_minimal, OpTrace};
 pub use fuzzing::{
     failure_or_panic, shrink_to_minimal, shrink_to_minimal_with, FuzzFamily, SplitMix64,
 };
-pub use scenario::{FabricSpec, ScenarioSpec};
+pub use scenario::{FabricSpec, ScenarioSpec, Shape};
 pub use slowdown::{MsgRecord, SlowdownBin, SlowdownSummary};

@@ -94,17 +94,6 @@ fn fmt_axis(x: f64) -> String {
     }
 }
 
-/// Format bits/sec with engineering units.
-pub fn fmt_bps(bps: f64) -> String {
-    if bps >= 1e9 {
-        format!("{:.2} Gbps", bps / 1e9)
-    } else if bps >= 1e6 {
-        format!("{:.2} Mbps", bps / 1e6)
-    } else {
-        format!("{:.0} bps", bps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,11 +147,5 @@ mod tests {
         }
         let text = delta_report(&compare_curves(&measured));
         assert!(text.contains("FAIL"), "{text}");
-    }
-
-    #[test]
-    fn formatting_units() {
-        assert_eq!(fmt_bps(9.6e9), "9.60 Gbps");
-        assert_eq!(fmt_bps(42e6), "42.00 Mbps");
     }
 }

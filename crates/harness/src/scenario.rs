@@ -2,17 +2,17 @@
 //!
 //! A [`ScenarioSpec`] names everything that makes a run what it is —
 //! fabric shape, workload, offered load, message budget, seed, traffic
-//! pattern, fault schedule — in one value, and is the
-//! *only* way to start an experiment: [`ScenarioSpec::run_oneway`],
-//! [`ScenarioSpec::run_rpc_echo`] and [`ScenarioSpec::run_incast`] are
-//! three arrival shapes over one run core ([`crate::driver`]), sharing
-//! one options type ([`OnewayOpts`]: `sample_wasted`, `track_delay`,
-//! `drain`, `keep_records`, `trace`, `trace_cap`) and one result type
+//! pattern, fault schedule and experiment [`Shape`] — in one value, and
+//! is the *only* way to start an experiment: [`ScenarioSpec::run`]
+//! drives the spec's shape (one-way messages, echo RPCs or Figure 10's
+//! incast) over one run core ([`crate::driver`]), with one options type
+//! ([`OnewayOpts`]: `sample_wasted`, `track_delay`, `drain`,
+//! `keep_records`, `trace`, `trace_cap`) and one result type
 //! ([`OnewayResult`]). The `perf-smoke` CI gate, the determinism tests,
-//! the fuzzers and the nightly long-haul matrix all describe their runs
-//! this way, so "the 100-host W4 run at 80% load with seed 42" is a
-//! value that can be logged, compared, fuzzed, shrunk and replayed
-//! exactly — including from its one-line text form
+//! the fuzzers, the figures and the nightly long-haul matrix all
+//! describe their runs this way, so "the 100-host W4 run at 80% load
+//! with seed 42" is a value that can be logged, compared, fuzzed, shrunk
+//! and replayed exactly — including from its one-line text form
 //! ([`ScenarioSpec::to_spec_line`] / [`ScenarioSpec::parse_spec_line`]).
 
 use crate::driver::{self, OnewayOpts, OnewayResult};
@@ -86,6 +86,35 @@ impl FabricSpec {
     }
 }
 
+/// How a run's messages arrive: the three experiment shapes of §5.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Shape {
+    /// Poisson one-way messages placed by the traffic pattern (§5.2,
+    /// Figures 12–21, Table 1).
+    #[default]
+    Oneway,
+    /// Poisson echo RPCs from the first eight hosts to the rest (§5.1,
+    /// Figures 8–9); the fabric needs at least nine hosts. A "message"
+    /// of the result is a whole RPC, sized by its echoed payload.
+    Rpc,
+    /// Figure 10: three rounds of `messages` concurrent RPCs from host
+    /// 0, each answered with 10 KB; RPCs still out 500 ms into a round
+    /// count as aborted, and `delivered_bps` is the response goodput.
+    /// Closed-loop: the traffic stays uniform and the load 0.
+    Incast,
+}
+
+impl Shape {
+    /// The `shape=` token's value.
+    pub fn name(self) -> &'static str {
+        match self {
+            Shape::Oneway => "oneway",
+            Shape::Rpc => "rpc",
+            Shape::Incast => "incast",
+        }
+    }
+}
+
 /// One fully-specified experiment: everything a run is a pure function
 /// of, minus the transport (which the caller supplies, so one spec can be
 /// replayed across protocols).
@@ -111,10 +140,12 @@ pub struct ScenarioSpec {
     /// limits). Empty by default: no events are scheduled and runs are
     /// unchanged.
     pub faults: FaultPlan,
+    /// The experiment shape (one-way by default).
+    pub shape: Shape,
 }
 
 impl ScenarioSpec {
-    /// A spec with uniform traffic and no faults.
+    /// A one-way spec with uniform traffic and no faults.
     pub fn new(
         name: impl Into<String>,
         fabric: FabricSpec,
@@ -132,16 +163,24 @@ impl ScenarioSpec {
             seed,
             traffic: TrafficSpec::default(),
             faults: FaultPlan::default(),
+            shape: Shape::Oneway,
         }
     }
 
-    /// An incast spec: `concurrent` parallel RPCs per round converging on
-    /// host 0. Incast is closed-loop, so `load` is fixed at `0.0` and the
-    /// workload field is an unused placeholder ([`Workload::W4`]) — the
-    /// Figure 10 shape (10 KB responses, three rounds) is fixed in
-    /// [`crate::driver`].
+    /// An incast spec ([`Shape::Incast`]): `concurrent` parallel RPCs
+    /// per round converging on host 0. Incast is closed-loop, so `load`
+    /// is fixed at `0.0` and the workload picks only the Homa priority
+    /// map ([`Workload::W4`]) — the Figure 10 shape (10 KB responses,
+    /// three rounds) is fixed in [`crate::driver`].
     pub fn incast(name: impl Into<String>, fabric: FabricSpec, concurrent: u64, seed: u64) -> Self {
         ScenarioSpec::new(name, fabric, Workload::W4, 0.0, concurrent, seed)
+            .with_shape(Shape::Incast)
+    }
+
+    /// The same scenario in a different experiment shape.
+    pub fn with_shape(mut self, shape: Shape) -> Self {
+        self.shape = shape;
+        self
     }
 
     /// The same scenario under a different traffic pattern.
@@ -173,12 +212,6 @@ impl ScenarioSpec {
         self.fabric.topology()
     }
 
-    /// Fabric configuration for this spec: seeded, with the default
-    /// strict-priority queues.
-    pub fn netcfg(&self) -> NetworkConfig {
-        self.netcfg_with(None)
-    }
-
     /// Fabric configuration with a protocol-specific queue discipline on
     /// every port class (pFabric, PIAS, NDP), or the default when `None`.
     pub fn netcfg_with(&self, queues: Option<QueueDiscipline>) -> NetworkConfig {
@@ -188,12 +221,17 @@ impl ScenarioSpec {
         }
     }
 
-    /// Run the all-to-all one-way experiment this spec describes (the
-    /// §5.2 setup): `make` builds one transport per host, `queues`
-    /// overrides the switch queue discipline (pFabric, PIAS, NDP), and
-    /// `opts` holds the measurement knobs. The spec's traffic pattern and
-    /// fault schedule are borrowed, not copied, for the run.
-    pub fn run_oneway<M, T>(
+    /// Run the experiment this spec describes, in its [`Shape`]: `make`
+    /// builds one transport per host, `queues` overrides the switch queue
+    /// discipline (pFabric, PIAS, NDP), and `opts` holds the measurement
+    /// knobs (`drain` and `sample_wasted` do not apply to a closed-loop
+    /// incast). The spec's traffic pattern and fault schedule are
+    /// borrowed, not copied, for the run.
+    ///
+    /// # Panics
+    /// If an RPC or incast spec fails [`ScenarioSpec::check_buildable`]'s
+    /// shape rules (a parsed spec line has already passed them).
+    pub fn run<M, T>(
         &self,
         queues: Option<QueueDiscipline>,
         make: impl FnMut(HostId) -> T,
@@ -203,45 +241,12 @@ impl ScenarioSpec {
         M: PacketMeta,
         T: Transport<M>,
     {
-        driver::oneway(self, queues, make, opts)
-    }
-
-    /// Run the §5.1 echo-RPC experiment this spec describes:
-    /// `self.messages` echo RPCs from the first 8 hosts to the rest (so
-    /// the fabric needs at least 9). In the result a "message" is a whole
-    /// RPC, sized by its echoed payload.
-    pub fn run_rpc_echo<M, T>(
-        &self,
-        queues: Option<QueueDiscipline>,
-        make: impl FnMut(HostId) -> T,
-        opts: &OnewayOpts,
-    ) -> OnewayResult
-    where
-        M: PacketMeta,
-        T: Transport<M>,
-    {
-        driver::rpc_echo(self, queues, make, opts)
-    }
-
-    /// Run the Figure 10 incast this spec describes: three rounds of
-    /// `self.messages` concurrent RPCs from host 0, each answered with
-    /// 10 KB; RPCs still out 500 ms into a round count as aborted, and
-    /// `delivered_bps` is the aggregate response goodput. Requires an
-    /// incast-shaped spec (default traffic, zero load — see
-    /// [`ScenarioSpec::incast`]); the fault schedule is installed like
-    /// the other shapes'. `opts.drain` and `opts.sample_wasted` do not
-    /// apply to a closed-loop run.
-    pub fn run_incast<M, T>(
-        &self,
-        queues: Option<QueueDiscipline>,
-        make: impl FnMut(HostId) -> T,
-        opts: &OnewayOpts,
-    ) -> OnewayResult
-    where
-        M: PacketMeta,
-        T: Transport<M>,
-    {
-        driver::incast(self, queues, make, opts)
+        self.check_shape().unwrap_or_else(|e| panic!("scenario '{}': {e}", self.name));
+        match self.shape {
+            Shape::Oneway => driver::oneway(self, queues, make, opts),
+            Shape::Rpc => driver::rpc_echo(self, queues, make, opts),
+            Shape::Incast => driver::incast(self, queues, make, opts),
+        }
     }
 }
 
@@ -273,7 +278,7 @@ mod tests {
             120,
             3,
         );
-        let res = spec.run_oneway(
+        let res = spec.run(
             None,
             |h| HomaSimTransport::new(h, HomaConfig::default()),
             &OnewayOpts::default(),
@@ -296,6 +301,7 @@ mod tests {
         );
         assert!(spec.traffic.is_default());
         assert!(spec.faults.is_empty());
+        assert_eq!(spec.shape, Shape::Oneway);
     }
 
     #[test]
@@ -316,7 +322,7 @@ mod tests {
                 .link_flaps(LinkId::HostDownlink(HostId(0)), 50_000, 60_000, 200_000, 2)
                 .receiver_pause(HostId(2), 10_000, 80_000),
         );
-        let res = spec.run_oneway(
+        let res = spec.run(
             None,
             |h| HomaSimTransport::new(h, HomaConfig::default()),
             &OnewayOpts::default(),
@@ -338,7 +344,7 @@ mod tests {
             200,
             9,
         );
-        let res = spec.run_oneway(
+        let res = spec.run(
             None,
             |h| HomaSimTransport::new(h, HomaConfig::default()),
             &OnewayOpts::default().with_records(),

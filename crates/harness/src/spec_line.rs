@@ -8,7 +8,8 @@
 //!
 //! ```text
 //! name=det_fault_incast fabric=ls:2x6x2 wl=W2 load=0.5 msgs=700 seed=21 \
-//!   traffic=incast:8 faults=100000:down:hdn0,150000:up:hdn0,160000:pause:0,240000:resume:0
+//!   traffic=incast:8 faults=100000:down:hdn0,150000:up:hdn0,160000:pause:0,240000:resume:0 \
+//!   shape=oneway
 //! ```
 //!
 //! Field grammar (all values whitespace-free):
@@ -23,12 +24,19 @@
 //!   `down:<link>` `up:<link>` `rate:<link>:<bps>` `raterestore:<link>`
 //!   `pause:<host>` `resume:<host>`, and `<link>` is `hup<host>` (the
 //!   host's uplink) | `hdn<host>` (its downlink)
+//! * `shape` — `oneway` | `rpc` | `incast` ([`Shape`]). An `rpc` fabric
+//!   has more than eight hosts; an `incast` line keeps `traffic=uniform`
+//!   and `load=0`.
+//!
+//! `traffic`, `faults` and `shape` may be omitted: a line written before
+//! `shape` existed parses as the one-way run it always described.
 //!
 //! `format ∘ parse` is the identity on every spec whose name is free of
 //! whitespace (names with whitespace are sanitized to `_` on output);
 //! the fuzz suite pins this property over [`ScenarioSpec::arbitrary`].
 
-use crate::scenario::{FabricSpec, ScenarioSpec};
+use crate::driver::RPC_CLIENTS;
+use crate::scenario::{FabricSpec, ScenarioSpec, Shape};
 use homa_sim::{Fault, FaultPlan, HostId, LinkId};
 use homa_workloads::{PatternSpec, TrafficSpec, Workload};
 
@@ -85,6 +93,13 @@ fn parse_traffic(s: &str) -> Result<TrafficSpec, String> {
         Ok(n) if n >= 1 => Ok(TrafficSpec::incast(n)),
         _ => Err(format!("bad incast fan-in in `{s}`")),
     }
+}
+
+fn parse_shape(s: &str) -> Result<Shape, String> {
+    [Shape::Oneway, Shape::Rpc, Shape::Incast]
+        .into_iter()
+        .find(|shape| shape.name() == s)
+        .ok_or_else(|| format!("unknown shape `{s}`"))
 }
 
 fn link_str(l: LinkId) -> String {
@@ -166,12 +181,12 @@ fn parse_faults(s: &str) -> Result<FaultPlan, String> {
 impl ScenarioSpec {
     /// The spec as one replayable line of `key=value` fields (see the
     /// module docs for the grammar). Whitespace in the name is sanitized
-    /// to `_` so the line always splits back into exactly eight fields.
+    /// to `_` so the line always splits back into exactly nine fields.
     pub fn to_spec_line(&self) -> String {
         let name: String =
             self.name.chars().map(|c| if c.is_whitespace() { '_' } else { c }).collect();
         format!(
-            "name={name} fabric={} wl={} load={} msgs={} seed={} traffic={} faults={}",
+            "name={name} fabric={} wl={} load={} msgs={} seed={} traffic={} faults={} shape={}",
             fabric_str(self.fabric),
             self.workload.name(),
             self.load,
@@ -179,17 +194,20 @@ impl ScenarioSpec {
             self.seed,
             traffic_str(&self.traffic),
             faults_str(&self.faults),
+            self.shape.name(),
         )
     }
 
     /// Parse a line produced by [`ScenarioSpec::to_spec_line`] back into
-    /// the spec. `traffic` and `faults` may be omitted (they default);
+    /// the spec. `traffic`, `faults` and `shape` may be omitted (they
+    /// default);
     /// the other six fields are required. Unknown keys are an error, so
     /// typos — and lines from before PR 16, which carried an `engine`
     /// field — fail loudly rather than replaying the wrong run. So are a
-    /// fabric that cannot be built and a fault naming something the
-    /// fabric lacks ([`ScenarioSpec::check_buildable`]): they used to
-    /// parse and then panic mid-run.
+    /// fabric that cannot be built, a fault naming something the fabric
+    /// lacks and a shape the rest of the line cannot run
+    /// ([`ScenarioSpec::check_buildable`]): they used to parse and then
+    /// panic mid-run.
     pub fn parse_spec_line(line: &str) -> Result<ScenarioSpec, String> {
         let mut name = None;
         let mut fabric = None;
@@ -199,6 +217,7 @@ impl ScenarioSpec {
         let mut seed = None;
         let mut traffic = TrafficSpec::default();
         let mut faults = FaultPlan::default();
+        let mut shape = Shape::Oneway;
         for field in line.split_whitespace() {
             let (key, value) =
                 field.split_once('=').ok_or_else(|| format!("bad field `{field}` (want k=v)"))?;
@@ -229,6 +248,7 @@ impl ScenarioSpec {
                 }
                 "traffic" => traffic = parse_traffic(value).map_err(ctx)?,
                 "faults" => faults = parse_faults(value).map_err(ctx)?,
+                "shape" => shape = parse_shape(value).map_err(ctx)?,
                 other => return Err(format!("unknown field `{other}` (value `{value}`)")),
             }
         }
@@ -242,27 +262,54 @@ impl ScenarioSpec {
             seed.ok_or_else(|| req("seed"))?,
         )
         .with_traffic(traffic)
-        .with_faults(faults);
+        .with_faults(faults)
+        .with_shape(shape);
         spec.check_buildable()?;
         Ok(spec)
     }
 
-    /// Whether the fabric can be built and carries every fault of the
-    /// plan: what a run would otherwise discover by panicking in
-    /// `Network::new` or `install_faults`. The error names the field and
-    /// the offending value, like every other parse error.
+    /// Whether the fabric can be built, carries every fault of the plan
+    /// and suits the shape: what a run would otherwise discover by
+    /// panicking in `Network::new`, `install_faults` or the driver. The
+    /// error names the field and the offending value, like every other
+    /// parse error.
     pub fn check_buildable(&self) -> Result<(), String> {
         let topo = self.fabric.try_topology().map_err(|e| {
             format!("field `fabric`: cannot build `{}`: {e}", fabric_str(self.fabric))
         })?;
-        self.faults.resolve(&topo).map(drop).map_err(|e| {
+        self.faults.resolve(&topo).map_err(|e| {
             let fault = fault_str(e.fault);
             format!(
                 "field `faults`: {} in `{fault}` on fabric `{}`",
                 e.reason,
                 fabric_str(self.fabric)
             )
-        })
+        })?;
+        self.check_shape()
+    }
+
+    /// The shape's own rules, which the driver enforces too: an RPC
+    /// fabric has a server beyond the eight clients, and an incast is
+    /// closed-loop from host 0, so it takes no traffic pattern and no load.
+    pub(crate) fn check_shape(&self) -> Result<(), String> {
+        let shape = self.shape.name();
+        match self.shape {
+            Shape::Rpc if self.fabric.hosts() <= RPC_CLIENTS => Err(format!(
+                "field `fabric`: `{}` has no server for shape={shape}: its first \
+                 {RPC_CLIENTS} hosts are the clients",
+                fabric_str(self.fabric)
+            )),
+            Shape::Incast if !self.traffic.is_default() => Err(format!(
+                "field `traffic`: `{}` with shape={shape}: the rotational fan-in onto host 0 \
+                 is the pattern",
+                traffic_str(&self.traffic)
+            )),
+            Shape::Incast if self.load != 0.0 => Err(format!(
+                "field `load`: `{}` with shape={shape}: the rounds are closed-loop, so load=0",
+                self.load
+            )),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -344,6 +391,15 @@ mod tests {
     }
 
     #[test]
+    fn shapes_round_trip() {
+        let fabric = FabricSpec::SingleSwitch { hosts: 16 };
+        round_trips(
+            &ScenarioSpec::new("r", fabric, Workload::W3, 0.8, 60, 4).with_shape(Shape::Rpc),
+        );
+        round_trips(&ScenarioSpec::incast("i", fabric, 64, 4));
+    }
+
+    #[test]
     fn float_loads_round_trip_exactly() {
         for load in [0.1, 0.3333333333333333, 0.8, 0.955, 1.0, 0.05] {
             round_trips(&ScenarioSpec::new(
@@ -378,6 +434,7 @@ mod tests {
                 .unwrap();
         assert!(spec.traffic.is_default());
         assert!(spec.faults.is_empty());
+        assert_eq!(spec.shape, Shape::Oneway);
     }
 
     #[test]
@@ -436,6 +493,26 @@ mod tests {
                 "unknown field `color` (value `red`)",
             ),
             ("name=a fabric=sw:8 wl=W1 msgs=10 seed=1", "missing required field `load`"),
+            (
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 shape=stream",
+                "field `shape`: unknown shape `stream`",
+            ),
+            // A shape the rest of the line cannot run: these were
+            // `assert!`s in the driver.
+            (
+                "name=a fabric=sw:8 wl=W1 load=0.5 msgs=10 seed=1 shape=rpc",
+                "field `fabric`: `sw:8` has no server for shape=rpc: its first 8 hosts are the \
+                 clients",
+            ),
+            (
+                "name=a fabric=sw:16 wl=W4 load=0 msgs=16 seed=1 traffic=incast:4 shape=incast",
+                "field `traffic`: `incast:4` with shape=incast: the rotational fan-in onto host 0 \
+                 is the pattern",
+            ),
+            (
+                "name=a fabric=sw:16 wl=W4 load=0.5 msgs=16 seed=1 shape=incast",
+                "field `load`: `0.5` with shape=incast: the rounds are closed-loop, so load=0",
+            ),
             ("notafield", "bad field `notafield` (want k=v)"),
             // Regressions: each of these parsed, then panicked mid-run in
             // `Network::new` or `install_faults` with a backtrace.

@@ -122,7 +122,7 @@ impl TrafficMatrix {
 
     /// An incast of `fan_in` senders onto host 0: successive draws
     /// rotate round-robin over hosts `1..=min(fan_in, hosts-1)`. This is
-    /// also the fan-in selector `run_incast` uses for its request
+    /// also the fan-in selector the incast shape uses for its request
     /// spraying.
     pub fn incast(fan_in: u32, hosts: u32) -> Self {
         assert!(hosts >= 2, "patterns need at least two hosts");
@@ -130,7 +130,7 @@ impl TrafficMatrix {
     }
 
     /// Draw the next pair of an incast, which never consumes randomness.
-    /// Lets closed-loop drivers like `run_incast` share the pattern
+    /// Lets closed-loop drivers like the incast shape share the pattern
     /// without owning an RNG.
     ///
     /// # Panics

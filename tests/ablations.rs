@@ -68,7 +68,7 @@ fn overcommitment_reduces_wasted_bandwidth() {
             Protocol::Homa,
             &spec,
             &OnewayOpts { sample_wasted: true, ..OnewayOpts::default() },
-            Some(Variant::Sched(sched).config()),
+            Some(Variant::Sched(sched)),
         );
         res.wasted_fraction
     };

@@ -73,7 +73,7 @@ fn restricting_priorities_hurts_tail_latency() {
     let run = |prios: u8| {
         let cfg = HomaConfig { num_priorities: prios, ..HomaConfig::default() };
         let map = static_map_for_workload(&dist, &cfg);
-        let res = spec.run_oneway(
+        let res = spec.run(
             None,
             |h| HomaSimTransport::new(h, cfg.clone()).with_static_map(map.clone()),
             &OnewayOpts::default().with_records(),

@@ -28,7 +28,9 @@
 //!     `bash benchmark/run.sh --trace 1`.
 //!
 //! perf-smoke --compare BASELINE CURRENT
-//!     print both reports side by side and exit nonzero if CURRENT's
+//!     print both reports' counts and peak RSS side by side with
+//!     CURRENT's times (BASELINE's times follow on a history line: they
+//!     were recorded on another machine), and exit nonzero if CURRENT's
 //!     deterministic counts (messages, events, delivered) differ from
 //!     BASELINE's (which means the simulation itself changed — refresh
 //!     the baseline deliberately if intended) or its peak RSS is more
@@ -292,8 +294,16 @@ fn compare(base_path: &str, cur_path: &str) -> i32 {
         RSS_TOLERANCE * 100.0
     );
     println!(
-        "{:<14} {:>12} {:>12} {:>14} {:>14} {:>12} {:>12}",
-        "scenario", "base ms", "cur ms", "base ev/s", "cur ev/s", "base rss", "cur rss"
+        "{:<18} {:>10} {:>10} {:>9} {:>9} {:>10} {:>10} {:>9} {:>11}",
+        "scenario",
+        "base ev",
+        "cur ev",
+        "base dlv",
+        "cur dlv",
+        "base rss",
+        "cur rss",
+        "cur ms",
+        "cur ev/s"
     );
     let rss_col = |kb: u64| {
         if kb > 0 {
@@ -305,16 +315,24 @@ fn compare(base_path: &str, cur_path: &str) -> i32 {
     for b in &base.scenarios {
         if let Some(c) = cur.scenarios.iter().find(|s| s.name == b.name) {
             println!(
-                "{:<14} {:>12.1} {:>12.1} {:>14.0} {:>14.0} {:>12} {:>12}",
+                "{:<18} {:>10} {:>10} {:>9} {:>9} {:>10} {:>10} {:>9.1} {:>11.0}",
                 b.name,
-                b.wall_ms,
-                c.wall_ms,
-                b.events_per_sec,
-                c.events_per_sec,
+                b.events,
+                c.events,
+                b.delivered,
+                c.delivered,
                 rss_col(b.peak_rss_kb),
-                rss_col(c.peak_rss_kb)
+                rss_col(c.peak_rss_kb),
+                c.wall_ms,
+                c.events_per_sec
             );
         }
+    }
+    // The baseline's times describe the machine and the moment it was
+    // recorded on, so they are history, not a reference for this run.
+    println!("history: the baseline's times, recorded on another machine:");
+    for b in &base.scenarios {
+        println!("  {:<18} {:>9.1} ms {:>11.0} ev/s", b.name, b.wall_ms, b.events_per_sec);
     }
     let fails = regressions(&base, &cur);
     if fails.is_empty() {

@@ -249,6 +249,9 @@ struct Run<'a, M: PacketMeta, T: Transport<M>> {
     /// Records, sketch and message counts accumulate here; `finish`
     /// fills in what is only known at the end.
     out: OnewayResult,
+    /// The application-event buffer [`Self::pump`] trades with the
+    /// network, empty between pumps.
+    app_events: Vec<(SimTime, HostId, AppEvent)>,
     injected_bytes: u64,
     delivered_bytes: u64,
     /// Bytes of every delivery event the pump saw (one-ways, requests
@@ -287,6 +290,7 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
             resolved: ResolvedSet::default(),
             unloaded: OwnKeyMap::default(),
             out: OnewayResult::default(),
+            app_events: Vec::new(),
             injected_bytes: 0,
             delivered_bytes: 0,
             #[cfg(debug_assertions)]
@@ -385,7 +389,11 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
     /// The one application-event pump: settle deliveries, completions
     /// and aborts against `pending`, and answer RPC requests.
     fn pump(&mut self) {
-        for (at, host, ev) in self.net.take_app_events() {
+        // The buffer goes back to the network each pump, so no pump
+        // allocates; responses injected below land in the other buffer.
+        let mut events = std::mem::take(&mut self.app_events);
+        self.net.swap_app_events(&mut events);
+        for (at, host, ev) in events.drain(..) {
             #[cfg(debug_assertions)]
             self.check_event(host, &ev);
             let (tag, from) = match ev {
@@ -433,6 +441,7 @@ impl<'a, M: PacketMeta, T: Transport<M>> Run<'a, M, T> {
                 self.out.records.push(rec);
             }
         }
+        self.app_events = events;
     }
 
     /// Run the fabric up to the next arrival at `at`, stopping at every

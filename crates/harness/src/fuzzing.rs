@@ -300,8 +300,8 @@ fn report_failure(family: &str, line: &str, detail: &str) {
 /// follows. The name is the artifact file
 /// (`$HOMA_FUZZ_FAILURE_DIR/<name>.txt`) and the prefix that addresses a
 /// replay line to this family (`HOMA_FUZZ_REPLAY='<name>:<line>'`);
-/// `HOMA_FUZZ_ITERS` scales every family alike. All nine families —
-/// wire, conservation, stateful, spec-grammar and the five seed-keyed
+/// `HOMA_FUZZ_ITERS` scales every family alike. All ten families —
+/// wire, conservation, stateful, spec-grammar and the six seed-keyed
 /// property families — run their loops through one of these.
 #[derive(Debug, Clone, Copy)]
 pub struct FuzzFamily {

@@ -273,6 +273,9 @@ impl<E> HierEventQueue<E> {
     /// # Panics
     /// If `lane` is out of range for this engine, or `at` is before the
     /// highest instant popped.
+    // Forced: every fabric handler schedules, and its event should go
+    // straight into the slab node rather than through a call's arguments.
+    #[inline(always)]
     pub fn schedule(&mut self, lane: LaneId, at: SimTime, payload: E) {
         assert!(
             lane.0 < self.stats.lanes,
@@ -322,6 +325,7 @@ impl<E> HierEventQueue<E> {
     }
 
     /// Append `node` to the FIFO of instant `t`, which is inside the horizon.
+    #[inline(always)]
     fn link(&mut self, t: u64, node: u32) {
         let s = (t % WHEEL_NS) as usize;
         let tail = self.slots[s].1;

@@ -106,7 +106,9 @@ impl NetworkConfig {
     }
 }
 
-/// A fabric event: 32 bytes, no packet (packets wait in port state).
+/// A fabric event: 16 bytes, no packet (packets wait in port state) and
+/// no fault action (a rate is 8 bytes; the action waits in the fault
+/// table).
 enum Ev {
     /// A port finished serializing its current packet.
     TxDone { node: NodeId, port: u32 },
@@ -115,8 +117,9 @@ enum Ev {
     Arrive { node: NodeId, port: u32 },
     /// A transport timer fired.
     Timer { host: HostId, token: TimerToken },
-    /// A scheduled fault takes effect (see [`crate::faults`]).
-    Fault { node: NodeId, port: u32, action: FaultAction },
+    /// A scheduled fault takes effect (see [`crate::faults`]): the index
+    /// of its `(node, port, action)` in the network's fault table.
+    Fault(u32),
 }
 
 /// How many events apart debug builds check conservation (see the
@@ -590,6 +593,9 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     switches: Vec<Vec<Port<M>>>,
     rng: Xoshiro256PlusPlus,
     app_events: Vec<(SimTime, HostId, AppEvent)>,
+    /// Every installed fault, in installation order; an [`Ev::Fault`]
+    /// names its entry.
+    faults: Vec<(NodeId, u32, FaultAction)>,
     events_processed: u64,
     faults_applied: u64,
     fault_drops: u64,
@@ -633,6 +639,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             hosts,
             switches,
             app_events: Vec::new(),
+            faults: Vec::new(),
             events_processed: 0,
             faults_applied: 0,
             fault_drops: 0,
@@ -714,7 +721,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// switch it names and run its handler.
     fn dispatch(&mut self, ev: Ev) {
         let now = self.now;
-        let Self { topo, hosts, switches, queue, rng, app_events, tracer, .. } = self;
+        let Self { topo, hosts, switches, queue, rng, app_events, tracer, faults, .. } = self;
         let cx = &mut Ctx { topo, queue, app_events, tracer: tracer.as_mut(), rng };
         match ev {
             Ev::TxDone { node, port } => on_tx_done(cx, hosts, switches, now, node, port),
@@ -732,7 +739,8 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
                     sw => on_switch_arrive(cx, switches, &mut self.fault_drops, now, sw, pkt),
                 }
             }
-            Ev::Fault { node, port, action } => {
+            Ev::Fault(i) => {
+                let (node, port, action) = faults[i as usize];
                 self.faults_applied += 1;
                 apply_fault(cx, hosts, switches, now, node, port, action)
             }
@@ -813,6 +821,14 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         std::mem::take(&mut self.app_events)
     }
 
+    /// Swap the application events accumulated since the last call into
+    /// `buf`, whose contents and allocation the network keeps for the
+    /// events that follow: a caller that clears `buf` after reading it
+    /// drains events with no allocation per call.
+    pub fn swap_app_events(&mut self, buf: &mut Vec<(SimTime, HostId, AppEvent)>) {
+        std::mem::swap(&mut self.app_events, buf);
+    }
+
     /// True when host `h`'s TOR→host downlink is idle (nothing serializing,
     /// nothing queued). Used by the Figure 16 wasted-bandwidth probe.
     pub fn downlink_idle(&self, h: HostId) -> bool {
@@ -848,7 +864,9 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
                 at >= self.now,
                 "fault scheduled in the past: {action:?} on {node:?} port {port} at {at:?}"
             );
-            self.queue.schedule(LANE, at, Ev::Fault { node, port, action });
+            let i = u32::try_from(self.faults.len()).expect("over u32::MAX faults");
+            self.faults.push((node, port, action));
+            self.queue.schedule(LANE, at, Ev::Fault(i));
         }
     }
 
@@ -983,7 +1001,7 @@ mod tests {
 
     #[test]
     fn a_fabric_event_carries_no_packet() {
-        assert!(size_of::<Ev>() <= 32, "{} bytes", size_of::<Ev>());
+        assert!(size_of::<Ev>() <= 16, "{} bytes", size_of::<Ev>());
     }
 
     #[test]
@@ -1211,6 +1229,40 @@ mod tests {
         net.run_until(SimTime::from_millis(2));
         let evs = net.take_app_events();
         assert_eq!((evs[0].0 - t0).as_nanos(), 848 + 250 + 848 + 1500);
+    }
+
+    #[test]
+    fn separately_installed_faults_apply_their_own_actions_in_order() {
+        // Two plans on one port and one host, each fault an entry of the
+        // fault table: at one instant they apply in insertion order, and
+        // each applies its own action.
+        use crate::faults::{Fault, FaultPlan, LinkId};
+        let link = LinkId::HostUplink(HostId(0));
+        let slow = Fault::RateLimit { link, bps: 1_000_000_000 };
+        let first_hop = |first: Fault, second: Fault| {
+            let mut net = simple_net(Topology::single_switch(4));
+            net.install_faults(
+                &FaultPlan::new().at(1_000, first).at(1_000, Fault::PauseReceiver(HostId(1))),
+            );
+            net.install_faults(
+                &FaultPlan::new().at(1_000, second).at(50_000, Fault::ResumeReceiver(HostId(1))),
+            );
+            net.run_until(SimTime::from_micros(10));
+            net.inject_message(HostId(0), HostId(1), 1000, 1);
+            net.run_until(SimTime::from_nanos(49_999));
+            assert_eq!(net.take_app_events().len(), 0, "paused host processed packets");
+            net.run_until(SimTime::from_micros(50));
+            assert_eq!(net.take_app_events().len(), 1, "resume hands the packet over");
+            let t0 = net.now();
+            net.inject_message(HostId(0), HostId(1), 1000, 2);
+            net.run_until(SimTime::from_millis(1));
+            let evs = net.take_app_events();
+            let stats = net.harvest_stats();
+            assert_eq!((stats.faults_applied, stats.deferred_deliveries), (4, 1));
+            (evs[0].0 - t0).as_nanos() - (250 + 848 + 1500)
+        };
+        assert_eq!(first_hop(slow, Fault::RateRestore(link)), 848);
+        assert_eq!(first_hop(Fault::RateRestore(link), slow), 8480);
     }
 
     #[test]

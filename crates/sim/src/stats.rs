@@ -140,9 +140,11 @@ impl RunStats {
 pub struct QuantileSketch {
     /// `ln(gamma)`, cached: bucket key of `v` is `ceil(ln(v)/ln_gamma)`.
     ln_gamma: f64,
-    /// Sparse bucket -> count map. BTreeMap keeps iteration (and thus
-    /// quantile scans and Debug output) deterministic.
-    bins: std::collections::BTreeMap<i32, u64>,
+    /// The occupied buckets as `(key, count)`, in ascending key order (so
+    /// quantile scans and Debug output are deterministic), found by
+    /// binary search: a few hundred keys at most, so an insert moves
+    /// little and a lookup touches no node of a tree.
+    bins: Vec<(i32, u64)>,
     /// Observations `<= 0` (the log mapping can't represent them).
     zero_count: u64,
     count: u64,
@@ -155,7 +157,7 @@ impl Default for QuantileSketch {
     fn default() -> Self {
         QuantileSketch {
             ln_gamma: Self::GAMMA.ln(),
-            bins: std::collections::BTreeMap::new(),
+            bins: Vec::new(),
             zero_count: 0,
             count: 0,
             sum: 0.0,
@@ -186,7 +188,10 @@ impl QuantileSketch {
             self.zero_count += 1;
         } else {
             let key = (v.ln() / self.ln_gamma).ceil() as i32;
-            *self.bins.entry(key).or_insert(0) += 1;
+            match self.bins.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(i) => self.bins[i].1 += 1,
+                Err(i) => self.bins.insert(i, (key, 1)),
+            }
         }
     }
 
@@ -195,8 +200,8 @@ impl QuantileSketch {
         self.count
     }
 
-    /// Number of live buckets (the memory footprint, up to the map's
-    /// per-node overhead).
+    /// Number of live buckets: the memory footprint, 16 bytes each plus
+    /// the vector's spare capacity.
     pub fn bin_count(&self) -> usize {
         self.bins.len()
     }
@@ -242,7 +247,7 @@ impl QuantileSketch {
             return 0.0;
         }
         let mut seen = self.zero_count;
-        for (&key, &n) in &self.bins {
+        for &(key, n) in &self.bins {
             seen += n;
             if seen > rank {
                 // Bucket k covers (gamma^(k-1), gamma^k]; the midpoint
@@ -256,9 +261,17 @@ impl QuantileSketch {
 
     /// Merge another sketch into this one.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (&key, &n) in &other.bins {
-            *self.bins.entry(key).or_insert(0) += n;
-        }
+        // Both sides are sorted: append, merge the two runs (a stable
+        // sort finds them) and fold equal keys.
+        self.bins.extend_from_slice(&other.bins);
+        self.bins.sort_by_key(|&(k, _)| k);
+        self.bins.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         self.zero_count += other.zero_count;
         self.count += other.count;
         self.sum += other.sum;

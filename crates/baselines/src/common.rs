@@ -14,10 +14,14 @@
 //!   accounting; generic over per-flow extension state (pHost hangs its
 //!   token-scheduler fields off it).
 //! * [`FlowTable`] + [`TxBody`] — sender-side flow state with the three
-//!   orderings the baselines use: SRPT-style `select_min`, FIFO (a
-//!   degenerate `select_min` on arrival sequence), and round-robin
-//!   `select_rr`; `TxBody` owns fragmentation (retransmissions first,
-//!   then fresh bytes up to a caller-supplied limit).
+//!   orderings the baselines use: SRPT-style `select_min`, FIFO
+//!   `select_first`, and round-robin `select_rr`; `TxBody` owns
+//!   fragmentation (retransmissions first, then fresh bytes up to a
+//!   caller-supplied limit).
+//!
+//! Both tables keep their flows in `Vec`s in [`FlowId`] order and find
+//! them by binary search: the ids are the simulator's own, so no hashing
+//! is needed, and every walk over a table runs in one fixed order.
 //! * [`TickTimer`] — the arm-once/lazily-cancel periodic timer pattern
 //!   required by the simulator's non-cancellable timers.
 //! * [`CtrlQueue`] — queued control packets, drained by `next_packet`
@@ -28,8 +32,7 @@ use homa::config::{DATA_OVERHEAD, MAX_PAYLOAD};
 use homa::messages::InboundMessage;
 use homa::packets::{Dir, MsgKey, PeerId};
 use homa_sim::{AppEvent, HostId, Packet, SimDuration, SimTime, TimerToken, TransportActions};
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::VecDeque;
 
 /// Identity of a message/flow within a baseline transport: sending host
 /// plus a sender-local sequence number.
@@ -97,37 +100,51 @@ pub struct RxEntry<X = ()> {
 /// folds in data packets, and converts completion into a
 /// [`AppEvent::MessageDelivered`] plus goodput accounting.
 ///
-/// Delivered flows leave a tombstone behind: a late duplicate (e.g. a
-/// retransmission whose ack was lost) must not rebuild reassembly
-/// state and deliver the same message twice. [`Self::upsert_with`]
-/// returns `None` for such flows so callers can re-ack/re-notify the
-/// sender without touching receive state. Tombstones are flow ids
-/// only, so the cost is a few words per completed message.
-#[derive(Debug, Default)]
+/// Flows in progress sit in a `Vec` sorted by [`FlowId`] and are found
+/// by binary search; iteration runs in that order. Delivered flows leave
+/// a tombstone behind: a late duplicate (e.g. a retransmission whose ack
+/// was lost) must not rebuild reassembly state and deliver the same
+/// message twice. [`Self::upsert_with`] returns `None` for such flows so
+/// callers can re-ack/re-notify the sender without touching receive
+/// state. A tombstone is the flow's `seq` in an ascending `Vec` kept per
+/// source host, so the cost is one word per completed message; the
+/// per-source list grows only as far as the highest source heard from.
+#[derive(Debug)]
 pub struct ReassemblyTable<X = ()> {
-    flows: HashMap<FlowId, RxEntry<X>>,
-    delivered: std::collections::HashSet<FlowId>,
+    flows: Vec<(FlowId, RxEntry<X>)>,
+    delivered: Vec<Vec<u64>>,
     delivered_bytes: u64,
+}
+
+impl<X> Default for ReassemblyTable<X> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<X> ReassemblyTable<X> {
     /// Empty table.
     pub fn new() -> Self {
-        ReassemblyTable {
-            flows: HashMap::new(),
-            delivered: std::collections::HashSet::new(),
-            delivered_bytes: 0,
-        }
+        ReassemblyTable { flows: Vec::new(), delivered: Vec::new(), delivered_bytes: 0 }
+    }
+
+    /// Where `flow` is, or would be inserted, in the sorted flow list.
+    fn position(&self, flow: FlowId) -> Result<usize, usize> {
+        self.flows.binary_search_by(|(f, _)| f.cmp(&flow))
     }
 
     /// True when `flow` has already been delivered to the application.
     pub fn is_delivered(&self, flow: &FlowId) -> bool {
-        self.delivered.contains(flow)
+        self.delivered
+            .get(flow.src.0 as usize)
+            .is_some_and(|seqs| seqs.binary_search(&flow.seq).is_ok())
     }
 
     /// Get-or-create the entry for `flow`, building extension state with
-    /// `mk_ext` on first contact. Returns `None` if the flow has
-    /// already been delivered (late duplicate — do not rebuild state).
+    /// `mk_ext` on first contact, and hand it back as an [`RxSlot`] that
+    /// records packets and delivers without a second lookup. Returns
+    /// `None` if the flow has already been delivered (late duplicate — do
+    /// not rebuild state).
     pub fn upsert_with(
         &mut self,
         flow: FlowId,
@@ -135,15 +152,16 @@ impl<X> ReassemblyTable<X> {
         tag: u64,
         now_ns: u64,
         mk_ext: impl FnOnce() -> X,
-    ) -> Option<&mut RxEntry<X>> {
-        if self.delivered.contains(&flow) {
+    ) -> Option<RxSlot<'_, X>> {
+        if self.is_delivered(&flow) {
             return None;
         }
-        Some(self.flows.entry(flow).or_insert_with(|| RxEntry {
-            msg: InboundMessage::new(flow.msg_key(), PeerId(flow.src.0), msg_len, now_ns),
-            tag,
-            ext: mk_ext(),
-        }))
+        let idx = self.position(flow).unwrap_or_else(|idx| {
+            let msg = InboundMessage::new(flow.msg_key(), PeerId(flow.src.0), msg_len, now_ns);
+            self.flows.insert(idx, (flow, RxEntry { msg, tag, ext: mk_ext() }));
+            idx
+        });
+        Some(RxSlot { table: self, idx })
     }
 
     /// Get-or-create with default extension state. Returns `None` for
@@ -154,65 +172,45 @@ impl<X> ReassemblyTable<X> {
         msg_len: u64,
         tag: u64,
         now_ns: u64,
-    ) -> Option<&mut RxEntry<X>>
+    ) -> Option<RxSlot<'_, X>>
     where
         X: Default,
     {
         self.upsert_with(flow, msg_len, tag, now_ns, X::default)
     }
 
-    /// Fold one data packet into `flow` (which must exist): refresh the
-    /// tag if this is the offset-0 packet, record the bytes, and report
-    /// progress. Delivery is a separate step ([`Self::deliver_if_complete`])
-    /// so protocols can emit acks/pulls against the updated state first.
-    pub fn record(&mut self, flow: FlowId, offset: u64, payload: u32, tag: u64) -> RxProgress {
-        let e = self.flows.get_mut(&flow).expect("record on unknown flow");
-        if offset == 0 {
-            e.tag = tag;
-        }
-        e.msg.record(offset, payload as u64);
-        RxProgress { complete: e.msg.complete(), contiguous: e.msg.contiguous() }
-    }
-
-    /// If `flow` has fully arrived, retire it: count its bytes as
-    /// delivered, emit [`AppEvent::MessageDelivered`], and drop the
-    /// entry. Returns whether delivery happened.
-    pub fn deliver_if_complete(&mut self, flow: FlowId, act: &mut TransportActions) -> bool {
-        let complete = self.flows.get(&flow).is_some_and(|e| e.msg.complete());
-        if complete {
-            let e = self.flows.remove(&flow).expect("checked above");
-            let len = e.msg.len;
-            self.delivered_bytes += len;
-            self.delivered.insert(flow);
-            act.event(AppEvent::MessageDelivered { src: flow.src, tag: e.tag, len });
-        }
-        complete
-    }
-
     /// Entry lookup.
     pub fn get(&self, flow: &FlowId) -> Option<&RxEntry<X>> {
-        self.flows.get(flow)
+        self.position(*flow).ok().map(|idx| &self.flows[idx].1)
     }
 
-    /// Mutable entry lookup.
-    pub fn get_mut(&mut self, flow: &FlowId) -> Option<&mut RxEntry<X>> {
-        self.flows.get_mut(flow)
+    /// The flow minimizing `rank` among those it ranks (`None` marks a
+    /// flow ineligible), with its entry. Ties go to the lowest
+    /// [`FlowId`]; include a unique component in the rank anyway, so the
+    /// choice says what it means.
+    pub fn select_min<R: Ord>(
+        &mut self,
+        rank: impl FnMut(FlowId, &RxEntry<X>) -> Option<R>,
+    ) -> Option<(FlowId, &mut RxEntry<X>)> {
+        let idx = min_index(&self.flows, rank)?;
+        let (flow, entry) = &mut self.flows[idx];
+        Some((*flow, entry))
     }
 
-    /// Iterate (flow, entry) pairs.
+    /// Iterate (flow, entry) pairs in [`FlowId`] order.
     pub fn iter(&self) -> impl Iterator<Item = (&FlowId, &RxEntry<X>)> {
-        self.flows.iter()
+        self.flows.iter().map(|(f, e)| (f, e))
     }
 
-    /// Iterate entries mutably.
+    /// Iterate entries mutably, in [`FlowId`] order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut RxEntry<X>> {
-        self.flows.values_mut()
+        self.flows.iter_mut().map(|(_, e)| e)
     }
 
     /// True while any tracked flow is still incomplete (drives pacer
     /// continuation in the receiver-driven baselines).
     pub fn any_incomplete(&self) -> bool {
-        self.flows.values().any(|e| !e.msg.complete())
+        self.flows.iter().any(|(_, e)| !e.msg.complete())
     }
 
     /// Application bytes delivered so far (the transport goodput
@@ -222,7 +220,59 @@ impl<X> ReassemblyTable<X> {
     }
 }
 
-/// Progress report from [`ReassemblyTable::record`].
+/// One flow of a [`ReassemblyTable`], found by
+/// [`ReassemblyTable::upsert_with`]: records packets into it and delivers
+/// it without looking it up again.
+#[derive(Debug)]
+pub struct RxSlot<'a, X> {
+    table: &'a mut ReassemblyTable<X>,
+    idx: usize,
+}
+
+impl<X> RxSlot<'_, X> {
+    /// The flow's entry.
+    pub fn entry(&mut self) -> &mut RxEntry<X> {
+        &mut self.table.flows[self.idx].1
+    }
+
+    /// Fold one data packet in: refresh the tag if this is the offset-0
+    /// packet, record the bytes, and report progress. Delivery is a
+    /// separate step ([`Self::deliver_if_complete`]) so protocols can
+    /// emit acks/pulls against the updated state first.
+    pub fn record(&mut self, offset: u64, payload: u32, tag: u64) -> RxProgress {
+        let e = self.entry();
+        if offset == 0 {
+            e.tag = tag;
+        }
+        e.msg.record(offset, payload as u64);
+        RxProgress { complete: e.msg.complete(), contiguous: e.msg.contiguous() }
+    }
+
+    /// If the flow has fully arrived, retire it: count its bytes as
+    /// delivered, emit [`AppEvent::MessageDelivered`], drop the entry and
+    /// leave its tombstone. Returns whether delivery happened.
+    pub fn deliver_if_complete(self, act: &mut TransportActions) -> bool {
+        let table = self.table;
+        if !table.flows[self.idx].1.msg.complete() {
+            return false;
+        }
+        let (flow, e) = table.flows.remove(self.idx);
+        let len = e.msg.len;
+        table.delivered_bytes += len;
+        let src = flow.src.0 as usize;
+        if table.delivered.len() <= src {
+            table.delivered.resize_with(src + 1, Vec::new);
+        }
+        let seqs = &mut table.delivered[src];
+        let at = seqs.partition_point(|&s| s < flow.seq);
+        debug_assert!(seqs.get(at) != Some(&flow.seq), "flow delivered twice");
+        seqs.insert(at, flow.seq);
+        act.event(AppEvent::MessageDelivered { src: flow.src, tag: e.tag, len });
+        true
+    }
+}
+
+/// Progress report from [`RxSlot::record`].
 #[derive(Debug, Clone, Copy)]
 pub struct RxProgress {
     /// All bytes of the message have arrived.
@@ -346,114 +396,143 @@ impl TxBody {
 
 /// Sender-side flow table with the orderings the baselines need.
 ///
-/// Keys are small `Copy` identifiers ([`FlowId`], or [`HostId`] for the
-/// per-destination stream transport). Insertion order is retained: it
-/// is the round-robin ring for [`Self::select_rr`] and the arrival
-/// sequence for FIFO policies.
+/// A sender's flows sit in a `Vec` in insertion order. A transport
+/// numbers its own messages, so their [`FlowId`]s ascend in that order
+/// and a lookup is a binary search. The same `Vec` is the round-robin
+/// ring for [`Self::select_rr`] and the arrival sequence for FIFO
+/// policies ([`Self::select_first`]).
 #[derive(Debug)]
-pub struct FlowTable<K, S> {
-    map: HashMap<K, S>,
-    ring: Vec<K>,
+pub struct FlowTable<S> {
+    flows: Vec<(FlowId, S)>,
     rr_next: usize,
 }
 
-impl<K: Copy + Eq + Hash, S> Default for FlowTable<K, S> {
+impl<S> Default for FlowTable<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Copy + Eq + Hash, S> FlowTable<K, S> {
+impl<S> FlowTable<S> {
     /// Empty table.
     pub fn new() -> Self {
-        FlowTable { map: HashMap::new(), ring: Vec::new(), rr_next: 0 }
+        FlowTable { flows: Vec::new(), rr_next: 0 }
     }
 
-    /// Insert a new flow (keys must be unique).
-    pub fn insert(&mut self, key: K, state: S) {
-        let prev = self.map.insert(key, state);
-        debug_assert!(prev.is_none(), "duplicate flow key");
-        self.ring.push(key);
+    /// Where `flow` is in the table.
+    fn position(&self, flow: FlowId) -> Option<usize> {
+        self.flows.binary_search_by(|(f, _)| f.cmp(&flow)).ok()
+    }
+
+    /// Insert a new flow; its id must be above every id inserted before.
+    pub fn insert(&mut self, flow: FlowId, state: S) {
+        debug_assert!(
+            self.flows.last().is_none_or(|(last, _)| *last < flow),
+            "flow ids must be inserted in ascending order"
+        );
+        self.flows.push((flow, state));
     }
 
     /// Remove a flow, keeping the round-robin cursor coherent.
-    pub fn remove(&mut self, key: K) -> Option<S> {
-        let state = self.map.remove(&key)?;
-        if let Some(pos) = self.ring.iter().position(|&k| k == key) {
-            self.ring.remove(pos);
-            if pos < self.rr_next {
-                self.rr_next -= 1;
-            }
-            if self.rr_next >= self.ring.len() {
-                self.rr_next = 0;
-            }
+    pub fn remove(&mut self, flow: FlowId) -> Option<S> {
+        let pos = self.position(flow)?;
+        let (_, state) = self.flows.remove(pos);
+        if pos < self.rr_next {
+            self.rr_next -= 1;
+        }
+        if self.rr_next >= self.flows.len() {
+            self.rr_next = 0;
         }
         Some(state)
     }
 
-    /// True when `key` is tracked.
-    pub fn contains(&self, key: K) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    /// Shared state lookup.
-    pub fn get(&self, key: K) -> Option<&S> {
-        self.map.get(&key)
-    }
-
     /// Mutable state lookup.
-    pub fn get_mut(&mut self, key: K) -> Option<&mut S> {
-        self.map.get_mut(&key)
+    pub fn get_mut(&mut self, flow: FlowId) -> Option<&mut S> {
+        let pos = self.position(flow)?;
+        Some(&mut self.flows[pos].1)
     }
 
     /// Number of flows.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.flows.len()
     }
 
     /// True when no flows are tracked.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.flows.is_empty()
     }
 
-    /// Iterate (key, state) pairs (hash order).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &S)> {
-        self.map.iter()
-    }
-
-    /// Iterate states mutably (hash order).
+    /// Iterate states mutably, in insertion order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        self.map.values_mut()
+        self.flows.iter_mut().map(|(_, s)| s)
     }
 
-    /// Pick the eligible flow minimizing `rank` (SRPT and friends;
-    /// FIFO is `rank = arrival seq`). Returning `None` from `rank`
-    /// marks a flow ineligible. Ties break on the rank's own ordering,
-    /// so include a unique component (e.g. `FlowId::seq`) for
-    /// determinism.
-    pub fn select_min<R: Ord>(&self, mut rank: impl FnMut(K, &S) -> Option<R>) -> Option<K> {
-        self.map
-            .iter()
-            .filter_map(|(&k, s)| rank(k, s).map(|r| (r, k)))
-            .min_by(|a, b| a.0.cmp(&b.0))
-            .map(|(_, k)| k)
+    /// Pick the eligible flow minimizing `rank` (SRPT and friends), with
+    /// its state. Returning `None` from `rank` marks a flow ineligible.
+    /// Ties go to the earliest flow; include a unique component (e.g.
+    /// `FlowId::seq`) in the rank anyway, so the choice says what it
+    /// means.
+    pub fn select_min<R: Ord>(
+        &mut self,
+        rank: impl FnMut(FlowId, &S) -> Option<R>,
+    ) -> Option<(FlowId, &mut S)> {
+        let pos = min_index(&self.flows, rank)?;
+        let (flow, state) = &mut self.flows[pos];
+        Some((*flow, state))
     }
 
-    /// Pick the next eligible flow in round-robin order and advance the
-    /// cursor past it.
-    pub fn select_rr(&mut self, mut eligible: impl FnMut(K, &mut S) -> bool) -> Option<K> {
-        let n = self.ring.len();
-        for step in 0..n {
-            let idx = (self.rr_next + step) % n;
-            let key = self.ring[idx];
-            let state = self.map.get_mut(&key).expect("ring key in map");
-            if eligible(key, state) {
-                self.rr_next = (idx + 1) % n;
-                return Some(key);
+    /// Pick the oldest eligible flow (FIFO), with its state.
+    pub fn select_first(
+        &mut self,
+        mut eligible: impl FnMut(&S) -> bool,
+    ) -> Option<(FlowId, &mut S)> {
+        let (flow, state) = self.flows.iter_mut().find(|(_, s)| eligible(s))?;
+        Some((*flow, state))
+    }
+
+    /// Pick the next eligible flow in round-robin order, with its state,
+    /// and advance the cursor past it.
+    pub fn select_rr(
+        &mut self,
+        mut eligible: impl FnMut(FlowId, &mut S) -> bool,
+    ) -> Option<(FlowId, &mut S)> {
+        let flows = &mut self.flows;
+        let pos = round_robin(flows.len(), &mut self.rr_next, |i| {
+            let (flow, state) = &mut flows[i];
+            eligible(*flow, state)
+        })?;
+        let (flow, state) = &mut self.flows[pos];
+        Some((*flow, state))
+    }
+}
+
+/// The index of the item minimizing `rank` among those it ranks; the
+/// first such on a tie.
+fn min_index<T, R: Ord>(
+    items: &[(FlowId, T)],
+    mut rank: impl FnMut(FlowId, &T) -> Option<R>,
+) -> Option<usize> {
+    let mut best: Option<(R, usize)> = None;
+    for (i, (flow, item)) in items.iter().enumerate() {
+        if let Some(r) = rank(*flow, item) {
+            if best.as_ref().is_none_or(|(b, _)| r < *b) {
+                best = Some((r, i));
             }
         }
-        None
     }
+    best.map(|(_, i)| i)
+}
+
+/// One round-robin step over a ring of `n` slots: the first slot from
+/// `*cursor` on, wrapping, that is `eligible`. The cursor moves past it.
+pub(crate) fn round_robin(
+    n: usize,
+    cursor: &mut usize,
+    mut eligible: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    let pick = (0..n).map(|step| (*cursor + step) % n).find(|&i| eligible(i))?;
+    *cursor = (pick + 1) % n;
+    Some(pick)
 }
 
 // ---------------------------------------------------------------------
@@ -604,36 +683,69 @@ mod tests {
 
     #[test]
     fn flow_table_select_min_is_srpt() {
-        let mut t: FlowTable<FlowId, u64> = FlowTable::new();
+        let mut t: FlowTable<u64> = FlowTable::new();
         let f = |seq| FlowId { src: HostId(0), seq };
         t.insert(f(1), 500);
         t.insert(f(2), 100);
         t.insert(f(3), 900);
-        assert_eq!(t.select_min(|k, &rem| Some((rem, k.seq))), Some(f(2)));
+        let pick = |t: &mut FlowTable<u64>, above: u64| {
+            t.select_min(|k, &rem| (rem > above).then_some((rem, k.seq))).map(|(k, _)| k)
+        };
+        assert_eq!(pick(&mut t, 0), Some(f(2)));
         // Ineligible flows are skipped.
-        assert_eq!(t.select_min(|k, &rem| (rem > 100).then_some((rem, k.seq))), Some(f(1)));
+        assert_eq!(pick(&mut t, 100), Some(f(1)));
         t.remove(f(2));
-        assert_eq!(t.select_min(|k, &rem| Some((rem, k.seq))), Some(f(1)));
+        assert_eq!(pick(&mut t, 0), Some(f(1)));
+        // The selected flow's state comes back for the caller to change.
+        *t.select_min(|k, _| Some(k.seq)).unwrap().1 = 50;
+        assert_eq!(pick(&mut t, 0), Some(f(1)));
+        assert_eq!(t.get_mut(f(1)), Some(&mut 50));
+    }
+
+    #[test]
+    fn flow_table_select_first_is_fifo() {
+        let mut t: FlowTable<bool> = FlowTable::new();
+        let f = |seq| FlowId { src: HostId(4), seq };
+        for (seq, ready) in [(3, false), (7, true), (9, true)] {
+            t.insert(f(seq), ready);
+        }
+        assert_eq!(t.select_first(|&ready| ready).map(|(k, _)| k), Some(f(7)));
+        t.remove(f(7));
+        assert_eq!(t.select_first(|&ready| ready).map(|(k, _)| k), Some(f(9)));
+        assert_eq!(t.select_first(|_| false), None);
     }
 
     #[test]
     fn flow_table_round_robin_cycles_fairly() {
-        let mut t: FlowTable<HostId, u32> = FlowTable::new();
-        for h in 0..3 {
-            t.insert(HostId(h), 0);
+        let mut t: FlowTable<u32> = FlowTable::new();
+        let f = |seq| FlowId { src: HostId(1), seq };
+        for seq in 0..3 {
+            t.insert(f(seq), 0);
         }
         let mut picks = Vec::new();
         for _ in 0..6 {
-            let k = t.select_rr(|_, _| true).unwrap();
-            picks.push(k.0);
+            let (k, _) = t.select_rr(|_, _| true).unwrap();
+            picks.push(k.seq);
         }
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
         // Removal keeps the cursor coherent.
-        t.remove(HostId(1));
-        let k1 = t.select_rr(|_, _| true).unwrap();
-        let k2 = t.select_rr(|_, _| true).unwrap();
+        t.remove(f(1));
+        let (k1, _) = t.select_rr(|_, _| true).unwrap();
+        let (k2, _) = t.select_rr(|_, _| true).unwrap();
         assert_ne!(k1, k2);
-        assert!(k1 != HostId(1) && k2 != HostId(1));
+        assert!(k1 != f(1) && k2 != f(1));
+    }
+
+    #[test]
+    fn round_robin_starts_at_the_cursor_and_moves_past_the_pick() {
+        let mut cursor = 2;
+        assert_eq!(round_robin(4, &mut cursor, |i| i != 2), Some(3));
+        assert_eq!(cursor, 0);
+        assert_eq!(round_robin(4, &mut cursor, |i| i == 1), Some(1));
+        assert_eq!(cursor, 2);
+        assert_eq!(round_robin(4, &mut cursor, |_| false), None);
+        assert_eq!(cursor, 2);
+        assert_eq!(round_robin(0, &mut cursor, |_| true), None);
     }
 
     #[test]
@@ -656,17 +768,18 @@ mod tests {
         let mut rx: ReassemblyTable = ReassemblyTable::new();
         let flow = FlowId { src: HostId(3), seq: 1 };
         let mut act = TransportActions::new();
-        assert!(rx.upsert(flow, 2_000, 7, 0).is_some());
-        let p = rx.record(flow, 1_400, 600, 7);
+        let mut slot = rx.upsert(flow, 2_000, 7, 0).expect("fresh flow");
+        let p = slot.record(1_400, 600, 7);
         assert!(!p.complete);
         assert_eq!(p.contiguous, 0);
-        assert!(!rx.deliver_if_complete(flow, &mut act));
-        let p = rx.record(flow, 0, 1_400, 7);
+        assert!(!slot.deliver_if_complete(&mut act));
+        let mut slot = rx.upsert(flow, 2_000, 7, 0).expect("still in progress");
+        let p = slot.record(0, 1_400, 7);
         assert!(p.complete);
         assert_eq!(p.contiguous, 2_000);
-        assert!(rx.deliver_if_complete(flow, &mut act));
+        assert!(slot.deliver_if_complete(&mut act));
         // Gone after delivery; bytes counted exactly once.
-        assert!(!rx.deliver_if_complete(flow, &mut act));
+        assert!(rx.upsert(flow, 2_000, 7, 0).is_none());
         assert_eq!(rx.delivered_bytes(), 2_000);
         assert!(rx.get(&flow).is_none());
     }
@@ -678,13 +791,14 @@ mod tests {
         let mut rx: ReassemblyTable = ReassemblyTable::new();
         let flow = FlowId { src: HostId(2), seq: 9 };
         let mut act = TransportActions::new();
-        rx.upsert(flow, 500, 1, 0).expect("fresh flow");
-        rx.record(flow, 0, 500, 1);
-        assert!(rx.deliver_if_complete(flow, &mut act));
+        let mut slot = rx.upsert(flow, 500, 1, 0).expect("fresh flow");
+        slot.record(0, 500, 1);
+        assert!(slot.deliver_if_complete(&mut act));
         assert!(rx.is_delivered(&flow));
+        // The same seq from another source is another flow.
+        assert!(!rx.is_delivered(&FlowId { src: HostId(1), seq: 9 }));
         // The late duplicate is refused; goodput unchanged.
         assert!(rx.upsert(flow, 500, 1, 10).is_none());
-        assert!(!rx.deliver_if_complete(flow, &mut act));
         assert_eq!(rx.delivered_bytes(), 500);
         assert_eq!(
             act.events().iter().filter(|e| matches!(e, AppEvent::MessageDelivered { .. })).count(),
@@ -699,11 +813,25 @@ mod tests {
         // tag at all).
         let mut rx: ReassemblyTable = ReassemblyTable::new();
         let flow = FlowId { src: HostId(1), seq: 4 };
-        rx.upsert(flow, 2_000, 999, 0).expect("fresh flow");
-        rx.record(flow, 1_400, 600, 999);
-        rx.record(flow, 0, 1_400, 42);
+        rx.upsert(flow, 2_000, 999, 0).expect("fresh flow").record(1_400, 600, 999);
+        let mut slot = rx.upsert(flow, 2_000, 999, 0).expect("in progress");
+        slot.record(0, 1_400, 42);
         let mut act = TransportActions::new();
-        assert!(rx.deliver_if_complete(flow, &mut act));
+        assert!(slot.deliver_if_complete(&mut act));
+        assert!(matches!(act.events(), [AppEvent::MessageDelivered { tag: 42, len: 2_000, .. }]));
         assert_eq!(rx.delivered_bytes(), 2_000);
+    }
+
+    #[test]
+    fn reassembly_walks_flows_in_id_order() {
+        let mut rx: ReassemblyTable = ReassemblyTable::new();
+        let ids = [(2, 5), (0, 9), (2, 1), (1, 3)];
+        for (src, seq) in ids {
+            rx.upsert(FlowId { src: HostId(src), seq }, 100, 0, 0);
+        }
+        let walked: Vec<(u32, u64)> = rx.iter().map(|(f, _)| (f.src.0, f.seq)).collect();
+        assert_eq!(walked, vec![(0, 9), (1, 3), (2, 1), (2, 5)]);
+        let smallest = rx.select_min(|f, e| Some((e.msg.remaining(), f))).map(|(f, _)| f);
+        assert_eq!(smallest, Some(FlowId { src: HostId(0), seq: 9 }));
     }
 }

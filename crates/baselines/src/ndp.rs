@@ -125,7 +125,7 @@ const PACER_TOKEN: TimerToken = TimerToken(5);
 pub struct NdpTransport {
     me: HostId,
     next_seq: u64,
-    tx: FlowTable<FlowId, TxMsg>,
+    tx: FlowTable<TxMsg>,
     rx: ReassemblyTable,
     /// Fair-share pull queue: FIFO of pending pulls (flow, retx offset).
     pulls: VecDeque<(HostId, FlowId, Option<u64>)>,
@@ -153,26 +153,25 @@ impl Transport<NdpMeta> for NdpTransport {
     fn on_packet(&mut self, now: SimTime, pkt: Packet<NdpMeta>, act: &mut TransportActions) {
         match pkt.meta {
             NdpMeta::Data { flow, msg_len, offset, payload, tag, .. } => {
-                if self.rx.is_delivered(&flow) {
+                let Some(mut slot) = self.rx.upsert(flow, msg_len, tag, ns(now)) else {
                     // Late duplicate of a delivered message: repeat the
                     // completion notice so the sender frees its state,
                     // without rebuilding receive state or pacing pulls.
                     self.ctrl.push(flow.src, NdpMeta::Done { flow });
                     act.kick_tx();
                     return;
-                }
+                };
                 // A zero-payload packet is a fabric-trimmed header —
                 // unless the message itself is empty, in which case it
                 // is the message's one legitimate packet.
                 let trimmed = pkt.was_trimmed || (payload == 0 && msg_len > 0);
-                let _ = self.rx.upsert(flow, msg_len, tag, ns(now));
                 if trimmed {
                     // Header-only arrival: the payload was cut in the
                     // fabric; schedule a retransmission pull.
                     self.pulls.push_back((flow.src, flow, Some(offset)));
                 } else {
-                    self.rx.record(flow, offset, payload, tag);
-                    if self.rx.deliver_if_complete(flow, act) {
+                    slot.record(offset, payload, tag);
+                    if slot.deliver_if_complete(act) {
                         self.ctrl.push(flow.src, NdpMeta::Done { flow });
                         act.kick_tx();
                         self.pacer.ensure(now, act);
@@ -227,8 +226,7 @@ impl Transport<NdpMeta> for NdpTransport {
         // NDP senders keep a FIFO transmit queue (no SRPT — the Homa
         // paper calls out the resulting head-of-line blocking). Serve
         // flows in insertion order: retransmissions first within a flow.
-        let flow = self.tx.select_min(|f, m| m.body.has_work(m.granted).then_some(f.seq))?;
-        let m = self.tx.get_mut(flow).expect("selected");
+        let (flow, m) = self.tx.select_first(|m| m.body.has_work(m.granted))?;
         let (offset, payload, retx) = m.body.next_chunk_whole(m.granted).expect("has_work");
         let pkt =
             NdpMeta::Data { flow, msg_len: m.body.len, offset, payload, tag: m.body.tag, retx };

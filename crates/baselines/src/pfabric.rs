@@ -128,7 +128,7 @@ const RTO_TICK: SimDuration = SimDuration::from_micros(50);
 pub struct PfabricTransport {
     me: HostId,
     next_seq: u64,
-    tx: FlowTable<FlowId, TxMsg>,
+    tx: FlowTable<TxMsg>,
     rx: ReassemblyTable,
     ctrl: CtrlQueue<PfabricMeta>,
     rto: TickTimer,
@@ -156,9 +156,9 @@ impl Transport<PfabricMeta> for PfabricTransport {
                 // Always ack — even late duplicates of a delivered
                 // message, so the sender's RTO loop terminates.
                 self.ctrl.push(pkt.src, PfabricMeta::Ack { flow, offset });
-                if self.rx.upsert(flow, msg_len, tag, ns(now)).is_some() {
-                    self.rx.record(flow, offset, payload, tag);
-                    self.rx.deliver_if_complete(flow, act);
+                if let Some(mut slot) = self.rx.upsert(flow, msg_len, tag, ns(now)) {
+                    slot.record(offset, payload, tag);
+                    slot.deliver_if_complete(act);
                 }
                 act.kick_tx();
             }
@@ -208,8 +208,8 @@ impl Transport<PfabricMeta> for PfabricTransport {
         // Sender-side SRPT: among messages with window space, fewest
         // remaining bytes first (pFabric hosts transmit their
         // highest-priority flow).
-        let flow = self.tx.select_min(|f, m| m.has_sendable().then(|| (m.remaining(), f.seq)))?;
-        let m = self.tx.get_mut(flow).expect("selected");
+        let (flow, m) =
+            self.tx.select_min(|f, m| m.has_sendable().then(|| (m.remaining(), f.seq)))?;
         let (offset, payload, retx) = m.body.next_chunk(m.body.len).expect("has_sendable");
         m.unacked.insert(offset);
         Some(Packet::new(

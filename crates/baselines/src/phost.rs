@@ -145,7 +145,7 @@ const PACER_TOKEN: TimerToken = TimerToken(4);
 pub struct PhostTransport {
     me: HostId,
     next_seq: u64,
-    tx: FlowTable<FlowId, TxMsg>,
+    tx: FlowTable<TxMsg>,
     rx: ReassemblyTable<RxSched>,
     ctrl: CtrlQueue<PhostMeta>,
     pacer: TickTimer,
@@ -169,22 +169,17 @@ impl PhostTransport {
     /// credit one packet.
     fn issue_token(&mut self, now: SimTime) {
         let t = ns(now);
-        let best = self
-            .rx
-            .iter()
-            .filter(|(_, f)| {
-                !f.msg.complete()
-                    && f.ext.granted < f.msg.len
-                    && f.ext.granted.saturating_sub(f.msg.received()) < TOKEN_WINDOW
-                    && f.ext.penalized_until <= t
-            })
-            // Full FlowId in the rank: `seq` alone collides across
-            // senders and would leave ties to HashMap iteration order,
-            // breaking seeded-run reproducibility.
-            .min_by_key(|(id, f)| (f.msg.remaining(), **id))
-            .map(|(id, _)| *id);
-        if let Some(id) = best {
-            let f = self.rx.get_mut(&id).expect("chosen flow");
+        // Full FlowId in the rank: `seq` alone collides across senders.
+        // With it the rank is unique, so the pick does not rest on the
+        // order the table is walked in.
+        let best = self.rx.select_min(|id, f| {
+            let eligible = !f.msg.complete()
+                && f.ext.granted < f.msg.len
+                && f.ext.granted.saturating_sub(f.msg.received()) < TOKEN_WINDOW
+                && f.ext.penalized_until <= t;
+            eligible.then(|| (f.msg.remaining(), id))
+        });
+        if let Some((id, f)) = best {
             let offset = f.ext.granted;
             f.ext.granted = (f.ext.granted + MAX_PAYLOAD as u64).min(f.msg.len);
             self.ctrl.push(id.src, PhostMeta::Token { flow: id, offset });
@@ -230,20 +225,17 @@ impl Transport<PhostMeta> for PhostTransport {
                 }
             }
             PhostMeta::Data { flow, msg_len, offset, payload, tag, .. } => {
-                let fresh_entry = self
-                    .rx
-                    .upsert_with(flow, msg_len, tag, ns(now), || RxSched {
-                        granted: FREE_BYTES.min(msg_len),
-                        last_data: ns(now),
-                        penalized_until: 0,
-                    })
-                    .is_some();
-                if fresh_entry {
-                    self.rx.record(flow, offset, payload, tag);
-                    let f = self.rx.get_mut(&flow).expect("just upserted");
+                let entry = self.rx.upsert_with(flow, msg_len, tag, ns(now), || RxSched {
+                    granted: FREE_BYTES.min(msg_len),
+                    last_data: ns(now),
+                    penalized_until: 0,
+                });
+                if let Some(mut slot) = entry {
+                    slot.record(offset, payload, tag);
+                    let f = slot.entry();
                     f.ext.last_data = ns(now);
                     f.ext.penalized_until = 0;
-                    self.rx.deliver_if_complete(flow, act);
+                    slot.deliver_if_complete(act);
                 }
                 self.pacer.ensure(now, act);
             }
@@ -270,10 +262,9 @@ impl Transport<PhostMeta> for PhostTransport {
             return Some(pkt);
         }
         // SRPT among messages with authorized bytes.
-        let flow = self.tx.select_min(|f, m| {
+        let (flow, m) = self.tx.select_min(|f, m| {
             m.body.has_work(m.granted).then(|| (m.body.len - m.body.fresh, f.seq))
         })?;
-        let m = self.tx.get_mut(flow).expect("selected");
         let (offset, payload, _) = m.body.next_chunk(m.granted).expect("has_work");
         let free = offset < FREE_BYTES;
         let pkt =

@@ -191,7 +191,7 @@ pub struct PiasTransport {
     me: HostId,
     cfg: PiasConfig,
     next_seq: u64,
-    tx: FlowTable<FlowId, TxFlow>,
+    tx: FlowTable<TxFlow>,
     rx: ReassemblyTable,
     ctrl: CtrlQueue<PiasMeta>,
     rto: TickTimer,
@@ -217,16 +217,17 @@ impl Transport<PiasMeta> for PiasTransport {
         self.rto.ensure(now, act);
         match pkt.meta {
             PiasMeta::Data { flow, msg_len, offset, payload, tag, .. } => {
-                let cum = if self.rx.upsert(flow, msg_len, tag, ns(now)).is_some() {
-                    let progress = self.rx.record(flow, offset, payload, tag);
-                    progress.contiguous
-                } else {
+                let cum = match self.rx.upsert(flow, msg_len, tag, ns(now)) {
+                    Some(mut slot) => {
+                        let progress = slot.record(offset, payload, tag);
+                        slot.deliver_if_complete(act);
+                        progress.contiguous
+                    }
                     // Late duplicate of a delivered message: re-ack the
                     // full length so the sender retires the flow.
-                    msg_len
+                    None => msg_len,
                 };
                 self.ctrl.push(pkt.src, PiasMeta::Ack { flow, cum_offset: cum, ecn_echo: pkt.ecn });
-                self.rx.deliver_if_complete(flow, act);
                 act.kick_tx();
             }
             PiasMeta::Ack { flow, cum_offset, ecn_echo } => {
@@ -289,11 +290,10 @@ impl Transport<PiasMeta> for PiasTransport {
         }
         // Fair round-robin across flows with window space (TCP-like; PIAS
         // does not reorder at the sender).
-        let flow = self.tx.select_rr(|_, f| {
+        let (flow, f) = self.tx.select_rr(|_, f| {
             let limit = (f.acked + f.cwnd as u64).min(f.body.len);
             f.body.has_work(limit)
         })?;
-        let f = self.tx.get_mut(flow).expect("selected");
         let limit = (f.acked + f.cwnd as u64).min(f.body.len);
         let (offset, payload, retx) = f.body.next_chunk(limit).expect("eligible");
         let prio = self.cfg.prio_for(offset);

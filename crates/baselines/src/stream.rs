@@ -12,18 +12,19 @@
 //! * no network priorities (everything at level 0);
 //! * fair round-robin between streams at the sender.
 //!
-//! Streams reuse the sender-side scaffolding from
-//! [`crate::common`] ([`FlowTable`]/[`TxBody`], keyed by destination
-//! host rather than flow); reassembly is byte-stream-specific (in-order
-//! delivery with message boundaries), so it stays local.
+//! Streams reuse the sender-side fragmentation from [`crate::common`]
+//! ([`TxBody`]); a stream is per destination host rather than per flow,
+//! so both directions are kept in lists indexed by the dense [`HostId`].
+//! Reassembly is byte-stream-specific (in-order delivery with message
+//! boundaries), so it stays local.
 
-use crate::common::{ns, CtrlQueue, FlowTable, TickTimer, TxBody};
+use crate::common::{ns, round_robin, CtrlQueue, TickTimer, TxBody};
 use homa::config::{CTRL_BYTES, DATA_OVERHEAD, RTT_BYTES};
 use homa_sim::{
     AppEvent, HostId, Packet, PacketMeta, SimDuration, SimTime, TimerToken, Transport,
     TransportActions,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Stream transport configuration: none; the transport runs on the
 /// fixed parameters below.
@@ -108,8 +109,14 @@ const RTO_TICK: SimDuration = SimDuration::from_micros(500);
 /// The stream transport instance for one host.
 pub struct StreamTransport {
     me: HostId,
-    tx: FlowTable<HostId, TxStream>,
-    rx: HashMap<HostId, RxStream>,
+    /// Outgoing streams, indexed by destination host.
+    tx: Vec<Option<TxStream>>,
+    /// Destinations with an outgoing stream, in the order the streams
+    /// opened: the round-robin ring.
+    ring: Vec<HostId>,
+    rr_next: usize,
+    /// Incoming streams, indexed by source host.
+    rx: Vec<RxStream>,
     acks: CtrlQueue<StreamMeta>,
     delivered: u64,
     rto: TickTimer,
@@ -120,16 +127,32 @@ impl StreamTransport {
     pub fn new(me: HostId, _cfg: StreamConfig) -> Self {
         StreamTransport {
             me,
-            tx: FlowTable::new(),
-            rx: HashMap::new(),
+            tx: Vec::new(),
+            ring: Vec::new(),
+            rr_next: 0,
+            rx: Vec::new(),
             acks: CtrlQueue::new(),
             delivered: 0,
             rto: TickTimer::new(RTO_TOKEN, RTO_TICK),
         }
     }
 
+    /// The outgoing stream to `dst`, if one is open.
+    fn tx_mut(&mut self, dst: HostId) -> Option<&mut TxStream> {
+        self.tx.get_mut(dst.0 as usize)?.as_mut()
+    }
+
+    /// The incoming stream from `src`, opened on first contact.
+    fn rx_mut(&mut self, src: HostId) -> &mut RxStream {
+        let i = src.0 as usize;
+        if self.rx.len() <= i {
+            self.rx.resize_with(i + 1, RxStream::default);
+        }
+        &mut self.rx[i]
+    }
+
     fn deliver_in_order(&mut self, src: HostId, act: &mut TransportActions) {
-        let rx = self.rx.get_mut(&src).expect("stream exists");
+        let rx = &mut self.rx[src.0 as usize];
         // Merge out-of-order segments into the in-order point.
         loop {
             let mut advanced = false;
@@ -166,7 +189,7 @@ impl Transport<StreamMeta> for StreamTransport {
         self.rto.ensure(now, act);
         match pkt.meta {
             StreamMeta::Data { offset, payload, ref msgs } => {
-                let rx = self.rx.entry(pkt.src).or_default();
+                let rx = self.rx_mut(pkt.src);
                 for &m in msgs {
                     // Register unseen message boundaries in order.
                     if rx.msgs.iter().all(|&(_, _, s)| s != m.2) && m.2 + m.1 > rx.in_order {
@@ -177,12 +200,12 @@ impl Transport<StreamMeta> for StreamTransport {
                     rx.ooo.push((offset, payload as u64));
                 }
                 self.deliver_in_order(pkt.src, act);
-                let in_order = self.rx[&pkt.src].in_order;
+                let in_order = self.rx_mut(pkt.src).in_order;
                 self.acks.push(pkt.src, StreamMeta::Ack { offset: in_order });
                 act.kick_tx();
             }
             StreamMeta::Ack { offset } => {
-                if let Some(tx) = self.tx.get_mut(pkt.src) {
+                if let Some(tx) = self.tx_mut(pkt.src) {
                     if offset > tx.acked {
                         tx.acked = offset;
                         tx.last_progress = ns(now);
@@ -205,7 +228,7 @@ impl Transport<StreamMeta> for StreamTransport {
         // Go-back-N: any stream stalled past the RTO restarts from the ack
         // point.
         let mut kick = false;
-        for tx in self.tx.values_mut() {
+        for tx in self.tx.iter_mut().flatten() {
             if tx.acked < tx.body.fresh && ns(now).saturating_sub(tx.last_progress) > RTO_NS {
                 tx.body.fresh = tx.acked;
                 tx.last_progress = ns(now);
@@ -224,8 +247,13 @@ impl Transport<StreamMeta> for StreamTransport {
             return Some(pkt);
         }
         // Round-robin across streams with window space and data.
-        let dst = self.tx.select_rr(|_, tx| tx.body.has_work(tx.acked + WINDOW))?;
-        let tx = self.tx.get_mut(dst).expect("selected");
+        let (ring, streams) = (&self.ring, &self.tx);
+        let pick = round_robin(ring.len(), &mut self.rr_next, |i| {
+            let tx = streams[ring[i].0 as usize].as_ref().expect("the ring names open streams");
+            tx.body.has_work(tx.acked + WINDOW)
+        })?;
+        let dst = self.ring[pick];
+        let tx = self.tx_mut(dst).expect("the ring names open streams");
         let (offset, payload, _) = tx.body.next_chunk(tx.acked + WINDOW).expect("eligible");
         // Message boundaries that start within this segment.
         let msgs: Vec<(u64, u64, u64)> = tx
@@ -246,18 +274,19 @@ impl Transport<StreamMeta> for StreamTransport {
         act: &mut TransportActions,
     ) {
         self.rto.ensure(now, act);
-        if !self.tx.contains(dst) {
-            self.tx.insert(
-                dst,
-                TxStream {
-                    body: TxBody::new(dst, 0, 0),
-                    acked: 0,
-                    msgs: VecDeque::new(),
-                    last_progress: 0,
-                },
-            );
+        let i = dst.0 as usize;
+        if self.tx.len() <= i {
+            self.tx.resize_with(i + 1, || None);
         }
-        let tx = self.tx.get_mut(dst).expect("just ensured");
+        let tx = self.tx[i].get_or_insert_with(|| {
+            self.ring.push(dst);
+            TxStream {
+                body: TxBody::new(dst, 0, 0),
+                acked: 0,
+                msgs: VecDeque::new(),
+                last_progress: 0,
+            }
+        });
         let start = tx.body.len;
         tx.msgs.push_back((tag, len, start));
         tx.body.len += len;

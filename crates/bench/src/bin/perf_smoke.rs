@@ -1,10 +1,11 @@
 //! `perf-smoke` — the CI fixed-point and footprint gate.
 //!
-//! Runs a fixed set of deterministic scenarios (fixed seed; W4 at 80%
-//! load on 40- to 1,024-host multi-TOR leaf–spine fabrics, an incast
-//! under link flaps, and 200,000 W1 messages on the 160-host fabric,
-//! where per-message state rather than the event engine sets the cost
-//! and the footprint),
+//! Runs a fixed set of deterministic scenarios (fixed seed; Homa on W4
+//! at 80% load on 40- to 1,024-host multi-TOR leaf–spine fabrics, an
+//! incast under link flaps, and 200,000 W1 messages on the 160-host
+//! fabric, where per-message state rather than the event engine sets the
+//! cost and the footprint; then pFabric, pHost, PIAS and NDP on W3 at 50%
+//! on 40 hosts, the benchmark's `sim_mix_baselines` runs),
 //! measures wall-clock, events/sec and peak resident set, and emits a
 //! machine-readable JSON report. CI compares the report against the
 //! checked-in `BENCH_BASELINE.json` and fails when a deterministic count
@@ -42,20 +43,22 @@
 //! `cargo run --release -p homa-bench --bin perf-smoke -- --rss --out BENCH_BASELINE.json`
 
 use homa_bench::perfjson::{parse_report, render_report, Report, ScenarioReport};
-use homa_bench::{run_protocol_scenario, Protocol};
+use homa_bench::{parse_run_line, run_protocol_scenario, Protocol, Variant};
 use homa_harness::driver::{OnewayOpts, OnewayResult};
 use homa_harness::ScenarioSpec;
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-/// One gate scenario as a spec line (fixed seed: the runs are
-/// deterministic, so the baseline's event counts must reproduce exactly),
-/// plus the minimum delivered fraction it must reach. The uniform
-/// scenarios must complete outright; the incast-under-flaps scenario
-/// legitimately loses the few one-way messages whose every packet died on
-/// the downed link (fire-and-forget), so its floor is lower — and the
-/// exact delivered count is still pinned by the baseline comparison.
-const GATE: [(&str, f64); 6] = [
+/// One gate scenario as a run line (`proto=` and a spec line; a line
+/// without `proto=` is Homa's), with a fixed seed: the runs are
+/// deterministic, so the baseline's event counts must reproduce exactly.
+/// Each comes with the minimum delivered fraction it must reach. The
+/// uniform scenarios must complete outright; the incast-under-flaps
+/// scenario legitimately loses the few one-way messages whose every
+/// packet died on the downed link (fire-and-forget), so its floor is
+/// lower — and the exact delivered count is still pinned by the baseline
+/// comparison.
+const GATE: [(&str, f64); 10] = [
     ("name=w4_80_40h fabric=mtor:40 wl=W4 load=0.8 msgs=1200 seed=42", 0.99),
     ("name=w4_80_100h fabric=mtor:100 wl=W4 load=0.8 msgs=3000 seed=42", 0.99),
     // The churn scenario the event engine targets: the largest multi-TOR
@@ -86,16 +89,32 @@ const GATE: [(&str, f64); 6] = [
     // streaming sketches only (no per-message records), so its
     // `peak_rss_kb` column is the arena/sketch regression gate.
     ("name=w4_80_1kh fabric=mtor:1024 wl=W4 load=0.8 msgs=30720 seed=42", 0.99),
+    // The comparison transports: the benchmark's `sim_mix_baselines`
+    // runs, spec for spec. No figure runs these at this scale (NDP runs
+    // in none of `repro all`'s), so these rows are what pins the
+    // baselines' flow tables and their four fabric queue disciplines.
+    ("proto=pFabric name=w3_50_40h_pfabric fabric=mtor:40 wl=W3 load=0.5 msgs=40000 seed=42", 1.0),
+    ("proto=pHost name=w3_50_40h_phost fabric=mtor:40 wl=W3 load=0.5 msgs=40000 seed=42", 1.0),
+    ("proto=PIAS name=w3_50_40h_pias fabric=mtor:40 wl=W3 load=0.5 msgs=40000 seed=42", 1.0),
+    ("proto=NDP name=w3_50_40h_ndp fabric=mtor:40 wl=W3 load=0.5 msgs=40000 seed=42", 1.0),
 ];
 
+/// One gate scenario, parsed: who runs it, what it runs, and its floor.
+struct GateRun {
+    proto: Protocol,
+    variant: Option<Variant>,
+    spec: ScenarioSpec,
+    min_delivered_frac: f64,
+}
+
 /// The gate's scenarios, with a quarter of the messages under `--quick`.
-fn gate_scenarios(quick: bool) -> Vec<(ScenarioSpec, f64)> {
+fn gate_scenarios(quick: bool) -> Vec<GateRun> {
     let scale = if quick { 4 } else { 1 };
     GATE.iter()
         .map(|&(line, min_delivered_frac)| {
-            let spec = ScenarioSpec::parse_spec_line(line).expect("a gate line parses");
+            let (proto, variant, spec) = parse_run_line(line).expect("a gate line parses");
             let messages = spec.messages / scale;
-            (spec.with_messages(messages), min_delivered_frac)
+            GateRun { proto, variant, spec: spec.with_messages(messages), min_delivered_frac }
         })
         .collect()
 }
@@ -124,9 +143,9 @@ struct GateCfg {
 }
 
 /// Run one scenario, returning the result, wall seconds and peak RSS.
-fn run_once(spec: &ScenarioSpec, rss: bool) -> (OnewayResult, f64, u64) {
+fn run_once(run: &GateRun, rss: bool) -> (OnewayResult, f64, u64) {
     let start = Instant::now();
-    let res = run_protocol_scenario(Protocol::Homa, spec, &OnewayOpts::default(), None);
+    let res = run_protocol_scenario(run.proto, &run.spec, &OnewayOpts::default(), run.variant);
     let wall = start.elapsed().as_secs_f64();
     let peak_kb = if rss { peak_rss_kb() } else { 0 };
     (res, wall, peak_kb)
@@ -160,23 +179,24 @@ fn run_in_child(name: &str, cfg: &GateCfg) -> ScenarioReport {
 }
 
 fn run_gate(cfg: &GateCfg) -> Report {
-    let selected: Vec<(ScenarioSpec, f64)> = gate_scenarios(cfg.quick)
+    let selected: Vec<GateRun> = gate_scenarios(cfg.quick)
         .into_iter()
-        .filter(|(spec, _)| cfg.only.as_ref().is_none_or(|f| spec.name.contains(f.as_str())))
+        .filter(|run| cfg.only.as_ref().is_none_or(|f| run.spec.name.contains(f.as_str())))
         .collect();
     let mut scenarios = Vec::new();
-    for (spec, min_delivered_frac) in &selected {
+    for run in &selected {
+        let spec = &run.spec;
         if selected.len() > 1 {
             scenarios.push(run_in_child(&spec.name, cfg));
             continue;
         }
         eprintln!("running {} ...", spec.name);
-        let (res, wall, peak_kb) = run_once(spec, cfg.rss);
+        let (res, wall, peak_kb) = run_once(run, cfg.rss);
         let events = res.stats.events_processed;
         let wall_ms = wall * 1e3;
         let eps = events as f64 / wall.max(1e-9);
         assert!(
-            res.delivered as f64 >= res.injected as f64 * *min_delivered_frac,
+            res.delivered as f64 >= res.injected as f64 * run.min_delivered_frac,
             "{}: only {}/{} delivered — scenario miscalibrated",
             spec.name,
             res.delivered,
